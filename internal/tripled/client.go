@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -96,13 +97,18 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	if err != nil {
 		return nil, &TransportError{Op: "dial", Err: err}
 	}
+	return newClient(conn, cfg.ioTimeout), nil
+}
+
+// newClient wraps an established connection.
+func newClient(conn net.Conn, ioTimeout time.Duration) *Client {
 	rw := conn
-	if cfg.ioTimeout > 0 {
-		rw = &deadlineConn{Conn: conn, timeout: cfg.ioTimeout}
+	if ioTimeout > 0 {
+		rw = &deadlineConn{Conn: conn, timeout: ioTimeout}
 	}
 	sc := bufio.NewScanner(rw)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &Client{conn: conn, r: sc, w: bufio.NewWriterSize(rw, 1<<16)}, nil
+	return &Client{conn: conn, r: sc, w: bufio.NewWriterSize(rw, 1<<16)}
 }
 
 // Close sends QUIT and closes the connection.
@@ -164,11 +170,7 @@ func (c *Client) expectOK(resp string) error {
 
 // putLine renders a PUT request (or BATCH body) line.
 func putLine(row, col string, v assoc.Value) string {
-	marker := "s"
-	if v.Numeric {
-		marker = "n"
-	}
-	return fmt.Sprintf("PUT\t%s\t%s\t%s\t%s", row, col, marker, v.String())
+	return string(appendCell([]byte("PUT\t"), row, col, v))
 }
 
 // Put stores a value.
@@ -237,24 +239,46 @@ func (c *Client) NNZ() (int, error) {
 	return strconv.Atoi(strings.TrimPrefix(resp, "OK "))
 }
 
-func (c *Client) readBlock(first string) ([]string, error) {
+// blockLen parses the first line of a block response into the number
+// of data lines that follow.
+func blockLen(first string) (int, error) {
 	if strings.HasPrefix(first, "ERR ") {
-		return nil, fmt.Errorf("tripled: server: %s", first[4:])
+		return 0, fmt.Errorf("tripled: server: %s", first[4:])
 	}
 	if !strings.HasPrefix(first, "BLOCK ") {
-		return nil, fmt.Errorf("tripled: expected BLOCK, got %q", first)
+		return 0, fmt.Errorf("tripled: expected BLOCK, got %q", first)
 	}
 	n, err := strconv.Atoi(strings.TrimPrefix(first, "BLOCK "))
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("tripled: bad block header %q", first)
+		return 0, fmt.Errorf("tripled: bad block header %q", first)
 	}
-	out := make([]string, 0, n)
+	return n, nil
+}
+
+// maxBlockPrealloc caps what a block header may make the client
+// allocate before any line has arrived; a longer block just grows.
+const maxBlockPrealloc = 1 << 16
+
+// scanBlockLine reads line i of an n-line block into the scanner.
+func (c *Client) scanBlockLine(i, n int) error {
+	if !c.r.Scan() {
+		// The stream died mid-block: a transport event, retryable on
+		// a fresh connection (reads are pure).
+		return &TransportError{Op: "recv",
+			Err: fmt.Errorf("truncated block (%d of %d lines)", i, n)}
+	}
+	return nil
+}
+
+func (c *Client) readBlock(first string) ([]string, error) {
+	n, err := blockLen(first)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, 0, min(n, maxBlockPrealloc))
 	for i := 0; i < n; i++ {
-		if !c.r.Scan() {
-			// The stream died mid-block: a transport event, retryable on
-			// a fresh connection (reads are pure).
-			return nil, &TransportError{Op: "recv",
-				Err: fmt.Errorf("truncated block (%d of %d lines)", i, n)}
+		if err := c.scanBlockLine(i, n); err != nil {
+			return nil, err
 		}
 		out = append(out, c.r.Text())
 	}
@@ -343,25 +367,40 @@ func (c *Client) ScanAllRows(start, end string, pageSize int) ([]string, error) 
 // the scan is done (rows deleted concurrently drop out of a page);
 // loop until an empty page, as FetchAssoc does.
 func (c *Client) ScanCells(start, end string, limit int, cursor string) ([]Cell, error) {
+	return c.appendCells(nil, start, end, limit, cursor)
+}
+
+// appendCells is ScanCells into caller storage: the page is appended to
+// dst, so FetchAssoc and DeletePrefix reuse one buffer across the pages
+// of a table.
+func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, error) {
 	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
 	if err != nil {
 		return nil, err
 	}
-	lines, err := c.readBlock(resp)
+	n, err := blockLen(resp)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Cell, 0, len(lines))
-	for _, line := range lines {
-		parts := strings.SplitN(line, "\t", 4)
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("tripled: malformed cells line %q", line)
-		}
-		v, err := parseValue(parts[2], parts[3])
-		if err != nil {
+	out := slices.Grow(dst, min(n, maxBlockPrealloc))
+	var dec cellDecoder
+	var lineErr error // first malformed line; the block is still drained
+	for i := 0; i < n; i++ {
+		if err := c.scanBlockLine(i, n); err != nil {
 			return nil, err
 		}
-		out = append(out, Cell{Row: parts[0], Col: parts[1], Val: v})
+		if lineErr != nil {
+			continue
+		}
+		cell, err := dec.decode(c.r.Bytes())
+		if err != nil {
+			lineErr = err
+			continue
+		}
+		out = append(out, cell)
+	}
+	if lineErr != nil {
+		return nil, lineErr
 	}
 	return out, nil
 }
@@ -486,8 +525,10 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 	if pageRows < 1 {
 		pageRows = 512
 	}
+	var cells []Cell
+	var err error
 	for {
-		cells, err := c.ScanCells(prefix, PrefixEnd(prefix), pageRows, "")
+		cells, err = c.appendCells(cells[:0], prefix, PrefixEnd(prefix), pageRows, "")
 		if err != nil {
 			return err
 		}
@@ -516,8 +557,10 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	}
 	out := assoc.New()
 	cursor := ""
+	var cells []Cell
+	var err error
 	for {
-		cells, err := c.ScanCells(prefix, PrefixEnd(prefix), pageRows, cursor)
+		cells, err = c.appendCells(cells[:0], prefix, PrefixEnd(prefix), pageRows, cursor)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,6 @@ package tripled
 // benchmark gate.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -200,19 +199,19 @@ func applyRuns(store *Store, ops []batchOp) (int, error) {
 // "D\trow\tcol"), newline-joined. Keys were validated at parse time,
 // so the line format cannot be corrupted from here.
 func encodeOps(ops []batchOp) []byte {
-	var b bytes.Buffer
+	var b []byte
 	for _, op := range ops {
 		if op.del {
-			fmt.Fprintf(&b, "D\t%s\t%s\n", op.cell.Row, op.cell.Col)
-			continue
+			b = append(b, 'D', '\t')
+			b = append(b, op.cell.Row...)
+			b = append(b, '\t')
+			b = append(b, op.cell.Col...)
+		} else {
+			b = appendCell(append(b, 'P', '\t'), op.cell.Row, op.cell.Col, op.cell.Val)
 		}
-		marker := "s"
-		if op.cell.Val.Numeric {
-			marker = "n"
-		}
-		fmt.Fprintf(&b, "P\t%s\t%s\t%s\t%s\n", op.cell.Row, op.cell.Col, marker, op.cell.Val.String())
+		b = append(b, '\n')
 	}
-	return b.Bytes()
+	return b
 }
 
 // decodeOps parses a WAL payload back into ops.

@@ -53,7 +53,8 @@ func storeLog(t *testing.T, s *Store) []byte {
 }
 
 // recoverStore replays a data dir into a fresh store by starting (and
-// stopping) a durable server on it, returning the recovered state.
+// stopping) a durable server on it, returning the recovered state with
+// its invariants checked.
 func recoverStore(t *testing.T, dir string) (*Store, Recovery) {
 	t.Helper()
 	store := NewStoreStripes(4)
@@ -63,6 +64,7 @@ func recoverStore(t *testing.T, dir string) (*Store, Recovery) {
 	}
 	rec := srv.Recovery()
 	srv.Close()
+	verifyStoreInvariants(t, store)
 	return store, rec
 }
 

@@ -1,12 +1,14 @@
 package tripled
 
-// fuzz_test.go throws arbitrary bytes at the wire protocol and the
-// persistence log. The contract under attack: malformed input of any
-// shape — embedded tabs, huge counts, truncated BATCH bodies, binary
-// noise — yields ERR responses or a clean disconnect, never a panic, a
-// hang, or a corrupted store.
+// fuzz_test.go throws arbitrary bytes at the wire protocol from both
+// ends and at the persistence log. The contract under attack: malformed
+// input of any shape — embedded tabs, huge counts, truncated BATCH
+// bodies or blocks, binary noise — yields ERR responses, a clean
+// disconnect or a client error, never a panic, a hang, or a corrupted
+// store.
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -107,5 +109,97 @@ func FuzzReplayLog(f *testing.F) {
 		store := NewStoreStripes(3)
 		store.ReplayLog(strings.NewReader(string(data))) // error or nil, never panic
 		verifyStoreInvariants(t, store)
+	})
+}
+
+// pipeClient returns a client whose server swallows every request and
+// answers with the fixed byte stream data, then hangs up.
+func pipeClient(t *testing.T, data []byte) *Client {
+	t.Helper()
+	clientEnd, serverEnd := net.Pipe()
+	go io.Copy(io.Discard, serverEnd)
+	go func() {
+		serverEnd.Write(data)
+		serverEnd.Close()
+	}()
+	t.Cleanup(func() { clientEnd.Close() })                 // also frees a writer the client stopped reading
+	clientEnd.SetDeadline(time.Now().Add(30 * time.Second)) // hang guard
+	return newClient(clientEnd, 0)
+}
+
+// scanCellsTextOracle is the CELLS response parser Client.ScanCells
+// replaced: collect the block's lines as strings, SplitN each.
+func scanCellsTextOracle(c *Client, start, end string, limit int, cursor string) ([]Cell, error) {
+	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
+	if err != nil {
+		return nil, err
+	}
+	lines, err := c.readBlock(resp)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Cell, 0, len(lines))
+	for _, line := range lines {
+		parts := strings.SplitN(line, "\t", 4)
+		if len(parts) != 4 {
+			return nil, fmt.Errorf("tripled: malformed cells line %q", line)
+		}
+		v, err := parseValue(parts[2], parts[3])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Cell{Row: parts[0], Col: parts[1], Val: v})
+	}
+	return out, nil
+}
+
+// FuzzClientCells is the client-side twin of FuzzServerProtocol: any
+// bytes a server (or whatever answers on its port) sends in reply to
+// CELLS yield cells or an error from ScanCells and FetchAssoc — never a
+// panic, a hang, or an allocation sized by the peer — and ScanCells
+// agrees cell for cell and error for error with the parser it replaced.
+func FuzzClientCells(f *testing.F) {
+	seeds := []string{
+		"BLOCK 2\nr\tc\tn\t1.5\nr\td\ts\thello world\n",
+		"BLOCK 3\nr1\tc\tn\t1\nr1\td\tn\t2\nr2\tc\ts\t\nBLOCK 0\n", // two pages
+		"BLOCK 0\n",
+		"BLOCK 1\nr\tc\ts\tvalue\twith\ttabs\n",
+		"BLOCK 1\nr\tc\tn\tNaN\n",
+		"BLOCK 1\n\t\tn\t-0\n",
+		"BLOCK 2\nr\tc\tn\t1\n",             // truncated block
+		"BLOCK 2\nr\tc\nr\tc\tn\t1\n",       // too few fields, block drained
+		"BLOCK 2\nr\tc\nr\tc\tn\t1",         // too few fields, then truncated
+		"BLOCK 1\nr\tc\tq\tbadmarker\n",     // unknown value marker
+		"BLOCK 1\nr\tc\tn\tnot-a-number\n",  // bad numeric
+		"BLOCK 1\nr\tc\tnn\t1\n",            // long marker
+		"BLOCK 99999999999999999999\n",      // overflow count
+		"BLOCK 4611686018427387904\nr\tc\n", // count no allocation can hold
+		"BLOCK -1\n",                        // negative count
+		"BLOCK x\n",                         // not a count
+		"ERR no such verb\n",                // server error
+		"OK\n",                              // wrong response kind
+		"",                                  // hangs up at once
+		"BLOCK 1\nr\tc\tn\t1\r\n",           // CRLF
+		"\x00\x01\x02\xff\xfe\n",            // binary noise
+		"BLOCK 1\n" + strings.Repeat("k", 70000) + "\tc\tn\t1\n", // line past the scanner's first buffer
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := pipeClient(t, data).ScanCells("", "", 512, "")
+		want, wantErr := scanCellsTextOracle(pipeClient(t, data), "", "", 512, "")
+		switch {
+		case (gotErr == nil) != (wantErr == nil):
+			t.Fatalf("ScanCells error = %v, text parser error = %v", gotErr, wantErr)
+		case gotErr != nil && gotErr.Error() != wantErr.Error():
+			t.Fatalf("ScanCells error = %q, text parser error = %q", gotErr, wantErr)
+		case !cellsEqual(got, want):
+			t.Fatalf("ScanCells = %v, text parser = %v", got, want)
+		}
+		a, err := pipeClient(t, data).FetchAssoc("", 512)
+		if (a == nil) == (err == nil) {
+			t.Fatalf("FetchAssoc = %v, %v: want a table or an error", a, err)
+		}
 	})
 }

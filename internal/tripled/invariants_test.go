@@ -2,6 +2,7 @@ package tripled
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/assoc"
@@ -20,8 +21,9 @@ func valueEqual(a, b assoc.Value) bool {
 // verifyStoreInvariants cross-checks every stripe's redundant
 // structures: row index vs transpose index, nnz vs cell count, empty
 // map cleanup (degree tables are derived from these map sizes, so
-// their correctness rides on the same checks), and row-to-stripe
-// placement. The fuzz and soak
+// their correctness rides on the same checks), row-to-stripe
+// placement, and the ordered row index (well-formed blocks holding
+// exactly the sorted keys of the row map). The fuzz, soak and crash
 // tests call it to prove no input sequence can corrupt the store.
 func verifyStoreInvariants(t *testing.T, s *Store) {
 	t.Helper()
@@ -42,6 +44,16 @@ func verifyStoreInvariants(t *testing.T, s *Store) {
 					t.Errorf("transpose missing cell (%q,%q)", row, col)
 				}
 			}
+		}
+		var indexed []string
+		for b, blk := range st.index.blocks {
+			if len(blk) == 0 || len(blk) > indexBlock {
+				t.Errorf("stripe %d index block %d holds %d keys", i, b, len(blk))
+			}
+			indexed = append(indexed, blk...)
+		}
+		if want := sortedKeys(nil, st.rows); !slices.Equal(indexed, want) {
+			t.Errorf("stripe %d row index holds %d keys out of step with the %d sorted row keys", i, len(indexed), len(want))
 		}
 		if nnz != st.nnz {
 			t.Errorf("stripe %d nnz = %d, recount %d", i, st.nnz, nnz)

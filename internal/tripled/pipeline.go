@@ -43,16 +43,6 @@ func (c *Client) StartPipeline(batchSize int) *Pipeline {
 	return &Pipeline{c: c, batchSize: batchSize}
 }
 
-// appendValue renders the "<n|s>\t<value>" tail of a PUT line.
-func appendValue(b []byte, v assoc.Value) []byte {
-	if v.Numeric {
-		b = append(b, 'n', '\t')
-		return strconv.AppendFloat(b, v.Num, 'g', -1, 64)
-	}
-	b = append(b, 's', '\t')
-	return append(b, v.Str...)
-}
-
 // Put queues a cell write. Errors surface on the next Flush/Close.
 func (p *Pipeline) Put(row, col string, v assoc.Value) {
 	if p.err != nil {
@@ -63,13 +53,7 @@ func (p *Pipeline) Put(row, col string, v assoc.Value) {
 		p.err = fmt.Errorf("tripled: key or value contains tab or newline")
 		return
 	}
-	p.body = append(p.body, "PUT\t"...)
-	p.body = append(p.body, row...)
-	p.body = append(p.body, '\t')
-	p.body = append(p.body, col...)
-	p.body = append(p.body, '\t')
-	p.body = appendValue(p.body, v)
-	p.body = append(p.body, '\n')
+	p.body = append(appendCell(append(p.body, "PUT\t"...), row, col, v), '\n')
 	p.bumped()
 }
 

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -251,11 +250,7 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 			fmt.Fprintln(w, "NF")
 			return false
 		}
-		marker := "s"
-		if v.Numeric {
-			marker = "n"
-		}
-		fmt.Fprintf(w, "OK %s\t%s\n", marker, v.String())
+		w.Write(append(appendValue(append(w.AvailableBuffer(), "OK "...), v), '\n'))
 	case "DEL":
 		if len(parts) != 3 {
 			fmt.Fprintln(w, "ERR DEL wants 2 arguments")
@@ -283,19 +278,11 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 		} else {
 			cells = s.store.Col(parts[1])
 		}
-		keys := make([]string, 0, len(cells))
-		for k := range cells {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := sortedKeys(nil, cells)
 		fmt.Fprintf(w, "BLOCK %d\n", len(keys))
 		for _, k := range keys {
-			v := cells[k]
-			marker := "s"
-			if v.Numeric {
-				marker = "n"
-			}
-			fmt.Fprintf(w, "%s\t%s\t%s\n", k, marker, v.String())
+			line := append(append(w.AvailableBuffer(), k...), '\t')
+			w.Write(append(appendValue(line, cells[k]), '\n'))
 		}
 	case "RANGE":
 		if len(parts) != 3 {
@@ -332,15 +319,15 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 			fmt.Fprintln(w, "ERR bad limit")
 			return false
 		}
-		cells, _ := s.store.ScanCells(parts[1], parts[2], limit, parts[4])
+		page := pagePool.Get().(*[]Cell)
+		cells, _ := s.store.appendCells((*page)[:0], parts[1], parts[2], limit, parts[4])
 		fmt.Fprintf(w, "BLOCK %d\n", len(cells))
 		for _, c := range cells {
-			marker := "s"
-			if c.Val.Numeric {
-				marker = "n"
-			}
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", c.Row, c.Col, marker, c.Val.String())
+			w.Write(append(appendCell(w.AvailableBuffer(), c.Row, c.Col, c.Val), '\n'))
 		}
+		clear(cells) // a pooled page must not pin rows deleted since
+		*page = cells
+		pagePool.Put(page)
 	case "RESYNC":
 		return s.handleResync(w, parts)
 	case "TOPDEG":
@@ -363,6 +350,11 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 	}
 	return false
 }
+
+// pagePool recycles the cell buffers CELLS pages are assembled in, across
+// requests and connections: a page is tens of kilobytes, and a fresh
+// buffer per page is most of what a scan would otherwise allocate.
+var pagePool = sync.Pool{New: func() any { return new([]Cell) }}
 
 // batchOp is one parsed BATCH body line.
 type batchOp struct {
@@ -393,6 +385,7 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 	}
 	ops := make([]batchOp, 0, n)
 	var bodyErr error
+	var fields [6]string // one more than a PUT's arity, so excess tabs still fail it
 	// One deadline covers the whole body: a stalled batch times out as a
 	// unit without paying a deadline syscall per line.
 	if s.idleTimeout > 0 {
@@ -405,7 +398,7 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 		if bodyErr != nil {
 			continue // keep consuming to stay in sync
 		}
-		body := strings.Split(sc.Text(), "\t")
+		body := splitTabs(fields[:], sc.Text())
 		switch strings.ToUpper(body[0]) {
 		case "PUT":
 			cell, err := parseMutation(body)

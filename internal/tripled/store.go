@@ -7,11 +7,13 @@
 // heaviest sources" queries cheap at honeyfarm scale.
 //
 // The store is sharded across stripes keyed by row hash: each stripe
-// has its own lock, row/column indexes, and degree tables, so writers
-// on different rows never contend. Column queries and degree-table
-// reads merge the per-stripe tables on demand. The store is in-memory
-// with an append-only change log for persistence, and server.go exposes
-// it over a line-oriented TCP protocol.
+// has its own lock, row/column indexes, ordered row-key index, and
+// degree tables, so writers on different rows never contend. Column
+// queries and degree-table reads merge the per-stripe tables on demand;
+// range scans seek each stripe's ordered index and merge the runs, so a
+// page costs O(log rows + page), not a walk of the store. The store is
+// in-memory with an append-only change log for persistence, and
+// server.go exposes it over a line-oriented TCP protocol.
 package tripled
 
 import (
@@ -19,8 +21,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,16 +46,19 @@ type CellKey struct {
 	Row, Col string
 }
 
-// stripe is one shard of the table: a full row index plus the
-// transpose index restricted to this stripe's rows. Degree tables are
-// not materialized — a row's degree is len(rows[row]) and a column's
+// stripe is one shard of the table: a full row index, the transpose
+// index restricted to this stripe's rows, and the ordered set of its
+// row keys that range scans seek into. Degree tables are not
+// materialized — a row's degree is len(rows[row]) and a column's
 // per-stripe degree is len(cols[col]), merged on demand — so mutations
-// touch two maps, not four.
+// touch two maps, not four, plus the ordered index when a row appears
+// or disappears.
 type stripe struct {
-	mu   sync.RWMutex
-	rows map[string]map[string]assoc.Value // row -> col -> value
-	cols map[string]map[string]assoc.Value // col -> row -> value (transpose)
-	nnz  int
+	mu    sync.RWMutex
+	rows  map[string]map[string]assoc.Value // row -> col -> value
+	cols  map[string]map[string]assoc.Value // col -> row -> value (transpose)
+	index rowIndex                          // the keys of rows, ordered
+	nnz   int
 }
 
 // Store is a concurrency-safe triple store sharded over row-hash
@@ -117,6 +122,7 @@ func (st *stripe) put(row, col string, v assoc.Value) {
 	if !ok {
 		r = make(map[string]assoc.Value)
 		st.rows[row] = r
+		st.index.insert(row)
 	}
 	if _, exists := r[col]; !exists {
 		st.nnz++
@@ -197,6 +203,7 @@ func (st *stripe) del(row, col string) bool {
 	delete(r, col)
 	if len(r) == 0 {
 		delete(st.rows, row)
+		st.index.remove(row)
 	}
 	c := st.cols[col]
 	delete(c, row)
@@ -290,93 +297,112 @@ func (s *Store) RowRange(start, end string) []string {
 // row keys r with r >= start, r < end (empty end = unbounded), and
 // r > cursor when cursor is non-empty. A limit <= 0 means unlimited.
 // The second result reports whether more rows remain past the page —
-// pass the last returned key back as the cursor to continue. Paged
-// selection keeps only the limit smallest matches in a bounded max-heap
-// (O(rows log limit) per page, no full sort of the tail).
+// pass the last returned key back as the cursor to continue. Each
+// stripe seeks its ordered index to the lower bound and yields at most
+// limit+1 keys, and the runs are merged: O(stripes * (log rows + limit))
+// per page, independent of how many rows the store holds elsewhere.
 func (s *Store) ScanRows(start, end string, limit int, cursor string) ([]string, bool) {
-	var out []string
-	matched := 0
+	lo, strict := start, false
+	if cursor != "" && cursor >= start {
+		lo, strict = cursor, true
+	}
+	take := -1
+	if limit > 0 {
+		take = limit + 1 // one past the page proves there is more
+	}
+	scratch := keyPool.Get().(*[]string)
+	keys := (*scratch)[:0]
+	bounds := make([]int, 1, len(s.stripes)+1)
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		for r := range st.rows {
-			if r < start || (end != "" && r >= end) || (cursor != "" && r <= cursor) {
-				continue
-			}
-			matched++
-			if limit <= 0 || len(out) < limit {
-				out = append(out, r)
-				heapUp(out)
-			} else if r < out[0] {
-				out[0] = r
-				heapDown(out)
-			}
-		}
+		keys = st.index.appendRange(keys, lo, strict, end, take)
 		st.mu.RUnlock()
+		bounds = append(bounds, len(keys))
 	}
-	sort.Strings(out)
-	return out, limit > 0 && matched > limit
+	more := limit > 0 && len(keys) > limit
+	if !more {
+		limit = len(keys)
+	}
+	out := mergeRuns(keys, bounds, limit)
+	clear(keys) // a pooled buffer must not pin rows deleted since
+	*scratch = keys
+	keyPool.Put(scratch)
+	return out, more
 }
 
-// heapUp restores the string max-heap property after appending to h.
-func heapUp(h []string) {
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] >= h[i] {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
+// keyPool recycles ScanRows' per-stripe runs: up to limit+1 keys from
+// every stripe, of which only the merged page outlives the call.
+var keyPool = sync.Pool{New: func() any { return new([]string) }}
 
-// heapDown restores the max-heap property after replacing h[0].
-func heapDown(h []string) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && h[l] > h[big] {
-			big = l
+// mergeRuns merges the sorted runs keys[bounds[i]:bounds[i+1]] and
+// returns the n smallest keys in order, in a slice of their own. Rows
+// live in exactly one stripe, so the runs share no key.
+func mergeRuns(keys []string, bounds []int, n int) []string {
+	heads := append([]int(nil), bounds[:len(bounds)-1]...)
+	out := make([]string, 0, n)
+	for len(out) < n {
+		best := -1
+		for i, h := range heads {
+			if h < bounds[i+1] && (best < 0 || keys[h] < keys[heads[best]]) {
+				best = i
+			}
 		}
-		if r < len(h) && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
+		out = append(out, keys[heads[best]])
+		heads[best]++
 	}
+	return out
 }
 
 // ScanCells returns every cell of up to limit rows of the paged row
 // scan defined by ScanRows, sorted by (row, col), plus the more flag.
 // It is the bulk-export query: one round trip per page instead of one
-// ROW query per key. A row deleted between the page selection and its
-// cell read simply drops from the page (each row's cells are read
-// atomically); if every selected row vanished that way, the scan
-// advances past them rather than returning a spurious end-of-scan.
+// ROW query per key, at O(page selection + cells returned). A row
+// deleted between the page selection and its cell read simply drops
+// from the page (each row's cells are read in place under its stripe's
+// read lock, so atomically); if every selected row vanished that way,
+// the scan advances past them rather than returning a spurious
+// end-of-scan.
 func (s *Store) ScanCells(start, end string, limit int, cursor string) ([]Cell, bool) {
+	return s.appendCells(nil, start, end, limit, cursor)
+}
+
+// appendCells is ScanCells into caller storage: the page's cells are
+// appended to dst, so a caller serving page after page reuses one
+// buffer instead of allocating a page-sized one each time.
+func (s *Store) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, bool) {
+	var cols []string
+	base := len(dst)
 	for {
 		rows, more := s.ScanRows(start, end, limit, cursor)
-		var out []Cell
 		for _, r := range rows {
-			cells := s.Row(r)
-			cols := make([]string, 0, len(cells))
-			for c := range cells {
-				cols = append(cols, c)
+			st := s.stripeFor(r)
+			st.mu.RLock()
+			cells := st.rows[r]
+			cols = sortedKeys(cols, cells)
+			if cap(dst) == 0 {
+				// A table's rows are near-uniform: size the page by its first row.
+				dst = make([]Cell, 0, len(rows)*len(cols))
 			}
-			sort.Strings(cols)
 			for _, c := range cols {
-				out = append(out, Cell{Row: r, Col: c, Val: cells[c]})
+				dst = append(dst, Cell{Row: r, Col: c, Val: cells[c]})
 			}
+			st.mu.RUnlock()
 		}
-		if len(out) > 0 || !more {
-			return out, more
+		if len(dst) > base || !more {
+			return dst, more
 		}
 		cursor = rows[len(rows)-1] // whole page deleted concurrently: skip it
 	}
+}
+
+// sortedKeys returns the keys of m in order, built in buf[:0].
+func sortedKeys[V any](buf []string, m map[string]V) []string {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // RowDegree returns the degree-table entry for a row (0 if absent).
@@ -484,27 +510,18 @@ func (s *Store) WriteLog(w io.Writer) error {
 	s.rlockAll()
 	defer s.runlockAll()
 	bw := bufio.NewWriter(w)
-	var rows []string
+	var keys, cols []string
+	bounds := make([]int, 1, len(s.stripes)+1)
 	for _, st := range s.stripes {
-		for r := range st.rows {
-			rows = append(rows, r)
-		}
+		keys = st.index.appendRange(keys, "", false, "", -1)
+		bounds = append(bounds, len(keys))
 	}
-	sort.Strings(rows)
-	for _, row := range rows {
+	for _, row := range mergeRuns(keys, bounds, len(keys)) {
 		cells := s.stripeFor(row).rows[row]
-		cols := make([]string, 0, len(cells))
-		for c := range cells {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
+		cols = sortedKeys(cols, cells)
 		for _, col := range cols {
-			v := cells[col]
-			marker := "s"
-			if v.Numeric {
-				marker = "n"
-			}
-			if _, err := fmt.Fprintf(bw, "P\t%s\t%s\t%s\t%s\n", row, col, marker, v.String()); err != nil {
+			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), row, col, cells[col])
+			if _, err := bw.Write(append(line, '\n')); err != nil {
 				return err
 			}
 		}
@@ -545,19 +562,4 @@ func (s *Store) ReplayLog(r io.Reader) error {
 		return fmt.Errorf("tripled: log line <= %d: %w", line, err)
 	}
 	return sc.Err()
-}
-
-func parseValue(marker, raw string) (assoc.Value, error) {
-	switch marker {
-	case "n":
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return assoc.Value{}, fmt.Errorf("bad number %q", raw)
-		}
-		return assoc.Num(f), nil
-	case "s":
-		return assoc.Str(raw), nil
-	default:
-		return assoc.Value{}, fmt.Errorf("unknown value marker %q", marker)
-	}
 }

@@ -8,6 +8,8 @@ package repro
 // the bench output.
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +142,102 @@ func BenchmarkTripledQueries(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTripledScanPage times one 512-row CELLS page of a 2048-row,
+// four-column table over loopback, from a store that also holds
+// rows={10k,100k,1M} single-cell rows under prefixes on either side of
+// the table's. A page seeks each stripe's ordered row index, so its
+// cost must not grow with what the store holds elsewhere.
+func BenchmarkTripledScanPage(b *testing.B) {
+	for _, resident := range []struct {
+		name string
+		rows int
+	}{{"10k", 10_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
+		b.Run("rows="+resident.name, func(b *testing.B) {
+			store := tripled.NewStore()
+			batch := make([]tripled.Cell, 0, 4096)
+			put := func(row, col string, v float64) {
+				batch = append(batch, tripled.Cell{Row: row, Col: col, Val: assoc.Num(v)})
+				if len(batch) == cap(batch) {
+					if err := store.PutBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+					batch = batch[:0]
+				}
+			}
+			for i := 0; i < resident.rows; i++ {
+				put(fmt.Sprintf("%c/%07d", "az"[i%2], i), "c", float64(i))
+			}
+			const tableRows, pageRows = 2048, 512
+			for i := 0; i < tableRows; i++ {
+				for _, col := range []string{"class", "first", "last", "packets"} {
+					put(fmt.Sprintf("t/%05d", i), col, float64(i))
+				}
+			}
+			if err := store.PutBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+			srv, err := tripled.Serve(store, "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := tripled.Dial(srv.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			runtime.GC() // collecting the load's garbage is not part of a page
+			b.ReportAllocs()
+			b.ResetTimer()
+			cursor := ""
+			for i := 0; i < b.N; i++ {
+				cells, err := c.ScanCells("t/", tripled.PrefixEnd("t/"), pageRows, cursor)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(cells) != 4*pageRows {
+					b.Fatalf("page after %q holds %d cells, want %d", cursor, len(cells), 4*pageRows)
+				}
+				cursor = cells[len(cells)-1].Row
+				if cursor == fmt.Sprintf("t/%05d", tableRows-1) {
+					cursor = ""
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTripledFetchAssoc reads the published month table back, the
+// fetch half of a store-backed study.
+func BenchmarkTripledFetchAssoc(b *testing.B) {
+	table := benchMonth(b)
+	srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := tripled.Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.PublishAssoc("m/", table, honeyfarm.PublishBatch); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		back, err := c.FetchAssoc("m/", 512)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if back.NNZ() != table.NNZ() {
+			b.Fatalf("fetched %d cells, want %d", back.NNZ(), table.NNZ())
+		}
+	}
+	b.ReportMetric(float64(table.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
 }
 
 // TestTripledIngestSpeedup is the checked form of the acceptance bar:
