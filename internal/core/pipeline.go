@@ -390,9 +390,18 @@ func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, err
 // may be nil for an in-memory study. Not safe for concurrent use (one
 // telescope runs one capture at a time).
 func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
+	return p.snapshot(ctx, p.tel, db, ts)
+}
+
+// snapshot is the one snapshot unit of work, whoever runs it — the
+// serial loop and the daemon on the pipeline's telescope, a scheduler
+// worker on its own: capture the window at ts on tel, reduce it to the
+// source table and, with a store, publish that table and read back
+// what the store holds.
+func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
 	monthFrac := p.cfg.monthOf(ts)
 	stream := p.pop.TelescopeStream(monthFrac, ts)
-	w, err := p.tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
+	w, err := tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
 	if err != nil {
 		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: %w", ts, err)
 	}
@@ -401,9 +410,9 @@ func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.
 			ts, w.NV, p.cfg.NV)
 	}
 	label := ts.Format("20060102-150405")
-	sources := p.tel.SourceTable(w)
+	sources := tel.SourceTable(w)
 	if db != nil {
-		if err := p.tel.PublishSourceTable(db, label, w); err != nil {
+		if err := telescope.PublishSources(db, label, sources); err != nil {
 			return nil, correlate.Snapshot{}, fmt.Errorf("core: publish snapshot %s: %w", label, err)
 		}
 		if sources, err = telescope.FetchSourceTable(db, label); err != nil {

@@ -17,12 +17,13 @@ package core
 //     only the sensor set) and attached to the farm in month order
 //     after the pool joins; each snapshot worker captures through its
 //     own Telescope but all of them share the pipeline's one CryptoPAN
-//     cache (cryptopan.Cached is sharded-lock concurrency-safe, the
-//     mapping is a pure function of the passphrase, and sharing keeps
-//     Reverse() a single complete deanonymization table instead of N
-//     cold per-worker memos); each worker with store traffic dials its
-//     own tripled client (the client is single-connection, not
-//     concurrency-safe).
+//     source memo (cryptopan.Cached is sharded-lock concurrency-safe,
+//     the mapping is a pure function of the passphrase, and sharing
+//     means one warm memo instead of N cold per-worker ones; nothing
+//     reads the memo as a whole — de-anonymization walks the key — so
+//     a neighbour's concurrent inserts cost a snapshot nothing); each
+//     worker with store traffic dials its own tripled client (the
+//     client is single-connection, not concurrency-safe).
 //   - Results land in index-addressed slots and are assembled in order,
 //     so the Result is byte-identical to the runSerial oracle — proven
 //     by TestParallelStudyMatchesSerialOracle across every emitter.
@@ -154,51 +155,24 @@ func (w *studyWorker) runMonth(m int) (correlate.MonthData, *honeyfarm.MonthWind
 	return correlate.MonthData{Label: label, Month: m, Table: table}, builtMW, nil
 }
 
-// runSnapshot captures one telescope window on the worker's private
-// telescope and reduces it to the D4M source table, mirroring
-// runSerial's snapshot iteration body exactly.
+// runSnapshot runs one snapshot unit on the worker's private telescope
+// and store connection.
 func (w *studyWorker) runSnapshot(ctx context.Context, si int) (*telescope.Window, correlate.Snapshot, error) {
 	p := w.p
 	if w.tel == nil {
 		// Private telescope (captures must not run concurrently on one),
-		// but the study's single CryptoPAN cache: the mapping is a pure
+		// but the study's single CryptoPAN memo: the mapping is a pure
 		// function of the passphrase, so sharing is output-neutral, and
-		// it keeps one memo (and one complete Reverse() table) for the
-		// whole study instead of a cold cache per worker. Cached is
+		// the heavy-tailed sources every snapshot sees again are walked
+		// once for the whole study instead of once per worker. Cached is
 		// concurrency-safe; the per-shard L1 memos stay worker-private.
 		w.tel = telescope.New(p.cfg.Radiation.Darkspace, p.cfg.AnonPassphrase,
 			telescope.WithLeafSize(p.cfg.LeafSize),
 			telescope.WithAnonymizer(p.tel.Anonymizer()))
 	}
-	ts := p.cfg.SnapshotTimes[si]
-	monthFrac := p.cfg.monthOf(ts)
-	stream := p.pop.TelescopeStream(monthFrac, ts)
-	win, err := w.tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
-	if err != nil {
-		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: %w", ts, err)
-	}
-	if win.NV < p.cfg.NV {
-		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: stream exhausted at %d of %d packets (population too small for NV)",
-			ts, win.NV, p.cfg.NV)
-	}
-	label := ts.Format("20060102-150405")
-	sources := w.tel.SourceTable(win)
 	db, err := w.client()
 	if err != nil {
 		return nil, correlate.Snapshot{}, err
 	}
-	if db != nil {
-		if err := w.tel.PublishSourceTable(db, label, win); err != nil {
-			return nil, correlate.Snapshot{}, fmt.Errorf("core: publish snapshot %s: %w", label, err)
-		}
-		if sources, err = telescope.FetchSourceTable(db, label); err != nil {
-			return nil, correlate.Snapshot{}, fmt.Errorf("core: fetch snapshot %s: %w", label, err)
-		}
-	}
-	return win, correlate.Snapshot{
-		Label:   label,
-		Month:   monthFrac,
-		NV:      p.cfg.NV,
-		Sources: sources,
-	}, nil
+	return p.snapshot(ctx, w.tel, db, p.cfg.SnapshotTimes[si])
 }

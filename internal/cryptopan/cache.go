@@ -9,9 +9,12 @@ import (
 // Cached wraps an Anonymizer with a sharded lookup table. The full
 // Crypto-PAn transform costs 32 AES block encryptions per address; the
 // telescope anonymizes every packet of a window, but windows contain far
-// fewer unique addresses than packets (the paper's 2^30-packet samples
-// hold 500k-800k unique sources), so memoization removes almost all of
-// the cost.
+// fewer unique sources than packets (the paper's 2^30-packet samples
+// hold 500k-800k unique sources), and the same heavy-tailed sources
+// come back window after window, so memoizing them removes almost all
+// of the cost. The table never evicts: it is meant for addresses that
+// repeat, and its size is the number of distinct addresses sent through
+// it. Addresses that do not repeat belong on Anonymizer().AnonymizeBatch.
 type Cached struct {
 	inner  *Anonymizer
 	shards [cacheShards]cacheShard
@@ -25,9 +28,9 @@ type cacheShard struct {
 }
 
 // NewCached wraps a in a concurrency-safe memo table. Shard maps are
-// pre-sized for the hundreds of thousands of distinct addresses a
-// window holds, skipping the incremental-rehash churn of growing 64
-// maps from empty on every cold capture.
+// pre-sized for the tens of thousands of distinct sources a window
+// holds, skipping the incremental-rehash churn of growing 64 maps from
+// empty on every cold capture.
 func NewCached(a *Anonymizer) *Cached {
 	c := &Cached{inner: a}
 	for i := range c.shards {
@@ -69,23 +72,11 @@ func (c *Cached) anonymizeWith(addr ipaddr.Addr, b *walkBuf) ipaddr.Addr {
 	return v
 }
 
-// Reverse returns the inverse of the memoized mapping: anonymized
-// address back to original. Only addresses anonymized through this cache
-// appear. This supports the paper's correlation approach 1, where
-// anonymized identifiers are sent back to the data owner (who holds the
-// table) for deanonymization.
-func (c *Cached) Reverse() map[ipaddr.Addr]ipaddr.Addr {
-	out := make(map[ipaddr.Addr]ipaddr.Addr, c.Len())
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for orig, anon := range s.m {
-			out[anon] = orig
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
+// Anonymizer returns the wrapped transform, for the two things a memo
+// is the wrong tool for: anonymizing addresses that will not repeat
+// (AnonymizeBatch, which remembers nothing) and inverting the mapping
+// (Deanonymize, which needs the key and not a record of past inputs).
+func (c *Cached) Anonymizer() *Anonymizer { return c.inner }
 
 // Len reports the number of memoized addresses across all shards.
 func (c *Cached) Len() int {

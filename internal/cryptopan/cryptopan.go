@@ -38,8 +38,14 @@ type Anonymizer struct {
 	// milliseconds once per key) and halves the per-address AES cost
 	// forever after, which is what the telescope's per-window cold-start
 	// is bound by. Built lazily on first use.
+	//
+	// inv16 is the same table indexed from the other side: entry u holds
+	// the flip bits of the 16-bit prefix that anonymizes to u (the top 16
+	// bits are themselves a bijection), so Deanonymize recovers the
+	// original top half as u ^ inv16[u] without a search.
 	top16Once sync.Once
 	top16     []uint16
+	inv16     []uint16
 }
 
 // New creates an Anonymizer from a 32-byte key. The first 16 bytes key
@@ -98,6 +104,19 @@ func (a *Anonymizer) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
 	return v
 }
 
+// Deanonymize is the inverse of Anonymize, computed from the key alone:
+// output bit i is input bit i XORed with the same pseudorandom function
+// of the first i original bits, and those are exactly the bits the walk
+// has already recovered. It is total — every address is the image of
+// exactly one original — and costs what Anonymize does.
+func (a *Anonymizer) Deanonymize(addr ipaddr.Addr) ipaddr.Addr {
+	b := walkPool.Get().(*walkBuf)
+	in, out := [1]uint32{uint32(addr)}, [1]uint32{}
+	a.walkSorted(in[:], out[:], b, true)
+	walkPool.Put(b)
+	return ipaddr.Addr(out[0])
+}
+
 // anonymizeBuf is Anonymize with a caller-owned walk buffer; holders of
 // a single-goroutine buffer (the L1 memo) skip the pool round-trip.
 func (a *Anonymizer) anonymizeBuf(addr ipaddr.Addr, b *walkBuf) ipaddr.Addr {
@@ -150,7 +169,11 @@ func (a *Anonymizer) buildTop16() {
 			}
 		}
 	}
-	a.top16 = t
+	inv := make([]uint16, 1<<16)
+	for p, f := range t {
+		inv[uint16(p)^f] = f
+	}
+	a.top16, a.inv16 = t, inv
 }
 
 // anonymizeRef is the unoptimized reference walk — one AES block per

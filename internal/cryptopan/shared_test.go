@@ -4,11 +4,10 @@ package cryptopan
 // the resident daemon's much longer lifetime) relies on: one Cached
 // serves every worker, so concurrent miss storms on overlapping
 // address sets must insert idempotently — Len() equals the unique
-// address count, never the insert count — and Reverse() taken while
-// other goroutines are still inserting must return a consistent table:
-// every entry correct under the pure mapping, and complete for every
-// address whose Anonymize call returned before Reverse began. Run
-// under -race these tests are also the lock-discipline proof.
+// address count, never the insert count — and de-anonymization, which
+// walks the key and reads no table, must be exact while other
+// goroutines are still inserting. Run under -race these tests are also
+// the lock-discipline proof.
 
 import (
 	"sync"
@@ -60,86 +59,52 @@ func TestSharedCacheInsertIdempotent(t *testing.T) {
 	}
 }
 
-// TestReverseConcurrentWithMisses is the Reverse()/Len() lifetime
-// audit in executable form: while half the goroutines insert fresh
-// addresses, the other half repeatedly take Reverse() and check
-// (a) every entry is correct under the pure mapping, and (b) all
-// addresses published before the Reverse began are present — the
-// guarantee the telescope's deanonymization of already-published store
-// rows rests on.
-func TestReverseConcurrentWithMisses(t *testing.T) {
-	c := NewCached(NewFromPassphrase("shared-reverse"))
-	pure := NewFromPassphrase("shared-reverse")
-
-	// Pre-publish a base set; these addresses must appear in every
-	// Reverse taken from now on.
-	const base = 512
-	baseAnon := make(map[ipaddr.Addr]ipaddr.Addr, base)
-	for i := 0; i < base; i++ {
-		addr := ipaddr.Addr(i)
-		baseAnon[c.Anonymize(addr)] = addr
-	}
-
+// TestInverseConcurrentWithMisses: the owner de-anonymizes one
+// snapshot's rows while its neighbours are still capturing. The inverse
+// reads nothing the memo writes — it walks the key — so every answer is
+// exact whatever has been inserted so far, including on an Anonymizer
+// whose lazily built tables the first callers race to build.
+func TestInverseConcurrentWithMisses(t *testing.T) {
+	c := NewCached(NewFromPassphrase("shared-inverse"))
+	const n = 2048
+	addr := func(w, i int) ipaddr.Addr { return ipaddr.Addr(i*(w+1) + w) } // overlapping across workers
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// Writers: keep inserting fresh addresses until readers finish.
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
+		wg.Add(2)
+		go func(w int) { // capture: sources through the memo
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
+			slab := make([]ipaddr.Addr, n)
+			for i := range slab {
+				slab[i] = addr(w, i)
+			}
+			c.AnonymizeBatch(slab)
+		}(w)
+		go func(w int) { // owner: invert what a capture would have produced
+			defer wg.Done()
+			anon := make([]ipaddr.Addr, n)
+			for i := range anon {
+				anon[i] = addr(w, i)
+			}
+			c.Anonymizer().AnonymizeBatch(anon)
+			back := append([]ipaddr.Addr(nil), anon...)
+			c.Anonymizer().DeanonymizeBatch(back)
+			for i := range back {
+				if want := addr(w, i); back[i] != want || c.Anonymizer().Deanonymize(anon[i]) != want {
+					t.Errorf("worker %d: %v de-anonymized to %v, want %v", w, anon[i], back[i], want)
 					return
-				default:
 				}
-				c.Anonymize(ipaddr.Addr(base + w*1_000_000 + i))
 			}
 		}(w)
 	}
-	// Readers: Reverse mid-insert and audit the snapshot.
-	var rg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		rg.Add(1)
-		go func() {
-			defer rg.Done()
-			for k := 0; k < 20; k++ {
-				n := c.Len()
-				rev := c.Reverse()
-				// Reverse may see more than Len reported (inserts landed
-				// in between) but a completed mapping is never lost.
-				if len(rev) < base {
-					t.Errorf("Reverse has %d entries, fewer than the %d pre-published", len(rev), base)
-					return
-				}
-				_ = n
-				for anon, orig := range baseAnon {
-					if got, ok := rev[anon]; !ok || got != orig {
-						t.Errorf("pre-published %v missing or wrong in mid-insert Reverse: got %v ok=%v", orig, got, ok)
-						return
-					}
-				}
-				// Spot-check consistency of whatever else the snapshot
-				// caught: anon -> orig must invert the pure mapping.
-				checked := 0
-				for anon, orig := range rev {
-					if pure.Anonymize(orig) != anon {
-						t.Errorf("Reverse[%v] = %v does not invert the mapping", anon, orig)
-						return
-					}
-					if checked++; checked == 64 {
-						break
-					}
-				}
-			}
-		}()
-	}
-	rg.Wait()
-	close(stop)
 	wg.Wait()
-
-	// After the dust settles Len and Reverse agree exactly.
-	if n, rev := c.Len(), c.Reverse(); n != len(rev) {
-		t.Fatalf("quiescent Len = %d but Reverse has %d entries", n, len(rev))
+	// The walks above inserted nothing: the memo holds what went through it.
+	seen := make(map[ipaddr.Addr]bool)
+	for w := 0; w < 4; w++ {
+		for i := 0; i < n; i++ {
+			seen[addr(w, i)] = true
+		}
+	}
+	if got := c.Len(); got != len(seen) {
+		t.Fatalf("Len = %d, want the %d distinct addresses sent through the memo", got, len(seen))
 	}
 }

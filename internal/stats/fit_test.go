@@ -279,6 +279,54 @@ func TestTemporalFitCurve(t *testing.T) {
 	}
 }
 
+// fitModifiedCauchyRef is the fit as it was before the separable
+// search: every grid point recomputes |dt|^α through the model's Eval.
+func fitModifiedCauchyRef(dts, values []float64, p float64) (alpha, beta, residual float64) {
+	peak := peakOf(values)
+	return GridSearch2(
+		Range{Lo: 0.05, Hi: 2.0},
+		Range{Lo: 0.01, Hi: 100.0, Log: true},
+		50, func(a, b float64) float64 {
+			return residualPNorm(dts, values, peak, ModifiedCauchy{Alpha: a, Beta: b}, p)
+		})
+}
+
+// TestFitModifiedCauchyBitIdentical pins the hoisted kernel to the
+// un-hoisted one bit for bit, on the series shapes the report graph
+// feeds it (15 months, the snapshot somewhere inside) under each norm
+// the ablations use. A one-ulp drift would move golden artifacts.
+func TestFitModifiedCauchyBitIdentical(t *testing.T) {
+	truth := ModifiedCauchy{Alpha: 0.75, Beta: 2}
+	shapes := map[string]func(i int, dt float64) float64{
+		"flat":          func(int, float64) float64 { return 0.31 },
+		"single-peak":   func(_ int, dt float64) float64 { return 0.65 * truth.Eval(dt) },
+		"noisy-peak":    func(i int, dt float64) float64 { return 0.65*truth.Eval(dt) + 0.013*float64(i*7%5) },
+		"peak-at-start": func(_ int, dt float64) float64 { return 0.8 * truth.Eval(dt+4) },
+		"peak-at-end":   func(_ int, dt float64) float64 { return 0.8 * truth.Eval(dt-10) },
+		"zero":          func(int, float64) float64 { return 0 },
+	}
+	for name, shape := range shapes {
+		for _, offset := range []float64{4, 4.55} { // whole and fractional snapshot months
+			dts, vals := make([]float64, 15), make([]float64, 15)
+			for i := range dts {
+				dts[i] = float64(i) - offset
+				vals[i] = shape(i, dts[i])
+			}
+			for _, p := range []float64{0.5, 1, 2} {
+				fit := FitModifiedCauchyNorm(dts, vals, p)
+				m := fit.Model.(ModifiedCauchy)
+				a, b, r := fitModifiedCauchyRef(dts, vals, p)
+				if math.Float64bits(m.Alpha) != math.Float64bits(a) ||
+					math.Float64bits(m.Beta) != math.Float64bits(b) ||
+					math.Float64bits(fit.Residual) != math.Float64bits(r) {
+					t.Errorf("%s offset %g p=%g: fit (%v, %v, %v), reference (%v, %v, %v)",
+						name, offset, p, m.Alpha, m.Beta, fit.Residual, a, b, r)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkFitModifiedCauchy(b *testing.B) {
 	truth := ModifiedCauchy{Alpha: 1, Beta: 4}
 	dts := make([]float64, 15)

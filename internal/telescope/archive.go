@@ -50,8 +50,7 @@ func (t *Telescope) CaptureToArchive(src PacketSource, nv int, aw *archive.Write
 			leafStart = pkt.Time
 		}
 		leafEnd = pkt.Time
-		arow := t.anon.Anonymize(pkt.Src)
-		acol := t.anon.Anonymize(pkt.Dst)
+		arow, acol := t.anonymize(&pkt)
 		builder.Add(uint32(arow), uint32(acol), 1)
 		valid++
 		inLeaf++
@@ -64,7 +63,6 @@ func (t *Telescope) CaptureToArchive(src PacketSource, nv int, aw *archive.Write
 	if err := flush(); err != nil {
 		return valid, dropped, err
 	}
-	t.revCache = nil
 	if rs, ok := src.(*ReaderSource); ok && rs.Err() != nil {
 		return valid, dropped, rs.Err()
 	}

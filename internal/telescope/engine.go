@@ -3,11 +3,12 @@ package telescope
 // engine.go plugs the telescope into the sharded streaming window
 // engine: the validity filter and the CryptoPAN mapping both run on the
 // engine's shard workers — each worker filters its chunk of the slab,
-// then anonymizes the survivors' addresses as one batch through its own
+// then anonymizes the survivors' sources as one batch through its own
 // L1 memo (misses fall through to the shared sharded cache in a single
-// lock epoch per cache shard, with prefix-shared AES walks) — and the
-// engine's merge tree produces the window matrix. Workers=1 is the
-// serial degenerate path, byte-identical to CaptureWindow's output.
+// lock epoch per cache shard, with prefix-shared AES walks) and their
+// destinations as one sorted prefix-shared walk that memoizes nothing —
+// and the engine's merge tree produces the window matrix. Workers=1 is
+// the serial degenerate path, byte-identical to CaptureWindow's output.
 
 import (
 	"context"
@@ -20,22 +21,24 @@ import (
 
 // shardAnon is one shard worker's persistent anonymization state: the
 // L1 memo in front of the telescope's shared cache, plus the address
-// slab the mapper gathers packet endpoints into. Both are reused across
+// slabs the mapper gathers packet endpoints into. All are reused across
 // captures (Telescope runs one capture at a time), so steady-state
 // mapping allocates nothing.
 type shardAnon struct {
-	l1    *cryptopan.L1
-	addrs []ipaddr.Addr
+	l1         *cryptopan.L1
+	srcs, dsts []ipaddr.Addr
 }
 
 // Engine returns a window engine wired to this telescope's validity
 // filter, anonymizer, and leaf size. workers and batch follow
 // engine.Config semantics (<= 0 picks defaults). Each shard worker maps
-// whole accepted-packet slabs at a time: it gathers the slab's source
-// and destination addresses and anonymizes them in one batched call
-// through its own L1 memo, so hot (heavy-tailed) addresses cost one
-// lock-free array probe and cold slabs pay one lock epoch per touched
-// cache shard instead of two lock round-trips per packet.
+// whole accepted-packet slabs at a time. It gathers the slab's sources
+// and anonymizes them in one batched call through its own L1 memo, so
+// hot (heavy-tailed) sources cost one lock-free array probe and cold
+// slabs pay one lock epoch per touched cache shard instead of a lock
+// round-trip per packet. The slab's destinations — Valid has placed
+// them all inside the darkspace, so they share a long prefix and almost
+// never recur — take one sorted walk and are inserted nowhere.
 //
 // Engines are cached per (workers, batch) and reused across captures,
 // so the engine's pooled shard accumulators and slab buffers — and the
@@ -53,19 +56,19 @@ func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
 		t.Valid,
 		func(shard int) engine.SlabMapper {
 			sa := t.shardAnon(shard)
+			walk := t.anon.Anonymizer()
 			return func(pkts []pcap.Packet, dst []engine.Pair) {
-				addrs := sa.addrs[:0]
+				srcs, dsts := sa.srcs[:0], sa.dsts[:0]
 				for i := range pkts {
-					addrs = append(addrs, pkts[i].Src, pkts[i].Dst)
+					srcs = append(srcs, pkts[i].Src)
+					dsts = append(dsts, pkts[i].Dst)
 				}
-				sa.l1.AnonymizeBatch(addrs)
+				sa.l1.AnonymizeBatch(srcs)
+				walk.AnonymizeBatch(dsts)
 				for i := range pkts {
-					dst[i] = engine.Pair{
-						Row: uint32(addrs[2*i]),
-						Col: uint32(addrs[2*i+1]),
-					}
+					dst[i] = engine.Pair{Row: uint32(srcs[i]), Col: uint32(dsts[i])}
 				}
-				sa.addrs = addrs
+				sa.srcs, sa.dsts = srcs, dsts
 			}
 		})
 	if err != nil {
@@ -105,8 +108,6 @@ func (t *Telescope) CaptureWindowEngine(ctx context.Context, src PacketSource, n
 		return nil, err
 	}
 	ew, err := eng.CaptureWindow(ctx, src, nv)
-	// Capture grows the anonymization table either way; drop the memo.
-	t.revCache = nil
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/assoc"
 	"repro/internal/hypersparse"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
@@ -14,8 +15,9 @@ import (
 
 // TestEngineCaptureMatchesSerial verifies the engine-backed capture is
 // indistinguishable from the classic serial build at every boundary:
-// exact anonymized matrix equality, window bounds, and the deanonymized
-// D4M source table.
+// exact anonymized matrix equality, window bounds, the deanonymized
+// D4M source table, and a memo that holds the window's distinct sources
+// and none of its destinations.
 func TestEngineCaptureMatchesSerial(t *testing.T) {
 	cfg := radiation.DefaultConfig()
 	cfg.NumSources = 3000
@@ -41,6 +43,9 @@ func TestEngineCaptureMatchesSerial(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got, want := tel.Anonymizer().Len(), win.Matrix.NRows(); got != want {
+			t.Fatalf("workers=%d: memo holds %d addresses, window has %d distinct sources", workers, got, want)
 		}
 		out := make(map[string]float64)
 		table := tel.SourceTable(win)
@@ -75,20 +80,29 @@ func TestEngineCaptureMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineSourceTableFresh verifies the reverse-anonymization memo is
-// invalidated by an engine capture, so the D4M table covers every
-// matrix row.
-func TestEngineSourceTableFresh(t *testing.T) {
+// TestEngineSourceTableAfterLaterCapture: a window's source table is a
+// function of the window and the key, so it can be taken after the
+// telescope has moved on to other captures and still covers every row.
+func TestEngineSourceTableAfterLaterCapture(t *testing.T) {
 	pop := testPopulation(t, 1000)
 	tel := New(pop.Config().Darkspace, "table-key")
 	w, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4, time.Unix(0, 0)), 2048, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := tel.SourceTable(w)
+	if _, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(9, time.Unix(0, 0)), 2048, 4, 0); err != nil {
+		t.Fatal(err)
+	}
 	table := tel.SourceTable(w)
-	if table.NRows() != w.Matrix.NRows() {
-		t.Fatalf("table rows %d != matrix rows %d (reverse cache stale?)",
-			table.NRows(), w.Matrix.NRows())
+	before.Iterate(func(row, col string, v assoc.Value) bool {
+		if got, ok := table.Get(row, col); !ok || got != v {
+			t.Fatalf("cell (%s,%s) = %v after a later capture, was %v", row, col, got, v)
+		}
+		return true
+	})
+	if table.NRows() != before.NRows() || table.NRows() != w.Matrix.NRows() {
+		t.Fatalf("table rows %d != matrix rows %d", table.NRows(), w.Matrix.NRows())
 	}
 	var sum float64
 	for _, row := range table.RowKeys() {

@@ -76,12 +76,16 @@ func (rs *ReaderSource) Err() error { return rs.err }
 // A Telescope runs one capture at a time: CaptureWindow,
 // CaptureWindowEngine, CaptureTimeWindow, and CaptureToArchive must not
 // be invoked concurrently with each other (a capture internally shards
-// across goroutines just fine). This was always the contract — the
-// deanonymization memo is invalidated unsynchronized at capture
-// boundaries — and the per-shard L1 anonymization memos and cached
-// engines reused across captures now rely on it too. Concurrent windows
-// belong on separate Telescopes sharing nothing, as in the paper's
+// across goroutines just fine): the per-shard L1 anonymization memos
+// and cached engines reused across captures rely on it. Concurrent
+// windows belong on separate Telescopes, which may share one CryptoPAN
+// memo (WithAnonymizer) or nothing at all, as in the paper's
 // deployment, where each observatory site anonymizes under its own key.
+//
+// Only sources go through the memo. A destination lies inside the
+// monitored prefix and is as good as new in every window, so it is
+// anonymized by the slab walk and remembered nowhere; the memo's size
+// is the number of distinct sources seen, on every capture path.
 type Telescope struct {
 	darkspace ipaddr.Prefix
 	leafSize  int
@@ -91,9 +95,6 @@ type Telescope struct {
 	poolMu  sync.Mutex
 	shards  map[int]*shardAnon        // per-shard L1 memos + slab scratch, reused across captures
 	engines map[[2]int]*engine.Engine // cached per (workers, batch): pooled accumulators and batch buffers persist across windows
-
-	revCache map[ipaddr.Addr]ipaddr.Addr // memoized inverse mapping
-	revSize  int                         // anon.Len() when revCache was built
 }
 
 // Option configures a Telescope.
@@ -112,8 +113,7 @@ func WithWorkers(n int) Option { return func(t *Telescope) { t.workers = n } }
 // give every per-worker Telescope the study's one shared cache: the
 // anonymization is a pure function of the passphrase, so sharing
 // changes no output, but it stops N workers from re-deriving the same
-// prefix-preserving mappings into N disjoint memos (and keeps
-// Reverse() a single complete deanonymization table for the study).
+// prefix-preserving mappings into N disjoint memos.
 // The cache is concurrency-safe; the passphrase argument to New is
 // ignored when this option is given and must correspond to the same
 // key if deanonymized outputs are to line up.
@@ -188,8 +188,7 @@ func (t *Telescope) CaptureWindow(src PacketSource, nv int) (*Window, error) {
 			w.Start = pkt.Time
 		}
 		w.End = pkt.Time
-		arow := t.anon.Anonymize(pkt.Src)
-		acol := t.anon.Anonymize(pkt.Dst)
+		arow, acol := t.anonymize(&pkt)
 		acc.Add(uint32(arow), uint32(acol), 1)
 		w.NV++
 	}
@@ -224,8 +223,7 @@ func (t *Telescope) CaptureTimeWindow(src PacketSource, span time.Duration) (*Wi
 			break
 		}
 		w.End = pkt.Time
-		arow := t.anon.Anonymize(pkt.Src)
-		acol := t.anon.Anonymize(pkt.Dst)
+		arow, acol := t.anonymize(&pkt)
 		acc.Add(uint32(arow), uint32(acol), 1)
 		w.NV++
 	}
@@ -241,41 +239,41 @@ func (t *Telescope) CaptureTimeWindow(src PacketSource, span time.Duration) (*Wi
 // the window.
 func (w *Window) SourcePackets() *hypersparse.Vector { return w.Matrix.RowSums() }
 
-// Deanonymize maps an anonymized address back to the original, using the
-// telescope's own anonymization table. This is the paper's correlation
-// approach 1: "anonymized data can be sent back to the sources for
-// deanonymization" — the telescope operator holds the mapping.
-func (t *Telescope) Deanonymize(a ipaddr.Addr) (ipaddr.Addr, bool) {
-	orig, ok := t.reverse()[a]
-	return orig, ok
+// anonymize maps one packet's endpoints on the per-packet capture
+// paths: the source through the memo, the destination by a bare walk.
+func (t *Telescope) anonymize(p *pcap.Packet) (src, dst ipaddr.Addr) {
+	return t.anon.Anonymize(p.Src), t.anon.Anonymizer().Anonymize(p.Dst)
 }
 
-// reverse materializes the anonymization table's inverse, memoized until
-// further capture grows the table. Not safe for use concurrently with
-// CaptureWindow.
-func (t *Telescope) reverse() map[ipaddr.Addr]ipaddr.Addr {
-	if n := t.anon.Len(); t.revCache == nil || t.revSize != n {
-		t.revCache = t.anon.Reverse()
-		t.revSize = n
-	}
-	return t.revCache
+// Deanonymize maps an anonymized address back to the original by
+// walking the telescope's key backwards. This is the paper's
+// correlation approach 1: "anonymized data can be sent back to the
+// sources for deanonymization" — the telescope operator holds the key.
+// It is total: an address this telescope never produced maps to
+// whatever original would have produced it.
+func (t *Telescope) Deanonymize(a ipaddr.Addr) ipaddr.Addr {
+	return t.anon.Anonymizer().Deanonymize(a)
 }
 
 // SourceTable converts a window's reduced source-packet vector into a
 // D4M associative array keyed by the original dotted-quad source
 // address, with the packet count under column "packets". This is the
 // boundary where, as in the paper, "the reduced results are converted to
-// D4M associative arrays" for correlation against the honeyfarm.
+// D4M associative arrays" for correlation against the honeyfarm. The
+// cost is one keyed inverse walk over the window's rows, whatever else
+// the telescope has captured.
 func (t *Telescope) SourceTable(w *Window) *assoc.Assoc {
-	rev := t.reverse()
+	packets := w.SourcePackets()
+	origs := make([]ipaddr.Addr, packets.NNZ())
+	for i, id := range packets.IDs() {
+		origs[i] = ipaddr.Addr(id)
+	}
+	t.anon.Anonymizer().DeanonymizeBatch(origs)
 	out := assoc.New()
-	w.SourcePackets().Iterate(func(id uint32, packets float64) bool {
-		orig, ok := rev[ipaddr.Addr(id)]
-		if !ok {
-			// Cannot happen for matrices built by this telescope.
-			return true
-		}
-		out.Set(orig.String(), "packets", assoc.Num(packets))
+	i := 0
+	packets.Iterate(func(_ uint32, n float64) bool {
+		out.Set(origs[i].String(), "packets", assoc.Num(n))
+		i++
 		return true
 	})
 	return out
@@ -288,12 +286,18 @@ func SnapshotRowPrefix(label string) string { return "tel/" + label + "/" }
 // PublishBatch is the batch size source tables are published with.
 const PublishBatch = 1024
 
-// PublishSourceTable reduces a window to its D4M source table and
-// writes it to a tripled server under SnapshotRowPrefix — the paper's
+// PublishSources writes a snapshot's source table (SourceTable's
+// result) to a tripled server under SnapshotRowPrefix — the paper's
 // "reduced results are converted to D4M associative arrays" boundary,
 // with the database substrate standing in for Accumulo.
+func PublishSources(c tripled.Conn, label string, sources *assoc.Assoc) error {
+	return c.PublishAssoc(SnapshotRowPrefix(label), sources, PublishBatch)
+}
+
+// PublishSourceTable is SourceTable followed by PublishSources, for a
+// caller that has no other use for the table.
 func (t *Telescope) PublishSourceTable(c tripled.Conn, label string, w *Window) error {
-	return c.PublishAssoc(SnapshotRowPrefix(label), t.SourceTable(w), PublishBatch)
+	return PublishSources(c, label, t.SourceTable(w))
 }
 
 // FetchSourceTable reads a published snapshot source table back from a

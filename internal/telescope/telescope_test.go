@@ -2,9 +2,12 @@ package telescope
 
 import (
 	"bytes"
+	"context"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/ipaddr"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
@@ -164,23 +167,112 @@ func TestSourceTableDeanonymizes(t *testing.T) {
 	}
 }
 
+// TestDeanonymizeRoundTrip: the keyed inverse undoes the capture's
+// anonymization on every row of the window, and is total — an address
+// the telescope never produced still has exactly one original.
 func TestDeanonymizeRoundTrip(t *testing.T) {
 	pop := testPopulation(t, 500)
 	tel := New(pop.Config().Darkspace, "deanon")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
 	w, _ := tel.CaptureWindow(st, 1024)
-	for _, anonRow := range w.Matrix.Rows()[:10] {
-		orig, ok := tel.Deanonymize(ipaddr.Addr(anonRow))
-		if !ok {
-			t.Fatalf("anonymized row %d not in table", anonRow)
+	known := make(map[ipaddr.Addr]bool, pop.Len())
+	for i := 0; i < pop.Len(); i++ {
+		known[pop.Source(i).IP] = true
+	}
+	for _, anonRow := range w.Matrix.Rows() {
+		orig := tel.Deanonymize(ipaddr.Addr(anonRow))
+		if !known[orig] {
+			t.Fatalf("row %v de-anonymizes to %v, not a population source", ipaddr.Addr(anonRow), orig)
 		}
-		if orig == ipaddr.Addr(anonRow) {
-			// Possible in principle but wildly unlikely for 10 rows.
-			t.Logf("note: fixed point %v", orig)
+		if back := tel.Anonymizer().Anonymize(orig); back != ipaddr.Addr(anonRow) {
+			t.Fatalf("row %v -> %v -> %v", ipaddr.Addr(anonRow), orig, back)
 		}
 	}
-	if _, ok := tel.Deanonymize(ipaddr.MustParse("0.0.0.1")); ok {
-		t.Error("Deanonymize invented a mapping for an unseen address")
+	for _, unseen := range []string{"0.0.0.1", "0.0.0.0", "255.255.255.255", "44.0.0.0", "44.255.255.255"} {
+		a := ipaddr.MustParse(unseen)
+		if back := tel.Anonymizer().Anonymizer().Anonymize(tel.Deanonymize(a)); back != a {
+			t.Errorf("unseen %v round-trips to %v", a, back)
+		}
+	}
+}
+
+// sweepSource replays a fixed set of sources against destinations drawn
+// fresh from the darkspace for every packet: the traffic shape that
+// used to grow the anonymization memo by a window's worth of entries
+// per window.
+type sweepSource struct {
+	rng     *rand.Rand
+	sources []ipaddr.Addr
+	dark    ipaddr.Prefix
+	n       int
+}
+
+func (s *sweepSource) Next(p *pcap.Packet) bool {
+	*p = pcap.Packet{
+		Time: time.Unix(int64(s.n), 0),
+		Src:  s.sources[s.n%len(s.sources)],
+		Dst:  s.dark.Nth(uint64(s.rng.Int63n(int64(s.dark.Size())))),
+	}
+	s.n++
+	return true
+}
+
+// TestDestinationSweepGrowsMemoBySourcesOnly is the bound a resident
+// telescope lives under: over any number of windows of never-repeating
+// destinations, on every capture path, the memo holds exactly the
+// distinct sources seen and nothing else.
+func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
+	dark := ipaddr.MustParsePrefix("44.0.0.0/8")
+	const nv, perWindow = 2048, 100
+	captures := map[string]func(*Telescope, PacketSource) error{
+		"engine-w1": func(tel *Telescope, src PacketSource) error {
+			_, err := tel.CaptureWindowEngine(context.Background(), src, nv, 1, 256)
+			return err
+		},
+		"engine-w4": func(tel *Telescope, src PacketSource) error {
+			_, err := tel.CaptureWindowEngine(context.Background(), src, nv, 4, 256)
+			return err
+		},
+		"per-packet": func(tel *Telescope, src PacketSource) error {
+			_, err := tel.CaptureWindow(src, nv)
+			return err
+		},
+		"time-window": func(tel *Telescope, src PacketSource) error {
+			_, err := tel.CaptureTimeWindow(src, nv*time.Second)
+			return err
+		},
+		"archive": func(tel *Telescope, src PacketSource) error {
+			aw, err := archive.Create(t.TempDir())
+			if err != nil {
+				return err
+			}
+			if _, _, err := tel.CaptureToArchive(src, nv, aw); err != nil {
+				return err
+			}
+			return aw.Finish()
+		},
+	}
+	for name, capture := range captures {
+		tel := New(dark, "sweep", WithLeafSize(256))
+		rng := rand.New(rand.NewSource(5))
+		seen := make(map[ipaddr.Addr]bool)
+		for w := 0; w < 6; w++ {
+			// Each window brings perWindow new sources and keeps the old
+			// ones; every destination is new.
+			src := &sweepSource{rng: rng, dark: dark}
+			for i := 0; i < (w+1)*perWindow; i++ {
+				a := ipaddr.Addr(0x0b000000 + i*7919)
+				src.sources = append(src.sources, a)
+				seen[a] = true
+			}
+			if err := capture(tel, src); err != nil {
+				t.Fatalf("%s window %d: %v", name, w, err)
+			}
+			if got := tel.Anonymizer().Len(); got != len(seen) {
+				t.Fatalf("%s: memo holds %d addresses after window %d, want the %d distinct sources",
+					name, got, w, len(seen))
+			}
+		}
 	}
 }
 
