@@ -11,6 +11,13 @@
 //	At('1.1.1.1', '2.2.2.2') = '3'
 //
 // is Set("1.1.1.1", "2.2.2.2", Num(3)).
+//
+// The tables of the paper have many rows and a handful of columns, and
+// are built, published and fetched a row at a time. The representation
+// follows: a hash map from row key to the row's cells as a run sorted
+// by column (internal/runs). SetRow hands a whole row over in one map
+// operation; Set, Get and Delete search the run; every walk is in
+// column order as it stands.
 package assoc
 
 import (
@@ -18,6 +25,8 @@ import (
 	"sort"
 	"strconv"
 	"sync/atomic"
+
+	"repro/internal/runs"
 )
 
 // Value is a cell value: either numeric or a string.
@@ -55,11 +64,19 @@ func add(a, b Value) Value {
 	return b
 }
 
+// Cell is one (column, value) pair of a row: Key is the column.
+type Cell = runs.Entry[Value]
+
 // Assoc is a mutable associative array. The zero value is not usable;
 // call New.
+//
+// A row is its cells as a run sorted by column, no column twice
+// (internal/runs): reads binary-search it, walks need no per-row key
+// slice or sort, and a whole row arrives or leaves in one map
+// operation (SetRow).
 type Assoc struct {
-	cells map[string]map[string]Value // row -> col -> value
-	nnz   int
+	rows map[string]runs.Run[Value]
+	nnz  int
 
 	// rowKeys caches the sorted row-key slice RowKeys returns; it is
 	// invalidated (set nil) whenever a row appears or disappears. The
@@ -73,53 +90,82 @@ type Assoc struct {
 
 // New returns an empty associative array.
 func New() *Assoc {
-	return &Assoc{cells: make(map[string]map[string]Value)}
+	return &Assoc{rows: make(map[string]runs.Run[Value])}
 }
 
 // Set stores v at (row, col), replacing any existing value.
 func (a *Assoc) Set(row, col string, v Value) {
-	r, ok := a.cells[row]
+	r, ok := a.rows[row]
 	if !ok {
-		r = make(map[string]Value)
-		a.cells[row] = r
 		a.rowKeys.Store(nil)
 	}
-	if _, exists := r[col]; !exists {
+	nb := r.NumBlocks()
+	e, added := r.Put(col)
+	e.Val = v
+	if added {
 		a.nnz++
 	}
-	r[col] = v
+	if r.NumBlocks() != nb { // a new row or a split block: the header moved
+		a.rows[row] = r
+	}
+}
+
+// SetRow makes cells the whole of row, replacing any cells it held, in
+// one map operation. The cells must be in strictly ascending column
+// order; anything else is refused and changes nothing. SetRow takes
+// ownership of the slice. No cells removes the row.
+func (a *Assoc) SetRow(row string, cells []Cell) error {
+	if !runs.IsAscending(cells) {
+		return fmt.Errorf("assoc: row %q: cells not in strictly ascending column order", row)
+	}
+	old, ok := a.rows[row]
+	if ok != (len(cells) > 0) {
+		a.rowKeys.Store(nil)
+	}
+	a.nnz += len(cells) - old.Len()
+	if len(cells) == 0 {
+		delete(a.rows, row)
+	} else {
+		a.rows[row] = runs.Of(cells)
+	}
+	return nil
 }
 
 // Accum adds v into (row, col) using the D4M collision rule.
 func (a *Assoc) Accum(row, col string, v Value) {
 	if old, ok := a.Get(row, col); ok {
-		a.Set(row, col, add(old, v))
-		return
+		v = add(old, v)
 	}
 	a.Set(row, col, v)
 }
 
 // Get returns the value at (row, col) and whether it exists.
 func (a *Assoc) Get(row, col string) (Value, bool) {
-	r, ok := a.cells[row]
-	if !ok {
-		return Value{}, false
+	r := a.rows[row]
+	if e := r.Get(col); e != nil {
+		return e.Val, true
 	}
-	v, ok := r[col]
-	return v, ok
+	return Value{}, false
 }
 
 // Delete removes the entry at (row, col) if present.
 func (a *Assoc) Delete(row, col string) {
-	if r, ok := a.cells[row]; ok {
-		if _, exists := r[col]; exists {
-			delete(r, col)
-			a.nnz--
-			if len(r) == 0 {
-				delete(a.cells, row)
-				a.rowKeys.Store(nil)
-			}
-		}
+	r, ok := a.rows[row]
+	if !ok {
+		return
+	}
+	nb := r.NumBlocks()
+	if _, ok := r.Delete(col); !ok {
+		return
+	}
+	a.nnz--
+	switch r.NumBlocks() {
+	case nb:
+	case 0:
+		delete(a.rows, row)
+		a.rowKeys.Store(nil)
+	default:
+		a.rows[row] = r
 	}
 }
 
@@ -127,7 +173,7 @@ func (a *Assoc) Delete(row, col string) {
 func (a *Assoc) NNZ() int { return a.nnz }
 
 // NRows returns the number of non-empty rows.
-func (a *Assoc) NRows() int { return len(a.cells) }
+func (a *Assoc) NRows() int { return len(a.rows) }
 
 // RowKeys returns the sorted row keys. The slice is cached until a row
 // is added or removed and is shared across calls: callers must not
@@ -137,8 +183,8 @@ func (a *Assoc) RowKeys() []string {
 	if p := a.rowKeys.Load(); p != nil {
 		return *p
 	}
-	keys := make([]string, 0, len(a.cells))
-	for k := range a.cells {
+	keys := make([]string, 0, len(a.rows))
+	for k := range a.rows {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -149,9 +195,9 @@ func (a *Assoc) RowKeys() []string {
 // ColKeys returns the sorted distinct column keys.
 func (a *Assoc) ColKeys() []string {
 	set := make(map[string]bool)
-	for _, r := range a.cells {
-		for c := range r {
-			set[c] = true
+	for _, r := range a.rows {
+		for e := range r.All() {
+			set[e.Key] = true
 		}
 	}
 	keys := make([]string, 0, len(set))
@@ -164,19 +210,19 @@ func (a *Assoc) ColKeys() []string {
 
 // HasRow reports whether the row key is present.
 func (a *Assoc) HasRow(row string) bool {
-	_, ok := a.cells[row]
+	_, ok := a.rows[row]
 	return ok
 }
 
 // Row returns a copy of the row as a col->value map (nil if absent).
 func (a *Assoc) Row(row string) map[string]Value {
-	r, ok := a.cells[row]
+	r, ok := a.rows[row]
 	if !ok {
 		return nil
 	}
-	out := make(map[string]Value, len(r))
-	for c, v := range r {
-		out[c] = v
+	out := make(map[string]Value, r.Len())
+	for e := range r.All() {
+		out[e.Key] = e.Val
 	}
 	return out
 }
@@ -185,14 +231,8 @@ func (a *Assoc) Row(row string) map[string]Value {
 // returns false.
 func (a *Assoc) Iterate(fn func(row, col string, v Value) bool) {
 	for _, row := range a.RowKeys() {
-		r := a.cells[row]
-		cols := make([]string, 0, len(r))
-		for c := range r {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			if !fn(row, col, r[col]) {
+		for e := range a.rows[row].All() {
+			if !fn(row, e.Key, e.Val) {
 				return
 			}
 		}
@@ -202,14 +242,10 @@ func (a *Assoc) Iterate(fn func(row, col string, v Value) bool) {
 // Copy returns a deep copy.
 func (a *Assoc) Copy() *Assoc {
 	out := New()
-	for row, r := range a.cells {
-		nr := make(map[string]Value, len(r))
-		for c, v := range r {
-			nr[c] = v
-		}
-		out.cells[row] = nr
-		out.nnz += len(nr)
+	for row, r := range a.rows {
+		out.rows[row] = r.Clone()
 	}
+	out.nnz = a.nnz
 	return out
 }
 
@@ -217,26 +253,35 @@ func (a *Assoc) Copy() *Assoc {
 // (D4M's A(keys, :) sub-referencing).
 func (a *Assoc) SubRows(keep func(string) bool) *Assoc {
 	out := New()
-	for row, r := range a.cells {
-		if !keep(row) {
-			continue
-		}
-		for c, v := range r {
-			out.Set(row, c, v)
+	for row, r := range a.rows {
+		if keep(row) {
+			out.rows[row] = r.Clone()
+			out.nnz += r.Len()
 		}
 	}
 	return out
 }
 
+// setAscending installs cells, collected in column order from another
+// array's row, as a row a does not hold yet.
+func (a *Assoc) setAscending(row string, cells []Cell) {
+	if len(cells) > 0 {
+		a.rows[row] = runs.Of(cells)
+		a.nnz += len(cells)
+	}
+}
+
 // SubCols returns the sub-array of columns for which keep returns true.
 func (a *Assoc) SubCols(keep func(string) bool) *Assoc {
 	out := New()
-	for row, r := range a.cells {
-		for c, v := range r {
-			if keep(c) {
-				out.Set(row, c, v)
+	for row, r := range a.rows {
+		var kept []Cell
+		for e := range r.All() {
+			if keep(e.Key) {
+				kept = append(kept, *e)
 			}
 		}
+		out.setAscending(row, kept)
 	}
 	return out
 }
@@ -244,9 +289,9 @@ func (a *Assoc) SubCols(keep func(string) bool) *Assoc {
 // Plus returns a + b with the D4M collision rule per cell.
 func Plus(a, b *Assoc) *Assoc {
 	out := a.Copy()
-	for row, r := range b.cells {
-		for c, v := range r {
-			out.Accum(row, c, v)
+	for row, r := range b.rows {
+		for e := range r.All() {
+			out.Accum(row, e.Key, e.Val)
 		}
 	}
 	return out
@@ -256,16 +301,18 @@ func Plus(a, b *Assoc) *Assoc {
 // combined with the collision rule.
 func And(a, b *Assoc) *Assoc {
 	out := New()
-	for row, r := range a.cells {
-		br, ok := b.cells[row]
+	for row, r := range a.rows {
+		br, ok := b.rows[row]
 		if !ok {
 			continue
 		}
-		for c, v := range r {
-			if bv, ok := br[c]; ok {
-				out.Set(row, c, add(v, bv))
+		var both []Cell
+		for e := range r.All() {
+			if be := br.Get(e.Key); be != nil {
+				both = append(both, Cell{Key: e.Key, Val: add(e.Val, be.Val)})
 			}
 		}
+		out.setAscending(row, both)
 	}
 	return out
 }
@@ -280,8 +327,8 @@ func RowIntersect(a, b *Assoc) []string {
 		small, large = b, a
 	}
 	var out []string
-	for row := range small.cells {
-		if _, ok := large.cells[row]; ok {
+	for row := range small.rows {
+		if _, ok := large.rows[row]; ok {
 			out = append(out, row)
 		}
 	}
@@ -292,9 +339,9 @@ func RowIntersect(a, b *Assoc) []string {
 // Transpose swaps rows and columns.
 func (a *Assoc) Transpose() *Assoc {
 	out := New()
-	for row, r := range a.cells {
-		for c, v := range r {
-			out.Set(c, row, v)
+	for row, r := range a.rows {
+		for e := range r.All() {
+			out.Set(e.Key, row, e.Val)
 		}
 	}
 	return out
@@ -304,12 +351,12 @@ func (a *Assoc) Transpose() *Assoc {
 // single-column array under colName.
 func (a *Assoc) SumRows(colName string) *Assoc {
 	out := New()
-	for row, r := range a.cells {
+	for row, r := range a.rows {
 		var s float64
 		any := false
-		for _, v := range r {
-			if v.Numeric {
-				s += v.Num
+		for e := range r.All() {
+			if e.Val.Numeric {
+				s += e.Val.Num
 				any = true
 			}
 		}

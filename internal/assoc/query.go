@@ -19,9 +19,9 @@ type RowValue struct {
 // Rows lacking the column or holding non-numeric values are skipped.
 func (a *Assoc) TopKByColumn(col string, k int) []RowValue {
 	var all []RowValue
-	for row, r := range a.cells {
-		if v, ok := r[col]; ok && v.Numeric {
-			all = append(all, RowValue{Row: row, Value: v.Num})
+	for row, r := range a.rows {
+		if e := r.Get(col); e != nil && e.Val.Numeric {
+			all = append(all, RowValue{Row: row, Value: e.Val.Num})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -47,8 +47,11 @@ type GroupCount struct {
 // key. Rows lacking the column are grouped under "".
 func (a *Assoc) GroupByColumn(col string) []GroupCount {
 	counts := make(map[string]int)
-	for _, r := range a.cells {
-		v := r[col]
+	for _, r := range a.rows {
+		var v Value
+		if e := r.Get(col); e != nil {
+			v = e.Val
+		}
 		counts[v.String()]++
 	}
 	out := make([]GroupCount, 0, len(counts))
@@ -76,11 +79,12 @@ type ColumnStats struct {
 func (a *Assoc) StatsByColumn(col string) ColumnStats {
 	s := ColumnStats{}
 	first := true
-	for _, r := range a.cells {
-		v, ok := r[col]
-		if !ok || !v.Numeric {
+	for _, r := range a.rows {
+		e := r.Get(col)
+		if e == nil || !e.Val.Numeric {
 			continue
 		}
+		v := e.Val
 		s.Count++
 		s.Sum += v.Num
 		if first || v.Num < s.Min {
@@ -100,7 +104,7 @@ func (a *Assoc) NumericColumn(col string) []float64 {
 	rows := a.RowKeys()
 	out := make([]float64, 0, len(rows))
 	for _, row := range rows {
-		if v, ok := a.cells[row][col]; ok && v.Numeric {
+		if v, ok := a.Get(row, col); ok && v.Numeric {
 			out = append(out, v.Num)
 		}
 	}

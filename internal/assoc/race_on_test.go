@@ -1,0 +1,7 @@
+//go:build race
+
+package assoc
+
+// raceEnabled reports that this test binary was built with the race
+// detector, which perturbs both allocation counts and relative timings.
+const raceEnabled = true

@@ -101,16 +101,26 @@ func (h *Honeyfarm) IngestMonth(label string, start time.Time, obs []radiation.O
 func (h *Honeyfarm) BuildMonth(label string, start time.Time, obs []radiation.Observation) *MonthWindow {
 	table := assoc.New()
 	for _, o := range obs {
-		row := o.Src.IP.String()
-		profile := Converse(o.Src, h.sensors)
-		table.Set(row, ColPackets, assoc.Num(float64(o.Packets)))
-		table.Set(row, ColClassification, assoc.Str(profile.Classification))
-		table.Set(row, ColIntent, assoc.Str(profile.Intent))
-		table.Set(row, ColFirstSeen, assoc.Str(o.FirstSeen.UTC().Format(time.RFC3339)))
-		table.Set(row, ColLastSeen, assoc.Str(o.LastSeen.UTC().Format(time.RFC3339)))
-		table.Set(row, ColTags, assoc.Str(strings.Join(profile.Tags, ",")))
+		row, cells := h.monthRow(o)
+		if err := table.SetRow(row, cells); err != nil {
+			panic(err) // monthRow's column order is fixed below
+		}
 	}
 	return &MonthWindow{Label: label, Start: start, Table: table}
+}
+
+// monthRow renders one observation as a row of the month table: its key
+// and its cells in column order, ready to be handed over whole.
+func (h *Honeyfarm) monthRow(o radiation.Observation) (string, []assoc.Cell) {
+	profile := Converse(o.Src, h.sensors)
+	return o.Src.IP.String(), []assoc.Cell{
+		{Key: ColClassification, Val: assoc.Str(profile.Classification)},
+		{Key: ColFirstSeen, Val: assoc.Str(o.FirstSeen.UTC().Format(time.RFC3339))},
+		{Key: ColIntent, Val: assoc.Str(profile.Intent)},
+		{Key: ColLastSeen, Val: assoc.Str(o.LastSeen.UTC().Format(time.RFC3339))},
+		{Key: ColPackets, Val: assoc.Num(float64(o.Packets))},
+		{Key: ColTags, Val: assoc.Str(strings.Join(profile.Tags, ","))},
+	}
 }
 
 // Attach appends a built month window to the farm's ingestion order.

@@ -329,11 +329,14 @@ func (p *Population) HoneyfarmPackets(month int, monthStart time.Time, sensors [
 // given integer month, with synthetic conversation metadata. monthStart
 // anchors the timestamps.
 func (p *Population) HoneyfarmMonth(month int, monthStart time.Time) []Observation {
-	var out []Observation
+	visible := make([]int32, 0, len(p.sources))
 	for i := range p.sources {
-		if !p.HoneyfarmVisible(i, month) {
-			continue
+		if p.HoneyfarmVisible(i, month) {
+			visible = append(visible, int32(i))
 		}
+	}
+	out := make([]Observation, 0, len(visible))
+	for _, i := range visible {
 		s := p.sources[i]
 		r := newSM64(uint64(p.cfg.Seed)*0xD1B54A32D192ED03 ^ uint64(i)<<16 ^ uint64(month))
 		first := monthStart.Add(time.Duration(r.float64() * 20 * 24 * float64(time.Hour)))

@@ -3,6 +3,7 @@ package radiation
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ipaddr"
 	"repro/internal/stats"
@@ -66,6 +67,32 @@ type Source struct {
 type Population struct {
 	cfg     Config
 	sources []Source
+	// beams holds what the honeyfarm beam model derives from a source's
+	// brightness alone, computed once per source instead of per (source,
+	// month) — on the first honeyfarm query, not in NewPopulation, so a
+	// population that only feeds a telescope never pays for it.
+	beamsOnce sync.Once
+	beams     []beamConsts
+}
+
+// beamConsts are cfg.PeakVisibility and cfg.BetaStar of one source's
+// brightness.
+type beamConsts struct {
+	peak, beta float64
+}
+
+// beamOf returns source i's beam constants.
+func (p *Population) beamOf(i int) beamConsts {
+	p.beamsOnce.Do(p.fillBeams)
+	return p.beams[i]
+}
+
+func (p *Population) fillBeams() {
+	p.beams = make([]beamConsts, len(p.sources))
+	for i := range p.sources {
+		d := p.sources[i].Brightness
+		p.beams[i] = beamConsts{peak: p.cfg.PeakVisibility(d), beta: p.cfg.BetaStar(d)}
+	}
 }
 
 // NewPopulation builds the population. It returns an error if the config
@@ -140,11 +167,11 @@ func (p *Population) Source(i int) Source { return p.sources[i] }
 // validation).
 func (p *Population) Config() Config { return p.cfg }
 
-// beam returns the ground-truth activity probability of source s in
+// beam returns the ground-truth activity probability of source i in
 // month m: a modified Cauchy around the source's anchor.
-func (p *Population) beam(s *Source, month float64) float64 {
-	beta := p.cfg.BetaStar(s.Brightness)
-	dt := math.Abs(month - s.Anchor)
+func (p *Population) beam(i int, month float64) float64 {
+	beta := p.beamOf(i).beta
+	dt := math.Abs(month - p.sources[i].Anchor)
 	return beta / (beta + math.Pow(dt, p.cfg.AlphaStar))
 }
 
@@ -179,24 +206,22 @@ func (p *Population) TelescopeActive(i int, month float64) bool {
 // every mid-month beam half a month away from its own collection
 // window and artificially depress same-month correlation peaks).
 func (p *Population) HoneyfarmVisible(i int, month int) bool {
-	s := &p.sources[i]
-	peak := p.cfg.PeakVisibility(s.Brightness)
-	if s.Persistent {
+	peak := p.beamOf(i).peak
+	if p.sources[i].Persistent {
 		return hashUnit(p.cfg.Seed, uint64(i), uint64(month), chanHoneyfarm) < peak
 	}
-	prob := peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(s, float64(month)+0.5))
+	prob := peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(i, float64(month)+0.5))
 	return hashUnit(p.cfg.Seed, uint64(i), uint64(month), chanHoneyfarm) < prob
 }
 
 // GroundTruthVisibility returns the exact honeyfarm visibility
 // probability for source i in month m, for validation tests.
 func (p *Population) GroundTruthVisibility(i int, month int) float64 {
-	s := &p.sources[i]
-	peak := p.cfg.PeakVisibility(s.Brightness)
-	if s.Persistent {
+	peak := p.beamOf(i).peak
+	if p.sources[i].Persistent {
 		return peak
 	}
-	return peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(s, float64(month)+0.5))
+	return peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(i, float64(month)+0.5))
 }
 
 // channel salts separating the independent per-source Bernoulli draws

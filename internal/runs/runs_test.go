@@ -1,0 +1,243 @@
+package runs
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// check verifies the block invariants and returns the run's entries in
+// walk order.
+func check[V any](t *testing.T, r Run[V]) []Entry[V] {
+	t.Helper()
+	var all []Entry[V]
+	for b, blk := range r.blocks {
+		if len(blk) == 0 || len(blk) > blockLen {
+			t.Fatalf("block %d holds %d entries", b, len(blk))
+		}
+		all = append(all, blk...)
+	}
+	if !IsAscending(all) {
+		t.Fatalf("run of %d entries is not strictly ascending", len(all))
+	}
+	if r.Len() != len(all) {
+		t.Fatalf("Len = %d, walk %d", r.Len(), len(all))
+	}
+	if (r.NumBlocks() == 0) != (len(all) == 0) {
+		t.Fatalf("NumBlocks = %d with %d entries", r.NumBlocks(), len(all))
+	}
+	return all
+}
+
+// TestRunMatchesMapOracle drives random Put/Delete/Get, over a key
+// space small enough to collide and large enough to split blocks many
+// times, against a map and its sorted keys.
+func TestRunMatchesMapOracle(t *testing.T) {
+	for _, space := range []int{8, 300, 5000} {
+		t.Run(fmt.Sprint("keys=", space), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(space)))
+			var r Run[int]
+			model := make(map[string]int)
+			for step := 0; step < 6*space+2000; step++ {
+				key := fmt.Sprintf("k%05d", rng.Intn(space))
+				// Grow first, then drain: deletes outnumber puts late on.
+				del := rng.Intn(6*space+2000) < step/2
+				if del {
+					got, ok := r.Delete(key)
+					want, wok := model[key]
+					if ok != wok || got != want {
+						t.Fatalf("step %d: Delete(%q) = %d,%v want %d,%v", step, key, got, ok, want, wok)
+					}
+					delete(model, key)
+				} else {
+					e, added := r.Put(key)
+					if _, had := model[key]; added == had {
+						t.Fatalf("step %d: Put(%q) added=%v, model had=%v", step, key, added, had)
+					}
+					if e.Key != key || (!added && e.Val != model[key]) {
+						t.Fatalf("step %d: Put(%q) returned entry %+v, model %d", step, key, *e, model[key])
+					}
+					e.Val = step
+					model[key] = step
+				}
+				if step%97 != 0 {
+					continue
+				}
+				all := check(t, r)
+				if len(all) != len(model) {
+					t.Fatalf("step %d: run holds %d entries, model %d", step, len(all), len(model))
+				}
+				for _, e := range all {
+					if got := r.Get(e.Key); got == nil || got.Val != model[e.Key] {
+						t.Fatalf("step %d: Get(%q) = %v, model %d", step, e.Key, got, model[e.Key])
+					}
+				}
+				if r.Get("k") != nil || r.Get("zzz") != nil || r.Get("k00000x") != nil {
+					t.Fatalf("step %d: Get of an absent key found an entry", step)
+				}
+			}
+		})
+	}
+}
+
+// TestAppendKeys checks the range walk against a filter of the sorted
+// keys, across block boundaries and every shape of bound.
+func TestAppendKeys(t *testing.T) {
+	var r Run[struct{}]
+	var keys []string
+	for i := 0; i < 3*blockLen+7; i++ {
+		k := fmt.Sprintf("r%04d", 2*i)
+		keys = append(keys, k)
+	}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(keys)) {
+		r.Put(keys[i])
+	}
+	check(t, r)
+	bounds := []string{"", "r", "r0000", "r0001", "r0254", "r0255", "r0256", "r0510", keys[len(keys)-1], "r9999", "s"}
+	for _, lo := range bounds {
+		for _, strict := range []bool{false, true} {
+			for _, end := range bounds {
+				for _, n := range []int{-1, 0, 1, blockLen, 10000} {
+					var want []string
+					for _, k := range keys {
+						if k < lo || (strict && k == lo) || (end != "" && k >= end) || len(want) == n {
+							continue
+						}
+						want = append(want, k)
+					}
+					got := r.AppendKeys(nil, lo, strict, end, n)
+					if !slices.Equal(got, want) {
+						t.Fatalf("AppendKeys(lo=%q strict=%v end=%q n=%d) = %d keys, want %d", lo, strict, end, n, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOfTakesTheSliceAndSplitsWideRuns: a narrow run is the caller's
+// slice, a wide one is cut into blocks that can each grow without
+// touching the next.
+func TestOfTakesTheSliceAndSplitsWideRuns(t *testing.T) {
+	if r := Of[int](nil); r.NumBlocks() != 0 || r.Len() != 0 {
+		t.Fatalf("Of(nil) = %d blocks", r.NumBlocks())
+	}
+	narrow := []Entry[int]{{Key: "a", Val: 1}, {Key: "b", Val: 2}}
+	r := Of(narrow)
+	if r.NumBlocks() != 1 || &r.blocks[0][0] != &narrow[0] {
+		t.Fatal("a narrow run was copied")
+	}
+	wide := make([]Entry[int], 2*blockLen+5)
+	for i := range wide {
+		wide[i] = Entry[int]{Key: fmt.Sprintf("c%04d", 2*i), Val: i}
+	}
+	r = Of(slices.Clone(wide))
+	if got := check(t, r); !slices.Equal(got, wide) {
+		t.Fatal("a wide run does not hold its entries in order")
+	}
+	// Inserts into the middle of every block leave every other entry alone.
+	for b := 0; b < 3; b++ {
+		e, added := r.Put(fmt.Sprintf("c%04d", 2*(b*blockLen+3)+1))
+		if !added {
+			t.Fatal("odd key already present")
+		}
+		e.Val = -1
+	}
+	got := check(t, r)
+	if len(got) != len(wide)+3 {
+		t.Fatalf("run holds %d entries, want %d", len(got), len(wide)+3)
+	}
+	for _, e := range wide {
+		if g := r.Get(e.Key); g == nil || g.Val != e.Val {
+			t.Fatalf("entry %q disturbed by a neighbouring insert", e.Key)
+		}
+	}
+}
+
+func TestIsAscending(t *testing.T) {
+	e := func(keys ...string) []Entry[int] {
+		out := make([]Entry[int], len(keys))
+		for i, k := range keys {
+			out[i].Key = k
+		}
+		return out
+	}
+	for _, ok := range [][]Entry[int]{nil, e("a"), e("a", "b", "c"), e("", "a")} {
+		if !IsAscending(ok) {
+			t.Errorf("IsAscending(%v) = false", ok)
+		}
+	}
+	for _, bad := range [][]Entry[int]{e("b", "a"), e("a", "a"), e("a", "c", "b")} {
+		if IsAscending(bad) {
+			t.Errorf("IsAscending(%v) = true", bad)
+		}
+	}
+}
+
+// TestAscendingLoadFillsBlocks: keys arriving in order — a table being
+// published — append without splitting, so blocks end up full.
+func TestAscendingLoadFillsBlocks(t *testing.T) {
+	var r Run[struct{}]
+	const n = 10*blockLen + 1
+	for i := 0; i < n; i++ {
+		if _, added := r.Put(fmt.Sprintf("%06d", i)); !added {
+			t.Fatal("fresh key reported present")
+		}
+	}
+	check(t, r)
+	if r.NumBlocks() != 11 {
+		t.Errorf("ascending load of %d keys made %d blocks, want 11 full ones", n, r.NumBlocks())
+	}
+}
+
+// TestCopiesShareUntilNumBlocksChanges pins the header contract a
+// by-value holder relies on.
+func TestCopiesShareUntilNumBlocksChanges(t *testing.T) {
+	var r Run[int]
+	r.Put("a")
+	kept := r // a holder's copy
+	for i := 0; i < blockLen-1; i++ {
+		e, _ := r.Put(fmt.Sprintf("b%03d", i))
+		e.Val = i
+		if r.NumBlocks() != kept.NumBlocks() {
+			t.Fatalf("put %d changed NumBlocks before the block filled", i)
+		}
+		if kept.Len() != r.Len() || kept.Get(e.Key) == nil {
+			t.Fatalf("put %d not visible through the copy", i)
+		}
+	}
+	r.Put("b0000") // a middle insert into the full block: it splits
+	if r.NumBlocks() == kept.NumBlocks() {
+		t.Fatal("split did not change NumBlocks")
+	}
+	c := r.Clone()
+	c.Put("zzz")
+	c.Delete("a")
+	if r.Get("zzz") != nil || r.Get("a") == nil {
+		t.Fatal("Clone shares storage")
+	}
+}
+
+// TestWideRunInsertIsLogarithmic: 200k keys in random order finish in
+// time that only a per-key cost independent of the run's width allows;
+// a flat sorted slice would move ~6 GB.
+func TestWideRunInsertIsLogarithmic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200k inserts")
+	}
+	const n = 200_000
+	var r Run[int]
+	for _, i := range rand.New(rand.NewSource(7)).Perm(n) {
+		e, _ := r.Put(fmt.Sprintf("col%06d", i))
+		e.Val = i
+	}
+	all := check(t, r)
+	if len(all) != n || !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Key < all[j].Key }) {
+		t.Fatalf("run holds %d entries", len(all))
+	}
+	if nb := r.NumBlocks(); nb > 2*n/(blockLen/2) {
+		t.Errorf("%d keys spread over %d blocks: blocks under half full", n, nb)
+	}
+}

@@ -272,7 +272,7 @@ func (t *Telescope) SourceTable(w *Window) *assoc.Assoc {
 	out := assoc.New()
 	i := 0
 	packets.Iterate(func(_ uint32, n float64) bool {
-		out.Set(origs[i].String(), "packets", assoc.Num(n))
+		_ = out.SetRow(origs[i].String(), []assoc.Cell{{Key: "packets", Val: assoc.Num(n)}}) // one cell is always in order
 		i++
 		return true
 	})

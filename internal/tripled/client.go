@@ -173,8 +173,26 @@ func putLine(row, col string, v assoc.Value) string {
 	return string(appendCell([]byte("PUT\t"), row, col, v))
 }
 
+// validateWire refuses, before anything is sent, a cell the server
+// would refuse or — worse — misread: keys and values the line formats
+// cannot carry (BadKeyError, BadValueError), and a tab inside a string
+// value, which the store can hold but a request line cannot.
+func validateWire(row, col string, v assoc.Value) error {
+	c := Cell{Row: row, Col: col, Val: v}
+	if err := c.validate(); err != nil {
+		return err
+	}
+	if !v.Numeric && strings.Contains(v.Str, "\t") {
+		return fmt.Errorf("tripled: value %q contains a tab, which a request line cannot carry", v.Str)
+	}
+	return nil
+}
+
 // Put stores a value.
 func (c *Client) Put(row, col string, v assoc.Value) error {
+	if err := validateWire(row, col, v); err != nil {
+		return err
+	}
 	resp, err := c.roundTrip(putLine(row, col, v))
 	if err != nil {
 		return err
@@ -512,8 +530,12 @@ func (c *Client) PublishAssoc(prefix string, a *assoc.Assoc, batchSize int) erro
 		return err
 	}
 	p := c.StartPipeline(batchSize)
-	a.Iterate(func(row, col string, v assoc.Value) bool {
-		p.Put(prefix+row, col, v)
+	row, key := "", prefix // the row being walked and its prefixed key, built once
+	a.Iterate(func(r, col string, v assoc.Value) bool {
+		if r != row {
+			row, key = r, prefix+r
+		}
+		p.Put(key, col, v)
 		return true
 	})
 	return p.Close()
@@ -547,10 +569,11 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 
 // FetchAssoc reads every cell under the row-key prefix back into an
 // associative array, paging with CELLS (pageRows rows per round trip)
-// and stripping the prefix from the row keys. The scan ends at the
-// first empty page: a short non-empty page only advances the cursor
-// (concurrent deletes can legitimately shorten a page), so nothing is
-// silently truncated.
+// and stripping the prefix from the row keys. A page is whole rows in
+// column order, so each row is handed to the array as one run. The
+// scan ends at the first empty page: a short non-empty page only
+// advances the cursor (concurrent deletes can legitimately shorten a
+// page), so nothing is silently truncated.
 func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	if pageRows < 1 {
 		pageRows = 512
@@ -567,8 +590,24 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 		if len(cells) == 0 {
 			return out, nil
 		}
-		for _, cell := range cells {
-			out.Set(strings.TrimPrefix(cell.Row, prefix), cell.Col, cell.Val)
+		for i := 0; i < len(cells); {
+			j := i + 1
+			for j < len(cells) && cells[j].Row == cells[i].Row {
+				j++
+			}
+			run := make([]assoc.Cell, j-i)
+			for k := range run {
+				run[k] = assoc.Cell{Key: cells[i+k].Col, Val: cells[i+k].Val}
+			}
+			row := strings.TrimPrefix(cells[i].Row, prefix)
+			if out.HasRow(row) || out.SetRow(row, run) != nil {
+				// Not what a server sends — a row split across pages, or
+				// out of column order: merge it cell by cell.
+				for _, cell := range run {
+					out.Set(row, cell.Key, cell.Val)
+				}
+			}
+			i = j
 		}
 		cursor = cells[len(cells)-1].Row
 	}

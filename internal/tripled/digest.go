@@ -67,6 +67,16 @@ func CellDigest(row, col string, v assoc.Value) uint64 {
 	return uint64(h)
 }
 
+// digest summarizes one row's cells.
+func (r *row) digest() RowDigestEntry {
+	e := RowDigestEntry{Row: r.key}
+	for c := range r.cells.All() {
+		e.Count++
+		e.Sum += CellDigest(r.key, c.Key, c.Val.val)
+	}
+	return e
+}
+
 // BucketDigests returns the nb bucket digests of the whole table, as
 // one atomic snapshot (all stripes read-locked).
 func (s *Store) BucketDigests(nb int) []BucketDigest {
@@ -77,12 +87,11 @@ func (s *Store) BucketDigests(nb int) []BucketDigest {
 	s.rlockAll()
 	defer s.runlockAll()
 	for _, st := range s.stripes {
-		for row, cells := range st.rows {
-			b := DigestBucket(row, nb)
-			for col, v := range cells {
-				out[b].Count++
-				out[b].Sum += CellDigest(row, col, v)
-			}
+		for key, r := range st.rows {
+			e := r.digest()
+			b := DigestBucket(key, nb)
+			out[b].Count += e.Count
+			out[b].Sum += e.Sum
 		}
 	}
 	return out
@@ -99,15 +108,11 @@ func (s *Store) RowDigests(nb, bucket int) []RowDigestEntry {
 	s.rlockAll()
 	defer s.runlockAll()
 	for _, st := range s.stripes {
-		for row, cells := range st.rows {
-			if bucket >= 0 && DigestBucket(row, nb) != bucket {
+		for key, r := range st.rows {
+			if bucket >= 0 && DigestBucket(key, nb) != bucket {
 				continue
 			}
-			e := RowDigestEntry{Row: row, Count: len(cells)}
-			for col, v := range cells {
-				e.Sum += CellDigest(row, col, v)
-			}
-			out = append(out, e)
+			out = append(out, r.digest())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Row < out[j].Row })

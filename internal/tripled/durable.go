@@ -97,9 +97,9 @@ func (s *Server) openWAL() error {
 			return err
 		}
 		rec.TailRecords++
-		rec.TailOps += len(ops)
-		_, err = applyRuns(s.store, ops)
-		return err
+		rec.TailOps += ops.len()
+		applyRuns(s.store, ops)
+		return nil
 	}); err != nil {
 		lg.Close()
 		return fmt.Errorf("tripled: wal replay: %w", err)
@@ -113,15 +113,15 @@ func (s *Server) openWAL() error {
 }
 
 // applyOps logs ops as one WAL record (when durable) and applies them
-// to the store as stripe-grouped runs, returning how many DEL ops hit
-// an existing cell. Append and apply happen under the durability
-// mutex so WAL order is apply order.
-func (s *Server) applyOps(ops []batchOp) (int, error) {
-	if len(ops) == 0 {
+// to the store run by run, returning how many DEL ops hit an existing
+// cell. Append and apply happen under the durability mutex so WAL
+// order is apply order.
+func (s *Server) applyOps(ops *mutations) (int, error) {
+	if ops.len() == 0 {
 		return 0, nil
 	}
 	if s.wal == nil {
-		return applyRuns(s.store, ops)
+		return applyRuns(s.store, ops), nil
 	}
 	s.durMu.Lock()
 	defer s.durMu.Unlock()
@@ -129,10 +129,7 @@ func (s *Server) applyOps(ops []batchOp) (int, error) {
 	if err := s.wal.Append(payload); err != nil {
 		return 0, fmt.Errorf("wal append: %w", err)
 	}
-	deleted, err := applyRuns(s.store, ops)
-	if err != nil {
-		return deleted, err
-	}
+	deleted := applyRuns(s.store, ops)
 	s.walBytes += int64(len(payload))
 	if s.walCompactBytes > 0 && s.walBytes >= s.walCompactBytes {
 		if err := s.compactLocked(); err != nil {
@@ -165,59 +162,59 @@ func (s *Server) compactLocked() error {
 	return nil
 }
 
-// applyRuns applies parsed ops as runs of consecutive PUTs/DELs (same
-// splitting the BATCH handler always used, shared with WAL replay).
-func applyRuns(store *Store, ops []batchOp) (int, error) {
+// applyRuns applies parsed ops run by run, each run of consecutive
+// PUTs or DELs as one store batch (so same-cell PUT/DEL sequences keep
+// their order), and returns how many DELs hit an existing cell. The
+// ops were validated when they were parsed — off the wire by
+// parseMutation, or before they were logged to the WAL being replayed
+// — so the store takes the PUTs as they stand.
+func applyRuns(store *Store, ops *mutations) int {
 	deleted := 0
-	for start := 0; start < len(ops); {
-		end := start
-		for end < len(ops) && ops[end].del == ops[start].del {
-			end++
-		}
-		if ops[start].del {
-			keys := make([]CellKey, 0, end-start)
-			for _, op := range ops[start:end] {
-				keys = append(keys, CellKey{Row: op.cell.Row, Col: op.cell.Col})
-			}
-			deleted += store.DeleteBatch(keys)
+	puts, dels := ops.puts, ops.dels
+	for _, run := range ops.runs {
+		if run.del {
+			deleted += store.DeleteBatch(dels[:run.n])
+			dels = dels[run.n:]
 		} else {
-			cells := make([]Cell, 0, end-start)
-			for _, op := range ops[start:end] {
-				cells = append(cells, op.cell)
-			}
-			if err := store.PutBatch(cells); err != nil {
-				return deleted, err
-			}
+			store.putCells(puts[:run.n])
+			puts = puts[run.n:]
 		}
-		start = end
 	}
-	return deleted, nil
+	return deleted
 }
 
 // encodeOps frames ops as one WAL payload: the same tab-separated
 // lines the persistence log uses ("P\trow\tcol\tmarker\tvalue" or
-// "D\trow\tcol"), newline-joined. Keys were validated at parse time,
-// so the line format cannot be corrupted from here.
-func encodeOps(ops []batchOp) []byte {
+// "D\trow\tcol"), newline-joined. Keys and values were validated at
+// parse time, so the line format cannot be corrupted from here.
+func encodeOps(ops *mutations) []byte {
 	var b []byte
-	for _, op := range ops {
-		if op.del {
-			b = append(b, 'D', '\t')
-			b = append(b, op.cell.Row...)
-			b = append(b, '\t')
-			b = append(b, op.cell.Col...)
-		} else {
-			b = appendCell(append(b, 'P', '\t'), op.cell.Row, op.cell.Col, op.cell.Val)
+	puts, dels := ops.puts, ops.dels
+	for _, run := range ops.runs {
+		for i := 0; i < run.n; i++ {
+			if run.del {
+				b = append(b, 'D', '\t')
+				b = append(b, dels[i].Row...)
+				b = append(b, '\t')
+				b = append(b, dels[i].Col...)
+			} else {
+				b = appendCell(append(b, 'P', '\t'), puts[i].Row, puts[i].Col, puts[i].Val)
+			}
+			b = append(b, '\n')
 		}
-		b = append(b, '\n')
+		if run.del {
+			dels = dels[run.n:]
+		} else {
+			puts = puts[run.n:]
+		}
 	}
 	return b
 }
 
 // decodeOps parses a WAL payload back into ops.
-func decodeOps(payload []byte) ([]batchOp, error) {
+func decodeOps(payload []byte) (*mutations, error) {
 	lines := strings.Split(strings.TrimSuffix(string(payload), "\n"), "\n")
-	ops := make([]batchOp, 0, len(lines))
+	ops := &mutations{}
 	for _, line := range lines {
 		if line == "" {
 			continue
@@ -232,12 +229,12 @@ func decodeOps(payload []byte) ([]batchOp, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tripled: wal record line %q: %w", line, err)
 			}
-			ops = append(ops, batchOp{cell: Cell{Row: parts[1], Col: parts[2], Val: v}})
+			ops.put(Cell{Row: parts[1], Col: parts[2], Val: v})
 		case "D":
 			if len(parts) != 3 {
 				return nil, fmt.Errorf("tripled: wal record line %q malformed", line)
 			}
-			ops = append(ops, batchOp{del: true, cell: Cell{Row: parts[1], Col: parts[2]}})
+			ops.del(CellKey{Row: parts[1], Col: parts[2]})
 		default:
 			return nil, fmt.Errorf("tripled: wal record op %q unknown", parts[0])
 		}

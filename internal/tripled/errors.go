@@ -27,6 +27,8 @@ import (
 	"math/rand"
 	"net"
 	"time"
+
+	"repro/internal/assoc"
 )
 
 // Class is the retry-relevant classification of a client error.
@@ -76,6 +78,32 @@ func ValidateKey(k string) error {
 		switch k[i] {
 		case '\t', '\n', '\r':
 			return &BadKeyError{Key: k}
+		}
+	}
+	return nil
+}
+
+// BadValueError reports a string value the line formats cannot carry
+// whole: every format frames a cell as one line, so a value holding a
+// newline splits its record in two (the second half then parses as a
+// forged record on replay), and a carriage return at its end is eaten
+// by the line scanner — a silent truncation. Tabs are fine: the value
+// is the last field of its line. Like BadKeyError it classifies fatal.
+type BadValueError struct{ Value string }
+
+func (e *BadValueError) Error() string {
+	return fmt.Sprintf("tripled: value %q contains a newline or carriage return", e.Value)
+}
+
+// ValidateValue rejects string values that cannot survive the line
+// formats; a numeric value renders as digits and always can.
+func ValidateValue(v assoc.Value) error {
+	if v.Numeric {
+		return nil
+	}
+	for i := 0; i < len(v.Str); i++ {
+		if v.Str[i] == '\n' || v.Str[i] == '\r' {
+			return &BadValueError{Value: v.Str}
 		}
 	}
 	return nil

@@ -19,62 +19,73 @@ func valueEqual(a, b assoc.Value) bool {
 }
 
 // verifyStoreInvariants cross-checks every stripe's redundant
-// structures: row index vs transpose index, nnz vs cell count, empty
-// map cleanup (degree tables are derived from these map sizes, so
-// their correctness rides on the same checks), row-to-stripe
-// placement, and the ordered row index (well-formed blocks holding
-// exactly the sorted keys of the row map). The fuzz, soak and crash
-// tests call it to prove no input sequence can corrupt the store.
+// structures: each row's run (columns strictly ascending, never
+// empty), each cell's column membership and the
+// back-position that makes leaving a column O(1), each column's member
+// list (no empty column, every member holding the column at that very
+// position, the column's one name string keying the cell), nnz vs cell
+// count (degree tables are derived from run and member-list lengths,
+// so their correctness rides on the same checks), row-to-stripe
+// placement, and the ordered row index (holding exactly the sorted
+// keys of the row map). The fuzz, soak, differential and crash tests
+// call it to prove no input sequence can corrupt the store.
 func verifyStoreInvariants(t *testing.T, s *Store) {
 	t.Helper()
 	total := 0
 	for i, st := range s.stripes {
 		st.mu.RLock()
 		nnz := 0
-		for row, r := range st.rows {
-			if s.stripeFor(row) != st {
-				t.Errorf("stripe %d holds row %q that hashes elsewhere", i, row)
+		for key, r := range st.rows {
+			if s.stripeFor(key) != st {
+				t.Errorf("stripe %d holds row %q that hashes elsewhere", i, key)
 			}
-			if len(r) == 0 {
-				t.Errorf("stripe %d keeps empty row %q", i, row)
+			if r.key != key {
+				t.Errorf("stripe %d files row %q under %q", i, r.key, key)
 			}
-			for col, v := range r {
+			if r.cells.NumBlocks() == 0 {
+				t.Errorf("stripe %d keeps empty row %q", i, key)
+			}
+			prev, first := "", true
+			for e := range r.cells.All() {
 				nnz++
-				if got, ok := st.cols[col][row]; !ok || !valueEqual(got, v) {
-					t.Errorf("transpose missing cell (%q,%q)", row, col)
+				if !first && e.Key <= prev {
+					t.Errorf("row %q run not strictly ascending: %q after %q", key, e.Key, prev)
+				}
+				prev, first = e.Key, false
+				c := st.cols[e.Key]
+				if c == nil || e.Val.pos >= len(c.rows) || c.rows[e.Val.pos] != r {
+					t.Errorf("cell (%q,%q) not at its back-position %d in the column", key, e.Key, e.Val.pos)
 				}
 			}
-		}
-		var indexed []string
-		for b, blk := range st.index.blocks {
-			if len(blk) == 0 || len(blk) > indexBlock {
-				t.Errorf("stripe %d index block %d holds %d keys", i, b, len(blk))
+			if got := r.cells.Len(); got != r.digest().Count {
+				t.Errorf("row %q Len = %d, walk %d", key, got, r.digest().Count)
 			}
-			indexed = append(indexed, blk...)
 		}
-		if want := sortedKeys(nil, st.rows); !slices.Equal(indexed, want) {
+		if indexed, want := st.index.AppendKeys(nil, "", false, "", -1), sortedKeys(nil, st.rows); !slices.Equal(indexed, want) {
 			t.Errorf("stripe %d row index holds %d keys out of step with the %d sorted row keys", i, len(indexed), len(want))
 		}
 		if nnz != st.nnz {
 			t.Errorf("stripe %d nnz = %d, recount %d", i, st.nnz, nnz)
 		}
 		total += nnz
-		colCount := make(map[string]int)
-		for col, c := range st.cols {
-			if len(c) == 0 {
-				t.Errorf("stripe %d keeps empty column %q", i, col)
+		members := 0
+		for name, c := range st.cols {
+			if len(c.rows) == 0 {
+				t.Errorf("stripe %d keeps empty column %q", i, name)
 			}
-			colCount[col] = len(c)
-			for row, v := range c {
-				if got, ok := st.rows[row][col]; !ok || !valueEqual(got, v) {
-					t.Errorf("row index missing transposed cell (%q,%q)", row, col)
+			if c.name != name {
+				t.Errorf("stripe %d files column %q under %q", i, c.name, name)
+			}
+			members += len(c.rows)
+			for pos, r := range c.rows {
+				e := r.cells.Get(name)
+				if e == nil || e.Val.pos != pos || st.rows[r.key] != r {
+					t.Errorf("column %q member %d (row %q) does not hold the column at that position", name, pos, r.key)
 				}
 			}
 		}
-		for col, n := range colCount {
-			if d := len(st.cols[col]); d != n {
-				t.Errorf("derived colDeg[%q] = %d, want %d", col, d, n)
-			}
+		if members != nnz {
+			t.Errorf("stripe %d columns list %d members for %d cells", i, members, nnz)
 		}
 		st.mu.RUnlock()
 	}

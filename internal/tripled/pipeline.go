@@ -48,9 +48,7 @@ func (p *Pipeline) Put(row, col string, v assoc.Value) {
 	if p.err != nil {
 		return
 	}
-	if strings.ContainsAny(row, "\t\n") || strings.ContainsAny(col, "\t\n") ||
-		strings.ContainsAny(v.Str, "\t\n") {
-		p.err = fmt.Errorf("tripled: key or value contains tab or newline")
+	if p.err = validateWire(row, col, v); p.err != nil {
 		return
 	}
 	p.body = append(appendCell(append(p.body, "PUT\t"...), row, col, v), '\n')
@@ -62,8 +60,10 @@ func (p *Pipeline) Delete(row, col string) {
 	if p.err != nil {
 		return
 	}
-	if strings.ContainsAny(row, "\t\n") || strings.ContainsAny(col, "\t\n") {
-		p.err = fmt.Errorf("tripled: key contains tab or newline")
+	if p.err = ValidateKey(row); p.err == nil {
+		p.err = ValidateKey(col)
+	}
+	if p.err != nil {
 		return
 	}
 	p.body = append(p.body, "DEL\t"...)

@@ -141,8 +141,8 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 				t.Fatalf("drained store holds %d cells", n)
 			}
 			for i, st := range s.stripes {
-				if len(st.index.blocks) != 0 {
-					t.Errorf("stripe %d keeps %d index blocks after the drain", i, len(st.index.blocks))
+				if n := st.index.NumBlocks(); n != 0 {
+					t.Errorf("stripe %d keeps %d index blocks after the drain", i, n)
 				}
 			}
 		})

@@ -195,12 +195,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	w := bufio.NewWriterSize(conn, 1<<16)
 	defer w.Flush()
+	var batch mutations // BATCH bodies are parsed into one buffer, reused
 	for s.scanLine(conn, sc) {
 		line := sc.Text()
 		if line == "" {
 			continue
 		}
-		if done := s.handle(conn, sc, w, line); done {
+		if done := s.handle(conn, sc, w, &batch, line); done {
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -220,7 +221,7 @@ func (s *Server) scanLine(conn net.Conn, sc *bufio.Scanner) bool {
 
 // handle processes one request line; returns true when the connection
 // should close.
-func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line string) bool {
+func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch *mutations, line string) bool {
 	parts := strings.Split(line, "\t")
 	cmd := strings.ToUpper(parts[0])
 	switch cmd {
@@ -235,7 +236,9 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
-		if _, err := s.applyOps([]batchOp{{cell: cell}}); err != nil {
+		var one mutations
+		one.put(cell)
+		if _, err := s.applyOps(&one); err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
@@ -256,7 +259,9 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 			fmt.Fprintln(w, "ERR DEL wants 2 arguments")
 			return false
 		}
-		deleted, err := s.applyOps([]batchOp{{del: true, cell: Cell{Row: parts[1], Col: parts[2]}}})
+		var one mutations
+		one.del(CellKey{Row: parts[1], Col: parts[2]})
+		deleted, err := s.applyOps(&one)
 		switch {
 		case err != nil:
 			fmt.Fprintf(w, "ERR %v\n", err)
@@ -266,7 +271,7 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 			fmt.Fprintln(w, "NF")
 		}
 	case "BATCH":
-		return s.handleBatch(conn, sc, w, parts)
+		return s.handleBatch(conn, sc, w, batch, parts)
 	case "ROW", "COL":
 		if len(parts) != 2 {
 			fmt.Fprintf(w, "ERR %s wants 1 argument\n", cmd)
@@ -356,10 +361,47 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line 
 // buffer per page is most of what a scan would otherwise allocate.
 var pagePool = sync.Pool{New: func() any { return new([]Cell) }}
 
-// batchOp is one parsed BATCH body line.
-type batchOp struct {
-	del  bool
-	cell Cell // Val unused for deletes
+// mutations is a parsed mutation list: the PUTs and the DELs each in
+// arrival order, and the order they interleave in as runs of
+// consecutive PUTs or DELs. The store applies a run as one batch, so
+// the cells of a run are kept as the slice it takes.
+type mutations struct {
+	puts []Cell
+	dels []CellKey
+	runs []mutationRun
+}
+
+// mutationRun is the next n entries of puts, or of dels.
+type mutationRun struct {
+	del bool
+	n   int
+}
+
+func (m *mutations) put(c Cell) {
+	m.puts = append(m.puts, c)
+	m.extend(false)
+}
+
+func (m *mutations) del(k CellKey) {
+	m.dels = append(m.dels, k)
+	m.extend(true)
+}
+
+func (m *mutations) extend(del bool) {
+	if n := len(m.runs); n == 0 || m.runs[n-1].del != del {
+		m.runs = append(m.runs, mutationRun{del: del})
+	}
+	m.runs[len(m.runs)-1].n++
+}
+
+func (m *mutations) len() int { return len(m.puts) + len(m.dels) }
+
+// reset empties the list for reuse, dropping its references: the store
+// copied what it keeps.
+func (m *mutations) reset() {
+	clear(m.puts)
+	clear(m.dels)
+	m.puts, m.dels, m.runs = m.puts[:0], m.dels[:0], m.runs[:0]
 }
 
 // handleBatch reads the n body lines of a BATCH request, parses them
@@ -369,7 +411,7 @@ type batchOp struct {
 // malformed or the body is truncated. A count that cannot be trusted
 // (unparseable, negative, over maxBatch) closes the connection, since
 // the stream position is no longer unambiguous.
-func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, parts []string) bool {
+func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, ops *mutations, parts []string) bool {
 	if len(parts) != 2 {
 		fmt.Fprintln(w, "ERR BATCH wants 1 argument")
 		return false
@@ -383,7 +425,7 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 		fmt.Fprintf(w, "ERR batch count %d exceeds limit %d\n", n, s.maxBatch)
 		return true
 	}
-	ops := make([]batchOp, 0, n)
+	defer ops.reset()
 	var bodyErr error
 	var fields [6]string // one more than a PUT's arity, so excess tabs still fail it
 	// One deadline covers the whole body: a stalled batch times out as a
@@ -406,13 +448,13 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 				bodyErr = fmt.Errorf("batch line %d: %v", i+1, err)
 				continue
 			}
-			ops = append(ops, batchOp{cell: cell})
+			ops.put(cell)
 		case "DEL":
 			if len(body) != 3 {
 				bodyErr = fmt.Errorf("batch line %d: DEL wants 2 arguments", i+1)
 				continue
 			}
-			ops = append(ops, batchOp{del: true, cell: Cell{Row: body[1], Col: body[2]}})
+			ops.del(CellKey{Row: body[1], Col: body[2]})
 		default:
 			bodyErr = fmt.Errorf("batch line %d: op must be PUT or DEL", i+1)
 		}
@@ -481,9 +523,10 @@ func (s *Server) handleResync(w *bufio.Writer, parts []string) bool {
 }
 
 // parseMutation parses the argument list of a PUT request or BATCH body
-// line into a Cell. Key validation happens here — before the WAL or
-// the store can see the mutation — so a key that would corrupt the
-// line formats is refused at the protocol boundary.
+// line into a Cell. Validation happens here — before the WAL or the
+// store can see the mutation — so a key or value that would corrupt
+// the line formats is refused at the protocol boundary, and nothing
+// downstream validates again.
 func parseMutation(parts []string) (Cell, error) {
 	if len(parts) != 5 {
 		return Cell{}, errors.New("PUT wants 4 arguments")
@@ -496,6 +539,9 @@ func parseMutation(parts []string) (Cell, error) {
 	}
 	v, err := parseValue(parts[3], parts[4])
 	if err != nil {
+		return Cell{}, err
+	}
+	if err := ValidateValue(v); err != nil {
 		return Cell{}, err
 	}
 	return Cell{Row: parts[1], Col: parts[2], Val: v}, nil

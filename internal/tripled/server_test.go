@@ -305,3 +305,35 @@ func TestPipelineRejectsTabs(t *testing.T) {
 		t.Fatalf("connection unusable after client-side rejection: %v", err)
 	}
 }
+
+// TestFetchAssocTableAllocations is the alloc gate on the row-wise
+// fetch: a warm FetchAssoc of a numeric table allocates, per row, the
+// row's key string off the wire and at most two allocations for the
+// table — the run handed to SetRow and the header the array keeps it
+// under — plus a handful per page.
+func TestFetchAssocTableAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	_, c := serveTest(t)
+	const rows = 4096
+	a := assoc.New()
+	for i := 0; i < rows; i++ {
+		a.Set(fmt.Sprintf("10.0.%d.%d", i/256, i%256), "packets", assoc.Num(float64(i)))
+	}
+	if err := c.PublishAssoc("tel/x/", a, 1024); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func() {
+		back, err := c.FetchAssoc("tel/x/", 512)
+		if err != nil || back.NNZ() != rows {
+			t.Fatalf("fetched %v cells, %v", back.NNZ(), err)
+		}
+	}
+	fetch()                                           // warm: scanner buffer, page buffers
+	perRow := testing.AllocsPerRun(5, fetch)/rows - 1 // less the key string
+	t.Logf("%.3f table allocations per fetched row", perRow)
+	if perRow > 2.1 { // a page of 512 rows costs some two dozen more
+		t.Errorf("FetchAssoc costs the table %.3f allocations per row, want <= 2", perRow)
+	}
+}

@@ -1,19 +1,22 @@
 // Package tripled implements the database substrate behind D4M
 // associative arrays: a triple store with the "D4M schema" used by the
 // paper's pipeline (Accumulo at the MIT SuperCloud) — the table is kept
-// in both row-major and column-major (transpose) indexes so row and
-// column lookups are both O(result), and incremental degree tables track
+// row-major with a column-major (transpose) membership index beside it,
+// so row and column lookups are both O(result), and degree tables track
 // per-row and per-column cell counts, the trick that makes "top-K
 // heaviest sources" queries cheap at honeyfarm scale.
 //
 // The store is sharded across stripes keyed by row hash: each stripe
-// has its own lock, row/column indexes, ordered row-key index, and
-// degree tables, so writers on different rows never contend. Column
-// queries and degree-table reads merge the per-stripe tables on demand;
-// range scans seek each stripe's ordered index and merge the runs, so a
-// page costs O(log rows + page), not a walk of the store. The store is
-// in-memory with an append-only change log for persistence, and
-// server.go exposes it over a line-oriented TCP protocol.
+// has its own lock, rows, column membership, and ordered row-key index,
+// so writers on different rows never contend. A row is its cells as a
+// run sorted by column (internal/runs), each value stored once; bulk
+// mutations arrive as runs of same-row cells and cost one stripe hash
+// and one row lookup per run. Column queries and degree-table reads
+// merge the per-stripe tables on demand; range scans seek each stripe's
+// ordered index and merge the runs, so a page costs O(log rows + page),
+// not a walk of the store. The store is in-memory with an append-only
+// change log for persistence, and server.go exposes it over a
+// line-oriented TCP protocol.
 package tripled
 
 import (
@@ -22,12 +25,12 @@ import (
 	"hash/maphash"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/assoc"
+	"repro/internal/runs"
 )
 
 // DefaultStripes is the stripe count of NewStore, enough that a
@@ -40,24 +43,56 @@ type Cell struct {
 	Val      assoc.Value
 }
 
+// validate refuses a cell whose keys or value cannot survive the line
+// formats (BadKeyError, BadValueError).
+func (c *Cell) validate() error {
+	if err := ValidateKey(c.Row); err != nil {
+		return err
+	}
+	if err := ValidateKey(c.Col); err != nil {
+		return err
+	}
+	return ValidateValue(c.Val)
+}
+
 // CellKey addresses a cell without its value, the unit of batched
 // deletion.
 type CellKey struct {
 	Row, Col string
 }
 
-// stripe is one shard of the table: a full row index, the transpose
-// index restricted to this stripe's rows, and the ordered set of its
-// row keys that range scans seek into. Degree tables are not
-// materialized — a row's degree is len(rows[row]) and a column's
-// per-stripe degree is len(cols[col]), merged on demand — so mutations
-// touch two maps, not four, plus the ordered index when a row appears
-// or disappears.
+// row is one row of a stripe: its cells as a run sorted by column.
+type row struct {
+	key   string
+	cells runs.Run[cell]
+}
+
+// cell is what a row's run holds under a column name: the value — the
+// store's only copy — and where the row sits in that column's member
+// list, so leaving the column is a swap with the list's last member.
+type cell struct {
+	val assoc.Value
+	pos int
+}
+
+// column is the transpose of one column: the rows of this stripe that
+// hold it, in no particular order. Its name is the one string every
+// cell of the column keys its run entry with.
+type column struct {
+	name string
+	rows []*row
+}
+
+// stripe is one shard of the table: its rows, the column membership
+// restricted to them, and the ordered set of its row keys that range
+// scans seek into. Degree tables are not materialized — a row's degree
+// is the length of its run and a column's per-stripe degree is its
+// member count, merged on demand.
 type stripe struct {
 	mu    sync.RWMutex
-	rows  map[string]map[string]assoc.Value // row -> col -> value
-	cols  map[string]map[string]assoc.Value // col -> row -> value (transpose)
-	index rowIndex                          // the keys of rows, ordered
+	rows  map[string]*row
+	cols  map[string]*column
+	index runs.Run[struct{}] // the keys of rows, ordered
 	nnz   int
 }
 
@@ -82,8 +117,8 @@ func NewStoreStripes(n int) *Store {
 	s := &Store{stripes: make([]*stripe, n), seed: maphash.MakeSeed()}
 	for i := range s.stripes {
 		s.stripes[i] = &stripe{
-			rows: make(map[string]map[string]assoc.Value),
-			cols: make(map[string]map[string]assoc.Value),
+			rows: make(map[string]*row),
+			cols: make(map[string]*column),
 		}
 	}
 	return s
@@ -101,74 +136,151 @@ func (s *Store) stripeFor(row string) *stripe {
 
 // Put stores v at (row, col), replacing any existing value. Keys that
 // would corrupt the line-oriented persistence formats (tab, newline,
-// carriage return) are refused with a BadKeyError before any mutation.
+// carriage return) are refused with a BadKeyError, and string values
+// holding a newline or carriage return with a BadValueError, before
+// any mutation.
 func (s *Store) Put(row, col string, v assoc.Value) error {
-	if err := ValidateKey(row); err != nil {
-		return err
-	}
-	if err := ValidateKey(col); err != nil {
+	c := Cell{Row: row, Col: col, Val: v}
+	if err := c.validate(); err != nil {
 		return err
 	}
 	st := s.stripeFor(row)
 	st.mu.Lock()
-	st.put(row, col, v)
+	st.put(st.open(row), col, v)
 	st.mu.Unlock()
 	s.version.Add(1)
 	return nil
 }
 
-func (st *stripe) put(row, col string, v assoc.Value) {
-	r, ok := st.rows[row]
-	if !ok {
-		r = make(map[string]assoc.Value)
-		st.rows[row] = r
-		st.index.insert(row)
+// open returns the row under key, entering an empty one in the map and
+// the ordered index when the stripe has none; the caller fills it.
+func (st *stripe) open(key string) *row {
+	r := st.rows[key]
+	if r == nil {
+		r = &row{key: key}
+		st.rows[key] = r
+		st.index.Put(key)
 	}
-	if _, exists := r[col]; !exists {
-		st.nnz++
-	}
-	r[col] = v
-
-	c, ok := st.cols[col]
-	if !ok {
-		c = make(map[string]assoc.Value)
-		st.cols[col] = c
-	}
-	c[row] = v
+	return r
 }
 
-// PutBatch stores every cell. The stripe lock is held across runs of
-// consecutive same-stripe cells (table iterations arrive row-major, so
-// a whole row's cells share one acquisition) instead of once per cell.
-// Key validation is all-or-nothing: a single bad key rejects the whole
-// batch with a BadKeyError before anything is applied.
+// column returns the member list of the named column, starting an
+// empty one when the stripe has none; the caller enters a row.
+func (st *stripe) column(name string) *column {
+	c := st.cols[name]
+	if c == nil {
+		c = &column{name: name}
+		st.cols[name] = c
+	}
+	return c
+}
+
+// enter appends r to the member list and returns its position.
+func (c *column) enter(r *row) int {
+	c.rows = append(c.rows, r)
+	return len(c.rows) - 1
+}
+
+// leave takes the member at pos out of col's list by moving the last
+// member into its place.
+func (st *stripe) leave(col string, pos int) {
+	c := st.cols[col]
+	last := len(c.rows) - 1
+	if pos != last {
+		moved := c.rows[last]
+		c.rows[pos] = moved
+		moved.cells.Get(col).Val.pos = pos
+	}
+	c.rows[last] = nil
+	c.rows = c.rows[:last]
+	if last == 0 {
+		delete(st.cols, col)
+	}
+}
+
+// put stores v under col in r, a row of this stripe.
+func (st *stripe) put(r *row, col string, v assoc.Value) {
+	c := st.column(col)
+	e, added := r.cells.Put(c.name)
+	if added {
+		e.Val.pos = c.enter(r)
+		st.nnz++
+	}
+	e.Val.val = v
+}
+
+// putRun stores cells, all of row key. A run that opens the row and
+// arrives in column order — what a published table is made of —
+// becomes the row's run as it stands, in one allocation of exactly its
+// size; anything else goes in cell by cell, the last of a repeated
+// column winning.
+func (st *stripe) putRun(key string, cells []Cell) {
+	r := st.open(key)
+	if r.cells.NumBlocks() > 0 || !ascendingCols(cells) {
+		for i := range cells {
+			st.put(r, cells[i].Col, cells[i].Val)
+		}
+		return
+	}
+	run := make([]runs.Entry[cell], len(cells))
+	for i := range cells {
+		c := st.column(cells[i].Col)
+		run[i] = runs.Entry[cell]{Key: c.name, Val: cell{val: cells[i].Val, pos: c.enter(r)}}
+	}
+	r.cells = runs.Of(run)
+	st.nnz += len(cells)
+}
+
+// ascendingCols reports whether the cells' columns strictly ascend.
+func ascendingCols(cells []Cell) bool {
+	for i := 1; i < len(cells); i++ {
+		if cells[i-1].Col >= cells[i].Col {
+			return false
+		}
+	}
+	return true
+}
+
+// PutBatch stores every cell. Table iterations arrive row-major, so the
+// batch is applied as runs of consecutive same-row cells: one stripe
+// hash, one row lookup per run, and the stripe lock held across runs of
+// one stripe. Validation is all-or-nothing: a single bad key or value
+// rejects the whole batch with a BadKeyError or BadValueError before
+// anything is applied.
 func (s *Store) PutBatch(cells []Cell) error {
-	if len(cells) == 0 {
-		return nil
-	}
 	for i := range cells {
-		if err := ValidateKey(cells[i].Row); err != nil {
-			return err
-		}
-		if err := ValidateKey(cells[i].Col); err != nil {
+		if err := cells[i].validate(); err != nil {
 			return err
 		}
 	}
+	s.putCells(cells)
+	return nil
+}
+
+// putCells is PutBatch for cells already validated (by PutBatch, or by
+// parseMutation before the WAL saw them).
+func (s *Store) putCells(cells []Cell) {
 	var cur *stripe
-	for i := range cells {
-		st := s.stripeFor(cells[i].Row)
-		if st != cur {
+	for i := 0; i < len(cells); {
+		key := cells[i].Row
+		j := i + 1
+		for j < len(cells) && cells[j].Row == key {
+			j++
+		}
+		if st := s.stripeFor(key); st != cur {
 			if cur != nil {
 				cur.mu.Unlock()
 			}
 			st.mu.Lock()
 			cur = st
 		}
-		cur.put(cells[i].Row, cells[i].Col, cells[i].Val)
+		cur.putRun(key, cells[i:j])
+		i = j
 	}
-	cur.mu.Unlock()
-	s.version.Add(uint64(len(cells)))
-	return nil
+	if cur != nil {
+		cur.mu.Unlock()
+		s.version.Add(uint64(len(cells)))
+	}
 }
 
 // Get returns the value at (row, col).
@@ -176,8 +288,12 @@ func (s *Store) Get(row, col string) (assoc.Value, bool) {
 	st := s.stripeFor(row)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	v, ok := st.rows[row][col]
-	return v, ok
+	if r := st.rows[row]; r != nil {
+		if e := r.cells.Get(col); e != nil {
+			return e.Val.val, true
+		}
+	}
+	return assoc.Value{}, false
 }
 
 // Delete removes the cell if present and reports whether it existed.
@@ -192,23 +308,19 @@ func (s *Store) Delete(row, col string) bool {
 	return ok
 }
 
-func (st *stripe) del(row, col string) bool {
-	r, ok := st.rows[row]
+func (st *stripe) del(key, col string) bool {
+	r := st.rows[key]
+	if r == nil {
+		return false
+	}
+	c, ok := r.cells.Delete(col)
 	if !ok {
 		return false
 	}
-	if _, exists := r[col]; !exists {
-		return false
-	}
-	delete(r, col)
-	if len(r) == 0 {
-		delete(st.rows, row)
-		st.index.remove(row)
-	}
-	c := st.cols[col]
-	delete(c, row)
-	if len(c) == 0 {
-		delete(st.cols, col)
+	st.leave(col, c.pos)
+	if r.cells.NumBlocks() == 0 {
+		delete(st.rows, key)
+		st.index.Delete(key)
 	}
 	st.nnz--
 	return true
@@ -258,28 +370,31 @@ func (s *Store) Row(row string) map[string]assoc.Value {
 	st := s.stripeFor(row)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	r, ok := st.rows[row]
-	if !ok {
+	r := st.rows[row]
+	if r == nil {
 		return nil
 	}
-	out := make(map[string]assoc.Value, len(r))
-	for c, v := range r {
-		out[c] = v
+	out := make(map[string]assoc.Value, r.cells.Len())
+	for e := range r.cells.All() {
+		out[e.Key] = e.Val.val
 	}
 	return out
 }
 
 // Col returns a copy of one column, merged across the per-stripe
-// transpose indexes (nil if absent everywhere).
+// member lists (nil if absent everywhere). Each member row yields its
+// value by a search of its own run: O(result x log row width).
 func (s *Store) Col(col string) map[string]assoc.Value {
 	var out map[string]assoc.Value
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		for r, v := range st.cols[col] {
+		if c := st.cols[col]; c != nil {
 			if out == nil {
-				out = make(map[string]assoc.Value)
+				out = make(map[string]assoc.Value, len(c.rows))
 			}
-			out[r] = v
+			for _, r := range c.rows {
+				out[r.key] = r.cells.Get(col).Val.val
+			}
 		}
 		st.mu.RUnlock()
 	}
@@ -315,7 +430,7 @@ func (s *Store) ScanRows(start, end string, limit int, cursor string) ([]string,
 	bounds := make([]int, 1, len(s.stripes)+1)
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		keys = st.index.appendRange(keys, lo, strict, end, take)
+		keys = st.index.AppendKeys(keys, lo, strict, end, take)
 		st.mu.RUnlock()
 		bounds = append(bounds, len(keys))
 	}
@@ -370,21 +485,20 @@ func (s *Store) ScanCells(start, end string, limit int, cursor string) ([]Cell, 
 // appended to dst, so a caller serving page after page reuses one
 // buffer instead of allocating a page-sized one each time.
 func (s *Store) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, bool) {
-	var cols []string
 	base := len(dst)
 	for {
 		rows, more := s.ScanRows(start, end, limit, cursor)
-		for _, r := range rows {
-			st := s.stripeFor(r)
+		for _, key := range rows {
+			st := s.stripeFor(key)
 			st.mu.RLock()
-			cells := st.rows[r]
-			cols = sortedKeys(cols, cells)
-			if cap(dst) == 0 {
-				// A table's rows are near-uniform: size the page by its first row.
-				dst = make([]Cell, 0, len(rows)*len(cols))
-			}
-			for _, c := range cols {
-				dst = append(dst, Cell{Row: r, Col: c, Val: cells[c]})
+			if r := st.rows[key]; r != nil {
+				if cap(dst) == 0 {
+					// A table's rows are near-uniform: size the page by its first row.
+					dst = make([]Cell, 0, len(rows)*r.cells.Len())
+				}
+				for e := range r.cells.All() {
+					dst = append(dst, Cell{Row: key, Col: e.Key, Val: e.Val.val})
+				}
 			}
 			st.mu.RUnlock()
 		}
@@ -410,16 +524,21 @@ func (s *Store) RowDegree(row string) int {
 	st := s.stripeFor(row)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return len(st.rows[row])
+	if r := st.rows[row]; r != nil {
+		return r.cells.Len()
+	}
+	return 0
 }
 
 // ColDegree returns the degree-table entry for a column, summed over
-// the per-stripe transpose indexes.
+// the per-stripe member lists.
 func (s *Store) ColDegree(col string) int {
 	d := 0
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		d += len(st.cols[col])
+		if c := st.cols[col]; c != nil {
+			d += len(c.rows)
+		}
 		st.mu.RUnlock()
 	}
 	return d
@@ -434,16 +553,16 @@ func (s *Store) TopRowsByDegree(k int) []RowDegree {
 	var out []RowDegree
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		for r, cells := range st.rows {
-			out = append(out, RowDegree{Row: r, Degree: len(cells)})
+		for key, r := range st.rows {
+			out = append(out, RowDegree{Row: key, Degree: r.cells.Len()})
 		}
 		st.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Degree != out[j].Degree {
-			return out[i].Degree > out[j].Degree
+	slices.SortFunc(out, func(a, b RowDegree) int {
+		if a.Degree != b.Degree {
+			return b.Degree - a.Degree
 		}
-		return out[i].Row < out[j].Row
+		return strings.Compare(a.Row, b.Row)
 	})
 	if len(out) > k {
 		out = out[:k]
@@ -489,10 +608,12 @@ func (s *Store) ToAssoc() *assoc.Assoc {
 	defer s.runlockAll()
 	out := assoc.New()
 	for _, st := range s.stripes {
-		for row, r := range st.rows {
-			for col, v := range r {
-				out.Set(row, col, v)
+		for key, r := range st.rows {
+			run := make([]assoc.Cell, 0, r.cells.Len())
+			for e := range r.cells.All() {
+				run = append(run, assoc.Cell{Key: e.Key, Val: e.Val.val})
 			}
+			out.SetRow(key, run) // ascending by construction
 		}
 	}
 	return out
@@ -510,17 +631,15 @@ func (s *Store) WriteLog(w io.Writer) error {
 	s.rlockAll()
 	defer s.runlockAll()
 	bw := bufio.NewWriter(w)
-	var keys, cols []string
+	var keys []string
 	bounds := make([]int, 1, len(s.stripes)+1)
 	for _, st := range s.stripes {
-		keys = st.index.appendRange(keys, "", false, "", -1)
+		keys = st.index.AppendKeys(keys, "", false, "", -1)
 		bounds = append(bounds, len(keys))
 	}
 	for _, row := range mergeRuns(keys, bounds, len(keys)) {
-		cells := s.stripeFor(row).rows[row]
-		cols = sortedKeys(cols, cells)
-		for _, col := range cols {
-			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), row, col, cells[col])
+		for e := range s.stripeFor(row).rows[row].cells.All() {
+			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), row, e.Key, e.Val.val)
 			if _, err := bw.Write(append(line, '\n')); err != nil {
 				return err
 			}
