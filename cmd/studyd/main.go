@@ -132,10 +132,11 @@ func run() int {
 		log.Printf("studyd: %v", err)
 		return 1
 	}
-	log.Printf("studyd listening on %s", srv.Addr())
-
+	// The handler is in place before the listen line announces
+	// readiness: a supervisor may signal the moment it reads it.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
+	log.Printf("studyd listening on %s", srv.Addr())
 	<-sigs
 	log.Printf("studyd: draining (in-flight work finishes, new ingests rejected)")
 

@@ -1,17 +1,20 @@
 package cryptopan
 
-// batch.go vectorizes the Crypto-PAn walk over address slabs. The
-// telescope's shard workers anonymize whole packet slabs at a time, so
-// the batch entry points amortize three per-address costs the scalar
-// path pays: the pool round-trip for walk scratch, the per-address
-// RLock/Lock on the shared memo shards (batches probe and fill each
-// shard in one lock epoch), and — the algorithmic win — AES blocks for
-// walk levels that adjacent addresses share. Misses are sorted before
-// walking: the flip bit of level i is a pure function of the first i
-// address bits, so each address in a sorted pass reuses every level up
-// to its common prefix length with its predecessor and only pays AES
-// for the tail. Real slabs are heavy-tailed and prefix-clustered, which
-// makes the shared prefixes long exactly when batches are large.
+// batch.go vectorizes the Crypto-PAn walk over address slabs about
+// which nothing is known in advance: a slab's memo misses (sources,
+// from anywhere in the address space) and the keyed inverse's row ids.
+// (Destinations are known to lie inside the monitored prefix and take
+// the table walk of within.go instead, unsorted.) The batch entry
+// points amortize three per-address costs the scalar path pays: the
+// pool round-trip for walk scratch, the per-address RLock/Lock on the
+// shared memo shards (batches probe and fill each shard in one lock
+// epoch), and — the algorithmic win — AES blocks for walk levels that
+// adjacent addresses share. Misses are sorted before walking: the flip
+// bit of level i is a pure function of the first i address bits, so
+// each address in a sorted pass reuses every level up to its common
+// prefix length with its predecessor and only pays AES for the tail.
+// Real source slabs are heavy-tailed and prefix-clustered, which makes
+// the shared prefixes long exactly when batches are large.
 //
 // Every entry point computes bit-identical results to its scalar
 // counterpart (the batch differential tests pin this), so batching is
@@ -66,11 +69,12 @@ func (a *Anonymizer) walkSorted(in, out []uint32, b *walkBuf, inverse bool) {
 				from = shared + 1
 			}
 		}
-		// The directions keep separate loops on purpose. Forward, no
-		// level's AES input depends on another level's output, so the
-		// blocks overlap in the pipeline; inverse, each level needs the
-		// bit before it. One loop selecting on inverse would chain the
-		// forward blocks too (measured: +40% on a cold slab).
+		// The directions keep separate loops on purpose. Forward
+		// (walkTail), no level's AES input depends on another level's
+		// output, so the blocks overlap in the pipeline; inverse, each
+		// level needs the bit before it. One loop selecting on inverse
+		// would chain the forward blocks too (measured: +40% on a cold
+		// slab).
 		if inverse {
 			for i := from; i < 32; i++ {
 				mask := ^uint32(0) << (32 - uint(i))
@@ -80,12 +84,7 @@ func (a *Anonymizer) walkSorted(in, out []uint32, b *walkBuf, inverse bool) {
 				flips |= uint32(b.out[0]>>7) << (31 - uint(i))
 			}
 		} else {
-			for i := from; i < 32; i++ {
-				mask := ^uint32(0) << (32 - uint(i))
-				binary.BigEndian.PutUint32(b.block[:4], v&mask|padTop&^mask)
-				a.cipher.Encrypt(b.out[:], b.block[:])
-				flips |= uint32(b.out[0]>>7) << (31 - uint(i))
-			}
+			flips |= a.walkTail(v, from, padTop, b)
 		}
 		out[k] = v ^ (hi | flips)
 		prev, prevFlips = v, flips
@@ -104,8 +103,8 @@ var batchPool = sync.Pool{New: func() interface{} { return new(batchScratch) }}
 
 // AnonymizeBatch maps a slab of addresses in place, bit-identical to
 // calling Anonymize on each element, and remembers nothing: the cost is
-// bounded by the slab, which is what addresses that will not be seen
-// again (a darkspace's destinations) should pay. Duplicate addresses
+// bounded by the slab. Addresses known to share a prefix (a darkspace's
+// destinations) are cheaper still on Within. Duplicate addresses
 // pay one walk; distinct addresses sharing prefixes share the walk
 // levels of their common prefix (see walkSorted). The steady-state path
 // allocates nothing: scratch is pooled and retained at slab capacity.
@@ -222,7 +221,7 @@ func (c *Cached) AnonymizeBatch(addrs []ipaddr.Addr) {
 				orig := uint32(e >> 32)
 				j, _ := slices.BinarySearch(uniq, orig)
 				v := ipaddr.Addr(res[j])
-				shard.m[ipaddr.Addr(orig)] = v
+				shard.put(ipaddr.Addr(orig), v)
 				addrs[uint32(e)] = v
 			}
 			shard.mu.Unlock()

@@ -12,9 +12,13 @@ import (
 // fewer unique sources than packets (the paper's 2^30-packet samples
 // hold 500k-800k unique sources), and the same heavy-tailed sources
 // come back window after window, so memoizing them removes almost all
-// of the cost. The table never evicts: it is meant for addresses that
-// repeat, and its size is the number of distinct addresses sent through
-// it. Addresses that do not repeat belong on Anonymizer().AnonymizeBatch.
+// of the cost. It is meant for addresses that repeat, and its size is
+// the number of distinct addresses sent through it — up to shardCap per
+// shard: a shard that fills up (a spoofed-source sweep, not a workload)
+// is dropped whole and starts again, which Evictions counts. A value
+// is a pure function of its key, so eviction costs a re-walk and
+// changes no output. Addresses that do not repeat belong on
+// Anonymizer().Within or AnonymizeBatch, which remember nothing.
 type Cached struct {
 	inner  *Anonymizer
 	shards [cacheShards]cacheShard
@@ -22,9 +26,24 @@ type Cached struct {
 
 const cacheShards = 64
 
+// shardCap bounds one shard's map: 64 x 2^16 = 4M addresses in all,
+// five times the distinct sources of one of the paper's 2^30-packet
+// windows and two hundred times the largest study here.
+const shardCap = 1 << 16
+
 type cacheShard struct {
-	mu sync.RWMutex
-	m  map[ipaddr.Addr]ipaddr.Addr
+	mu        sync.RWMutex
+	m         map[ipaddr.Addr]ipaddr.Addr
+	evictions int
+}
+
+// put memoizes addr → v; the caller holds s.mu for writing.
+func (s *cacheShard) put(addr, v ipaddr.Addr) {
+	if len(s.m) >= shardCap {
+		s.m = make(map[ipaddr.Addr]ipaddr.Addr, 1<<10)
+		s.evictions++
+	}
+	s.m[addr] = v
 }
 
 // NewCached wraps a in a concurrency-safe memo table. Shard maps are
@@ -50,7 +69,7 @@ func (c *Cached) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
 	}
 	v = c.inner.Anonymize(addr)
 	s.mu.Lock()
-	s.m[addr] = v
+	s.put(addr, v)
 	s.mu.Unlock()
 	return v
 }
@@ -67,7 +86,7 @@ func (c *Cached) anonymizeWith(addr ipaddr.Addr, b *walkBuf) ipaddr.Addr {
 	}
 	v = c.inner.anonymizeBuf(addr, b)
 	s.mu.Lock()
-	s.m[addr] = v
+	s.put(addr, v)
 	s.mu.Unlock()
 	return v
 }
@@ -85,6 +104,18 @@ func (c *Cached) Len() int {
 		s := &c.shards[i]
 		s.mu.RLock()
 		n += len(s.m)
+		s.mu.RUnlock()
+	}
+	return n
+}
+
+// Evictions reports how many times a full shard has been dropped.
+func (c *Cached) Evictions() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.RLock()
+		n += s.evictions
 		s.mu.RUnlock()
 	}
 	return n

@@ -8,11 +8,24 @@
 // The traffic-matrix quantities of the paper's Table II are invariant
 // under this (it is a permutation of the address space), which the test
 // suite verifies by property.
+//
+// One mapping, four ways to pay for it, all bit-identical to the
+// one-AES-block-per-bit reference walk the tests keep as their oracle.
+// Anonymizer.Anonymize serves levels 0-15 from a 2^16-entry flip table
+// and pays 16 AES blocks. Cached (and its per-goroutine L1) memoizes
+// addresses that repeat — a telescope's sources — and walks a slab's
+// misses sorted, so neighbours share the levels of their common prefix.
+// Anonymizer.Within(prefix) is for addresses inside one known prefix —
+// a telescope's destinations: a second flip table indexed by the 16
+// bits after the prefix leaves 7 blocks for a /8, in slab order, with
+// nothing sorted or remembered. Deanonymize[Batch] is the keyed
+// inverse, the sorted walk run backwards.
 package cryptopan
 
 import (
 	"crypto/aes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -46,6 +59,12 @@ type Anonymizer struct {
 	top16Once sync.Once
 	top16     []uint16
 	inv16     []uint16
+
+	// within holds one second-level flip table per prefix asked for
+	// (see Within): every telescope sharing this key and monitoring the
+	// same darkspace shares the one table.
+	withinMu sync.Mutex
+	within   map[ipaddr.Prefix]*PrefixWalker
 }
 
 // New creates an Anonymizer from a 32-byte key. The first 16 bytes key
@@ -59,7 +78,7 @@ func New(key []byte) (*Anonymizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Anonymizer{cipher: c}
+	a := &Anonymizer{cipher: c, within: make(map[ipaddr.Prefix]*PrefixWalker)}
 	c.Encrypt(a.pad[:], key[16:32])
 	return a, nil
 }
@@ -93,10 +112,10 @@ var walkPool = sync.Pool{New: func() interface{} { return new(walkBuf) }}
 // This makes the mapping a bijection on the address space in which common
 // prefixes are preserved exactly.
 //
-// The mapping is bit-identical to the reference walk (anonymizeRef, the
-// differential tests assert this); the first 16 levels are served from
-// the precomputed top16 table and only levels 16..31 pay an AES block
-// each.
+// The mapping is bit-identical to the one-AES-block-per-bit reference
+// walk (the differential tests keep it as their oracle); the first 16
+// levels are served from the precomputed top16 table and only levels
+// 16..31 pay an AES block each.
 func (a *Anonymizer) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
 	b := walkPool.Get().(*walkBuf)
 	v := a.anonymizeBuf(addr, b)
@@ -121,96 +140,35 @@ func (a *Anonymizer) Deanonymize(addr ipaddr.Addr) ipaddr.Addr {
 // a single-goroutine buffer (the L1 memo) skip the pool round-trip.
 func (a *Anonymizer) anonymizeBuf(addr ipaddr.Addr, b *walkBuf) ipaddr.Addr {
 	a.top16Once.Do(a.buildTop16)
-	orig := uint32(addr)
-	result := uint32(a.top16[orig>>16]) << 16
-	padTop := uint32(a.pad[0])<<24 | uint32(a.pad[1])<<16 |
-		uint32(a.pad[2])<<8 | uint32(a.pad[3])
+	v := uint32(addr)
 	copy(b.block[4:], a.pad[4:])
-	for i := 16; i < 32; i++ {
-		// First i bits of the original address, rest from the pad.
+	flips := a.walkTail(v, 16, binary.BigEndian.Uint32(a.pad[:4]), b)
+	return ipaddr.Addr(v ^ (uint32(a.top16[v>>16])<<16 | flips))
+}
+
+// walkTail pays for walk levels from..31 of the original address v, one
+// AES block each, and returns their flip bits where the walk result
+// keeps them (level i at bit 31-i). b.block[4:] must hold the pad. No
+// level's AES input depends on another level's output, so the blocks
+// overlap in the pipeline.
+func (a *Anonymizer) walkTail(v uint32, from int, padTop uint32, b *walkBuf) (flips uint32) {
+	for i := from; i < 32; i++ {
 		mask := ^uint32(0) << (32 - uint(i))
-		prefix := orig&mask | padTop&^mask
-		b.block[0] = byte(prefix >> 24)
-		b.block[1] = byte(prefix >> 16)
-		b.block[2] = byte(prefix >> 8)
-		b.block[3] = byte(prefix)
+		binary.BigEndian.PutUint32(b.block[:4], v&mask|padTop&^mask)
 		a.cipher.Encrypt(b.out[:], b.block[:])
-		// Most significant bit of the cipher output is the flip bit.
-		flip := uint32(b.out[0] >> 7)
-		result |= flip << (31 - uint(i))
+		flips |= uint32(b.out[0]>>7) << (31 - uint(i))
 	}
-	return ipaddr.Addr(orig ^ result)
+	return flips
 }
 
 // buildTop16 precomputes the flip bits of walk levels 0..15 for every
 // possible 16-bit address prefix: level i has 2^i distinct prefix
 // inputs, so the whole table costs sum(2^i) = 2^16 - 1 encryptions.
 func (a *Anonymizer) buildTop16() {
-	t := make([]uint16, 1<<16)
-	padTop := uint32(a.pad[0])<<24 | uint32(a.pad[1])<<16 |
-		uint32(a.pad[2])<<8 | uint32(a.pad[3])
-	var block, out [16]byte
-	copy(block[4:], a.pad[4:])
-	for i := 0; i < 16; i++ {
-		mask := ^uint32(0) << (32 - uint(i)) // i == 0 shifts to zero: all pad
-		span := 1 << (16 - uint(i))          // table entries sharing an i-bit prefix
-		for p := 0; p < 1<<uint(i); p++ {
-			prefix := uint32(p)<<(32-uint(i))&mask | padTop&^mask
-			block[0] = byte(prefix >> 24)
-			block[1] = byte(prefix >> 16)
-			block[2] = byte(prefix >> 8)
-			block[3] = byte(prefix)
-			a.cipher.Encrypt(out[:], block[:])
-			if out[0]>>7 == 1 {
-				bit := uint16(1) << (15 - uint(i))
-				for j := p * span; j < (p+1)*span; j++ {
-					t[j] |= bit
-				}
-			}
-		}
-	}
+	t := a.flipTable(0, 0, 16, 0, 15)
 	inv := make([]uint16, 1<<16)
 	for p, f := range t {
 		inv[uint16(p)^f] = f
 	}
 	a.top16, a.inv16 = t, inv
-}
-
-// anonymizeRef is the unoptimized reference walk — one AES block per
-// bit, no table. It is retained as the differential-test oracle for the
-// table-accelerated Anonymize.
-func (a *Anonymizer) anonymizeRef(addr ipaddr.Addr) ipaddr.Addr {
-	orig := uint32(addr)
-	var result uint32
-	var block [16]byte
-	var out [16]byte
-	for i := 0; i < 32; i++ {
-		var prefix uint32
-		if i > 0 {
-			mask := ^uint32(0) << (32 - uint(i))
-			padTop := uint32(a.pad[0])<<24 | uint32(a.pad[1])<<16 |
-				uint32(a.pad[2])<<8 | uint32(a.pad[3])
-			prefix = orig&mask | padTop&^mask
-		} else {
-			prefix = uint32(a.pad[0])<<24 | uint32(a.pad[1])<<16 |
-				uint32(a.pad[2])<<8 | uint32(a.pad[3])
-		}
-		block[0] = byte(prefix >> 24)
-		block[1] = byte(prefix >> 16)
-		block[2] = byte(prefix >> 8)
-		block[3] = byte(prefix)
-		copy(block[4:], a.pad[4:])
-		a.cipher.Encrypt(out[:], block[:])
-		flip := uint32(out[0] >> 7)
-		result |= flip << (31 - uint(i))
-	}
-	return ipaddr.Addr(orig ^ result)
-}
-
-// AnonymizeAll maps a slice of addresses in place and returns it.
-func (a *Anonymizer) AnonymizeAll(addrs []ipaddr.Addr) []ipaddr.Addr {
-	for i, v := range addrs {
-		addrs[i] = a.Anonymize(v)
-	}
-	return addrs
 }

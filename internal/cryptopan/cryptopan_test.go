@@ -115,21 +115,6 @@ func TestNewFromPassphrase(t *testing.T) {
 	}
 }
 
-func TestAnonymizeAll(t *testing.T) {
-	a := NewFromPassphrase("bulk")
-	in := []ipaddr.Addr{1, 2, 3, 1 << 31}
-	want := make([]ipaddr.Addr, len(in))
-	for i, v := range in {
-		want[i] = a.Anonymize(v)
-	}
-	got := a.AnonymizeAll(append([]ipaddr.Addr(nil), in...))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AnonymizeAll[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestCachedMatchesUncached(t *testing.T) {
 	inner := NewFromPassphrase("cache-check")
 	c := NewCached(inner)

@@ -162,11 +162,15 @@ func TestDeanonymizeBatchZeroAlloc(t *testing.T) {
 // FuzzAnonymizeRoundTrip feeds arbitrary slabs through both directions
 // under 256 keys: the batch round trip is the identity in both orders,
 // and each element agrees with the scalar walk and the reference
-// inverse.
+// inverse. Each key also walks one prefix of 44.127.58.145 (key mod 33
+// bits long, so key 8 is the darkspace), whose walker must agree with
+// the reference and invert like everything else.
 func FuzzAnonymizeRoundTrip(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(0), []byte{0, 0, 0, 0, 255, 255, 255, 255, 44, 0, 0, 0, 44, 255, 255, 255})
 	f.Add(uint8(7), []byte{44, 1, 2, 3, 44, 1, 2, 2, 44, 1, 130, 3, 44, 1, 2, 3, 1})
+	f.Add(uint8(8), []byte{44, 0, 0, 0, 44, 255, 255, 255, 43, 255, 255, 255, 45, 0, 0, 0, 44, 1, 2, 3, 44, 1, 2, 131})
+	f.Add(uint8(24), []byte{44, 127, 58, 0, 44, 127, 58, 255, 44, 127, 59, 0, 44, 127, 57, 255})
 	// A key's tables cost 2^16 AES blocks to build; keep them per key.
 	var mu sync.Mutex
 	var keys [256]*Anonymizer
@@ -188,9 +192,15 @@ func FuzzAnonymizeRoundTrip(f *testing.F) {
 		a.AnonymizeBatch(anon)
 		back := slices.Clone(anon)
 		a.DeanonymizeBatch(back)
+		w := a.Within(ipaddr.Prefix{Base: ipaddr.MustParse("44.127.58.145"), Bits: int(key) % 33})
+		within := slices.Clone(addrs)
+		w.AnonymizeBatch(within)
 		for i, x := range addrs {
 			if anon[i] != a.anonymizeRef(x) {
 				t.Fatalf("AnonymizeBatch[%d](%v) = %v, reference %v", i, x, anon[i], a.anonymizeRef(x))
+			}
+			if within[i] != anon[i] || a.Deanonymize(w.Anonymize(x)) != x {
+				t.Fatalf("Within[%d](%v): batch %v, scalar %v, reference %v", i, x, within[i], w.Anonymize(x), anon[i])
 			}
 			if back[i] != x || a.Deanonymize(anon[i]) != x || a.deanonymizeRef(anon[i]) != x {
 				t.Fatalf("round trip of %v via %v: batch %v, scalar %v, reference %v",

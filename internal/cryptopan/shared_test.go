@@ -108,3 +108,49 @@ func TestInverseConcurrentWithMisses(t *testing.T) {
 		t.Fatalf("Len = %d, want the %d distinct addresses sent through the memo", got, len(seen))
 	}
 }
+
+// TestSpoofedSourceSweepIsBounded: a sweep of never-repeating spoofed
+// sources — the one traffic shape that would grow a sources-only memo
+// without bound — is held at shardCap per shard by dropping the full
+// shard, on the scalar, batch and L1 paths alike, and no output moves.
+func TestSpoofedSourceSweepIsBounded(t *testing.T) {
+	a := NewFromPassphrase("spoofed sweep")
+	c := NewCached(a)
+	l1 := c.NewL1()
+	// Every address lands in shard 5, so one shard overflows three times
+	// without walking 64 shards' worth of addresses.
+	spoofed := func(i int) ipaddr.Addr { return ipaddr.Addr(i*cacheShards + 5) }
+	const total = 3*shardCap + 1000
+	slab := make([]ipaddr.Addr, 0, 512)
+	for i := 0; i < total; i += len(slab) {
+		slab = slab[:0]
+		for j := i; j < i+cap(slab) && j < total; j++ {
+			slab = append(slab, spoofed(j))
+		}
+		switch (i / cap(slab)) % 3 {
+		case 0:
+			c.AnonymizeBatch(slab)
+		case 1:
+			l1.AnonymizeBatch(slab)
+		default:
+			for k, x := range slab {
+				slab[k] = c.Anonymize(x)
+			}
+		}
+		if got, want := slab[len(slab)-1], a.anonymizeRef(spoofed(i+len(slab)-1)); got != want {
+			t.Fatalf("address %d: %v, reference %v", i+len(slab)-1, got, want)
+		}
+		if n := c.Len(); n > shardCap {
+			t.Fatalf("memo holds %d addresses after %d spoofed sources, cap is %d", n, i+len(slab), shardCap)
+		}
+	}
+	if got := c.Evictions(); got != 3 {
+		t.Errorf("Evictions = %d after %d addresses through one shard of %d, want 3", got, total, shardCap)
+	}
+	// What survived and what was dropped answer alike.
+	for _, i := range []int{0, shardCap - 1, shardCap, 3 * shardCap, total - 1} {
+		if got, want := c.Anonymize(spoofed(i)), a.anonymizeRef(spoofed(i)); got != want {
+			t.Errorf("after eviction Anonymize(%v) = %v, reference %v", spoofed(i), got, want)
+		}
+	}
+}

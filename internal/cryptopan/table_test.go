@@ -40,3 +40,34 @@ func TestTableMatchesReferenceWalk(t *testing.T) {
 		}
 	}
 }
+
+// anonymizeRef is the unoptimized reference walk — one AES block per
+// bit, no table. It is the differential-test oracle for every
+// table-accelerated walk.
+func (a *Anonymizer) anonymizeRef(addr ipaddr.Addr) ipaddr.Addr {
+	orig := uint32(addr)
+	var result uint32
+	var block [16]byte
+	var out [16]byte
+	for i := 0; i < 32; i++ {
+		var prefix uint32
+		if i > 0 {
+			mask := ^uint32(0) << (32 - uint(i))
+			padTop := uint32(a.pad[0])<<24 | uint32(a.pad[1])<<16 |
+				uint32(a.pad[2])<<8 | uint32(a.pad[3])
+			prefix = orig&mask | padTop&^mask
+		} else {
+			prefix = uint32(a.pad[0])<<24 | uint32(a.pad[1])<<16 |
+				uint32(a.pad[2])<<8 | uint32(a.pad[3])
+		}
+		block[0] = byte(prefix >> 24)
+		block[1] = byte(prefix >> 16)
+		block[2] = byte(prefix >> 8)
+		block[3] = byte(prefix)
+		copy(block[4:], a.pad[4:])
+		a.cipher.Encrypt(out[:], block[:])
+		flip := uint32(out[0] >> 7)
+		result |= flip << (31 - uint(i))
+	}
+	return ipaddr.Addr(orig ^ result)
+}

@@ -149,10 +149,6 @@ type Config struct {
 	// at most Batch packets; 0 defaults to LeafSize so one chunk can
 	// fill one leaf.
 	Batch int
-	// Queue is retained for configuration compatibility. The slab
-	// barrier replaced the in-flight batch queue (at most one slab of
-	// chunks is ever outstanding), so the value is no longer read.
-	Queue int
 }
 
 // normalized resolves defaults into concrete values.
@@ -162,9 +158,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Batch <= 0 {
 		c.Batch = c.LeafSize
-	}
-	if c.Queue <= 0 {
-		c.Queue = 2 * c.Workers
 	}
 	return c
 }

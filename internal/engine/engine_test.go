@@ -64,7 +64,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := e.Config()
-	if c.Workers < 1 || c.Batch != 8 || c.Queue != 2*c.Workers {
+	if c.Workers < 1 || c.Batch != 8 {
 		t.Errorf("defaults not normalized: %+v", c)
 	}
 }
@@ -79,7 +79,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	const nv = 1 << 13
 	capture := func(workers int) *Window {
 		st, dark := testStream(t, 7)
-		e := testEngine(t, Config{Workers: workers, LeafSize: 1 << 9, Batch: 128, Queue: 4}, dark)
+		e := testEngine(t, Config{Workers: workers, LeafSize: 1 << 9, Batch: 128}, dark)
 		w, err := e.CaptureWindow(context.Background(), st, nv)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func (s *infiniteSource) Next(p *pcap.Packet) bool {
 
 func TestContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e, err := New(Config{Workers: workers, LeafSize: 256, Queue: 2}, nil,
+		e, err := New(Config{Workers: workers, LeafSize: 256}, nil,
 			func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
 		if err != nil {
 			t.Fatal(err)
@@ -260,23 +260,6 @@ func TestSourceErrorPropagates(t *testing.T) {
 		if err == nil || err.Error() != "truncated capture" {
 			t.Errorf("workers=%d: err = %v, want truncated capture", workers, err)
 		}
-	}
-}
-
-// TestBackpressureTinyQueue pins Config.Queue compatibility: the field
-// is vestigial (the per-slab barrier bounds in-flight memory at two
-// slabs, so there is no queue to size), but configs that set it must
-// keep completing captures that conserve NV.
-func TestBackpressureTinyQueue(t *testing.T) {
-	st, dark := testStream(t, 5)
-	e := testEngine(t, Config{Workers: 3, LeafSize: 128, Batch: 32, Queue: 1}, dark)
-	const nv = 4096
-	w, err := e.CaptureWindow(context.Background(), st, nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.NV != nv || w.Matrix.Sum() != nv {
-		t.Errorf("NV = %d, sum = %g, want %d", w.NV, w.Matrix.Sum(), nv)
 	}
 }
 
@@ -372,7 +355,7 @@ func TestBatchSourcePreservesStreamPosition(t *testing.T) {
 // backpressure.
 func TestBatchSourceCancellation(t *testing.T) {
 	st, dark := testStream(t, 5)
-	e := testEngine(t, Config{Workers: 4, LeafSize: 1 << 6, Queue: 1}, dark)
+	e := testEngine(t, Config{Workers: 4, LeafSize: 1 << 6}, dark)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.CaptureWindow(ctx, st, 1<<20); !errors.Is(err, context.Canceled) {

@@ -78,15 +78,36 @@ func (z ZipfMandelbrot) BinnedProb(maxBin int) []float64 {
 // FitZipfMandelbrot recovers (α, δ) from a binned empirical degree
 // distribution by grid search minimizing the paper's ‖·‖½ norm between
 // the empirical and model per-bin probabilities.
+//
+// The loss is HalfNorm(Residuals(emp, BinnedProb(maxBin))) with what
+// does not change hoisted: the bin edges are fixed per fit, and g(1)
+// and g(1) − g(DMax) of cdfCont per (α, δ), so a bin costs one Pow for
+// its edge and one for the norm, and nothing is allocated per grid
+// point. Every operation runs on the same operands in the same order,
+// so the fit is bit-identical to the un-hoisted form.
 func FitZipfMandelbrot(b *Binned, dmax float64) (alpha, delta, residual float64) {
 	emp := b.Prob()
 	maxBin := len(emp) - 1
 	if maxBin < 1 {
 		return 0, 0, math.Inf(1)
 	}
+	edges := make([]float64, len(emp))
+	for i := range edges {
+		edges[i] = math.Pow(2, float64(i))
+		if edges[i] > dmax {
+			edges[i] = dmax
+		}
+	}
 	loss := func(a, d float64) float64 {
-		model := ZipfMandelbrot{Alpha: a, Delta: d, DMax: dmax}.BinnedProb(maxBin)
-		return HalfNorm(Residuals(emp, model))
+		g1 := math.Pow(1+d, 1-a)
+		den := g1 - math.Pow(dmax+d, 1-a)
+		var s, prev float64
+		for i, hi := range edges {
+			c := (g1 - math.Pow(hi+d, 1-a)) / den
+			s += math.Pow(math.Abs(emp[i]-(c-prev)), 0.5)
+			prev = c
+		}
+		return math.Pow(s, 1/0.5)
 	}
 	return GridSearch2(
 		Range{Lo: 1.05, Hi: 3.0},

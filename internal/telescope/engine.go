@@ -6,8 +6,9 @@ package telescope
 // then anonymizes the survivors' sources as one batch through its own
 // L1 memo (misses fall through to the shared sharded cache in a single
 // lock epoch per cache shard, with prefix-shared AES walks) and their
-// destinations as one sorted prefix-shared walk that memoizes nothing —
-// and the engine's merge tree produces the window matrix. Workers=1 is
+// destinations through the darkspace's prefix walker, in slab order,
+// which memoizes nothing — and the engine's merge tree produces the
+// window matrix. Workers=1 is
 // the serial degenerate path, byte-identical to CaptureWindow's output.
 
 import (
@@ -37,8 +38,9 @@ type shardAnon struct {
 // hot (heavy-tailed) sources cost one lock-free array probe and cold
 // slabs pay one lock epoch per touched cache shard instead of a lock
 // round-trip per packet. The slab's destinations — Valid has placed
-// them all inside the darkspace, so they share a long prefix and almost
-// never recur — take one sorted walk and are inserted nowhere.
+// them all inside the darkspace, and they almost never recur — take the
+// darkspace's prefix walk (two table lookups and a 7-block AES tail
+// for a /8) and are inserted nowhere.
 //
 // Engines are cached per (workers, batch) and reused across captures,
 // so the engine's pooled shard accumulators and slab buffers — and the
@@ -56,7 +58,6 @@ func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
 		t.Valid,
 		func(shard int) engine.SlabMapper {
 			sa := t.shardAnon(shard)
-			walk := t.anon.Anonymizer()
 			return func(pkts []pcap.Packet, dst []engine.Pair) {
 				srcs, dsts := sa.srcs[:0], sa.dsts[:0]
 				for i := range pkts {
@@ -64,7 +65,7 @@ func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
 					dsts = append(dsts, pkts[i].Dst)
 				}
 				sa.l1.AnonymizeBatch(srcs)
-				walk.AnonymizeBatch(dsts)
+				t.dark.AnonymizeBatch(dsts)
 				for i := range pkts {
 					dst[i] = engine.Pair{Row: uint32(srcs[i]), Col: uint32(dsts[i])}
 				}

@@ -84,13 +84,15 @@ func (rs *ReaderSource) Err() error { return rs.err }
 //
 // Only sources go through the memo. A destination lies inside the
 // monitored prefix and is as good as new in every window, so it is
-// anonymized by the slab walk and remembered nowhere; the memo's size
-// is the number of distinct sources seen, on every capture path.
+// anonymized by the prefix walk (cryptopan.Within: two table lookups
+// and a short AES tail) and remembered nowhere; the memo's size is the
+// number of distinct sources seen, on every capture path.
 type Telescope struct {
 	darkspace ipaddr.Prefix
 	leafSize  int
 	workers   int
 	anon      *cryptopan.Cached
+	dark      *cryptopan.PrefixWalker // anon's key inside darkspace; its table is built by the first capture
 
 	poolMu  sync.Mutex
 	shards  map[int]*shardAnon        // per-shard L1 memos + slab scratch, reused across captures
@@ -134,6 +136,7 @@ func New(darkspace ipaddr.Prefix, anonPassphrase string, opts ...Option) *Telesc
 	if t.anon == nil {
 		t.anon = cryptopan.NewCached(cryptopan.NewFromPassphrase(anonPassphrase))
 	}
+	t.dark = t.anon.Anonymizer().Within(darkspace)
 	return t
 }
 
@@ -192,6 +195,13 @@ func (t *Telescope) CaptureWindow(src PacketSource, nv int) (*Window, error) {
 		acc.Add(uint32(arow), uint32(acol), 1)
 		w.NV++
 	}
+	return t.finishWindow(w, acc, src)
+}
+
+// finishWindow closes a per-packet capture: it counts the leaves (the
+// full ones the accumulator cut plus a partial tail), merges them, and
+// surfaces a read error the source held back.
+func (t *Telescope) finishWindow(w *Window, acc *hypersparse.Accumulator, src PacketSource) (*Window, error) {
 	w.Leaves = acc.Leaves()
 	if w.NV%t.leafSize != 0 {
 		w.Leaves++ // partial tail leaf
@@ -227,12 +237,7 @@ func (t *Telescope) CaptureTimeWindow(src PacketSource, span time.Duration) (*Wi
 		acc.Add(uint32(arow), uint32(acol), 1)
 		w.NV++
 	}
-	w.Leaves = acc.Leaves()
-	w.Matrix = acc.Finish()
-	if rs, ok := src.(*ReaderSource); ok && rs.Err() != nil {
-		return nil, rs.Err()
-	}
-	return w, nil
+	return t.finishWindow(w, acc, src)
 }
 
 // SourcePackets returns the anonymized per-source packet counts A·1 of
@@ -240,9 +245,10 @@ func (t *Telescope) CaptureTimeWindow(src PacketSource, span time.Duration) (*Wi
 func (w *Window) SourcePackets() *hypersparse.Vector { return w.Matrix.RowSums() }
 
 // anonymize maps one packet's endpoints on the per-packet capture
-// paths: the source through the memo, the destination by a bare walk.
+// paths: the source through the memo, the destination by the prefix
+// walk.
 func (t *Telescope) anonymize(p *pcap.Packet) (src, dst ipaddr.Addr) {
-	return t.anon.Anonymize(p.Src), t.anon.Anonymizer().Anonymize(p.Dst)
+	return t.anon.Anonymize(p.Src), t.dark.Anonymize(p.Dst)
 }
 
 // Deanonymize maps an anonymized address back to the original by

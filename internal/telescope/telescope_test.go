@@ -276,6 +276,39 @@ func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
 	}
 }
 
+// TestLeavesAgreeAcrossCapturePaths: the same valid packets cut the
+// same number of leaves on the per-packet, the time-window and the
+// one-shard engine path, whether or not the last leaf is full.
+func TestLeavesAgreeAcrossCapturePaths(t *testing.T) {
+	dark := ipaddr.MustParsePrefix("44.0.0.0/8")
+	for _, tc := range []struct{ nv, want int }{{300, 3}, {256, 2}} {
+		src := func() PacketSource {
+			return &sweepSource{rng: rand.New(rand.NewSource(9)), dark: dark, sources: []ipaddr.Addr{0x0b000001, 0x0b000002}}
+		}
+		tel := New(dark, "leaves", WithLeafSize(128))
+		perPacket, err := tel.CaptureWindow(src(), tc.nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := tel.CaptureWindowEngine(context.Background(), src(), tc.nv, 1, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// sweepSource stamps packet n at second n: this span holds nv packets.
+		timed, err := tel.CaptureTimeWindow(src(), time.Duration(tc.nv-1)*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perPacket.NV != tc.nv || eng.NV != tc.nv || timed.NV != tc.nv {
+			t.Fatalf("nv=%d: captured %d / %d / %d packets", tc.nv, perPacket.NV, eng.NV, timed.NV)
+		}
+		if perPacket.Leaves != tc.want || eng.Leaves != tc.want || timed.Leaves != tc.want {
+			t.Errorf("nv=%d: Leaves per-packet %d, engine %d, time-window %d, want %d",
+				tc.nv, perPacket.Leaves, eng.Leaves, timed.Leaves, tc.want)
+		}
+	}
+}
+
 func TestCaptureTimeWindowRespectsSpan(t *testing.T) {
 	pop := testPopulation(t, 3000)
 	tel := New(pop.Config().Darkspace, "time-window")
