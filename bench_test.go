@@ -215,7 +215,7 @@ func BenchmarkCaptureWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tel := telescope.New(cfg.Darkspace, "bench-key")
-		w, err := tel.CaptureWindow(pop.TelescopeStream(4.5, time.Unix(0, 0)), nv)
+		w, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4.5, time.Unix(0, 0)), nv, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,8 +227,8 @@ func BenchmarkCaptureWindow(b *testing.B) {
 }
 
 // BenchmarkEngineWindow compares window construction through the
-// sharded streaming engine across worker counts; workers=1 is the serial
-// degenerate path, so the subbenchmark ratios are the engine's speedup
+// sharded streaming engine across worker counts; workers=1 is one shard
+// of the same loop, so the subbenchmark ratios are the engine's speedup
 // curve. The cost covered is the full hot path: stream generation,
 // validity filter, CryptoPAN, leaf assembly, hierarchical merge.
 func BenchmarkEngineWindow(b *testing.B) {
@@ -446,7 +446,7 @@ func BenchmarkWindowing(b *testing.B) {
 		var nv int
 		for i := 0; i < b.N; i++ {
 			tel := telescope.New(cfg.Darkspace, "bench-key")
-			w, err := tel.CaptureWindow(pop.TelescopeStream(4.5, time.Unix(0, 0)), 1<<15)
+			w, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4.5, time.Unix(0, 0)), 1<<15, 1, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -488,7 +488,7 @@ func newDeterministicNoise() func() float64 {
 // one complete study at quick scale.
 func BenchmarkStudy(b *testing.B) {
 	cfg := core.QuickConfig()
-	cfg.StudyWorkers = 0 // GOMAXPROCS fan-out
+	cfg.Workers = 0 // GOMAXPROCS fan-out
 	b.ReportAllocs()
 	b.ResetTimer()
 	var pkts float64

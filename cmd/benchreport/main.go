@@ -32,10 +32,10 @@
 //     Cached.AnonymizeBatch slab) must be allocation-free (gate 0).
 //
 // With -study the report is the BENCH_study.json schema: whole-study
-// wall clock for the StudyWorkers=1 serial oracle and the parallel
+// wall clock at Workers=1 and for the parallel
 // scheduler (with engine packets/sec), their speedup, the report
 // graph's fit_wall phase (the Fig 7/8 GridSearch2 sweeps at
-// ReportWorkers=1 vs the pool-scheduled fan-out, with fits/sec), and
+// one worker vs the pool-scheduled fan-out, with fits/sec), and
 // ns/op + allocs/op for the frozen correlation kernels (Figure 4's
 // peak and Figures 5-8's temporal series). Its gates:
 //
@@ -154,13 +154,13 @@ type Report struct {
 	// measured in-process). Hot-path schema only.
 	MergeSpeedup float64 `json:"merge_speedup,omitempty"`
 	// StudySpeedup is the parallel scheduler's whole-study advantage
-	// over the StudyWorkers=1 serial oracle. Study schema only; read it
+	// over the Workers=1 run. Study schema only; read it
 	// together with numcpu — on a 1-CPU machine it hovers near 1x by
 	// construction.
 	StudySpeedup float64 `json:"study_speedup,omitempty"`
 	// FitSpeedup is the report graph's fit-phase advantage: the
 	// pool-scheduled per-(snapshot, band) GridSearch2 sweeps vs the
-	// ReportWorkers=1 serial oracle. Study schema only; same numcpu
+	// one-worker sweep. Study schema only; same numcpu
 	// caveat as StudySpeedup.
 	FitSpeedup float64 `json:"fit_speedup,omitempty"`
 	// ReplicationOverhead is the 3-node R=2 cluster's PUT cost over the
@@ -989,13 +989,10 @@ func measureTripled(quick bool) *Report {
 }
 
 // studyConfig is the measurement scale for -study: the root benchmark
-// harness's study shape at full scale, QuickConfig at -quick. Engine
-// workers are pinned to 1 so study_speedup isolates the scheduler's
-// fan-out from the engine's sharding.
+// harness's study shape at full scale, QuickConfig at -quick.
 func studyConfig(quick bool) core.Config {
 	if quick {
 		cfg := core.QuickConfig()
-		cfg.Workers = 1
 		// Eight snapshots instead of the paper's five, for the same
 		// reason core's TestStudySpeedup measures an 8-snapshot fixture:
 		// snapshot captures dominate the wall clock, and 5 jobs on 4
@@ -1016,7 +1013,6 @@ func studyConfig(quick bool) core.Config {
 	cfg.Radiation.NumSources = 40000
 	cfg.Radiation.ZM = stats.PaperZM(1 << 14)
 	cfg.Radiation.BrightLog2 = 8
-	cfg.Workers = 1
 	return cfg
 }
 
@@ -1036,9 +1032,9 @@ func measureStudy(quick bool) *Report {
 	}
 	cfg := studyConfig(quick)
 
-	run := func(studyWorkers int) (*core.Result, time.Duration) {
+	run := func(workers int) (*core.Result, time.Duration) {
 		c := cfg
-		c.StudyWorkers = studyWorkers
+		c.Workers = workers
 		p, err := core.New(c)
 		if err != nil {
 			log.Fatal(err)
@@ -1105,7 +1101,7 @@ func measureStudy(quick bool) *Report {
 		rep.FitSpeedup = float64(fitSerial.NsPerOp()) / float64(fitPar.NsPerOp())
 	}
 	if serial, par := renderFits(1), renderFits(parWorkers); serial != par {
-		log.Fatalf("benchreport: fig7_fig8 render at ReportWorkers=%d diverges from the serial oracle", parWorkers)
+		log.Fatalf("benchreport: fig7_fig8 render at %d workers diverges from one worker", parWorkers)
 	}
 
 	// One-time interning cost of the study's tables: the serial
@@ -1122,13 +1118,13 @@ func measureStudy(quick bool) *Report {
 	rep.Metrics["correlate_freeze"] = toMetric(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			correlate.Freeze(res.Study)
+			correlate.Freeze(res.Study, 1)
 		}
 	}), freezeKeys)
 	rep.Metrics["correlate_freeze_parallel"] = toMetric(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			correlate.FreezeParallel(res.Study, 0)
+			correlate.Freeze(res.Study, 0)
 		}
 	}), freezeKeys)
 

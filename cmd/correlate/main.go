@@ -24,12 +24,11 @@ import (
 
 func main() {
 	var (
-		scale         = flag.String("scale", "default", "preset: quick or default")
-		nv            = flag.Int("nv", 0, "override telescope window size NV")
-		sources       = flag.Int("sources", 0, "override population size")
-		seed          = flag.Int64("seed", 0, "override random seed")
-		studyWorkers  = flag.Int("study-workers", 0, "study-level fan-out: months/snapshots in flight (1 = serial oracle, 0 = GOMAXPROCS)")
-		reportWorkers = flag.Int("report-workers", 0, "report-graph fit fan-out (1 = serial oracle, 0 = GOMAXPROCS)")
+		scale   = flag.String("scale", "default", "preset: quick or default")
+		nv      = flag.Int("nv", 0, "override telescope window size NV")
+		sources = flag.Int("sources", 0, "override population size")
+		seed    = flag.Int64("seed", 0, "override random seed")
+		workers = flag.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -46,8 +45,7 @@ func main() {
 	if *seed != 0 {
 		cfg.Radiation.Seed = *seed
 	}
-	cfg.StudyWorkers = *studyWorkers
-	cfg.ReportWorkers = *reportWorkers
+	cfg.Workers = *workers
 
 	pipe, err := core.New(cfg)
 	if err != nil {

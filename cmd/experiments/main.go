@@ -6,8 +6,8 @@
 // Usage:
 //
 //	experiments [-scale quick|default] [-nv N] [-sources N] [-seed N]
-//	            [-workers N] [-leaf-size N] [-batch N] [-study-workers N]
-//	            [-report-workers N] [-artifacts DIR] [-store ADDR|auto]
+//	            [-workers N] [-leaf-size N] [-batch N]
+//	            [-artifacts DIR] [-store ADDR|auto]
 //
 // Every measured value comes off the unified report graph (the same
 // memoized artifacts cmd/figures renders); -artifacts additionally
@@ -44,11 +44,9 @@ func main() {
 		nv       = flag.Int("nv", 0, "override telescope window size NV")
 		sources  = flag.Int("sources", 0, "override population size")
 		seed     = flag.Int64("seed", 0, "override random seed")
-		workers  = flag.Int("workers", 0, "engine shard workers (1 = serial, 0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
 		leafSize = flag.Int("leaf-size", 0, "override entries per hypersparse leaf matrix")
 		batch    = flag.Int("batch", 0, "packets per engine batch (0 = leaf size)")
-		study    = flag.Int("study-workers", 0, "study-level fan-out: months/snapshots in flight (1 = serial oracle, 0 = GOMAXPROCS)")
-		repWork  = flag.Int("report-workers", 0, "report-graph fit fan-out (1 = serial oracle, 0 = GOMAXPROCS)")
 		artDir   = flag.String("artifacts", "", "also write all seven artifacts as TSV to this directory")
 		store    = flag.String("store", "", `tripled D4M server for the correlation tables ("auto" = in-process)`)
 	)
@@ -72,8 +70,6 @@ func main() {
 		cfg.LeafSize = *leafSize
 	}
 	cfg.Batch = *batch
-	cfg.StudyWorkers = *study
-	cfg.ReportWorkers = *repWork
 	if *store == "auto" {
 		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
 		if err != nil {
@@ -92,8 +88,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	log.Printf("running study (NV=%d, %d sources, workers=%d, study-workers=%d)...",
-		cfg.NV, cfg.Radiation.NumSources, cfg.Workers, cfg.StudyWorkers)
+	log.Printf("running study (NV=%d, %d sources, workers=%d)...",
+		cfg.NV, cfg.Radiation.NumSources, cfg.Workers)
 	runStart := time.Now()
 	res, err := pipe.RunContext(ctx)
 	if err != nil {

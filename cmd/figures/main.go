@@ -5,7 +5,7 @@
 // Usage:
 //
 //	figures [-scale quick|default] [-nv N] [-sources N] [-seed N]
-//	        [-format tsv|json] [-report-workers N]
+//	        [-format tsv|json] [-workers N]
 //	        [-out DIR] [-stdout] [-only table1,fig3,...]
 //
 // Artifacts: table1, table2, fig3, fig4, fig5, fig6, fig7, fig8
@@ -28,15 +28,15 @@ import (
 
 func main() {
 	var (
-		scale         = flag.String("scale", "default", "preset: quick or default")
-		nv            = flag.Int("nv", 0, "override telescope window size NV")
-		sources       = flag.Int("sources", 0, "override population size")
-		seed          = flag.Int64("seed", 0, "override random seed")
-		format        = flag.String("format", "tsv", "output encoding: tsv or json")
-		reportWorkers = flag.Int("report-workers", 0, "report-graph fit fan-out (1 = serial oracle, 0 = GOMAXPROCS)")
-		outDir        = flag.String("out", "figures_out", "output directory")
-		stdout        = flag.Bool("stdout", false, "write everything to stdout instead of files")
-		only          = flag.String("only", "", "comma-separated subset of artifacts")
+		scale   = flag.String("scale", "default", "preset: quick or default")
+		nv      = flag.Int("nv", 0, "override telescope window size NV")
+		sources = flag.Int("sources", 0, "override population size")
+		seed    = flag.Int64("seed", 0, "override random seed")
+		format  = flag.String("format", "tsv", "output encoding: tsv or json")
+		workers = flag.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
+		outDir  = flag.String("out", "figures_out", "output directory")
+		stdout  = flag.Bool("stdout", false, "write everything to stdout instead of files")
+		only    = flag.String("only", "", "comma-separated subset of artifacts")
 	)
 	flag.Parse()
 	if *format != "tsv" && *format != "json" {
@@ -56,7 +56,7 @@ func main() {
 	if *seed != 0 {
 		cfg.Radiation.Seed = *seed
 	}
-	cfg.ReportWorkers = *reportWorkers
+	cfg.Workers = *workers
 
 	// -only keys are the historical eight names; fig7 and fig8 both
 	// select the fused fig7_fig8 artifact.

@@ -10,7 +10,7 @@
 //
 //	studyd [-listen ADDR] [-store ADDR] [-scale quick|default]
 //	       [-nv N] [-sources N] [-seed N] [-months N]
-//	       [-report-workers N] [-preload]
+//	       [-workers N] [-preload]
 //
 // On start the daemon prints "studyd listening on ADDR" to stderr
 // (machine-parsable by supervisors and the e2e test; ADDR resolves
@@ -55,16 +55,16 @@ func main() {
 
 func run() int {
 	var (
-		listen        = flag.String("listen", "127.0.0.1:8473", "HTTP listen address (use :0 for an ephemeral port)")
-		store         = flag.String("store", "", "tripled service address for durable backing (empty = in-memory only)")
-		scale         = flag.String("scale", "quick", "preset: quick or default")
-		nv            = flag.Int("nv", 0, "override telescope window size NV")
-		sources       = flag.Int("sources", 0, "override population size")
-		seed          = flag.Int64("seed", 0, "override random seed")
-		months        = flag.Int("months", 0, "override study length in months")
-		reportWorkers = flag.Int("report-workers", 0, "report-graph fit fan-out (1 = serial oracle, 0 = GOMAXPROCS)")
-		preload       = flag.Bool("preload", false, "ingest the full batch study before serving")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
+		listen       = flag.String("listen", "127.0.0.1:8473", "HTTP listen address (use :0 for an ephemeral port)")
+		store        = flag.String("store", "", "tripled service address for durable backing (empty = in-memory only)")
+		scale        = flag.String("scale", "quick", "preset: quick or default")
+		nv           = flag.Int("nv", 0, "override telescope window size NV")
+		sources      = flag.Int("sources", 0, "override population size")
+		seed         = flag.Int64("seed", 0, "override random seed")
+		months       = flag.Int("months", 0, "override study length in months")
+		workers      = flag.Int("workers", 0, "fan-out of capture, freeze and fits (0 = GOMAXPROCS)")
+		preload      = flag.Bool("preload", false, "ingest the full batch study before serving")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	)
 	flag.Parse()
 
@@ -84,7 +84,7 @@ func run() int {
 	if *months > 0 {
 		cfg.Radiation.Months = *months
 	}
-	cfg.ReportWorkers = *reportWorkers
+	cfg.Workers = *workers
 	cfg.StoreAddr = *store
 
 	// The resident daemon grows snapshots over the ingest API;

@@ -36,7 +36,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		month    = flag.Float64("month", 4.5, "beam month of the window")
 		file     = flag.String("pcap", "window.pcap", "capture file to write")
-		workers  = flag.Int("workers", 0, "engine shard workers (1 = serial, 0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "engine shard workers (0 = GOMAXPROCS)")
 		leafSize = flag.Int("leaf-size", 1<<14, "entries per hypersparse leaf matrix")
 		batch    = flag.Int("batch", 0, "packets per engine batch (0 = leaf size)")
 		windows  = flag.Int("windows", 1, "total windows to capture; windows after the first run steady-state (warm caches, pooled scratch)")

@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 
 	// The telescope operator captures an anonymized window.
 	tel := telescope.New(cfg.Darkspace, "operator-secret-key")
-	win, err := tel.CaptureWindow(pop.TelescopeStream(4.0, time.Unix(1_592_395_200, 0)), 1<<14)
+	win, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4.0, time.Unix(1_592_395_200, 0)), 1<<14, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/correlate"
 	"repro/internal/stats"
 )
 
@@ -32,7 +31,7 @@ func main() {
 	fmt.Printf("snapshot %s (month %.1f), %d sources\n\n", snap.Label, snap.Month, snap.Sources.NRows())
 
 	for _, band := range []int{2, 5, 8} {
-		series, err := correlate.TemporalCorrelation(snap, res.Study.Months, band)
+		series, err := res.Frozen().Temporal(0, band)
 		if err != nil {
 			fmt.Printf("band 2^%d: %v\n", band, err)
 			continue

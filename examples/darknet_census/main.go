@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -64,7 +65,7 @@ func main() {
 	// Second pass: capture a constant-packet window into an anonymized
 	// matrix and reduce it.
 	tel := telescope.New(cfg.Darkspace, "census-example")
-	win, err := tel.CaptureWindow(pop.TelescopeStream(4.5, start), 1<<16)
+	win, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4.5, start), 1<<16, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestEndToEndWireLevel(t *testing.T) {
 	}
 	const nv = 1 << 14
 	tel := telescope.New(cfg.Darkspace, "integration-key", telescope.WithLeafSize(1<<10))
-	win, err := tel.CaptureWindow(&telescope.ReaderSource{R: pr}, nv)
+	win, err := tel.CaptureWindowEngine(context.Background(), &telescope.ReaderSource{R: pr}, nv, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,12 @@ func TestEndToEndWireLevel(t *testing.T) {
 	}
 	study.Snapshots = []correlate.Snapshot{snap}
 
-	month, err := correlate.SameMonth(snap, study.Months)
+	frozen := correlate.Freeze(study, 1)
+	mi, err := frozen.SameMonthIndex(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak := correlate.PeakCorrelation(snap, month)
+	peak := frozen.PeakCorrelation(0, mi)
 	if len(peak) < 5 {
 		t.Fatalf("only %d brightness bands", len(peak))
 	}
@@ -161,7 +162,7 @@ func TestEndToEndWireLevel(t *testing.T) {
 	}
 
 	// Temporal correlation + modified-Cauchy fit on a mid band.
-	series, err := correlate.TemporalCorrelation(snap, study.Months, 4)
+	series, err := frozen.Temporal(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +194,8 @@ func TestEndToEndWireLevel(t *testing.T) {
 	}
 }
 
-// TestEndToEndParallelCaptureAgreesOnTables verifies the parallel and
-// serial capture paths feed identical D4M tables into the correlation
+// TestEndToEndParallelCaptureAgreesOnTables verifies a one-shard and a
+// four-shard capture feed identical D4M tables into the correlation
 // stage.
 func TestEndToEndParallelCaptureAgreesOnTables(t *testing.T) {
 	cfg := radiation.DefaultConfig()
@@ -212,7 +213,7 @@ func TestEndToEndParallelCaptureAgreesOnTables(t *testing.T) {
 		if parallel {
 			win, err = tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(3, time.Unix(0, 0)), nv, 4, 0)
 		} else {
-			win, err = tel.CaptureWindow(pop.TelescopeStream(3, time.Unix(0, 0)), nv)
+			win, err = tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(3, time.Unix(0, 0)), nv, 1, 0)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package archive_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"repro/internal/archive"
@@ -35,7 +36,7 @@ func buildArchive(t *testing.T, leafSize, nLeaves int) (string, *hypersparse.Mat
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
 	var full *hypersparse.Matrix
 	for i := 0; i < nLeaves; i++ {
-		win, err := tel.CaptureWindow(st, leafSize)
+		win, err := tel.CaptureWindowEngine(context.Background(), st, leafSize, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -31,24 +30,16 @@ type Config struct {
 
 	NV       int // telescope window size in valid packets
 	LeafSize int // hierarchical leaf size (paper: 2^17)
-	Workers  int // engine shard workers; 1 = serial oracle, 0 = GOMAXPROCS
 	Batch    int // packets per engine batch; 0 = LeafSize
 
-	// StudyWorkers is the study-level fan-out: how many goroutines
-	// ingest honeyfarm months and capture telescope snapshots
-	// concurrently. 1 runs the strictly serial path retained as the
-	// correctness oracle; 0 uses GOMAXPROCS. Any value produces
-	// byte-identical artifacts — results are assembled by index, and
-	// every month and snapshot is deterministic in isolation.
-	StudyWorkers int
-
-	// ReportWorkers is the report-graph fan-out: how many of
-	// fig7_fig8's per-(snapshot, band) GridSearch2 fits run
-	// concurrently on the shared worker pool. 1 runs the historical
-	// strictly serial sweep retained as the correctness oracle; 0 uses
-	// GOMAXPROCS. Any value renders byte-identical artifacts
-	// (report.TestReportWorkerSweep).
-	ReportWorkers int
+	// Workers is the one fan-out knob, handed unchanged to every layer
+	// that fans out: the engine's shard workers per window, the study
+	// scheduler's months and snapshots in flight, the freeze, and the
+	// report graph's per-(snapshot, band) fits. 0 uses GOMAXPROCS at
+	// each of them; 1 is one worker of the same code. Any value produces
+	// byte-identical artifacts — matrix sums and set intersections do
+	// not care who computed them, and results are assembled by index.
+	Workers int
 
 	Sensors        int    // honeyfarm sensor count
 	AnonPassphrase string // CryptoPAN key derivation
@@ -195,8 +186,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Capture runs through the engine, which takes cfg.Workers directly;
-	// the telescope only needs the leaf size here.
 	tel := telescope.New(cfg.Radiation.Darkspace, cfg.AnonPassphrase,
 		telescope.WithLeafSize(cfg.LeafSize))
 	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
@@ -252,10 +241,9 @@ type Result struct {
 // Frozen returns the sorted-key compilation of the study's correlation
 // tables (interned row IDs, per-band sorted sets), built once on first
 // use and shared by every Figure 4-8 emitter. The build fans out across
-// ReportWorkers goroutines (FreezeParallel; 1 keeps it on the calling
-// goroutine). Safe for concurrent use.
+// Config.Workers goroutines. Safe for concurrent use.
 func (r *Result) Frozen() *correlate.Frozen {
-	r.frozenOnce.Do(func() { r.frozen = correlate.FreezeParallel(r.Study, r.Config.ReportWorkers) })
+	r.frozenOnce.Do(func() { r.frozen = correlate.Freeze(r.Study, r.Config.Workers) })
 	return r.frozen
 }
 
@@ -265,7 +253,7 @@ func (r *Result) Frozen() *correlate.Frozen {
 // use; safe for concurrent use. The Table/Fig methods below are thin
 // wrappers over it.
 func (r *Result) Report() *report.Graph {
-	r.reportOnce.Do(func() { r.report = r.ReportWith(r.Config.ReportWorkers) })
+	r.reportOnce.Do(func() { r.report = r.ReportWith(r.Config.Workers) })
 	return r.report
 }
 
@@ -293,109 +281,65 @@ func (r *Result) ReportWith(workers int) *report.Graph {
 // Run executes the full study with background context; see RunContext.
 func (p *Pipeline) Run() (*Result, error) { return p.RunContext(context.Background()) }
 
-// RunContext executes the full study: 15 honeyfarm months plus one
-// telescope window per configured snapshot time captured through the
-// sharded streaming engine (Config.Workers shards per window), reduced
-// to D4M source tables. With Config.StudyWorkers != 1, months and
-// snapshots themselves fan out across goroutines (see scheduler.go);
-// StudyWorkers=1 runs this strictly serial path, retained as the
-// correctness oracle the scheduler is diffed against. With
-// Config.StoreAddr set, every table additionally round-trips through
-// the tripled service before correlation. Cancelling ctx abandons the
-// study mid-window.
-func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
-	workers := p.cfg.StudyWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return p.runSerial(ctx)
-	}
-	return p.runParallel(ctx, workers)
-}
-
-// runSerial is the StudyWorkers=1 degenerate path: months then
-// snapshots, one at a time, on the caller's goroutine. Each iteration
-// is one incremental unit — the same IngestMonth / IngestSnapshot the
-// resident daemon calls — so batch and incremental results are
-// identical by construction.
-func (p *Pipeline) runSerial(ctx context.Context) (*Result, error) {
-	res := &Result{Config: p.cfg, Farm: p.farm}
-
-	var db tripled.Conn
-	if p.cfg.StoreAddr != "" {
-		conn, err := DialStore(p.cfg.StoreAddr)
-		if err != nil {
-			return nil, fmt.Errorf("core: store %s: %w", p.cfg.StoreAddr, err)
-		}
-		db = conn
-		defer db.Close()
-	}
-
-	for m := 0; m < p.cfg.Radiation.Months; m++ {
-		md, err := p.IngestMonth(db, m)
-		if err != nil {
-			return nil, err
-		}
-		res.Study.Months = append(res.Study.Months, md)
-	}
-
-	for _, ts := range p.cfg.SnapshotTimes {
-		w, snap, err := p.IngestSnapshot(ctx, db, ts)
-		if err != nil {
-			return nil, err
-		}
-		res.Windows = append(res.Windows, w)
-		res.Study.Snapshots = append(res.Study.Snapshots, snap)
-	}
-	if h, ok := storeHealthOf(db); ok {
-		agg := &storeHealthAgg{}
-		agg.add(h)
-		res.StoreHealth = agg.result()
-	}
-	return res, nil
-}
-
 // IngestMonth is one incremental unit of study growth: build (or
-// reuse) honeyfarm month m, optionally round-tripping the table
-// through the store, exactly as one iteration of the serial batch
-// loop. db may be nil for an in-memory study. Safe to call again for
+// reuse) honeyfarm month m and attach it to the farm, optionally
+// round-tripping the table through the store — the month unit the
+// batch scheduler runs, attached at once instead of after the pool
+// joins. db may be nil for an in-memory study. Safe to call again for
 // an already-ingested month — the farm's copy is reused and
 // re-published idempotently (the recovery path relies on this). Not
 // safe for concurrent use; the daemon serializes ingest on one
-// goroutine, as runSerial does.
+// goroutine.
 func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, error) {
+	md, built, err := p.month(db, m)
+	if built != nil {
+		// Attached even when the store round trip failed: a retry reuses
+		// the farm's copy instead of building the month again.
+		p.farm.Attach(built)
+	}
+	return md, err
+}
+
+// month is the one month unit of work, whoever runs it: build honeyfarm
+// month m unless the farm already holds it and, with a store, publish
+// the table and read back what the store holds. The farm is only read;
+// a freshly built window is returned for the caller to attach (the
+// daemon at once, the scheduler in month order after its pool joins)
+// and is nil when the farm's copy was reused.
+func (p *Pipeline) month(db tripled.Conn, m int) (correlate.MonthData, *honeyfarm.MonthWindow, error) {
 	start := p.cfg.StudyStart.AddDate(0, m, 0)
 	label := start.Format("2006-01")
+	var built *honeyfarm.MonthWindow
 	mw := p.farm.Month(label)
 	if mw == nil {
-		mw = p.farm.IngestMonth(label, start, p.pop.HoneyfarmMonth(m, start))
+		mw = p.farm.BuildMonth(label, start, p.pop.HoneyfarmMonth(m, start))
+		built = mw
 	}
 	table := mw.Table
 	if db != nil {
 		if err := mw.Publish(db); err != nil {
-			return correlate.MonthData{}, fmt.Errorf("core: publish month %s: %w", label, err)
+			return correlate.MonthData{}, built, fmt.Errorf("core: publish month %s: %w", label, err)
 		}
 		var err error
 		if table, err = honeyfarm.FetchMonthTable(db, label); err != nil {
-			return correlate.MonthData{}, fmt.Errorf("core: fetch month %s: %w", label, err)
+			return correlate.MonthData{}, built, fmt.Errorf("core: fetch month %s: %w", label, err)
 		}
 	}
-	return correlate.MonthData{Label: label, Month: m, Table: table}, nil
+	return correlate.MonthData{Label: label, Month: m, Table: table}, built, nil
 }
 
 // IngestSnapshot is the other incremental unit: capture one telescope
 // window at ts on the pipeline's telescope and reduce it to the D4M
-// source table, exactly as one iteration of the serial batch loop. db
-// may be nil for an in-memory study. Not safe for concurrent use (one
+// source table — the snapshot unit the batch scheduler runs. db may be
+// nil for an in-memory study. Not safe for concurrent use (one
 // telescope runs one capture at a time).
 func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
 	return p.snapshot(ctx, p.tel, db, ts)
 }
 
 // snapshot is the one snapshot unit of work, whoever runs it — the
-// serial loop and the daemon on the pipeline's telescope, a scheduler
-// worker on its own: capture the window at ts on tel, reduce it to the
+// daemon on the pipeline's telescope, a scheduler worker on its own:
+// capture the window at ts on tel, reduce it to the
 // source table and, with a store, publish that table and read back
 // what the store holds.
 func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
@@ -473,7 +417,6 @@ func (r *Result) Fig6() ([]correlate.Series, []stats.TemporalFit) { return r.Rep
 
 // Fig7And8 computes the per-band modified-Cauchy parameter sweeps for
 // every snapshot: Alpha per band (Figure 7) and one-month drop 1/(β+1)
-// per band (Figure 8). With Config.ReportWorkers != 1 the fits fan out
-// per (snapshot, band) on the shared worker pool, byte-identical to the
-// serial sweep.
+// per band (Figure 8). The fits fan out per (snapshot, band) on the
+// shared worker pool.
 func (r *Result) Fig7And8() [][]correlate.BandFit { return r.Report().Fig7And8() }

@@ -347,8 +347,8 @@ func TestRunFailsWhenPopulationTooSmall(t *testing.T) {
 }
 
 // TestShardedStudyMatchesSerial asserts the engine-backed study is
-// worker-count invariant: on a fixed seed, the Workers=1 serial oracle
-// and a 4-shard run produce identical windows (NNZ, NRows, Table II
+// worker-count invariant: on a fixed seed, a one-worker and a
+// four-worker run produce identical windows (NNZ, NRows, Table II
 // quantities) and identical D4M source tables.
 func TestShardedStudyMatchesSerial(t *testing.T) {
 	cfg := QuickConfig()

@@ -1,11 +1,11 @@
 package core
 
-// scheduler.go is the study-level parallel scheduler: with
-// Config.StudyWorkers != 1 the honeyfarm months and telescope snapshots
-// — mutually independent, deterministic units of work — fan out across
-// the shared worker pool (internal/pool, also ridden by the report
-// graph's per-band model fits) instead of running strictly one after
-// another.
+// scheduler.go is the study-level scheduler: the honeyfarm months and
+// telescope snapshots — mutually independent, deterministic units of
+// work — fan out across Config.Workers goroutines of the shared worker
+// pool (internal/pool, also ridden by the freeze and the report graph's
+// per-band model fits). One worker is the same schedule run on the
+// caller's goroutine.
 //
 // The design rests on three ownership rules:
 //
@@ -25,8 +25,8 @@ package core
 //     worker with store traffic dials its own tripled client (the
 //     client is single-connection, not concurrency-safe).
 //   - Results land in index-addressed slots and are assembled in order,
-//     so the Result is byte-identical to the runSerial oracle — proven
-//     by TestParallelStudyMatchesSerialOracle across every emitter.
+//     so the Result does not depend on the worker count — pinned by
+//     TestParallelStudyWorkerSweep against the committed goldens.
 
 import (
 	"context"
@@ -39,13 +39,19 @@ import (
 	"repro/internal/tripled"
 )
 
-// runParallel executes the study with the given fan-out. workers is
-// always >= 2 here; RunContext routes 1 to runSerial. Job indices
-// 0..nSnaps-1 are the snapshots and the rest the months, so the pool's
-// in-order hand-out schedules snapshot jobs first: windows dominate
-// the wall clock, and starting them first keeps the pool saturated
-// while the cheaper month builds fill the gaps.
-func (p *Pipeline) runParallel(ctx context.Context, workers int) (*Result, error) {
+// RunContext executes the full study: 15 honeyfarm months plus one
+// telescope window per configured snapshot time captured through the
+// sharded streaming engine, reduced to D4M source tables. Months and
+// snapshots fan out across Config.Workers goroutines, each window
+// across as many engine shards. With Config.StoreAddr set, every table
+// additionally round-trips through the tripled service before
+// correlation. Cancelling ctx abandons the study mid-window.
+//
+// Job indices 0..nSnaps-1 are the snapshots and the rest the months, so
+// the pool's in-order hand-out schedules snapshot jobs first: windows
+// dominate the wall clock, and starting them first keeps the pool
+// saturated while the cheaper month builds fill the gaps.
+func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 	res := &Result{Config: p.cfg, Farm: p.farm}
 
 	nMonths := p.cfg.Radiation.Months
@@ -56,7 +62,7 @@ func (p *Pipeline) runParallel(ctx context.Context, workers int) (*Result, error
 	snapData := make([]correlate.Snapshot, nSnaps)
 
 	health := &storeHealthAgg{}
-	err := pool.EachWorker(ctx, workers, nSnaps+nMonths,
+	err := pool.EachWorker(ctx, p.cfg.Workers, nSnaps+nMonths,
 		func() *studyWorker { return &studyWorker{p: p, health: health} },
 		(*studyWorker).close,
 		func(ctx context.Context, w *studyWorker, job int) error {
@@ -73,9 +79,9 @@ func (p *Pipeline) runParallel(ctx context.Context, workers int) (*Result, error
 		return nil, err
 	}
 
-	// Assemble by index: attach freshly built months in month order so
-	// the farm's ingestion order matches the serial path, then adopt the
-	// index-addressed slots.
+	// Assemble by index: attach freshly built months in month order, so
+	// the farm's ingestion order is the calendar's whichever worker built
+	// which month, then adopt the index-addressed slots.
 	for _, mw := range built {
 		if mw != nil {
 			p.farm.Attach(mw)
@@ -125,34 +131,13 @@ func (w *studyWorker) client() (tripled.Conn, error) {
 	return w.db, nil
 }
 
-// runMonth builds (or reuses) one honeyfarm month and round-trips it
-// through the store when configured. It mirrors runSerial's month
-// iteration body exactly; the farm is only read, never mutated — the
-// built window is attached by the assembly phase.
+// runMonth runs one month unit over the worker's store connection.
 func (w *studyWorker) runMonth(m int) (correlate.MonthData, *honeyfarm.MonthWindow, error) {
-	p := w.p
-	start := p.cfg.StudyStart.AddDate(0, m, 0)
-	label := start.Format("2006-01")
-	var builtMW *honeyfarm.MonthWindow
-	mw := p.farm.Month(label)
-	if mw == nil {
-		mw = p.farm.BuildMonth(label, start, p.pop.HoneyfarmMonth(m, start))
-		builtMW = mw
-	}
-	table := mw.Table
 	db, err := w.client()
 	if err != nil {
 		return correlate.MonthData{}, nil, err
 	}
-	if db != nil {
-		if err := mw.Publish(db); err != nil {
-			return correlate.MonthData{}, nil, fmt.Errorf("core: publish month %s: %w", label, err)
-		}
-		if table, err = honeyfarm.FetchMonthTable(db, label); err != nil {
-			return correlate.MonthData{}, nil, fmt.Errorf("core: fetch month %s: %w", label, err)
-		}
-	}
-	return correlate.MonthData{Label: label, Month: m, Table: table}, builtMW, nil
+	return w.p.month(db, m)
 }
 
 // runSnapshot runs one snapshot unit on the worker's private telescope

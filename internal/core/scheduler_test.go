@@ -1,20 +1,24 @@
 package core
 
-// scheduler_test.go proves the study-level scheduler is a pure
-// performance transform: for any StudyWorkers, every emitted artifact —
-// Table I, Table II, Figures 3 through 8 — is byte-identical to the
-// StudyWorkers=1 serial oracle, in memory and through the tripled
-// store. Run under -race this is also the scheduler's concurrency
+// scheduler_test.go proves the worker count is a pure performance
+// knob: at any Workers — one worker of the same code included — every
+// emitted artifact (Table I, Table II, Figures 3 through 8) is
+// byte-identical, in memory and through the tripled store, and equal
+// to the committed goldens, which no code under test produced in this
+// run. Run under -race this is also the scheduler's concurrency
 // soundness proof. TestStudySpeedup is the wall-clock gate, skipped
 // with an annotation on runners without enough CPUs to measure it.
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/report"
 	"repro/internal/tripled"
 )
 
@@ -25,8 +29,28 @@ func schedulerConfig() Config {
 	cfg.Radiation.NumSources = 3000
 	cfg.NV = 1 << 12
 	cfg.LeafSize = 1 << 8
-	cfg.Workers = 2 // engine-level sharding composes with study-level fan-out
 	return cfg
+}
+
+// checkGoldens holds a QuickConfig result to the report package's
+// committed TSV goldens: the referent of the worker sweeps that is
+// independent of every worker count.
+func checkGoldens(t *testing.T, name string, r *Result) {
+	t.Helper()
+	for _, id := range report.All() {
+		var b strings.Builder
+		if err := report.WriteTSV(&b, r.Report(), id); err != nil {
+			t.Fatalf("%s: %s: %v", name, id, err)
+		}
+		path := filepath.Join("..", "report", "testdata", report.Filename(id, "tsv"))
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Errorf("%s: %s drifted from golden %s", name, id, path)
+		}
+	}
 }
 
 // renderAll serializes every artifact the pipeline emits, so two runs
@@ -99,56 +123,72 @@ func diffRender(t *testing.T, name, serial, parallel string) {
 	t.Fatalf("%s: parallel render has %d extra lines", name, len(pl)-len(sl))
 }
 
-// TestParallelStudyMatchesSerialOracle is satellite coverage for the
-// scheduler's contract: StudyWorkers=4 reproduces the StudyWorkers=1
-// oracle exactly, across every Table and Figure emitter.
+// TestParallelStudyMatchesSerialOracle: one worker and four workers of
+// the same code reproduce each other exactly across every Table and
+// Figure emitter, windows and farm state included, at a scale small
+// enough to run under -race on every push.
 func TestParallelStudyMatchesSerialOracle(t *testing.T) {
 	cfg := schedulerConfig()
-	cfg.StudyWorkers = 1
-	serial := renderAll(t, runStudy(t, cfg))
-	cfg.StudyWorkers = 4
-	parallel := renderAll(t, runStudy(t, cfg))
-	diffRender(t, "in-memory", serial, parallel)
+	cfg.Workers = 1
+	one := renderAll(t, runStudy(t, cfg))
+	cfg.Workers = 4
+	four := renderAll(t, runStudy(t, cfg))
+	diffRender(t, "in-memory", one, four)
 }
 
-// TestParallelStoreBackedStudyMatchesSerial runs the same oracle diff
-// with every table round-tripping through a tripled store: the
-// scheduler's per-worker clients must publish and fetch exactly what
-// the serial path's single client does.
+// sweepGoldenStudy runs the golden QuickConfig study at 1, 2, 3, and 8
+// workers (the caller alone, a 2-worker minimum, an odd count, more
+// workers than snapshot jobs and engine shards than cores), in memory
+// or with every table round-tripping through a fresh tripled store, and
+// holds each run to the committed goldens and, beyond what the goldens
+// hold, to the first run's windows and farm state.
+func sweepGoldenStudy(t *testing.T, storeBacked bool) {
+	t.Helper()
+	var first string
+	for _, workers := range []int{1, 2, 3, 8} {
+		cfg := QuickConfig()
+		cfg.Workers = workers
+		name := fmt.Sprintf("workers=%d", workers)
+		var srv *tripled.Server
+		if storeBacked {
+			var err error
+			if srv, err = tripled.Serve(tripled.NewStore(), "127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			cfg.StoreAddr = srv.Addr()
+			name = "store-backed " + name
+		}
+		r := runStudy(t, cfg)
+		if srv != nil {
+			srv.Close()
+		}
+		checkGoldens(t, name, r)
+		if got := renderAll(t, r); first == "" {
+			first = got
+		} else {
+			diffRender(t, name, first, got)
+		}
+	}
+}
+
+// TestParallelStoreBackedStudyMatchesSerial: however many per-worker
+// clients publish and fetch, a store-backed study's artifacts equal the
+// goldens an in-memory study produced.
 func TestParallelStoreBackedStudyMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two store-backed studies")
+		t.Skip("four store-backed studies")
 	}
-	run := func(studyWorkers int) string {
-		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		cfg := schedulerConfig()
-		cfg.StudyWorkers = studyWorkers
-		cfg.StoreAddr = srv.Addr()
-		return renderAll(t, runStudy(t, cfg))
-	}
-	diffRender(t, "store-backed", run(1), run(4))
+	sweepGoldenStudy(t, true)
 }
 
-// TestParallelStudyWorkerSweep pins worker-count invariance beyond the
-// single 1-vs-4 pair: 2, 3, and 8 workers (more workers than jobs in
-// the snapshot phase, odd counts, and a 2-worker minimum) all match.
+// TestParallelStudyWorkerSweep pins worker-count invariance of the
+// whole spine — engine shards, scheduler, freeze, fits — on the golden
+// study, against the committed goldens.
 func TestParallelStudyWorkerSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full studies")
 	}
-	cfg := schedulerConfig()
-	cfg.Radiation.NumSources = 2000
-	cfg.NV = 1 << 11
-	cfg.StudyWorkers = 1
-	want := renderAll(t, runStudy(t, cfg))
-	for _, workers := range []int{2, 3, 8} {
-		cfg.StudyWorkers = workers
-		diffRender(t, fmt.Sprintf("workers=%d", workers), want, renderAll(t, runStudy(t, cfg)))
-	}
+	sweepGoldenStudy(t, false)
 }
 
 // TestParallelStudySharesAnonCache pins the scheduler's shared
@@ -158,11 +198,11 @@ func TestParallelStudyWorkerSweep(t *testing.T) {
 // beside N private per-worker memos, and not one entry per darkspace
 // destination the study ever saw.
 func TestParallelStudySharesAnonCache(t *testing.T) {
-	for _, studyWorkers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		cfg := schedulerConfig()
 		cfg.Radiation.NumSources = 2000
 		cfg.NV = 1 << 11
-		cfg.StudyWorkers = studyWorkers
+		cfg.Workers = workers
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -181,15 +221,15 @@ func TestParallelStudySharesAnonCache(t *testing.T) {
 			t.Fatal("study saw no sources")
 		}
 		if got := p.tel.Anonymizer().Len(); got != len(sources) {
-			t.Errorf("StudyWorkers=%d: pipeline memo holds %d addresses, the study has %d distinct sources",
-				studyWorkers, got, len(sources))
+			t.Errorf("Workers=%d: pipeline memo holds %d addresses, the study has %d distinct sources",
+				workers, got, len(sources))
 		}
 	}
 }
 
-// TestStudySpeedup is the acceptance gate: at >= 4 study workers the
-// parallel scheduler must finish the whole study at least 2x faster
-// than the serial oracle, with byte-identical artifacts. On runners
+// TestStudySpeedup is the acceptance gate: at Workers=4 the whole
+// study must finish at least 2x faster than at Workers=1, with
+// byte-identical artifacts. On runners
 // without at least 4 CPUs the wall-clock assertion is meaningless (the
 // fan-out just interleaves on one core), so the gate self-skips with an
 // annotation — the same policy the hot-path benchmark report applies
@@ -208,7 +248,6 @@ func TestStudySpeedup(t *testing.T) {
 			cpus, runtime.GOMAXPROCS(0))
 	}
 	cfg := QuickConfig()
-	cfg.Workers = 1 // isolate study-level fan-out from engine-level sharding
 	// Eight snapshots instead of the paper's five: snapshot captures
 	// dominate the wall clock, and 5 jobs on 4 workers cap the ideal
 	// speedup at ~2.5x — too close to the 2x bar for a shared CI
@@ -220,7 +259,7 @@ func TestStudySpeedup(t *testing.T) {
 		cfg.SnapshotTimes = append(cfg.SnapshotTimes, cfg.StudyStart.AddDate(0, m, 14))
 	}
 
-	cfg.StudyWorkers = 1
+	cfg.Workers = 1
 	p1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +271,7 @@ func TestStudySpeedup(t *testing.T) {
 	}
 	serialWall := time.Since(startSerial)
 
-	cfg.StudyWorkers = 4
+	cfg.Workers = 4
 	p4, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +285,8 @@ func TestStudySpeedup(t *testing.T) {
 
 	diffRender(t, "speedup-parity", renderAll(t, serialRes), renderAll(t, parRes))
 	speedup := float64(serialWall) / float64(parWall)
-	t.Logf("whole study: serial %v, parallel(4) %v, speedup %.2fx", serialWall, parWall, speedup)
+	t.Logf("whole study: 1 worker %v, 4 workers %v, speedup %.2fx", serialWall, parWall, speedup)
 	if speedup < 2 {
-		t.Errorf("whole-study speedup %.2fx < 2x gate (serial %v, parallel %v)", speedup, serialWall, parWall)
+		t.Errorf("whole-study speedup %.2fx < 2x gate (1 worker %v, 4 workers %v)", speedup, serialWall, parWall)
 	}
 }

@@ -53,30 +53,6 @@ func (s Series) FitExcess(minDt float64) (stats.TemporalFit, float64) {
 	return s.SubtractBackground(floor).Fit(), floor
 }
 
-// FitSweepExcess is FitSweep with per-band background correction: each
-// band's floor is estimated from points at least minDt months out and
-// subtracted before fitting. Bands are filtered by minSources as in
-// FitSweep. The returned Drop values describe the beam component alone,
-// which is the quantity the generator's β*(d) governs.
-func FitSweepExcess(snap Snapshot, months []MonthData, minSources int, minDt float64) []BandFit {
-	raw := FitSweep(snap, months, minSources)
-	out := make([]BandFit, 0, len(raw))
-	for _, bf := range raw {
-		series, err := TemporalCorrelation(snap, months, bf.Band)
-		if err != nil {
-			continue
-		}
-		fit, _ := series.FitExcess(minDt)
-		mc := fit.Model.(stats.ModifiedCauchy)
-		bf.Alpha = mc.Alpha
-		bf.Beta = mc.Beta
-		bf.Drop = mc.OneMonthDrop()
-		bf.Residual = fit.Residual
-		out = append(out, bf)
-	}
-	return out
-}
-
 // WilsonBand attaches a 95% Wilson interval to every point of the
 // series, using the band population as the trial count.
 func (s Series) WilsonBand() (lo, hi []float64) {

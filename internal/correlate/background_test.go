@@ -96,25 +96,26 @@ func TestFitSweepExcessRecoversDipBetter(t *testing.T) {
 		m := stats.ModifiedCauchy{Alpha: 1, Beta: betas[b]}
 		return floor + 0.6*m.Eval(dt)
 	})
-	raw := FitSweep(study.Snapshots[0], study.Months, 10)
-	excess := FitSweepExcess(study.Snapshots[0], study.Months, 10, 6)
-	if len(raw) != 2 || len(excess) != 2 {
-		t.Fatalf("sweep sizes: raw %d, excess %d", len(raw), len(excess))
+	f := Freeze(study, 1)
+	bands := f.SweepBands(0, 10)
+	if len(bands) != 2 {
+		t.Fatalf("sweep bands = %v, want 2", bands)
 	}
 	trueDrop := map[int]float64{4: 1.0 / 5.0, 8: 1.0 / 2.0}
-	for i := range raw {
-		b := raw[i].Band
-		rawErr := math.Abs(raw[i].Drop - trueDrop[b])
-		exErr := math.Abs(excess[i].Drop - trueDrop[b])
-		if exErr > rawErr+1e-9 {
-			t.Errorf("band %d: excess drop %g worse than raw %g (truth %g)",
-				b, excess[i].Drop, raw[i].Drop, trueDrop[b])
+	for _, b := range bands {
+		series, err := f.Temporal(0, b)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The dipped band's excess drop should approach 0.5.
-	for _, f := range excess {
-		if f.Band == 8 && math.Abs(f.Drop-0.5) > 0.12 {
-			t.Errorf("dip band excess drop = %g, want ~0.5", f.Drop)
+		raw := series.Fit().Model.(stats.ModifiedCauchy).OneMonthDrop()
+		fit, _ := series.FitExcess(6)
+		excess := fit.Model.(stats.ModifiedCauchy).OneMonthDrop()
+		if math.Abs(excess-trueDrop[b]) > math.Abs(raw-trueDrop[b])+1e-9 {
+			t.Errorf("band %d: excess drop %g worse than raw %g (truth %g)", b, excess, raw, trueDrop[b])
+		}
+		// The dipped band's excess drop should approach 0.5.
+		if b == 8 && math.Abs(excess-0.5) > 0.12 {
+			t.Errorf("dip band excess drop = %g, want ~0.5", excess)
 		}
 	}
 }
@@ -137,11 +138,12 @@ func TestWilsonBand(t *testing.T) {
 
 func TestPeakCorrelationHasIntervals(t *testing.T) {
 	study := synthStudy([]int{4}, 200, 5, 15, func(int, float64) float64 { return 0.5 })
-	month, err := SameMonth(study.Snapshots[0], study.Months)
+	f := Freeze(study, 1)
+	mi, err := f.SameMonthIndex(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := PeakCorrelation(study.Snapshots[0], month)
+	pts := f.PeakCorrelation(0, mi)
 	for _, p := range pts {
 		if p.CILo > p.Fraction || p.CIHi < p.Fraction {
 			t.Errorf("band %d: CI [%g, %g] excludes %g", p.Band, p.CILo, p.CIHi, p.Fraction)

@@ -8,17 +8,13 @@
 // found in honeyfarm tables, sliced by source brightness band
 // [2^i, 2^(i+1)) and by month offset.
 //
-// Two implementations coexist: the map-based functions in this file
-// (the readable reference, retained as the differential-test oracle)
-// and the frozen sorted-key kernel in frozen.go (Freeze a Study once,
-// then every measurement is an allocation-free sorted-merge
-// intersection) that the pipeline's emitters run on.
+// Every measurement runs on the frozen sorted-key kernel: Freeze a Study
+// once (freeze.go), then each figure is an allocation-free sorted-merge
+// intersection over interned row IDs (frozen.go).
 package correlate
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/assoc"
 	"repro/internal/stats"
@@ -46,23 +42,6 @@ type Study struct {
 	Months    []MonthData
 }
 
-// bandOf extracts the snapshot's sources grouped into brightness bands.
-func bandOf(snap Snapshot) map[int][]string {
-	bands := make(map[int][]string)
-	for _, row := range snap.Sources.RowKeys() {
-		v, ok := snap.Sources.Get(row, "packets")
-		if !ok || !v.Numeric {
-			continue
-		}
-		b := stats.BandIndex(v.Num)
-		if b < 0 {
-			continue
-		}
-		bands[b] = append(bands[b], row)
-	}
-	return bands
-}
-
 // BandFraction is one point of the Figure 4 curve: of the telescope
 // sources with d in [2^Band, 2^(Band+1)), the fraction present in the
 // honeyfarm table.
@@ -74,33 +53,6 @@ type BandFraction struct {
 	Fraction float64 // Matched / Sources
 	CILo     float64 // 95% Wilson interval low edge
 	CIHi     float64 // 95% Wilson interval high edge
-}
-
-// PeakCorrelation computes the same-month correlation by brightness band
-// (Figure 4). Bands with no sources are omitted.
-func PeakCorrelation(snap Snapshot, month MonthData) []BandFraction {
-	bands := bandOf(snap)
-	out := make([]BandFraction, 0, len(bands))
-	for b, rows := range bands {
-		matched := 0
-		for _, r := range rows {
-			if month.Table.HasRow(r) {
-				matched++
-			}
-		}
-		lo, hi := stats.Wilson95(matched, len(rows))
-		out = append(out, BandFraction{
-			Band:     b,
-			D:        stats.BandLow(b),
-			Sources:  len(rows),
-			Matched:  matched,
-			Fraction: float64(matched) / float64(len(rows)),
-			CILo:     lo,
-			CIHi:     hi,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Band < out[j].Band })
-	return out
 }
 
 // PeakModel is the paper's empirical Figure 4 law:
@@ -127,37 +79,6 @@ type Series struct {
 	Fraction []float64
 }
 
-// TemporalCorrelation computes the Figure 5/6 curve for one snapshot and
-// one brightness band across all honeyfarm months. The returned series
-// has one point per month, in month order. Returns an error if the band
-// holds no sources.
-func TemporalCorrelation(snap Snapshot, months []MonthData, band int) (Series, error) {
-	rows := bandOf(snap)[band]
-	if len(rows) == 0 {
-		return Series{}, fmt.Errorf("correlate: snapshot %s has no sources in band 2^%d", snap.Label, band)
-	}
-	s := Series{
-		Snapshot: snap.Label,
-		Band:     band,
-		Sources:  len(rows),
-		Labels:   make([]string, len(months)),
-		Dt:       make([]float64, len(months)),
-		Fraction: make([]float64, len(months)),
-	}
-	for i, m := range months {
-		matched := 0
-		for _, r := range rows {
-			if m.Table.HasRow(r) {
-				matched++
-			}
-		}
-		s.Labels[i] = m.Label
-		s.Dt[i] = float64(m.Month) - snap.Month
-		s.Fraction[i] = float64(matched) / float64(len(rows))
-	}
-	return s, nil
-}
-
 // Fit fits the modified Cauchy model to the series using the paper's
 // peak-normalized ‖·‖½ procedure.
 func (s Series) Fit() stats.TemporalFit {
@@ -180,50 +101,4 @@ type BandFit struct {
 	Beta     float64
 	Drop     float64 // 1/(β+1), the one-month drop (Figure 8)
 	Residual float64
-}
-
-// FitSweep computes the modified-Cauchy fit for every band of the
-// snapshot that holds at least minSources sources, in ascending band
-// order (Figures 7 and 8's per-degree parameter curves).
-func FitSweep(snap Snapshot, months []MonthData, minSources int) []BandFit {
-	bands := bandOf(snap)
-	var keys []int
-	for b, rows := range bands {
-		if len(rows) >= minSources {
-			keys = append(keys, b)
-		}
-	}
-	sort.Ints(keys)
-	out := make([]BandFit, 0, len(keys))
-	for _, b := range keys {
-		series, err := TemporalCorrelation(snap, months, b)
-		if err != nil {
-			continue
-		}
-		fit := series.Fit()
-		mc := fit.Model.(stats.ModifiedCauchy)
-		out = append(out, BandFit{
-			Snapshot: snap.Label,
-			Band:     b,
-			D:        stats.BandLow(b),
-			Sources:  series.Sources,
-			Alpha:    mc.Alpha,
-			Beta:     mc.Beta,
-			Drop:     mc.OneMonthDrop(),
-			Residual: fit.Residual,
-		})
-	}
-	return out
-}
-
-// SameMonth returns the honeyfarm month coeval with the snapshot, or an
-// error when absent.
-func SameMonth(snap Snapshot, months []MonthData) (MonthData, error) {
-	idx := int(math.Floor(snap.Month))
-	for _, m := range months {
-		if m.Month == idx {
-			return m, nil
-		}
-	}
-	return MonthData{}, fmt.Errorf("correlate: no honeyfarm month %d for snapshot %s", idx, snap.Label)
 }

@@ -38,6 +38,21 @@ func synthStudy(bands []int, nPerBand int, snapMonth float64, months int,
 	return study
 }
 
+// sweep assembles Figures 7 and 8's per-band fits the way the report
+// graph does: one FitBand per SweepBands entry, in that order.
+func sweep(t *testing.T, f *Frozen, si, minSources int) []BandFit {
+	t.Helper()
+	out := []BandFit{} // non-nil like the reference sweep, for DeepEqual
+	for _, b := range f.SweepBands(si, minSources) {
+		fit, ok := f.FitBand(si, b)
+		if !ok {
+			t.Fatalf("snapshot %d band %d: FitBand not ok for a SweepBands entry", si, b)
+		}
+		out = append(out, fit)
+	}
+	return out
+}
+
 func TestPeakCorrelationExact(t *testing.T) {
 	study := synthStudy([]int{0, 4, 8}, 100, 5, 15, func(b int, dt float64) float64 {
 		if dt == 0 {
@@ -45,11 +60,12 @@ func TestPeakCorrelationExact(t *testing.T) {
 		}
 		return 0
 	})
-	month, err := SameMonth(study.Snapshots[0], study.Months)
+	f := Freeze(study, 1)
+	mi, err := f.SameMonthIndex(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fracs := PeakCorrelation(study.Snapshots[0], month)
+	fracs := f.PeakCorrelation(0, mi)
 	if len(fracs) != 3 {
 		t.Fatalf("bands = %d, want 3", len(fracs))
 	}
@@ -96,7 +112,7 @@ func TestTemporalCorrelationRecoverGroundTruth(t *testing.T) {
 	study := synthStudy([]int{6}, 1000, 5, 15, func(_ int, dt float64) float64 {
 		return peak * truth.Eval(dt)
 	})
-	series, err := TemporalCorrelation(study.Snapshots[0], study.Months, 6)
+	series, err := Freeze(study, 1).Temporal(0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +137,7 @@ func TestTemporalCorrelationRecoverGroundTruth(t *testing.T) {
 
 func TestTemporalCorrelationEmptyBand(t *testing.T) {
 	study := synthStudy([]int{3}, 10, 5, 15, func(int, float64) float64 { return 1 })
-	if _, err := TemporalCorrelation(study.Snapshots[0], study.Months, 9); err == nil {
+	if _, err := Freeze(study, 1).Temporal(0, 9); err == nil {
 		t.Error("empty band accepted")
 	}
 }
@@ -131,7 +147,7 @@ func TestFitAllPrefersModifiedCauchyOnCauchyishData(t *testing.T) {
 	study := synthStudy([]int{5}, 2000, 4, 15, func(_ int, dt float64) float64 {
 		return 0.7 * truth.Eval(dt)
 	})
-	series, err := TemporalCorrelation(study.Snapshots[0], study.Months, 5)
+	series, err := Freeze(study, 1).Temporal(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +167,7 @@ func TestFitSweepShape(t *testing.T) {
 		m := stats.ModifiedCauchy{Alpha: 1, Beta: betas[b]}
 		return 0.8 * m.Eval(dt)
 	})
-	fits := FitSweep(study.Snapshots[0], study.Months, 10)
+	fits := sweep(t, Freeze(study, 1), 0, 10)
 	if len(fits) != 3 {
 		t.Fatalf("sweep bands = %d, want 3", len(fits))
 	}
@@ -173,23 +189,22 @@ func TestFitSweepShape(t *testing.T) {
 
 func TestFitSweepMinSources(t *testing.T) {
 	study := synthStudy([]int{2}, 5, 5, 15, func(int, float64) float64 { return 1 })
-	if fits := FitSweep(study.Snapshots[0], study.Months, 10); len(fits) != 0 {
+	if fits := sweep(t, Freeze(study, 1), 0, 10); len(fits) != 0 {
 		t.Errorf("minSources filter ignored: %v", fits)
 	}
 }
 
 func TestSameMonth(t *testing.T) {
 	study := synthStudy([]int{2}, 5, 4.5, 15, func(int, float64) float64 { return 1 })
-	m, err := SameMonth(study.Snapshots[0], study.Months)
+	mi, err := Freeze(study, 1).SameMonthIndex(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Month != 4 {
-		t.Errorf("same month = %d, want 4 (floor of 4.5)", m.Month)
+	if got := study.Months[mi].Month; got != 4 {
+		t.Errorf("same month = %d, want 4 (floor of 4.5)", got)
 	}
-	snap := study.Snapshots[0]
-	snap.Month = 99
-	if _, err := SameMonth(snap, study.Months); err == nil {
+	study.Snapshots[0].Month = 99
+	if _, err := Freeze(study, 1).SameMonthIndex(0); err == nil {
 		t.Error("missing month accepted")
 	}
 }
@@ -201,7 +216,7 @@ func TestSnapshotIgnoresNonNumericRows(t *testing.T) {
 	snap.Sources.Set("3.3.3.3", "note", assoc.Str("no packets column"))
 	md := MonthData{Label: "m", Month: 0, Table: assoc.New()}
 	md.Table.Set("1.1.1.1", "seen", assoc.Num(1))
-	fracs := PeakCorrelation(snap, md)
+	fracs := Freeze(Study{Snapshots: []Snapshot{snap}, Months: []MonthData{md}}, 1).PeakCorrelation(0, 0)
 	total := 0
 	for _, bf := range fracs {
 		total += bf.Sources

@@ -1,32 +1,29 @@
 package correlate
 
-// frozen_parallel.go parallelizes Freeze over the repository's worker
-// pool. The serial Freeze interns row keys through one shared map, which
-// makes it inherently sequential (every insert orders against every
-// other); the parallel build replaces insertion-order interning with
-// rank interning, which decomposes:
+// freeze.go compiles a Study into a Frozen over the repository's worker
+// pool. Row keys are interned by rank — a key's ID is its position in
+// the sorted union of every table's keys — which, unlike interning
+// through one shared map in arrival order, decomposes:
 //
 //  1. Gather (parallel, one job per table): collect each month table's
 //     row keys and each snapshot's band-filtered row keys. Assoc.RowKeys
 //     is already sorted, so each unit's key list comes out sorted for
 //     free.
-//  2. Union (serial): pairwise-merge the sorted per-unit lists into one
-//     global sorted unique key list. A key's ID is its rank in this
-//     list.
+//  2. Union (on the caller): pairwise-merge the sorted per-unit lists
+//     into one global sorted unique key list. A key's ID is its rank in
+//     this list.
 //  3. Resolve (parallel, one job per table): walk each unit's sorted
 //     keys against the global list with a linear two-pointer merge,
-//     emitting interned IDs — ascending by construction, so the per-set
-//     sort the serial Freeze needs disappears entirely.
+//     emitting interned IDs — ascending by construction, so no per-set
+//     sort is needed.
 //
-// Rank IDs differ from Freeze's insertion-order IDs, but every Frozen
-// artifact is a set cardinality (|band ∩ month| under one shared ID
-// space), which is invariant under relabeling — Freeze stays the oracle
-// and TestFreezeParallelMatchesSerial pins artifact equality at every
-// worker count.
+// Every Frozen artifact is a set cardinality (|band ∩ month| under one
+// shared ID space), which does not care how keys were numbered or how
+// many workers numbered them; TestFrozenMatchesReference diffs every
+// artifact against the map-based reference at each worker count.
 
 import (
 	"context"
-	"runtime"
 	"sort"
 
 	"repro/internal/pool"
@@ -40,14 +37,14 @@ type unitKeys struct {
 	bands []int // aligned with keys; nil for months
 }
 
-// FreezeParallel is Freeze distributed across up to workers goroutines
-// (<= 0 picks GOMAXPROCS; 1 runs the same algorithm on the caller's
-// goroutine). The returned Frozen yields artifacts identical to
-// Freeze's on every figure.
-func FreezeParallel(study Study, workers int) *Frozen {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// Freeze interns every row key of the study into one uint32 ID space,
+// reduces each month table to a sorted ID set, and computes each
+// snapshot's brightness bands once, across up to workers goroutines
+// (pool semantics: <= 0 picks GOMAXPROCS, 1 is the caller's goroutine).
+// The input tables are read, never retained: later mutation of the
+// study does not invalidate the Frozen (it describes the study as it
+// was at freeze time).
+func Freeze(study Study, workers int) *Frozen {
 	nm, ns := len(study.Months), len(study.Snapshots)
 	units := make([]unitKeys, nm+ns)
 

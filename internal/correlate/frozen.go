@@ -9,21 +9,20 @@ package correlate
 // table and each snapshot brightness band becomes one sorted []uint32,
 // and a two-pointer merge counts the overlap.
 //
-// The map-based functions in correlate.go remain the reference
-// implementation; TestFrozenMatchesReference diffs the two on every
+// The readable map-based form of every measurement lives in
+// reference_test.go; TestFrozenMatchesReference diffs the two on every
 // artifact.
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/stats"
 )
 
 // Frozen is an immutable, interned compilation of a Study. Build one
-// with Freeze after the study's tables stop changing; all methods are
-// safe for concurrent use.
+// with Freeze (freeze.go) after the study's tables stop changing; all
+// methods are safe for concurrent use.
 type Frozen struct {
 	months []frozenMonth
 	snaps  []frozenSnapshot
@@ -45,64 +44,6 @@ type frozenSnapshot struct {
 type frozenBand struct {
 	band int
 	ids  []uint32 // sorted interned row IDs of the band's sources
-}
-
-// Freeze interns every row key of the study into one uint32 ID space,
-// reduces each month table to a sorted ID set, and computes each
-// snapshot's brightness bands once. The input tables are read, never
-// retained: later mutation of the study does not invalidate the Frozen
-// (it describes the study as it was at freeze time).
-func Freeze(study Study) *Frozen {
-	ids := make(map[string]uint32)
-	intern := func(key string) uint32 {
-		id, ok := ids[key]
-		if !ok {
-			id = uint32(len(ids))
-			ids[key] = id
-		}
-		return id
-	}
-
-	f := &Frozen{
-		months: make([]frozenMonth, 0, len(study.Months)),
-		snaps:  make([]frozenSnapshot, 0, len(study.Snapshots)),
-	}
-	for _, m := range study.Months {
-		keys := m.Table.RowKeys()
-		set := make([]uint32, len(keys))
-		for i, k := range keys {
-			set[i] = intern(k)
-		}
-		sortIDs(set)
-		f.months = append(f.months, frozenMonth{label: m.Label, month: m.Month, ids: set})
-	}
-	for _, snap := range study.Snapshots {
-		byBand := make(map[int][]uint32)
-		for _, row := range snap.Sources.RowKeys() {
-			v, ok := snap.Sources.Get(row, "packets")
-			if !ok || !v.Numeric {
-				continue
-			}
-			b := stats.BandIndex(v.Num)
-			if b < 0 {
-				continue
-			}
-			byBand[b] = append(byBand[b], intern(row))
-		}
-		fs := frozenSnapshot{label: snap.Label, month: snap.Month, nv: snap.NV,
-			bands: make([]frozenBand, 0, len(byBand))}
-		for b, set := range byBand {
-			sortIDs(set)
-			fs.bands = append(fs.bands, frozenBand{band: b, ids: set})
-		}
-		sort.Slice(fs.bands, func(i, j int) bool { return fs.bands[i].band < fs.bands[j].band })
-		f.snaps = append(f.snaps, fs)
-	}
-	return f
-}
-
-func sortIDs(ids []uint32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // countIntersect returns |a ∩ b| for two sorted ID sets by linear
@@ -152,7 +93,8 @@ func (f *Frozen) Bands(si int) []int {
 }
 
 // SameMonthIndex returns the index into the frozen months of the month
-// coeval with snapshot si, mirroring SameMonth.
+// coeval with snapshot si (the month holding floor(snapshot month)), or
+// an error when the study has no such month.
 func (f *Frozen) SameMonthIndex(si int) (int, error) {
 	idx := int(math.Floor(f.snaps[si].month))
 	for i := range f.months {
@@ -165,8 +107,8 @@ func (f *Frozen) SameMonthIndex(si int) (int, error) {
 
 // PeakInto computes snapshot si's same-month correlation by brightness
 // band against month mi (Figure 4) into dst, reusing its capacity; it
-// allocates nothing once dst is large enough. The result is identical
-// to PeakCorrelation on the unfrozen study.
+// allocates nothing once dst is large enough. Bands with no sources are
+// omitted.
 func (f *Frozen) PeakInto(dst []BandFraction, si, mi int) []BandFraction {
 	snap := &f.snaps[si]
 	month := &f.months[mi]
@@ -195,8 +137,9 @@ func (f *Frozen) PeakCorrelation(si, mi int) []BandFraction {
 
 // TemporalInto computes the Figure 5/6 temporal-correlation curve for
 // snapshot si and one brightness band into s, reusing its slices; it
-// allocates nothing once s's capacity covers the month count. Returns
-// an error when the band holds no sources, like TemporalCorrelation.
+// allocates nothing once s's capacity covers the month count. The
+// series has one point per month, in month order. Returns an error when
+// the band holds no sources.
 func (f *Frozen) TemporalInto(s *Series, si, band int) error {
 	snap := &f.snaps[si]
 	ids := snap.bandIDs(band)
@@ -229,43 +172,11 @@ func (f *Frozen) Temporal(si, band int) (Series, error) {
 	return s, nil
 }
 
-// FitSweep computes the modified-Cauchy fit for every band of snapshot
-// si holding at least minSources sources, in ascending band order —
-// identical to FitSweep on the unfrozen study, with the temporal series
-// built through one reused scratch instead of per-band maps.
-func (f *Frozen) FitSweep(si, minSources int) []BandFit {
-	snap := &f.snaps[si]
-	out := make([]BandFit, 0, len(snap.bands))
-	var s Series
-	for i := range snap.bands {
-		b := &snap.bands[i]
-		if len(b.ids) < minSources {
-			continue
-		}
-		if err := f.TemporalInto(&s, si, b.band); err != nil {
-			continue
-		}
-		fit := s.Fit()
-		mc := fit.Model.(stats.ModifiedCauchy)
-		out = append(out, BandFit{
-			Snapshot: snap.label,
-			Band:     b.band,
-			D:        stats.BandLow(b.band),
-			Sources:  s.Sources,
-			Alpha:    mc.Alpha,
-			Beta:     mc.Beta,
-			Drop:     mc.OneMonthDrop(),
-			Residual: fit.Residual,
-		})
-	}
-	return out
-}
-
 // SweepBands returns the bands of snapshot si holding at least
-// minSources sources, in ascending band order — FitSweep's job list,
-// exposed so callers (the report graph) can fan one FitBand job per
-// (snapshot, band) across a worker pool and assemble the sweep in this
-// deterministic order.
+// minSources sources, in ascending band order: the job list of Figures
+// 7 and 8's per-degree parameter sweep. The report graph fans one
+// FitBand job per (snapshot, band) across the worker pool and assembles
+// the sweep in this deterministic order.
 func (f *Frozen) SweepBands(si, minSources int) []int {
 	snap := &f.snaps[si]
 	out := make([]int, 0, len(snap.bands))
@@ -278,10 +189,10 @@ func (f *Frozen) SweepBands(si, minSources int) []int {
 }
 
 // FitBand computes the modified-Cauchy fit for one (snapshot, band)
-// pair — exactly one iteration of FitSweep's loop, with a private
-// scratch series so any number of FitBand calls may run concurrently.
-// It returns ok=false when the band holds no sources (the case
-// FitSweep skips). TestFitBandMatchesSweep pins the equivalence.
+// pair, with a private scratch series so any number of FitBand calls
+// may run concurrently. It returns ok=false when the band holds no
+// sources. TestFitBandMatchesSweep pins FitBand over SweepBands to the
+// map-based reference sweep.
 func (f *Frozen) FitBand(si, band int) (BandFit, bool) {
 	snap := &f.snaps[si]
 	var s Series

@@ -1,12 +1,15 @@
 package correlate
 
 // frozen_test.go holds the sorted-key kernel to the map-based reference
-// implementation: identical artifacts on every figure, zero allocations
-// at steady state, and a property test on the merge intersection.
+// (reference_test.go): identical artifacts on every figure, zero
+// allocations at steady state, and a property test on the merge
+// intersection.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,24 +26,20 @@ func frozenFixture() Study {
 	})
 }
 
-// TestFrozenMatchesReference diffs both Frozen builders — the serial
-// insertion-order interner and the parallel rank interner — against the
-// map-based reference on every artifact.
+// TestFrozenMatchesReference diffs the frozen kernel against the
+// map-based reference on every artifact, at every worker count the
+// build can be asked for: zero (GOMAXPROCS), the caller alone, odd
+// counts, and more workers than tables. Rank IDs are internal; the
+// comparison is on the measurements.
 func TestFrozenMatchesReference(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		freeze func(Study) *Frozen
-	}{
-		{"serial", Freeze},
-		{"parallel", func(s Study) *Frozen { return FreezeParallel(s, 4) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) { testFrozenMatchesReference(t, tc.freeze) })
+	for _, workers := range []int{0, 1, 2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testFrozenMatchesReference(t, workers) })
 	}
 }
 
-func testFrozenMatchesReference(t *testing.T, freeze func(Study) *Frozen) {
+func testFrozenMatchesReference(t *testing.T, workers int) {
 	study := frozenFixture()
-	f := freeze(study)
+	f := Freeze(study, workers)
 	if f.Months() != len(study.Months) || f.Snapshots() != len(study.Snapshots) {
 		t.Fatalf("frozen shape %d/%d, want %d/%d",
 			f.Months(), f.Snapshots(), len(study.Months), len(study.Snapshots))
@@ -85,78 +84,24 @@ func testFrozenMatchesReference(t *testing.T, freeze func(Study) *Frozen) {
 		}
 
 		// Figures 7/8: the fit sweep.
-		wantFits := FitSweep(snap, study.Months, 10)
-		gotFits := f.FitSweep(si, 10)
-		if !reflect.DeepEqual(gotFits, wantFits) {
-			t.Errorf("FitSweep differs:\nfrozen %+v\nmap    %+v", gotFits, wantFits)
-		}
-	}
-}
-
-// TestFreezeParallelMatchesSerial sweeps worker counts and checks the
-// parallel build yields artifacts identical to the serial Freeze on
-// every figure. The two builders assign different IDs (insertion order
-// vs global rank), so the comparison is on the measurements — which are
-// set cardinalities, invariant under ID relabeling — not on internals.
-func TestFreezeParallelMatchesSerial(t *testing.T) {
-	study := frozenFixture()
-	serial := Freeze(study)
-	for _, workers := range []int{0, 1, 2, 3, 8} {
-		par := FreezeParallel(study, workers)
-		if par.Months() != serial.Months() || par.Snapshots() != serial.Snapshots() {
-			t.Fatalf("workers=%d: shape %d/%d, want %d/%d",
-				workers, par.Months(), par.Snapshots(), serial.Months(), serial.Snapshots())
-		}
-		for si := 0; si < serial.Snapshots(); si++ {
-			if !reflect.DeepEqual(par.Bands(si), serial.Bands(si)) {
-				t.Fatalf("workers=%d snapshot %d: bands %v, want %v",
-					workers, si, par.Bands(si), serial.Bands(si))
-			}
-			mi, err := serial.SameMonthIndex(si)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pmi, err := par.SameMonthIndex(si)
-			if err != nil || pmi != mi {
-				t.Fatalf("workers=%d snapshot %d: SameMonthIndex %d/%v, want %d", workers, si, pmi, err, mi)
-			}
-			if got, want := par.PeakCorrelation(si, mi), serial.PeakCorrelation(si, mi); !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d snapshot %d: PeakCorrelation differs:\npar    %+v\nserial %+v", workers, si, got, want)
-			}
-			for _, b := range serial.Bands(si) {
-				got, gotErr := par.Temporal(si, b)
-				want, wantErr := serial.Temporal(si, b)
-				if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d snapshot %d band %d: Temporal differs", workers, si, b)
-				}
-			}
-			if got, want := par.FitSweep(si, 10), serial.FitSweep(si, 10); !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d snapshot %d: FitSweep differs:\npar    %+v\nserial %+v", workers, si, got, want)
-			}
+		if got, want := sweep(t, f, si, 10), FitSweep(snap, study.Months, 10); !reflect.DeepEqual(got, want) {
+			t.Errorf("FitSweep differs:\nfrozen %+v\nmap    %+v", got, want)
 		}
 	}
 }
 
 // TestFitBandMatchesSweep pins the decomposition the report graph's
-// parallel fit fan-out relies on: SweepBands lists exactly the bands
-// FitSweep fits, and FitBand reproduces each FitSweep entry
-// bit-for-bit — so jobs assembled in SweepBands order are
-// byte-identical to the serial sweep at any worker count.
+// fit fan-out relies on: SweepBands lists exactly the bands the
+// map-based reference sweep fits, and FitBand reproduces each of its
+// entries bit-for-bit — so jobs assembled in SweepBands order are
+// byte-identical to that sweep at any worker count.
 func TestFitBandMatchesSweep(t *testing.T) {
 	study := frozenFixture()
-	f := Freeze(study)
-	for si := range study.Snapshots {
+	f := Freeze(study, 0)
+	for si, snap := range study.Snapshots {
 		for _, min := range []int{1, 10, 50} {
-			want := f.FitSweep(si, min)
-			bands := f.SweepBands(si, min)
-			got := make([]BandFit, 0, len(bands))
-			for _, b := range bands {
-				fit, ok := f.FitBand(si, b)
-				if !ok {
-					t.Fatalf("snapshot %d band %d: FitBand not ok for a SweepBands entry", si, b)
-				}
-				got = append(got, fit)
-			}
+			want := FitSweep(snap, study.Months, min)
+			got := sweep(t, f, si, min)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("snapshot %d min=%d: FitBand assembly differs:\njobs  %+v\nsweep %+v", si, min, got, want)
 			}
@@ -170,7 +115,7 @@ func TestFitBandMatchesSweep(t *testing.T) {
 func TestFrozenSameMonthMissing(t *testing.T) {
 	study := frozenFixture()
 	study.Snapshots[0].Month = 99
-	f := Freeze(study)
+	f := Freeze(study, 1)
 	if _, err := f.SameMonthIndex(0); err == nil || !strings.Contains(err.Error(), "no honeyfarm month") {
 		t.Errorf("missing month: err = %v", err)
 	}
@@ -184,7 +129,7 @@ func TestFrozenKernelsAllocFree(t *testing.T) {
 		t.Skip("allocation accounting is perturbed under the race detector")
 	}
 	study := frozenFixture()
-	f := Freeze(study)
+	f := Freeze(study, 1)
 	mi, err := f.SameMonthIndex(0)
 	if err != nil {
 		t.Fatal(err)
@@ -245,34 +190,27 @@ func randomIDSet(rng *rand.Rand, n int) []uint32 {
 		seen[v] = true
 		out = append(out, v)
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
-// BenchmarkFreeze measures the one-time interning cost of a study.
+// BenchmarkFreeze measures the one-time interning cost of a study, on
+// the caller's goroutine alone and at full fan-out.
 func BenchmarkFreeze(b *testing.B) {
 	study := frozenFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Freeze(study)
-	}
-}
-
-// BenchmarkFreezeParallel measures the pooled rank-interning build at
-// full fan-out.
-func BenchmarkFreezeParallel(b *testing.B) {
-	study := frozenFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FreezeParallel(study, 0)
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Freeze(study, workers)
+			}
+		})
 	}
 }
 
 // BenchmarkCorrelatePeak measures the Figure 4 kernel at steady state.
 func BenchmarkCorrelatePeak(b *testing.B) {
-	f := Freeze(frozenFixture())
+	f := Freeze(frozenFixture(), 1)
 	mi, err := f.SameMonthIndex(0)
 	if err != nil {
 		b.Fatal(err)
@@ -288,7 +226,7 @@ func BenchmarkCorrelatePeak(b *testing.B) {
 // BenchmarkCorrelateTemporal measures the Figure 5/6 kernel at steady
 // state.
 func BenchmarkCorrelateTemporal(b *testing.B) {
-	f := Freeze(frozenFixture())
+	f := Freeze(frozenFixture(), 1)
 	band := f.Bands(0)[len(f.Bands(0))-1]
 	var s Series
 	if err := f.TemporalInto(&s, 0, band); err != nil {
@@ -303,11 +241,12 @@ func BenchmarkCorrelateTemporal(b *testing.B) {
 	}
 }
 
-// BenchmarkCorrelateTemporalMap is the retained map-based reference,
-// for the speedup comparison in benchmark output.
+// BenchmarkCorrelateTemporalMap is the map-based reference, for the
+// speedup comparison in benchmark output.
 func BenchmarkCorrelateTemporalMap(b *testing.B) {
 	study := frozenFixture()
-	band := Freeze(study).Bands(0)[len(Freeze(study).Bands(0))-1]
+	bands := Freeze(study, 1).Bands(0)
+	band := bands[len(bands)-1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -180,7 +180,7 @@ func New(cfg core.Config) (*Daemon, error) {
 			Fig5Band:       cfg.Fig5Band(),
 			Fig6Bands:      cfg.Fig6Bands(),
 			MinBandSources: cfg.MinBandSources,
-			Workers:        cfg.ReportWorkers,
+			Workers:        cfg.Workers,
 		},
 	})
 	d.stopC = make(chan struct{})

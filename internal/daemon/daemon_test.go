@@ -34,8 +34,7 @@ func testConfig() core.Config {
 	cfg.Radiation.Months = 7
 	cfg.NV = 1 << 12
 	cfg.LeafSize = 1 << 8
-	cfg.StudyWorkers = 1
-	cfg.ReportWorkers = 1
+	cfg.Workers = 1
 	cfg.SnapshotTimes = cfg.SnapshotTimes[:2] // June + July fall inside the 7 months
 	return cfg
 }

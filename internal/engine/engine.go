@@ -8,35 +8,35 @@
 // The engine is the parallel counterpart of the paper's construction:
 // NV = 2^17-packet leaves are built independently and hierarchically
 // summed into a 2^30-packet window. Because matrix addition is
-// commutative and associative, the sharded build produces exactly the
-// same matrix as the serial build — only the leaf boundaries differ —
-// which is what makes Workers=1 a usable correctness oracle for any
-// worker count.
+// commutative and associative, every shard count produces exactly the
+// same matrix — only the leaf boundaries differ. There is one capture
+// loop: Workers=1 is one shard of it, not a second implementation.
 //
 // # Filter timestamp-parity rule
 //
 // The validity filter runs inside the shard workers, not on the reader
-// goroutine, yet filtered windows are byte-identical to the serial
-// oracle. Two rules make that hold:
+// goroutine, yet a filtered window is byte-identical to what a
+// per-packet loop over the same stream would cut. Two rules make that
+// hold:
 //
 //  1. Slab cap: every slab read is capped at the number of accepted
 //     packets the window still needs (nv - NV). Accepted <= raw, so the
 //     window can only reach nv on a slab that was accepted in full —
 //     the nv-th accepted packet is always the last raw packet of its
-//     slab, the consumed stream prefix equals the per-packet oracle's,
+//     slab, the consumed stream prefix equals a per-packet loop's,
 //     and a dropped packet can never shift a window boundary.
 //  2. Ordered merge: workers filter disjoint chunks of one slab behind
 //     a per-slab barrier and report per-chunk accept counts and
 //     first/last accepted timestamps; the reader merges those in chunk
 //     (= stream) order, so Start/End/NV/Dropped are computed in exactly
-//     the order the serial loop would have seen the packets.
+//     the order a per-packet loop would have seen the packets.
 //
 // The reader overlaps I/O with the barrier: while workers chew slab k
 // it speculatively reads up to nv - NV - len(slab k) further packets —
 // at least that many are still needed even if slab k is accepted in
-// full, so speculation never consumes a packet the oracle would have
-// left in the source (multi-window captures over one shared source cut
-// identical boundaries).
+// full, so speculation never consumes a packet a per-packet loop would
+// have left in the source (multi-window captures over one shared source
+// cut identical boundaries).
 package engine
 
 import (
@@ -50,11 +50,16 @@ import (
 	"repro/internal/pcap"
 )
 
-// PacketSource yields packets in time order; Next returns false when the
-// stream is exhausted. It is structurally identical to the telescope's
-// PacketSource, so any source usable there plugs in here.
-type PacketSource interface {
-	Next(*pcap.Packet) bool
+// Source yields packets in time order, a slab per call: NextBatch fills
+// dst from the front and returns how many packets it produced; 0 means
+// the stream is exhausted. Calls with different len(dst) must yield the
+// same packets in the same order — only the slab boundaries move — so
+// the reader is free to cap each slab at the number of packets the
+// window still needs (see the timestamp-parity rule above) and a
+// capture never consumes a packet a per-packet loop would have left in
+// the source.
+type Source interface {
+	NextBatch(dst []pcap.Packet) int
 }
 
 // Errorer is optionally implemented by sources that can fail mid-stream
@@ -64,43 +69,10 @@ type Errorer interface {
 	Err() error
 }
 
-// BatchSource is optionally implemented by sources that can emit many
-// packets per call (radiation.Stream, telescope.ReaderSource). NextBatch
-// must fill dst from the front and return how many packets were
-// produced, behaving exactly like len(dst) successful Next calls: same
-// packets, same order, same stream position. When a source implements
-// it, the engine's reader pulls slabs instead of single packets,
-// amortizing the per-packet dispatch that otherwise bottlenecks every
-// shard worker behind the reader goroutine.
-//
-// The reader caps each slab at the number of packets still missing from
-// the window (see the timestamp-parity rule above), so a capture never
-// consumes a packet the per-packet path would have left in the source:
-// multi-window captures over one shared source cut identical window
-// boundaries either way.
-type BatchSource interface {
-	NextBatch(dst []pcap.Packet) int
-}
-
-// batchAdapter lifts a per-packet source to the BatchSource contract by
-// repeated Next calls, so the capture paths carry exactly one reader
-// loop each (the slab loop) instead of a slab/per-packet pair that must
-// be kept in sync. The slab-size cap in the capture loops makes this
-// consume exactly the packets a per-packet loop would (see BatchSource).
-type batchAdapter struct{ src PacketSource }
-
-func (a batchAdapter) NextBatch(dst []pcap.Packet) int {
-	n := 0
-	for n < len(dst) && a.src.Next(&dst[n]) {
-		n++
-	}
-	return n
-}
-
 // Filter reports whether a packet belongs in the window (the telescope's
-// validity filter). It is compiled/constructed once per engine and, with
-// Workers > 1, evaluated concurrently on the shard workers — it must be
-// safe for concurrent use (pcap.Filter's compiled closures are).
+// validity filter). It is compiled/constructed once per engine and
+// evaluated concurrently on the shard workers — it must be safe for
+// concurrent use (pcap.Filter's compiled closures are).
 type Filter func(*pcap.Packet) bool
 
 // Pair is one accepted packet reduced to its matrix coordinates.
@@ -108,43 +80,29 @@ type Pair struct {
 	Row, Col uint32
 }
 
-// Mapper converts an accepted packet to matrix coordinates; CryptoPAN
-// anonymization lives here. With Workers > 1 it runs concurrently on the
-// shard workers and must be safe for concurrent use.
-type Mapper func(*pcap.Packet) Pair
-
-// MapperFactory builds one Mapper per shard worker for each capture.
-// Each returned Mapper is only ever called from its own worker
-// goroutine, so it may keep unsynchronized per-worker state (the
-// telescope hangs a lock-free L1 anonymization memo here). Every Mapper
-// produced by one factory must compute the same function.
-type SlabMapperFactory func(shard int) SlabMapper
-
 // SlabMapper converts a slab of accepted packets to matrix coordinates:
-// dst[i] must receive pkts[i]'s pair, for all i (len(dst) >= len(pkts)).
-// Slab granularity lets the mapper batch its own internals — the
-// telescope anonymizes a whole slab of addresses through one batched
-// CryptoPAN call instead of two scalar calls per packet. Like Mapper, a
-// SlabMapper from one factory shard is only ever called from its own
-// worker goroutine and may keep unsynchronized per-worker state, and
-// every mapper from one factory must compute the same per-packet
-// function.
+// dst[i] must receive pkts[i]'s pair, for all i (len(dst) >= len(pkts));
+// CryptoPAN anonymization lives here. Slab granularity lets the mapper
+// batch its own internals — the telescope anonymizes a whole slab of
+// addresses through one batched CryptoPAN call instead of two scalar
+// calls per packet.
 type SlabMapper func(pkts []pcap.Packet, dst []Pair)
 
-// MapperFactory builds one Mapper per shard worker for each capture —
-// the per-packet counterpart of SlabMapperFactory, lifted by
-// NewPerWorker.
-type MapperFactory func(shard int) Mapper
+// SlabMapperFactory builds one SlabMapper per shard worker for each
+// capture. Each returned mapper is only ever called from its own worker
+// goroutine, so it may keep unsynchronized per-worker state (the
+// telescope hangs a lock-free L1 anonymization memo here). Every mapper
+// produced by one factory must compute the same per-packet function.
+type SlabMapperFactory func(shard int) SlabMapper
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the shard-worker count: 1 runs the serial degenerate
-	// path (the correctness oracle), <= 0 uses GOMAXPROCS.
+	// Workers is the shard-worker count; <= 0 uses GOMAXPROCS.
 	Workers int
 	// LeafSize is the number of entries per leaf matrix (the paper's
 	// leaf NV is 2^17).
 	LeafSize int
-	// Batch is the per-worker chunk granularity: a sharded slab holds up
+	// Batch is the per-worker chunk granularity: a slab holds up
 	// to Batch x Workers raw packets and is split into Workers chunks of
 	// at most Batch packets; 0 defaults to LeafSize so one chunk can
 	// fill one leaf.
@@ -170,50 +128,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Engine is a configured, reusable window builder. Construct with New,
-// NewPerWorker, or NewPerWorkerSlab.
+// Engine is a configured, reusable window builder. Construct with New.
 type Engine struct {
 	cfg      Config
 	filter   Filter
 	factory  SlabMapperFactory
-	pool     sync.Pool // serial-path slab buffers (Batch packets)
-	slabPool sync.Pool // sharded-path double buffers (Batch x Workers packets)
+	slabPool sync.Pool // the reader's double buffers (Batch x Workers packets)
 	pairPool sync.Pool // per-worker coordinate slabs (Batch pairs)
 	accPool  sync.Pool // shard accumulators, retained across windows
 }
 
-// New builds an Engine from a validity filter and a coordinate mapper.
-// A nil filter accepts every packet.
-func New(cfg Config, filter Filter, mapper Mapper) (*Engine, error) {
-	if mapper == nil {
-		return nil, fmt.Errorf("engine: mapper required")
-	}
-	return NewPerWorker(cfg, filter, func(int) Mapper { return mapper })
-}
-
-// NewPerWorker builds an Engine whose shard workers each get their own
-// Mapper from factory at the start of every capture; use it when the
-// mapper benefits from per-worker state. A nil filter accepts every
-// packet.
-func NewPerWorker(cfg Config, filter Filter, factory MapperFactory) (*Engine, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("engine: mapper factory required")
-	}
-	return NewPerWorkerSlab(cfg, filter, func(shard int) SlabMapper {
-		m := factory(shard)
-		return func(pkts []pcap.Packet, dst []Pair) {
-			for i := range pkts {
-				dst[i] = m(&pkts[i])
-			}
-		}
-	})
-}
-
-// NewPerWorkerSlab builds an Engine whose shard workers map whole
-// accepted-packet slabs at a time through per-worker SlabMappers; use it
-// when the mapper can batch its own internals (the telescope's batched
-// CryptoPAN anonymization). A nil filter accepts every packet.
-func NewPerWorkerSlab(cfg Config, filter Filter, factory SlabMapperFactory) (*Engine, error) {
+// New builds an Engine whose shard workers each take their own
+// SlabMapper from factory at the start of every capture. A nil filter
+// accepts every packet.
+func New(cfg Config, filter Filter, factory SlabMapperFactory) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -225,10 +153,6 @@ func NewPerWorkerSlab(cfg Config, filter Filter, factory SlabMapperFactory) (*En
 	}
 	cfg = cfg.normalized()
 	e := &Engine{cfg: cfg, filter: filter, factory: factory}
-	e.pool.New = func() interface{} {
-		s := make([]pcap.Packet, 0, cfg.Batch)
-		return &s
-	}
 	e.slabPool.New = func() interface{} {
 		s := make([]pcap.Packet, 0, cfg.Batch*cfg.Workers)
 		return &s
@@ -253,121 +177,17 @@ type Window struct {
 	NV         int // valid packets in the matrix
 	Dropped    int // packets rejected by the filter
 	Leaves     int // leaf matrices cut across all shards
-	Shards     int // shard workers that contributed leaves
+	Shards     int // shard workers that contributed leaves; 0 for an empty capture
 	// ShardDrops is the filter's per-shard drop accounting (index =
 	// shard worker). The distribution across shards depends on which
-	// worker filtered which chunk, but the sum always equals Dropped —
-	// and Dropped itself is identical to the serial oracle's count. The
-	// serial path reports one shard.
+	// worker filtered which chunk, but the sum always equals Dropped,
+	// which is the same at every shard count.
 	ShardDrops []int
 	Matrix     *hypersparse.Matrix
 }
 
 // Duration returns the wall-clock span of the window.
 func (w *Window) Duration() time.Duration { return w.End.Sub(w.Start) }
-
-// CaptureWindow reads from src until nv accepted packets are collected
-// (or the stream ends), building the window matrix with the configured
-// shard count. The capture stops early with ctx.Err() when ctx is
-// cancelled; no goroutines outlive the call.
-func (e *Engine) CaptureWindow(ctx context.Context, src PacketSource, nv int) (*Window, error) {
-	if nv <= 0 {
-		return nil, fmt.Errorf("engine: window size must be positive, got %d", nv)
-	}
-	bs, ok := src.(BatchSource)
-	if !ok {
-		bs = batchAdapter{src: src}
-	}
-	var w *Window
-	var err error
-	if e.cfg.Workers == 1 {
-		w, err = e.captureSerial(ctx, bs, nv)
-	} else {
-		w, err = e.captureSharded(ctx, bs, nv)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if es, ok := src.(Errorer); ok {
-		if serr := es.Err(); serr != nil {
-			return nil, serr
-		}
-	}
-	return w, nil
-}
-
-// ctxPollInterval bounds how many packets are read between context
-// polls on the serial path, so an abandoned capture stops promptly even
-// when the filter rejects everything. The sharded path polls once per
-// slab, which bounds the same latency at one slab's work.
-const ctxPollInterval = 4096
-
-// captureSerial is the Workers=1 degenerate path: one goroutine
-// interleaves filtering, mapping, and leaf assembly, exactly mirroring
-// the pre-engine telescope build. It is kept as the correctness oracle
-// the sharded path is diffed against. Filtering compacts each slab's
-// accepted packets in place so the slab mapper sees one contiguous run,
-// same as on the shard workers.
-func (e *Engine) captureSerial(ctx context.Context, src BatchSource, nv int) (*Window, error) {
-	acc := e.getAcc()
-	defer e.accPool.Put(acc)
-	mapper := e.factory(0)
-	pairsBuf := e.getPairs()
-	defer e.putPairs(pairsBuf)
-	pairs := *pairsBuf
-	w := &Window{Shards: 1}
-	raw := e.getBatch()
-	defer e.putBatch(raw)
-	slab := (*raw)[:cap(*raw)]
-	read := 0
-	for w.NV < nv {
-		want := nv - w.NV
-		if want > len(slab) {
-			want = len(slab)
-		}
-		n := src.NextBatch(slab[:want])
-		if n == 0 {
-			break
-		}
-		if read += n; read >= ctxPollInterval {
-			read = 0
-			if ctx.Err() != nil {
-				acc.Discard() // O(1) reset before returning to the pool; no merge
-				return nil, ctx.Err()
-			}
-		}
-		kept := 0
-		for i := range slab[:n] {
-			pkt := &slab[i]
-			if !e.filter(pkt) {
-				w.Dropped++
-				continue
-			}
-			if w.NV+kept == 0 {
-				w.Start = pkt.Time
-			}
-			w.End = pkt.Time
-			if kept != i {
-				slab[kept] = *pkt
-			}
-			kept++
-		}
-		if kept > 0 {
-			mapper(slab[:kept], pairs[:kept])
-			for _, p := range pairs[:kept] {
-				acc.Add(p.Row, p.Col, 1)
-			}
-			w.NV += kept
-		}
-	}
-	w.Leaves = acc.Leaves()
-	if w.NV%e.cfg.LeafSize != 0 {
-		w.Leaves++ // partial tail leaf
-	}
-	w.ShardDrops = []int{w.Dropped}
-	w.Matrix = acc.Finish()
-	return w, nil
-}
 
 // chunkTask is one contiguous span of the current slab handed to a
 // shard worker: filter, map, accumulate, report into res, then release
@@ -394,13 +214,21 @@ type shardResult struct {
 	drops  int
 }
 
-// captureSharded is the parallel path: the caller's goroutine reads raw
-// slabs and splits each into Workers chunks behind a per-slab barrier;
-// the shard workers filter, map, and accumulate their chunks in
-// parallel (per-shard drop counters, merged after the capture), while
-// the reader speculatively pre-reads the next slab. See the package
-// comment for the parity argument.
-func (e *Engine) captureSharded(ctx context.Context, src BatchSource, nv int) (*Window, error) {
+// CaptureWindow reads from src until nv accepted packets are collected
+// (or the stream ends), building the window matrix with the configured
+// shard count: the caller's goroutine reads raw slabs and splits each
+// into Workers chunks behind a per-slab barrier; the shard workers
+// filter, map, and accumulate their chunks in parallel (per-shard drop
+// counters, merged after the capture), while the reader speculatively
+// pre-reads the next slab. See the package comment for the parity
+// argument. The capture stops early with ctx.Err() when ctx is
+// cancelled — polled once per slab, so an abandoned capture stops
+// within one slab's work even when the filter rejects everything — and
+// no goroutines outlive the call.
+func (e *Engine) CaptureWindow(ctx context.Context, src Source, nv int) (*Window, error) {
+	if nv <= 0 {
+		return nil, fmt.Errorf("engine: window size must be positive, got %d", nv)
+	}
 	workers := e.cfg.Workers
 	// One task channel per worker: chunk i of every slab goes to shard
 	// worker i. The deterministic assignment makes leaf and drop
@@ -459,8 +287,8 @@ func (e *Engine) captureSharded(ctx context.Context, src BatchSource, nv int) (*
 		// Speculative read-ahead, overlapped with the workers: even if
 		// the in-flight slab is accepted in full the window still needs
 		// nv - NV - curN more packets, so reading that many can never
-		// overrun the oracle's consumed prefix. spec > 0 only when the
-		// window cannot complete on the in-flight slab.
+		// overrun a per-packet loop's consumed prefix. spec > 0 only when
+		// the window cannot complete on the in-flight slab.
 		spec := nv - w.NV - curN
 		if spec > len(next) {
 			spec = len(next)
@@ -509,6 +337,9 @@ func (e *Engine) captureSharded(ctx context.Context, src BatchSource, nv int) (*
 
 	if readErr == nil {
 		readErr = ctx.Err()
+	}
+	if es, ok := src.(Errorer); ok && readErr == nil {
+		readErr = es.Err()
 	}
 	if readErr != nil {
 		// Drain results so shard matrices are released before returning.
@@ -600,16 +431,6 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkT
 // so repeated windows allocate nothing for leaf assembly.
 func (e *Engine) getAcc() *hypersparse.Accumulator {
 	return e.accPool.Get().(*hypersparse.Accumulator)
-}
-
-func (e *Engine) getBatch() *[]pcap.Packet {
-	b := e.pool.Get().(*[]pcap.Packet)
-	*b = (*b)[:0]
-	return b
-}
-
-func (e *Engine) putBatch(b *[]pcap.Packet) {
-	e.pool.Put(b)
 }
 
 func (e *Engine) getSlab() *[]pcap.Packet {

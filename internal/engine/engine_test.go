@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hypersparse"
 	"repro/internal/ipaddr"
 	"repro/internal/netquant"
 	"repro/internal/pcap"
@@ -30,26 +29,20 @@ func testStream(t testing.TB, seed int64) (*radiation.Stream, ipaddr.Prefix) {
 	return pop.TelescopeStream(3, time.Unix(0, 0)), cfg.Darkspace
 }
 
+// darkFilter is the telescope's validity rule on raw addresses.
+func darkFilter(dark ipaddr.Prefix) Filter {
+	return func(p *pcap.Packet) bool { return dark.Contains(p.Dst) && !ipaddr.IsPrivate(p.Src) }
+}
+
 // testEngine builds an engine with a darkspace validity filter and an
 // identity coordinate mapper.
 func testEngine(t testing.TB, cfg Config, dark ipaddr.Prefix) *Engine {
 	t.Helper()
-	e, err := New(cfg,
-		func(p *pcap.Packet) bool { return dark.Contains(p.Dst) && !ipaddr.IsPrivate(p.Src) },
-		func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
+	e, err := New(cfg, darkFilter(dark), perShard(identity))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
-}
-
-func entries(m *hypersparse.Matrix) []hypersparse.Entry {
-	var out []hypersparse.Entry
-	m.Iterate(func(e hypersparse.Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -57,9 +50,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("LeafSize=0 accepted")
 	}
 	if _, err := New(Config{LeafSize: 8}, nil, nil); err == nil {
-		t.Error("nil mapper accepted")
+		t.Error("nil mapper factory accepted")
 	}
-	e, err := New(Config{LeafSize: 8}, nil, func(*pcap.Packet) Pair { return Pair{} })
+	e, err := New(Config{LeafSize: 8}, nil, perShard(identity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,58 +63,41 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestShardedMatchesSerial is the engine's core invariant: for a fixed
-// seed, every worker count produces the exact same window — same NV and
-// drop accounting, same matrix entries, same netquant Table II
-// quantities — because the matrix is a commutative sum of the same
-// triples regardless of how leaves are sharded. Run under -race this is
-// also the concurrency soundness test.
+// seed, every worker count — one included — produces the exact window
+// the naive per-packet reference cuts from the same stream: same NV and
+// drop accounting, same span, same matrix entries, and with them the
+// same netquant Table II quantities at every count. Run under -race
+// this is also the concurrency soundness test.
 func TestShardedMatchesSerial(t *testing.T) {
 	const nv = 1 << 13
-	capture := func(workers int) *Window {
-		st, dark := testStream(t, 7)
+	refStream, dark := testStream(t, 7)
+	want := referenceWindow(refStream, darkFilter(dark), identity, nv)
+	if want.NV != nv {
+		t.Fatalf("reference NV = %d, want %d", want.NV, nv)
+	}
+	var wantQ netquant.Quantities
+	for _, workers := range []int{1, 2, 4, 8} {
+		st, _ := testStream(t, 7)
 		e := testEngine(t, Config{Workers: workers, LeafSize: 1 << 9, Batch: 128}, dark)
 		w, err := e.CaptureWindow(context.Background(), st, nv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w
-	}
-	serial := capture(1)
-	if serial.NV != nv {
-		t.Fatalf("serial NV = %d, want %d", serial.NV, nv)
-	}
-	want := entries(serial.Matrix)
-	wantQ := netquant.Compute(serial.Matrix)
-	for _, workers := range []int{2, 4, 8} {
-		sharded := capture(workers)
-		if sharded.NV != serial.NV || sharded.Dropped != serial.Dropped {
-			t.Fatalf("workers=%d: NV/Dropped %d/%d, want %d/%d",
-				workers, sharded.NV, sharded.Dropped, serial.NV, serial.Dropped)
+		if err := diffWindow(w, want, e.Config()); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !sharded.Start.Equal(serial.Start) || !sharded.End.Equal(serial.End) {
-			t.Errorf("workers=%d: window span differs", workers)
-		}
-		if sharded.Matrix.NNZ() != serial.Matrix.NNZ() {
-			t.Fatalf("workers=%d: NNZ %d, want %d", workers, sharded.Matrix.NNZ(), serial.Matrix.NNZ())
-		}
-		if sharded.Matrix.NRows() != serial.Matrix.NRows() {
-			t.Fatalf("workers=%d: NRows %d, want %d", workers, sharded.Matrix.NRows(), serial.Matrix.NRows())
-		}
-		if q := netquant.Compute(sharded.Matrix); q != wantQ {
+		q := netquant.Compute(w.Matrix)
+		if workers == 1 {
+			wantQ = q
+		} else if q != wantQ {
 			t.Fatalf("workers=%d: Table II quantities differ:\n got %+v\nwant %+v", workers, q, wantQ)
-		}
-		got := entries(sharded.Matrix)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: entry %d = %+v, want %+v", workers, i, got[i], want[i])
-			}
 		}
 	}
 }
 
-// TestShardedLeafAccounting checks the leaf count matches the serial
-// build's total (partial tail leaves per shard can add at most
-// Workers-1 extra cuts, never lose one).
+// TestShardedLeafAccounting checks the leaf count against ⌈NV/leaf⌉
+// (partial tail leaves per shard can add at most Workers-1 extra cuts,
+// never lose one), and that one shard cuts exactly that many.
 func TestShardedLeafAccounting(t *testing.T) {
 	const nv = 4096
 	st, dark := testStream(t, 11)
@@ -141,10 +117,18 @@ func TestShardedLeafAccounting(t *testing.T) {
 	if w.Matrix.Sum() != nv {
 		t.Errorf("matrix sum = %g, want %d", w.Matrix.Sum(), nv)
 	}
+	st, _ = testStream(t, 11)
+	one, err := testEngine(t, Config{Workers: 1, LeafSize: 512, Batch: 100}, dark).CaptureWindow(context.Background(), st, nv+100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Leaves != minLeaves+1 || one.Shards != 1 {
+		t.Errorf("one shard, %d packets: leaves = %d, shards = %d, want %d and 1", nv+100, one.Leaves, one.Shards, minLeaves+1)
+	}
 }
 
 // TestShortStream: a stream smaller than NV ends the window early
-// without error, mirroring the serial capture contract.
+// without error.
 func TestShortStream(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		st, dark := testStream(t, 3)
@@ -179,15 +163,14 @@ func (s *infiniteSource) Next(p *pcap.Packet) bool {
 
 func TestContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e, err := New(Config{Workers: workers, LeafSize: 256}, nil,
-			func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
+		e, err := New(Config{Workers: workers, LeafSize: 256}, nil, perShard(identity))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		done := make(chan error, 1)
 		go func() {
-			_, err := e.CaptureWindow(ctx, &infiniteSource{}, 1<<30)
+			_, err := e.CaptureWindow(ctx, slabs{&infiniteSource{}}, 1<<30)
 			done <- err
 		}()
 		select {
@@ -203,20 +186,19 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // TestCancellationAllRejected: cancellation must be observed even when
-// the filter rejects every packet, i.e. no batch ever fills and the
-// send-side poll never runs.
+// the filter rejects every packet, i.e. the window never fills and only
+// the per-slab poll can end the capture.
 func TestCancellationAllRejected(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e, err := New(Config{Workers: workers, LeafSize: 256},
-			func(*pcap.Packet) bool { return false },
-			func(p *pcap.Packet) Pair { return Pair{} })
+			func(*pcap.Packet) bool { return false }, perShard(identity))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		done := make(chan error, 1)
 		go func() {
-			_, err := e.CaptureWindow(ctx, &infiniteSource{}, 1)
+			_, err := e.CaptureWindow(ctx, slabs{&infiniteSource{}}, 1)
 			done <- err
 		}()
 		select {
@@ -231,6 +213,8 @@ func TestCancellationAllRejected(t *testing.T) {
 	}
 }
 
+var errTruncated = errors.New("truncated capture")
+
 // errSource fails mid-stream the way a truncated pcap file does.
 type errSource struct {
 	n   int
@@ -239,7 +223,7 @@ type errSource struct {
 
 func (s *errSource) Next(p *pcap.Packet) bool {
 	if s.n == 0 {
-		s.err = errors.New("truncated capture")
+		s.err = errTruncated
 		return false
 	}
 	s.n--
@@ -251,108 +235,80 @@ func (s *errSource) Err() error { return s.err }
 
 func TestSourceErrorPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e, err := New(Config{Workers: workers, LeafSize: 64}, nil,
-			func(p *pcap.Packet) Pair { return Pair{Row: uint32(p.Src), Col: uint32(p.Dst)} })
+		e, err := New(Config{Workers: workers, LeafSize: 64}, nil, perShard(identity))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = e.CaptureWindow(context.Background(), &errSource{n: 100}, 1<<20)
-		if err == nil || err.Error() != "truncated capture" {
+		_, err = e.CaptureWindow(context.Background(), slabs{&errSource{n: 100}}, 1<<20)
+		if !errors.Is(err, errTruncated) {
 			t.Errorf("workers=%d: err = %v, want truncated capture", workers, err)
 		}
 	}
 }
 
 func TestBadWindowSize(t *testing.T) {
-	e, err := New(Config{LeafSize: 8}, nil, func(*pcap.Packet) Pair { return Pair{} })
+	e, err := New(Config{LeafSize: 8}, nil, perShard(identity))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CaptureWindow(context.Background(), &infiniteSource{}, 0); err == nil {
+	if _, err := e.CaptureWindow(context.Background(), slabs{&infiniteSource{}}, 0); err == nil {
 		t.Error("nv=0 accepted")
 	}
 }
 
-// perPacketOnly hides a stream's NextBatch so the engine is forced onto
-// the per-packet reader path — the oracle the slab path is diffed
-// against.
-type perPacketOnly struct{ s *radiation.Stream }
-
-func (p perPacketOnly) Next(pkt *pcap.Packet) bool { return p.s.Next(pkt) }
-
-// TestBatchSourceMatchesPerPacket diffs the slab reader against the
-// per-packet reader on the same seeded stream: identical windows (NV,
-// drops, span, leaves, every matrix entry) at every worker count.
+// TestBatchSourceMatchesPerPacket: a source that hands out whole slabs
+// (radiation.Stream's native NextBatch) and the same stream served one
+// packet per Next call through the test adapter cut the window the
+// per-packet reference cuts (NV, drops, span, leaves, every matrix
+// entry) at every worker count.
 func TestBatchSourceMatchesPerPacket(t *testing.T) {
 	const nv = 1 << 12
+	refStream, dark := testStream(t, 11)
+	want := referenceWindow(refStream, darkFilter(dark), identity, nv)
 	for _, workers := range []int{1, 4} {
-		batched, dark := testStream(t, 11)
+		batched, _ := testStream(t, 11)
 		plain, _ := testStream(t, 11)
 		e := testEngine(t, Config{Workers: workers, LeafSize: 1 << 8}, dark)
-		wb, err := e.CaptureWindow(context.Background(), batched, nv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wp, err := e.CaptureWindow(context.Background(), perPacketOnly{plain}, nv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wb.NV != wp.NV || wb.Dropped != wp.Dropped || wb.Leaves != wp.Leaves ||
-			!wb.Start.Equal(wp.Start) || !wb.End.Equal(wp.End) {
-			t.Fatalf("workers=%d: window accounting differs:\nslab       %+v\nper-packet %+v", workers, wb, wp)
-		}
-		be, pe := entries(wb.Matrix), entries(wp.Matrix)
-		if len(be) != len(pe) {
-			t.Fatalf("workers=%d: NNZ %d vs %d", workers, len(be), len(pe))
-		}
-		for i := range be {
-			if be[i] != pe[i] {
-				t.Fatalf("workers=%d: entry %d differs: %+v vs %+v", workers, i, be[i], pe[i])
+		for name, src := range map[string]Source{"slab": batched, "per-packet": slabs{plain}} {
+			w, err := e.CaptureWindow(context.Background(), src, nv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := diffWindow(w, want, e.Config()); err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, name, err)
 			}
 		}
 	}
 }
 
 // TestBatchSourcePreservesStreamPosition captures several back-to-back
-// windows from one shared stream on both reader paths: the slab reader
-// must never consume a packet beyond each window's last accepted one,
-// so every subsequent window cuts identical boundaries.
+// windows from one shared stream, the engine through the slab reader and
+// the reference one packet at a time: the slab reader must never consume
+// a packet beyond each window's last accepted one, so every subsequent
+// window cuts identical boundaries.
 func TestBatchSourcePreservesStreamPosition(t *testing.T) {
 	const nv = 1 << 10
-	batched, dark := testStream(t, 23)
-	plain, _ := testStream(t, 23)
-	e := testEngine(t, Config{Workers: 1, LeafSize: 1 << 7}, dark)
-	for window := 0; window < 4; window++ {
-		wb, err := e.CaptureWindow(context.Background(), batched, nv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wp, err := e.CaptureWindow(context.Background(), perPacketOnly{plain}, nv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wb.NV != wp.NV || wb.Dropped != wp.Dropped || !wb.End.Equal(wp.End) {
-			t.Fatalf("window %d: diverged after shared-source capture:\nslab       %+v\nper-packet %+v",
-				window, wb, wp)
-		}
-		be, pe := entries(wb.Matrix), entries(wp.Matrix)
-		if len(be) != len(pe) {
-			t.Fatalf("window %d: NNZ %d vs %d", window, len(be), len(pe))
-		}
-		for i := range be {
-			if be[i] != pe[i] {
-				t.Fatalf("window %d: entry %d differs", window, i)
+	for _, workers := range []int{1, 3} {
+		batched, dark := testStream(t, 23)
+		plain, _ := testStream(t, 23)
+		e := testEngine(t, Config{Workers: workers, LeafSize: 1 << 7}, dark)
+		for window := 0; window < 4; window++ {
+			w, err := e.CaptureWindow(context.Background(), batched, nv)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if window == 0 && wb.NV != nv {
-			t.Fatalf("first window short: %d of %d", wb.NV, nv)
+			if err := diffWindow(w, referenceWindow(plain, darkFilter(dark), identity, nv), e.Config()); err != nil {
+				t.Fatalf("workers=%d window %d: diverged after shared-source capture: %v", workers, window, err)
+			}
+			if window == 0 && w.NV != nv {
+				t.Fatalf("first window short: %d of %d", w.NV, nv)
+			}
 		}
 	}
 }
 
-// TestBatchSourceCancellation asserts the slab reader honors context
-// cancellation mid-window without leaking goroutines or wedging on
-// backpressure.
+// TestBatchSourceCancellation asserts the slab reader honors a context
+// cancelled before the first slab.
 func TestBatchSourceCancellation(t *testing.T) {
 	st, dark := testStream(t, 5)
 	e := testEngine(t, Config{Workers: 4, LeafSize: 1 << 6}, dark)

@@ -17,15 +17,18 @@ package pool
 
 import (
 	"context"
+	"runtime"
 	"sync"
 )
 
-// Each runs jobs 0..n-1 across up to workers goroutines (capped at n)
-// and blocks until all of them finish or the first error cancels the
-// rest. do must be safe for concurrent invocation on distinct jobs;
-// results should land in index-addressed slots owned by the caller.
-// Each returns the first job error, or ctx's error when the caller's
-// context ends the run.
+// Each runs jobs 0..n-1 across up to workers goroutines (<= 0 means
+// GOMAXPROCS — this is the one place a fan-out of "0 workers" is
+// resolved — capped at n) and blocks until all of them finish or the
+// first error cancels the rest. One worker, asked for or left by the
+// cap, is the caller's own goroutine. do must be safe for concurrent
+// invocation on distinct jobs; results should land in index-addressed
+// slots owned by the caller. Each returns the first job error, or ctx's
+// error when the caller's context ends the run.
 func Each(ctx context.Context, workers, n int, do func(ctx context.Context, job int) error) error {
 	return EachWorker(ctx, workers, n,
 		func() struct{} { return struct{}{} },
@@ -44,11 +47,14 @@ func EachWorker[S any](ctx context.Context, workers, n int, newState func() S, c
 	if n <= 0 {
 		return ctx.Err()
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		// Degenerate serial pool: same contract, caller's goroutine.
+	if workers == 1 {
+		// One worker is the caller: same contract, no goroutine.
 		state := newState()
 		defer closeState(state)
 		for job := 0; job < n; job++ {

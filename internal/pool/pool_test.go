@@ -4,16 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestEachRunsEveryJobOnce covers the index contract at worker counts
-// below, at, and above the job count, including the serial degenerate
-// path.
+// below, at, and above the job count, including one worker (the
+// caller) and zero (GOMAXPROCS).
 func TestEachRunsEveryJobOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
+	for _, workers := range []int{0, 1, 2, 3, 8, 100} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 17
 			var ran [n]int32
@@ -148,5 +150,53 @@ func TestEachIndexAddressedAssembly(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// goroutineID reads the running goroutine's id off its stack header —
+// for telling goroutines apart in a test, nothing else.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestEachResolvesWorkerCount pins the one place "0 workers" is
+// resolved: zero means GOMAXPROCS, so on two or more procs the jobs
+// spread over more than one goroutine, while exactly one worker — and
+// a single job at any worker count — runs on the caller's goroutine.
+func TestEachResolvesWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	caller := goroutineID()
+	ranOn := func(workers, n int) map[string]bool {
+		var mu sync.Mutex
+		ids := make(map[string]bool)
+		// Every job but the last waits until a second job has started, so
+		// with two or more workers two goroutines must show up; with one
+		// worker nothing waits.
+		started := make(chan struct{}, n)
+		if err := Each(context.Background(), workers, n, func(_ context.Context, job int) error {
+			mu.Lock()
+			ids[goroutineID()] = true
+			mu.Unlock()
+			started <- struct{}{}
+			if workers != 1 && n > 1 && job == 0 {
+				for len(started) < 2 {
+					runtime.Gosched()
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	if ids := ranOn(0, 8); len(ids) < 2 {
+		t.Errorf("workers=0 on 2 procs ran 8 jobs on %d goroutine(s), want more than one", len(ids))
+	}
+	if ids := ranOn(1, 8); len(ids) != 1 || !ids[caller] {
+		t.Errorf("workers=1 ran on %v, want only the caller's goroutine %s", ids, caller)
+	}
+	if ids := ranOn(0, 1); len(ids) != 1 || !ids[caller] {
+		t.Errorf("one job at workers=0 ran on %v, want only the caller's goroutine %s", ids, caller)
 	}
 }

@@ -178,8 +178,8 @@ func (st *Stream) Next(pkt *pcap.Packet) bool {
 // returns how many were produced (fewer only when the window is
 // exhausted). One NextBatch(dst[:n]) call emits exactly the packets n
 // Next calls would — same order, same content, same stream position —
-// while amortizing the per-packet call overhead the engine's reader
-// otherwise pays; the engine uses it through its BatchSource fast path.
+// while amortizing the per-packet call overhead; it is what makes a
+// Stream an engine.Source.
 func (st *Stream) NextBatch(dst []pcap.Packet) int {
 	n := 0
 	for n < len(dst) && len(st.heap) > 0 {

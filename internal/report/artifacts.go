@@ -3,10 +3,9 @@ package report
 // artifacts.go holds the per-artifact compute jobs and their typed
 // accessors. The compute bodies are the former core.Result methods,
 // moved here verbatim (core aliases the row types, so call sites are
-// unchanged); fig7_fig8 is the one artifact whose parallel path
-// diverges from the historical loop — it fans the per-(snapshot, band)
-// GridSearch2 fits across the shared worker pool, with the serial
-// sweep retained verbatim at Workers == 1 as the oracle.
+// unchanged); fig7_fig8 is the one artifact that fans out — its
+// per-(snapshot, band) GridSearch2 fits run across the shared worker
+// pool.
 
 import (
 	"context"
@@ -207,10 +206,10 @@ func runFig6(g *Graph) (any, error) {
 
 // Fig7And8 computes the per-band modified-Cauchy parameter sweeps for
 // every snapshot: Alpha per band (Figure 7) and one-month drop 1/(β+1)
-// per band (Figure 8). With Workers > 1 the (snapshot, band)
-// GridSearch2 fits — the dominant post-capture cost — run concurrently
-// on the shared worker pool; results assemble in SweepBands order, so
-// the output is byte-identical to the Workers == 1 serial oracle.
+// per band (Figure 8). The (snapshot, band) GridSearch2 fits — the
+// dominant post-capture cost — run concurrently on the shared worker
+// pool; results assemble in SweepBands order, so the output does not
+// depend on the worker count.
 func (g *Graph) Fig7And8() [][]correlate.BandFit {
 	v, _ := g.get(Fig7Fig8) // cannot fail
 	return v.([][]correlate.BandFit)
@@ -222,16 +221,8 @@ func runFig7And8(g *Graph) (any, error) {
 	minSources := g.in.Params.MinBandSources
 	out := make([][]correlate.BandFit, nSnaps)
 
-	if g.workers() == 1 {
-		// The historical serial compute, kept verbatim as the oracle.
-		for i := 0; i < nSnaps; i++ {
-			out[i] = f.FitSweep(i, minSources)
-		}
-		return out, nil
-	}
-
-	// One job per (snapshot, band), enumerated in the same (snapshot,
-	// ascending band) order the serial sweep fits them.
+	// One job per (snapshot, band), enumerated in (snapshot, ascending
+	// band) order.
 	type fitJob struct{ si, band int }
 	var jobs []fitJob
 	for si := 0; si < nSnaps; si++ {
@@ -241,12 +232,12 @@ func runFig7And8(g *Graph) (any, error) {
 	}
 	fits := make([]correlate.BandFit, len(jobs))
 	oks := make([]bool, len(jobs))
-	_ = pool.Each(context.Background(), g.workers(), len(jobs), func(_ context.Context, j int) error {
+	_ = pool.Each(context.Background(), g.in.Params.Workers, len(jobs), func(_ context.Context, j int) error {
 		fits[j], oks[j] = f.FitBand(jobs[j].si, jobs[j].band)
 		return nil
 	})
 	for i := 0; i < nSnaps; i++ {
-		// Pre-size like FitSweep: capacity for every fitted band.
+		// Capacity for every fitted band.
 		out[i] = make([]correlate.BandFit, 0, len(f.SweepBands(i, minSources)))
 	}
 	for j := range jobs {

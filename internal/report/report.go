@@ -11,9 +11,9 @@
 // compilation; fig7_fig8 additionally fans out one Frozen.FitBand
 // (GridSearch2) job per (snapshot, band) onto the same worker pool the
 // study scheduler rides, assembling the sweep in deterministic
-// SweepBands order. Params.Workers == 1 keeps the historical serial
-// compute verbatim as the correctness oracle; any worker count renders
-// byte-identically (TestReportWorkerSweep, under -race).
+// SweepBands order, so any worker count renders byte-identically
+// (TestReportWorkerSweep holds each to the committed goldens, under
+// -race).
 //
 // Beyond batch memoization, the graph supports fine-grained
 // invalidation for long-lived owners (the study daemon): the input's
@@ -36,7 +36,6 @@ package report
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -90,11 +89,9 @@ type Params struct {
 	Fig6Bands      []int     // the bands Figure 6 sweeps
 	MinBandSources int       // bands below this population are skipped in fits
 
-	// Workers is the fit fan-out for fig7_fig8: how many
-	// (snapshot, band) GridSearch2 jobs run concurrently. 1 runs the
-	// historical strictly serial per-snapshot FitSweep, retained as the
-	// correctness oracle; 0 uses GOMAXPROCS. Every value produces
-	// byte-identical artifacts.
+	// Workers is the fan-out of the freeze and of fig7_fig8's
+	// (snapshot, band) GridSearch2 jobs, with the pool's semantics
+	// (0 uses GOMAXPROCS). Every value produces byte-identical artifacts.
 	Workers int
 }
 
@@ -278,15 +275,6 @@ func (g *Graph) Invalidate(ids ...ArtifactID) []ArtifactID {
 	return out
 }
 
-// workers resolves Params.Workers the way the study scheduler resolves
-// StudyWorkers: 0 or negative means GOMAXPROCS.
-func (g *Graph) workers() int {
-	if w := g.in.Params.Workers; w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // frozen returns the study's sorted-key compilation through the graph,
 // so every temporal artifact shares one Freeze.
 func (g *Graph) frozen() *correlate.Frozen {
@@ -298,5 +286,5 @@ func runFrozen(g *Graph) (any, error) {
 	if g.in.Frozen != nil {
 		return g.in.Frozen(), nil
 	}
-	return correlate.FreezeParallel(g.in.Study, g.workers()), nil
+	return correlate.Freeze(g.in.Study, g.in.Params.Workers), nil
 }

@@ -1,9 +1,9 @@
 package report_test
 
 // report_test.go holds the graph's contracts: memoized single compute,
-// worker-count invariance of the pool-scheduled fits (the serial-
-// oracle guarantee, exercised under -race in CI), and JSON/TSV value
-// parity through the single Table lowering.
+// worker-count invariance of the pool-scheduled freeze and fits
+// against the committed goldens (exercised under -race in CI), and
+// JSON/TSV value parity through the single Table lowering.
 //
 // Tests live in an external package and build their graphs through
 // core.Result — the same construction every CLI uses — off one shared
@@ -12,6 +12,8 @@ package report_test
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -94,31 +96,23 @@ func TestGraphConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReportWorkerSweep is the fit-determinism gate: Fig7And8 (and
-// with it every artifact) renders byte-identical at ReportWorkers 1,
-// 2, and 8 — the serial verbatim oracle vs the pool-scheduled
-// per-(snapshot, band) fan-out, including more workers than jobs per
-// snapshot. CI runs this under -race.
+// TestReportWorkerSweep is the fit-determinism gate: a fresh graph at
+// 1, 2, 3, and 8 workers — the caller alone, and more workers than
+// jobs per snapshot — renders every artifact byte-identical to the
+// committed goldens, which no worker count of this run produced. CI
+// runs this under -race.
 func TestReportWorkerSweep(t *testing.T) {
 	res := quickResult(t)
-	oracle := renderTSV(t, res.ReportWith(1), report.Fig7Fig8)
-	if strings.Count(oracle, "\n") < 10 {
-		t.Fatalf("oracle sweep suspiciously small:\n%s", oracle)
-	}
-	for _, workers := range []int{2, 8} {
-		got := renderTSV(t, res.ReportWith(workers), report.Fig7Fig8)
-		if got != oracle {
-			t.Errorf("ReportWorkers=%d fig7_fig8 diverges from serial oracle:\ngot:\n%s\nwant:\n%s",
-				workers, got, oracle)
-		}
-	}
-	// The remaining artifacts have no parallel path, but pin them too:
-	// the whole render must be worker-count invariant.
-	for _, id := range report.All() {
-		a := renderTSV(t, res.ReportWith(1), id)
-		b := renderTSV(t, res.ReportWith(8), id)
-		if a != b {
-			t.Errorf("%s differs between ReportWorkers=1 and 8", id)
+	for _, workers := range []int{1, 2, 3, 8} {
+		g := res.ReportWith(workers)
+		for _, id := range report.All() {
+			want, err := os.ReadFile(filepath.Join("testdata", report.Filename(id, "tsv")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderTSV(t, g, id); got != string(want) {
+				t.Errorf("workers=%d: %s diverges from its golden:\ngot:\n%s\nwant:\n%s", workers, id, got, want)
+			}
 		}
 	}
 }

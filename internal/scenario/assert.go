@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/correlate"
 	"repro/internal/ipaddr"
 	"repro/internal/netquant"
 	"repro/internal/report"
@@ -358,8 +357,7 @@ func decodeTemporalDecay(m map[string]any) (Assertion, error) {
 		if b < 0 {
 			b = e.cfg.Fig5Band()
 		}
-		snap := e.res.Study.Snapshots[0]
-		series, err := correlate.TemporalCorrelation(snap, e.res.Study.Months, b)
+		series, err := e.res.Frozen().Temporal(0, b)
 		if err != nil {
 			return Check{Assertion: "temporal_decay", Detail: err.Error()}
 		}

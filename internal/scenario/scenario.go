@@ -204,10 +204,6 @@ func decodeConfig(m map[string]any, path string) (core.Config, StoreMode, bool, 
 			err = setInt(&cfg.Radiation.Months, v)
 		case "workers":
 			err = setInt(&cfg.Workers, v)
-		case "study_workers":
-			err = setInt(&cfg.StudyWorkers, v)
-		case "report_workers":
-			err = setInt(&cfg.ReportWorkers, v)
 		case "sensors":
 			err = setInt(&cfg.Sensors, v)
 		case "min_band_sources":

@@ -50,6 +50,8 @@ func TestLoadFailureModes(t *testing.T) {
 		{"missing case", "name: x\nassert:\n  - windows:\n", ErrSchema, "case"},
 		{"no assertions", "name: x\ncase: Z1\n", ErrSchema, "assertion"},
 		{"unknown config key", "name: x\ncase: Z1\nconfig:\n  frobnicate: 3\nassert:\n  - windows:\n", ErrSchema, "frobnicate"},
+		{"removed study_workers key", "name: x\ncase: Z1\nconfig:\n  study_workers: 1\nassert:\n  - windows:\n", ErrSchema, "study_workers"},
+		{"removed report_workers key", "name: x\ncase: Z1\nconfig:\n  report_workers: 1\nassert:\n  - windows:\n", ErrSchema, "report_workers"},
 		{"bad scale", "name: x\ncase: Z1\nconfig:\n  scale: enormous\nassert:\n  - windows:\n", ErrSchema, "scale"},
 		{"unknown radiation key", "name: x\ncase: Z1\nconfig:\n  radiation:\n    warp: 9\nassert:\n  - windows:\n", ErrSchema, "warp"},
 		{"unknown archetype", "name: x\ncase: Z1\nconfig:\n  radiation:\n    mix: {gremlin: 1}\nassert:\n  - windows:\n", ErrSchema, "gremlin"},

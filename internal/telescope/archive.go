@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/engine"
 	"repro/internal/hypersparse"
 	"repro/internal/pcap"
 )
@@ -18,7 +19,9 @@ import (
 // anonymized leaf matrix every leafSize packets and appending each to
 // the archive writer. It returns the number of valid packets archived
 // and the number dropped by the validity filter. The caller owns calling
-// aw.Finish.
+// aw.Finish. Slabs are capped at the packets still needed (the engine's
+// parity rule 1), so the capture leaves the source exactly where a
+// per-packet loop would, and are mapped through shard 0's slab mapper.
 //
 // One triple-buffer builder serves the whole capture: Build resets it
 // with retained capacity, so every leaf after the first compiles without
@@ -40,31 +43,41 @@ func (t *Telescope) CaptureToArchive(src PacketSource, nv int, aw *archive.Write
 		return nil
 	}
 
-	var pkt pcap.Packet
-	for valid < nv && src.Next(&pkt) {
-		if !t.Valid(&pkt) {
-			dropped++
-			continue
+	mapper := t.slabMapper(0)
+	slab := make([]pcap.Packet, min(nv, t.leafSize))
+	pairs := make([]engine.Pair, len(slab))
+	for valid < nv {
+		n := src.NextBatch(slab[:min(nv-valid, len(slab))])
+		if n == 0 {
+			break
 		}
-		if inLeaf == 0 {
-			leafStart = pkt.Time
+		kept := 0
+		for i := range slab[:n] {
+			if !t.Valid(&slab[i]) {
+				dropped++
+				continue
+			}
+			slab[kept] = slab[i]
+			kept++
 		}
-		leafEnd = pkt.Time
-		arow, acol := t.anonymize(&pkt)
-		builder.Add(uint32(arow), uint32(acol), 1)
-		valid++
-		inLeaf++
-		if inLeaf == t.leafSize {
-			if err := flush(); err != nil {
-				return valid, dropped, err
+		mapper(slab[:kept], pairs[:kept])
+		for i, p := range pairs[:kept] {
+			if inLeaf == 0 {
+				leafStart = slab[i].Time
+			}
+			leafEnd = slab[i].Time
+			builder.Add(p.Row, p.Col, 1)
+			valid++
+			inLeaf++
+			if inLeaf == t.leafSize {
+				if err := flush(); err != nil {
+					return valid, dropped, err
+				}
 			}
 		}
 	}
 	if err := flush(); err != nil {
 		return valid, dropped, err
 	}
-	if rs, ok := src.(*ReaderSource); ok && rs.Err() != nil {
-		return valid, dropped, rs.Err()
-	}
-	return valid, dropped, nil
+	return valid, dropped, sourceErr(src)
 }

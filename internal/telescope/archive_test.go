@@ -1,6 +1,7 @@
 package telescope
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ func TestCaptureToArchiveMatchesInMemory(t *testing.T) {
 
 	// In-memory window.
 	telMem := New(pop.Config().Darkspace, "arch-key", WithLeafSize(leafSize))
-	wMem, err := telMem.CaptureWindow(pop.TelescopeStream(4, time.Unix(0, 0)), nv)
+	wMem, err := telMem.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4, time.Unix(0, 0)), nv, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

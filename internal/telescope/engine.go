@@ -8,8 +8,9 @@ package telescope
 // lock epoch per cache shard, with prefix-shared AES walks) and their
 // destinations through the darkspace's prefix walker, in slab order,
 // which memoizes nothing — and the engine's merge tree produces the
-// window matrix. Workers=1 is
-// the serial degenerate path, byte-identical to CaptureWindow's output.
+// window matrix. CaptureWindowEngine is the one constant-packet capture;
+// the time-window and archive captures read their own slabs but map
+// them through the same per-shard mapper.
 
 import (
 	"context"
@@ -31,16 +32,8 @@ type shardAnon struct {
 }
 
 // Engine returns a window engine wired to this telescope's validity
-// filter, anonymizer, and leaf size. workers and batch follow
-// engine.Config semantics (<= 0 picks defaults). Each shard worker maps
-// whole accepted-packet slabs at a time. It gathers the slab's sources
-// and anonymizes them in one batched call through its own L1 memo, so
-// hot (heavy-tailed) sources cost one lock-free array probe and cold
-// slabs pay one lock epoch per touched cache shard instead of a lock
-// round-trip per packet. The slab's destinations — Valid has placed
-// them all inside the darkspace, and they almost never recur — take the
-// darkspace's prefix walk (two table lookups and a 7-block AES tail
-// for a /8) and are inserted nowhere.
+// filter, slab mapper, and leaf size. workers and batch follow
+// engine.Config semantics (<= 0 picks defaults).
 //
 // Engines are cached per (workers, batch) and reused across captures,
 // so the engine's pooled shard accumulators and slab buffers — and the
@@ -53,25 +46,9 @@ func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
 		return eng, nil
 	}
 	t.poolMu.Unlock()
-	eng, err := engine.NewPerWorkerSlab(
+	eng, err := engine.New(
 		engine.Config{Workers: workers, LeafSize: t.leafSize, Batch: batch},
-		t.Valid,
-		func(shard int) engine.SlabMapper {
-			sa := t.shardAnon(shard)
-			return func(pkts []pcap.Packet, dst []engine.Pair) {
-				srcs, dsts := sa.srcs[:0], sa.dsts[:0]
-				for i := range pkts {
-					srcs = append(srcs, pkts[i].Src)
-					dsts = append(dsts, pkts[i].Dst)
-				}
-				sa.l1.AnonymizeBatch(srcs)
-				t.dark.AnonymizeBatch(dsts)
-				for i := range pkts {
-					dst[i] = engine.Pair{Row: uint32(srcs[i]), Col: uint32(dsts[i])}
-				}
-				sa.srcs, sa.dsts = srcs, dsts
-			}
-		})
+		t.Valid, t.slabMapper)
 	if err != nil {
 		return nil, err
 	}
@@ -79,6 +56,32 @@ func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
 	t.engines[[2]int{workers, batch}] = eng
 	t.poolMu.Unlock()
 	return eng, nil
+}
+
+// slabMapper is the telescope's one packet → matrix-coordinate mapping,
+// whole accepted-packet slabs at a time. It gathers the slab's sources
+// and anonymizes them in one batched call through the shard's own L1
+// memo, so hot (heavy-tailed) sources cost one lock-free array probe and
+// cold slabs pay one lock epoch per touched cache shard instead of a
+// lock round-trip per packet. The slab's destinations — Valid has placed
+// them all inside the darkspace, and they almost never recur — take the
+// darkspace's prefix walk (two table lookups and a 7-block AES tail
+// for a /8) and are inserted nowhere.
+func (t *Telescope) slabMapper(shard int) engine.SlabMapper {
+	sa := t.shardAnon(shard)
+	return func(pkts []pcap.Packet, dst []engine.Pair) {
+		srcs, dsts := sa.srcs[:0], sa.dsts[:0]
+		for i := range pkts {
+			srcs = append(srcs, pkts[i].Src)
+			dsts = append(dsts, pkts[i].Dst)
+		}
+		sa.l1.AnonymizeBatch(srcs)
+		t.dark.AnonymizeBatch(dsts)
+		for i := range pkts {
+			dst[i] = engine.Pair{Row: uint32(srcs[i]), Col: uint32(dsts[i])}
+		}
+		sa.srcs, sa.dsts = srcs, dsts
+	}
 }
 
 // shardAnon returns the given shard's anonymization state, creating it
@@ -98,11 +101,14 @@ func (t *Telescope) shardAnon(shard int) *shardAnon {
 	return sa
 }
 
-// CaptureWindowEngine captures a constant-packet window through the
-// sharded streaming engine. It produces the same Window as
-// CaptureWindow — the matrix is a sum of the same anonymized triples,
-// only leaf boundaries differ — with backpressure-bounded memory and
-// context cancellation.
+// CaptureWindowEngine reads from src until nv valid packets are
+// collected (or the stream ends) and assembles the anonymized window
+// matrix through the sharded streaming engine, with backpressure-bounded
+// memory and context cancellation. The number of packets in the matrix
+// equals the number accepted — NV is conserved through anonymization and
+// hierarchical assembly — and every worker count yields the same Window
+// up to Leaves: the matrix is a sum of the same anonymized triples, only
+// leaf boundaries differ.
 func (t *Telescope) CaptureWindowEngine(ctx context.Context, src PacketSource, nv, workers, batch int) (*Window, error) {
 	eng, err := t.Engine(workers, batch)
 	if err != nil {
@@ -112,8 +118,6 @@ func (t *Telescope) CaptureWindowEngine(ctx context.Context, src PacketSource, n
 	if err != nil {
 		return nil, err
 	}
-	// Source errors (e.g. a truncated pcap) surface through the engine's
-	// Errorer hook, which ReaderSource satisfies.
 	return &Window{
 		Start: ew.Start, End: ew.End,
 		NV: ew.NV, Dropped: ew.Dropped, Leaves: ew.Leaves,

@@ -7,17 +7,50 @@ import (
 	"time"
 
 	"repro/internal/assoc"
+	"repro/internal/cryptopan"
 	"repro/internal/hypersparse"
+	"repro/internal/ipaddr"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
 	"repro/internal/stats"
 )
 
+// referenceWindow is the naive capture the engine-backed one is diffed
+// against, sharing none of its code: one packet at a time through the
+// validity rule written out, a scalar CryptoPAN walk per address under
+// the same passphrase (no memo, no batch, no prefix table), and a hash
+// map of cells.
+func referenceWindow(dark ipaddr.Prefix, passphrase string, next func(*pcap.Packet) bool, nv int) *Window {
+	anon := cryptopan.NewFromPassphrase(passphrase)
+	cells := make(map[[2]uint32]float64)
+	w := &Window{}
+	var p pcap.Packet
+	for w.NV < nv && next(&p) {
+		if !dark.Contains(p.Dst) || dark.Contains(p.Src) || ipaddr.IsPrivate(p.Src) {
+			w.Dropped++
+			continue
+		}
+		if w.NV == 0 {
+			w.Start = p.Time
+		}
+		w.End = p.Time
+		cells[[2]uint32{uint32(anon.Anonymize(p.Src)), uint32(anon.Anonymize(p.Dst))}]++
+		w.NV++
+	}
+	entries := make([]hypersparse.Entry, 0, len(cells))
+	for c, v := range cells {
+		entries = append(entries, hypersparse.Entry{Row: c[0], Col: c[1], Val: v})
+	}
+	w.Matrix = hypersparse.FromEntries(entries)
+	return w
+}
+
 // TestEngineCaptureMatchesSerial verifies the engine-backed capture is
-// indistinguishable from the classic serial build at every boundary:
-// exact anonymized matrix equality, window bounds, the deanonymized
-// D4M source table, and a memo that holds the window's distinct sources
-// and none of its destinations.
+// indistinguishable from the naive reference at every boundary and
+// every worker count: exact anonymized matrix equality, window bounds,
+// the deanonymized D4M source table (the reference's row sums, by
+// original address), and a memo that holds the window's distinct
+// sources and none of its destinations.
 func TestEngineCaptureMatchesSerial(t *testing.T) {
 	cfg := radiation.DefaultConfig()
 	cfg.NumSources = 3000
@@ -27,54 +60,48 @@ func TestEngineCaptureMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nv = 4096
-	type capture struct {
-		win   *Window
-		table map[string]float64
-	}
-	run := func(workers int) capture {
-		tel := New(cfg.Darkspace, "engine-key", WithLeafSize(1<<9))
-		var win *Window
-		var err error
-		src := pop.TelescopeStream(3, time.Unix(0, 0))
-		if workers == 0 {
-			win, err = tel.CaptureWindow(src, nv)
-		} else {
-			win, err = tel.CaptureWindowEngine(context.Background(), src, nv, workers, 256)
+	refStream := pop.TelescopeStream(3, time.Unix(0, 0))
+	want := referenceWindow(cfg.Darkspace, "engine-key", refStream.Next, nv)
+	// The reference's source table: packets per original source, counted
+	// before anonymization.
+	wantTable := make(map[string]float64)
+	{
+		st := pop.TelescopeStream(3, time.Unix(0, 0))
+		var p pcap.Packet
+		for n := 0; n < nv && st.Next(&p); {
+			if cfg.Darkspace.Contains(p.Dst) && !cfg.Darkspace.Contains(p.Src) && !ipaddr.IsPrivate(p.Src) {
+				wantTable[p.Src.String()]++
+				n++
+			}
 		}
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		tel := New(cfg.Darkspace, "engine-key", WithLeafSize(1<<9))
+		got, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(3, time.Unix(0, 0)), nv, workers, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tel.Anonymizer().Len(), win.Matrix.NRows(); got != want {
-			t.Fatalf("workers=%d: memo holds %d addresses, window has %d distinct sources", workers, got, want)
+		if memo, rows := tel.Anonymizer().Len(), got.Matrix.NRows(); memo != rows {
+			t.Fatalf("workers=%d: memo holds %d addresses, window has %d distinct sources", workers, memo, rows)
 		}
-		out := make(map[string]float64)
-		table := tel.SourceTable(win)
-		for _, row := range table.RowKeys() {
-			v, _ := table.Get(row, "packets")
-			out[row] = v.Num
-		}
-		return capture{win: win, table: out}
-	}
-
-	classic := run(0)
-	for _, workers := range []int{1, 2, 8} {
-		got := run(workers)
-		if got.win.NV != classic.win.NV || got.win.Dropped != classic.win.Dropped {
+		if got.NV != want.NV || got.Dropped != want.Dropped {
 			t.Fatalf("workers=%d: NV/Dropped %d/%d, want %d/%d",
-				workers, got.win.NV, got.win.Dropped, classic.win.NV, classic.win.Dropped)
+				workers, got.NV, got.Dropped, want.NV, want.Dropped)
 		}
-		if !got.win.Start.Equal(classic.win.Start) || !got.win.End.Equal(classic.win.End) {
+		if !got.Start.Equal(want.Start) || !got.End.Equal(want.End) {
 			t.Fatalf("workers=%d: window bounds differ", workers)
 		}
-		if !hypersparse.Equal(got.win.Matrix, classic.win.Matrix) {
-			t.Fatalf("workers=%d: engine matrix differs from serial", workers)
+		if !hypersparse.Equal(got.Matrix, want.Matrix) {
+			t.Fatalf("workers=%d: engine matrix differs from the reference", workers)
 		}
-		if len(got.table) != len(classic.table) {
-			t.Fatalf("workers=%d: table sizes differ: %d vs %d", workers, len(got.table), len(classic.table))
+		table := tel.SourceTable(got)
+		if table.NRows() != len(wantTable) {
+			t.Fatalf("workers=%d: table sizes differ: %d vs %d", workers, table.NRows(), len(wantTable))
 		}
-		for k, v := range classic.table {
-			if got.table[k] != v {
-				t.Fatalf("workers=%d: row %s = %g, want %g", workers, k, got.table[k], v)
+		for k, v := range wantTable {
+			if cell, _ := table.Get(k, "packets"); cell.Num != v {
+				t.Fatalf("workers=%d: row %s = %g, want %g", workers, k, cell.Num, v)
 			}
 		}
 	}
@@ -155,11 +182,10 @@ func TestEngineCaptureCancel(t *testing.T) {
 }
 
 // TestEngineReaderSourceMatchesSerial is the wire-format slab path end
-// to end: radiation -> pcap file -> batched reader (ReaderSource
-// satisfies the engine's BatchSource, so the engine pulls whole decoded
-// slabs) -> sharded engine with in-worker filtering and batched
-// CryptoPAN -> window. It must match the classic serial capture over a
-// fresh reader of the same bytes exactly.
+// to end: radiation -> pcap file -> batched reader (the engine pulls
+// whole decoded slabs from ReaderSource) -> sharded engine with
+// in-worker filtering and batched CryptoPAN -> window. It must match
+// the naive reference reading the same bytes one ReadPacket at a time.
 func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 	pop := testPopulation(t, 800)
 	st := pop.TelescopeStream(4, time.Unix(1_592_395_200, 0))
@@ -184,11 +210,8 @@ func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 	}
 
 	const nv = 2000
-	classicTel := New(pop.Config().Darkspace, "pcap-engine")
-	classic, err := classicTel.CaptureWindow(read(), nv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := read().R
+	classic := referenceWindow(pop.Config().Darkspace, "pcap-engine", func(p *pcap.Packet) bool { return pr.ReadPacket(p) == nil }, nv)
 	for _, workers := range []int{1, 4} {
 		tel := New(pop.Config().Darkspace, "pcap-engine")
 		w, err := tel.CaptureWindowEngine(context.Background(), read(), nv, workers, 128)
@@ -202,7 +225,7 @@ func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 				classic.NV, classic.Dropped, classic.Start, classic.End)
 		}
 		if !hypersparse.Equal(w.Matrix, classic.Matrix) {
-			t.Fatalf("workers=%d: matrix differs from serial pcap capture", workers)
+			t.Fatalf("workers=%d: matrix differs from the reference pcap capture", workers)
 		}
 	}
 }
@@ -239,7 +262,7 @@ func TestEngineReaderSourceTruncated(t *testing.T) {
 
 func BenchmarkCaptureSerial(b *testing.B) {
 	benchCapture(b, func(tel *Telescope, src PacketSource, nv int) (*Window, error) {
-		return tel.CaptureWindow(src, nv)
+		return tel.CaptureWindowEngine(context.Background(), src, nv, 1, 0)
 	})
 }
 

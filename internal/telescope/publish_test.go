@@ -1,6 +1,7 @@
 package telescope
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func TestPublishFetchSourceTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := New(cfg.Darkspace, "publish-key", WithLeafSize(1<<9))
-	w, err := tel.CaptureWindow(pop.TelescopeStream(3, time.Unix(0, 0)), 2048)
+	w, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(3, time.Unix(0, 0)), 2048, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

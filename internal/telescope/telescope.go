@@ -12,7 +12,6 @@
 package telescope
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -26,11 +25,10 @@ import (
 	"repro/internal/tripled"
 )
 
-// PacketSource yields packets in time order; Next returns false when the
-// stream is exhausted.
-type PacketSource interface {
-	Next(*pcap.Packet) bool
-}
+// PacketSource yields packets in time order, a slab per NextBatch call
+// (see engine.Source); a source that can fail mid-stream also
+// implements engine.Errorer, and every capture asks it.
+type PacketSource = engine.Source
 
 // ReaderSource adapts a pcap.Reader to the PacketSource interface.
 type ReaderSource struct {
@@ -38,23 +36,11 @@ type ReaderSource struct {
 	err error
 }
 
-// Next implements PacketSource.
-func (rs *ReaderSource) Next(p *pcap.Packet) bool {
-	err := rs.R.ReadPacket(p)
-	if err == nil {
-		return true
-	}
-	if err != io.EOF {
-		rs.err = err
-	}
-	return false
-}
-
-// NextBatch implements the engine's BatchSource hook: it decodes a slab
-// of packets per call through pcap.Reader.NextBatch, amortizing header
-// parsing and letting the engine hand whole slabs to its shard workers.
-// A mid-stream decode error ends the stream (possibly after a short
-// final slab) and is reported through Err, exactly like Next.
+// NextBatch implements PacketSource: it decodes a slab of packets per
+// call through pcap.Reader.NextBatch, amortizing header parsing and
+// letting the engine hand whole slabs to its shard workers. A
+// mid-stream decode error ends the stream (possibly after a short
+// final slab) and is reported through Err.
 func (rs *ReaderSource) NextBatch(dst []pcap.Packet) int {
 	if rs.err != nil {
 		return 0
@@ -73,11 +59,11 @@ func (rs *ReaderSource) Err() error { return rs.err }
 
 // Telescope holds the observatory configuration. Construct with New.
 //
-// A Telescope runs one capture at a time: CaptureWindow,
-// CaptureWindowEngine, CaptureTimeWindow, and CaptureToArchive must not
-// be invoked concurrently with each other (a capture internally shards
-// across goroutines just fine): the per-shard L1 anonymization memos
-// and cached engines reused across captures rely on it. Concurrent
+// A Telescope runs one capture at a time: CaptureWindowEngine,
+// CaptureTimeWindow, and CaptureToArchive must not be invoked
+// concurrently with each other (a capture internally shards across
+// goroutines just fine): the per-shard L1 anonymization memos and
+// cached engines reused across captures rely on it. Concurrent
 // windows belong on separate Telescopes, which may share one CryptoPAN
 // memo (WithAnonymizer) or nothing at all, as in the paper's
 // deployment, where each observatory site anonymizes under its own key.
@@ -90,7 +76,6 @@ func (rs *ReaderSource) Err() error { return rs.err }
 type Telescope struct {
 	darkspace ipaddr.Prefix
 	leafSize  int
-	workers   int
 	anon      *cryptopan.Cached
 	dark      *cryptopan.PrefixWalker // anon's key inside darkspace; its table is built by the first capture
 
@@ -106,9 +91,6 @@ type Option func(*Telescope)
 // assembly (the paper uses 2^17; the default here is 2^14 for
 // laptop-scale windows).
 func WithLeafSize(n int) Option { return func(t *Telescope) { t.leafSize = n } }
-
-// WithWorkers sets the merge parallelism (default: GOMAXPROCS).
-func WithWorkers(n int) Option { return func(t *Telescope) { t.workers = n } }
 
 // WithAnonymizer shares an existing CryptoPAN cache instead of building
 // a private one from the passphrase. The study scheduler uses this to
@@ -171,85 +153,57 @@ type Window struct {
 // windows have variable duration (Table I's "CAIDA Duration" column).
 func (w *Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
-// CaptureWindow reads from src until nv valid packets are collected (or
-// the stream ends) and assembles the anonymized window matrix. The
-// number of packets in the matrix equals the number accepted: NV is
-// conserved through anonymization and hierarchical assembly.
-func (t *Telescope) CaptureWindow(src PacketSource, nv int) (*Window, error) {
-	if nv <= 0 {
-		return nil, fmt.Errorf("telescope: window size must be positive, got %d", nv)
+// sourceErr is the read error src held back, if it can have one.
+func sourceErr(src PacketSource) error {
+	if es, ok := src.(engine.Errorer); ok {
+		return es.Err()
 	}
-	acc := hypersparse.NewAccumulator(t.leafSize, t.workers)
-	w := &Window{}
-	var pkt pcap.Packet
-	for w.NV < nv && src.Next(&pkt) {
-		if !t.Valid(&pkt) {
-			w.Dropped++
-			continue
-		}
-		if w.NV == 0 {
-			w.Start = pkt.Time
-		}
-		w.End = pkt.Time
-		arow, acol := t.anonymize(&pkt)
-		acc.Add(uint32(arow), uint32(acol), 1)
-		w.NV++
-	}
-	return t.finishWindow(w, acc, src)
-}
-
-// finishWindow closes a per-packet capture: it counts the leaves (the
-// full ones the accumulator cut plus a partial tail), merges them, and
-// surfaces a read error the source held back.
-func (t *Telescope) finishWindow(w *Window, acc *hypersparse.Accumulator, src PacketSource) (*Window, error) {
-	w.Leaves = acc.Leaves()
-	if w.NV%t.leafSize != 0 {
-		w.Leaves++ // partial tail leaf
-	}
-	w.Matrix = acc.Finish()
-	if rs, ok := src.(*ReaderSource); ok && rs.Err() != nil {
-		return nil, rs.Err()
-	}
-	return w, nil
+	return nil
 }
 
 // CaptureTimeWindow is the constant-time alternative (ablation A3): it
 // accepts valid packets until the stream's clock passes start+span.
 // Constant-time windows have variable NV, which the paper argues makes
-// heavy-tail statistics harder to compare across windows.
+// heavy-tail statistics harder to compare across windows. The window's
+// end depends on a packet's timestamp, so the stream is read one packet
+// at a time (the first packet past the span is consumed and discarded)
+// and mapped through shard 0's slab mapper.
 func (t *Telescope) CaptureTimeWindow(src PacketSource, span time.Duration) (*Window, error) {
-	acc := hypersparse.NewAccumulator(t.leafSize, t.workers)
+	acc := hypersparse.NewAccumulator(t.leafSize, 0)
+	mapper := t.slabMapper(0)
 	w := &Window{}
-	var pkt pcap.Packet
-	for src.Next(&pkt) {
-		if !t.Valid(&pkt) {
+	var pkt [1]pcap.Packet
+	var pair [1]engine.Pair
+	for src.NextBatch(pkt[:]) == 1 {
+		if !t.Valid(&pkt[0]) {
 			w.Dropped++
 			continue
 		}
 		if w.NV == 0 {
-			w.Start = pkt.Time
+			w.Start = pkt[0].Time
 		}
-		if w.NV > 0 && pkt.Time.Sub(w.Start) > span {
+		if w.NV > 0 && pkt[0].Time.Sub(w.Start) > span {
 			break
 		}
-		w.End = pkt.Time
-		arow, acol := t.anonymize(&pkt)
-		acc.Add(uint32(arow), uint32(acol), 1)
+		w.End = pkt[0].Time
+		mapper(pkt[:], pair[:])
+		acc.Add(pair[0].Row, pair[0].Col, 1)
 		w.NV++
 	}
-	return t.finishWindow(w, acc, src)
+	w.Leaves = acc.Leaves()
+	if w.NV%t.leafSize != 0 {
+		w.Leaves++ // partial tail leaf
+	}
+	w.Matrix = acc.Finish()
+	if err := sourceErr(src); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // SourcePackets returns the anonymized per-source packet counts A·1 of
 // the window.
 func (w *Window) SourcePackets() *hypersparse.Vector { return w.Matrix.RowSums() }
-
-// anonymize maps one packet's endpoints on the per-packet capture
-// paths: the source through the memo, the destination by the prefix
-// walk.
-func (t *Telescope) anonymize(p *pcap.Packet) (src, dst ipaddr.Addr) {
-	return t.anon.Anonymize(p.Src), t.dark.Anonymize(p.Dst)
-}
 
 // Deanonymize maps an anonymized address back to the original by
 // walking the telescope's key backwards. This is the paper's

@@ -3,6 +3,7 @@ package telescope
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestCaptureWindowExactNV(t *testing.T) {
 	tel := New(pop.Config().Darkspace, "exact-nv", WithLeafSize(256))
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
 	const nv = 4096
-	w, err := tel.CaptureWindow(st, nv)
+	w, err := tel.CaptureWindowEngine(context.Background(), st, nv, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCaptureWindowShortStream(t *testing.T) {
 	pop := testPopulation(t, 200)
 	tel := New(pop.Config().Darkspace, "short")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, err := tel.CaptureWindow(st, 1<<30)
+	w, err := tel.CaptureWindowEngine(context.Background(), st, 1<<30, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestCaptureWindowShortStream(t *testing.T) {
 
 func TestCaptureWindowRejectsBadNV(t *testing.T) {
 	tel := New(ipaddr.MustParsePrefix("44.0.0.0/8"), "bad")
-	if _, err := tel.CaptureWindow(nil, 0); err == nil {
+	if _, err := tel.CaptureWindowEngine(context.Background(), nil, 0, 1, 0); err == nil {
 		t.Error("NV=0 accepted")
 	}
 }
@@ -100,7 +101,7 @@ func TestCaptureDropsInvalid(t *testing.T) {
 	pop, _ := radiation.NewPopulation(c)
 	tel := New(c.Darkspace, "drops")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, err := tel.CaptureWindow(st, 1<<30) // drain whole stream
+	w, err := tel.CaptureWindowEngine(context.Background(), st, 1<<30, 1, 0) // drain whole stream
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestAnonymizedMatrixHidesRealAddresses(t *testing.T) {
 	pop := testPopulation(t, 1000)
 	tel := New(pop.Config().Darkspace, "hide")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, _ := tel.CaptureWindow(st, 2048)
+	w, _ := tel.CaptureWindowEngine(context.Background(), st, 2048, 1, 0)
 	// Column ids are anonymized darkspace addresses; overwhelmingly they
 	// should NOT fall inside the darkspace prefix (CryptoPAN moves the
 	// /8 to a different anonymized /8 unless the key happens to fix it).
@@ -139,7 +140,7 @@ func TestSourceTableDeanonymizes(t *testing.T) {
 	pop := testPopulation(t, 1000)
 	tel := New(pop.Config().Darkspace, "roundtrip")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, _ := tel.CaptureWindow(st, 2048)
+	w, _ := tel.CaptureWindowEngine(context.Background(), st, 2048, 1, 0)
 
 	table := tel.SourceTable(w)
 	if table.NRows() != w.Matrix.NRows() {
@@ -174,7 +175,7 @@ func TestDeanonymizeRoundTrip(t *testing.T) {
 	pop := testPopulation(t, 500)
 	tel := New(pop.Config().Darkspace, "deanon")
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	w, _ := tel.CaptureWindow(st, 1024)
+	w, _ := tel.CaptureWindowEngine(context.Background(), st, 1024, 1, 0)
 	known := make(map[ipaddr.Addr]bool, pop.Len())
 	for i := 0; i < pop.Len(); i++ {
 		known[pop.Source(i).IP] = true
@@ -207,14 +208,16 @@ type sweepSource struct {
 	n       int
 }
 
-func (s *sweepSource) Next(p *pcap.Packet) bool {
-	*p = pcap.Packet{
-		Time: time.Unix(int64(s.n), 0),
-		Src:  s.sources[s.n%len(s.sources)],
-		Dst:  s.dark.Nth(uint64(s.rng.Int63n(int64(s.dark.Size())))),
+func (s *sweepSource) NextBatch(dst []pcap.Packet) int {
+	for i := range dst {
+		dst[i] = pcap.Packet{
+			Time: time.Unix(int64(s.n), 0),
+			Src:  s.sources[s.n%len(s.sources)],
+			Dst:  s.dark.Nth(uint64(s.rng.Int63n(int64(s.dark.Size())))),
+		}
+		s.n++
 	}
-	s.n++
-	return true
+	return len(dst)
 }
 
 // TestDestinationSweepGrowsMemoBySourcesOnly is the bound a resident
@@ -231,10 +234,6 @@ func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
 		},
 		"engine-w4": func(tel *Telescope, src PacketSource) error {
 			_, err := tel.CaptureWindowEngine(context.Background(), src, nv, 4, 256)
-			return err
-		},
-		"per-packet": func(tel *Telescope, src PacketSource) error {
-			_, err := tel.CaptureWindow(src, nv)
 			return err
 		},
 		"time-window": func(tel *Telescope, src PacketSource) error {
@@ -277,8 +276,8 @@ func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
 }
 
 // TestLeavesAgreeAcrossCapturePaths: the same valid packets cut the
-// same number of leaves on the per-packet, the time-window and the
-// one-shard engine path, whether or not the last leaf is full.
+// same number of leaves on the time-window and the one-shard engine
+// path, whether or not the last leaf is full.
 func TestLeavesAgreeAcrossCapturePaths(t *testing.T) {
 	dark := ipaddr.MustParsePrefix("44.0.0.0/8")
 	for _, tc := range []struct{ nv, want int }{{300, 3}, {256, 2}} {
@@ -286,10 +285,6 @@ func TestLeavesAgreeAcrossCapturePaths(t *testing.T) {
 			return &sweepSource{rng: rand.New(rand.NewSource(9)), dark: dark, sources: []ipaddr.Addr{0x0b000001, 0x0b000002}}
 		}
 		tel := New(dark, "leaves", WithLeafSize(128))
-		perPacket, err := tel.CaptureWindow(src(), tc.nv)
-		if err != nil {
-			t.Fatal(err)
-		}
 		eng, err := tel.CaptureWindowEngine(context.Background(), src(), tc.nv, 1, 64)
 		if err != nil {
 			t.Fatal(err)
@@ -299,13 +294,56 @@ func TestLeavesAgreeAcrossCapturePaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if perPacket.NV != tc.nv || eng.NV != tc.nv || timed.NV != tc.nv {
-			t.Fatalf("nv=%d: captured %d / %d / %d packets", tc.nv, perPacket.NV, eng.NV, timed.NV)
+		if eng.NV != tc.nv || timed.NV != tc.nv {
+			t.Fatalf("nv=%d: captured %d / %d packets", tc.nv, eng.NV, timed.NV)
 		}
-		if perPacket.Leaves != tc.want || eng.Leaves != tc.want || timed.Leaves != tc.want {
-			t.Errorf("nv=%d: Leaves per-packet %d, engine %d, time-window %d, want %d",
-				tc.nv, perPacket.Leaves, eng.Leaves, timed.Leaves, tc.want)
+		if eng.Leaves != tc.want || timed.Leaves != tc.want {
+			t.Errorf("nv=%d: Leaves engine %d, time-window %d, want %d",
+				tc.nv, eng.Leaves, timed.Leaves, tc.want)
 		}
+	}
+}
+
+// failingSource is an Errorer that is not a *ReaderSource: n valid
+// packets, then the stream ends with an error held back for Err, the
+// way a reader wrapped by anything at all behaves.
+type failingSource struct {
+	n   int
+	err error
+}
+
+func (s *failingSource) NextBatch(dst []pcap.Packet) int {
+	for i := range dst {
+		if s.n == 0 {
+			s.err = errors.New("wrapped reader: truncated capture")
+			return i
+		}
+		s.n--
+		dst[i] = pcap.Packet{Time: time.Unix(int64(1000-s.n), 0), Src: 0x0b000001, Dst: ipaddr.MustParse("44.1.2.3")}
+	}
+	return len(dst)
+}
+
+func (s *failingSource) Err() error { return s.err }
+
+// TestEveryCaptureSurfacesSourceError: a source's held-back read error
+// must fail the capture on all three entry points, whatever the
+// source's concrete type — never a short window or a short archive with
+// a nil error.
+func TestEveryCaptureSurfacesSourceError(t *testing.T) {
+	tel := New(ipaddr.MustParsePrefix("44.0.0.0/8"), "errorer", WithLeafSize(64))
+	if _, err := tel.CaptureWindowEngine(context.Background(), &failingSource{n: 100}, 1<<20, 1, 0); err == nil {
+		t.Error("CaptureWindowEngine returned a truncated window with a nil error")
+	}
+	if _, err := tel.CaptureTimeWindow(&failingSource{n: 100}, time.Hour); err == nil {
+		t.Error("CaptureTimeWindow returned a truncated window with a nil error")
+	}
+	aw, err := archive.Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tel.CaptureToArchive(&failingSource{n: 100}, 1<<20, aw); err == nil {
+		t.Error("CaptureToArchive returned a truncated archive with a nil error")
 	}
 }
 
@@ -350,7 +388,7 @@ func TestPcapRoundTripThroughTelescope(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := New(pop.Config().Darkspace, "pcap-path")
-	w, err := tel.CaptureWindow(&ReaderSource{R: pr}, 2000)
+	w, err := tel.CaptureWindowEngine(context.Background(), &ReaderSource{R: pr}, 2000, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +437,7 @@ func BenchmarkCaptureWindow64k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tel := New(c.Darkspace, "bench")
 		st := pop.TelescopeStream(4, time.Unix(0, 0))
-		if _, err := tel.CaptureWindow(st, 1<<16); err != nil {
+		if _, err := tel.CaptureWindowEngine(context.Background(), st, 1<<16, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
