@@ -101,6 +101,7 @@ func main() {
 	log.Printf("captured %d valid packets (%d dropped) over %s in %d leaves (%.0f pkts/s, workers=%d)",
 		win.NV, win.Dropped, win.Duration().Round(time.Millisecond), win.Leaves,
 		float64(win.NV)/time.Since(capStart).Seconds(), *workers)
+	log.Printf("capture timings: %+v", win.Timings)
 
 	// Steady-state windows: the telescope (anonymization caches, pooled
 	// merge scratch, shard accumulators) is reused, so these run at the
@@ -114,6 +115,7 @@ func main() {
 		}
 		log.Printf("window %d: %d valid packets in %d leaves (%.0f pkts/s steady-state)",
 			wn+1, w.NV, w.Leaves, float64(w.NV)/time.Since(t0).Seconds())
+		log.Printf("window %d timings: %+v", wn+1, w.Timings)
 		win = w
 	}
 

@@ -12,31 +12,38 @@
 // same matrix — only the leaf boundaries differ. There is one capture
 // loop: Workers=1 is one shard of it, not a second implementation.
 //
-// # Filter timestamp-parity rule
+// # Flow control: one credit rule
 //
 // The validity filter runs inside the shard workers, not on the reader
-// goroutine, yet a filtered window is byte-identical to what a
-// per-packet loop over the same stream would cut. Two rules make that
-// hold:
+// goroutine, and the reader runs ahead of them through a ring of
+// ringDepth slabs with no barrier between slabs — yet a filtered window
+// is byte-identical to what a per-packet loop over the same stream
+// would cut, and the source is left at the same packet. One rule makes
+// that hold:
 //
-//  1. Slab cap: every slab read is capped at the number of accepted
-//     packets the window still needs (nv - NV). Accepted <= raw, so the
-//     window can only reach nv on a slab that was accepted in full —
-//     the nv-th accepted packet is always the last raw packet of its
-//     slab, the consumed stream prefix equals a per-packet loop's,
-//     and a dropped packet can never shift a window boundary.
-//  2. Ordered merge: workers filter disjoint chunks of one slab behind
-//     a per-slab barrier and report per-chunk accept counts and
-//     first/last accepted timestamps; the reader merges those in chunk
-//     (= stream) order, so Start/End/NV/Dropped are computed in exactly
-//     the order a per-packet loop would have seen the packets.
+//	The reader holds nv - NV credits. Reading a slab spends len(slab)
+//	of them; retiring the oldest slab in flight refunds the packets its
+//	filter dropped. A full slab (Batch x Workers packets) is issued
+//	whenever the credits cover one and the ring has room, a short one
+//	(exactly the credits left) only when nothing is in flight.
 //
-// The reader overlaps I/O with the barrier: while workers chew slab k
-// it speculatively reads up to nv - NV - len(slab k) further packets —
-// at least that many are still needed even if slab k is accepted in
-// full, so speculation never consumes a packet a per-packet loop would
-// have left in the source (multi-window captures over one shared source
-// cut identical boundaries).
+// So NV + (raw packets in flight) + credits = nv at every step: raw
+// packets in flight never exceed what the window can still accept, the
+// window can only reach nv by retiring a last slab that was accepted in
+// full with no credit left — the nv-th accepted packet is the last raw
+// packet read, the consumed stream prefix equals a per-packet loop's,
+// and a dropped packet can never shift a window boundary (multi-window
+// captures over one shared source cut identical boundaries). Slabs
+// retire in the order they were read and each slab's chunk accounting
+// is merged in chunk (= stream) order, so Start/End/NV/Dropped are
+// computed in exactly the order a per-packet loop would have seen the
+// packets; chunk i of every slab goes to shard i, so the leaf and drop
+// accounting is reproducible.
+//
+// Memory in flight is bounded by ringDepth x Batch x Workers packets
+// (slab buffers are taken from a pool as slabs are issued, so a window
+// smaller than one slab holds one buffer); ringDepth is a constant, not
+// a knob.
 package engine
 
 import (
@@ -109,8 +116,9 @@ type Config struct {
 	Batch int
 }
 
-// normalized resolves defaults into concrete values.
-func (c Config) normalized() Config {
+// Normalized resolves the defaults into concrete values: Workers <= 0
+// is GOMAXPROCS at the time of the call, Batch <= 0 is LeafSize.
+func (c Config) Normalized() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -133,7 +141,7 @@ type Engine struct {
 	cfg      Config
 	filter   Filter
 	factory  SlabMapperFactory
-	slabPool sync.Pool // the reader's double buffers (Batch x Workers packets)
+	slabPool sync.Pool // the reader's ring buffers (Batch x Workers packets)
 	pairPool sync.Pool // per-worker coordinate slabs (Batch pairs)
 	accPool  sync.Pool // shard accumulators, retained across windows
 }
@@ -151,10 +159,10 @@ func New(cfg Config, filter Filter, factory SlabMapperFactory) (*Engine, error) 
 	if filter == nil {
 		filter = func(*pcap.Packet) bool { return true }
 	}
-	cfg = cfg.normalized()
+	cfg = cfg.Normalized()
 	e := &Engine{cfg: cfg, filter: filter, factory: factory}
 	e.slabPool.New = func() interface{} {
-		s := make([]pcap.Packet, 0, cfg.Batch*cfg.Workers)
+		s := make([]pcap.Packet, cfg.Batch*cfg.Workers)
 		return &s
 	}
 	e.pairPool.New = func() interface{} {
@@ -184,18 +192,47 @@ type Window struct {
 	// which is the same at every shard count.
 	ShardDrops []int
 	Matrix     *hypersparse.Matrix
+	Timings    Timings
 }
 
 // Duration returns the wall-clock span of the window.
 func (w *Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
-// chunkTask is one contiguous span of the current slab handed to a
-// shard worker: filter, map, accumulate, report into res, then release
-// the slab barrier.
+// Timings says where a capture's wall time went. It is always recorded:
+// the reader reads the clock around each slab read and each wait, a
+// shard twice per chunk. Per shard, Busy + Wait runs from the start of
+// the capture until the shard sees the slab loop end (Total - Merge, to
+// within the wake-up), so it never exceeds Total.
+type Timings struct {
+	Total      time.Duration   // CaptureWindow, entry to return
+	Read       time.Duration   // reader inside Source.NextBatch
+	ReaderWait time.Duration   // reader blocked on the oldest slab in flight
+	ShardBusy  []time.Duration // per shard: filtering, mapping and accumulating chunks
+	ShardWait  []time.Duration // per shard: idle, waiting for a chunk
+	Merge      time.Duration   // end of the slab loop to return: shard leaf sums, then the sum of shards
+}
+
+// ringDepth is how many slabs the reader may have in flight: two keep
+// the shards fed while a third is read. In-flight memory is at most
+// ringDepth x Batch x Workers packets; a deeper ring measured no
+// faster (4) or slower (8: the slabs in flight outgrow the cache).
+const ringDepth = 3
+
+// slab is one ring entry: a raw read split into at most one chunk per
+// shard worker.
+type slab struct {
+	buf    *[]pcap.Packet
+	n      int            // raw packets read
+	chunks []chunkResult  // one per dispatched chunk, in stream order
+	done   sync.WaitGroup // released once per chunk
+}
+
+// chunkTask is one contiguous span of a slab handed to a shard worker:
+// filter, map, accumulate, report into res, then release the slab.
 type chunkTask struct {
 	pkts []pcap.Packet
 	res  *chunkResult
-	wg   *sync.WaitGroup
+	done *sync.WaitGroup
 }
 
 // chunkResult is what the reader needs to merge a chunk's stream
@@ -208,134 +245,138 @@ type chunkResult struct {
 
 // shardResult is one worker's contribution to the merge tree.
 type shardResult struct {
-	shard  int
-	matrix *hypersparse.Matrix
-	leaves int
-	drops  int
+	shard      int
+	matrix     *hypersparse.Matrix
+	leaves     int
+	drops      int
+	busy, wait time.Duration
 }
 
 // CaptureWindow reads from src until nv accepted packets are collected
 // (or the stream ends), building the window matrix with the configured
-// shard count: the caller's goroutine reads raw slabs and splits each
-// into Workers chunks behind a per-slab barrier; the shard workers
-// filter, map, and accumulate their chunks in parallel (per-shard drop
-// counters, merged after the capture), while the reader speculatively
-// pre-reads the next slab. See the package comment for the parity
-// argument. The capture stops early with ctx.Err() when ctx is
-// cancelled — polled once per slab, so an abandoned capture stops
-// within one slab's work even when the filter rejects everything — and
-// no goroutines outlive the call.
+// shard count: the caller's goroutine reads raw slabs into a ring under
+// the credit rule of the package comment and splits each into Workers
+// chunks; the shard workers filter, map, and accumulate their chunks in
+// parallel (per-shard drop counters, merged after the capture) and meet
+// the reader only when it retires the oldest slab. The capture stops
+// early with ctx.Err() when ctx is cancelled — polled once per slab
+// issued or retired, so an abandoned capture stops within one slab's
+// work even when the filter rejects everything — and no goroutines
+// outlive the call.
 func (e *Engine) CaptureWindow(ctx context.Context, src Source, nv int) (*Window, error) {
 	if nv <= 0 {
 		return nil, fmt.Errorf("engine: window size must be positive, got %d", nv)
 	}
+	began := time.Now()
 	workers := e.cfg.Workers
 	// One task channel per worker: chunk i of every slab goes to shard
 	// worker i. The deterministic assignment makes leaf and drop
 	// accounting reproducible across runs (channel scheduling can no
 	// longer shuffle chunks between shards), which is what lets the
-	// differential tests compare sharded windows field for field.
+	// differential tests compare sharded windows field for field. A
+	// channel holds one chunk per slab in flight, so dispatch never
+	// blocks.
 	tasks := make([]chan chunkTask, workers)
 	results := make(chan shardResult, workers)
 	var workerWG sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		tasks[i] = make(chan chunkTask, 1)
+		tasks[i] = make(chan chunkTask, ringDepth)
 		workerWG.Add(1)
 		go func(shard int) {
 			defer workerWG.Done()
-			e.shardWorker(ctx, shard, tasks[shard], results)
+			e.shardWorker(ctx, shard, began, tasks[shard], results)
 		}(i)
 	}
 
 	w := &Window{}
-	curBuf, nextBuf := e.getSlab(), e.getSlab()
-	defer e.putSlab(curBuf)
-	defer e.putSlab(nextBuf)
-	cur, next := (*curBuf)[:cap(*curBuf)], (*nextBuf)[:cap(*nextBuf)]
-	chunks := make([]chunkResult, workers)
-	var barrier sync.WaitGroup
-	var readErr error
-
-	curN := 0
-	{
-		want := nv
-		if want > len(cur) {
-			want = len(cur)
-		}
-		curN = src.NextBatch(cur[:want])
+	tm := &w.Timings
+	var ring [ringDepth]slab
+	chunks := make([]chunkResult, ringDepth*workers)
+	for i := range ring {
+		ring[i].chunks = chunks[i*workers : i*workers : (i+1)*workers]
 	}
-	for curN > 0 {
-		if err := ctx.Err(); err != nil {
-			readErr = err
+	slabCap := e.cfg.Batch * workers
+	credits := nv          // nv - NV - raw packets in flight
+	head, inFlight := 0, 0 // ring[head%ringDepth] is the oldest slab in flight
+	dry := false           // the source returned 0
+	var readErr error
+	for {
+		if readErr = ctx.Err(); readErr != nil {
 			break
 		}
-		// Split the slab into at most one chunk per worker. Each task
-		// channel holds one entry and is empty here (the previous barrier
-		// drained it), so dispatch never blocks.
-		per := (curN + workers - 1) / workers
-		nchunks := 0
-		for off := 0; off < curN; off += per {
-			end := off + per
-			if end > curN {
-				end = curN
+		want := 0
+		switch {
+		case dry:
+		case credits >= slabCap && inFlight < ringDepth:
+			want = slabCap
+		case inFlight == 0:
+			want = credits // a short slab; 0 once the window is full
+		}
+		if want > 0 {
+			s := &ring[(head+inFlight)%ringDepth]
+			s.buf = e.slabPool.Get().(*[]pcap.Packet)
+			t0 := time.Now()
+			s.n = src.NextBatch((*s.buf)[:want])
+			tm.Read += time.Since(t0)
+			if s.n == 0 {
+				e.slabPool.Put(s.buf)
+				dry = true
+				continue
 			}
-			chunks[nchunks] = chunkResult{}
-			barrier.Add(1)
-			tasks[nchunks] <- chunkTask{pkts: cur[off:end], res: &chunks[nchunks], wg: &barrier}
-			nchunks++
+			credits -= s.n
+			inFlight++
+			// At most one chunk per worker.
+			pkts := (*s.buf)[:s.n]
+			per := (s.n + workers - 1) / workers
+			s.chunks = s.chunks[:0]
+			for off := 0; off < s.n; off += per {
+				i := len(s.chunks)
+				s.chunks = append(s.chunks, chunkResult{})
+				s.done.Add(1)
+				tasks[i] <- chunkTask{pkts: pkts[off:min(off+per, s.n)], res: &s.chunks[i], done: &s.done}
+			}
+			continue
 		}
-		// Speculative read-ahead, overlapped with the workers: even if
-		// the in-flight slab is accepted in full the window still needs
-		// nv - NV - curN more packets, so reading that many can never
-		// overrun a per-packet loop's consumed prefix. spec > 0 only when
-		// the window cannot complete on the in-flight slab.
-		spec := nv - w.NV - curN
-		if spec > len(next) {
-			spec = len(next)
+		if inFlight == 0 {
+			break // window full, or stream dry
 		}
-		nextN := 0
-		specDone := spec > 0
-		if specDone {
-			nextN = src.NextBatch(next[:spec])
-		}
-		barrier.Wait()
-		// Merge chunk accounting in stream order (parity rule 2).
-		for i := 0; i < nchunks; i++ {
-			r := &chunks[i]
+		// Retire the oldest slab: merge its chunk accounting in stream
+		// order and refund what its filter dropped.
+		s := &ring[head%ringDepth]
+		t0 := time.Now()
+		s.done.Wait()
+		tm.ReaderWait += time.Since(t0)
+		e.slabPool.Put(s.buf)
+		credits += s.n
+		for i := range s.chunks {
+			r := &s.chunks[i]
 			if r.accepted > 0 {
 				if w.NV == 0 {
 					w.Start = r.first
 				}
 				w.End = r.last
 				w.NV += r.accepted
+				credits -= r.accepted
 			}
 		}
-		if w.NV >= nv {
-			break
-		}
-		if specDone {
-			if nextN == 0 {
-				break // stream ran dry during the speculative read
-			}
-			cur, next = next, cur
-			curN = nextN
-			continue
-		}
-		// No speculation was possible (the slab could have completed the
-		// window but didn't): read synchronously with the exact cap.
-		want := nv - w.NV
-		if want > len(cur) {
-			want = len(cur)
-		}
-		curN = src.NextBatch(cur[:want])
+		head++
+		inFlight--
 	}
+	loopEnd := time.Now()
 	for i := range tasks {
 		close(tasks[i])
 	}
 	workerWG.Wait()
 	close(results)
+	// Only a cancelled capture leaves slabs in flight; the workers are
+	// gone, so their buffers can go back.
+	for ; inFlight > 0; inFlight-- {
+		e.slabPool.Put(ring[head%ringDepth].buf)
+		head++
+	}
 
 	if readErr == nil {
+		// A shard that saw the cancellation discarded its leaves.
 		readErr = ctx.Err()
 	}
 	if es, ok := src.(Errorer); ok && readErr == nil {
@@ -350,9 +391,12 @@ func (e *Engine) CaptureWindow(ctx context.Context, src Source, nv int) (*Window
 
 	shardMats := make([]*hypersparse.Matrix, 0, workers)
 	w.ShardDrops = make([]int, workers)
+	tm.ShardBusy = make([]time.Duration, workers)
+	tm.ShardWait = make([]time.Duration, workers)
 	for r := range results {
 		w.ShardDrops[r.shard] = r.drops
 		w.Dropped += r.drops
+		tm.ShardBusy[r.shard], tm.ShardWait[r.shard] = r.busy, r.wait
 		if r.leaves == 0 {
 			continue
 		}
@@ -361,6 +405,8 @@ func (e *Engine) CaptureWindow(ctx context.Context, src Source, nv int) (*Window
 		shardMats = append(shardMats, r.matrix)
 	}
 	w.Matrix = hypersparse.HierSum(shardMats, workers)
+	end := time.Now()
+	tm.Merge, tm.Total = end.Sub(loopEnd), end.Sub(began)
 	return w, nil
 }
 
@@ -368,9 +414,9 @@ func (e *Engine) CaptureWindow(ctx context.Context, src Source, nv int) (*Window
 // the per-shard counter), compact the survivors, map them to
 // coordinates through the per-worker slab mapper, and accumulate leaf
 // matrices; then reduce its leaves and report one shard matrix. On
-// cancellation it stops doing work but keeps releasing barriers so the
+// cancellation it stops doing work but keeps releasing slabs so the
 // reader never deadlocks.
-func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkTask, results chan<- shardResult) {
+func (e *Engine) shardWorker(ctx context.Context, shard int, began time.Time, tasks <-chan chunkTask, results chan<- shardResult) {
 	acc := e.getAcc()
 	defer e.accPool.Put(acc)
 	mapper := e.factory(shard)
@@ -378,11 +424,15 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkT
 	pairs := *pairsBuf
 	drops := 0
 	ingested := 0
+	var busy, wait time.Duration
+	idle := began // when this shard last ran out of work
 	for t := range tasks {
 		if ctx.Err() != nil {
-			t.wg.Done() // abandoned: release the barrier, contribute nothing
+			t.done.Done() // abandoned: release the slab, contribute nothing
 			continue
 		}
+		start := time.Now()
+		wait += start.Sub(idle)
 		pkts := t.pkts
 		kept := 0
 		for i := range pkts {
@@ -408,7 +458,9 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkT
 			}
 			ingested += kept
 		}
-		t.wg.Done()
+		idle = time.Now()
+		busy += idle.Sub(start)
+		t.done.Done()
 	}
 	*pairsBuf = pairs
 	e.putPairs(pairsBuf)
@@ -419,11 +471,12 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkT
 		results <- shardResult{shard: shard}
 		return
 	}
+	wait += time.Since(idle)
 	leaves := acc.Leaves()
 	if ingested%e.cfg.LeafSize != 0 {
 		leaves++ // partial tail leaf
 	}
-	results <- shardResult{shard: shard, matrix: acc.Finish(), leaves: leaves, drops: drops}
+	results <- shardResult{shard: shard, matrix: acc.Finish(), leaves: leaves, drops: drops, busy: busy, wait: wait}
 }
 
 // getAcc takes a pooled shard accumulator; accumulators return to the
@@ -431,16 +484,6 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, tasks <-chan chunkT
 // so repeated windows allocate nothing for leaf assembly.
 func (e *Engine) getAcc() *hypersparse.Accumulator {
 	return e.accPool.Get().(*hypersparse.Accumulator)
-}
-
-func (e *Engine) getSlab() *[]pcap.Packet {
-	b := e.slabPool.Get().(*[]pcap.Packet)
-	*b = (*b)[:0]
-	return b
-}
-
-func (e *Engine) putSlab(b *[]pcap.Packet) {
-	e.slabPool.Put(b)
 }
 
 func (e *Engine) getPairs() *[]Pair {

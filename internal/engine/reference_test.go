@@ -158,12 +158,84 @@ func (s *scriptSource) Next(p *pcap.Packet) bool {
 	return true
 }
 
+// rejectMark in a scripted packet's Length makes scriptFilter reject it
+// whatever its addresses: how a script places drops by stream position
+// while the filter stays a function of the packet alone.
+const rejectMark = 1
+
+// scriptStream builds the fuzz target's deterministic stream: few
+// sources and destinations (duplicate cells, heavy rows), and on top of
+// the content-keyed drops of scriptFilter a position-keyed pattern —
+// 1: a rejected run one slab longer than the ring, starting a quarter
+// of the way in (refunds arrive only after the whole ring has drained);
+// 2: the first half all rejected, then accepted; 3: every other packet
+// rejected (every slab in flight refunds half of itself).
+func scriptStream(streamLen int, seed int64, pattern, slabCap int) []pcap.Packet {
+	pkts := make([]pcap.Packet, streamLen)
+	x := uint64(seed)
+	for i := range pkts {
+		x = x*6364136223846793005 + 1442695040888963407
+		pkts[i] = pcap.Packet{
+			Time: time.Unix(int64(i), 0),
+			Src:  ipaddr.Addr((x >> 40) % 97),
+			Dst:  ipaddr.Addr((x >> 20) % 1021),
+		}
+		var reject bool
+		switch pattern {
+		case 1:
+			reject = i >= streamLen/4 && i < streamLen/4+(ringDepth+1)*slabCap
+		case 2:
+			reject = i < streamLen/2
+		case 3:
+			reject = i%2 == 0
+		}
+		if reject {
+			pkts[i].Length = rejectMark
+		}
+	}
+	return pkts
+}
+
+// scriptFilter rejects marked packets and, for dropMod k > 1, roughly
+// one unmarked packet in k by content; 1 rejects everything, 0 keeps
+// every unmarked packet.
+func scriptFilter(dropMod int) Filter {
+	return func(p *pcap.Packet) bool {
+		if p.Length == rejectMark || dropMod == 1 {
+			return false
+		}
+		return dropMod == 0 || (uint32(p.Src)*2654435761>>7)%uint32(dropMod) != 0
+	}
+}
+
+// diffWindows cuts windows consecutive nv-packet windows of pkts with e
+// and with the naive reference, each from its own shared source, and
+// returns the first difference: a window's fields, or the packet either
+// source was left at.
+func diffWindows(e *Engine, pkts []pcap.Packet, filter Filter, nv, windows int) error {
+	engSrc, refSrc := &scriptSource{pkts: pkts}, &scriptSource{pkts: pkts}
+	for window := 0; window < windows; window++ {
+		got, err := e.CaptureWindow(context.Background(), slabs{engSrc}, nv)
+		if err != nil {
+			return err
+		}
+		if err := diffWindow(got, referenceWindow(refSrc, filter, identity, nv), e.Config()); err != nil {
+			return fmt.Errorf("window %d: %w", window, err)
+		}
+		if engSrc.i != refSrc.i {
+			return fmt.Errorf("window %d: engine consumed %d packets, reference %d", window, engSrc.i, refSrc.i)
+		}
+	}
+	return nil
+}
+
 // FuzzCaptureMatchesReference drives the one capture loop across shard
-// counts, slab sizes, leaf sizes, window sizes, drop patterns and
-// streams shorter than the window, and requires two consecutive windows
-// over one shared source to equal the naive reference's — which also
-// pins that the first window consumed exactly the reference's prefix.
-// The seeds are the shapes of the parity tables in engine_test.go and
+// counts, slab sizes, leaf sizes, window sizes, drop patterns (by
+// content and by position, see scriptStream) and streams shorter than
+// the window, and requires three consecutive windows over one shared
+// source to equal the naive reference's — which also pins that each
+// window consumed exactly the reference's prefix. The seeds are the
+// shapes of the parity tables in engine_test.go and
 // filter_parity_test.go.
 func FuzzCaptureMatchesReference(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(9), uint16(1<<13), uint8(0), uint16(1<<14), int64(7))    // TestShardedMatchesReference
@@ -174,51 +246,58 @@ func FuzzCaptureMatchesReference(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(4), uint16(1), uint8(1), uint16(500), int64(5))          // all rejected, nv 1
 	f.Add(uint8(1), uint8(2), uint8(6), uint16(300), uint8(0), uint16(0), int64(1))          // empty stream
 	f.Add(uint8(8), uint8(1), uint8(5), uint16(64), uint8(2), uint16(1<<12), int64(0x5eed5)) // tiny leaves
-	f.Fuzz(func(t *testing.T, workers, batchSel, leafLog2 uint8, nv uint16, dropMod uint8, streamLen uint16, seed int64) {
+	// The ring (TestRingRefunds): slabs of 8 to 28 packets under windows
+	// that hold many of them.
+	f.Add(uint8(3), uint8(1), uint8(6), uint16(2000), uint8(3<<6), uint16(1<<14), int64(13))  // half of every slab in flight refunded
+	f.Add(uint8(1), uint8(1), uint8(6), uint16(1500), uint8(1<<6), uint16(1<<13), int64(17))  // a rejected run longer than the ring
+	f.Add(uint8(7), uint8(0), uint8(5), uint16(700), uint8(2<<6|5), uint16(1<<12), int64(19)) // all rejected, then accepted
+	f.Add(uint8(3), uint8(1), uint8(7), uint16(8000), uint8(3<<6|2), uint16(100), int64(23))  // the stream ends inside the ring
+	f.Add(uint8(1), uint8(1), uint8(3), uint16(8191), uint8(0), uint16(3*8192+50), int64(29)) // nothing dropped: no refund, only short slabs finish a window
+	f.Fuzz(func(t *testing.T, workers, batchSel, leafLog2 uint8, nv uint16, drops uint8, streamLen uint16, seed int64) {
 		cfg := Config{Workers: int(workers%8) + 1, LeafSize: 1 << (leafLog2 % 10)}
 		cfg.Batch = []int{1, 7, cfg.LeafSize, 3 * cfg.LeafSize}[batchSel%4]
 		want := int(nv)%(1<<13) + 1
-		// dropMod 0 keeps everything, 1 rejects everything, k rejects
-		// roughly one packet in k by content.
-		var filter Filter
-		if dropMod > 0 {
-			filter = func(p *pcap.Packet) bool { return (uint32(p.Src)*2654435761>>7)%uint32(dropMod) != 0 }
-		}
-		pkts := make([]pcap.Packet, streamLen)
-		x := uint64(seed)
-		for i := range pkts {
-			x = x*6364136223846793005 + 1442695040888963407
-			pkts[i] = pcap.Packet{
-				Time: time.Unix(int64(i), 0),
-				Src:  ipaddr.Addr((x >> 40) % 97), // few sources: duplicates cells, heavy rows
-				Dst:  ipaddr.Addr((x >> 20) % 1021),
-			}
-		}
+		// The low six bits of drops are scriptFilter's dropMod, the high
+		// two scriptStream's pattern.
+		filter := scriptFilter(int(drops & 63))
+		pkts := scriptStream(int(streamLen), seed, int(drops>>6), cfg.Batch*cfg.Workers)
 		e, err := New(cfg, filter, perShard(identity))
 		if err != nil {
 			t.Fatal(err)
 		}
-		engSrc, refSrc := &scriptSource{pkts: pkts}, &scriptSource{pkts: pkts}
-		for window := 0; window < 2; window++ {
-			got, err := e.CaptureWindow(context.Background(), slabs{engSrc}, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := diffWindow(got, referenceWindow(refSrc, filter, identity, want), cfg); err != nil {
-				t.Fatalf("%+v nv=%d drop=%d stream=%d window %d: %v", cfg, want, dropMod, streamLen, window, err)
-			}
-			if engSrc.i != refSrc.i {
-				t.Fatalf("%+v nv=%d drop=%d stream=%d window %d: engine consumed %d packets, reference %d",
-					cfg, want, dropMod, streamLen, window, engSrc.i, refSrc.i)
-			}
+		if err := diffWindows(e, pkts, filter, want, 3); err != nil {
+			t.Fatalf("%+v nv=%d drops=%#x stream=%d: %v", cfg, want, drops, streamLen, err)
 		}
 	})
 }
 
+// stallUntilCancelled cancels a capture with the whole ring in flight:
+// its filter holds every shard on its first packet until the source,
+// asked for the slab that fills the ring, cancels the capture.
+type stallUntilCancelled struct {
+	infiniteSource
+	ctx    context.Context
+	cancel context.CancelFunc
+	calls  int
+}
+
+func (s *stallUntilCancelled) NextBatch(dst []pcap.Packet) int {
+	if s.calls++; s.calls == ringDepth {
+		s.cancel()
+	}
+	return slabs{&s.infiniteSource}.NextBatch(dst)
+}
+
+func (s *stallUntilCancelled) filter(*pcap.Packet) bool {
+	<-s.ctx.Done()
+	return true
+}
+
 // TestNoGoroutineLeak: every shard count starts goroutines now, one
 // included, so after a completed, a cancelled (also with a filter that
-// rejects an endless stream) and a failed capture the goroutine count
-// must return to where it started.
+// rejects an endless stream, and with every slab of the ring in flight)
+// and a failed capture the goroutine count must return to where it
+// started.
 func TestNoGoroutineLeak(t *testing.T) {
 	reject := func(*pcap.Packet) bool { return false }
 	before := runtime.NumGoroutine()
@@ -239,6 +318,19 @@ func TestNoGoroutineLeak(t *testing.T) {
 		run(nil, &infiniteSource{}, 1<<30, 10*time.Millisecond, context.DeadlineExceeded)
 		run(reject, &infiniteSource{}, 1, 10*time.Millisecond, context.DeadlineExceeded)
 		run(nil, &errSource{n: 100}, 1<<20, time.Minute, errTruncated)
+
+		stall := &stallUntilCancelled{}
+		stall.ctx, stall.cancel = context.WithCancel(context.Background())
+		e, err := New(Config{Workers: workers, LeafSize: 64}, stall.filter, perShard(identity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CaptureWindow(stall.ctx, stall, 1<<30); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d, ring in flight: err = %v, want %v", workers, err, context.Canceled)
+		}
+		if stall.calls != ringDepth {
+			t.Errorf("workers=%d: reader made %d reads before it noticed the cancellation, want %d", workers, stall.calls, ringDepth)
+		}
 	}
 	// Exited goroutines leave the count a moment after the WaitGroup
 	// that joined them is released.

@@ -1,8 +1,12 @@
 package hypersparse
 
 import (
+	"context"
 	"runtime"
+	"sort"
 	"sync"
+
+	"repro/internal/pool"
 )
 
 // hier.go implements the hierarchical summation of leaf matrices into a
@@ -16,12 +20,12 @@ import (
 //
 // The reduction is a two-level pooled k-way merge: the leaves are split
 // into up to `workers` contiguous groups, each group is heap-merged into
-// a pooled scratch matrix concurrently, and the group results are
-// heap-merged into the final matrix. All intermediate storage comes from
-// a sync.Pool and is retained across windows, so a warm window sum
-// performs O(1) allocations (the published result and the goroutine
-// bookkeeping) instead of the O(levels·nnz) of an allocate-per-merge
-// binary tree.
+// a pooled scratch matrix concurrently, and the group results are merged
+// into the final matrix by sumByRows — in up to `workers` row ranges at
+// once. All intermediate storage comes from a sync.Pool and is retained
+// across windows, so a warm window sum performs O(1) allocations (the
+// published result and the goroutine bookkeeping) instead of the
+// O(levels·nnz) of an allocate-per-merge binary tree.
 //
 // Aliasing: when exactly one leaf is non-empty HierSum returns that leaf
 // itself — safe, because leaves are published immutable matrices. A
@@ -44,27 +48,22 @@ func HierSum(leaves []*Matrix, workers int) *Matrix {
 		return cur[0]
 	}
 
-	groups := workers
-	if max := (len(cur) + 1) / 2; groups > max {
-		groups = max
-	}
+	groups := min(workers, (len(cur)+1)/2)
 	if groups <= 1 {
-		s := scratchPool.Get().(*mergeScratch)
-		sumInto(s, &s.m, cur)
-		out := s.m.publish()
-		scratchPool.Put(s)
-		return out
+		return sumByRows(cur, workers)
 	}
 
 	// Level 1: each group k-way-merges its contiguous slice of leaves
 	// into its own pooled scratch. Bounds follow the balanced split
 	// lo(g) = g*len/groups, so every group is non-empty.
 	parts := make([]*mergeScratch, groups)
+	partMats := make([]*Matrix, groups)
 	var wg sync.WaitGroup
 	for g := 0; g < groups; g++ {
 		lo := g * len(cur) / groups
 		hi := (g + 1) * len(cur) / groups
 		parts[g] = scratchPool.Get().(*mergeScratch)
+		partMats[g] = &parts[g].m
 		wg.Add(1)
 		go func(s *mergeScratch, chunk []*Matrix) {
 			defer wg.Done()
@@ -74,17 +73,93 @@ func HierSum(leaves []*Matrix, workers int) *Matrix {
 	wg.Wait()
 
 	// Level 2: merge the group results and publish.
-	final := scratchPool.Get().(*mergeScratch)
-	partMats := make([]*Matrix, groups)
-	for g, p := range parts {
-		partMats[g] = &p.m
-	}
-	sumInto(final, &final.m, partMats)
-	out := final.m.publish()
-	scratchPool.Put(final)
+	out := sumByRows(partMats, workers)
 	for _, p := range parts {
 		scratchPool.Put(p)
 	}
+	return out
+}
+
+// rowPartMin is the fewest stored entries worth a row range of their
+// own in sumByRows.
+const rowPartMin = 1 << 15
+
+// sumByRows k-way-merges the (non-empty) matrices and publishes the sum
+// into fresh exact-size arrays. Large inputs are cut into up to workers
+// row ranges holding equal shares of the largest input's entries; the
+// ranges are merged concurrently, each into its own pooled scratch, and
+// copied side by side into the result. A row lies in exactly one range
+// and is merged there from the same cells a single merge would add, so
+// the sum of counts (values that add exactly in any order, as HierSum's
+// grouping already assumes) is identical for every worker count; one
+// range is that single merge.
+func sumByRows(mats []*Matrix, workers int) *Matrix {
+	nnz := 0
+	big := mats[0]
+	for _, m := range mats {
+		nnz += len(m.cols)
+		if len(m.cols) > len(big.cols) {
+			big = m
+		}
+	}
+	ranges := max(1, min(workers, nnz/rowPartMin))
+	if ranges == 1 {
+		s := scratchPool.Get().(*mergeScratch)
+		sumInto(s, &s.m, mats)
+		out := s.m.publish()
+		scratchPool.Put(s)
+		return out
+	}
+
+	// Range r holds the rows in [cuts[r], cuts[r+1]); the last one is
+	// open-ended.
+	cuts := make([]uint32, ranges)
+	for r := 1; r < ranges; r++ {
+		at := int64(len(big.cols)) * int64(r) / int64(ranges)
+		cuts[r] = big.rows[sort.Search(len(big.rows)-1, func(i int) bool { return big.rowPtr[i] >= at })]
+	}
+	parts := make([]*mergeScratch, ranges)
+	_ = pool.Each(context.Background(), ranges, ranges, func(_ context.Context, r int) error {
+		// A view shares its matrix's cols and vals: rowPtr offsets are
+		// absolute, so slicing rows and rowPtr is all a row range takes.
+		in := make([]*Matrix, len(mats))
+		for i, m := range mats {
+			lo := sort.Search(len(m.rows), func(j int) bool { return m.rows[j] >= cuts[r] })
+			hi := len(m.rows)
+			if r+1 < ranges {
+				hi = sort.Search(len(m.rows), func(j int) bool { return m.rows[j] >= cuts[r+1] })
+			}
+			in[i] = &Matrix{rows: m.rows[lo:hi], rowPtr: m.rowPtr[lo : hi+1], cols: m.cols, vals: m.vals}
+		}
+		parts[r] = scratchPool.Get().(*mergeScratch)
+		sumInto(parts[r], &parts[r].m, in)
+		return nil
+	})
+
+	rowOff := make([]int, ranges+1)
+	colOff := make([]int, ranges+1)
+	for r, p := range parts {
+		rowOff[r+1] = rowOff[r] + len(p.m.rows)
+		colOff[r+1] = colOff[r] + len(p.m.cols)
+	}
+	out := &Matrix{
+		rows:   make([]uint32, rowOff[ranges]),
+		rowPtr: make([]int64, rowOff[ranges]+1),
+		cols:   make([]uint32, colOff[ranges]),
+		vals:   make([]float64, colOff[ranges]),
+	}
+	out.rowPtr[rowOff[ranges]] = int64(colOff[ranges])
+	_ = pool.Each(context.Background(), ranges, ranges, func(_ context.Context, r int) error {
+		p := &parts[r].m
+		copy(out.rows[rowOff[r]:], p.rows)
+		copy(out.cols[colOff[r]:], p.cols)
+		copy(out.vals[colOff[r]:], p.vals)
+		for i := range p.rows {
+			out.rowPtr[rowOff[r]+i] = p.rowPtr[i] + int64(colOff[r])
+		}
+		scratchPool.Put(parts[r])
+		return nil
+	})
 	return out
 }
 

@@ -59,6 +59,46 @@ func TestHierSumWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestSumByRowsWorkerSweep: the last merge cut into row ranges equals
+// the single merge — shard-sized inputs with a few very heavy rows (a
+// cut may not split a row), every worker count. Three inputs of counts,
+// which add exactly in any order, and two of fractions, which two-way
+// row merges add in one order only; HierSum over the counts agrees too.
+func TestSumByRowsWorkerSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, fractional := range []bool{false, true} {
+		mats := make([]*Matrix, 3)
+		if fractional {
+			mats = mats[:2]
+		}
+		for i := range mats {
+			es := randomEntries(rng, 3*rowPartMin, 1<<16, 1<<12)
+			for j := range es {
+				if j%3 == 0 {
+					es[j].Row = uint32(j % 5) // five rows hold a third of the entries
+				}
+				if fractional {
+					es[j].Val = rng.Float64()
+				}
+			}
+			mats[i] = FromEntries(es)
+		}
+		want := sumByRows(mats, 1)
+		if !fractional && !Equal(want, FlatSum(mats)) {
+			t.Fatal("single merge differs from the flat sum")
+		}
+		for _, workers := range []int{2, 3, 5, 8, 64} {
+			got := sumByRows(mats, workers)
+			if !Equal(got, want) || got.rowPtr[len(got.rows)] != int64(len(got.cols)) {
+				t.Errorf("fractional=%v: %d row ranges differ from the single merge", fractional, workers)
+			}
+			if !fractional && !Equal(HierSum(mats, workers), want) {
+				t.Errorf("HierSum on %d workers differs from the single merge", workers)
+			}
+		}
+	}
+}
+
 func TestAccumulatorPreservesTotal(t *testing.T) {
 	// NV conservation: sum of the window matrix equals triples ingested.
 	acc := NewAccumulator(64, 2)

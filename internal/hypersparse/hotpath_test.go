@@ -1,6 +1,7 @@
 package hypersparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -268,7 +269,7 @@ func TestStatsMatchesSeparateReductions(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		m := FromEntries(randomEntries(rng, rng.Intn(2000), 500, 500))
-		s := m.Stats()
+		s := m.Stats(1)
 		rowSums, rowDegs := m.RowSums(), m.RowDegrees()
 		colSums, colDegs := m.ColSums(), m.ColDegrees()
 		checks := []struct {
@@ -288,6 +289,44 @@ func TestStatsMatchesSeparateReductions(t *testing.T) {
 		for _, c := range checks {
 			if c.got != c.want {
 				t.Fatalf("trial %d: Stats.%s = %g, reduction says %g", trial, c.name, c.got, c.want)
+			}
+		}
+	}
+}
+
+// TestStatsWorkerSweep: the partitioned column scan is bit-identical to
+// the single one. The values are fractional, so a column summed in any
+// order but row-major would show in the last bits of MaxColSum; the
+// oracle is a map filled in row-major order, sharing no code with the
+// scan; the matrices are large enough for eight partitions, narrow
+// enough that columns repeat, and one has strided column ids.
+func TestStatsWorkerSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial, stride := range []uint32{1, 1, 256} {
+		es := randomEntries(rng, 9*colPartMin+rng.Intn(1000), 1<<20, 3000)
+		for i := range es {
+			es[i].Col *= stride
+			es[i].Val = rng.Float64() * 10
+		}
+		m := FromEntries(es)
+		sums, degs := make(map[uint32]float64), make(map[uint32]float64)
+		m.Iterate(func(e Entry) bool {
+			sums[e.Col] += e.Val
+			degs[e.Col]++
+			return true
+		})
+		want := m.Stats(1)
+		var maxSum, maxDeg float64
+		for c := range sums {
+			maxSum, maxDeg = max(maxSum, sums[c]), max(maxDeg, degs[c])
+		}
+		if want.NCols != len(sums) || want.MaxColSum != maxSum || want.MaxColDeg != maxDeg {
+			t.Fatalf("trial %d: one worker: NCols %d, MaxColSum %v, MaxColDeg %v; row-major map says %d, %v, %v",
+				trial, want.NCols, want.MaxColSum, want.MaxColDeg, len(sums), maxSum, maxDeg)
+		}
+		for _, workers := range []int{0, 2, 3, 8, 64} {
+			if got := m.Stats(workers); got != want {
+				t.Errorf("trial %d: Stats(%d) = %+v, Stats(1) = %+v", trial, workers, got, want)
 			}
 		}
 	}
@@ -368,11 +407,27 @@ func TestSteadyStateAllocGates(t *testing.T) {
 		t.Errorf("steady-state serial HierSum: %.1f allocs/op, gate is 8 (publish only)", got)
 	}
 
-	w.Stats() // warm the column-scan pool
+	w.Stats(1) // warm the column-scan pool
 	if got := testing.AllocsPerRun(20, func() {
-		w.Stats()
+		w.Stats(1)
 	}); got > 0 {
 		t.Errorf("warm fused Stats: %.1f allocs/op, gate is 0", got)
+	}
+
+	// The fan-out path pays for its goroutines and the pool's queue, not
+	// for the matrix: the same small bound at two partitions and at eight.
+	var wide []*Matrix
+	for _, e := range windowEntries(7, 9, colPartMin) {
+		wide = append(wide, FromEntries(e))
+	}
+	ww := HierSum(wide, 1)
+	for _, workers := range []int{2, 8} {
+		ww.Stats(workers) // warm one scratch per partition
+		if got := testing.AllocsPerRun(20, func() {
+			ww.Stats(workers)
+		}); got > 32 {
+			t.Errorf("warm fused Stats on %d workers: %.1f allocs/op, gate is 32 (13 and 19 when written)", workers, got)
+		}
 	}
 }
 
@@ -440,5 +495,49 @@ func TestWindowBuildSpeedup(t *testing.T) {
 	t.Logf("window build: reference %v, hot path %v, speedup %.2fx", refTime, hotTime, ratio)
 	if ratio < 2 {
 		t.Errorf("hot-path speedup %.2fx < 2x gate (reference %v, hot %v)", ratio, refTime, hotTime)
+	}
+}
+
+// BenchmarkStats measures the fused Table II reduction on a
+// window-shaped matrix (16 leaves of 2^14 packets into one /8) at one
+// worker and at two; the results are bit-identical, only the column
+// scan is partitioned.
+func BenchmarkStats(b *testing.B) {
+	leaves := make([]*Matrix, 0, 16)
+	for _, es := range windowEntries(29, 16, 1<<14) {
+		leaves = append(leaves, FromEntries(es))
+	}
+	m := HierSum(leaves, 1)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			m.Stats(workers) // warm the column-scan pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Stats(workers)
+			}
+		})
+	}
+}
+
+// BenchmarkHierSumShards is the engine's last merge: two shard matrices
+// of eight 2^14-packet leaves each, summed on one worker and on two
+// (two row ranges).
+func BenchmarkHierSumShards(b *testing.B) {
+	var shards []*Matrix
+	for seed := int64(31); seed < 33; seed++ {
+		var leaves []*Matrix
+		for _, es := range windowEntries(seed, 8, 1<<14) {
+			leaves = append(leaves, FromEntries(es))
+		}
+		shards = append(shards, HierSum(leaves, 1))
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				HierSum(shards, workers)
+			}
+		})
 	}
 }

@@ -2,10 +2,18 @@ package hypersparse
 
 // stats.go implements the fused reductions of the paper's Table II: one
 // row-major DCSR pass yields every row-axis and whole-matrix aggregate,
-// and a pooled radix scan over the column ids yields the column-axis
-// aggregates — no intermediate Vector, map, or per-call allocation.
+// and a pooled radix scan over the column ids — partitioned by column
+// across workers when the matrix is large — yields the column-axis
+// aggregates; no intermediate Vector, map, or (on one worker) per-call
+// allocation.
 
-import "sync"
+import (
+	"context"
+	"runtime"
+	"sync"
+
+	"repro/internal/pool"
+)
 
 // Stats bundles every aggregate of the paper's Table II computable from
 // one matrix: 1^T A 1, the structural counts, and the per-axis maxima.
@@ -23,10 +31,19 @@ type Stats struct {
 	MaxColDeg float64 // max(1^T |A|0): maximum destination fan-in
 }
 
+// colPartMin is the fewest stored entries worth a column partition of
+// their own: below it the sort is cheaper than handing it to a worker.
+const colPartMin = 1 << 15
+
 // Stats computes all Table II aggregates in one fused row-major pass
-// plus one pooled column scan. Nothing is allocated once the column
-// scratch pool is warm.
-func (m *Matrix) Stats() Stats {
+// plus a pooled column scan. The column scan is split into up to
+// workers partitions of the column ids (<= 0 uses GOMAXPROCS; at least
+// colPartMin entries each), one pool job per partition. Every column
+// lies in exactly one partition and its cells are still summed in
+// row-major order, and the partitions combine by integer sum and max,
+// so the result is bit-identical at every worker count. With one
+// partition nothing is allocated once the column scratch pool is warm.
+func (m *Matrix) Stats(workers int) Stats {
 	s := Stats{NNZ: len(m.cols), NRows: len(m.rows)}
 	for ri := range m.rows {
 		lo, hi := m.rowPtr[ri], m.rowPtr[ri+1]
@@ -46,7 +63,31 @@ func (m *Matrix) Stats() Stats {
 			s.MaxRowDeg = deg
 		}
 	}
-	m.ColScan(func(_ uint32, sum float64, nnz int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	parts := max(1, min(workers, len(m.cols)/colPartMin))
+	if parts == 1 {
+		s.addCols(m, 0, 1)
+		return s
+	}
+	partial := make([]Stats, parts)
+	_ = pool.Each(context.Background(), parts, parts, func(_ context.Context, p int) error {
+		partial[p].addCols(m, p, parts)
+		return nil
+	})
+	for _, c := range partial {
+		s.NCols += c.NCols
+		s.MaxColSum = max(s.MaxColSum, c.MaxColSum)
+		s.MaxColDeg = max(s.MaxColDeg, c.MaxColDeg)
+	}
+	return s
+}
+
+// addCols folds partition part of parts of m's columns into the
+// column-axis fields of s.
+func (s *Stats) addCols(m *Matrix, part, parts int) {
+	m.colScan(part, parts, func(_ uint32, sum float64, nnz int) {
 		s.NCols++
 		if sum > s.MaxColSum {
 			s.MaxColSum = sum
@@ -55,7 +96,6 @@ func (m *Matrix) Stats() Stats {
 			s.MaxColDeg = d
 		}
 	})
-	return s
 }
 
 // RowScan calls fn once per non-empty row in increasing row order with
@@ -90,17 +130,44 @@ var colPool = sync.Pool{New: func() interface{} { return new(colScratch) }}
 // float accumulation reproducible, unlike the map-based reduction it
 // replaces.
 func (m *Matrix) ColScan(fn func(col uint32, sum float64, nnz int)) {
-	n := len(m.cols)
-	if n == 0 {
+	m.colScan(0, 1, fn)
+}
+
+// colPart assigns a column id to one of parts partitions by a
+// multiplicative hash, so ids that share a prefix (darkspace
+// destinations) or a stride still spread evenly.
+func colPart(col uint32, parts int) int {
+	return int(uint64(col*0x9E3779B1) * uint64(parts) >> 32)
+}
+
+// colScan is ColScan over the columns of partition part of parts; the
+// stable sort keeps each column's cells in row-major order, so a
+// column's sum does not depend on how many partitions there are.
+func (m *Matrix) colScan(part, parts int, fn func(col uint32, sum float64, nnz int)) {
+	if len(m.cols) == 0 {
 		return
 	}
 	s := colPool.Get().(*colScratch)
-	s.keys = growKeys(s.keys, n)
-	s.vals = growVals(s.vals, n)
+	defer colPool.Put(s)
+	if parts == 1 {
+		s.keys = append(s.keys[:0], m.cols...)
+		s.vals = append(s.vals[:0], m.vals...)
+	} else {
+		// Store every cell at the write cursor and advance it only past
+		// this partition's: no branch to mispredict on a hashed id.
+		keys, vals := growKeys(s.keys, len(m.cols)), growVals(s.vals, len(m.cols))
+		n := 0
+		for i, c := range m.cols {
+			keys[n], vals[n] = c, m.vals[i]
+			if colPart(c, parts) == part {
+				n++
+			}
+		}
+		s.keys, s.vals = keys[:n], vals[:n]
+	}
+	n := len(s.keys)
 	s.kbuf = growKeys(s.kbuf, n)
 	s.vbuf = growVals(s.vbuf, n)
-	copy(s.keys, m.cols)
-	copy(s.vals, m.vals)
 	keys, vals := radixSortPairs(s.keys, s.vals, s.kbuf, s.vbuf)
 	for i := 0; i < n; {
 		col := keys[i]
@@ -112,5 +179,4 @@ func (m *Matrix) ColScan(fn func(col uint32, sum float64, nnz int)) {
 		}
 		fn(col, sum, cnt)
 	}
-	colPool.Put(s)
 }

@@ -32,7 +32,7 @@ type Quantities struct {
 // intermediate Vector (previously this cost four independent reduction
 // passes, two of them map-backed, each with copy-out allocations).
 func Compute(m *hypersparse.Matrix) Quantities {
-	s := m.Stats()
+	s := m.Stats(0)
 	return Quantities{
 		ValidPackets:       s.Sum,
 		UniqueLinks:        float64(s.NNZ),

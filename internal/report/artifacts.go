@@ -3,9 +3,9 @@ package report
 // artifacts.go holds the per-artifact compute jobs and their typed
 // accessors. The compute bodies are the former core.Result methods,
 // moved here verbatim (core aliases the row types, so call sites are
-// unchanged); fig7_fig8 is the one artifact that fans out — its
-// per-(snapshot, band) GridSearch2 fits run across the shared worker
-// pool.
+// unchanged); the artifacts that walk independent windows or
+// (snapshot, band) pairs — table2, fig3, fig6, fig7_fig8 — run them
+// across the shared worker pool (Graph.each).
 
 import (
 	"context"
@@ -102,10 +102,20 @@ func (g *Graph) TableII() []netquant.Quantities {
 
 func runTableII(g *Graph) (any, error) {
 	out := make([]netquant.Quantities, len(g.in.Windows))
-	for i, w := range g.in.Windows {
-		out[i] = netquant.Compute(w.Matrix)
-	}
+	g.each(len(out), func(i int) {
+		out[i] = netquant.Compute(g.in.Windows[i].Matrix)
+	})
 	return out, nil
+}
+
+// each runs do(0..n-1) on the study's worker pool. The jobs of an
+// artifact are independent and write index-addressed slots, so the
+// artifact does not depend on the worker count.
+func (g *Graph) each(n int, do func(i int)) {
+	_ = pool.Each(context.Background(), g.in.Params.Workers, n, func(_ context.Context, i int) error {
+		do(i)
+		return nil
+	})
 }
 
 // Fig3 computes the source-packet degree distribution and ZM fit for
@@ -117,15 +127,15 @@ func (g *Graph) Fig3() []Fig3Series {
 
 func runFig3(g *Graph) (any, error) {
 	out := make([]Fig3Series, len(g.in.Windows))
-	for i, w := range g.in.Windows {
-		b := netquant.SourcePacketDistribution(w.Matrix)
+	g.each(len(out), func(i int) {
+		b := netquant.SourcePacketDistribution(g.in.Windows[i].Matrix)
 		a, d, res := stats.FitZipfMandelbrot(b, float64(g.in.Params.NV))
 		out[i] = Fig3Series{
 			Label:  g.in.Study.Snapshots[i].Label,
 			Binned: b,
 			Alpha:  a, Delta: d, Residual: res,
 		}
-	}
+	})
 	return out, nil
 }
 
@@ -190,15 +200,23 @@ func (g *Graph) Fig6() ([]correlate.Series, []stats.TemporalFit) {
 
 func runFig6(g *Graph) (any, error) {
 	f := g.frozen()
+	// One job per (snapshot, band), in (snapshot, Fig6Bands) order.
+	bands := g.in.Params.Fig6Bands
+	series := make([]correlate.Series, len(g.in.Study.Snapshots)*len(bands))
+	fits := make([]stats.TemporalFit, len(series))
+	oks := make([]bool, len(series))
+	g.each(len(series), func(j int) {
+		s, err := f.Temporal(j/len(bands), bands[j%len(bands)])
+		if err != nil {
+			return
+		}
+		series[j], fits[j], oks[j] = s, s.Fit(), true
+	})
 	var d fig6Data
-	for si := range g.in.Study.Snapshots {
-		for _, band := range g.in.Params.Fig6Bands {
-			s, err := f.Temporal(si, band)
-			if err != nil {
-				continue
-			}
-			d.Series = append(d.Series, s)
-			d.Fits = append(d.Fits, s.Fit())
+	for j, ok := range oks {
+		if ok {
+			d.Series = append(d.Series, series[j])
+			d.Fits = append(d.Fits, fits[j])
 		}
 	}
 	return d, nil
@@ -232,9 +250,8 @@ func runFig7And8(g *Graph) (any, error) {
 	}
 	fits := make([]correlate.BandFit, len(jobs))
 	oks := make([]bool, len(jobs))
-	_ = pool.Each(context.Background(), g.in.Params.Workers, len(jobs), func(_ context.Context, j int) error {
+	g.each(len(jobs), func(j int) {
 		fits[j], oks[j] = f.FitBand(jobs[j].si, jobs[j].band)
-		return nil
 	})
 	for i := 0; i < nSnaps; i++ {
 		// Capacity for every fitted band.

@@ -89,9 +89,10 @@ type Params struct {
 	Fig6Bands      []int     // the bands Figure 6 sweeps
 	MinBandSources int       // bands below this population are skipped in fits
 
-	// Workers is the fan-out of the freeze and of fig7_fig8's
-	// (snapshot, band) GridSearch2 jobs, with the pool's semantics
-	// (0 uses GOMAXPROCS). Every value produces byte-identical artifacts.
+	// Workers is the fan-out of the freeze and of every artifact that
+	// walks independent windows or (snapshot, band) pairs — table2,
+	// fig3, fig6, fig7_fig8 — with the pool's semantics (0 uses
+	// GOMAXPROCS). Every value produces byte-identical artifacts.
 	Workers int
 }
 

@@ -35,26 +35,25 @@ type shardAnon struct {
 // filter, slab mapper, and leaf size. workers and batch follow
 // engine.Config semantics (<= 0 picks defaults).
 //
-// Engines are cached per (workers, batch) and reused across captures,
-// so the engine's pooled shard accumulators and slab buffers — and the
-// per-shard L1 memos — stay warm from one window to the next. This is
-// covered by the Telescope's one-capture-at-a-time contract.
+// Engines are cached per resolved (workers, batch) — workers <= 0 is
+// GOMAXPROCS at the time of the call, so a process that changes it
+// between captures gets the new shard count — and reused across
+// captures, so the engine's pooled shard accumulators and slab buffers
+// — and the per-shard L1 memos — stay warm from one window to the next.
+// This is covered by the Telescope's one-capture-at-a-time contract.
 func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
+	cfg := engine.Config{Workers: workers, LeafSize: t.leafSize, Batch: batch}.Normalized()
+	key := [2]int{cfg.Workers, cfg.Batch}
 	t.poolMu.Lock()
-	if eng, ok := t.engines[[2]int{workers, batch}]; ok {
-		t.poolMu.Unlock()
+	defer t.poolMu.Unlock()
+	if eng, ok := t.engines[key]; ok {
 		return eng, nil
 	}
-	t.poolMu.Unlock()
-	eng, err := engine.New(
-		engine.Config{Workers: workers, LeafSize: t.leafSize, Batch: batch},
-		t.Valid, t.slabMapper)
+	eng, err := engine.New(cfg, t.Valid, t.slabMapper)
 	if err != nil {
 		return nil, err
 	}
-	t.poolMu.Lock()
-	t.engines[[2]int{workers, batch}] = eng
-	t.poolMu.Unlock()
+	t.engines[key] = eng
 	return eng, nil
 }
 
@@ -121,6 +120,6 @@ func (t *Telescope) CaptureWindowEngine(ctx context.Context, src PacketSource, n
 	return &Window{
 		Start: ew.Start, End: ew.End,
 		NV: ew.NV, Dropped: ew.Dropped, Leaves: ew.Leaves,
-		Matrix: ew.Matrix,
+		Matrix: ew.Matrix, Timings: ew.Timings,
 	}, nil
 }

@@ -3,6 +3,10 @@ package telescope
 import (
 	"bytes"
 	"context"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,6 +14,7 @@ import (
 	"repro/internal/cryptopan"
 	"repro/internal/hypersparse"
 	"repro/internal/ipaddr"
+	"repro/internal/netquant"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
 	"repro/internal/stats"
@@ -138,6 +143,39 @@ func TestEngineSourceTableAfterLaterCapture(t *testing.T) {
 	}
 	if sum != float64(w.NV) {
 		t.Errorf("table total %g != NV %d", sum, w.NV)
+	}
+}
+
+// TestEngineFollowsGOMAXPROCS: workers = 0 means "GOMAXPROCS now", not
+// "GOMAXPROCS when this telescope cut its first window" — a long-lived
+// telescope (studyd) whose process raises GOMAXPROCS between captures
+// must shard the next window across the new count.
+func TestEngineFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pop := testPopulation(t, 1000)
+	tel := New(pop.Config().Darkspace, "procs-key", WithLeafSize(1<<8))
+	shards := func() int {
+		t.Helper()
+		eng, err := tel.Engine(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := eng.CaptureWindow(context.Background(), pop.TelescopeStream(4, time.Unix(0, 0)), 2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Shards
+	}
+	if got := shards(); got != 1 {
+		t.Fatalf("GOMAXPROCS(1): window cut by %d shards, want 1", got)
+	}
+	runtime.GOMAXPROCS(3)
+	if got := shards(); got != 3 {
+		t.Fatalf("GOMAXPROCS raised to 3: window cut by %d shards, want 3", got)
+	}
+	zero, _ := tel.Engine(0, 0)
+	if resolved, _ := tel.Engine(3, 1<<8); zero != resolved {
+		t.Error("(0, 0) and its resolved form (3, leaf) built two engines")
 	}
 }
 
@@ -293,4 +331,92 @@ func benchCapture(b *testing.B, capture func(*Telescope, PacketSource, int) (*Wi
 			b.Fatalf("short window %d", w.NV)
 		}
 	}
+}
+
+// BenchmarkReplayWindows is the pcap_replay shape of the end-to-end
+// benchmark as a go test benchmark: eight back-to-back 2^18-packet
+// windows, one in ten packets a bogon, decoded from pcap bytes by a
+// fresh telescope at the default worker count, Table II computed per
+// window. Beside ns/op (one replay) it reports where the steady
+// windows' wall went, from Window.Timings: the share of the slab loop a
+// shard spent waiting, and the per-window reader, merge and Table II
+// milliseconds.
+func BenchmarkReplayWindows(b *testing.B) {
+	const nv, windows = 1 << 18, 8
+	c := radiation.DefaultConfig()
+	c.NumSources = 100000
+	c.ZM = stats.PaperZM(1 << 16)
+	c.BrightLog2 = 9
+	c.BogonRate = 0.10
+	pop, err := radiation.NewPopulation(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A file, not a buffer: 170 MB of live heap would space the
+	// collector's cycles far wider than a replaying process sees them.
+	file, err := os.Create(filepath.Join(b.TempDir(), "windows.pcap"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer file.Close()
+	pw, err := pcap.NewWriter(file)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tel := New(c.Darkspace, "replay-key")
+	var pkt pcap.Packet
+	for k := 0; k < windows; k++ {
+		st := pop.TelescopeStream(4.5, time.Unix(int64(k)*3600, 0))
+		for valid := 0; valid < nv && st.Next(&pkt); {
+			if tel.Valid(&pkt) {
+				valid++
+			}
+			if err := pw.WritePacket(&pkt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := pw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	var loop, wait, read, readerWait, merge, table2 time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := file.Seek(0, io.SeekStart); err != nil {
+			b.Fatal(err)
+		}
+		rd, err := pcap.NewReader(file)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := &ReaderSource{R: rd}
+		tel := New(c.Darkspace, "replay-key")
+		for k := 0; k < windows; k++ {
+			w, err := tel.CaptureWindowEngine(context.Background(), src, nv, 0, 0)
+			if err != nil || w.NV != nv {
+				b.Fatalf("window %d: NV %d, err %v", k, w.NV, err)
+			}
+			t0 := time.Now()
+			netquant.Compute(w.Matrix)
+			if k == 0 {
+				continue // cold: CryptoPAN tables and pools fill here
+			}
+			table2 += time.Since(t0)
+			tm := w.Timings
+			for s := range tm.ShardBusy {
+				loop += tm.ShardBusy[s] + tm.ShardWait[s]
+				wait += tm.ShardWait[s]
+			}
+			read, readerWait, merge = read+tm.Read, readerWait+tm.ReaderWait, merge+tm.Merge
+		}
+	}
+	steady := float64(b.N * (windows - 1))
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / steady }
+	b.ReportMetric(float64(wait)/float64(loop), "shard-wait-share")
+	b.ReportMetric(ms(loop)/float64(runtime.GOMAXPROCS(0)), "loop-ms/window")
+	b.ReportMetric(ms(read), "read-ms/window")
+	b.ReportMetric(ms(readerWait), "reader-wait-ms/window")
+	b.ReportMetric(ms(merge), "merge-ms/window")
+	b.ReportMetric(ms(table2), "table2-ms/window")
 }

@@ -81,7 +81,7 @@ type Telescope struct {
 
 	poolMu  sync.Mutex
 	shards  map[int]*shardAnon        // per-shard L1 memos + slab scratch, reused across captures
-	engines map[[2]int]*engine.Engine // cached per (workers, batch): pooled accumulators and batch buffers persist across windows
+	engines map[[2]int]*engine.Engine // cached per resolved (workers, batch): pooled accumulators and batch buffers persist across windows
 }
 
 // Option configures a Telescope.
@@ -147,6 +147,10 @@ type Window struct {
 	Dropped    int // packets discarded by the validity filter
 	Matrix     *hypersparse.Matrix
 	Leaves     int // leaf matrices hierarchically summed
+	// Timings is the engine's account of the capture's wall time; the
+	// time-window and archive captures, which run no engine loop, leave
+	// it zero.
+	Timings engine.Timings
 }
 
 // Duration returns the wall-clock span of the window; constant-packet
