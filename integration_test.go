@@ -11,7 +11,12 @@ package repro
 import (
 	"bytes"
 	"context"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,8 +43,11 @@ func TestScenarioSuite(t *testing.T) {
 }
 
 // TestE2ECasesAudit pins docs/e2e-cases.md to reality: every `done`
-// row must name its coverage, and the Z-table must match the shipped
-// scenario files one-to-one (same drift check as `scenarios -audit`).
+// row must name its coverage, the Z-table must match the shipped
+// scenario files one-to-one (same drift check as `scenarios -audit`),
+// and every Test/Fuzz/Benchmark function a `done` row cites must be
+// declared in some _test.go file of this repository (a trailing `*`
+// cites a prefix).
 func TestE2ECasesAudit(t *testing.T) {
 	scs, err := scenario.LoadDir("scenarios")
 	if err != nil {
@@ -51,6 +59,40 @@ func TestE2ECasesAudit(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("%s: %s", f.Case, f.Problem)
+	}
+
+	var tests strings.Builder // every _test.go file of the repository
+	err = filepath.WalkDir(".", func(path string, _ fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, "_test.go") {
+			var src []byte
+			src, err = os.ReadFile(path)
+			tests.Write(src)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("docs/e2e-cases.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9]\w*\*?`)
+	for _, line := range strings.Split(string(doc), "\n") {
+		// Case ID | Title | Priority | Smoke | Status | Coverage
+		cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
+		if len(cells) != 6 || strings.TrimSpace(cells[4]) != "done" {
+			continue
+		}
+		for _, name := range cited.FindAllString(cells[5], -1) {
+			decl := "\nfunc " + name + "("
+			if prefix, ok := strings.CutSuffix(name, "*"); ok {
+				decl = "\nfunc " + prefix
+			}
+			if !strings.Contains(tests.String(), decl) {
+				t.Errorf("%s: Coverage cites %s, which no _test.go file declares", strings.TrimSpace(cells[0]), name)
+			}
+		}
 	}
 }
 

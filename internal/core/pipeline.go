@@ -259,9 +259,9 @@ func (r *Result) Report() *report.Graph {
 
 // ReportWith builds a fresh, unmemoized artifact graph over this
 // result with an explicit fit fan-out. Normal callers want Report();
-// this entry point exists for measurement (benchreport's fit_wall
-// phase) and worker-sweep determinism tests, where every call must
-// recompute.
+// this entry point exists for measurement (the root benchmarks,
+// report's TestFitSpeedup) and worker-sweep determinism tests, where
+// every call must recompute.
 func (r *Result) ReportWith(workers int) *report.Graph {
 	return report.New(report.Input{
 		Study:   r.Study,

@@ -229,11 +229,10 @@ func TestParallelStudySharesAnonCache(t *testing.T) {
 
 // TestStudySpeedup is the acceptance gate: at Workers=4 the whole
 // study must finish at least 2x faster than at Workers=1, with
-// byte-identical artifacts. On runners
-// without at least 4 CPUs the wall-clock assertion is meaningless (the
-// fan-out just interleaves on one core), so the gate self-skips with an
-// annotation — the same policy the hot-path benchmark report applies
-// to its multi-worker speedup metrics.
+// byte-identical artifacts. The four workers run on GOMAXPROCS Ps, so
+// the floor is on whichever of NumCPU and GOMAXPROCS is smaller
+// (`go test -cpu 1,2` and a GOMAXPROCS=2 environment lower only the
+// second); below 4 the fan-out just interleaves and the gate skips.
 func TestStudySpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two timed full studies")
@@ -241,11 +240,10 @@ func TestStudySpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs timing")
 	}
-	if cpus := runtime.NumCPU(); cpus < 4 {
-		t.Skipf("whole-study speedup needs >= 4 CPUs to measure; this runner has %d "+
-			"(GOMAXPROCS=%d) — wall-clock parallel assertions are annotated and skipped, "+
-			"correctness is still proven by TestParallelStudyMatchesSerialOracle",
-			cpus, runtime.GOMAXPROCS(0))
+	if cpus, procs := runtime.NumCPU(), runtime.GOMAXPROCS(0); min(cpus, procs) < 4 {
+		t.Skipf("whole-study speedup needs >= 4 CPUs to measure; this run has "+
+			"NumCPU=%d, GOMAXPROCS=%d — correctness is still proven by "+
+			"TestParallelStudyMatchesSerialOracle", cpus, procs)
 	}
 	cfg := QuickConfig()
 	// Eight snapshots instead of the paper's five: snapshot captures

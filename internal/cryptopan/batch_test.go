@@ -145,8 +145,7 @@ func TestCachedBatchConcurrent(t *testing.T) {
 }
 
 // TestBatchWarmZeroAlloc gates the warm (all-hit) batch paths at zero
-// allocations: the cryptopan_batch benchreport gate measures the same
-// property under load.
+// allocations.
 func TestBatchWarmZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")

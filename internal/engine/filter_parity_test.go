@@ -230,8 +230,9 @@ func TestWindowTimings(t *testing.T) {
 	}
 }
 
-// benchFilteredWindow drives repeated drop-heavy window captures; the
-// filter_window benchreport metrics measure the same path end to end.
+// benchFilteredWindow drives repeated drop-heavy window captures;
+// telescope's TestFilteredWindowAllocBudget holds the same path to its
+// allocation budget end to end.
 func benchFilteredWindow(b *testing.B, workers int) {
 	cfg := radiation.DefaultConfig()
 	cfg.Seed = 47

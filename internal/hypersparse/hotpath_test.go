@@ -3,17 +3,63 @@ package hypersparse
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
 
 // hotpath_test.go pins the zero-allocation hot path: differential
 // property tests of the radix builder and pooled k-way merges against
-// the retained map-builder oracle, AllocsPerRun regression gates, the
+// the map-builder oracle, AllocsPerRun regression gates, the
 // pooled-buffer escape test, and the >= 2x window-build speedup gate the
 // PR's performance claim rests on.
 
-// refBuild compiles entries through the retained map-based oracle.
+// mapBuilder is the map-based assembler the radix Builder replaced: the
+// oracle the radix path is verified and timed against.
+type mapBuilder struct {
+	m map[uint64]float64
+}
+
+func newMapBuilder(n int) *mapBuilder {
+	return &mapBuilder{m: make(map[uint64]float64, n)}
+}
+
+// add accumulates v at (row, col).
+func (b *mapBuilder) add(row, col uint32, v float64) {
+	b.m[key(row, col)] += v
+}
+
+// build compiles the accumulated cells into a published Matrix and
+// resets the assembler.
+func (b *mapBuilder) build() *Matrix {
+	keys := make([]uint64, 0, len(b.m))
+	for k := range b.m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+
+	m := &Matrix{
+		cols: make([]uint32, len(keys)),
+		vals: make([]float64, len(keys)),
+	}
+	var lastRow uint32
+	haveRow := false
+	for i, k := range keys {
+		row := uint32(k >> 32)
+		if !haveRow || row != lastRow {
+			m.rows = append(m.rows, row)
+			m.rowPtr = append(m.rowPtr, int64(i))
+			lastRow, haveRow = row, true
+		}
+		m.cols[i] = uint32(k)
+		m.vals[i] = b.m[k]
+	}
+	m.rowPtr = append(m.rowPtr, int64(len(keys)))
+	b.m = make(map[uint64]float64)
+	return m
+}
+
+// refBuild compiles entries through the map-based oracle.
 func refBuild(es []Entry) *Matrix {
 	b := newMapBuilder(len(es))
 	for _, e := range es {

@@ -229,55 +229,3 @@ func (b *Builder) Build() *Matrix {
 	b.Reset()
 	return m
 }
-
-// mapBuilder is the map-based assembler the radix Builder replaced on
-// the hot path. It remains the implementation behind the generic
-// semiring operations, which need assignment (not summing) semantics,
-// and the differential-test oracle the radix path is verified against.
-type mapBuilder struct {
-	m map[uint64]float64
-}
-
-func newMapBuilder(n int) *mapBuilder {
-	return &mapBuilder{m: make(map[uint64]float64, n)}
-}
-
-// add accumulates v at (row, col).
-func (b *mapBuilder) add(row, col uint32, v float64) {
-	b.m[key(row, col)] += v
-}
-
-// set overwrites the value at (row, col).
-func (b *mapBuilder) set(row, col uint32, v float64) {
-	b.m[key(row, col)] = v
-}
-
-// build compiles the accumulated cells into a published Matrix and
-// resets the assembler.
-func (b *mapBuilder) build() *Matrix {
-	keys := make([]uint64, 0, len(b.m))
-	for k := range b.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	m := &Matrix{
-		cols: make([]uint32, len(keys)),
-		vals: make([]float64, len(keys)),
-	}
-	var lastRow uint32
-	haveRow := false
-	for i, k := range keys {
-		row := uint32(k >> 32)
-		if !haveRow || row != lastRow {
-			m.rows = append(m.rows, row)
-			m.rowPtr = append(m.rowPtr, int64(i))
-			lastRow, haveRow = row, true
-		}
-		m.cols[i] = uint32(k)
-		m.vals[i] = b.m[k]
-	}
-	m.rowPtr = append(m.rowPtr, int64(len(keys)))
-	b.m = make(map[uint64]float64)
-	return m
-}

@@ -178,22 +178,26 @@ func EWiseMult(s Semiring, a, b *Matrix) *Matrix {
 // patterns (Add(a, b) for this package's arithmetic Add is the existing
 // Add function; EWiseAdd generalizes it to any semiring).
 func EWiseAdd(s Semiring, a, b *Matrix) *Matrix {
-	// Needs the map assembler: matched entries combine through the
-	// semiring's Add, which is not the radix builder's arithmetic sum.
-	builder := newMapBuilder(a.NNZ() + b.NNZ())
-	a.Iterate(func(e Entry) bool {
-		builder.set(e.Row, e.Col, e.Val)
-		return true
-	})
-	b.Iterate(func(e Entry) bool {
-		if old, ok := builder.m[key(e.Row, e.Col)]; ok {
-			builder.set(e.Row, e.Col, s.Add(old, e.Val))
-		} else {
-			builder.set(e.Row, e.Col, e.Val)
+	// A two-pointer merge of the operands' (row, col)-sorted entries.
+	// Each key reaches the builder exactly once, so its duplicate-summing
+	// never fires and matched cells keep the semiring's Add.
+	ea, eb := a.Entries(), b.Entries()
+	builder := NewBuilder(len(ea) + len(eb))
+	for i, j := 0, 0; i < len(ea) || j < len(eb); {
+		switch {
+		case j == len(eb) || i < len(ea) && key(ea[i].Row, ea[i].Col) < key(eb[j].Row, eb[j].Col):
+			builder.Add(ea[i].Row, ea[i].Col, ea[i].Val)
+			i++
+		case i == len(ea) || key(eb[j].Row, eb[j].Col) < key(ea[i].Row, ea[i].Col):
+			builder.Add(eb[j].Row, eb[j].Col, eb[j].Val)
+			j++
+		default:
+			builder.Add(ea[i].Row, ea[i].Col, s.Add(ea[i].Val, eb[j].Val))
+			i++
+			j++
 		}
-		return true
-	})
-	return builder.build()
+	}
+	return builder.Build()
 }
 
 // Apply returns a new matrix with fn applied to every stored value.

@@ -2,6 +2,7 @@ package hypersparse
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +170,23 @@ func TestEWiseAddMaxSemiring(t *testing.T) {
 	got := EWiseAdd(MaxPlus, a, b) // Add of max-plus is max
 	if got.At(1, 1) != 7 || got.At(2, 2) != 1 {
 		t.Errorf("EWiseAdd(MaxPlus) = %v", got.Entries())
+	}
+}
+
+// TestEWiseAddUnionEdges: a matched pair that combines to zero stays a
+// stored cell, and operands with no row in common interleave whole rows.
+func TestEWiseAddUnionEdges(t *testing.T) {
+	zero := EWiseAdd(PlusTimes, FromEntries([]Entry{{1, 1, 2}, {1, 4, 0}}), FromEntries([]Entry{{1, 1, -2}}))
+	if want := []Entry{{1, 1, 0}, {1, 4, 0}}; !reflect.DeepEqual(zero.Entries(), want) {
+		t.Errorf("explicit zeros: got %v, want %v", zero.Entries(), want)
+	}
+	a := FromEntries([]Entry{{1, 7, 1}, {5, 2, 2}, {5, 3, 3}})
+	b := FromEntries([]Entry{{2, 7, 4}, {3, 1, 5}, {9, 9, 6}})
+	want := []Entry{{1, 7, 1}, {2, 7, 4}, {3, 1, 5}, {5, 2, 2}, {5, 3, 3}, {9, 9, 6}}
+	for _, got := range []*Matrix{EWiseAdd(MaxPlus, a, b), EWiseAdd(MaxPlus, b, a)} {
+		if !reflect.DeepEqual(got.Entries(), want) {
+			t.Errorf("disjoint rows: got %v, want %v", got.Entries(), want)
+		}
 	}
 }
 

@@ -225,8 +225,7 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 }
 
 // TestNextBatchZeroAlloc gates the steady-state slab decode at zero
-// allocations per call (the pcap_batch benchreport gate measures the
-// same property end to end).
+// allocations per call.
 func TestNextBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")

@@ -14,9 +14,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/report"
@@ -114,6 +116,53 @@ func TestReportWorkerSweep(t *testing.T) {
 				t.Errorf("workers=%d: %s diverges from its golden:\ngot:\n%s\nwant:\n%s", workers, id, got, want)
 			}
 		}
+	}
+}
+
+// TestFitSpeedup is the fit-phase wall-clock gate: the Fig 7/8 sweeps
+// fanned out per (snapshot, band) on four workers finish >= 2x faster
+// than on one. Fixture and CPU floor are core.TestStudySpeedup's: eight
+// snapshots (~a dozen pure-CPU fits each), min(NumCPU, GOMAXPROCS) >= 4.
+func TestFitSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a timed study and a dozen timed fit sweeps")
+	}
+	if raceEnabled {
+		t.Skip("race detector perturbs timing")
+	}
+	if cpus, procs := runtime.NumCPU(), runtime.GOMAXPROCS(0); min(cpus, procs) < 4 {
+		t.Skipf("fit speedup needs >= 4 CPUs to measure; this run has NumCPU=%d, GOMAXPROCS=%d", cpus, procs)
+	}
+	cfg := core.QuickConfig()
+	cfg.SnapshotTimes = nil
+	for m := 2; m < 10; m++ {
+		cfg.SnapshotTimes = append(cfg.SnapshotTimes, cfg.StudyStart.AddDate(0, m, 14))
+	}
+	p, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Frozen() // built outside the timed region: the phase is pure fit compute
+	timed := func(workers int) time.Duration {
+		start := time.Now()
+		res.ReportWith(workers).Fig7And8()
+		return time.Since(start)
+	}
+	// Best of six each, interleaved, so a host that changes speed
+	// mid-test lands on both sides of the ratio.
+	serial, par := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < 6; i++ {
+		serial = min(serial, timed(1))
+		par = min(par, timed(4))
+	}
+	speedup := float64(serial) / float64(par)
+	t.Logf("fig7_fig8 fits: 1 worker %v, 4 workers %v, speedup %.2fx", serial, par, speedup)
+	if speedup < 2 {
+		t.Errorf("fit speedup %.2fx < 2x gate (1 worker %v, 4 workers %v)", speedup, serial, par)
 	}
 }
 

@@ -179,6 +179,44 @@ func TestEngineFollowsGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestFilteredWindowAllocBudget holds a warm, drop-heavy window capture
+// (15% bogon sources keep the in-shard filter busy) to 2048 allocations:
+// ~10x the fixed per-capture cost (119 at one worker, 234 at eight when
+// written) and 8x under one per packet, so it trips when filtering or
+// mapping starts allocating per packet. Workers are explicit because
+// AllocsPerRun pins GOMAXPROCS to 1, which would re-key a workers=0
+// engine and measure a cold one.
+func TestFilteredWindowAllocBudget(t *testing.T) {
+	cfg := radiation.DefaultConfig()
+	cfg.NumSources = 10000
+	cfg.ZM = stats.PaperZM(1 << 14)
+	cfg.BogonRate = 0.15
+	pop, err := radiation.NewPopulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nv = 1 << 14
+	for _, workers := range []int{1, 8} {
+		tel := New(cfg.Darkspace, "alloc-key", WithLeafSize(1<<10))
+		capture := func() {
+			w, err := tel.CaptureWindowEngine(context.Background(),
+				pop.TelescopeStream(4.5, time.Unix(0, 0)), nv, workers, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.NV != nv || w.Dropped == 0 {
+				t.Fatalf("workers=%d: window NV %d (want %d), %d dropped (want > 0)", workers, w.NV, nv, w.Dropped)
+			}
+		}
+		capture() // warm the engine's pools and the anonymization memos
+		got := testing.AllocsPerRun(5, capture)
+		t.Logf("workers=%d: %.0f allocs per filtered window", workers, got)
+		if got > 2048 {
+			t.Errorf("workers=%d: %.0f allocs per filtered window of %d packets, budget is 2048", workers, got, nv)
+		}
+	}
+}
+
 func TestEngineRejectsBadNV(t *testing.T) {
 	tel := New(radiation.DefaultConfig().Darkspace, "bad")
 	if _, err := tel.CaptureWindowEngine(context.Background(), nil, 0, 4, 0); err == nil {

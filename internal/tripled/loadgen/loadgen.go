@@ -1,12 +1,11 @@
-// Package loadgen is the shared mixed-workload driver behind
-// cmd/tripled-load and benchreport's -tripled phase: M concurrent
-// clients push a seeded PUT/GET/TOPDEG mix through any tripled.Conn —
-// a single server or the replicated cluster client — and collect
-// per-op-kind latency samples. A Mid hook fires at the exact halfway
-// point of every client's script (barrier-synchronized), which is how
-// the failover benchmarks and the chaos flag inject a fault at a
-// deterministic position in the workload rather than at a wall-clock
-// time.
+// Package loadgen is the mixed-workload driver behind cmd/tripled-load
+// and this package's TestLoadPhases: M concurrent clients push a seeded
+// PUT/GET/TOPDEG mix through any tripled.Conn — a single server or the
+// replicated cluster client — and collect per-op-kind latency samples.
+// A Mid hook fires at the exact halfway point of every client's script
+// (barrier-synchronized), which is how the failover phase and the chaos
+// flag inject a fault at a deterministic position in the workload
+// rather than at a wall-clock time.
 package loadgen
 
 import (

@@ -1,11 +1,16 @@
 package loadgen
 
 import (
+	"math"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/assoc"
+	"repro/internal/faultinject"
 	"repro/internal/tripled"
+	"repro/internal/tripled/cluster"
 )
 
 func TestParseMix(t *testing.T) {
@@ -80,6 +85,96 @@ func TestRunMidBarrier(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no samples recorded")
+	}
+}
+
+// TestLoadPhases runs one workload four ways: an in-memory node, a WAL
+// `interval` node, a 3-node R=2 cluster, and that cluster with node 1
+// blackholed at the halfway barrier. Everywhere, every phase finishes
+// every op (R=2 must absorb one fault) and the blackholed one serves at
+// least one read from a non-primary replica, or the degraded path never
+// ran. Un-raced and not -short, on PUT cells/s within this process: the
+// WAL costs <= 1.5x (a buffered write() per request, off the ack path;
+// 0.9-1.3x when written) and replication <= 6x (every cell written
+// twice; 1.1-2.1x when written), best of three attempts because the
+// bars are about the protocol, not a loaded host's scheduler.
+func TestLoadPhases(t *testing.T) {
+	serve := func(opts ...tripled.Option) string {
+		t.Helper()
+		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv.Addr()
+	}
+	// run returns the phase's PUT cells/s; Run fails unless every op of
+	// every client finished. Every phase gets fresh servers, so TOPDEG
+	// cost does not compound.
+	run := func(phase string, mid func(), dial func(int) (tripled.Conn, error)) float64 {
+		t.Helper()
+		st, err := Run(Config{Clients: 4, Ops: 1500, Batch: 64, Rows: 20000, Mix: [3]int{70, 25, 5}, TopK: 10, Seed: 1, Mid: mid, Dial: dial})
+		if err != nil {
+			t.Fatalf("%s phase: %v", phase, err)
+		}
+		return st.PerSec("PUT")
+	}
+	single := func(phase string, opts ...tripled.Option) float64 {
+		addr := serve(opts...)
+		return run(phase, nil, func(int) (tripled.Conn, error) { return tripled.Dial(addr) })
+	}
+
+	timed := !testing.Short() && !raceEnabled
+	walX, replX := math.Inf(1), math.Inf(1)
+	for attempt := 1; attempt <= 3 && (walX > 1.5 || replX > 6); attempt++ {
+		mem := single("in-memory")
+		wal := single("WAL", tripled.WithDataDir(t.TempDir()), tripled.WithWALSyncPolicy("interval"))
+		spec := strings.Join([]string{serve(), serve(), serve()}, ",") + ";replicas=2"
+		repl := run("3-node", nil, func(int) (tripled.Conn, error) { return cluster.Dial(spec) })
+		walX, replX = min(walX, mem/wal), min(replX, mem/repl)
+		if !timed {
+			break
+		}
+		t.Logf("attempt %d: WAL overhead %.2fx, replication overhead %.2fx on PUT cells/s", attempt, mem/wal, mem/repl)
+	}
+	if timed && walX > 1.5 {
+		t.Errorf("WAL overhead %.2fx exceeds 1.5x: durability crept onto the ingest hot path", walX)
+	}
+	if timed && replX > 6 {
+		t.Errorf("replication overhead %.2fx exceeds 6x", replX)
+	}
+
+	var proxies []*faultinject.Proxy
+	var paddrs []string
+	for i := 0; i < 3; i++ {
+		p, err := faultinject.New(serve())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		proxies = append(proxies, p)
+		paddrs = append(paddrs, p.Addr())
+	}
+	spec := strings.Join(paddrs, ",") + ";replicas=2;io_timeout=500ms;retries=2"
+	var mu sync.Mutex
+	var clients []*cluster.Client
+	run("blackholed", func() { proxies[1].SetMode(faultinject.Blackhole) }, func(int) (tripled.Conn, error) {
+		c, err := cluster.Dial(spec)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		clients = append(clients, c)
+		mu.Unlock()
+		return c, nil
+	})
+	failovers := 0
+	for _, c := range clients {
+		failovers += c.Health().Failovers
+	}
+	t.Logf("blackholed phase: %d read failovers", failovers)
+	if failovers < 1 {
+		t.Errorf("blackholed phase recorded %d failovers, want >= 1: the degraded path did not run", failovers)
 	}
 }
 
