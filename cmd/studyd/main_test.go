@@ -8,7 +8,6 @@ package main
 // require a clean drain (exit 0, the in-flight request answered).
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -65,42 +64,56 @@ func e2eConfig() core.Config {
 	return cfg
 }
 
+// stderrLog collects the daemon's stderr and announces the listen
+// address once its line is in. It is handed to exec as a plain writer,
+// so cmd.Wait returns only after every byte the process wrote has been
+// copied in: the drain confirmation cannot be missed by reading too
+// soon, as it could through StderrPipe.
+type stderrLog struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	addr chan string // buffered; nil once the address went out
+}
+
+func (l *stderrLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf.Write(p)
+	const marker = "studyd listening on "
+	if l.addr != nil {
+		if _, after, ok := strings.Cut(l.buf.String(), marker); ok {
+			if line, _, ok := strings.Cut(after, "\n"); ok {
+				l.addr <- strings.TrimSpace(line)
+				l.addr = nil
+			}
+		}
+	}
+	return len(p), nil
+}
+
+func (l *stderrLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
 // startDaemon launches the binary and returns its base URL once the
-// listen line appears on stderr; stderr keeps draining into buf.
-func startDaemon(t *testing.T, args ...string) (*exec.Cmd, string, *bytes.Buffer) {
+// listen line appears on stderr; stderr keeps draining into the log.
+func startDaemon(t *testing.T, args ...string) (*exec.Cmd, string, *stderrLog) {
 	t.Helper()
 	cmd := exec.Command(binary(t), args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	addrCh := make(chan string, 1)
+	log := &stderrLog{addr: addrCh}
+	cmd.Stderr = log
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	addrCh := make(chan string, 1)
-	var buf bytes.Buffer
-	var bufMu sync.Mutex
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			bufMu.Lock()
-			buf.WriteString(line + "\n")
-			bufMu.Unlock()
-			if i := strings.Index(line, "studyd listening on "); i >= 0 {
-				select {
-				case addrCh <- strings.TrimSpace(line[i+len("studyd listening on "):]):
-				default:
-				}
-			}
-		}
-	}()
 	select {
 	case addr := <-addrCh:
-		return cmd, "http://" + addr, &buf
+		return cmd, "http://" + addr, log
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
-		t.Fatalf("studyd never printed its listen line; stderr:\n%s", buf.String())
+		t.Fatalf("studyd never printed its listen line; stderr:\n%s", log)
 		return nil, "", nil
 	}
 }

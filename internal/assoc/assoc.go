@@ -13,10 +13,11 @@
 // is Set("1.1.1.1", "2.2.2.2", Num(3)).
 //
 // The tables of the paper have many rows and a handful of columns, and
-// are built, published and fetched a row at a time. The representation
-// follows: a hash map from row key to the row's cells as a run sorted
-// by column (internal/runs). SetRow hands a whole row over in one map
-// operation; Set, Get and Delete search the run; every walk is in
+// are built, published and fetched whole rows at a time. The
+// representation follows: a hash map from row key to the row's cells as
+// a run sorted by column (internal/runs). SetRow hands a whole row over
+// in one map operation and SetRows a whole slab of rows in one
+// allocation; Set, Get and Delete search the run; every walk is in
 // column order as it stands.
 package assoc
 
@@ -89,8 +90,13 @@ type Assoc struct {
 }
 
 // New returns an empty associative array.
-func New() *Assoc {
-	return &Assoc{rows: make(map[string]runs.Run[Value])}
+func New() *Assoc { return NewSized(0) }
+
+// NewSized returns an empty associative array with room for rows rows,
+// for a builder that knows how many it is about to hand over: the row
+// map is made at its final size instead of growing there by rehashing.
+func NewSized(rows int) *Assoc {
+	return &Assoc{rows: make(map[string]runs.Run[Value], rows)}
 }
 
 // Set stores v at (row, col), replacing any existing value.
@@ -127,6 +133,55 @@ func (a *Assoc) SetRow(row string, cells []Cell) error {
 		delete(a.rows, row)
 	} else {
 		a.rows[row] = runs.Of(cells)
+	}
+	return nil
+}
+
+// SetRows is SetRow for many new rows at once: row keys[i] becomes the
+// cells slab[ends[i-1]:ends[i]] (from 0 for the first). Every row is
+// held to SetRow's contract — at least one cell, strictly ascending
+// column order — the ends must cut the slab exactly, one per key, and
+// no key may be in the array already or appear twice; anything else is
+// refused and changes nothing. Neither keys nor ends is kept.
+//
+// SetRows takes ownership of the slab, and the rows keep it as their
+// storage: they share its backing array and one block-header
+// allocation, so a table of n rows built this way costs a handful of
+// allocations, not a few per row. Each row is a capped cut, so a row
+// that later grows (Set on a new column), splits or is deleted touches
+// only its own cells. What a caller must know is the lifetime: the
+// array holds the whole slab, and whatever the cells' strings point
+// into, until the last row handed over with it is gone — deleting most
+// rows of a slab-built table frees nothing.
+func (a *Assoc) SetRows(keys []string, ends []int, slab []Cell) error {
+	if len(ends) != len(keys) {
+		return fmt.Errorf("assoc: %d row keys for %d rows", len(keys), len(ends))
+	}
+	lo := 0
+	for i, hi := range ends {
+		if hi <= lo || hi > len(slab) {
+			return fmt.Errorf("assoc: row %q: cells [%d:%d] of a %d-cell slab", keys[i], lo, hi, len(slab))
+		}
+		if !runs.IsAscending(slab[lo:hi]) {
+			return fmt.Errorf("assoc: row %q: cells not in strictly ascending column order", keys[i])
+		}
+		lo = hi
+	}
+	if lo != len(slab) {
+		return fmt.Errorf("assoc: rows end at cell %d of a %d-cell slab", lo, len(slab))
+	}
+	for i, r := range runs.Cut(slab, ends) {
+		if _, held := a.rows[keys[i]]; held {
+			for _, k := range keys[:i] {
+				delete(a.rows, k)
+			}
+			return fmt.Errorf("assoc: row %q is already in the array", keys[i])
+		}
+		a.rows[keys[i]] = r
+	}
+	if len(keys) > 0 {
+		a.rowKeys.Store(nil)
+		a.nnz += len(slab)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -180,8 +181,8 @@ func diffAssoc(t *testing.T, what string, a *Assoc, m mapAssoc) {
 }
 
 // TestAssocMatchesMapOracle is the model-based differential test of the
-// run layout: random Set/SetRow/Delete/Accum on two arrays and their
-// map-of-maps models, every read compared after every step, and the
+// run layout: random Set/SetRow/SetRows/Delete/Accum on two arrays and
+// their map-of-maps models, every read compared after every step, and the
 // whole-array operations (Copy, Plus, And, Transpose, SubRows, SubCols,
 // SumRows) compared every few steps.
 func TestAssocMatchesMapOracle(t *testing.T) {
@@ -210,7 +211,37 @@ func TestAssocMatchesMapOracle(t *testing.T) {
 		k := rng.Intn(2)
 		a, m := arrays[k], models[k]
 		what := ""
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
+		case op == 10:
+			// A slab of whole rows, all new to the array: drop a few rows
+			// and hand them back together, so that every later step works
+			// on rows that are neighbours in one slab.
+			var keys []string
+			var ends []int
+			var slab []Cell
+			for _, r := range rowSpace {
+				if rng.Intn(3) > 0 {
+					continue
+				}
+				if err := a.SetRow(r, nil); err != nil {
+					t.Fatal(err)
+				}
+				delete(m, r)
+				n := len(slab)
+				for _, c := range colSpace {
+					if rng.Intn(2) == 0 {
+						slab = append(slab, Cell{Key: c, Val: val()})
+						m.set(r, c, slab[len(slab)-1].Val)
+					}
+				}
+				if len(slab) > n {
+					keys, ends = append(keys, r), append(ends, len(slab))
+				}
+			}
+			what = fmt.Sprintf("step %d: SetRows(%q, %d cells)", step, keys, len(slab))
+			if err := a.SetRows(keys, ends, slab); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
 		case op < 3:
 			r, c, v := pick(rowSpace), pick(colSpace), val()
 			what = fmt.Sprintf("step %d: Set(%q,%q,%v)", step, r, c, v)
@@ -322,6 +353,69 @@ func TestSetRowRefusesUnsortedOrDuplicateRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffAssoc(t, "after removal", a, mapAssoc{"s": {"a": Num(2)}})
+}
+
+// TestSetRowsRefusals: the bulk hand-over holds every row to SetRow's
+// contract and the slab to its cuts, and a refusal — at the first row or
+// after a thousand good ones — leaves the array as it was.
+func TestSetRowsRefusals(t *testing.T) {
+	cells := func(cols ...string) []Cell {
+		out := make([]Cell, len(cols))
+		for i, c := range cols {
+			out[i] = Cell{Key: c, Val: Num(float64(i))}
+		}
+		return out
+	}
+	a := NewSized(4)
+	a.Set("held", "keep", Num(1))
+	if err := a.SetRows([]string{"s1", "s2"}, []int{2, 3}, cells("a", "b", "a")); err != nil {
+		t.Fatal(err)
+	}
+	model := mapAssoc{"held": {"keep": Num(1)}, "s1": {"a": Num(0), "b": Num(1)}, "s2": {"a": Num(2)}}
+	diffAssoc(t, "after a good hand-over", a, model)
+	keys := a.RowKeys()
+
+	many := make([]string, 1000)
+	manyEnds := make([]int, 1000)
+	for i := range many {
+		many[i], manyEnds[i] = fmt.Sprintf("m%04d", i), i+1
+	}
+	for _, c := range []struct {
+		why  string
+		keys []string
+		ends []int
+		slab []Cell
+	}{
+		{"an unsorted row", []string{"x", "y"}, []int{1, 3}, cells("a", "c", "b")},
+		{"a column twice in a row", []string{"x"}, []int{2}, cells("a", "a")},
+		{"a slab longer than its rows", []string{"x"}, []int{1}, cells("a", "b")},
+		{"a slab shorter than its rows", []string{"x", "y"}, []int{1, 3}, cells("a", "b")},
+		{"fewer ends than keys", []string{"x", "y"}, []int{2}, cells("a", "b")},
+		{"fewer keys than ends", []string{"x"}, []int{1, 2}, cells("a", "b")},
+		{"keys and no cells", []string{"x"}, nil, nil},
+		{"an empty row", []string{"x", "y"}, []int{1, 1}, cells("a")},
+		{"ends going backwards", []string{"x", "y", "z"}, []int{2, 1, 3}, cells("a", "b", "c")},
+		{"a key twice", []string{"x", "y", "x"}, []int{1, 2, 3}, cells("a", "a", "a")},
+		{"a key the array holds", []string{"x", "held"}, []int{1, 2}, cells("a", "a")},
+		{"a key twice after many good rows", append(slices.Clone(many), "m0500"), append(slices.Clone(manyEnds), 1001), make([]Cell, 1001)},
+	} {
+		if c.why == "a key twice after many good rows" {
+			for i := range c.slab {
+				c.slab[i] = Cell{Key: "a", Val: Num(1)}
+			}
+		}
+		if err := a.SetRows(c.keys, c.ends, c.slab); err == nil {
+			t.Errorf("SetRows accepted %s", c.why)
+		}
+		diffAssoc(t, "after refusing "+c.why, a, model)
+		if got := a.RowKeys(); &got[0] != &keys[0] {
+			t.Errorf("refusing %s dropped the RowKeys cache", c.why)
+		}
+	}
+	if err := a.SetRows(nil, nil, nil); err != nil {
+		t.Errorf("SetRows of no rows: %v", err)
+	}
+	diffAssoc(t, "after no rows", a, model)
 }
 
 // TestWideRowSetStaysLogarithmic is the wide-row guard: a row run must

@@ -19,9 +19,12 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -37,17 +40,37 @@ type Server struct {
 	done  chan error   // Serve's exit, consumed by Shutdown
 }
 
+// The edge's limits. A request is a line, a few headers and at most a
+// one-line JSON object, so a peer that has not finished its header in
+// readHeaderTimeout, or its body in readTimeout, is holding a
+// connection rather than using it, and an ingest body past
+// maxIngestBody is refused unread. There is no write timeout: an ingest
+// reply waits for the recompute it triggered.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	maxIngestBody     = 64 << 10
+)
+
 // Serve starts the HTTP front end on addr ("127.0.0.1:0" for an
 // ephemeral port) and returns once the listener is bound; requests are
 // handled on background goroutines until Shutdown.
 func Serve(d *Daemon, addr string) (*Server, error) {
+	return serve(d, addr, readHeaderTimeout, readTimeout)
+}
+
+// serve is Serve with the read timeouts as arguments, so a test of the
+// cut-off need not wait out the production values.
+func serve(d *Daemon, addr string, headerTimeout, bodyTimeout time.Duration) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: listen %s: %w", addr, err)
 	}
 	s := &Server{d: d, lis: lis, done: make(chan error, 1)}
 	s.srv = &http.Server{
-		Handler: d.Handler(),
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: headerTimeout,
+		ReadTimeout:       bodyTimeout,
 		ConnState: func(_ net.Conn, state http.ConnState) {
 			switch state {
 			case http.StateNew:
@@ -196,26 +219,51 @@ func (d *Daemon) ingestReply(w http.ResponseWriter) {
 	})
 }
 
+// decodeIngest reads an ingest request's body — one JSON object and
+// nothing after it, maxIngestBody at most — into req. On a body that is
+// not that it answers 413 or 400 with what the endpoint accepts and
+// reports false.
+func decodeIngest(w http.ResponseWriter, r *http.Request, req any, accepts string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	err := dec.Decode(req)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body over %d bytes; it must be %s", tooBig.Limit, accepts))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("body must be %s and nothing else", accepts))
+	return false
+}
+
 func (d *Daemon) handleIngestMonth(w http.ResponseWriter, r *http.Request) {
+	const accepts = `{"month": <integer index>} or {"month": "2006-01"}`
 	var req struct {
 		Month json.RawMessage `json:"month"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Month == nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("body must be {\"month\": <index or \"2006-01\">}"))
+	if !decodeIngest(w, r, &req, accepts) {
 		return
 	}
+	// A raw message keeps a literal null, and unmarshalling null into
+	// an int is a silent no-op that would ingest month 0: take the two
+	// accepted shapes apart by hand.
 	var m int
-	var label string
-	if err := json.Unmarshal(req.Month, &m); err != nil {
-		if err := json.Unmarshal(req.Month, &label); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("month must be a number or string"))
-			return
+	var err error
+	if len(req.Month) > 0 && req.Month[0] == '"' {
+		var label string
+		if err = json.Unmarshal(req.Month, &label); err == nil {
+			m, err = d.parseMonthArg(label)
 		}
-		var perr error
-		if m, perr = d.parseMonthArg(label); perr != nil {
-			writeError(w, http.StatusBadRequest, perr)
-			return
-		}
+	} else if m, err = strconv.Atoi(string(req.Month)); err != nil {
+		err = fmt.Errorf("month %q: body must be %s", req.Month, accepts)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	if err := d.IngestMonth(m); err != nil {
 		writeError(w, ingestStatus(err), err)
@@ -225,11 +273,11 @@ func (d *Daemon) handleIngestMonth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleIngestSnapshot(w http.ResponseWriter, r *http.Request) {
+	const accepts = `{"time": "<RFC 3339>"}`
 	var req struct {
 		Time string `json:"time"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Time == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("body must be {\"time\": \"RFC3339\"}"))
+	if !decodeIngest(w, r, &req, accepts) {
 		return
 	}
 	ts, err := time.Parse(time.RFC3339Nano, req.Time)

@@ -94,33 +94,71 @@ func (h *Honeyfarm) IngestMonth(label string, start time.Time, obs []radiation.O
 	return h.Attach(h.BuildMonth(label, start, obs))
 }
 
+// monthColumns is the width of a month table's row: the six Col*
+// columns, which sort in the order BuildMonth fills them.
+const monthColumns = 6
+
 // BuildMonth builds one month window without attaching it to the farm.
 // It only reads the (immutable) sensor set, so any number of months may
 // build concurrently; the study scheduler fans months out across
 // workers this way and attaches them in month order afterwards.
+//
+// The table is built by the slab, not by the row: the row keys of the
+// month are rendered into one text arena and its timestamps into
+// another and sliced out of them, classification, intent and tags are
+// the archetype's static strings, the cells of all rows are one slice,
+// and the lot is handed to a presized table in one call (assoc.SetRows)
+// — a month costs a dozen allocations however many sources it saw. The
+// table's strings therefore pin the month's arenas, and its rows their
+// one cell slab, for as long as any of them is reachable.
 func (h *Honeyfarm) BuildMonth(label string, start time.Time, obs []radiation.Observation) *MonthWindow {
-	table := assoc.New()
-	for _, o := range obs {
-		row, cells := h.monthRow(o)
-		if err := table.SetRow(row, cells); err != nil {
-			panic(err) // monthRow's column order is fixed below
+	// Two arenas, so that the row keys — what a freeze sorts and a
+	// correlation probes — lie side by side and not 40 bytes of
+	// timestamps apart. A dotted quad is 15 bytes at most, an RFC 3339
+	// UTC stamp 20.
+	var keyText, stampText strings.Builder
+	keyText.Grow(len(obs) * 15)
+	stampText.Grow(len(obs) * 2 * 20)
+	keys := make([]string, len(obs))
+	ends := make([]int, len(obs))
+	cells := make([]assoc.Cell, 0, monthColumns*len(obs))
+	var scratch [64]byte
+	for i, o := range obs {
+		// What a builder has handed out it never rewrites, so a string cut
+		// from it stays good while later rows are appended behind it.
+		at := keyText.Len()
+		keyText.Write(o.Src.IP.AppendTo(scratch[:0]))
+		keys[i] = keyText.String()[at:]
+		at = stampText.Len()
+		stampText.Write(o.FirstSeen.UTC().AppendFormat(scratch[:0], time.RFC3339))
+		last := stampText.Len()
+		stampText.Write(o.LastSeen.UTC().AppendFormat(scratch[:0], time.RFC3339))
+		stamps := stampText.String()
+		p := converse(o.Src)
+		cells = append(cells,
+			assoc.Cell{Key: ColClassification, Val: assoc.Str(p.Classification)},
+			assoc.Cell{Key: ColFirstSeen, Val: assoc.Str(stamps[at:last])},
+			assoc.Cell{Key: ColIntent, Val: assoc.Str(p.Intent)},
+			assoc.Cell{Key: ColLastSeen, Val: assoc.Str(stamps[last:])},
+			assoc.Cell{Key: ColPackets, Val: assoc.Num(float64(o.Packets))},
+			assoc.Cell{Key: ColTags, Val: assoc.Str(p.tags)},
+		)
+		ends[i] = len(cells)
+	}
+	table := assoc.NewSized(len(obs))
+	if err := table.SetRows(keys, ends, cells); err != nil {
+		// A source observed twice in one month: the later observation is
+		// its row, as when rows went in one by one. The column order is
+		// fixed above, so nothing else can be refused.
+		lo := 0
+		for i, hi := range ends {
+			if err := table.SetRow(keys[i], cells[lo:hi:hi]); err != nil {
+				panic(err)
+			}
+			lo = hi
 		}
 	}
 	return &MonthWindow{Label: label, Start: start, Table: table}
-}
-
-// monthRow renders one observation as a row of the month table: its key
-// and its cells in column order, ready to be handed over whole.
-func (h *Honeyfarm) monthRow(o radiation.Observation) (string, []assoc.Cell) {
-	profile := Converse(o.Src, h.sensors)
-	return o.Src.IP.String(), []assoc.Cell{
-		{Key: ColClassification, Val: assoc.Str(profile.Classification)},
-		{Key: ColFirstSeen, Val: assoc.Str(o.FirstSeen.UTC().Format(time.RFC3339))},
-		{Key: ColIntent, Val: assoc.Str(profile.Intent)},
-		{Key: ColLastSeen, Val: assoc.Str(o.LastSeen.UTC().Format(time.RFC3339))},
-		{Key: ColPackets, Val: assoc.Num(float64(o.Packets))},
-		{Key: ColTags, Val: assoc.Str(strings.Join(profile.Tags, ","))},
-	}
 }
 
 // Attach appends a built month window to the farm's ingestion order.
@@ -152,57 +190,64 @@ func FetchMonthTable(c tripled.Conn, label string) (*assoc.Assoc, error) {
 }
 
 // Profile is the enrichment the conversation engine produces for one
-// source.
+// source. Tags is shared by every profile of the same behaviour and is
+// read-only: a caller that wants to change it copies it first.
 type Profile struct {
 	Classification string
 	Intent         string // "malicious", "suspicious", or "benign"
 	Tags           []string
 }
 
+// profile is a Profile with its tags as a month table stores them.
+type profile struct {
+	Profile
+	tags string // Tags joined by ","
+}
+
+func newProfile(classification, intent string, tags ...string) *profile {
+	return &profile{Profile{classification, intent, tags}, strings.Join(tags, ",")}
+}
+
+// The conversation has a handful of outcomes; each is rendered once.
+var (
+	scannerProfile = newProfile("scanner", "suspicious", "mass-scanner", "tcp-syn")
+	// Long-lived, well-behaved scanners complete handshakes and
+	// identify themselves; GreyNoise labels these benign.
+	crawlerProfile = newProfile("scanner", "benign", "mass-scanner", "tcp-syn", "identified-crawler")
+	wormProfile    = newProfile("worm", "malicious", "self-propagating", "smb", "sequential-sweep")
+	// Replies to packets the sensor never sent: spoofed-victim
+	// backscatter, no conversation possible.
+	backscatterProfile = newProfile("backscatter", "benign", "spoofed-victim", "syn-ack")
+	botnetProfile      = newProfile("botnet", "malicious", "keep-alive", "low-and-slow", "udp")
+	misconfigProfile   = newProfile("misconfiguration", "benign", "misdirected", "udp")
+)
+
 // Converse runs the sensor conversation state machine against a source:
 // the sensor replies to the source's probes (SYN -> SYN/ACK -> banner
 // exchange) and classifies from what comes back. In this reproduction
 // the exchange is simulated from the source's behavioral archetype and
 // emission pattern — the same observable surface a real honeyfarm keys
-// on — and never inspects the generator's hidden beam parameters.
+// on — and never inspects the generator's hidden beam parameters. It
+// allocates nothing: the result's Tags is a shared read-only slice.
 func Converse(src radiation.Source, sensors []ipaddr.Addr) Profile {
+	return converse(src).Profile
+}
+
+func converse(src radiation.Source) *profile {
 	switch src.Type {
 	case radiation.Scanner:
-		tags := []string{"mass-scanner", "tcp-syn"}
-		intent := "suspicious"
 		if src.Persistent {
-			// Long-lived, well-behaved scanners complete handshakes and
-			// identify themselves; GreyNoise labels these benign.
-			tags = append(tags, "identified-crawler")
-			intent = "benign"
+			return crawlerProfile
 		}
-		return Profile{Classification: "scanner", Intent: intent, Tags: tags}
+		return scannerProfile
 	case radiation.Worm:
-		return Profile{
-			Classification: "worm",
-			Intent:         "malicious",
-			Tags:           []string{"self-propagating", "smb", "sequential-sweep"},
-		}
+		return wormProfile
 	case radiation.Backscatter:
-		// Replies to packets the sensor never sent: spoofed-victim
-		// backscatter, no conversation possible.
-		return Profile{
-			Classification: "backscatter",
-			Intent:         "benign",
-			Tags:           []string{"spoofed-victim", "syn-ack"},
-		}
+		return backscatterProfile
 	case radiation.BotnetKeepalive:
-		return Profile{
-			Classification: "botnet",
-			Intent:         "malicious",
-			Tags:           []string{"keep-alive", "low-and-slow", "udp"},
-		}
+		return botnetProfile
 	default:
-		return Profile{
-			Classification: "misconfiguration",
-			Intent:         "benign",
-			Tags:           []string{"misdirected", "udp"},
-		}
+		return misconfigProfile
 	}
 }
 

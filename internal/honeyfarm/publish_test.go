@@ -76,43 +76,3 @@ func TestPublishFetchMonthRoundTrip(t *testing.T) {
 		t.Errorf("store NNZ = %d, want %d", nnz, want)
 	}
 }
-
-// TestBuildMonthTableAllocations is the alloc gate on the row-wise
-// build: beyond the strings a row is rendered into (its key, two
-// timestamps, the tag list — the same with any table layout), a new
-// row costs the table at most two allocations: the run handed to
-// SetRow and the header the array keeps it under.
-func TestBuildMonthTableAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector perturbs allocation counts")
-	}
-	cfg := radiation.DefaultConfig()
-	cfg.NumSources = 20000
-	cfg.ZM = stats.PaperZM(1 << 12)
-	pop, err := radiation.NewPopulation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	farm := New(30, 7)
-	start := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
-	obs := pop.HoneyfarmMonth(1, start)
-	if len(obs) < 1000 {
-		t.Fatalf("only %d observations", len(obs))
-	}
-	var sink int
-	render := testing.AllocsPerRun(3, func() {
-		for _, o := range obs {
-			_, cells := farm.monthRow(o)
-			sink += len(cells)
-		}
-	})
-	build := testing.AllocsPerRun(3, func() {
-		sink += farm.BuildMonth("2020-03", start, obs).Table.NRows()
-	})
-	// monthRow's count includes the run itself, one per row.
-	perRow := (build-render)/float64(len(obs)) + 1
-	t.Logf("%d rows: %.0f allocs rendered, %.0f built: %.3f table allocations per row", len(obs), render, build, perRow)
-	if perRow > 2.1 { // the row map's own growth is a few dozen allocations in all
-		t.Errorf("BuildMonth costs the table %.3f allocations per new row, want <= 2", perRow)
-	}
-}

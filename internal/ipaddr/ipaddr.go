@@ -52,14 +52,20 @@ func MustParse(s string) Addr {
 // String returns the dotted-quad representation.
 func (a Addr) String() string {
 	var b [15]byte
-	buf := strconv.AppendUint(b[:0], uint64(a>>24), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(a>>16&0xff), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(a>>8&0xff), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(a&0xff), 10)
-	return string(buf)
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad representation to b, at most 15
+// bytes, and returns the extended slice: String without the string, for
+// a caller rendering many addresses into one buffer.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(a>>24), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(a>>16&0xff), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(a>>8&0xff), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(a&0xff), 10)
 }
 
 // Octets returns the four address bytes, most significant first.

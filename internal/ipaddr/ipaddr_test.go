@@ -16,6 +16,9 @@ func TestParseRoundTrip(t *testing.T) {
 		if got := a.String(); got != s {
 			t.Errorf("round trip %q -> %q", s, got)
 		}
+		if got := string(a.AppendTo([]byte("src="))); got != "src="+s {
+			t.Errorf("AppendTo after a prefix = %q, want %q", got, "src="+s)
+		}
 	}
 }
 

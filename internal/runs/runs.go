@@ -66,6 +66,41 @@ func Of[V any](sorted []Entry[V]) Run[V] {
 	return Run[V]{blocks: append(blocks, sorted)}
 }
 
+// Cut is Of for a whole slab of runs at once: run i holds the entries
+// slab[ends[i-1]:ends[i]] (from 0 for the first), each cut strictly
+// ascending as Of requires, ends non-decreasing and within the slab.
+// It takes ownership of the slab and yields the runs in order; all of
+// them share the slab as their storage and one allocation as their
+// block headers, so n runs cost what one does. Every block's capacity
+// is capped at its cut, and every run's header likewise: a run that
+// grows, splits or empties reallocates what it needs and never writes
+// into a neighbour's entries. The slab is garbage when the last run cut
+// from it is.
+func Cut[V any](slab []Entry[V], ends []int) iter.Seq2[int, Run[V]] {
+	return func(yield func(int, Run[V]) bool) {
+		nb, lo := 0, 0
+		for _, hi := range ends {
+			nb += (hi - lo + blockLen - 1) / blockLen
+			lo = hi
+		}
+		blocks := make([][]Entry[V], 0, nb)
+		lo = 0
+		for i, hi := range ends {
+			first := len(blocks)
+			for ; hi-lo > blockLen; lo += blockLen {
+				blocks = append(blocks, slab[lo:lo+blockLen:lo+blockLen])
+			}
+			if lo < hi {
+				blocks = append(blocks, slab[lo:hi:hi])
+			}
+			lo = hi
+			if !yield(i, Run[V]{blocks: blocks[first:len(blocks):len(blocks)]}) {
+				return
+			}
+		}
+	}
+}
+
 // Len returns the number of entries, in O(NumBlocks).
 func (r Run[V]) Len() int {
 	n := 0

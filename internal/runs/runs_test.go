@@ -241,3 +241,93 @@ func TestWideRunInsertIsLogarithmic(t *testing.T) {
 		t.Errorf("%d keys spread over %d blocks: blocks under half full", n, nb)
 	}
 }
+
+// TestCutRunsAreIndependentNeighbours: runs cut from one slab hold what
+// Of would have given each cut, on two allocations in all, and then
+// behave as runs of their own — random Put and Delete on every one of
+// them, narrow and wider than a block, against a map each, with every
+// other run checked after every step.
+func TestCutRunsAreIndependentNeighbours(t *testing.T) {
+	widths := []int{6, 1, 0, blockLen, 2*blockLen + 5, 6, blockLen + 1, 1}
+	var slab []Entry[int]
+	var ends []int
+	models := make([]map[string]int, len(widths))
+	for i, w := range widths {
+		models[i] = make(map[string]int)
+		for j := 0; j < w; j++ {
+			key := fmt.Sprintf("k%05d", 2*j)
+			slab = append(slab, Entry[int]{Key: key, Val: 1000*i + j})
+			models[i][key] = 1000*i + j
+		}
+		ends = append(ends, len(slab))
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		for range Cut(slab, ends) {
+		}
+	}); n > 1 {
+		t.Errorf("Cut of %d runs allocates %v times, want the one header slab", len(ends), n)
+	}
+	verify := func(what string, rs []Run[int]) {
+		t.Helper()
+		for i, r := range rs {
+			got := check(t, r)
+			if len(got) != len(models[i]) {
+				t.Fatalf("%s: run %d holds %d entries, model %d", what, i, len(got), len(models[i]))
+			}
+			for _, e := range got {
+				if v, ok := models[i][e.Key]; !ok || v != e.Val {
+					t.Fatalf("%s: run %d holds %q=%d, model %d,%v", what, i, e.Key, e.Val, v, ok)
+				}
+			}
+		}
+	}
+	var rs []Run[int]
+	for i, r := range Cut(slab, ends) {
+		if i != len(rs) {
+			t.Fatalf("Cut yielded run %d after %d runs", i, len(rs))
+		}
+		rs = append(rs, r)
+	}
+	if len(rs) != len(widths) {
+		t.Fatalf("Cut yielded %d runs for %d ends", len(rs), len(widths))
+	}
+	verify("as cut", rs)
+	if &rs[0].blocks[0][0] != &slab[0] || &rs[1].blocks[0][0] != &slab[widths[0]] {
+		t.Fatal("the cuts are not the slab itself")
+	}
+	for i, r := range rs {
+		if cap(r.blocks) != len(r.blocks) {
+			t.Fatalf("run %d: %d block headers in room for %d", i, len(r.blocks), cap(r.blocks))
+		}
+		for b, blk := range r.blocks {
+			if cap(blk) != len(blk) {
+				t.Fatalf("run %d block %d: %d entries in room for %d", i, b, len(blk), cap(blk))
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(20))
+	for step := 0; step < 20000; step++ {
+		i := rng.Intn(len(rs))
+		key := fmt.Sprintf("k%05d", rng.Intn(3*blockLen*2))
+		what := fmt.Sprintf("step %d: run %d %q", step, i, key)
+		if rng.Intn(3) == 0 {
+			got, ok := rs[i].Delete(key)
+			if want, wok := models[i][key]; ok != wok || got != want {
+				t.Fatalf("%s: Delete = %d,%v want %d,%v", what, got, ok, want, wok)
+			}
+			delete(models[i], key)
+		} else {
+			e, added := rs[i].Put(key)
+			if _, had := models[i][key]; added == had {
+				t.Fatalf("%s: Put added=%v, model had=%v", what, added, had)
+			}
+			e.Val = step
+			models[i][key] = step
+		}
+		if step%97 == 0 || step < 200 {
+			verify(what, rs)
+		}
+	}
+	verify("at the end", rs)
+}

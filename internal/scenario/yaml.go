@@ -179,7 +179,8 @@ func parseSequence(lines []yamlLine, indent int) (any, []yamlLine, error) {
 			lines = remain
 			continue
 		}
-		if key, rest, err := splitKey(yamlLine{text: body, num: ln.num}); err == nil {
+		flow := body[0] == '[' || body[0] == '{' // "- {k: v}" is a flow item, not a map item keyed "{k"
+		if key, rest, err := splitKey(yamlLine{text: body, num: ln.num}); err == nil && !flow {
 			// "- key: ..." starts an inline map item; continuation keys
 			// sit deeper than the dash.
 			item := map[string]any{}

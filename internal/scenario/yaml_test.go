@@ -26,6 +26,8 @@ items:
   - table2: {quantity: valid_packets, equals: 16384}
   - name: multi
     extra: 7
+  - {flow: item, n: 1}
+  - [1, two]
 `
 	got, err := parseYAML([]byte(src))
 	if err != nil {
@@ -49,6 +51,8 @@ items:
 				"quantity": "valid_packets", "equals": 16384.0,
 			}},
 			map[string]any{"name": "multi", "extra": 7.0},
+			map[string]any{"flow": "item", "n": 1.0},
+			[]any{1.0, "two"},
 		},
 	}
 	if !reflect.DeepEqual(got, want) {

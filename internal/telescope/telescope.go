@@ -13,6 +13,7 @@ package telescope
 
 import (
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -225,21 +226,38 @@ func (t *Telescope) Deanonymize(a ipaddr.Addr) ipaddr.Addr {
 // boundary where, as in the paper, "the reduced results are converted to
 // D4M associative arrays" for correlation against the honeyfarm. The
 // cost is one keyed inverse walk over the window's rows, whatever else
-// the telescope has captured.
+// the telescope has captured, and a handful of allocations: the row
+// keys are rendered into one text arena and the cells are one slab,
+// handed over in one call (assoc.SetRows), so the table's keys pin that
+// arena while any of them is reachable.
 func (t *Telescope) SourceTable(w *Window) *assoc.Assoc {
 	packets := w.SourcePackets()
-	origs := make([]ipaddr.Addr, packets.NNZ())
+	n := packets.NNZ()
+	origs := make([]ipaddr.Addr, n)
 	for i, id := range packets.IDs() {
 		origs[i] = ipaddr.Addr(id)
 	}
 	t.anon.Anonymizer().DeanonymizeBatch(origs)
-	out := assoc.New()
+	var text strings.Builder
+	text.Grow(15 * n) // a dotted quad is 15 bytes at most
+	keys := make([]string, n)
+	ends := make([]int, n)
+	cells := make([]assoc.Cell, n)
+	var scratch [15]byte
 	i := 0
-	packets.Iterate(func(_ uint32, n float64) bool {
-		_ = out.SetRow(origs[i].String(), []assoc.Cell{{Key: "packets", Val: assoc.Num(n)}}) // one cell is always in order
+	packets.Iterate(func(_ uint32, count float64) bool {
+		at := text.Len()
+		text.Write(origs[i].AppendTo(scratch[:0]))
+		keys[i] = text.String()[at:] // good for ever: the builder never rewrites what it has handed out
+		cells[i] = assoc.Cell{Key: "packets", Val: assoc.Num(count)}
+		ends[i] = i + 1
 		i++
 		return true
 	})
+	out := assoc.NewSized(n)
+	if err := out.SetRows(keys, ends, cells); err != nil {
+		panic(err) // the inverse walk is a bijection: no original address comes up twice
+	}
 	return out
 }
 

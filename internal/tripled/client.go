@@ -570,10 +570,12 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 // FetchAssoc reads every cell under the row-key prefix back into an
 // associative array, paging with CELLS (pageRows rows per round trip)
 // and stripping the prefix from the row keys. A page is whole rows in
-// column order, so each row is handed to the array as one run. The
-// scan ends at the first empty page: a short non-empty page only
-// advances the cursor (concurrent deletes can legitimately shorten a
-// page), so nothing is silently truncated.
+// column order, each after every row before it, so a page is handed to
+// the array as one slab of rows (assoc.SetRows): one allocation for its
+// cells and one for its rows' headers. The scan ends at the first empty
+// page: a short non-empty page only advances the cursor (concurrent
+// deletes can legitimately shorten a page), so nothing is silently
+// truncated.
 func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	if pageRows < 1 {
 		pageRows = 512
@@ -581,6 +583,9 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	out := assoc.New()
 	cursor := ""
 	var cells []Cell
+	var keys []string // the page's row keys, and where each row ends in its slab
+	var ends []int
+	last := "" // the greatest row key seen so far
 	var err error
 	for {
 		cells, err = c.appendCells(cells[:0], prefix, PrefixEnd(prefix), pageRows, cursor)
@@ -590,24 +595,37 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 		if len(cells) == 0 {
 			return out, nil
 		}
-		for i := 0; i < len(cells); {
-			j := i + 1
-			for j < len(cells) && cells[j].Row == cells[i].Row {
-				j++
+		slab := make([]assoc.Cell, len(cells))
+		keys, ends = keys[:0], ends[:0]
+		ascending := true
+		for i, cell := range cells {
+			slab[i] = assoc.Cell{Key: cell.Col, Val: cell.Val}
+			if i > 0 && cell.Row == cells[i-1].Row {
+				ends[len(ends)-1] = i + 1
+				continue
 			}
-			run := make([]assoc.Cell, j-i)
-			for k := range run {
-				run[k] = assoc.Cell{Key: cells[i+k].Col, Val: cells[i+k].Val}
+			row := strings.TrimPrefix(cell.Row, prefix)
+			if row > last {
+				last = row
+			} else {
+				ascending = false
 			}
-			row := strings.TrimPrefix(cells[i].Row, prefix)
-			if out.HasRow(row) || out.SetRow(row, run) != nil {
-				// Not what a server sends — a row split across pages, or
-				// out of column order: merge it cell by cell.
-				for _, cell := range run {
-					out.Set(row, cell.Key, cell.Val)
+			keys, ends = append(keys, row), append(ends, i+1)
+		}
+		if !ascending || out.SetRows(keys, ends, slab) != nil {
+			// Not what a server sends — a row split across pages, not
+			// after every row before it, or out of column order: the page
+			// goes in row by row, and such a row cell by cell.
+			lo := 0
+			for k, hi := range ends {
+				row, run := keys[k], slab[lo:hi:hi]
+				if out.HasRow(row) || out.SetRow(row, run) != nil {
+					for _, cell := range run {
+						out.Set(row, cell.Key, cell.Val)
+					}
 				}
+				lo = hi
 			}
-			i = j
 		}
 		cursor = cells[len(cells)-1].Row
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -112,19 +113,25 @@ func FuzzReplayLog(f *testing.F) {
 	})
 }
 
+// swallowWrites is a connection whose requests go nowhere, so that a
+// request sent after the canned server has hung up fails at the reply
+// it never gets and not, depending on who ran first, at the send.
+type swallowWrites struct{ net.Conn }
+
+func (swallowWrites) Write(p []byte) (int, error) { return len(p), nil }
+
 // pipeClient returns a client whose server swallows every request and
 // answers with the fixed byte stream data, then hangs up.
 func pipeClient(t *testing.T, data []byte) *Client {
 	t.Helper()
 	clientEnd, serverEnd := net.Pipe()
-	go io.Copy(io.Discard, serverEnd)
 	go func() {
 		serverEnd.Write(data)
 		serverEnd.Close()
 	}()
 	t.Cleanup(func() { clientEnd.Close() })                 // also frees a writer the client stopped reading
 	clientEnd.SetDeadline(time.Now().Add(30 * time.Second)) // hang guard
-	return newClient(clientEnd, 0)
+	return newClient(swallowWrites{clientEnd}, 0)
 }
 
 // scanCellsTextOracle is the CELLS response parser Client.ScanCells
@@ -153,13 +160,83 @@ func scanCellsTextOracle(c *Client, start, end string, limit int, cursor string)
 	return out, nil
 }
 
+// fetchAssocCellByCell is what FetchAssoc promises, spelled out: the
+// same pages, every cell Set in the order it arrived — the table that
+// results whether a page went in as one slab of rows or, being
+// something no server sends, row by row and cell by cell.
+func fetchAssocCellByCell(c *Client, prefix string, pageRows int) (*assoc.Assoc, error) {
+	out := assoc.New()
+	cursor := ""
+	for {
+		cells, err := c.ScanCells(prefix, PrefixEnd(prefix), pageRows, cursor)
+		if err != nil {
+			return nil, err
+		}
+		if len(cells) == 0 {
+			return out, nil
+		}
+		for _, cell := range cells {
+			out.Set(strings.TrimPrefix(cell.Row, prefix), cell.Col, cell.Val)
+		}
+		cursor = cells[len(cells)-1].Row
+	}
+}
+
+// diffFetchAssoc holds FetchAssoc of a canned response stream to
+// fetchAssocCellByCell of the same stream.
+func diffFetchAssoc(t *testing.T, data []byte, prefix string) {
+	t.Helper()
+	got, gotErr := pipeClient(t, data).FetchAssoc(prefix, 512)
+	want, wantErr := fetchAssocCellByCell(pipeClient(t, data), prefix, 512)
+	if (got == nil) == (gotErr == nil) {
+		t.Fatalf("FetchAssoc = %v, %v: want a table or an error", got, gotErr)
+	}
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("FetchAssoc error = %v, cell by cell = %v", gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if got.NNZ() != want.NNZ() || !slices.Equal(got.RowKeys(), want.RowKeys()) {
+		t.Fatalf("FetchAssoc = %v rows %q, cell by cell = %v rows %q", got, got.RowKeys(), want, want.RowKeys())
+	}
+	want.Iterate(func(row, col string, v assoc.Value) bool {
+		if g, ok := got.Get(row, col); !ok || !valueEqual(g, v) {
+			t.Fatalf("FetchAssoc (%q, %q) = %v, %v; cell by cell = %v", row, col, g, ok, v)
+		}
+		return true
+	})
+}
+
+// malformedPages are CELLS replies no server sends, each of which must
+// still fetch as the table its cells make in arrival order.
+var malformedPages = []string{
+	"BLOCK 2\nr1\ta\tn\t1\nr2\ta\tn\t2\nBLOCK 2\nr2\tb\tn\t3\nr3\ta\tn\t4\nBLOCK 0\n",                       // a row split across pages
+	"BLOCK 3\nr1\tb\tn\t1\nr1\ta\tn\t2\nr2\ta\tn\t3\nBLOCK 0\n",                                             // out of column order
+	"BLOCK 3\nr1\ta\tn\t1\nr1\ta\ts\tagain\nr2\ta\tn\t3\nBLOCK 0\n",                                         // a column twice
+	"BLOCK 4\nr2\ta\tn\t1\nr1\ta\tn\t2\nr2\ta\tn\t3\nr2\tb\tn\t4\nBLOCK 0\n",                                // rows descending, one of them back again
+	"BLOCK 2\nr5\ta\tn\t1\nr6\ta\tn\t2\nBLOCK 2\nr1\ta\tn\t3\nr5\tb\tn\t4\nBLOCK 1\nr7\ta\tn\t5\nBLOCK 0\n", // a page behind the one before it, then a good one
+	"BLOCK 3\np/r1\ta\tn\t1\nr1\ta\tn\t2\np/r2\ta\tn\t3\nBLOCK 0\n",                                         // two wire rows that are one row without the prefix
+	"BLOCK 2\np/\ta\tn\t1\np/r1\ta\tn\t2\nBLOCK 0\n",                                                        // the prefix itself as a row: an empty key
+}
+
+// TestFetchAssocMalformedPages: the pages above fetch as their cells in
+// arrival order, with and without a prefix to strip.
+func TestFetchAssocMalformedPages(t *testing.T) {
+	for _, page := range malformedPages {
+		diffFetchAssoc(t, []byte(page), "")
+		diffFetchAssoc(t, []byte(page), "p/")
+	}
+}
+
 // FuzzClientCells is the client-side twin of FuzzServerProtocol: any
 // bytes a server (or whatever answers on its port) sends in reply to
 // CELLS yield cells or an error from ScanCells and FetchAssoc — never a
-// panic, a hang, or an allocation sized by the peer — and ScanCells
-// agrees cell for cell and error for error with the parser it replaced.
+// panic, a hang, or an allocation sized by the peer — ScanCells agrees
+// cell for cell and error for error with the parser it replaced, and
+// FetchAssoc builds the table the pages' cells make in arrival order.
 func FuzzClientCells(f *testing.F) {
-	seeds := []string{
+	seeds := append([]string{
 		"BLOCK 2\nr\tc\tn\t1.5\nr\td\ts\thello world\n",
 		"BLOCK 3\nr1\tc\tn\t1\nr1\td\tn\t2\nr2\tc\ts\t\nBLOCK 0\n", // two pages
 		"BLOCK 0\n",
@@ -182,7 +259,7 @@ func FuzzClientCells(f *testing.F) {
 		"BLOCK 1\nr\tc\tn\t1\r\n",           // CRLF
 		"\x00\x01\x02\xff\xfe\n",            // binary noise
 		"BLOCK 1\n" + strings.Repeat("k", 70000) + "\tc\tn\t1\n", // line past the scanner's first buffer
-	}
+	}, malformedPages...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
@@ -197,9 +274,6 @@ func FuzzClientCells(f *testing.F) {
 		case !cellsEqual(got, want):
 			t.Fatalf("ScanCells = %v, text parser = %v", got, want)
 		}
-		a, err := pipeClient(t, data).FetchAssoc("", 512)
-		if (a == nil) == (err == nil) {
-			t.Fatalf("FetchAssoc = %v, %v: want a table or an error", a, err)
-		}
+		diffFetchAssoc(t, data, "")
 	})
 }

@@ -7,6 +7,7 @@ package tripled
 import (
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -306,34 +307,39 @@ func TestPipelineRejectsTabs(t *testing.T) {
 	}
 }
 
-// TestFetchAssocTableAllocations is the alloc gate on the row-wise
-// fetch: a warm FetchAssoc of a numeric table allocates, per row, the
-// row's key string off the wire and at most two allocations for the
-// table — the run handed to SetRow and the header the array keeps it
-// under — plus a handful per page.
+// TestFetchAssocTableAllocations is the alloc gate on the slab-wise
+// fetch: FetchAssoc of a numeric table allocates, per row, the row's
+// key string off the wire and nothing for the table — a page's cells
+// are one slab and its rows' headers another, and the row map grows a
+// few dozen times in all. The pages are a canned reply, so that the
+// count is the client's and not also an in-process server's.
 func TestFetchAssocTableAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	_, c := serveTest(t)
-	const rows = 4096
-	a := assoc.New()
-	for i := 0; i < rows; i++ {
-		a.Set(fmt.Sprintf("10.0.%d.%d", i/256, i%256), "packets", assoc.Num(float64(i)))
+	const rows, page = 16384, 512
+	keys := make([]string, rows)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("tel/x/10.0.%d.%d", i/256, i%256)
 	}
-	if err := c.PublishAssoc("tel/x/", a, 1024); err != nil {
-		t.Fatal(err)
-	}
-	fetch := func() {
-		back, err := c.FetchAssoc("tel/x/", 512)
-		if err != nil || back.NNZ() != rows {
-			t.Fatalf("fetched %v cells, %v", back.NNZ(), err)
+	slices.Sort(keys)
+	var reply strings.Builder
+	for i, key := range keys {
+		if i%page == 0 {
+			fmt.Fprintf(&reply, "BLOCK %d\n", page)
 		}
+		fmt.Fprintf(&reply, "%s\tpackets\tn\t%d\n", key, i)
 	}
-	fetch()                                           // warm: scanner buffer, page buffers
-	perRow := testing.AllocsPerRun(5, fetch)/rows - 1 // less the key string
+	reply.WriteString("BLOCK 0\n")
+	data := []byte(reply.String())
+	perRow := testing.AllocsPerRun(5, func() {
+		back, err := pipeClient(t, data).FetchAssoc("tel/x/", page)
+		if err != nil || back.NNZ() != rows || !back.HasRow("10.0.7.7") {
+			t.Fatalf("fetched %v, %v", back, err)
+		}
+	})/rows - 1 // less the key string
 	t.Logf("%.3f table allocations per fetched row", perRow)
-	if perRow > 2.1 { // a page of 512 rows costs some two dozen more
-		t.Errorf("FetchAssoc costs the table %.3f allocations per row, want <= 2", perRow)
+	if perRow > 0.05 {
+		t.Errorf("FetchAssoc costs the table %.3f allocations per row, want <= 0.05", perRow)
 	}
 }
