@@ -430,45 +430,6 @@ func BenchmarkFitNorms(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowing (ablation A3) compares constant-packet and
-// constant-time window capture; the metric is the matrix NV actually
-// collected (constant-packet pins it exactly).
-func BenchmarkWindowing(b *testing.B) {
-	cfg := radiation.DefaultConfig()
-	cfg.NumSources = 40000
-	cfg.ZM = stats.PaperZM(1 << 14)
-	pop, err := radiation.NewPopulation(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("constant-packet", func(b *testing.B) {
-		b.ReportAllocs()
-		var nv int
-		for i := 0; i < b.N; i++ {
-			tel := telescope.New(cfg.Darkspace, "bench-key")
-			w, err := tel.CaptureWindowEngine(context.Background(), pop.TelescopeStream(4.5, time.Unix(0, 0)), 1<<15, 1, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nv = w.NV
-		}
-		b.ReportMetric(float64(nv), "NV")
-	})
-	b.Run("constant-time", func(b *testing.B) {
-		b.ReportAllocs()
-		var nv int
-		for i := 0; i < b.N; i++ {
-			tel := telescope.New(cfg.Darkspace, "bench-key")
-			w, err := tel.CaptureTimeWindow(pop.TelescopeStream(4.5, time.Unix(0, 0)), 30*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nv = w.NV
-		}
-		b.ReportMetric(float64(nv), "NV")
-	})
-}
-
 // newDeterministicNoise returns a tiny deterministic noise source so the
 // ablation's data is identical across runs without importing math/rand
 // here.

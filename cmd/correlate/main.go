@@ -23,29 +23,9 @@ import (
 )
 
 func main() {
-	var (
-		scale   = flag.String("scale", "default", "preset: quick or default")
-		nv      = flag.Int("nv", 0, "override telescope window size NV")
-		sources = flag.Int("sources", 0, "override population size")
-		seed    = flag.Int64("seed", 0, "override random seed")
-		workers = flag.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
-	)
+	study := core.StudyFlags(flag.CommandLine)
 	flag.Parse()
-
-	cfg := core.DefaultConfig()
-	if *scale == "quick" {
-		cfg = core.QuickConfig()
-	}
-	if *nv > 0 {
-		cfg.NV = *nv
-	}
-	if *sources > 0 {
-		cfg.Radiation.NumSources = *sources
-	}
-	if *seed != 0 {
-		cfg.Radiation.Seed = *seed
-	}
-	cfg.Workers = *workers
+	cfg := study()
 
 	pipe, err := core.New(cfg)
 	if err != nil {

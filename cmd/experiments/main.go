@@ -40,11 +40,7 @@ type check struct {
 
 func main() {
 	var (
-		scale    = flag.String("scale", "default", "preset: quick or default")
-		nv       = flag.Int("nv", 0, "override telescope window size NV")
-		sources  = flag.Int("sources", 0, "override population size")
-		seed     = flag.Int64("seed", 0, "override random seed")
-		workers  = flag.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
+		study    = core.StudyFlags(flag.CommandLine)
 		leafSize = flag.Int("leaf-size", 0, "override entries per hypersparse leaf matrix")
 		batch    = flag.Int("batch", 0, "packets per engine batch (0 = leaf size)")
 		artDir   = flag.String("artifacts", "", "also write all seven artifacts as TSV to this directory")
@@ -52,20 +48,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := core.DefaultConfig()
-	if *scale == "quick" {
-		cfg = core.QuickConfig()
-	}
-	if *nv > 0 {
-		cfg.NV = *nv
-	}
-	if *sources > 0 {
-		cfg.Radiation.NumSources = *sources
-	}
-	if *seed != 0 {
-		cfg.Radiation.Seed = *seed
-	}
-	cfg.Workers = *workers
+	cfg := study()
 	if *leafSize > 0 {
 		cfg.LeafSize = *leafSize
 	}

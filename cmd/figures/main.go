@@ -20,6 +20,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -27,50 +28,34 @@ import (
 )
 
 func main() {
+	// -only keys are the historical eight names; fig7 and fig8 both
+	// select the fused fig7_fig8 artifact.
+	want := map[report.ArtifactID]bool{}
 	var (
-		scale   = flag.String("scale", "default", "preset: quick or default")
-		nv      = flag.Int("nv", 0, "override telescope window size NV")
-		sources = flag.Int("sources", 0, "override population size")
-		seed    = flag.Int64("seed", 0, "override random seed")
+		study   = core.StudyFlags(flag.CommandLine)
 		format  = flag.String("format", "tsv", "output encoding: tsv or json")
-		workers = flag.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
 		outDir  = flag.String("out", "figures_out", "output directory")
 		stdout  = flag.Bool("stdout", false, "write everything to stdout instead of files")
-		only    = flag.String("only", "", "comma-separated subset of artifacts")
+		accepts = append(report.All(), "fig7", "fig8")
 	)
+	flag.Func("only", "comma-separated subset of artifacts", func(keys string) error {
+		for _, k := range strings.Split(keys, ",") {
+			id := report.ArtifactID(strings.TrimSpace(k))
+			if !slices.Contains(accepts, id) {
+				return fmt.Errorf("no artifact %q (accepted: %v)", id, accepts)
+			}
+			if id == "fig7" || id == "fig8" {
+				id = report.Fig7Fig8
+			}
+			want[id] = true
+		}
+		return nil
+	})
 	flag.Parse()
 	if *format != "tsv" && *format != "json" {
 		log.Fatalf("figures: -format must be tsv or json, got %q", *format)
 	}
-
-	cfg := core.DefaultConfig()
-	if *scale == "quick" {
-		cfg = core.QuickConfig()
-	}
-	if *nv > 0 {
-		cfg.NV = *nv
-	}
-	if *sources > 0 {
-		cfg.Radiation.NumSources = *sources
-	}
-	if *seed != 0 {
-		cfg.Radiation.Seed = *seed
-	}
-	cfg.Workers = *workers
-
-	// -only keys are the historical eight names; fig7 and fig8 both
-	// select the fused fig7_fig8 artifact.
-	want := map[report.ArtifactID]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			switch k = strings.TrimSpace(k); k {
-			case "fig7", "fig8":
-				want[report.Fig7Fig8] = true
-			default:
-				want[report.ArtifactID(k)] = true
-			}
-		}
-	}
+	cfg := study()
 	enabled := func(id report.ArtifactID) bool { return len(want) == 0 || want[id] }
 
 	pipe, err := core.New(cfg)

@@ -39,7 +39,26 @@ func TestScenarioSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario zoo")
 	}
-	scenario.RunDir(t, "scenarios")
+	scs, err := scenario.LoadDir("scenarios")
+	if err != nil {
+		t.Fatalf("loading scenarios: %v", err)
+	}
+	for _, sc := range scs {
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
+			r := scenario.Run(context.Background(), sc)
+			if r.Err != nil {
+				t.Fatalf("scenario %s (%s): %v", sc.Name, sc.Path, r.Err)
+			}
+			for _, c := range r.Checks {
+				if c.Pass {
+					t.Logf("ok   %-28s %s", c.Assertion, c.Detail)
+				} else {
+					t.Errorf("FAIL %s: %s", c.Assertion, c.Detail)
+				}
+			}
+		})
+	}
 }
 
 // TestE2ECasesAudit pins docs/e2e-cases.md to reality: every `done`
@@ -184,6 +203,12 @@ func TestEndToEndWireLevel(t *testing.T) {
 	if len(peak) < 5 {
 		t.Fatalf("only %d brightness bands", len(peak))
 	}
+	// Fig 4's Wilson intervals contain their point estimates.
+	for _, p := range peak {
+		if p.CILo > p.Fraction || p.CIHi < p.Fraction {
+			t.Fatalf("band %d: CI [%g, %g] excludes the estimate %g", p.Band, p.CILo, p.CIHi, p.Fraction)
+		}
+	}
 	// Bright bands beat faint bands (the Figure 4 trend), compared over
 	// well-populated bands only.
 	var faint, bright []float64
@@ -227,13 +252,6 @@ func TestEndToEndWireLevel(t *testing.T) {
 		t.Errorf("no temporal decay: near %v vs far %v", near, far)
 	}
 
-	// Wilson intervals behave.
-	lo, hi := series.WilsonBand()
-	for i := range lo {
-		if lo[i] > series.Fraction[i] || hi[i] < series.Fraction[i] {
-			t.Fatalf("CI %d excludes the estimate", i)
-		}
-	}
 }
 
 // TestEndToEndParallelCaptureAgreesOnTables verifies a one-shard and a

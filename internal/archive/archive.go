@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -146,15 +145,6 @@ func Open(dir string) (*Dataset, error) {
 // Leaves returns the manifest entries in archive order.
 func (d *Dataset) Leaves() []LeafInfo { return d.leaves }
 
-// TotalPackets sums the manifest's per-leaf packet counts.
-func (d *Dataset) TotalPackets() int {
-	n := 0
-	for _, l := range d.leaves {
-		n += l.Packets
-	}
-	return n
-}
-
 // LoadLeaf reads one leaf matrix by index.
 func (d *Dataset) LoadLeaf(i int) (*hypersparse.Matrix, error) {
 	if i < 0 || i >= len(d.leaves) {
@@ -211,29 +201,4 @@ func (d *Dataset) SumWindow(from, to, workers int) (*hypersparse.Matrix, error) 
 // SumAll reconstructs the full archive window.
 func (d *Dataset) SumAll(workers int) (*hypersparse.Matrix, error) {
 	return d.SumWindow(0, len(d.leaves), workers)
-}
-
-// Span returns the time range covered by the archive.
-func (d *Dataset) Span() (start, end time.Time) {
-	if len(d.leaves) == 0 {
-		return
-	}
-	start, end = d.leaves[0].Start, d.leaves[0].End
-	for _, l := range d.leaves[1:] {
-		if l.Start.Before(start) {
-			start = l.Start
-		}
-		if l.End.After(end) {
-			end = l.End
-		}
-	}
-	return
-}
-
-// SortedByTime reports whether leaves appear in non-decreasing start
-// order, a hygiene check for archives assembled from parallel writers.
-func (d *Dataset) SortedByTime() bool {
-	return sort.SliceIsSorted(d.leaves, func(i, j int) bool {
-		return d.leaves[i].Start.Before(d.leaves[j].Start)
-	})
 }

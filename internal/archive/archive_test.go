@@ -34,7 +34,7 @@ func buildArchive(t *testing.T, leafSize, nLeaves int) (string, *hypersparse.Mat
 		t.Fatal(err)
 	}
 	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	var full *hypersparse.Matrix
+	var leaves []*hypersparse.Matrix
 	for i := 0; i < nLeaves; i++ {
 		win, err := tel.CaptureWindowEngine(context.Background(), st, leafSize, 1, 0)
 		if err != nil {
@@ -46,16 +46,12 @@ func buildArchive(t *testing.T, leafSize, nLeaves int) (string, *hypersparse.Mat
 		if err := w.AppendLeaf(win.Matrix, win.Start, win.End); err != nil {
 			t.Fatal(err)
 		}
-		if full == nil {
-			full = win.Matrix
-		} else {
-			full = hypersparse.Add(full, win.Matrix)
-		}
+		leaves = append(leaves, win.Matrix)
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, full
+	return dir, hypersparse.FlatSum(leaves)
 }
 
 func TestArchiveRoundTrip(t *testing.T) {
@@ -67,8 +63,12 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if len(d.Leaves()) != 8 {
 		t.Fatalf("leaves = %d", len(d.Leaves()))
 	}
-	if d.TotalPackets() != 8*512 {
-		t.Fatalf("total packets = %d", d.TotalPackets())
+	packets := 0
+	for _, l := range d.Leaves() {
+		packets += l.Packets
+	}
+	if packets != 8*512 {
+		t.Fatalf("total packets = %d", packets)
 	}
 	got, err := d.SumAll(4)
 	if err != nil {
@@ -93,15 +93,15 @@ func TestArchivePartialWindow(t *testing.T) {
 		t.Errorf("partial window packets = %g, want %d", sub.Sum(), 3*256)
 	}
 	// Compare against individually-loaded leaves.
-	want := &hypersparse.Matrix{}
+	var leaves []*hypersparse.Matrix
 	for i := 2; i < 5; i++ {
 		leaf, err := d.LoadLeaf(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = hypersparse.Add(want, leaf)
+		leaves = append(leaves, leaf)
 	}
-	if !hypersparse.Equal(sub, want) {
+	if !hypersparse.Equal(sub, hypersparse.FlatSum(leaves)) {
 		t.Error("partial window mismatch")
 	}
 }
@@ -122,12 +122,16 @@ func TestArchiveWindowBounds(t *testing.T) {
 func TestArchiveSpanAndOrder(t *testing.T) {
 	dir, _ := buildArchive(t, 128, 4)
 	d, _ := archive.Open(dir)
-	start, end := d.Span()
-	if !end.After(start) {
-		t.Errorf("span [%v, %v] empty", start, end)
-	}
-	if !d.SortedByTime() {
-		t.Error("sequentially-captured leaves not time ordered")
+	// The manifest carries each leaf's capture interval; sequential
+	// capture writes them in time order.
+	leaves := d.Leaves()
+	for i, l := range leaves {
+		if !l.End.After(l.Start) {
+			t.Errorf("leaf %d spans [%v, %v]: empty", i, l.Start, l.End)
+		}
+		if i > 0 && l.Start.Before(leaves[i-1].Start) {
+			t.Errorf("leaf %d starts %v, before leaf %d's %v", i, l.Start, i-1, leaves[i-1].Start)
+		}
 	}
 }
 

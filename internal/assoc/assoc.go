@@ -5,7 +5,7 @@
 // sources and packet counts are computed ... the reduced results are
 // converted to D4M associative arrays").
 //
-// An entry holds either a number or a string; sums operate on numbers.
+// An entry holds either a number or a string.
 // The paper's example
 //
 //	At('1.1.1.1', '2.2.2.2') = '3'
@@ -49,20 +49,6 @@ func (v Value) String() string {
 		return strconv.FormatFloat(v.Num, 'g', -1, 64)
 	}
 	return v.Str
-}
-
-// add combines two values: numbers sum; strings keep the lexicographic
-// maximum (a deterministic, associative, commutative choice mirroring
-// D4M's collision rule for non-numeric data).
-func add(a, b Value) Value {
-	if a.Numeric && b.Numeric {
-		return Num(a.Num + b.Num)
-	}
-	as, bs := a.String(), b.String()
-	if as >= bs {
-		return a
-	}
-	return b
 }
 
 // Cell is one (column, value) pair of a row: Key is the column.
@@ -186,14 +172,6 @@ func (a *Assoc) SetRows(keys []string, ends []int, slab []Cell) error {
 	return nil
 }
 
-// Accum adds v into (row, col) using the D4M collision rule.
-func (a *Assoc) Accum(row, col string, v Value) {
-	if old, ok := a.Get(row, col); ok {
-		v = add(old, v)
-	}
-	a.Set(row, col, v)
-}
-
 // Get returns the value at (row, col) and whether it exists.
 func (a *Assoc) Get(row, col string) (Value, bool) {
 	r := a.rows[row]
@@ -292,134 +270,6 @@ func (a *Assoc) Iterate(fn func(row, col string, v Value) bool) {
 			}
 		}
 	}
-}
-
-// Copy returns a deep copy.
-func (a *Assoc) Copy() *Assoc {
-	out := New()
-	for row, r := range a.rows {
-		out.rows[row] = r.Clone()
-	}
-	out.nnz = a.nnz
-	return out
-}
-
-// SubRows returns the sub-array of rows for which keep returns true
-// (D4M's A(keys, :) sub-referencing).
-func (a *Assoc) SubRows(keep func(string) bool) *Assoc {
-	out := New()
-	for row, r := range a.rows {
-		if keep(row) {
-			out.rows[row] = r.Clone()
-			out.nnz += r.Len()
-		}
-	}
-	return out
-}
-
-// setAscending installs cells, collected in column order from another
-// array's row, as a row a does not hold yet.
-func (a *Assoc) setAscending(row string, cells []Cell) {
-	if len(cells) > 0 {
-		a.rows[row] = runs.Of(cells)
-		a.nnz += len(cells)
-	}
-}
-
-// SubCols returns the sub-array of columns for which keep returns true.
-func (a *Assoc) SubCols(keep func(string) bool) *Assoc {
-	out := New()
-	for row, r := range a.rows {
-		var kept []Cell
-		for e := range r.All() {
-			if keep(e.Key) {
-				kept = append(kept, *e)
-			}
-		}
-		out.setAscending(row, kept)
-	}
-	return out
-}
-
-// Plus returns a + b with the D4M collision rule per cell.
-func Plus(a, b *Assoc) *Assoc {
-	out := a.Copy()
-	for row, r := range b.rows {
-		for e := range r.All() {
-			out.Accum(row, e.Key, e.Val)
-		}
-	}
-	return out
-}
-
-// And returns the structural intersection: cells present in both, values
-// combined with the collision rule.
-func And(a, b *Assoc) *Assoc {
-	out := New()
-	for row, r := range a.rows {
-		br, ok := b.rows[row]
-		if !ok {
-			continue
-		}
-		var both []Cell
-		for e := range r.All() {
-			if be := br.Get(e.Key); be != nil {
-				both = append(both, Cell{Key: e.Key, Val: add(e.Val, be.Val)})
-			}
-		}
-		out.setAscending(row, both)
-	}
-	return out
-}
-
-// RowIntersect returns the sorted row keys present in both arrays — the
-// source-set overlap at the heart of the paper's correlation measurement.
-func RowIntersect(a, b *Assoc) []string {
-	var small, large *Assoc
-	if a.NRows() <= b.NRows() {
-		small, large = a, b
-	} else {
-		small, large = b, a
-	}
-	var out []string
-	for row := range small.rows {
-		if _, ok := large.rows[row]; ok {
-			out = append(out, row)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Transpose swaps rows and columns.
-func (a *Assoc) Transpose() *Assoc {
-	out := New()
-	for row, r := range a.rows {
-		for e := range r.All() {
-			out.Set(e.Key, row, e.Val)
-		}
-	}
-	return out
-}
-
-// SumRows returns, for each row, the sum of its numeric cells as a
-// single-column array under colName.
-func (a *Assoc) SumRows(colName string) *Assoc {
-	out := New()
-	for row, r := range a.rows {
-		var s float64
-		any := false
-		for e := range r.All() {
-			if e.Val.Numeric {
-				s += e.Val.Num
-				any = true
-			}
-		}
-		if any {
-			out.Set(row, colName, Num(s))
-		}
-	}
-	return out
 }
 
 // String summarizes the array shape.

@@ -2,14 +2,12 @@ package assoc
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestSetGetDelete(t *testing.T) {
@@ -32,28 +30,6 @@ func TestSetGetDelete(t *testing.T) {
 	a.Delete("absent", "absent") // no-op must not panic or corrupt
 	if a.NNZ() != 0 {
 		t.Error("deleting absent cell changed NNZ")
-	}
-}
-
-func TestAccumSumsNumbers(t *testing.T) {
-	a := New()
-	a.Accum("r", "c", Num(2))
-	a.Accum("r", "c", Num(3))
-	if v, _ := a.Get("r", "c"); v.Num != 5 {
-		t.Errorf("accum = %g, want 5", v.Num)
-	}
-}
-
-func TestAccumStringsLexMax(t *testing.T) {
-	a := New()
-	a.Accum("r", "c", Str("alpha"))
-	a.Accum("r", "c", Str("zulu"))
-	if v, _ := a.Get("r", "c"); v.Str != "zulu" {
-		t.Errorf("string accum = %q, want zulu", v.Str)
-	}
-	a.Accum("r", "c", Str("mike"))
-	if v, _ := a.Get("r", "c"); v.Str != "zulu" {
-		t.Error("string accum is not a max")
 	}
 }
 
@@ -103,137 +79,6 @@ func TestIterateSortedAndEarlyStop(t *testing.T) {
 	a.Iterate(func(string, string, Value) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early stop visited %d", n)
-	}
-}
-
-func TestCopyIndependent(t *testing.T) {
-	a := New()
-	a.Set("r", "c", Num(1))
-	b := a.Copy()
-	b.Set("r", "c2", Num(2))
-	if a.NNZ() != 1 {
-		t.Error("copy shares storage with original")
-	}
-	if b.NNZ() != 2 {
-		t.Error("copy lost data")
-	}
-}
-
-func TestSubRowsCols(t *testing.T) {
-	a := New()
-	for i := 0; i < 10; i++ {
-		key := "ip" + strconv.Itoa(i)
-		a.Set(key, "packets", Num(float64(i)))
-		a.Set(key, "class", Str("scan"))
-	}
-	even := a.SubRows(func(r string) bool {
-		n, _ := strconv.Atoi(strings.TrimPrefix(r, "ip"))
-		return n%2 == 0
-	})
-	if even.NRows() != 5 {
-		t.Errorf("SubRows kept %d rows", even.NRows())
-	}
-	onlyPackets := a.SubCols(func(c string) bool { return c == "packets" })
-	if len(onlyPackets.ColKeys()) != 1 || onlyPackets.NNZ() != 10 {
-		t.Errorf("SubCols wrong: %v", onlyPackets)
-	}
-}
-
-func TestPlus(t *testing.T) {
-	a, b := New(), New()
-	a.Set("r1", "n", Num(1))
-	a.Set("r2", "n", Num(2))
-	b.Set("r2", "n", Num(10))
-	b.Set("r3", "n", Num(3))
-	sum := Plus(a, b)
-	if v, _ := sum.Get("r2", "n"); v.Num != 12 {
-		t.Errorf("Plus r2 = %g, want 12", v.Num)
-	}
-	if sum.NRows() != 3 {
-		t.Errorf("Plus NRows = %d, want 3", sum.NRows())
-	}
-	// operands unchanged
-	if v, _ := a.Get("r2", "n"); v.Num != 2 {
-		t.Error("Plus mutated operand")
-	}
-}
-
-func TestAnd(t *testing.T) {
-	a, b := New(), New()
-	a.Set("r1", "c", Num(1))
-	a.Set("r2", "c", Num(2))
-	b.Set("r2", "c", Num(5))
-	b.Set("r2", "d", Num(6))
-	got := And(a, b)
-	if got.NNZ() != 1 {
-		t.Fatalf("And NNZ = %d, want 1", got.NNZ())
-	}
-	if v, _ := got.Get("r2", "c"); v.Num != 7 {
-		t.Errorf("And value = %g, want 7", v.Num)
-	}
-}
-
-func TestRowIntersect(t *testing.T) {
-	a, b := New(), New()
-	for i := 0; i < 100; i++ {
-		a.Set("ip"+strconv.Itoa(i), "c", Num(1))
-	}
-	for i := 50; i < 150; i++ {
-		b.Set("ip"+strconv.Itoa(i), "c", Num(1))
-	}
-	inter := RowIntersect(a, b)
-	if len(inter) != 50 {
-		t.Fatalf("intersection size = %d, want 50", len(inter))
-	}
-	if !sort.StringsAreSorted(inter) {
-		t.Error("intersection not sorted")
-	}
-	// symmetric
-	inter2 := RowIntersect(b, a)
-	if len(inter2) != len(inter) {
-		t.Error("RowIntersect not symmetric")
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := New()
-		for i := 0; i < 100; i++ {
-			a.Set("r"+strconv.Itoa(rng.Intn(20)), "c"+strconv.Itoa(rng.Intn(20)), Num(float64(rng.Intn(10))))
-		}
-		tt := a.Transpose().Transpose()
-		if tt.NNZ() != a.NNZ() {
-			return false
-		}
-		same := true
-		a.Iterate(func(r, c string, v Value) bool {
-			got, ok := tt.Get(r, c)
-			if !ok || got != v {
-				same = false
-				return false
-			}
-			return true
-		})
-		return same
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSumRows(t *testing.T) {
-	a := New()
-	a.Set("r1", "a", Num(1))
-	a.Set("r1", "b", Num(2))
-	a.Set("r1", "label", Str("x")) // ignored by numeric sum
-	a.Set("r2", "label", Str("y")) // row with no numbers: excluded
-	s := a.SumRows("total")
-	if v, _ := s.Get("r1", "total"); v.Num != 3 {
-		t.Errorf("SumRows r1 = %g, want 3", v.Num)
-	}
-	if s.HasRow("r2") {
-		t.Error("row with no numeric cells appeared in SumRows")
 	}
 }
 
@@ -291,69 +136,11 @@ func TestReadTSVErrors(t *testing.T) {
 	}
 }
 
-func TestPlusCommutativeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		build := func() *Assoc {
-			a := New()
-			for i := 0; i < 50; i++ {
-				a.Set("r"+strconv.Itoa(rng.Intn(10)), "c"+strconv.Itoa(rng.Intn(10)), Num(float64(rng.Intn(100))))
-			}
-			return a
-		}
-		a, b := build(), build()
-		x, y := Plus(a, b), Plus(b, a)
-		if x.NNZ() != y.NNZ() {
-			return false
-		}
-		same := true
-		x.Iterate(func(r, c string, v Value) bool {
-			got, ok := y.Get(r, c)
-			if !ok || got != v {
-				same = false
-				return false
-			}
-			return true
-		})
-		return same
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestStringSummary(t *testing.T) {
 	a := New()
 	a.Set("r", "c", Num(1))
 	if got := a.String(); got != "assoc.Assoc{rows: 1, cols: 1, nnz: 1}" {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func BenchmarkAccum(b *testing.B) {
-	a := New()
-	rng := rand.New(rand.NewSource(1))
-	keys := make([]string, 1<<16)
-	for i := range keys {
-		keys[i] = "10." + strconv.Itoa(rng.Intn(256)) + "." + strconv.Itoa(rng.Intn(256)) + "." + strconv.Itoa(rng.Intn(256))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Accum(keys[i%len(keys)], "packets", Num(1))
-	}
-}
-
-func BenchmarkRowIntersect(b *testing.B) {
-	x, y := New(), New()
-	for i := 0; i < 1<<15; i++ {
-		x.Set(strconv.Itoa(i), "c", Num(1))
-		y.Set(strconv.Itoa(i+1<<14), "c", Num(1))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RowIntersect(x, y)
 	}
 }
 
@@ -370,7 +157,7 @@ func TestRowKeysCache(t *testing.T) {
 	}
 	// Same-row mutations must not invalidate: the cached slice is reused.
 	a.Set("a", "c2", Num(2))
-	a.Accum("b", "c1", Num(1))
+	a.Set("b", "c1", Num(2))
 	a.Delete("a", "c2")
 	k2 := a.RowKeys()
 	if &k1[0] != &k2[0] {

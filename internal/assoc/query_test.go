@@ -52,53 +52,3 @@ func TestTopKTieBreak(t *testing.T) {
 		t.Errorf("tie break order = %v", top)
 	}
 }
-
-func TestGroupByColumn(t *testing.T) {
-	a := queryFixture()
-	groups := a.GroupByColumn("class")
-	byKey := make(map[string]int)
-	for _, g := range groups {
-		byKey[g.Key] = g.Rows
-	}
-	// 20 rows: i%3==0 -> worm (7: 0,3,6,9,12,15,18), others scanner (13);
-	// plus 1 backscatter; string-packets row has no class -> "".
-	if byKey["scanner"] != 13 || byKey["worm"] != 7 || byKey["backscatter"] != 1 || byKey[""] != 1 {
-		t.Errorf("groups = %v", groups)
-	}
-	// sorted descending
-	for i := 1; i < len(groups); i++ {
-		if groups[i-1].Rows < groups[i].Rows {
-			t.Error("groups not sorted")
-		}
-	}
-}
-
-func TestStatsByColumn(t *testing.T) {
-	a := queryFixture()
-	s := a.StatsByColumn("packets")
-	if s.Count != 20 || s.Min != 0 || s.Max != 190 {
-		t.Errorf("stats = %+v", s)
-	}
-	want := 0.0
-	for i := 0; i < 20; i++ {
-		want += float64(i * 10)
-	}
-	if s.Sum != want {
-		t.Errorf("sum = %g, want %g", s.Sum, want)
-	}
-	if z := a.StatsByColumn("class"); z.Count != 0 {
-		t.Errorf("string column stats = %+v", z)
-	}
-}
-
-func TestNumericColumn(t *testing.T) {
-	a := queryFixture()
-	vals := a.NumericColumn("packets")
-	if len(vals) != 20 {
-		t.Fatalf("got %d values", len(vals))
-	}
-	// Row-key order: ip0, ip1, ip10, ip11, ... lexicographic.
-	if vals[0] != 0 || vals[1] != 10 || vals[2] != 100 {
-		t.Errorf("lexicographic order violated: %v", vals[:3])
-	}
-}

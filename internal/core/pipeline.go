@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math"
 	"sync"
@@ -96,6 +97,43 @@ func QuickConfig() Config {
 	c.Radiation.BrightLog2 = 7 // log2(sqrt(2^14))
 	c.MinBandSources = 10
 	return c
+}
+
+// StudyFlags registers the flags every study command shares — -scale,
+// -nv, -sources, -seed, -workers — on fs and returns the function that
+// builds the Config they select once fs is parsed. A -scale that names
+// no preset fails the parse, so a typo cannot run the wrong study.
+func StudyFlags(fs *flag.FlagSet) func() Config {
+	preset := DefaultConfig
+	fs.Func("scale", "preset: quick or default (default \"default\")", func(s string) error {
+		switch s {
+		case "quick":
+			preset = QuickConfig
+		case "default":
+			preset = DefaultConfig
+		default:
+			return fmt.Errorf("no such preset (accepted: quick, default)")
+		}
+		return nil
+	})
+	nv := fs.Int("nv", 0, "override telescope window size NV")
+	sources := fs.Int("sources", 0, "override population size")
+	seed := fs.Int64("seed", 0, "override random seed")
+	workers := fs.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
+	return func() Config {
+		cfg := preset()
+		if *nv > 0 {
+			cfg.NV = *nv
+		}
+		if *sources > 0 {
+			cfg.Radiation.NumSources = *sources
+		}
+		if *seed != 0 {
+			cfg.Radiation.Seed = *seed
+		}
+		cfg.Workers = *workers
+		return cfg
+	}
 }
 
 // Validate reports configuration errors.
@@ -210,12 +248,6 @@ func NewResident(cfg Config) (*Pipeline, error) {
 	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
 	return &Pipeline{cfg: cfg, pop: pop, tel: tel, farm: farm}, nil
 }
-
-// Config returns the pipeline configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
-// Population exposes the generator (ground truth for validation).
-func (p *Pipeline) Population() *radiation.Population { return p.pop }
 
 // Result bundles everything a study produces.
 type Result struct {
@@ -409,11 +441,6 @@ func (r *Result) Fig4() ([]Fig4Series, error) { return r.Report().Fig4() }
 func (r *Result) Fig5() (correlate.Series, map[string]stats.TemporalFit, error) {
 	return r.Report().Fig5()
 }
-
-// Fig6 computes the temporal correlation curves for every snapshot and
-// every Fig6 band, with modified-Cauchy fits. Bands a snapshot lacks are
-// skipped.
-func (r *Result) Fig6() ([]correlate.Series, []stats.TemporalFit) { return r.Report().Fig6() }
 
 // Fig7And8 computes the per-band modified-Cauchy parameter sweeps for
 // every snapshot: Alpha per band (Figure 7) and one-month drop 1/(β+1)

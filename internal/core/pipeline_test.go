@@ -257,7 +257,7 @@ func TestFig5ModifiedCauchyWins(t *testing.T) {
 
 func TestFig6CurvesPeakNearSnapshot(t *testing.T) {
 	r := quickResult(t)
-	all, fits := r.Fig6()
+	all, fits := r.Report().Fig6()
 	if len(all) == 0 {
 		t.Fatal("no Fig6 series")
 	}

@@ -76,7 +76,7 @@ func renderAll(t *testing.T, r *Result) string {
 	for _, name := range []string{"modified-cauchy", "cauchy", "gaussian"} {
 		fmt.Fprintf(&b, "Fig5 fit %s: %+v\n", name, fits[name])
 	}
-	all, f6fits := r.Fig6()
+	all, f6fits := r.Report().Fig6()
 	fmt.Fprintf(&b, "Fig6: %+v\nFig6 fits: %+v\n", all, f6fits)
 	fmt.Fprintf(&b, "Fig7And8: %+v\n", r.Fig7And8())
 	// Windows and farm state, beyond what the tables above embed.

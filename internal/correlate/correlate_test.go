@@ -89,6 +89,24 @@ func TestPeakCorrelationExact(t *testing.T) {
 	}
 }
 
+func TestPeakCorrelationHasIntervals(t *testing.T) {
+	study := synthStudy([]int{4}, 200, 5, 15, func(int, float64) float64 { return 0.5 })
+	f := Freeze(study, 1)
+	mi, err := f.SameMonthIndex(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := f.PeakCorrelation(0, mi)
+	for _, p := range pts {
+		if p.CILo > p.Fraction || p.CIHi < p.Fraction {
+			t.Errorf("band %d: CI [%g, %g] excludes %g", p.Band, p.CILo, p.CIHi, p.Fraction)
+		}
+		if p.CILo == 0 && p.CIHi == 1 {
+			t.Errorf("band %d: degenerate CI", p.Band)
+		}
+	}
+}
+
 func TestPeakModelLaw(t *testing.T) {
 	nv := 1 << 30 // sqrt(NV) = 2^15
 	if got := PeakModel(1<<15, nv); got != 1 {

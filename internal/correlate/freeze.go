@@ -105,14 +105,10 @@ func Freeze(study Study, workers int) *Frozen {
 		snap := &study.Snapshots[job-nm]
 		u := &units[job]
 		byBand := make(map[int][]uint32)
-		gi := 0
-		for i, key := range u.keys {
-			for global[gi] != key {
-				gi++
-			}
+		for i, id := range resolveRanks(u.keys, global) {
 			// u.keys ascends, so IDs arrive ascending: each band's set is
 			// born sorted.
-			byBand[u.bands[i]] = append(byBand[u.bands[i]], uint32(gi))
+			byBand[u.bands[i]] = append(byBand[u.bands[i]], id)
 		}
 		fs := frozenSnapshot{label: snap.Label, month: snap.Month, nv: snap.NV,
 			bands: make([]frozenBand, 0, len(byBand))}

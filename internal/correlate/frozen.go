@@ -76,9 +76,6 @@ func (s *frozenSnapshot) bandIDs(band int) []uint32 {
 	return nil
 }
 
-// Months returns the number of frozen months.
-func (f *Frozen) Months() int { return len(f.months) }
-
 // Snapshots returns the number of frozen snapshots.
 func (f *Frozen) Snapshots() int { return len(f.snaps) }
 

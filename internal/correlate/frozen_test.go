@@ -40,9 +40,9 @@ func TestFrozenMatchesReference(t *testing.T) {
 func testFrozenMatchesReference(t *testing.T, workers int) {
 	study := frozenFixture()
 	f := Freeze(study, workers)
-	if f.Months() != len(study.Months) || f.Snapshots() != len(study.Snapshots) {
+	if len(f.months) != len(study.Months) || f.Snapshots() != len(study.Snapshots) {
 		t.Fatalf("frozen shape %d/%d, want %d/%d",
-			f.Months(), f.Snapshots(), len(study.Months), len(study.Snapshots))
+			len(f.months), f.Snapshots(), len(study.Months), len(study.Snapshots))
 	}
 
 	for si, snap := range study.Snapshots {

@@ -5,8 +5,8 @@ package cryptopan
 // from anywhere in the address space) and the keyed inverse's row ids.
 // (Destinations are known to lie inside the monitored prefix and take
 // the table walk of within.go instead, unsorted.) The batch entry
-// points amortize three per-address costs the scalar path pays: the
-// pool round-trip for walk scratch, the per-address RLock/Lock on the
+// points amortize three per-address costs a scalar walk pays: the
+// pool round-trip for walk scratch, a per-address RLock/Lock on the
 // shared memo shards (batches probe and fill each shard in one lock
 // epoch), and — the algorithmic win — AES blocks for walk levels that
 // adjacent addresses share. Misses are sorted before walking: the flip
@@ -16,9 +16,9 @@ package cryptopan
 // Real source slabs are heavy-tailed and prefix-clustered, which makes
 // the shared prefixes long exactly when batches are large.
 //
-// Every entry point computes bit-identical results to its scalar
-// counterpart (the batch differential tests pin this), so batching is
-// purely a throughput change.
+// Every entry point computes results bit-identical to
+// Anonymizer.Anonymize on each element (the batch differential tests
+// pin this), so batching is purely a throughput change.
 
 import (
 	"encoding/binary"
@@ -162,14 +162,14 @@ type cachedScratch struct {
 var cachedBatchPool = sync.Pool{New: func() interface{} { return new(cachedScratch) }}
 
 // AnonymizeBatch maps a slab of addresses in place through the shared
-// memo, bit-identical to calling Anonymize on each element. Instead of
+// memo, bit-identical to Anonymizer.Anonymize on each element. Instead of
 // a lock acquisition per address, the slab is bucketed by memo shard
 // and each shard is probed under one RLock epoch; the misses are
 // deduplicated, sorted, walked with prefix sharing (walkSorted),
 // and installed under one Lock epoch per shard. Safe for concurrent
 // use with every other Cached method: a concurrent miss on the same
 // address computes the same pure value, so late insertion is
-// idempotent, exactly as on the scalar path.
+// idempotent.
 func (c *Cached) AnonymizeBatch(addrs []ipaddr.Addr) {
 	if len(addrs) == 0 {
 		return
@@ -236,7 +236,7 @@ func (c *Cached) AnonymizeBatch(addrs []ipaddr.Addr) {
 }
 
 // AnonymizeBatch maps a slab of addresses in place through the L1 memo,
-// bit-identical to calling Anonymize on each element: hits cost one
+// bit-identical to Anonymizer.Anonymize on each element: hits cost one
 // array probe, and all misses of the slab go to the shared cache as a
 // single batch (one lock epoch per touched shard, prefix-shared AES
 // walks) before being installed in the L1. Like every L1 method it must

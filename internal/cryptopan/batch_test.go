@@ -12,6 +12,14 @@ import (
 // about: uniform randoms (short shared prefixes), /16- and /24-clustered
 // runs (long shared prefixes, the telescope's heavy-tail shape), and
 // exact duplicates.
+// one maps a single address through a batch walk, as a one-element
+// slab.
+func one(batch func([]ipaddr.Addr), addr ipaddr.Addr) ipaddr.Addr {
+	slab := [1]ipaddr.Addr{addr}
+	batch(slab[:])
+	return slab[0]
+}
+
 func batchAddrs(rng *rand.Rand, n int) []ipaddr.Addr {
 	out := make([]ipaddr.Addr, 0, n)
 	base := rng.Uint32()
@@ -78,7 +86,7 @@ func TestCachedBatchMatchesSerial(t *testing.T) {
 		slab := append([]ipaddr.Addr(nil), addrs[:500-round*100]...)
 		batch.AnonymizeBatch(slab)
 		for i, orig := range addrs[:len(slab)] {
-			if want := serial.Anonymize(orig); slab[i] != want {
+			if want := one(serial.AnonymizeBatch, orig); slab[i] != want {
 				t.Fatalf("round %d addr[%d]: batch %v, serial %v", round, i, slab[i], want)
 			}
 		}
@@ -89,10 +97,9 @@ func TestCachedBatchMatchesSerial(t *testing.T) {
 }
 
 // TestL1BatchMatchesSerial: the per-goroutine memo's batch path must
-// match its scalar path and fill the same shared table.
+// match the per-bit reference walk, cold and warm.
 func TestL1BatchMatchesSerial(t *testing.T) {
 	c := NewCached(NewFromPassphrase("l1 batch"))
-	oracle := NewCached(NewFromPassphrase("l1 batch"))
 	l1 := c.NewL1()
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 4; round++ {
@@ -100,8 +107,8 @@ func TestL1BatchMatchesSerial(t *testing.T) {
 		orig := append([]ipaddr.Addr(nil), slab...)
 		l1.AnonymizeBatch(slab)
 		for i := range slab {
-			if want := oracle.Anonymize(orig[i]); slab[i] != want {
-				t.Fatalf("round %d addr[%d]=%v: l1 batch %v, serial %v", round, i, orig[i], slab[i], want)
+			if want := c.Anonymizer().anonymizeRef(orig[i]); slab[i] != want {
+				t.Fatalf("round %d addr[%d]=%v: l1 batch %v, reference %v", round, i, orig[i], slab[i], want)
 			}
 		}
 	}
@@ -112,7 +119,6 @@ func TestL1BatchMatchesSerial(t *testing.T) {
 // against a serial oracle.
 func TestCachedBatchConcurrent(t *testing.T) {
 	c := NewCached(NewFromPassphrase("concurrent batch"))
-	oracle := NewCached(NewFromPassphrase("concurrent batch"))
 	const goroutines = 8
 	var wg sync.WaitGroup
 	results := make([][]ipaddr.Addr, goroutines)
@@ -129,7 +135,7 @@ func TestCachedBatchConcurrent(t *testing.T) {
 			// Mix batch and scalar calls to race both entry points.
 			c.AnonymizeBatch(results[g][:200])
 			for i := 200; i < 300; i++ {
-				results[g][i] = c.Anonymize(results[g][i])
+				results[g][i] = one(c.AnonymizeBatch, results[g][i])
 			}
 			c.AnonymizeBatch(results[g][300:])
 		}(g)
@@ -137,7 +143,7 @@ func TestCachedBatchConcurrent(t *testing.T) {
 	wg.Wait()
 	for g := 0; g < goroutines; g++ {
 		for i, orig := range inputs[g] {
-			if want := oracle.Anonymize(orig); results[g][i] != want {
+			if want := c.Anonymizer().anonymizeRef(orig); results[g][i] != want {
 				t.Fatalf("goroutine %d addr[%d]=%v: got %v, want %v", g, i, orig, results[g][i], want)
 			}
 		}

@@ -58,39 +58,6 @@ func NewCached(a *Anonymizer) *Cached {
 	return c
 }
 
-// Anonymize returns the same mapping as the wrapped Anonymizer.
-func (c *Cached) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
-	s := &c.shards[uint32(addr)%cacheShards]
-	s.mu.RLock()
-	v, ok := s.m[addr]
-	s.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = c.inner.Anonymize(addr)
-	s.mu.Lock()
-	s.put(addr, v)
-	s.mu.Unlock()
-	return v
-}
-
-// anonymizeWith is Anonymize using a caller-owned walk buffer for the
-// miss path.
-func (c *Cached) anonymizeWith(addr ipaddr.Addr, b *walkBuf) ipaddr.Addr {
-	s := &c.shards[uint32(addr)%cacheShards]
-	s.mu.RLock()
-	v, ok := s.m[addr]
-	s.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = c.inner.anonymizeBuf(addr, b)
-	s.mu.Lock()
-	s.put(addr, v)
-	s.mu.Unlock()
-	return v
-}
-
 // Anonymizer returns the wrapped transform, for the two things a memo
 // is the wrong tool for: anonymizing addresses that will not repeat
 // (AnonymizeBatch, which remembers nothing) and inverting the mapping
@@ -141,11 +108,10 @@ type l1Slot struct {
 // memoize a pure function of the key, so they never go stale.
 type L1 struct {
 	shared *Cached
-	buf    walkBuf // single-goroutine walk scratch: no pool traffic on misses
 	slots  [1 << l1Bits]l1Slot
 
 	// AnonymizeBatch miss scratch, retained at slab capacity so warm
-	// batches allocate nothing (single-goroutine, like the walk buffer).
+	// batches allocate nothing.
 	missIdx   []int32
 	missAddrs []ipaddr.Addr
 }
@@ -153,17 +119,4 @@ type L1 struct {
 // NewL1 returns an empty per-goroutine memo over the shared cache.
 func (c *Cached) NewL1() *L1 {
 	return &L1{shared: c}
-}
-
-// Anonymize returns the same mapping as the shared cache.
-func (l *L1) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
-	i := (uint32(addr) * 2654435761) >> (32 - l1Bits)
-	s := &l.slots[i]
-	k := uint64(addr) | 1<<32
-	if s.key == k {
-		return s.val
-	}
-	v := l.shared.anonymizeWith(addr, &l.buf)
-	s.key, s.val = k, v
-	return v
 }

@@ -117,10 +117,13 @@ var walkPool = sync.Pool{New: func() interface{} { return new(walkBuf) }}
 // levels are served from the precomputed top16 table and only levels
 // 16..31 pay an AES block each.
 func (a *Anonymizer) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
+	a.top16Once.Do(a.buildTop16)
+	v := uint32(addr)
 	b := walkPool.Get().(*walkBuf)
-	v := a.anonymizeBuf(addr, b)
+	copy(b.block[4:], a.pad[4:])
+	flips := a.walkTail(v, 16, binary.BigEndian.Uint32(a.pad[:4]), b)
 	walkPool.Put(b)
-	return v
+	return ipaddr.Addr(v ^ (uint32(a.top16[v>>16])<<16 | flips))
 }
 
 // Deanonymize is the inverse of Anonymize, computed from the key alone:
@@ -134,16 +137,6 @@ func (a *Anonymizer) Deanonymize(addr ipaddr.Addr) ipaddr.Addr {
 	a.walkSorted(in[:], out[:], b, true)
 	walkPool.Put(b)
 	return ipaddr.Addr(out[0])
-}
-
-// anonymizeBuf is Anonymize with a caller-owned walk buffer; holders of
-// a single-goroutine buffer (the L1 memo) skip the pool round-trip.
-func (a *Anonymizer) anonymizeBuf(addr ipaddr.Addr, b *walkBuf) ipaddr.Addr {
-	a.top16Once.Do(a.buildTop16)
-	v := uint32(addr)
-	copy(b.block[4:], a.pad[4:])
-	flips := a.walkTail(v, 16, binary.BigEndian.Uint32(a.pad[:4]), b)
-	return ipaddr.Addr(v ^ (uint32(a.top16[v>>16])<<16 | flips))
 }
 
 // walkTail pays for walk levels from..31 of the original address v, one

@@ -133,7 +133,7 @@ func TestInversePreservesPrefixes(t *testing.T) {
 		x := ipaddr.Addr(rng.Uint32())
 		k := uint(rng.Intn(32)) // y parts from x at bit k and is random below it
 		y := x ^ 1<<k ^ ipaddr.Addr(rng.Uint32())&(1<<k-1)
-		if got, want := ipaddr.CommonPrefixLen(a.Deanonymize(x), a.Deanonymize(y)), ipaddr.CommonPrefixLen(x, y); got != want {
+		if got, want := commonPrefixLen(a.Deanonymize(x), a.Deanonymize(y)), commonPrefixLen(x, y); got != want {
 			t.Fatalf("%v, %v share %d bits, their originals share %d", x, y, want, got)
 		}
 	}
@@ -199,8 +199,8 @@ func FuzzAnonymizeRoundTrip(f *testing.F) {
 			if anon[i] != a.anonymizeRef(x) {
 				t.Fatalf("AnonymizeBatch[%d](%v) = %v, reference %v", i, x, anon[i], a.anonymizeRef(x))
 			}
-			if within[i] != anon[i] || a.Deanonymize(w.Anonymize(x)) != x {
-				t.Fatalf("Within[%d](%v): batch %v, scalar %v, reference %v", i, x, within[i], w.Anonymize(x), anon[i])
+			if within[i] != anon[i] || a.Deanonymize(one(w.AnonymizeBatch, x)) != x {
+				t.Fatalf("Within[%d](%v): batch %v, scalar %v, reference %v", i, x, within[i], one(w.AnonymizeBatch, x), anon[i])
 			}
 			if back[i] != x || a.Deanonymize(anon[i]) != x || a.deanonymizeRef(anon[i]) != x {
 				t.Fatalf("round trip of %v via %v: batch %v, scalar %v, reference %v",

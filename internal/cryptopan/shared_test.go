@@ -34,13 +34,13 @@ func TestSharedCacheInsertIdempotent(t *testing.T) {
 			// maximizing same-address concurrent misses.
 			for i := 0; i < unique; i++ {
 				addr := ipaddr.Addr((i*(w+3) + w) % unique)
-				c.Anonymize(addr)
+				one(c.AnonymizeBatch, addr)
 			}
 			// And once more through a per-worker L1, the engine's real
 			// access path.
 			l1 := c.NewL1()
 			for i := 0; i < unique; i++ {
-				l1.Anonymize(ipaddr.Addr(i))
+				one(l1.AnonymizeBatch, ipaddr.Addr(i))
 			}
 		}(w)
 	}
@@ -53,7 +53,7 @@ func TestSharedCacheInsertIdempotent(t *testing.T) {
 	pure := NewFromPassphrase("shared-idempotent")
 	for i := 0; i < unique; i += 97 {
 		addr := ipaddr.Addr(i)
-		if got, want := c.Anonymize(addr), pure.Anonymize(addr); got != want {
+		if got, want := one(c.AnonymizeBatch, addr), pure.Anonymize(addr); got != want {
 			t.Fatalf("Anonymize(%v) = %v after storm, want %v", addr, got, want)
 		}
 	}
@@ -134,7 +134,7 @@ func TestSpoofedSourceSweepIsBounded(t *testing.T) {
 			l1.AnonymizeBatch(slab)
 		default:
 			for k, x := range slab {
-				slab[k] = c.Anonymize(x)
+				slab[k] = one(c.AnonymizeBatch, x)
 			}
 		}
 		if got, want := slab[len(slab)-1], a.anonymizeRef(spoofed(i+len(slab)-1)); got != want {
@@ -149,7 +149,7 @@ func TestSpoofedSourceSweepIsBounded(t *testing.T) {
 	}
 	// What survived and what was dropped answer alike.
 	for _, i := range []int{0, shardCap - 1, shardCap, 3 * shardCap, total - 1} {
-		if got, want := c.Anonymize(spoofed(i)), a.anonymizeRef(spoofed(i)); got != want {
+		if got, want := one(c.AnonymizeBatch, spoofed(i)), a.anonymizeRef(spoofed(i)); got != want {
 			t.Errorf("after eviction Anonymize(%v) = %v, reference %v", spoofed(i), got, want)
 		}
 	}

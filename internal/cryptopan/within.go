@@ -52,13 +52,6 @@ func (a *Anonymizer) Within(p ipaddr.Prefix) *PrefixWalker {
 	return w
 }
 
-// Anonymize maps one address, bit-identical to Anonymizer.Anonymize.
-func (w *PrefixWalker) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
-	one := [1]ipaddr.Addr{addr}
-	w.AnonymizeBatch(one[:])
-	return one[0]
-}
-
 // AnonymizeBatch maps a slab of addresses in place, bit-identical to
 // calling Anonymizer.Anonymize on each element, and remembers nothing.
 // The slab is walked in the order given and allocates nothing.

@@ -57,7 +57,7 @@ func TestWithinMatchesReference(t *testing.T) {
 			w.AnonymizeBatch(batch)
 			for i, x := range addrs {
 				ref := a.anonymizeRef(x)
-				if got := w.Anonymize(x); got != ref || batch[i] != ref {
+				if got := one(w.AnonymizeBatch, x); got != ref || batch[i] != ref {
 					t.Fatalf("%q %v addr[%d]=%v: batch %v, scalar %v, reference %v", phrase, p, i, x, batch[i], got, ref)
 				}
 			}
@@ -92,7 +92,7 @@ func TestWithinFirstUseRace(t *testing.T) {
 			defer wg.Done()
 			w := a.Within(dark)
 			x := dark.Nth(uint64(g) * 0x1f3d5)
-			if got, want := w.Anonymize(x), a.anonymizeRef(x); got != want {
+			if got, want := one(w.AnonymizeBatch, x), a.anonymizeRef(x); got != want {
 				t.Errorf("goroutine %d: Anonymize(%v) = %v, reference %v", g, x, got, want)
 			}
 			tables[g] = &w.table[0]
@@ -119,7 +119,7 @@ func TestWithinWarmZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() {
 		copy(work, slab)
 		w.AnonymizeBatch(work)
-		work[0] = w.Anonymize(slab[0])
+		w.AnonymizeBatch(work[:1])
 	}); allocs != 0 {
 		t.Errorf("warm prefix walk allocates %.1f per slab, want 0", allocs)
 	}

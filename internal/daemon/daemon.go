@@ -280,19 +280,6 @@ func (d *Daemon) Close() error {
 // Snapshot returns the current published render. Never nil after New.
 func (d *Daemon) Snapshot() *Rendered { return d.rendered.Load() }
 
-// Months and Snapshots report the study size.
-func (d *Daemon) Months() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.months)
-}
-
-func (d *Daemon) Snapshots() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.snaps)
-}
-
 // IngestMonth ingests honeyfarm month m (0-based from StudyStart):
 // build, publish to the store when configured, append the ledger row,
 // splice into the study in month order, and re-render exactly the

@@ -3,14 +3,13 @@ package daemon
 // http.go is the daemon's serving surface: the artifact endpoints ride
 // the published Rendered snapshot (one atomic load per request, no
 // study locks), ingest endpoints go through the serialized mutator,
-// and the lifecycle follows tripled.Server's discipline — tracked
-// connections, and a drain that stops ingest, finishes in-flight
+// and the lifecycle is a drain that stops ingest, finishes in-flight
 // work, and only then releases the listener.
 //
 // Endpoints:
 //
 //	GET  /healthz                     liveness + study size
-//	GET  /status                      size, seq, per-artifact state, open conns
+//	GET  /status                      size, seq, per-artifact state
 //	GET  /artifacts                   artifact index
 //	GET  /artifacts/{id}?format=json  one artifact (json default, tsv)
 //	POST /ingest/month                {"month": 3} or {"month": "2020-05"}
@@ -25,7 +24,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/report"
@@ -33,11 +31,10 @@ import (
 
 // Server is a running HTTP front end over one Daemon.
 type Server struct {
-	d     *Daemon
-	srv   *http.Server
-	lis   net.Listener
-	conns atomic.Int64 // currently open connections (tracked via ConnState)
-	done  chan error   // Serve's exit, consumed by Shutdown
+	d    *Daemon
+	srv  *http.Server
+	lis  net.Listener
+	done chan error // Serve's exit, consumed by Shutdown
 }
 
 // The edge's limits. A request is a line, a few headers and at most a
@@ -71,14 +68,6 @@ func serve(d *Daemon, addr string, headerTimeout, bodyTimeout time.Duration) (*S
 		Handler:           d.Handler(),
 		ReadHeaderTimeout: headerTimeout,
 		ReadTimeout:       bodyTimeout,
-		ConnState: func(_ net.Conn, state http.ConnState) {
-			switch state {
-			case http.StateNew:
-				s.conns.Add(1)
-			case http.StateClosed, http.StateHijacked:
-				s.conns.Add(-1)
-			}
-		},
 	}
 	go func() {
 		err := s.srv.Serve(lis)
@@ -92,9 +81,6 @@ func serve(d *Daemon, addr string, headerTimeout, bodyTimeout time.Duration) (*S
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
-
-// Conns reports currently open connections.
-func (s *Server) Conns() int64 { return s.conns.Load() }
 
 // Shutdown drains gracefully: new ingests are rejected immediately,
 // in-flight requests (including an ingest mid-recompute) run to

@@ -175,9 +175,6 @@ func New(cfg Config, filter Filter, factory SlabMapperFactory) (*Engine, error) 
 	return e, nil
 }
 
-// Config returns the normalized configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Window is one constant-packet capture: the merged matrix plus the
 // stream accounting the telescope records in Table I.
 type Window struct {
@@ -194,9 +191,6 @@ type Window struct {
 	Matrix     *hypersparse.Matrix
 	Timings    Timings
 }
-
-// Duration returns the wall-clock span of the window.
-func (w *Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
 // Timings says where a capture's wall time went. It is always recorded:
 // the reader reads the clock around each slab read and each wait, a

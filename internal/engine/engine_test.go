@@ -56,7 +56,7 @@ func TestConfigValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := e.Config()
+	c := e.cfg
 	if c.Workers < 1 || c.Batch != 8 {
 		t.Errorf("defaults not normalized: %+v", c)
 	}
@@ -83,7 +83,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := diffWindow(w, want, e.Config()); err != nil {
+		if err := diffWindow(w, want, e.cfg); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		q := netquant.Compute(w.Matrix)
@@ -274,7 +274,7 @@ func TestBatchSourceMatchesPerPacket(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := diffWindow(w, want, e.Config()); err != nil {
+			if err := diffWindow(w, want, e.cfg); err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, name, err)
 			}
 		}
@@ -297,7 +297,7 @@ func TestBatchSourcePreservesStreamPosition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := diffWindow(w, referenceWindow(plain, darkFilter(dark), identity, nv), e.Config()); err != nil {
+			if err := diffWindow(w, referenceWindow(plain, darkFilter(dark), identity, nv), e.cfg); err != nil {
 				t.Fatalf("workers=%d window %d: diverged after shared-source capture: %v", workers, window, err)
 			}
 			if window == 0 && w.NV != nv {

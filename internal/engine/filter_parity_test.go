@@ -73,7 +73,7 @@ func TestParallelFilterMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := diffWindow(w, want, e.Config()); err != nil {
+			if err := diffWindow(w, want, e.cfg); err != nil {
 				t.Fatalf("workers=%d per-packet=%v: %v", workers, perPacket, err)
 			}
 		}
@@ -98,7 +98,7 @@ func TestParallelFilterMultiWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := diffWindow(w, referenceWindow(refStream, dropHeavy(dark), identity, nv), e.Config()); err != nil {
+			if err := diffWindow(w, referenceWindow(refStream, dropHeavy(dark), identity, nv), e.cfg); err != nil {
 				t.Fatalf("workers=%d window %d: %v", workers, i, err)
 			}
 		}

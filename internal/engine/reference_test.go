@@ -219,7 +219,7 @@ func diffWindows(e *Engine, pkts []pcap.Packet, filter Filter, nv, windows int) 
 		if err != nil {
 			return err
 		}
-		if err := diffWindow(got, referenceWindow(refSrc, filter, identity, nv), e.Config()); err != nil {
+		if err := diffWindow(got, referenceWindow(refSrc, filter, identity, nv), e.cfg); err != nil {
 			return fmt.Errorf("window %d: %w", window, err)
 		}
 		if engSrc.i != refSrc.i {

@@ -98,7 +98,7 @@ type Proxy struct {
 	upBytes      atomic.Int64 // client→server bytes forwarded so far
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{} // client-side conns, for CloseExisting
+	conns  map[net.Conn]struct{} // client-side conns, closed by Close
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -120,9 +120,6 @@ func New(target string) (*Proxy, error) {
 
 // Addr is the address clients dial instead of the real server.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// Target is the upstream server address.
-func (p *Proxy) Target() string { return p.target }
 
 // SetMode switches the fault behavior; existing connections notice at
 // their next transferred chunk.
@@ -169,18 +166,6 @@ func (p *Proxy) TriggerAfterBytes(n int64, fn func()) {
 
 // ForwardedBytes reports total client→server bytes forwarded.
 func (p *Proxy) ForwardedBytes() int64 { return p.upBytes.Load() }
-
-// CloseExisting severs every live connection immediately (orderly
-// close), without changing the mode — the hard-kill lever for
-// connections sitting idle where the per-chunk mode check cannot see
-// them.
-func (p *Proxy) CloseExisting() {
-	p.mu.Lock()
-	for c := range p.conns {
-		c.Close()
-	}
-	p.mu.Unlock()
-}
 
 // Close stops the listener and severs every connection.
 func (p *Proxy) Close() error {

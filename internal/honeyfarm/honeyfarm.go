@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/assoc"
 	"repro/internal/ipaddr"
-	"repro/internal/pcap"
 	"repro/internal/radiation"
 	"repro/internal/tripled"
 )
@@ -69,9 +68,6 @@ func New(n int, seed int64) *Honeyfarm {
 	}
 	return h
 }
-
-// Sensors returns the sensor addresses.
-func (h *Honeyfarm) Sensors() []ipaddr.Addr { return h.sensors }
 
 // Months returns the ingested monthly windows in ingestion order.
 func (h *Honeyfarm) Months() []*MonthWindow { return h.months }
@@ -222,17 +218,13 @@ var (
 	misconfigProfile   = newProfile("misconfiguration", "benign", "misdirected", "udp")
 )
 
-// Converse runs the sensor conversation state machine against a source:
+// converse runs the sensor conversation state machine against a source:
 // the sensor replies to the source's probes (SYN -> SYN/ACK -> banner
 // exchange) and classifies from what comes back. In this reproduction
 // the exchange is simulated from the source's behavioral archetype and
 // emission pattern — the same observable surface a real honeyfarm keys
 // on — and never inspects the generator's hidden beam parameters. It
-// allocates nothing: the result's Tags is a shared read-only slice.
-func Converse(src radiation.Source, sensors []ipaddr.Addr) Profile {
-	return converse(src).Profile
-}
-
+// allocates nothing: every outcome is rendered once, above.
 func converse(src radiation.Source) *profile {
 	switch src.Type {
 	case radiation.Scanner:
@@ -249,34 +241,6 @@ func converse(src radiation.Source) *profile {
 	default:
 		return misconfigProfile
 	}
-}
-
-// IngestPackets is the passive path: raw packets destined to sensor
-// addresses are tallied into a month table without enrichment (packets
-// and timestamps only). It lets tests drive the honeyfarm with pcap data
-// end to end.
-func (h *Honeyfarm) IngestPackets(label string, start time.Time, src func(*pcap.Packet) bool) *MonthWindow {
-	sensorSet := make(map[ipaddr.Addr]bool, len(h.sensors))
-	for _, s := range h.sensors {
-		sensorSet[s] = true
-	}
-	table := assoc.New()
-	var pkt pcap.Packet
-	for src(&pkt) {
-		if !sensorSet[pkt.Dst] {
-			continue
-		}
-		row := pkt.Src.String()
-		table.Accum(row, ColPackets, assoc.Num(1))
-		ts := pkt.Time.UTC().Format(time.RFC3339)
-		if _, ok := table.Get(row, ColFirstSeen); !ok {
-			table.Set(row, ColFirstSeen, assoc.Str(ts))
-		}
-		table.Set(row, ColLastSeen, assoc.Str(ts))
-	}
-	mw := &MonthWindow{Label: label, Start: start, Table: table}
-	h.months = append(h.months, mw)
-	return mw
 }
 
 // ClassificationCensus counts sources per classification in a month,

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/assoc"
 	"repro/internal/ipaddr"
-	"repro/internal/pcap"
 	"repro/internal/radiation"
 	"repro/internal/stats"
 )
@@ -26,11 +25,11 @@ func testPopulation(t *testing.T, n int) *radiation.Population {
 
 func TestNewSensors(t *testing.T) {
 	h := New(300, 7)
-	if len(h.Sensors()) != 300 {
-		t.Fatalf("sensors = %d, want 300", len(h.Sensors()))
+	if len(h.sensors) != 300 {
+		t.Fatalf("sensors = %d, want 300", len(h.sensors))
 	}
 	seen := make(map[ipaddr.Addr]bool)
-	for _, s := range h.Sensors() {
+	for _, s := range h.sensors {
 		if ipaddr.IsPrivate(s) {
 			t.Fatalf("private sensor address %v", s)
 		}
@@ -40,8 +39,8 @@ func TestNewSensors(t *testing.T) {
 		seen[s] = true
 	}
 	h2 := New(300, 7)
-	for i := range h.Sensors() {
-		if h.Sensors()[i] != h2.Sensors()[i] {
+	for i := range h.sensors {
+		if h.sensors[i] != h2.sensors[i] {
 			t.Fatal("sensor generation not deterministic")
 		}
 	}
@@ -96,7 +95,7 @@ func TestConverseClassifications(t *testing.T) {
 		{radiation.Misconfiguration, "misconfiguration", "benign"},
 	}
 	for _, c := range cases {
-		p := Converse(radiation.Source{Type: c.typ}, nil)
+		p := converse(radiation.Source{Type: c.typ})
 		if p.Classification != c.class || p.Intent != c.intent {
 			t.Errorf("%v -> (%s, %s), want (%s, %s)", c.typ, p.Classification, p.Intent, c.class, c.intent)
 		}
@@ -105,7 +104,7 @@ func TestConverseClassifications(t *testing.T) {
 		}
 	}
 	// Persistent scanners are benign identified crawlers.
-	p := Converse(radiation.Source{Type: radiation.Scanner, Persistent: true}, nil)
+	p := converse(radiation.Source{Type: radiation.Scanner, Persistent: true})
 	if p.Intent != "benign" || !strings.Contains(strings.Join(p.Tags, ","), "identified-crawler") {
 		t.Errorf("persistent scanner profile = %+v", p)
 	}
@@ -139,39 +138,6 @@ func TestClassificationCensus(t *testing.T) {
 	}
 }
 
-func TestIngestPackets(t *testing.T) {
-	h := New(3, 9)
-	sensor := h.Sensors()[0]
-	src1 := ipaddr.MustParse("8.8.8.8")
-	src2 := ipaddr.MustParse("9.9.9.9")
-	pkts := []pcap.Packet{
-		{Time: time.Unix(100, 0), Src: src1, Dst: sensor, Proto: pcap.ProtoTCP},
-		{Time: time.Unix(200, 0), Src: src1, Dst: sensor, Proto: pcap.ProtoTCP},
-		{Time: time.Unix(300, 0), Src: src2, Dst: ipaddr.MustParse("1.1.1.1"), Proto: pcap.ProtoTCP}, // not a sensor
-	}
-	i := 0
-	mw := h.IngestPackets("2020-04", time.Unix(0, 0), func(p *pcap.Packet) bool {
-		if i >= len(pkts) {
-			return false
-		}
-		*p = pkts[i]
-		i++
-		return true
-	})
-	if mw.Sources() != 1 {
-		t.Fatalf("sources = %d, want 1 (only sensor-destined traffic)", mw.Sources())
-	}
-	v, _ := mw.Table.Get(src1.String(), ColPackets)
-	if v.Num != 2 {
-		t.Errorf("packets = %g, want 2", v.Num)
-	}
-	first, _ := mw.Table.Get(src1.String(), ColFirstSeen)
-	last, _ := mw.Table.Get(src1.String(), ColLastSeen)
-	if first.Str >= last.Str {
-		t.Errorf("first_seen %q not before last_seen %q", first.Str, last.Str)
-	}
-}
-
 func TestMonthlySourceCountsGrowWithVisibility(t *testing.T) {
 	// Sources visible in their beam month should make tables non-trivial
 	// across the whole study period.
@@ -188,43 +154,6 @@ func TestMonthlySourceCountsGrowWithVisibility(t *testing.T) {
 	for _, mw := range h.Months() {
 		if mw.Sources() < 10 {
 			t.Errorf("month %s has only %d sources", mw.Label, mw.Sources())
-		}
-	}
-}
-
-func TestPassivePacketPathMatchesEnrichedPath(t *testing.T) {
-	// The wire-level path (radiation packets -> sensors -> passive
-	// table) must observe exactly the same source set as the enriched
-	// ingestion path for the same month.
-	pop := testPopulation(t, 2000)
-	h := New(60, 8)
-	start := time.Date(2020, 7, 1, 0, 0, 0, 0, time.UTC)
-	enriched := h.IngestMonth("2020-07-enriched", start, pop.HoneyfarmMonth(5, start))
-
-	var queue []pcap.Packet
-	pop.HoneyfarmPackets(5, start, h.Sensors(), func(p *pcap.Packet) bool {
-		queue = append(queue, *p)
-		return true
-	})
-	if len(queue) == 0 {
-		t.Fatal("no honeyfarm packets emitted")
-	}
-	i := 0
-	passive := h.IngestPackets("2020-07-passive", start, func(p *pcap.Packet) bool {
-		if i >= len(queue) {
-			return false
-		}
-		*p = queue[i]
-		i++
-		return true
-	})
-
-	if passive.Sources() != enriched.Sources() {
-		t.Fatalf("passive sees %d sources, enriched %d", passive.Sources(), enriched.Sources())
-	}
-	for _, row := range enriched.Table.RowKeys() {
-		if !passive.Table.HasRow(row) {
-			t.Fatalf("source %s missing from passive table", row)
 		}
 	}
 }

@@ -22,7 +22,7 @@ func buildMonthRowByRow(t *testing.T, h *Honeyfarm, obs []radiation.Observation)
 	t.Helper()
 	table := assoc.New()
 	for _, o := range obs {
-		p := Converse(o.Src, h.sensors)
+		p := converse(o.Src)
 		err := table.SetRow(o.Src.IP.String(), []assoc.Cell{
 			{Key: ColClassification, Val: assoc.Str(p.Classification)},
 			{Key: ColFirstSeen, Val: assoc.Str(o.FirstSeen.UTC().Format(time.RFC3339))},
@@ -116,12 +116,12 @@ func TestConverseAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	var sink Profile
+	var sink *profile
 	for typ := radiation.Scanner; typ <= radiation.Misconfiguration; typ++ {
 		for _, persistent := range []bool{false, true} {
 			src := radiation.Source{Type: typ, Persistent: persistent}
-			if n := testing.AllocsPerRun(10, func() { sink = Converse(src, nil) }); n != 0 {
-				t.Errorf("Converse(%v, persistent %v) allocates %v times", typ, persistent, n)
+			if n := testing.AllocsPerRun(10, func() { sink = converse(src) }); n != 0 {
+				t.Errorf("converse(%v, persistent %v) allocates %v times", typ, persistent, n)
 			}
 			if want := strings.Join(sink.Tags, ","); converse(src).tags != want {
 				t.Errorf("%v: joined tags %q, want %q", typ, converse(src).tags, want)

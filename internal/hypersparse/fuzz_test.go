@@ -55,8 +55,8 @@ func FuzzBuilderDifferential(f *testing.F) {
 			lo = hi
 		}
 		var dst Matrix
-		if SumInto(&dst, leaves...); !Equal(&dst, want) {
-			t.Fatalf("SumInto over %d leaves diverges from whole build", len(leaves))
+		if sumInto(new(mergeScratch), &dst, leaves); !Equal(&dst, want) {
+			t.Fatalf("sumInto over %d leaves diverges from whole build", len(leaves))
 		}
 		if got := HierSum(leaves, 3); !Equal(got, want) {
 			t.Fatalf("HierSum over %d leaves diverges from whole build", len(leaves))

@@ -68,8 +68,34 @@ func refBuild(es []Entry) *Matrix {
 	return b.build()
 }
 
+// refAdd is the allocate-per-call two-way merge the pooled k-way merge
+// replaced; it shares appendRow and appendMergedRow with it and nothing
+// else.
+func refAdd(a, b *Matrix) *Matrix {
+	out := &Matrix{}
+	ai, bi := 0, 0
+	for ai < len(a.rows) || bi < len(b.rows) {
+		switch {
+		case bi == len(b.rows) || (ai < len(a.rows) && a.rows[ai] < b.rows[bi]):
+			out.appendRow(a.rows[ai], a.cols[a.rowPtr[ai]:a.rowPtr[ai+1]], a.vals[a.rowPtr[ai]:a.rowPtr[ai+1]])
+			ai++
+		case ai == len(a.rows) || b.rows[bi] < a.rows[ai]:
+			out.appendRow(b.rows[bi], b.cols[b.rowPtr[bi]:b.rowPtr[bi+1]], b.vals[b.rowPtr[bi]:b.rowPtr[bi+1]])
+			bi++
+		default:
+			out.appendMergedRow(a.rows[ai],
+				a.cols[a.rowPtr[ai]:a.rowPtr[ai+1]], a.vals[a.rowPtr[ai]:a.rowPtr[ai+1]],
+				b.cols[b.rowPtr[bi]:b.rowPtr[bi+1]], b.vals[b.rowPtr[bi]:b.rowPtr[bi+1]])
+			ai++
+			bi++
+		}
+	}
+	out.rowPtr = append(out.rowPtr, int64(len(out.cols)))
+	return out
+}
+
 // refAddTree sums leaves with the pre-refactor strategy: a binary merge
-// tree where every level allocates fresh DCSR arrays via Add.
+// tree where every level allocates fresh DCSR arrays via refAdd.
 func refAddTree(leaves []*Matrix) *Matrix {
 	cur := make([]*Matrix, 0, len(leaves))
 	for _, l := range leaves {
@@ -86,7 +112,7 @@ func refAddTree(leaves []*Matrix) *Matrix {
 			if i+1 == len(cur) {
 				next = append(next, cur[i])
 			} else {
-				next = append(next, Add(cur[i], cur[i+1]))
+				next = append(next, refAdd(cur[i], cur[i+1]))
 			}
 		}
 		cur = next
@@ -202,9 +228,9 @@ func TestSumIntoMatchesAddTree(t *testing.T) {
 		}
 		want := refAddTree(leaves)
 		var dst Matrix
-		SumInto(&dst, leaves...)
+		sumInto(new(mergeScratch), &dst, leaves)
 		if !Equal(&dst, want) {
-			t.Fatalf("trial %d (k=%d): SumInto diverges from Add tree", trial, k)
+			t.Fatalf("trial %d (k=%d): sumInto diverges from Add tree", trial, k)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			if got := HierSum(leaves, workers); !Equal(got, want) {
@@ -214,52 +240,18 @@ func TestSumIntoMatchesAddTree(t *testing.T) {
 	}
 }
 
-func TestAddIntoMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var dst Matrix
-	for trial := 0; trial < 30; trial++ {
-		a := FromEntries(randomEntries(rng, rng.Intn(500), 200, 200))
-		b := FromEntries(randomEntries(rng, rng.Intn(500), 200, 200))
-		want := Add(a, b)
-		if AddInto(&dst, a, b); !Equal(&dst, want) {
-			t.Fatalf("trial %d: AddInto diverges from Add", trial)
-		}
-	}
-	// Empty-operand behavior: AddInto copies, Add aliases.
-	a := FromEntries([]Entry{{1, 2, 3}})
-	empty := &Matrix{}
-	if got := Add(a, empty); got != a {
-		t.Error("Add(a, empty) must return a itself (documented aliasing)")
-	}
-	if got := Add(empty, a); got != a {
-		t.Error("Add(empty, a) must return a itself (documented aliasing)")
-	}
-	AddInto(&dst, a, empty)
-	if &dst.cols[0] == &a.cols[0] {
-		t.Error("AddInto must copy, never alias its operands")
-	}
-	if !Equal(&dst, a) {
-		t.Error("AddInto(dst, a, empty) != a")
-	}
-}
-
-func TestAddIntoPanicsOnAliasedDst(t *testing.T) {
+func TestSumIntoPanicsOnAliasedDst(t *testing.T) {
 	a := FromEntries([]Entry{{1, 2, 3}})
 	b := FromEntries([]Entry{{4, 5, 6}})
-	for _, f := range []func(){
-		func() { AddInto(a, a, b) },
-		func() { AddInto(b, a, b) },
-		func() { SumInto(a, b, a) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("aliased destination did not panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("aliased destination did not panic")
+		}
+		if !Equal(a, FromEntries([]Entry{{1, 2, 3}})) {
+			t.Error("the panic fired after the destination was rewritten")
+		}
+	}()
+	sumInto(new(mergeScratch), a, []*Matrix{b, a})
 }
 
 // TestPooledScratchNeverEscapes drives the pooled merge path hard and
@@ -316,21 +308,37 @@ func TestStatsMatchesSeparateReductions(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := FromEntries(randomEntries(rng, rng.Intn(2000), 500, 500))
 		s := m.Stats(1)
-		rowSums, rowDegs := m.RowSums(), m.RowDegrees()
-		colSums, colDegs := m.ColSums(), m.ColDegrees()
+		// The separate reductions, from the entries alone.
+		var sum, maxVal float64
+		rowSums, rowDegs := map[uint32]float64{}, map[uint32]float64{}
+		colSums, colDegs := map[uint32]float64{}, map[uint32]float64{}
+		for _, e := range m.Entries() {
+			sum += e.Val
+			maxVal = max(maxVal, e.Val)
+			rowSums[e.Row] += e.Val
+			rowDegs[e.Row]++
+			colSums[e.Col] += e.Val
+			colDegs[e.Col]++
+		}
+		largest := func(m map[uint32]float64) (mx float64) {
+			for _, v := range m {
+				mx = max(mx, v)
+			}
+			return mx
+		}
 		checks := []struct {
 			name      string
 			got, want float64
 		}{
-			{"Sum", s.Sum, m.Sum()},
-			{"MaxVal", s.MaxVal, m.MaxVal()},
+			{"Sum", s.Sum, sum},
+			{"MaxVal", s.MaxVal, maxVal},
 			{"NNZ", float64(s.NNZ), float64(m.NNZ())},
-			{"NRows", float64(s.NRows), float64(m.NRows())},
-			{"NCols", float64(s.NCols), float64(colSums.NNZ())},
-			{"MaxRowSum", s.MaxRowSum, rowSums.Max()},
-			{"MaxRowDeg", s.MaxRowDeg, rowDegs.Max()},
-			{"MaxColSum", s.MaxColSum, colSums.Max()},
-			{"MaxColDeg", s.MaxColDeg, colDegs.Max()},
+			{"NRows", float64(s.NRows), float64(len(rowSums))},
+			{"NCols", float64(s.NCols), float64(len(colSums))},
+			{"MaxRowSum", s.MaxRowSum, largest(rowSums)},
+			{"MaxRowDeg", s.MaxRowDeg, largest(rowDegs)},
+			{"MaxColSum", s.MaxColSum, largest(colSums)},
+			{"MaxColDeg", s.MaxColDeg, largest(colDegs)},
 		}
 		for _, c := range checks {
 			if c.got != c.want {
@@ -391,19 +399,19 @@ func TestColScanMatchesOracle(t *testing.T) {
 		}
 		var lastCol uint32
 		seen := 0
-		m.ColScan(func(col uint32, sum float64, nnz int) {
+		m.colScan(0, 1, func(col uint32, sum float64, nnz int) {
 			if seen > 0 && col <= lastCol {
-				t.Fatalf("trial %d: ColScan order violated: %d after %d", trial, col, lastCol)
+				t.Fatalf("trial %d: colScan order violated: %d after %d", trial, col, lastCol)
 			}
 			lastCol = col
 			seen++
 			if sum != sums[col] || nnz != cnts[col] {
-				t.Fatalf("trial %d: ColScan(%d) = (%g, %d), want (%g, %d)",
+				t.Fatalf("trial %d: colScan(%d) = (%g, %d), want (%g, %d)",
 					trial, col, sum, nnz, sums[col], cnts[col])
 			}
 		})
 		if seen != len(sums) {
-			t.Fatalf("trial %d: ColScan visited %d cols, want %d", trial, seen, len(sums))
+			t.Fatalf("trial %d: colScan visited %d cols, want %d", trial, seen, len(sums))
 		}
 	}
 }
@@ -433,17 +441,12 @@ func TestSteadyStateAllocGates(t *testing.T) {
 		leaves[i] = FromEntries(e)
 	}
 	var dst Matrix
-	AddInto(&dst, leaves[0], leaves[1]) // warm dst
+	scratch := new(mergeScratch)
+	sumInto(scratch, &dst, leaves) // warm dst and the heaps
 	if got := testing.AllocsPerRun(20, func() {
-		AddInto(&dst, leaves[0], leaves[1])
+		sumInto(scratch, &dst, leaves)
 	}); got > 0 {
-		t.Errorf("warm AddInto: %.1f allocs/op, gate is 0", got)
-	}
-	SumInto(&dst, leaves...) // warm dst for the k-way shape
-	if got := testing.AllocsPerRun(20, func() {
-		SumInto(&dst, leaves...)
-	}); got > 0 {
-		t.Errorf("warm SumInto: %.1f allocs/op, gate is 0", got)
+		t.Errorf("warm sumInto: %.1f allocs/op, gate is 0", got)
 	}
 
 	w := HierSum(leaves, 1)

@@ -28,21 +28,19 @@ type Entry struct {
 //
 // # Ownership and aliasing contract
 //
-// A Matrix returned by Build, FromEntries, Add, HierSum, ReadMatrix, or
-// any reduction is "published": it is immutable from that point on and
-// may be shared freely across goroutines. Published matrices may alias
-// each other's storage — Pattern and Apply share rows/rowPtr/cols with
-// their receiver, Add and HierSum return an operand unchanged when every
-// other operand is empty — which is safe precisely because published
-// matrices are never written again.
+// A Matrix returned by Build, FromEntries, HierSum or ReadMatrix is
+// "published": it is immutable from that point on and may be shared
+// freely across goroutines. Published matrices may alias each other's
+// storage — HierSum returns an operand unchanged when every other
+// operand is empty — which is safe precisely because published matrices
+// are never written again.
 //
-// The one exception is a scratch destination passed to AddInto or
-// SumInto: its storage is owned by the caller, is rewritten on every
+// The one exception is the scratch destination of the k-way merge
+// (sumInto): its storage is owned by the merge, is rewritten on every
 // call, and must not be published (retained, shared, or returned) while
-// it can still be reused. The pooled merge path in HierSum follows this
-// rule internally: pooled scratch is always copied into a fresh
-// published Matrix before being handed out, so no pooled buffer ever
-// escapes through the aliasing shortcuts above.
+// it can still be reused. HierSum always copies pooled scratch into a
+// fresh published Matrix before handing it out, so no pooled buffer
+// ever escapes through the aliasing shortcut above.
 type Matrix struct {
 	rows   []uint32  // sorted distinct non-empty row ids
 	rowPtr []int64   // len(rows)+1 offsets into cols/vals
@@ -85,13 +83,6 @@ func (m *Matrix) At(row, col uint32) float64 {
 // Rows returns the sorted ids of non-empty rows. The returned slice is
 // owned by the matrix and must not be modified.
 func (m *Matrix) Rows() []uint32 { return m.rows }
-
-// Vals returns the stored values in row-major order (parallel to the
-// entries Iterate visits). The returned slice is owned by the matrix and
-// must not be modified; it exists so per-link analyses (the paper's
-// link-packet distributions) can read the nonzeros without the
-// Iterate-closure copy.
-func (m *Matrix) Vals() []float64 { return m.vals }
 
 // Iterate calls fn for every stored entry in row-major order. Iteration
 // stops early if fn returns false.

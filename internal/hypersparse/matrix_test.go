@@ -29,7 +29,7 @@ func refMap(es []Entry) map[[2]uint32]float64 {
 
 func TestEmptyMatrix(t *testing.T) {
 	var m Matrix
-	if m.NNZ() != 0 || m.NRows() != 0 || m.Sum() != 0 || m.MaxVal() != 0 {
+	if m.NNZ() != 0 || m.NRows() != 0 || m.Sum() != 0 || m.Stats(1).MaxVal != 0 {
 		t.Error("zero-value matrix not empty")
 	}
 	if m.At(1, 2) != 0 {

@@ -1,11 +1,10 @@
 package hypersparse
 
-// merge.go implements the pooled, allocation-free merge kernels of the
-// hierarchical summation hot path: a two-way merge into a caller-owned
-// destination (AddInto) and a k-way heap merge over any number of leaves
-// (SumInto). Both write into a scratch Matrix whose arrays are grown but
-// never reallocated once warm, which is what lets the engine sum a
-// 2^13-leaf window with O(1) allocations after warmup instead of
+// merge.go implements the pooled, allocation-free merge kernel of the
+// hierarchical summation hot path: a k-way heap merge over any number
+// of leaves (sumInto). It writes into a scratch Matrix whose arrays are
+// grown but never reallocated once warm, which is what lets the engine
+// sum a 2^13-leaf window with O(1) allocations after warmup instead of
 // O(levels·nnz).
 
 import "sync"
@@ -30,39 +29,6 @@ func (m *Matrix) publish() *Matrix {
 		cols:   append([]uint32(nil), m.cols...),
 		vals:   append([]float64(nil), m.vals...),
 	}
-}
-
-// AddInto merges a + b into dst, overwriting dst's previous contents.
-// dst's arrays are grown as needed but retained across calls, so a warm
-// destination makes the merge allocation-free. dst must not alias a or b
-// (this panics), and the caller owns dst: it must not be published while
-// it may still be rewritten — see the Matrix ownership contract. Unlike
-// Add, AddInto always copies, even when one operand is empty, so dst
-// never aliases an operand afterwards. Returns dst.
-func AddInto(dst, a, b *Matrix) *Matrix {
-	if dst == a || dst == b {
-		panic("hypersparse: AddInto destination aliases an operand")
-	}
-	dst.reset()
-	ai, bi := 0, 0
-	for ai < len(a.rows) || bi < len(b.rows) {
-		switch {
-		case bi == len(b.rows) || (ai < len(a.rows) && a.rows[ai] < b.rows[bi]):
-			dst.appendRow(a.rows[ai], a.cols[a.rowPtr[ai]:a.rowPtr[ai+1]], a.vals[a.rowPtr[ai]:a.rowPtr[ai+1]])
-			ai++
-		case ai == len(a.rows) || b.rows[bi] < a.rows[ai]:
-			dst.appendRow(b.rows[bi], b.cols[b.rowPtr[bi]:b.rowPtr[bi+1]], b.vals[b.rowPtr[bi]:b.rowPtr[bi+1]])
-			bi++
-		default:
-			dst.appendMergedRow(a.rows[ai],
-				a.cols[a.rowPtr[ai]:a.rowPtr[ai+1]], a.vals[a.rowPtr[ai]:a.rowPtr[ai+1]],
-				b.cols[b.rowPtr[bi]:b.rowPtr[bi+1]], b.vals[b.rowPtr[bi]:b.rowPtr[bi+1]])
-			ai++
-			bi++
-		}
-	}
-	dst.rowPtr = append(dst.rowPtr, int64(len(dst.cols)))
-	return dst
 }
 
 // leafCursor tracks one input matrix's position in the k-way row merge.
@@ -92,25 +58,19 @@ type mergeScratch struct {
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}
 
-// SumInto k-way-merges the leaves into dst, overwriting dst's previous
-// contents; it is the n-ary AddInto. Rows are drawn from a binary heap
-// of per-leaf cursors, so cost is O(total nnz · log k) with no
-// comparator calls. dst must not alias any leaf (this panics) and
-// follows the same ownership rules as AddInto's destination. nil leaves
-// are treated as empty. Returns dst.
-func SumInto(dst *Matrix, leaves ...*Matrix) *Matrix {
-	s := scratchPool.Get().(*mergeScratch)
-	sumInto(s, dst, leaves)
-	scratchPool.Put(s)
-	return dst
-}
-
+// sumInto k-way-merges the leaves into dst, overwriting dst's previous
+// contents. Rows are drawn from a binary heap of per-leaf cursors, so
+// cost is O(total nnz · log k) with no comparator calls. dst is scratch
+// the caller owns: its arrays are grown as needed and retained across
+// calls, it must not alias any leaf (this panics), and it must not be
+// published while it may still be rewritten — see the Matrix ownership
+// contract. nil leaves are treated as empty.
 func sumInto(s *mergeScratch, dst *Matrix, leaves []*Matrix) {
 	// Check aliasing before touching dst, so the panic fires with the
 	// destination still intact.
 	for _, l := range leaves {
 		if l == dst {
-			panic("hypersparse: SumInto destination aliases a leaf")
+			panic("hypersparse: sumInto destination aliases a leaf")
 		}
 	}
 	dst.reset()

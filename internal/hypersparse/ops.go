@@ -1,39 +1,7 @@
 package hypersparse
 
-// ops.go implements the GraphBLAS operations the paper's Table II
-// formulas need: reductions along each dimension in both the arithmetic
-// (+) and structural (zero-norm) semirings, elementwise addition for the
-// hierarchical accumulator, transpose, and index permutation.
-
-// Add returns the elementwise sum a + b. Both operands are unchanged.
-// The merge is linear in the total number of entries.
-//
-// Aliasing: when either operand is empty, Add returns the other operand
-// itself, not a copy. This is safe for published (immutable) matrices —
-// the only kind Add should be given — but it means the result may share
-// identity with an input; callers that go on to use the result as a
-// mutable AddInto/SumInto destination must publish or copy it first.
-// The pooled merge path never returns pooled scratch through this
-// shortcut (see HierSum).
-//
-// The hot path uses AddInto and SumInto instead, which reuse a
-// caller-owned destination; Add remains the convenient
-// allocate-per-call form.
-func Add(a, b *Matrix) *Matrix {
-	if a.NNZ() == 0 {
-		return b
-	}
-	if b.NNZ() == 0 {
-		return a
-	}
-	out := &Matrix{
-		rows:   make([]uint32, 0, len(a.rows)+len(b.rows)),
-		rowPtr: make([]int64, 0, len(a.rows)+len(b.rows)+1),
-		cols:   make([]uint32, 0, len(a.cols)+len(b.cols)),
-		vals:   make([]float64, 0, len(a.vals)+len(b.vals)),
-	}
-	return AddInto(out, a, b)
-}
+// ops.go holds the row appenders the k-way merge writes through, the
+// per-source row sums, index permutation and exact comparison.
 
 func (m *Matrix) appendRow(row uint32, cols []uint32, vals []float64) {
 	m.rows = append(m.rows, row)
@@ -65,22 +33,6 @@ func (m *Matrix) appendMergedRow(row uint32, ac []uint32, av []float64, bc []uin
 	}
 }
 
-// Pattern returns |A|0: every stored value replaced by 1. Combined with
-// the reductions below this yields the structural quantities of Table II
-// (unique links, fan-out, fan-in).
-func (m *Matrix) Pattern() *Matrix {
-	out := &Matrix{
-		rows:   m.rows,
-		rowPtr: m.rowPtr,
-		cols:   m.cols,
-		vals:   make([]float64, len(m.vals)),
-	}
-	for i := range out.vals {
-		out.vals[i] = 1
-	}
-	return out
-}
-
 // RowSums returns A·1: per-source packet counts ("source packets from i").
 func (m *Matrix) RowSums() *Vector {
 	ids := make([]uint32, len(m.rows))
@@ -94,65 +46,6 @@ func (m *Matrix) RowSums() *Vector {
 		vals[ri] = s
 	}
 	return &Vector{ids: ids, vals: vals}
-}
-
-// RowDegrees returns |A|0·1: per-source unique destination counts
-// ("source fan-out from i").
-func (m *Matrix) RowDegrees() *Vector {
-	ids := make([]uint32, len(m.rows))
-	vals := make([]float64, len(m.rows))
-	copy(ids, m.rows)
-	for ri := range m.rows {
-		vals[ri] = float64(m.rowPtr[ri+1] - m.rowPtr[ri])
-	}
-	return &Vector{ids: ids, vals: vals}
-}
-
-// ColSums returns 1^T·A: per-destination packet counts ("destination
-// packets to j"). The column reduction runs on the pooled radix scan,
-// not a map, so the only allocations are the returned vector's arrays.
-func (m *Matrix) ColSums() *Vector {
-	ids := make([]uint32, 0, len(m.cols))
-	vals := make([]float64, 0, len(m.cols))
-	m.ColScan(func(col uint32, sum float64, _ int) {
-		ids = append(ids, col)
-		vals = append(vals, sum)
-	})
-	return &Vector{ids: ids, vals: vals}
-}
-
-// ColDegrees returns 1^T·|A|0: per-destination unique source counts
-// ("destination fan-in to j").
-func (m *Matrix) ColDegrees() *Vector {
-	ids := make([]uint32, 0, len(m.cols))
-	vals := make([]float64, 0, len(m.cols))
-	m.ColScan(func(col uint32, _ float64, nnz int) {
-		ids = append(ids, col)
-		vals = append(vals, float64(nnz))
-	})
-	return &Vector{ids: ids, vals: vals}
-}
-
-// MaxVal returns max(A), the paper's maximum link packets, or 0 when
-// empty.
-func (m *Matrix) MaxVal() float64 {
-	var mx float64
-	for _, v := range m.vals {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
-// Transpose returns A^T, swapping the source and destination roles.
-func (m *Matrix) Transpose() *Matrix {
-	b := NewBuilder(m.NNZ())
-	m.Iterate(func(e Entry) bool {
-		b.Add(e.Col, e.Row, e.Val)
-		return true
-	})
-	return b.Build()
 }
 
 // PermuteFunc relabels every index through fn, which must be injective on
@@ -184,22 +77,4 @@ func Equal(a, b *Matrix) bool {
 		}
 	}
 	return true
-}
-
-// SelectRows returns the submatrix containing only the rows for which
-// keep returns true (the D4M-style sub-referencing used to slice a
-// brightness band out of a window).
-func (m *Matrix) SelectRows(keep func(uint32) bool) *Matrix {
-	out := &Matrix{}
-	for ri, row := range m.rows {
-		if !keep(row) {
-			continue
-		}
-		out.appendRow(row, m.cols[m.rowPtr[ri]:m.rowPtr[ri+1]], m.vals[m.rowPtr[ri]:m.rowPtr[ri+1]])
-	}
-	out.rowPtr = append(out.rowPtr, int64(len(out.cols)))
-	if len(out.rows) == 0 {
-		return &Matrix{}
-	}
-	return out
 }

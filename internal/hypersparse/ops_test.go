@@ -2,19 +2,25 @@ package hypersparse
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// add is the two-operand sum as the pipeline computes it: a merge of
+// two leaves.
+func add(a, b *Matrix) *Matrix { return HierSum([]*Matrix{a, b}, 1) }
 
 func TestAddMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		ea := randomEntries(rng, 1000, 80, 80)
 		eb := randomEntries(rng, 1000, 80, 80)
-		got := Add(FromEntries(ea), FromEntries(eb))
+		got := add(FromEntries(ea), FromEntries(eb))
 		want := FromEntries(append(append([]Entry{}, ea...), eb...))
 		if !Equal(got, want) {
-			t.Fatalf("trial %d: Add disagrees with combined build", trial)
+			t.Fatalf("trial %d: sum disagrees with combined build", trial)
 		}
 	}
 }
@@ -23,7 +29,7 @@ func TestAddIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := FromEntries(randomEntries(rng, 500, 64, 64))
 	empty := &Matrix{}
-	if !Equal(Add(m, empty), m) || !Equal(Add(empty, m), m) {
+	if !Equal(add(m, empty), m) || !Equal(add(empty, m), m) {
 		t.Error("empty matrix is not an additive identity")
 	}
 }
@@ -33,7 +39,7 @@ func TestAddCommutative(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := FromEntries(randomEntries(rng, 300, 40, 40))
 		b := FromEntries(randomEntries(rng, 300, 40, 40))
-		return Equal(Add(a, b), Add(b, a))
+		return Equal(add(a, b), add(b, a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -46,25 +52,10 @@ func TestAddAssociative(t *testing.T) {
 		a := FromEntries(randomEntries(rng, 200, 32, 32))
 		b := FromEntries(randomEntries(rng, 200, 32, 32))
 		c := FromEntries(randomEntries(rng, 200, 32, 32))
-		return Equal(Add(Add(a, b), c), Add(a, Add(b, c)))
+		return Equal(add(add(a, b), c), add(a, add(b, c)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPattern(t *testing.T) {
-	m := FromEntries([]Entry{{1, 1, 7}, {1, 2, 3}, {5, 5, 100}})
-	p := m.Pattern()
-	if p.Sum() != 3 {
-		t.Errorf("pattern sum = %g, want 3 (unique links)", p.Sum())
-	}
-	if p.At(5, 5) != 1 {
-		t.Errorf("pattern value = %g, want 1", p.At(5, 5))
-	}
-	// original untouched
-	if m.At(5, 5) != 100 {
-		t.Error("Pattern mutated the source matrix")
 	}
 }
 
@@ -88,52 +79,38 @@ func TestReductionsAgainstReference(t *testing.T) {
 			maxv = v
 		}
 	}
-	check := func(name string, got *Vector, want map[uint32]float64) {
+	check := func(name string, got, want map[uint32]float64) {
 		t.Helper()
-		if got.NNZ() != len(want) {
-			t.Fatalf("%s: NNZ=%d, want %d", name, got.NNZ(), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("%s: NNZ=%d, want %d", name, len(got), len(want))
 		}
-		got.Iterate(func(id uint32, v float64) bool {
+		for id, v := range got {
 			if want[id] != v {
 				t.Fatalf("%s[%d] = %g, want %g", name, id, v, want[id])
 			}
-			return true
-		})
-	}
-	check("RowSums", m.RowSums(), rowSum)
-	check("RowDegrees", m.RowDegrees(), rowDeg)
-	check("ColSums", m.ColSums(), colSum)
-	check("ColDegrees", m.ColDegrees(), colDeg)
-	if m.MaxVal() != maxv {
-		t.Errorf("MaxVal = %g, want %g", m.MaxVal(), maxv)
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := FromEntries(randomEntries(rng, 400, 60, 60))
-		return Equal(m, m.Transpose().Transpose())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTransposeSwapsReductions(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := FromEntries(randomEntries(rng, 1000, 70, 70))
-	mt := m.Transpose()
-	rs, cs := m.RowSums(), mt.ColSums()
-	if rs.NNZ() != cs.NNZ() {
-		t.Fatal("transpose changed the number of sources")
-	}
-	rs.Iterate(func(id uint32, v float64) bool {
-		if cs.At(id) != v {
-			t.Fatalf("RowSums[%d]=%g but transpose ColSums=%g", id, v, cs.At(id))
 		}
+	}
+	gotRowSum := make(map[uint32]float64)
+	m.RowSums().Iterate(func(id uint32, v float64) bool {
+		gotRowSum[id] = v
 		return true
 	})
+	check("RowSums", gotRowSum, rowSum)
+	scanSum, scanDeg := make(map[uint32]float64), make(map[uint32]float64)
+	m.RowScan(func(row uint32, sum float64, nnz int) {
+		scanSum[row], scanDeg[row] = sum, float64(nnz)
+	})
+	check("RowScan sums", scanSum, rowSum)
+	check("RowScan degrees", scanDeg, rowDeg)
+	scanSum, scanDeg = make(map[uint32]float64), make(map[uint32]float64)
+	m.colScan(0, 1, func(col uint32, sum float64, nnz int) {
+		scanSum[col], scanDeg[col] = sum, float64(nnz)
+	})
+	check("colScan sums", scanSum, colSum)
+	check("colScan degrees", scanDeg, colDeg)
+	if got := m.Stats(1).MaxVal; got != maxv {
+		t.Errorf("MaxVal = %g, want %g", got, maxv)
+	}
 }
 
 // TestPermutationInvariance is the core anonymization guarantee: every
@@ -146,53 +123,18 @@ func TestPermutationInvariance(t *testing.T) {
 	perm := func(x uint32) uint32 { return x*2654435761 + 12345 } // odd multiplier => bijection mod 2^32
 	pm := m.PermuteFunc(perm)
 
-	if pm.Sum() != m.Sum() {
-		t.Errorf("valid packets changed: %g vs %g", pm.Sum(), m.Sum())
-	}
-	if pm.NNZ() != m.NNZ() {
-		t.Errorf("unique links changed: %d vs %d", pm.NNZ(), m.NNZ())
-	}
-	if pm.NRows() != m.NRows() {
-		t.Errorf("unique sources changed: %d vs %d", pm.NRows(), m.NRows())
-	}
-	if pm.MaxVal() != m.MaxVal() {
-		t.Errorf("max link packets changed: %g vs %g", pm.MaxVal(), m.MaxVal())
-	}
-	if pm.RowSums().Max() != m.RowSums().Max() {
-		t.Errorf("max source packets changed")
-	}
-	if pm.RowDegrees().Max() != m.RowDegrees().Max() {
-		t.Errorf("max fan-out changed")
-	}
-	if pm.ColDegrees().Max() != m.ColDegrees().Max() {
-		t.Errorf("max fan-in changed")
+	if got, want := pm.Stats(1), m.Stats(1); got != want {
+		t.Errorf("Table II aggregates changed under permutation:\n got %+v\nwant %+v", got, want)
 	}
 	// The multiset of row sums is preserved, not just the max.
-	hg1 := m.RowSums().Histogram()
-	hg2 := pm.RowSums().Histogram()
-	if len(hg1) != len(hg2) {
-		t.Fatal("row-sum histogram changed size under permutation")
+	sums := func(m *Matrix) []float64 {
+		var out []float64
+		m.RowScan(func(_ uint32, sum float64, _ int) { out = append(out, sum) })
+		sort.Float64s(out)
+		return out
 	}
-	for k, v := range hg1 {
-		if hg2[k] != v {
-			t.Errorf("row-sum histogram bin %d: %d vs %d", k, v, hg2[k])
-		}
-	}
-}
-
-func TestSelectRows(t *testing.T) {
-	m := FromEntries([]Entry{{1, 1, 1}, {2, 1, 2}, {3, 1, 3}, {4, 1, 4}})
-	even := m.SelectRows(func(r uint32) bool { return r%2 == 0 })
-	if even.NRows() != 2 || even.Sum() != 6 {
-		t.Errorf("SelectRows even: NRows=%d Sum=%g, want 2, 6", even.NRows(), even.Sum())
-	}
-	none := m.SelectRows(func(uint32) bool { return false })
-	if none.NNZ() != 0 {
-		t.Error("SelectRows(false) not empty")
-	}
-	all := m.SelectRows(func(uint32) bool { return true })
-	if !Equal(all, m) {
-		t.Error("SelectRows(true) != original")
+	if !slices.Equal(sums(pm), sums(m)) {
+		t.Error("row-sum multiset changed under permutation")
 	}
 }
 

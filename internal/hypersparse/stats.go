@@ -112,7 +112,7 @@ func (m *Matrix) RowScan(fn func(row uint32, sum float64, nnz int)) {
 	}
 }
 
-// colScratch is the pooled buffer set ColScan sorts column ids into.
+// colScratch is the pooled buffer set colScan sorts column ids into.
 type colScratch struct {
 	keys []uint32
 	vals []float64
@@ -122,17 +122,6 @@ type colScratch struct {
 
 var colPool = sync.Pool{New: func() interface{} { return new(colScratch) }}
 
-// ColScan calls fn once per distinct column in increasing column order
-// with the column's id, value total (its 1^T·A element), and
-// stored-entry count (its 1^T·|A|0 element). The columns are coalesced
-// with a pooled radix sort, so a warm pool makes the scan
-// allocation-free; the deterministic ascending order also makes the
-// float accumulation reproducible, unlike the map-based reduction it
-// replaces.
-func (m *Matrix) ColScan(fn func(col uint32, sum float64, nnz int)) {
-	m.colScan(0, 1, fn)
-}
-
 // colPart assigns a column id to one of parts partitions by a
 // multiplicative hash, so ids that share a prefix (darkspace
 // destinations) or a stride still spread evenly.
@@ -140,9 +129,13 @@ func colPart(col uint32, parts int) int {
 	return int(uint64(col*0x9E3779B1) * uint64(parts) >> 32)
 }
 
-// colScan is ColScan over the columns of partition part of parts; the
-// stable sort keeps each column's cells in row-major order, so a
-// column's sum does not depend on how many partitions there are.
+// colScan calls fn once per distinct column of partition part of parts
+// in increasing column order with the column's id, value total (its
+// 1^T·A element), and stored-entry count (its 1^T·|A|0 element). The
+// columns are coalesced with a pooled radix sort, so a warm pool makes
+// the scan allocation-free; the stable sort keeps each column's cells in
+// row-major order, so a column's sum is reproducible and does not depend
+// on how many partitions there are.
 func (m *Matrix) colScan(part, parts int, fn func(col uint32, sum float64, nnz int)) {
 	if len(m.cols) == 0 {
 		return

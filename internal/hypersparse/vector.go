@@ -3,42 +3,11 @@ package hypersparse
 import "sort"
 
 // Vector is an immutable sparse vector over the uint32 index space:
-// sorted distinct ids with parallel values. It is the result type of the
-// matrix reductions (row sums A·1, fan-outs |A|0·1, column sums 1^T·A,
-// fan-ins 1^T·|A|0) that yield the paper's per-source and per-destination
-// quantities.
+// sorted distinct ids with parallel values. It is the result type of
+// Matrix.RowSums (A·1), the paper's per-source packet counts.
 type Vector struct {
 	ids  []uint32
 	vals []float64
-}
-
-// NewVector builds a Vector from parallel id/value slices that must
-// already be sorted by id with no duplicates. It panics otherwise; use
-// VectorFromMap for unsorted input.
-func NewVector(ids []uint32, vals []float64) *Vector {
-	if len(ids) != len(vals) {
-		panic("hypersparse: ids/vals length mismatch")
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			panic("hypersparse: vector ids not strictly increasing")
-		}
-	}
-	return &Vector{ids: ids, vals: vals}
-}
-
-// VectorFromMap builds a Vector from an id->value map.
-func VectorFromMap(m map[uint32]float64) *Vector {
-	ids := make([]uint32, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	vals := make([]float64, len(ids))
-	for i, id := range ids {
-		vals[i] = m[id]
-	}
-	return &Vector{ids: ids, vals: vals}
 }
 
 // NNZ returns the number of stored elements.
@@ -66,71 +35,6 @@ func (v *Vector) Iterate(fn func(id uint32, val float64) bool) {
 	}
 }
 
-// Sum returns the total of the values.
-func (v *Vector) Sum() float64 {
-	var s float64
-	for _, x := range v.vals {
-		s += x
-	}
-	return s
-}
-
-// Max returns the largest value, or 0 for an empty vector (the paper's
-// d_max statistics).
-func (v *Vector) Max() float64 {
-	var m float64
-	for _, x := range v.vals {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Intersect returns the ids present in both vectors, in sorted order.
-// This is the elementwise-AND structural product used to correlate the
-// source sets of two observatories.
-func (v *Vector) Intersect(w *Vector) []uint32 {
-	var out []uint32
-	i, j := 0, 0
-	for i < len(v.ids) && j < len(w.ids) {
-		switch {
-		case v.ids[i] < w.ids[j]:
-			i++
-		case v.ids[i] > w.ids[j]:
-			j++
-		default:
-			out = append(out, v.ids[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Union returns the ids present in either vector, in sorted order.
-func (v *Vector) Union(w *Vector) []uint32 {
-	out := make([]uint32, 0, len(v.ids)+len(w.ids))
-	i, j := 0, 0
-	for i < len(v.ids) && j < len(w.ids) {
-		switch {
-		case v.ids[i] < w.ids[j]:
-			out = append(out, v.ids[i])
-			i++
-		case v.ids[i] > w.ids[j]:
-			out = append(out, w.ids[j])
-			j++
-		default:
-			out = append(out, v.ids[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, v.ids[i:]...)
-	out = append(out, w.ids[j:]...)
-	return out
-}
-
 // Filter returns a new Vector containing the elements for which keep
 // returns true.
 func (v *Vector) Filter(keep func(id uint32, val float64) bool) *Vector {
@@ -143,22 +47,4 @@ func (v *Vector) Filter(keep func(id uint32, val float64) bool) *Vector {
 		}
 	}
 	return &Vector{ids: ids, vals: vals}
-}
-
-// Histogram counts elements whose value falls in [1, 2), [2, 4), ... and
-// is superseded for analysis purposes by stats.LogBin; retained here for
-// quick structural checks.
-func (v *Vector) Histogram() map[int]int {
-	h := make(map[int]int)
-	for _, x := range v.vals {
-		if x < 1 {
-			continue
-		}
-		bin := 0
-		for d := x; d >= 2; d /= 2 {
-			bin++
-		}
-		h[bin]++
-	}
-	return h
 }

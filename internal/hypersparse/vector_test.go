@@ -1,22 +1,22 @@
 package hypersparse
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
-func randomVector(rng *rand.Rand, n int, space uint32) *Vector {
-	m := make(map[uint32]float64)
-	for i := 0; i < n; i++ {
-		m[rng.Uint32()%space] = float64(1 + rng.Intn(100))
+// vectorOf returns the row sums of a one-column matrix holding m: the
+// only way a Vector is made.
+func vectorOf(m map[uint32]float64) *Vector {
+	b := NewBuilder(len(m))
+	for id, v := range m {
+		b.Add(id, 0, v)
 	}
-	return VectorFromMap(m)
+	return b.Build().RowSums()
 }
 
 func TestVectorFromMapSorted(t *testing.T) {
-	v := VectorFromMap(map[uint32]float64{5: 1, 1: 2, 9: 3})
+	v := vectorOf(map[uint32]float64{5: 1, 1: 2, 9: 3})
 	ids := v.IDs()
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
 		t.Error("ids not sorted")
@@ -26,108 +26,8 @@ func TestVectorFromMapSorted(t *testing.T) {
 	}
 }
 
-func TestNewVectorValidation(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("length mismatch", func() { NewVector([]uint32{1}, nil) })
-	mustPanic("unsorted", func() { NewVector([]uint32{2, 1}, []float64{1, 2}) })
-	mustPanic("duplicate", func() { NewVector([]uint32{1, 1}, []float64{1, 2}) })
-}
-
-func TestVectorSumMax(t *testing.T) {
-	v := VectorFromMap(map[uint32]float64{1: 3, 2: 10, 3: 7})
-	if v.Sum() != 20 {
-		t.Errorf("Sum = %g, want 20", v.Sum())
-	}
-	if v.Max() != 10 {
-		t.Errorf("Max = %g, want 10", v.Max())
-	}
-	var empty Vector
-	if empty.Sum() != 0 || empty.Max() != 0 || empty.NNZ() != 0 {
-		t.Error("empty vector stats nonzero")
-	}
-}
-
-func TestIntersectUnionAgainstReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomVector(rng, 200, 300)
-		b := randomVector(rng, 200, 300)
-		inter := a.Intersect(b)
-		union := a.Union(b)
-
-		setA := make(map[uint32]bool)
-		for _, id := range a.IDs() {
-			setA[id] = true
-		}
-		wantInter := 0
-		for _, id := range b.IDs() {
-			if setA[id] {
-				wantInter++
-			}
-		}
-		if len(inter) != wantInter {
-			return false
-		}
-		// Inclusion-exclusion.
-		if len(union) != a.NNZ()+b.NNZ()-len(inter) {
-			return false
-		}
-		// Sorted outputs.
-		return sort.SliceIsSorted(inter, func(i, j int) bool { return inter[i] < inter[j] }) &&
-			sort.SliceIsSorted(union, func(i, j int) bool { return union[i] < union[j] })
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIntersectCommutative(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomVector(rng, 100, 150)
-	b := randomVector(rng, 100, 150)
-	x, y := a.Intersect(b), b.Intersect(a)
-	if len(x) != len(y) {
-		t.Fatal("intersection not commutative in size")
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatal("intersection not commutative in content")
-		}
-	}
-}
-
-func TestIntersectSelf(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomVector(rng, 100, 150)
-	self := a.Intersect(a)
-	if len(self) != a.NNZ() {
-		t.Errorf("self intersection has %d ids, want %d", len(self), a.NNZ())
-	}
-}
-
-func TestIntersectEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomVector(rng, 100, 150)
-	var empty Vector
-	if len(a.Intersect(&empty)) != 0 || len(empty.Intersect(a)) != 0 {
-		t.Error("intersection with empty vector not empty")
-	}
-	u := a.Union(&empty)
-	if len(u) != a.NNZ() {
-		t.Error("union with empty vector lost ids")
-	}
-}
-
 func TestFilter(t *testing.T) {
-	v := VectorFromMap(map[uint32]float64{1: 5, 2: 50, 3: 500})
+	v := vectorOf(map[uint32]float64{1: 5, 2: 50, 3: 500})
 	big := v.Filter(func(_ uint32, val float64) bool { return val >= 50 })
 	if big.NNZ() != 2 || big.At(1) != 0 || big.At(2) != 50 {
 		t.Errorf("Filter wrong: %v", big.IDs())
@@ -135,7 +35,7 @@ func TestFilter(t *testing.T) {
 }
 
 func TestIterateEarlyStopVector(t *testing.T) {
-	v := VectorFromMap(map[uint32]float64{1: 1, 2: 2, 3: 3})
+	v := vectorOf(map[uint32]float64{1: 1, 2: 2, 3: 3})
 	n := 0
 	v.Iterate(func(uint32, float64) bool {
 		n++
@@ -143,21 +43,5 @@ func TestIterateEarlyStopVector(t *testing.T) {
 	})
 	if n != 1 {
 		t.Errorf("early stop visited %d, want 1", n)
-	}
-}
-
-func TestHistogramBins(t *testing.T) {
-	v := VectorFromMap(map[uint32]float64{1: 1, 2: 2, 3: 3, 4: 4, 5: 8, 6: 0.5})
-	h := v.Histogram()
-	// 1 -> bin0; 2,3 -> bin1; 4 -> bin2; 8 -> bin3; 0.5 skipped
-	if h[0] != 1 || h[1] != 2 || h[2] != 1 || h[3] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 5 {
-		t.Errorf("histogram total = %d, want 5", total)
 	}
 }

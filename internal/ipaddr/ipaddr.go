@@ -140,28 +140,9 @@ func (p Prefix) Nth(i uint64) Addr {
 	return p.Base&p.Mask() | Addr(i)
 }
 
-// Offset returns the index of a within the prefix, such that
-// p.Nth(p.Offset(a)) == a when p.Contains(a).
-func (p Prefix) Offset(a Addr) uint64 {
-	return uint64(a &^ p.Mask())
-}
-
 // String returns the CIDR notation of the prefix.
 func (p Prefix) String() string {
 	return p.Base.String() + "/" + strconv.Itoa(p.Bits)
-}
-
-// CommonPrefixLen returns the number of leading bits shared by a and b.
-func CommonPrefixLen(a, b Addr) int {
-	x := uint32(a ^ b)
-	n := 0
-	for i := 31; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			break
-		}
-		n++
-	}
-	return n
 }
 
 // IsPrivate reports whether a belongs to the RFC 1918 ranges, used by the

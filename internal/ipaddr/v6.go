@@ -13,83 +13,12 @@ package ipaddr
 // needed, exactly as CryptoPAN anonymization keeps its reverse table).
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
 
 // Addr6 is an IPv6 address in network byte order.
 type Addr6 [16]byte
-
-// Parse6 converts an RFC 4291 text address (full or ::-compressed hex
-// groups, no embedded-IPv4 dotted form) to an Addr6.
-func Parse6(s string) (Addr6, error) {
-	var a Addr6
-	if s == "" {
-		return a, fmt.Errorf("ipaddr: empty IPv6 address")
-	}
-	head, tail, compressed := s, "", false
-	if i := strings.Index(s, "::"); i >= 0 {
-		compressed = true
-		head, tail = s[:i], s[i+2:]
-		if strings.Contains(tail, "::") {
-			return a, fmt.Errorf("ipaddr: multiple :: in %q", s)
-		}
-	}
-	parse := func(part string) ([]uint16, error) {
-		if part == "" {
-			return nil, nil
-		}
-		toks := strings.Split(part, ":")
-		out := make([]uint16, len(toks))
-		for i, tok := range toks {
-			if tok == "" || len(tok) > 4 {
-				return nil, fmt.Errorf("ipaddr: invalid group %q in %q", tok, s)
-			}
-			v, err := strconv.ParseUint(tok, 16, 16)
-			if err != nil {
-				return nil, fmt.Errorf("ipaddr: invalid group %q in %q", tok, s)
-			}
-			out[i] = uint16(v)
-		}
-		return out, nil
-	}
-	hi, err := parse(head)
-	if err != nil {
-		return a, err
-	}
-	lo, err := parse(tail)
-	if err != nil {
-		return a, err
-	}
-	n := len(hi) + len(lo)
-	switch {
-	case compressed && n >= 8:
-		return a, fmt.Errorf("ipaddr: :: in %q compresses nothing", s)
-	case !compressed && n != 8:
-		return a, fmt.Errorf("ipaddr: %q has %d groups, want 8", s, n)
-	}
-	groups := make([]uint16, 0, 8)
-	groups = append(groups, hi...)
-	for i := n; i < 8; i++ {
-		groups = append(groups, 0)
-	}
-	groups = append(groups, lo...)
-	for i, g := range groups {
-		a[2*i] = byte(g >> 8)
-		a[2*i+1] = byte(g)
-	}
-	return a, nil
-}
-
-// MustParse6 is Parse6 that panics on error, for constants in tests.
-func MustParse6(s string) Addr6 {
-	a, err := Parse6(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
 
 // String returns the canonical RFC 5952 text form: lowercase hex
 // groups, leading zeros dropped, the longest run of two or more zero
@@ -154,6 +83,3 @@ func EmbedV6(a Addr6) Addr {
 	x ^= x >> 31
 	return V6EmbedPrefix.Nth(x & (1<<28 - 1))
 }
-
-// IsV6Embedded reports whether a is an embedded IPv6 matrix index.
-func IsV6Embedded(a Addr) bool { return V6EmbedPrefix.Contains(a) }

@@ -2,43 +2,37 @@ package ipaddr
 
 import "testing"
 
-func TestParse6RoundTrip(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"2001:db8::1", "2001:db8::1"},
-		{"2001:0db8:0000:0000:0000:0000:0000:0001", "2001:db8::1"},
-		{"::", "::"},
-		{"::1", "::1"},
-		{"fe80::", "fe80::"},
-		{"2001:db8:1:2:3:4:5:6", "2001:db8:1:2:3:4:5:6"},
-		{"0:0:1:0:0:0:0:1", "0:0:1::1"}, // longest run wins
-		{"1:0:0:2:0:0:0:3", "1:0:0:2::3"},
+// addr6 builds an address from its eight 16-bit groups.
+func addr6(groups ...uint16) (a Addr6) {
+	for i, g := range groups {
+		a[2*i], a[2*i+1] = byte(g>>8), byte(g)
 	}
-	for _, c := range cases {
-		a, err := Parse6(c.in)
-		if err != nil {
-			t.Errorf("Parse6(%q): %v", c.in, err)
-			continue
-		}
-		if got := a.String(); got != c.want {
-			t.Errorf("Parse6(%q).String() = %q, want %q", c.in, got, c.want)
-		}
-	}
+	return a
 }
 
-func TestParse6Rejects(t *testing.T) {
-	for _, s := range []string{
-		"", ":::", "1::2::3", "2001:db8", "1:2:3:4:5:6:7:8:9",
-		"g::1", "12345::", "1:2:3:4:5:6:7:8::",
-	} {
-		if _, err := Parse6(s); err == nil {
-			t.Errorf("Parse6(%q) accepted", s)
+func TestAddr6String(t *testing.T) {
+	cases := []struct {
+		in   Addr6
+		want string
+	}{
+		{addr6(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1), "2001:db8::1"},
+		{addr6(), "::"},
+		{addr6(0, 0, 0, 0, 0, 0, 0, 1), "::1"},
+		{addr6(0xfe80), "fe80::"},
+		{addr6(0x2001, 0xdb8, 1, 2, 3, 4, 5, 6), "2001:db8:1:2:3:4:5:6"},
+		{addr6(0, 0, 1, 0, 0, 0, 0, 1), "0:0:1::1"}, // longest run wins
+		{addr6(1, 0, 0, 2, 0, 0, 0, 3), "1:0:0:2::3"},
+	}
+	for _, c := range cases {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("%v.String() = %q, want %q", [16]byte(c.in), got, c.want)
 		}
 	}
 }
 
 func TestEmbedV6(t *testing.T) {
-	a := MustParse6("2001:db8::1")
-	b := MustParse6("2001:db8::2")
+	a := addr6(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)
+	b := addr6(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2)
 	ea, eb := EmbedV6(a), EmbedV6(b)
 	if ea != EmbedV6(a) {
 		t.Error("EmbedV6 not deterministic")
@@ -47,7 +41,7 @@ func TestEmbedV6(t *testing.T) {
 		t.Errorf("adjacent addresses collide: %v", ea)
 	}
 	for _, e := range []Addr{ea, eb} {
-		if !IsV6Embedded(e) {
+		if !V6EmbedPrefix.Contains(e) {
 			t.Errorf("%v outside the embedding prefix", e)
 		}
 		if IsPrivate(e) {

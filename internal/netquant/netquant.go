@@ -64,7 +64,7 @@ func (q Quantities) Rows() [][2]string {
 
 // The degree-vector extractors below feed the Figure 3 distributions.
 // Each performs exactly one allocation (the returned slice) and fills it
-// from the fused row/column scans — no intermediate Vector.
+// from the fused row scan — no intermediate Vector.
 
 // SourcePacketValues returns the per-source packet counts (A·1 values),
 // the degree variable of the paper's Figure 3.
@@ -83,30 +83,6 @@ func SourceFanoutValues(m *hypersparse.Matrix) []float64 {
 		out = append(out, float64(nnz))
 	})
 	return out
-}
-
-// DestPacketValues returns per-destination packet counts.
-func DestPacketValues(m *hypersparse.Matrix) []float64 {
-	out := make([]float64, 0, m.NNZ())
-	m.ColScan(func(_ uint32, sum float64, _ int) {
-		out = append(out, sum)
-	})
-	return out
-}
-
-// DestFaninValues returns per-destination unique source counts.
-func DestFaninValues(m *hypersparse.Matrix) []float64 {
-	out := make([]float64, 0, m.NNZ())
-	m.ColScan(func(_ uint32, _ float64, nnz int) {
-		out = append(out, float64(nnz))
-	})
-	return out
-}
-
-// LinkPacketValues returns the per-link packet counts (the nonzeros of
-// A), copied straight from the matrix's value array.
-func LinkPacketValues(m *hypersparse.Matrix) []float64 {
-	return append([]float64(nil), m.Vals()...)
 }
 
 // SourcePacketDistribution bins the Figure 3 degree variable with the

@@ -1,13 +1,12 @@
 package pcap
 
-// batch.go is the slab decode path of the Reader: NextBatch amortizes
-// the per-record call overhead of ReadPacket across a caller-owned
-// []Packet slab and decodes frames zero-copy straight out of the
-// bufio read-ahead buffer (Peek/Discard, no intermediate frame copy).
-// The copying ReadFrame path is retained both as the fallback for
-// records larger than the read-ahead buffer and as the differential
-// oracle NextBatch is fuzzed against (FuzzReaderBatch,
-// TestNextBatchMatchesReadPacket).
+// batch.go is the decode path of the Reader: NextBatch amortizes the
+// per-record call overhead across a caller-owned []Packet slab and
+// decodes frames zero-copy straight out of the bufio read-ahead buffer
+// (Peek/Discard, no intermediate frame copy); records larger than the
+// read-ahead buffer are copied out through the Reader's frame buffer.
+// The copying per-record reader it replaced is the differential oracle
+// the tests keep (FuzzReaderBatch, TestNextBatchMatchesReadPacket).
 
 import (
 	"bufio"
@@ -20,16 +19,13 @@ import (
 const recordHdrLen = 16
 
 // NextBatch decodes up to len(dst) IPv4 packets into dst and returns
-// the number decoded. Non-IPv4 records are skipped, exactly as in
-// ReadPacket: NextBatch over the whole file yields the same packet
-// sequence as a ReadPacket loop, in the same order, ending with the
-// same error.
+// the number decoded. Non-IPv4 records are silently skipped.
 //
 // Ownership: dst is caller-owned and every Packet written into it is a
 // fully decoded value — nothing in dst aliases the Reader's internal
-// buffers (contrast ReadFrame), so slabs may be retained, reused
-// Reset-style across calls, or handed to other goroutines freely. The
-// steady-state path allocates nothing.
+// buffers, so slabs may be retained, reused Reset-style across calls,
+// or handed to other goroutines freely. The steady-state path allocates
+// nothing.
 //
 // Returns (n, nil) with n > 0 while packets remain; (0, io.EOF) at a
 // clean end of file; (0, err) on a malformed record. A short batch
@@ -81,8 +77,8 @@ func (r *Reader) NextBatch(dst []Packet) (int, error) {
 // the returned slice aliases bufio storage and is valid only until the
 // next read on r, which is why NextBatch fully decodes each frame into
 // its caller-owned Packet before advancing. Records larger than the
-// read-ahead buffer fall back to the copying path (the same buffer
-// ReadFrame uses).
+// read-ahead buffer fall back to copying into the Reader's frame
+// buffer.
 func (r *Reader) readFrameZC() (time.Time, []byte, error) {
 	hdr, err := r.r.Peek(recordHdrLen)
 	if err != nil {
@@ -111,7 +107,7 @@ func (r *Reader) readFrameZC() (time.Time, []byte, error) {
 		return ts, body[recordHdrLen:], nil
 	case err == bufio.ErrBufferFull:
 		// Record larger than the read-ahead buffer: copy it out through
-		// the Reader's frame buffer, as ReadFrame does.
+		// the Reader's frame buffer.
 		r.r.Discard(recordHdrLen)
 		if cap(r.buf) < int(capLen) {
 			r.buf = make([]byte, capLen)

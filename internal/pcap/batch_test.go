@@ -70,7 +70,7 @@ func drainPackets(t *testing.T, data []byte) ([]Packet, error) {
 	var out []Packet
 	for {
 		var p Packet
-		if err := r.ReadPacket(&p); err != nil {
+		if err := r.readPacket(&p); err != nil {
 			return out, err
 		}
 		out = append(out, p)
@@ -95,7 +95,7 @@ func sameStreams(t *testing.T, got, want []Packet, gotErr, wantErr error, label 
 // TestNextBatchMatchesReadPacket is the differential contract: over
 // clean files, files with non-IPv4 records interleaved, oversized
 // frames that overflow the zero-copy read-ahead buffer, and truncated
-// tails, NextBatch at every slab size yields exactly the ReadPacket
+// tails, NextBatch at every slab size yields exactly the readPacket
 // oracle's packet sequence and terminal error class.
 func TestNextBatchMatchesReadPacket(t *testing.T) {
 	arp := make([]byte, 64)
@@ -197,33 +197,6 @@ func TestNextBatchPacketsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestReadFrameReusesBuffer is the regression test for the documented
-// ReadFrame aliasing hazard: the returned slice is the Reader's own
-// buffer, so retaining it across a subsequent read observes the *next*
-// record's bytes. If this test ever fails, ReadFrame started copying
-// and its doc comment (and this test) should be updated together.
-func TestReadFrameReusesBuffer(t *testing.T) {
-	a := bytes.Repeat([]byte{0xaa}, 64)
-	b := bytes.Repeat([]byte{0xbb}, 64)
-	data := buildCapture(t, [][]byte{a, b})
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, f1, err := r.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	retained := f1 // aliased, not copied: this is the hazard
-	cp := append([]byte(nil), f1...)
-	if _, _, err := r.ReadFrame(); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(retained, cp) {
-		t.Fatal("ReadFrame no longer reuses its buffer; update its ownership docs and this test")
-	}
-}
-
 // TestNextBatchZeroAlloc gates the steady-state slab decode at zero
 // allocations per call.
 func TestNextBatchZeroAlloc(t *testing.T) {
@@ -284,7 +257,7 @@ func BenchmarkPcapReadPacket(b *testing.B) {
 		}
 		var p Packet
 		total := 0
-		for r.ReadPacket(&p) == nil {
+		for r.readPacket(&p) == nil {
 			total++
 		}
 		if total != 2000 {

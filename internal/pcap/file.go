@@ -111,61 +111,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br, swapped: swapped, buf: make([]byte, 0, 2048)}, nil
 }
 
-// ReadFrame returns the next record's timestamp and raw bytes. Returns
-// io.EOF at end of file.
-//
-// Ownership hazard: the returned slice aliases the Reader's internal
-// buffer and is overwritten by the next ReadFrame or NextBatch call —
-// retaining it across calls reads the *next* record's bytes, silently.
-// Callers must copy to retain (TestReadFrameReusesBuffer pins this
-// hazard). ReadPacket and NextBatch are the safe alternatives: both
-// fully decode into caller-owned Packet values before the buffer is
-// touched again, so nothing they return aliases the Reader.
-func (r *Reader) ReadFrame() (time.Time, []byte, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return time.Time{}, nil, io.EOF
-		}
-		return time.Time{}, nil, fmt.Errorf("pcap: reading record header: %w", err)
-	}
-	sec := readU32(hdr[0:4], r.swapped)
-	usec := readU32(hdr[4:8], r.swapped)
-	capLen := readU32(hdr[8:12], r.swapped)
-	if capLen > maxSnapLen {
-		return time.Time{}, nil, fmt.Errorf("pcap: record capture length %d exceeds snaplen", capLen)
-	}
-	if cap(r.buf) < int(capLen) {
-		r.buf = make([]byte, capLen)
-	}
-	r.buf = r.buf[:capLen]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return time.Time{}, nil, fmt.Errorf("pcap: truncated record body: %w", err)
-	}
-	ts := time.Unix(int64(sec), int64(usec)*1000).UTC()
-	return ts, r.buf, nil
-}
-
-// ReadPacket decodes the next IPv4 packet, silently skipping non-IPv4
-// records. Returns io.EOF at end of file.
-func (r *Reader) ReadPacket(p *Packet) error {
-	for {
-		ts, frame, err := r.ReadFrame()
-		if err != nil {
-			return err
-		}
-		switch err := p.UnmarshalFrame(frame); err {
-		case nil:
-			p.Time = ts
-			return nil
-		case ErrNotIPv4:
-			continue
-		default:
-			return err
-		}
-	}
-}
-
 func readU32(b []byte, swapped bool) uint32 {
 	if swapped {
 		return binary.BigEndian.Uint32(b)

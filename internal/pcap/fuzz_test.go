@@ -60,7 +60,7 @@ func FuzzReader(f *testing.F) {
 		}
 		var p Packet
 		for i := 0; i < 1000; i++ {
-			if err := r.ReadPacket(&p); err != nil {
+			if err := r.readPacket(&p); err != nil {
 				return
 			}
 			if p.Time.After(time.Unix(1<<33, 0)) {
@@ -73,7 +73,7 @@ func FuzzReader(f *testing.F) {
 
 // FuzzReaderBatch is the batch decoder's differential harness: on
 // arbitrary bytes, NextBatch (zero-copy slab path) must decode exactly
-// the packet sequence of a ReadPacket loop (copying per-record oracle),
+// the packet sequence of a readPacket loop (copying per-record oracle),
 // end with the same error class, and never panic. The slab size is
 // derived from the input so the fuzzer also explores batch-boundary
 // positions.
@@ -120,7 +120,7 @@ func FuzzReaderBatch(f *testing.F) {
 			}
 			for i := 0; i < n; i++ {
 				var want Packet
-				if err := pr.ReadPacket(&want); err != nil {
+				if err := pr.readPacket(&want); err != nil {
 					t.Fatalf("batch decoded packet %d but oracle errored: %v", decoded, err)
 				}
 				if slab[i] != want {
@@ -133,7 +133,7 @@ func FuzzReaderBatch(f *testing.F) {
 			return // both streams still healthy at the cap; good enough
 		}
 		var rest Packet
-		oracleErr := pr.ReadPacket(&rest)
+		oracleErr := pr.readPacket(&rest)
 		if oracleErr == nil {
 			t.Fatalf("batch ended with %v after %d packets but oracle decoded another", batchErr, decoded)
 		}

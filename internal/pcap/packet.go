@@ -233,17 +233,3 @@ func checksum(b []byte) uint16 {
 	}
 	return ^uint16(sum)
 }
-
-// VerifyIPv4Checksum reports whether the IPv4 header checksum of an
-// encoded frame is valid.
-func VerifyIPv4Checksum(frame []byte) bool {
-	if len(frame) < ethHeaderLen+ipv4HeaderLen {
-		return false
-	}
-	ip := frame[ethHeaderLen:]
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < ipv4HeaderLen || len(ip) < ihl {
-		return false
-	}
-	return checksum(ip[:ihl]) == 0
-}

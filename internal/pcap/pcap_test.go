@@ -60,7 +60,7 @@ func TestMarshalChecksumValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !VerifyIPv4Checksum(frame) {
+		if checksum(frame[ethHeaderLen:ethHeaderLen+ipv4HeaderLen]) != 0 {
 			t.Fatalf("packet %d: invalid IPv4 checksum", i)
 		}
 	}
@@ -145,7 +145,7 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		var p Packet
-		if err := r.ReadPacket(&p); err != nil {
+		if err := r.readPacket(&p); err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
 		want := samplePacket(i)
@@ -157,7 +157,7 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 	}
 	var p Packet
-	if err := r.ReadPacket(&p); err != io.EOF {
+	if err := r.readPacket(&p); err != io.EOF {
 		t.Fatalf("after last packet: got %v, want io.EOF", err)
 	}
 }
@@ -182,7 +182,7 @@ func TestReaderSkipsNonIPv4(t *testing.T) {
 	w.Flush()
 	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
 	var p Packet
-	if err := r.ReadPacket(&p); err != nil {
+	if err := r.readPacket(&p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Src != samplePacket(1).Src {
@@ -293,7 +293,7 @@ func BenchmarkFileWriteRead(b *testing.B) {
 		r, _ := NewReader(bytes.NewReader(buf.Bytes()))
 		var p Packet
 		n := 0
-		for r.ReadPacket(&p) == nil {
+		for r.readPacket(&p) == nil {
 			n++
 		}
 		if n != len(pkts) {

@@ -133,16 +133,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PaperScaleConfig mirrors the paper's actual scale (2^30-packet windows,
-// sqrt(NV) = 2^15); intended for long-running benchmark sweeps only.
-func PaperScaleConfig() Config {
-	c := DefaultConfig()
-	c.NumSources = 2_000_000
-	c.ZM = stats.PaperZM(1 << 27)
-	c.BrightLog2 = 15
-	return c
-}
-
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {

@@ -288,43 +288,6 @@ type Observation struct {
 	LastSeen  time.Time
 }
 
-// HoneyfarmPackets generates the raw packets honeyfarm sensors receive
-// during the given month: every honeyfarm-visible source probes a few
-// sensor addresses. This is the wire-level counterpart of HoneyfarmMonth
-// for driving the passive ingestion path; the set of source addresses
-// emitted equals the set HoneyfarmMonth reports.
-func (p *Population) HoneyfarmPackets(month int, monthStart time.Time, sensors []ipaddr.Addr, emit func(*pcap.Packet) bool) {
-	if len(sensors) == 0 {
-		return
-	}
-	var pkt pcap.Packet
-	for i := range p.sources {
-		if !p.HoneyfarmVisible(i, month) {
-			continue
-		}
-		s := &p.sources[i]
-		r := newSM64(uint64(p.cfg.Seed)*0xD1B54A32D192ED03 ^ uint64(i)<<16 ^ uint64(month))
-		first := monthStart.Add(time.Duration(r.float64() * 20 * 24 * float64(time.Hour)))
-		probes := 1 + r.intn(4)
-		for k := 0; k < probes; k++ {
-			pkt = pcap.Packet{
-				Time:    first.Add(time.Duration(k) * time.Hour),
-				Src:     s.IP,
-				Dst:     sensors[r.intn(len(sensors))],
-				Proto:   pcap.ProtoTCP,
-				Flags:   pcap.FlagSYN,
-				SrcPort: uint16(1024 + r.intn(64000)),
-				DstPort: pickScanPort(&r),
-				TTL:     uint8(30 + r.intn(210)),
-				Length:  60,
-			}
-			if !emit(&pkt) {
-				return
-			}
-		}
-	}
-}
-
 // HoneyfarmMonth returns the sources that touch the honeyfarm during the
 // given integer month, with synthetic conversation metadata. monthStart
 // anchors the timestamps.

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/ipaddr"
-	"repro/internal/stats"
 )
 
 // Archetype classifies a radiation source by the mechanism generating its
@@ -214,16 +213,6 @@ func (p *Population) HoneyfarmVisible(i int, month int) bool {
 	return hashUnit(p.cfg.Seed, uint64(i), uint64(month), chanHoneyfarm) < prob
 }
 
-// GroundTruthVisibility returns the exact honeyfarm visibility
-// probability for source i in month m, for validation tests.
-func (p *Population) GroundTruthVisibility(i int, month int) float64 {
-	peak := p.beamOf(i).peak
-	if p.sources[i].Persistent {
-		return peak
-	}
-	return peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(i, float64(month)+0.5))
-}
-
 // channel salts separating the independent per-source Bernoulli draws
 const (
 	chanTelescope = 0x7e1e5c09e
@@ -277,17 +266,4 @@ func hashUnit(seed int64, id, key, channel uint64) float64 {
 // monthKey quantizes a fractional month to a stable hash key.
 func monthKey(m float64) uint64 {
 	return uint64(int64(math.Round(m * 1024)))
-}
-
-// BandSources returns the indices of sources whose brightness lies in
-// [2^band, 2^(band+1)), for ground-truth comparisons.
-func (p *Population) BandSources(band int) []int {
-	lo, hi := stats.BandLow(band), stats.BandLow(band+1)
-	var out []int
-	for i := range p.sources {
-		if d := p.sources[i].Brightness; d >= lo && d < hi {
-			out = append(out, i)
-		}
-	}
-	return out
 }

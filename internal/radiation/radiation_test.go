@@ -113,9 +113,19 @@ func TestBrightnessFollowsZM(t *testing.T) {
 	}
 }
 
+// groundTruthVisibility is the exact honeyfarm visibility probability
+// of source i in month m, the rate HoneyfarmVisible's draws must show.
+func (p *Population) groundTruthVisibility(i int, month int) float64 {
+	peak := p.beamOf(i).peak
+	if p.sources[i].Persistent {
+		return peak
+	}
+	return peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(i, float64(month)+0.5))
+}
+
 func TestVisibilityDrawsMatchGroundTruth(t *testing.T) {
 	// Monte Carlo over sources within a band: empirical honeyfarm
-	// visibility rate must track GroundTruthVisibility.
+	// visibility rate must track groundTruthVisibility.
 	c := smallConfig()
 	c.NumSources = 20000
 	p, _ := NewPopulation(c)
@@ -123,7 +133,7 @@ func TestVisibilityDrawsMatchGroundTruth(t *testing.T) {
 	var want, got float64
 	n := 0
 	for i := 0; i < p.Len(); i++ {
-		want += p.GroundTruthVisibility(i, month)
+		want += p.groundTruthVisibility(i, month)
 		if p.HoneyfarmVisible(i, month) {
 			got++
 		}
@@ -356,17 +366,6 @@ func TestArchetypeStrings(t *testing.T) {
 	for a, s := range want {
 		if a.String() != s {
 			t.Errorf("%d.String() = %q, want %q", a, a.String(), s)
-		}
-	}
-}
-
-func TestBandSources(t *testing.T) {
-	p, _ := NewPopulation(smallConfig())
-	ids := p.BandSources(3) // brightness in [8, 16)
-	for _, i := range ids {
-		d := p.Source(i).Brightness
-		if d < 8 || d >= 16 {
-			t.Fatalf("band 3 contains brightness %g", d)
 		}
 	}
 }

@@ -9,16 +9,12 @@ import (
 	"repro/internal/pcap"
 )
 
-// TestConfigValidate sweeps the negative paths of radiation.Config the
-// way genmodel.TestConfigValidate sweeps the generator's: every invalid
-// configuration must be rejected at Validate/NewPopulation with a named
+// TestConfigValidate sweeps the negative paths of radiation.Config: every
+// invalid configuration must be rejected at Validate/NewPopulation with a named
 // error instead of surfacing later as a deep pipeline failure.
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("DefaultConfig invalid: %v", err)
-	}
-	if err := PaperScaleConfig().Validate(); err != nil {
-		t.Fatalf("PaperScaleConfig invalid: %v", err)
 	}
 	bad := []struct {
 		name string
@@ -124,13 +120,13 @@ func TestV6SourcesEmbed(t *testing.T) {
 		}
 		seen[s.IP] = true
 		if !s.V6 {
-			if ipaddr.IsV6Embedded(s.IP) {
+			if ipaddr.V6EmbedPrefix.Contains(s.IP) {
 				t.Fatalf("native source %d landed in the embedding space", i)
 			}
 			continue
 		}
 		n++
-		if !ipaddr.IsV6Embedded(s.IP) {
+		if !ipaddr.V6EmbedPrefix.Contains(s.IP) {
 			t.Fatalf("v6 source %d outside the embedding space: %v", i, s.IP)
 		}
 		if s.IP != ipaddr.EmbedV6(s.IP6) {

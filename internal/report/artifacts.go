@@ -248,19 +248,17 @@ func runFig7And8(g *Graph) (any, error) {
 			jobs = append(jobs, fitJob{si: si, band: band})
 		}
 	}
+	// A band SweepBands names holds sources, so every FitBand succeeds.
 	fits := make([]correlate.BandFit, len(jobs))
-	oks := make([]bool, len(jobs))
 	g.each(len(jobs), func(j int) {
-		fits[j], oks[j] = f.FitBand(jobs[j].si, jobs[j].band)
+		fits[j], _ = f.FitBand(jobs[j].si, jobs[j].band)
 	})
 	for i := 0; i < nSnaps; i++ {
 		// Capacity for every fitted band.
 		out[i] = make([]correlate.BandFit, 0, len(f.SweepBands(i, minSources)))
 	}
 	for j := range jobs {
-		if oks[j] {
-			out[jobs[j].si] = append(out[jobs[j].si], fits[j])
-		}
+		out[jobs[j].si] = append(out[jobs[j].si], fits[j])
 	}
 	return out, nil
 }

@@ -244,33 +244,17 @@ func (g *Graph) Invalidate(ids ...ArtifactID) []ArtifactID {
 	for _, id := range ids {
 		walk(id)
 	}
+	for id := range seen {
+		if n, ok := g.nodes[id]; ok { // a dirty source may have no node
+			n.mu.Lock()
+			n.valid = false
+			n.mu.Unlock()
+		}
+	}
 	var out []ArtifactID
 	for _, id := range All() {
-		if !seen[id] {
-			continue
-		}
-		n := g.nodes[id]
-		n.mu.Lock()
-		n.valid = false
-		n.mu.Unlock()
-		out = append(out, id)
-	}
-	// Internal nodes (frozen, sources) are invalidated too, outside
-	// the renderable order.
-	for id := range seen {
-		if n, ok := g.nodes[id]; ok {
-			isRenderable := false
-			for _, r := range All() {
-				if r == id {
-					isRenderable = true
-					break
-				}
-			}
-			if !isRenderable {
-				n.mu.Lock()
-				n.valid = false
-				n.mu.Unlock()
-			}
+		if seen[id] {
+			out = append(out, id)
 		}
 	}
 	return out

@@ -232,18 +232,6 @@ func (r *Run[V]) Delete(key string) (V, bool) {
 	return v, true
 }
 
-// Clone returns a run sharing no storage with r.
-func (r Run[V]) Clone() Run[V] {
-	if len(r.blocks) == 0 {
-		return Run[V]{}
-	}
-	blocks := make([][]Entry[V], len(r.blocks))
-	for b, blk := range r.blocks {
-		blocks[b] = slices.Clone(blk)
-	}
-	return Run[V]{blocks: blocks}
-}
-
 // AppendKeys appends to dst, in order, the keys from the first one
 // >= lo (> lo when strict) up to but excluding end (empty end =
 // unbounded), at most n of them (n < 0 = all).

@@ -212,12 +212,6 @@ func TestCopiesShareUntilNumBlocksChanges(t *testing.T) {
 	if r.NumBlocks() == kept.NumBlocks() {
 		t.Fatal("split did not change NumBlocks")
 	}
-	c := r.Clone()
-	c.Put("zzz")
-	c.Delete("a")
-	if r.Get("zzz") != nil || r.Get("a") == nil {
-		t.Fatal("Clone shares storage")
-	}
 }
 
 // TestWideRunInsertIsLogarithmic: 200k keys in random order finish in

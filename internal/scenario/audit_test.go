@@ -132,7 +132,7 @@ func TestAuditMissingDoc(t *testing.T) {
 // other tests lean on).
 func TestTinyScenarioRuns(t *testing.T) {
 	sc := tinyScenario(t, "Z99990")
-	if r := Run(context.Background(), sc); !r.Passed() {
+	if r := Run(context.Background(), sc); r.Err != nil || len(r.FailedChecks()) > 0 {
 		t.Fatalf("tiny fixture failed: err=%v checks=%+v", r.Err, r.Checks)
 	}
 }

@@ -25,20 +25,6 @@ type Result struct {
 	Elapsed  time.Duration
 }
 
-// Passed reports whether the scenario ran to completion with every
-// assertion holding.
-func (r *Result) Passed() bool {
-	if r.Err != nil {
-		return false
-	}
-	for _, c := range r.Checks {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 // FailedChecks returns the assertions that did not hold.
 func (r *Result) FailedChecks() []Check {
 	var out []Check

@@ -72,15 +72,6 @@ func (b *Binned) Prob() []float64 {
 	return out
 }
 
-// Cumulative returns P_t(d_i), the running sum of Prob.
-func (b *Binned) Cumulative() []float64 {
-	p := b.Prob()
-	for i := 1; i < len(p); i++ {
-		p[i] += p[i-1]
-	}
-	return p
-}
-
 // MaxDegreeBin returns the index of the last non-empty bin, or -1 when
 // empty.
 func (b *Binned) MaxDegreeBin() int {

@@ -81,23 +81,6 @@ func TestProbSumsToOne(t *testing.T) {
 	}
 }
 
-func TestCumulativeMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	vals := make([]float64, 300)
-	for i := range vals {
-		vals[i] = float64(1 + rng.Intn(1000))
-	}
-	c := LogBin(vals).Cumulative()
-	for i := 1; i < len(c); i++ {
-		if c[i] < c[i-1]-1e-15 {
-			t.Fatalf("cumulative decreases at %d", i)
-		}
-	}
-	if math.Abs(c[len(c)-1]-1) > 1e-12 {
-		t.Errorf("cumulative tail = %g, want 1", c[len(c)-1])
-	}
-}
-
 func TestBandIndex(t *testing.T) {
 	cases := []struct {
 		d    float64

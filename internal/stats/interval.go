@@ -1,16 +1,12 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-)
+import "math"
 
 // interval.go provides uncertainty quantification for the correlation
 // measurements: Wilson score intervals for the per-band fractions
-// (binomial proportions) and percentile bootstrap intervals for derived
-// statistics. The paper plots point estimates only; the intervals let
-// the reproduction distinguish real shape from small-band noise.
+// (binomial proportions). The paper plots point estimates only; the
+// intervals let the reproduction distinguish real shape from small-band
+// noise.
 
 // WilsonCI returns the Wilson score interval for k successes in n
 // trials at the given z value (1.96 for 95%). It is well-behaved at
@@ -37,58 +33,3 @@ func WilsonCI(k, n int, z float64) (lo, hi float64) {
 
 // Wilson95 is WilsonCI at 95% confidence.
 func Wilson95(k, n int) (lo, hi float64) { return WilsonCI(k, n, 1.96) }
-
-// BootstrapMeanCI returns the percentile bootstrap confidence interval
-// for the mean of values at the given confidence level (e.g. 0.95),
-// using iters resamples. Deterministic in rng.
-func BootstrapMeanCI(values []float64, conf float64, iters int, rng *rand.Rand) (lo, hi float64) {
-	if len(values) == 0 {
-		return 0, 0
-	}
-	if iters < 2 {
-		iters = 2
-	}
-	means := make([]float64, iters)
-	for b := range means {
-		var s float64
-		for range values {
-			s += values[rng.Intn(len(values))]
-		}
-		means[b] = s / float64(len(values))
-	}
-	sort.Float64s(means)
-	alpha := (1 - conf) / 2
-	loIdx := int(alpha * float64(iters))
-	hiIdx := int((1 - alpha) * float64(iters))
-	if hiIdx >= iters {
-		hiIdx = iters - 1
-	}
-	return means[loIdx], means[hiIdx]
-}
-
-// BootstrapStatCI generalizes BootstrapMeanCI to an arbitrary statistic.
-func BootstrapStatCI(values []float64, conf float64, iters int, rng *rand.Rand,
-	stat func([]float64) float64) (lo, hi float64) {
-	if len(values) == 0 {
-		return 0, 0
-	}
-	if iters < 2 {
-		iters = 2
-	}
-	resample := make([]float64, len(values))
-	stats := make([]float64, iters)
-	for b := range stats {
-		for i := range resample {
-			resample[i] = values[rng.Intn(len(values))]
-		}
-		stats[b] = stat(resample)
-	}
-	sort.Float64s(stats)
-	alpha := (1 - conf) / 2
-	loIdx := int(alpha * float64(iters))
-	hiIdx := int((1 - alpha) * float64(iters))
-	if hiIdx >= iters {
-		hiIdx = iters - 1
-	}
-	return stats[loIdx], stats[hiIdx]
-}

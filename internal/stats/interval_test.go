@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -75,57 +74,5 @@ func TestWilsonCICoverage(t *testing.T) {
 	rate := float64(covered) / trials
 	if rate < 0.92 || rate > 0.99 {
 		t.Errorf("coverage = %g, want ~0.95", rate)
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	values := make([]float64, 500)
-	for i := range values {
-		values[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi := BootstrapMeanCI(values, 0.95, 500, rng)
-	if lo > 10 || hi < 10 {
-		t.Errorf("CI [%g, %g] excludes the true mean 10", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI [%g, %g] too wide for 500 samples", lo, hi)
-	}
-	if lo2, hi2 := BootstrapMeanCI(nil, 0.95, 100, rng); lo2 != 0 || hi2 != 0 {
-		t.Error("empty input should yield zero interval")
-	}
-}
-
-func TestBootstrapStatCIMedian(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	values := make([]float64, 301)
-	for i := range values {
-		values[i] = float64(i) // median 150
-	}
-	median := func(xs []float64) float64 {
-		cp := append([]float64(nil), xs...)
-		// insertion into sorted order is overkill; use simple select
-		for i := 1; i < len(cp); i++ {
-			for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-				cp[j], cp[j-1] = cp[j-1], cp[j]
-			}
-		}
-		return cp[len(cp)/2]
-	}
-	lo, hi := BootstrapStatCI(values, 0.9, 200, rng, median)
-	if lo > 150 || hi < 150 {
-		t.Errorf("median CI [%g, %g] excludes 150", lo, hi)
-	}
-	if math.Abs(lo-150) > 40 || math.Abs(hi-150) > 40 {
-		t.Errorf("median CI [%g, %g] implausibly wide", lo, hi)
-	}
-}
-
-func TestBootstrapDeterministic(t *testing.T) {
-	values := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	lo1, hi1 := BootstrapMeanCI(values, 0.95, 300, rand.New(rand.NewSource(9)))
-	lo2, hi2 := BootstrapMeanCI(values, 0.95, 300, rand.New(rand.NewSource(9)))
-	if lo1 != lo2 || hi1 != hi2 {
-		t.Error("bootstrap not deterministic for a fixed rng seed")
 	}
 }

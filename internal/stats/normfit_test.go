@@ -55,7 +55,7 @@ func TestFitResidualConsistency(t *testing.T) {
 		vals[i] = 0.7*truth.Eval(dt) + 0.02*float64(i%3)
 	}
 	fit := FitModifiedCauchy(dts, vals)
-	recomputed := HalfNorm(Residuals(vals, fit.Curve(dts)))
+	recomputed := halfNormRef(vals, fit.Curve(dts))
 	if math.Abs(recomputed-fit.Residual) > 1e-9 {
 		t.Errorf("residual %g != recomputed %g", fit.Residual, recomputed)
 	}

@@ -2,36 +2,6 @@ package stats
 
 import "math"
 
-// PNorm returns the p-norm (sum |x_i|^p)^(1/p) of the vector. The paper
-// fits its temporal-correlation curves by minimizing the fractional
-// p = 1/2 norm, which is robust to the heavy-tailed fluctuations of the
-// bin occupancies (large residuals are damped relative to L2).
-func PNorm(xs []float64, p float64) float64 {
-	if p <= 0 {
-		panic("stats: PNorm requires p > 0")
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Pow(math.Abs(x), p)
-	}
-	return math.Pow(s, 1/p)
-}
-
-// HalfNorm is the paper's fitting norm, PNorm(xs, 1/2).
-func HalfNorm(xs []float64) float64 { return PNorm(xs, 0.5) }
-
-// Residuals returns data[i] - model[i]; the slices must be equal length.
-func Residuals(data, model []float64) []float64 {
-	if len(data) != len(model) {
-		panic("stats: residual length mismatch")
-	}
-	out := make([]float64, len(data))
-	for i := range data {
-		out[i] = data[i] - model[i]
-	}
-	return out
-}
-
 // Range is a closed parameter interval for grid search.
 type Range struct {
 	Lo, Hi float64

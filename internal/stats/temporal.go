@@ -86,13 +86,10 @@ func peakOf(values []float64) float64 {
 	return p
 }
 
-// residualPNorm is PNorm(Residuals(values, peak·model), p) fused into
+// residualPNorm is the p-norm (Σ |values_i − peak·model_i|^p)^(1/p) in
 // one pass — the inner loop of every grid search in this file, called
 // thousands of times per fit, so it materializes no intermediate
-// slices. Generic over the model so concrete shapes stay unboxed. The
-// operations run in the exact order of the composed form (model, then
-// residual, then Pow-accumulate, then the final Pow), so fitted
-// parameters are bit-identical to the historical slice-based path.
+// slices. Generic over the model so concrete shapes stay unboxed.
 func residualPNorm[M TemporalModel](dts, values []float64, peak float64, m M, p float64) float64 {
 	if p <= 0 {
 		panic("stats: PNorm requires p > 0")

@@ -22,19 +22,10 @@ func PaperZM(dmax float64) ZipfMandelbrot {
 	return ZipfMandelbrot{Alpha: 1.76, Delta: 3.93, DMax: dmax}
 }
 
-// cdfCont evaluates the continuous-relaxation CDF at x in [1, DMax]:
-// the normalized integral of (t+δ)^(-α). The continuous form admits a
-// closed-form inverse, which the sampler uses; discretization by rounding
-// preserves the power-law tail.
-func (z ZipfMandelbrot) cdfCont(x float64) float64 {
-	a, d := z.Alpha, z.Delta
-	g := func(t float64) float64 { return math.Pow(t+d, 1-a) }
-	num := g(1) - g(x)
-	den := g(1) - g(z.DMax)
-	return num / den
-}
-
-// Quantile inverts the continuous CDF: Quantile(u) for u in [0,1).
+// Quantile inverts the continuous-relaxation CDF — the normalized
+// integral of (t+δ)^(-α) over [1, DMax] — at u in [0,1). The continuous
+// form admits this closed-form inverse; discretization by rounding in
+// Sample preserves the power-law tail.
 func (z ZipfMandelbrot) Quantile(u float64) float64 {
 	a, d := z.Alpha, z.Delta
 	g1 := math.Pow(1+d, 1-a)
@@ -56,35 +47,17 @@ func (z ZipfMandelbrot) Sample(rng *rand.Rand) float64 {
 	return v
 }
 
-// BinnedProb returns the model's probability mass per binary logarithmic
-// bin, up to bin maxBin inclusive, computed from the continuous CDF so it
-// is directly comparable to Binned.Prob() of a sample drawn from the
-// model.
-func (z ZipfMandelbrot) BinnedProb(maxBin int) []float64 {
-	out := make([]float64, maxBin+1)
-	prev := 0.0
-	for i := 0; i <= maxBin; i++ {
-		hi := math.Pow(2, float64(i))
-		if hi > z.DMax {
-			hi = z.DMax
-		}
-		c := z.cdfCont(hi)
-		out[i] = c - prev
-		prev = c
-	}
-	return out
-}
-
 // FitZipfMandelbrot recovers (α, δ) from a binned empirical degree
 // distribution by grid search minimizing the paper's ‖·‖½ norm between
 // the empirical and model per-bin probabilities.
 //
-// The loss is HalfNorm(Residuals(emp, BinnedProb(maxBin))) with what
-// does not change hoisted: the bin edges are fixed per fit, and g(1)
-// and g(1) − g(DMax) of cdfCont per (α, δ), so a bin costs one Pow for
-// its edge and one for the norm, and nothing is allocated per grid
-// point. Every operation runs on the same operands in the same order,
-// so the fit is bit-identical to the un-hoisted form.
+// The model's mass in a bin is the difference of the continuous CDF
+// (g(1) − g(x)) / (g(1) − g(DMax)), g(t) = (t+δ)^(1−α), at its edges.
+// The loss hoists what does not change: the bin edges are fixed per
+// fit, and g(1) and g(1) − g(DMax) per (α, δ), so a bin costs one Pow
+// for its edge and one for the norm, and nothing is allocated per grid
+// point. Every operation runs on the same operands in the same order as
+// the un-hoisted form the tests keep, so the fit is bit-identical to it.
 func FitZipfMandelbrot(b *Binned, dmax float64) (alpha, delta, residual float64) {
 	emp := b.Prob()
 	maxBin := len(emp) - 1

@@ -6,9 +6,40 @@ import (
 	"testing"
 )
 
+// binnedProbRef is the model's probability mass per binary logarithmic
+// bin, up to bin maxBin inclusive, from the continuous-relaxation CDF
+// (the normalized integral of (t+δ)^(-α)), so it is directly comparable
+// to Binned.Prob() of a sample drawn from the model.
+func binnedProbRef(z ZipfMandelbrot, maxBin int) []float64 {
+	a, d := z.Alpha, z.Delta
+	g := func(t float64) float64 { return math.Pow(t+d, 1-a) }
+	out := make([]float64, maxBin+1)
+	prev := 0.0
+	for i := 0; i <= maxBin; i++ {
+		hi := math.Pow(2, float64(i))
+		if hi > z.DMax {
+			hi = z.DMax
+		}
+		c := (g(1) - g(hi)) / (g(1) - g(z.DMax))
+		out[i] = c - prev
+		prev = c
+	}
+	return out
+}
+
+// halfNormRef is the paper's fitting norm of data − model:
+// (Σ |data_i − model_i|^½)².
+func halfNormRef(data, model []float64) float64 {
+	var s float64
+	for i := range data {
+		s += math.Pow(math.Abs(data[i]-model[i]), 0.5)
+	}
+	return math.Pow(s, 1/0.5)
+}
+
 // fitZipfMandelbrotRef is FitZipfMandelbrot before its loss was
-// hoisted: the model's BinnedProb and the residual vector rebuilt at
-// every grid point.
+// hoisted: the model's binned probabilities and the residuals rebuilt
+// at every grid point.
 func fitZipfMandelbrotRef(b *Binned, dmax float64) (alpha, delta, residual float64) {
 	emp := b.Prob()
 	maxBin := len(emp) - 1
@@ -16,8 +47,7 @@ func fitZipfMandelbrotRef(b *Binned, dmax float64) (alpha, delta, residual float
 		return 0, 0, math.Inf(1)
 	}
 	loss := func(a, d float64) float64 {
-		model := ZipfMandelbrot{Alpha: a, Delta: d, DMax: dmax}.BinnedProb(maxBin)
-		return HalfNorm(Residuals(emp, model))
+		return halfNormRef(emp, binnedProbRef(ZipfMandelbrot{Alpha: a, Delta: d, DMax: dmax}, maxBin))
 	}
 	return GridSearch2(
 		Range{Lo: 1.05, Hi: 3.0},

@@ -54,8 +54,10 @@ func TestCaptureToArchiveMatchesInMemory(t *testing.T) {
 		t.Error("archived window differs from in-memory window")
 	}
 	// Leaves are time ordered because capture is sequential.
-	if !ds.SortedByTime() {
-		t.Error("archive leaves not time ordered")
+	for i, l := range ds.Leaves()[1:] {
+		if l.Start.Before(ds.Leaves()[i].Start) {
+			t.Errorf("archive leaf %d starts before leaf %d", i+1, i)
+		}
 	}
 }
 
@@ -81,7 +83,7 @@ func TestCaptureToArchivePartialLeaf(t *testing.T) {
 	if len(ds.Leaves()) != 2 {
 		t.Fatalf("leaves = %d, want 2 (one full + one partial)", len(ds.Leaves()))
 	}
-	if ds.TotalPackets() != 1500 {
-		t.Errorf("archived packets = %d", ds.TotalPackets())
+	if got := ds.Leaves()[0].Packets + ds.Leaves()[1].Packets; got != 1500 {
+		t.Errorf("archived packets = %d", got)
 	}
 }

@@ -261,7 +261,7 @@ func TestEngineCaptureCancel(t *testing.T) {
 // to end: radiation -> pcap file -> batched reader (the engine pulls
 // whole decoded slabs from ReaderSource) -> sharded engine with
 // in-worker filtering and batched CryptoPAN -> window. It must match
-// the naive reference reading the same bytes one ReadPacket at a time.
+// the naive reference reading the same bytes one packet at a time.
 func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 	pop := testPopulation(t, 800)
 	st := pop.TelescopeStream(4, time.Unix(1_592_395_200, 0))
@@ -287,7 +287,12 @@ func TestEngineReaderSourceMatchesSerial(t *testing.T) {
 
 	const nv = 2000
 	pr := read().R
-	classic := referenceWindow(pop.Config().Darkspace, "pcap-engine", func(p *pcap.Packet) bool { return pr.ReadPacket(p) == nil }, nv)
+	classic := referenceWindow(pop.Config().Darkspace, "pcap-engine", func(p *pcap.Packet) bool {
+		var one [1]pcap.Packet
+		n, _ := pr.NextBatch(one[:])
+		*p = one[0]
+		return n == 1
+	}, nv)
 	for _, workers := range []int{1, 4} {
 		tel := New(pop.Config().Darkspace, "pcap-engine")
 		w, err := tel.CaptureWindowEngine(context.Background(), read(), nv, workers, 128)

@@ -60,9 +60,9 @@ func (rs *ReaderSource) Err() error { return rs.err }
 
 // Telescope holds the observatory configuration. Construct with New.
 //
-// A Telescope runs one capture at a time: CaptureWindowEngine,
-// CaptureTimeWindow, and CaptureToArchive must not be invoked
-// concurrently with each other (a capture internally shards across
+// A Telescope runs one capture at a time: CaptureWindowEngine and
+// CaptureToArchive must not be invoked concurrently with each other
+// (a capture internally shards across
 // goroutines just fine): the per-shard L1 anonymization memos and
 // cached engines reused across captures rely on it. Concurrent
 // windows belong on separate Telescopes, which may share one CryptoPAN
@@ -127,9 +127,6 @@ func New(darkspace ipaddr.Prefix, anonPassphrase string, opts ...Option) *Telesc
 // handing to further Telescopes via WithAnonymizer.
 func (t *Telescope) Anonymizer() *cryptopan.Cached { return t.anon }
 
-// Darkspace returns the monitored prefix.
-func (t *Telescope) Darkspace() ipaddr.Prefix { return t.darkspace }
-
 // Valid implements the paper's validity filter: the packet must be
 // destined to the darkspace (external → internal quadrant) and must not
 // carry an un-routable source (bogons and darkspace-internal sources are
@@ -149,8 +146,7 @@ type Window struct {
 	Matrix     *hypersparse.Matrix
 	Leaves     int // leaf matrices hierarchically summed
 	// Timings is the engine's account of the capture's wall time; the
-	// time-window and archive captures, which run no engine loop, leave
-	// it zero.
+	// archive capture, which runs no engine loop, leaves it zero.
 	Timings engine.Timings
 }
 
@@ -164,46 +160,6 @@ func sourceErr(src PacketSource) error {
 		return es.Err()
 	}
 	return nil
-}
-
-// CaptureTimeWindow is the constant-time alternative (ablation A3): it
-// accepts valid packets until the stream's clock passes start+span.
-// Constant-time windows have variable NV, which the paper argues makes
-// heavy-tail statistics harder to compare across windows. The window's
-// end depends on a packet's timestamp, so the stream is read one packet
-// at a time (the first packet past the span is consumed and discarded)
-// and mapped through shard 0's slab mapper.
-func (t *Telescope) CaptureTimeWindow(src PacketSource, span time.Duration) (*Window, error) {
-	acc := hypersparse.NewAccumulator(t.leafSize, 0)
-	mapper := t.slabMapper(0)
-	w := &Window{}
-	var pkt [1]pcap.Packet
-	var pair [1]engine.Pair
-	for src.NextBatch(pkt[:]) == 1 {
-		if !t.Valid(&pkt[0]) {
-			w.Dropped++
-			continue
-		}
-		if w.NV == 0 {
-			w.Start = pkt[0].Time
-		}
-		if w.NV > 0 && pkt[0].Time.Sub(w.Start) > span {
-			break
-		}
-		w.End = pkt[0].Time
-		mapper(pkt[:], pair[:])
-		acc.Add(pair[0].Row, pair[0].Col, 1)
-		w.NV++
-	}
-	w.Leaves = acc.Leaves()
-	if w.NV%t.leafSize != 0 {
-		w.Leaves++ // partial tail leaf
-	}
-	w.Matrix = acc.Finish()
-	if err := sourceErr(src); err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
 // SourcePackets returns the anonymized per-source packet counts A·1 of

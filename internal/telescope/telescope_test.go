@@ -185,7 +185,7 @@ func TestDeanonymizeRoundTrip(t *testing.T) {
 		if !known[orig] {
 			t.Fatalf("row %v de-anonymizes to %v, not a population source", ipaddr.Addr(anonRow), orig)
 		}
-		if back := tel.Anonymizer().Anonymize(orig); back != ipaddr.Addr(anonRow) {
+		if back := tel.Anonymizer().Anonymizer().Anonymize(orig); back != ipaddr.Addr(anonRow) {
 			t.Fatalf("row %v -> %v -> %v", ipaddr.Addr(anonRow), orig, back)
 		}
 	}
@@ -236,10 +236,6 @@ func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
 			_, err := tel.CaptureWindowEngine(context.Background(), src, nv, 4, 256)
 			return err
 		},
-		"time-window": func(tel *Telescope, src PacketSource) error {
-			_, err := tel.CaptureTimeWindow(src, nv*time.Second)
-			return err
-		},
 		"archive": func(tel *Telescope, src PacketSource) error {
 			aw, err := archive.Create(t.TempDir())
 			if err != nil {
@@ -276,8 +272,8 @@ func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
 }
 
 // TestLeavesAgreeAcrossCapturePaths: the same valid packets cut the
-// same number of leaves on the time-window and the one-shard engine
-// path, whether or not the last leaf is full.
+// same number of leaves on the archive and the one-shard engine path,
+// whether or not the last leaf is full.
 func TestLeavesAgreeAcrossCapturePaths(t *testing.T) {
 	dark := ipaddr.MustParsePrefix("44.0.0.0/8")
 	for _, tc := range []struct{ nv, want int }{{300, 3}, {256, 2}} {
@@ -289,17 +285,20 @@ func TestLeavesAgreeAcrossCapturePaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// sweepSource stamps packet n at second n: this span holds nv packets.
-		timed, err := tel.CaptureTimeWindow(src(), time.Duration(tc.nv-1)*time.Second)
+		aw, err := archive.Create(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.NV != tc.nv || timed.NV != tc.nv {
-			t.Fatalf("nv=%d: captured %d / %d packets", tc.nv, eng.NV, timed.NV)
+		archived, _, err := tel.CaptureToArchive(src(), tc.nv, aw)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if eng.Leaves != tc.want || timed.Leaves != tc.want {
-			t.Errorf("nv=%d: Leaves engine %d, time-window %d, want %d",
-				tc.nv, eng.Leaves, timed.Leaves, tc.want)
+		if eng.NV != tc.nv || archived != tc.nv {
+			t.Fatalf("nv=%d: captured %d / %d packets", tc.nv, eng.NV, archived)
+		}
+		if eng.Leaves != tc.want || aw.Leaves() != tc.want {
+			t.Errorf("nv=%d: Leaves engine %d, archive %d, want %d",
+				tc.nv, eng.Leaves, aw.Leaves(), tc.want)
 		}
 	}
 }
@@ -327,7 +326,7 @@ func (s *failingSource) NextBatch(dst []pcap.Packet) int {
 func (s *failingSource) Err() error { return s.err }
 
 // TestEveryCaptureSurfacesSourceError: a source's held-back read error
-// must fail the capture on all three entry points, whatever the
+// must fail the capture on both entry points, whatever the
 // source's concrete type — never a short window or a short archive with
 // a nil error.
 func TestEveryCaptureSurfacesSourceError(t *testing.T) {
@@ -335,32 +334,12 @@ func TestEveryCaptureSurfacesSourceError(t *testing.T) {
 	if _, err := tel.CaptureWindowEngine(context.Background(), &failingSource{n: 100}, 1<<20, 1, 0); err == nil {
 		t.Error("CaptureWindowEngine returned a truncated window with a nil error")
 	}
-	if _, err := tel.CaptureTimeWindow(&failingSource{n: 100}, time.Hour); err == nil {
-		t.Error("CaptureTimeWindow returned a truncated window with a nil error")
-	}
 	aw, err := archive.Create(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := tel.CaptureToArchive(&failingSource{n: 100}, 1<<20, aw); err == nil {
 		t.Error("CaptureToArchive returned a truncated archive with a nil error")
-	}
-}
-
-func TestCaptureTimeWindowRespectsSpan(t *testing.T) {
-	pop := testPopulation(t, 3000)
-	tel := New(pop.Config().Darkspace, "time-window")
-	st := pop.TelescopeStream(4, time.Unix(0, 0))
-	span := 5 * time.Second
-	w, err := tel.CaptureTimeWindow(st, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.NV == 0 {
-		t.Fatal("time window captured nothing")
-	}
-	if w.Duration() > span {
-		t.Errorf("duration %v exceeds span %v", w.Duration(), span)
 	}
 }
 
@@ -400,31 +379,6 @@ func TestPcapRoundTripThroughTelescope(t *testing.T) {
 	}
 	if w.Matrix.Sum() != float64(w.NV) {
 		t.Error("NV not conserved through pcap round trip")
-	}
-}
-
-func TestConstantPacketVsConstantTimeVariance(t *testing.T) {
-	// Ablation A3 sanity: constant-packet windows have identical NV by
-	// construction; constant-time windows vary.
-	pop := testPopulation(t, 2000)
-	tel := New(pop.Config().Darkspace, "ablation")
-	var nvs []int
-	for m := 2; m <= 6; m++ {
-		st := pop.TelescopeStream(float64(m), time.Unix(0, 0))
-		w, err := tel.CaptureTimeWindow(st, 3*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nvs = append(nvs, w.NV)
-	}
-	allSame := true
-	for _, nv := range nvs[1:] {
-		if nv != nvs[0] {
-			allSame = false
-		}
-	}
-	if allSame {
-		t.Log("constant-time windows happened to capture identical NV; unusual but not an error")
 	}
 }
 

@@ -379,18 +379,13 @@ func (c *Client) ScanAllRows(start, end string, pageSize int) ([]string, error) 
 	}
 }
 
-// ScanCells fetches one page of the bulk cell export: every cell of up
-// to limit rows, in (row, col) order, with the cursor being the last
-// row key of the page. Unlike ScanRows, a short page does not prove
-// the scan is done (rows deleted concurrently drop out of a page);
-// loop until an empty page, as FetchAssoc does.
-func (c *Client) ScanCells(start, end string, limit int, cursor string) ([]Cell, error) {
-	return c.appendCells(nil, start, end, limit, cursor)
-}
-
-// appendCells is ScanCells into caller storage: the page is appended to
-// dst, so FetchAssoc and DeletePrefix reuse one buffer across the pages
-// of a table.
+// appendCells fetches one page of the bulk cell export (CELLS): every
+// cell of up to limit rows, in (row, col) order, with the cursor being
+// the last row key of the page. Unlike ScanRows, a short page does not
+// prove the scan is done (rows deleted concurrently drop out of a
+// page); loop until an empty page, as FetchAssoc does. The page is
+// appended to dst, so FetchAssoc and DeletePrefix reuse one buffer
+// across the pages of a table.
 func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, error) {
 	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
 	if err != nil {

@@ -167,36 +167,12 @@ func New(cfg Config) (*Client, error) {
 }
 
 // Dial parses a cluster spec and builds a client over it.
-func Dial(spec string, opts ...Option) (*Client, error) {
+func Dial(spec string) (*Client, error) {
 	cfg, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	for _, o := range opts {
-		o(&cfg)
-	}
 	return New(cfg)
-}
-
-// Option adjusts a parsed spec's transport policy before dialing.
-type Option func(*Config)
-
-// WithTimeouts overrides the dial and I/O deadlines (zero keeps the
-// default for that field).
-func WithTimeouts(dial, io time.Duration) Option {
-	return func(c *Config) {
-		if dial > 0 {
-			c.DialTimeout = dial
-		}
-		if io > 0 {
-			c.IOTimeout = io
-		}
-	}
-}
-
-// WithRetry overrides the per-node retry policy.
-func WithRetry(r tripled.Retry) Option {
-	return func(c *Config) { c.Retry = r }
 }
 
 // Close closes every live connection. The client is unusable after.

@@ -26,7 +26,8 @@ import (
 )
 
 // DefaultWALCompactBytes is the appended-bytes threshold past which a
-// mutation triggers snapshot-then-truncate compaction.
+// mutation triggers snapshot-then-truncate compaction (Compact works
+// at any size).
 const DefaultWALCompactBytes = 8 << 20
 
 // WithDataDir makes the server durable: mutations append to a WAL in
@@ -40,12 +41,6 @@ func WithDataDir(dir string) Option {
 // default) for the data dir's log.
 func WithWALSyncPolicy(policy string) Option {
 	return func(s *Server) { s.walOpts.SyncPolicy = policy }
-}
-
-// WithWALCompactBytes sets the auto-compaction threshold in appended
-// WAL bytes; n <= 0 disables auto-compaction (Compact still works).
-func WithWALCompactBytes(n int64) Option {
-	return func(s *Server) { s.walCompactBytes = n }
 }
 
 // Recovery describes what a durable server replayed at startup.

@@ -102,7 +102,7 @@ func TestDurableServerRecoversMutations(t *testing.T) {
 
 func TestDurableCompactionSnapshotThenTail(t *testing.T) {
 	dir := t.TempDir()
-	srv, c, store := durableServe(t, dir, WithWALCompactBytes(-1))
+	srv, c, store := durableServe(t, dir, func(s *Server) { s.walCompactBytes = -1 })
 	for i := 0; i < 50; i++ {
 		if err := c.Put(fmt.Sprintf("r%02d", i), "c", assoc.Num(float64(i))); err != nil {
 			t.Fatal(err)
@@ -145,7 +145,7 @@ func TestWALCompactionUnderConcurrentWriters(t *testing.T) {
 		ops = 40
 	}
 	dir := t.TempDir()
-	srv, _, durStore := durableServe(t, dir, WithWALCompactBytes(2048))
+	srv, _, durStore := durableServe(t, dir, func(s *Server) { s.walCompactBytes = 2048 })
 	twin, _ := serveTest(t) // in-memory twin, same workload, no WAL
 
 	var wg sync.WaitGroup

@@ -25,7 +25,7 @@ import (
 // hang guard is the test timeout.
 func fuzzSession(t *testing.T, store *Store, data []byte) {
 	t.Helper()
-	srv := newServer(store, WithIdleTimeout(2*time.Second), WithMaxBatch(1024))
+	srv := newServer(store, func(s *Server) { s.idleTimeout, s.maxBatch = 2*time.Second, 1024 })
 	clientEnd, serverEnd := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -134,7 +134,7 @@ func pipeClient(t *testing.T, data []byte) *Client {
 	return newClient(swallowWrites{clientEnd}, 0)
 }
 
-// scanCellsTextOracle is the CELLS response parser Client.ScanCells
+// scanCellsTextOracle is the CELLS response parser Client.appendCells
 // replaced: collect the block's lines as strings, SplitN each.
 func scanCellsTextOracle(c *Client, start, end string, limit int, cursor string) ([]Cell, error) {
 	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
@@ -168,7 +168,7 @@ func fetchAssocCellByCell(c *Client, prefix string, pageRows int) (*assoc.Assoc,
 	out := assoc.New()
 	cursor := ""
 	for {
-		cells, err := c.ScanCells(prefix, PrefixEnd(prefix), pageRows, cursor)
+		cells, err := c.appendCells(nil, prefix, PrefixEnd(prefix), pageRows, cursor)
 		if err != nil {
 			return nil, err
 		}
@@ -231,8 +231,8 @@ func TestFetchAssocMalformedPages(t *testing.T) {
 
 // FuzzClientCells is the client-side twin of FuzzServerProtocol: any
 // bytes a server (or whatever answers on its port) sends in reply to
-// CELLS yield cells or an error from ScanCells and FetchAssoc — never a
-// panic, a hang, or an allocation sized by the peer — ScanCells agrees
+// CELLS yield cells or an error from appendCells and FetchAssoc — never a
+// panic, a hang, or an allocation sized by the peer — appendCells agrees
 // cell for cell and error for error with the parser it replaced, and
 // FetchAssoc builds the table the pages' cells make in arrival order.
 func FuzzClientCells(f *testing.F) {
@@ -264,15 +264,15 @@ func FuzzClientCells(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, gotErr := pipeClient(t, data).ScanCells("", "", 512, "")
+		got, gotErr := pipeClient(t, data).appendCells(nil, "", "", 512, "")
 		want, wantErr := scanCellsTextOracle(pipeClient(t, data), "", "", 512, "")
 		switch {
 		case (gotErr == nil) != (wantErr == nil):
-			t.Fatalf("ScanCells error = %v, text parser error = %v", gotErr, wantErr)
+			t.Fatalf("appendCells error = %v, text parser error = %v", gotErr, wantErr)
 		case gotErr != nil && gotErr.Error() != wantErr.Error():
-			t.Fatalf("ScanCells error = %q, text parser error = %q", gotErr, wantErr)
+			t.Fatalf("appendCells error = %q, text parser error = %q", gotErr, wantErr)
 		case !cellsEqual(got, want):
-			t.Fatalf("ScanCells = %v, text parser = %v", got, want)
+			t.Fatalf("appendCells = %v, text parser = %v", got, want)
 		}
 		diffFetchAssoc(t, data, "")
 	})

@@ -30,7 +30,6 @@ type Pipeline struct {
 	body      []byte // assembled body lines of the batch being built
 	count     int    // ops in body
 	inflight  []int  // op counts of sent-but-unacked batches
-	applied   int    // ops acknowledged so far
 	err       error  // first transport/protocol error; sticky
 }
 
@@ -121,9 +120,7 @@ func (p *Pipeline) recvAck() {
 	got, err := strconv.Atoi(strings.TrimPrefix(resp, "OK "))
 	if err != nil || got != n {
 		p.err = fmt.Errorf("tripled: batch ack %q for %d-op batch", resp, n)
-		return
 	}
-	p.applied += n
 }
 
 // Flush sends any partial batch and waits for every outstanding ack.
@@ -144,9 +141,6 @@ func (p *Pipeline) Flush() error {
 	}
 	return p.err
 }
-
-// Applied returns how many operations the server has acknowledged.
-func (p *Pipeline) Applied() int { return p.applied }
 
 // Close flushes the pipeline and returns the first error seen. The
 // underlying client stays open and usable afterwards.

@@ -1,7 +1,7 @@
 package tripled
 
 // scan_test.go polices the ordered row index behind ScanRows and
-// ScanCells. The oracle is the scan the index replaced — walk every row
+// the CELLS pages. The oracle is the scan the index replaced — walk every row
 // of every stripe, keep the matches, sort, cut — and a model-based
 // property test drives random puts, deletes and scans through the store
 // at one stripe and at sixteen, diffing every scan against it.
@@ -38,7 +38,7 @@ func scanRowsOracle(s *Store, start, end string, limit int, cursor string) ([]st
 	return out, false
 }
 
-// scanCellsOracle is the pre-index ScanCells over a quiescent store:
+// scanCellsOracle is the pre-index CELLS page over a quiescent store:
 // the oracle's page, each row copied out through Row.
 func scanCellsOracle(s *Store, start, end string, limit int, cursor string) ([]Cell, bool) {
 	rows, more := scanRowsOracle(s, start, end, limit, cursor)
@@ -93,10 +93,10 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 					t.Fatalf("ScanRows(%q, %q, %d, %q) = %d rows, more=%v; oracle %d rows, more=%v\n got %v\nwant %v",
 						start, end, limit, cursor, len(rows), more, len(wantRows), wantMore, rows, wantRows)
 				}
-				cells, more := s.ScanCells(start, end, limit, cursor)
+				cells, more := s.appendCells(nil, start, end, limit, cursor)
 				wantCells, wantMore := scanCellsOracle(s, start, end, limit, cursor)
 				if !cellsEqual(cells, wantCells) || more != wantMore {
-					t.Fatalf("ScanCells(%q, %q, %d, %q) = %d cells, more=%v; oracle %d cells, more=%v",
+					t.Fatalf("appendCells(%q, %q, %d, %q) = %d cells, more=%v; oracle %d cells, more=%v",
 						start, end, limit, cursor, len(cells), more, len(wantCells), wantMore)
 				}
 			}
@@ -240,7 +240,7 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 				var seen []string
 				cursor := ""
 				for {
-					cells, more := s.ScanCells("t/", PrefixEnd("t/"), limit, cursor)
+					cells, more := s.appendCells(nil, "t/", PrefixEnd("t/"), limit, cursor)
 					for i := 0; i < len(cells); i += len(cols) {
 						if i+len(cols) > len(cells) || cells[i].Row != cells[i+len(cols)-1].Row {
 							t.Errorf("limit %d: torn row in page after %q", limit, cursor)

@@ -48,27 +48,18 @@ import (
 	"repro/internal/tripled/wal"
 )
 
-// Defaults for the tunable server limits.
+// The server's limits.
 const (
+	// DefaultIdleTimeout is how long a connection may sit idle between
+	// requests (and between BATCH body lines) before the server drops it.
 	DefaultIdleTimeout = 2 * time.Minute
-	DefaultMaxBatch    = 1 << 16
+	// DefaultMaxBatch caps the declared count of a BATCH request; larger
+	// counts are refused and the connection closed.
+	DefaultMaxBatch = 1 << 16
 )
 
 // Option configures a Server.
 type Option func(*Server)
-
-// WithIdleTimeout sets how long a connection may sit idle between
-// requests (and between BATCH body lines) before the server drops it.
-// Zero or negative disables the deadline.
-func WithIdleTimeout(d time.Duration) Option {
-	return func(s *Server) { s.idleTimeout = d }
-}
-
-// WithMaxBatch caps the declared count of a BATCH request; larger
-// counts are refused and the connection closed.
-func WithMaxBatch(n int) Option {
-	return func(s *Server) { s.maxBatch = n }
-}
 
 // Server serves a Store over TCP.
 type Server struct {

@@ -124,9 +124,6 @@ func NewStoreStripes(n int) *Store {
 	return s
 }
 
-// Stripes returns the stripe count.
-func (s *Store) Stripes() int { return len(s.stripes) }
-
 func (s *Store) stripeFor(row string) *stripe {
 	if len(s.stripes) == 1 {
 		return s.stripes[0]
@@ -468,7 +465,7 @@ func mergeRuns(keys []string, bounds []int, n int) []string {
 	return out
 }
 
-// ScanCells returns every cell of up to limit rows of the paged row
+// appendCells returns every cell of up to limit rows of the paged row
 // scan defined by ScanRows, sorted by (row, col), plus the more flag.
 // It is the bulk-export query: one round trip per page instead of one
 // ROW query per key, at O(page selection + cells returned). A row
@@ -476,14 +473,9 @@ func mergeRuns(keys []string, bounds []int, n int) []string {
 // from the page (each row's cells are read in place under its stripe's
 // read lock, so atomically); if every selected row vanished that way,
 // the scan advances past them rather than returning a spurious
-// end-of-scan.
-func (s *Store) ScanCells(start, end string, limit int, cursor string) ([]Cell, bool) {
-	return s.appendCells(nil, start, end, limit, cursor)
-}
-
-// appendCells is ScanCells into caller storage: the page's cells are
-// appended to dst, so a caller serving page after page reuses one
-// buffer instead of allocating a page-sized one each time.
+// end-of-scan. The page's cells are appended to dst, so a caller
+// serving page after page reuses one buffer instead of allocating a
+// page-sized one each time.
 func (s *Store) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, bool) {
 	base := len(dst)
 	for {
@@ -517,31 +509,6 @@ func sortedKeys[V any](buf []string, m map[string]V) []string {
 	}
 	slices.Sort(buf)
 	return buf
-}
-
-// RowDegree returns the degree-table entry for a row (0 if absent).
-func (s *Store) RowDegree(row string) int {
-	st := s.stripeFor(row)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if r := st.rows[row]; r != nil {
-		return r.cells.Len()
-	}
-	return 0
-}
-
-// ColDegree returns the degree-table entry for a column, summed over
-// the per-stripe member lists.
-func (s *Store) ColDegree(col string) int {
-	d := 0
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		if c := st.cols[col]; c != nil {
-			d += len(c.rows)
-		}
-		st.mu.RUnlock()
-	}
-	return d
 }
 
 // TopRowsByDegree returns up to k (row, degree) pairs with the largest

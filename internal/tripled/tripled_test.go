@@ -74,12 +74,12 @@ func TestTransposeIndexConsistency(t *testing.T) {
 			colDeg[k.c]++
 		}
 		for r, d := range rowDeg {
-			if s.RowDegree(r) != d {
+			if len(s.Row(r)) != d {
 				return false
 			}
 		}
 		for c, d := range colDeg {
-			if s.ColDegree(c) != d {
+			if len(s.Col(c)) != d {
 				return false
 			}
 		}

@@ -236,9 +236,6 @@ func (l *Log) repairTail() error {
 // Stats reports what Open found.
 func (l *Log) Stats() RecoveryStats { return l.stats }
 
-// Dir returns the log's root directory.
-func (l *Log) Dir() string { return l.dir }
-
 // scanFrames decodes frames from r, calling fn for each valid payload,
 // and returns the byte offset just past the last valid frame. A torn
 // tail — partial header, zero or oversized length, short payload, CRC

@@ -8,8 +8,6 @@ package repro
 // the bench output.
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -142,71 +140,6 @@ func BenchmarkTripledQueries(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTripledScanPage times one 512-row CELLS page of a 2048-row,
-// four-column table over loopback, from a store that also holds
-// rows={10k,100k,1M} single-cell rows under prefixes on either side of
-// the table's. A page seeks each stripe's ordered row index, so its
-// cost must not grow with what the store holds elsewhere.
-func BenchmarkTripledScanPage(b *testing.B) {
-	for _, resident := range []struct {
-		name string
-		rows int
-	}{{"10k", 10_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
-		b.Run("rows="+resident.name, func(b *testing.B) {
-			store := tripled.NewStore()
-			batch := make([]tripled.Cell, 0, 4096)
-			put := func(row, col string, v float64) {
-				batch = append(batch, tripled.Cell{Row: row, Col: col, Val: assoc.Num(v)})
-				if len(batch) == cap(batch) {
-					if err := store.PutBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-					batch = batch[:0]
-				}
-			}
-			for i := 0; i < resident.rows; i++ {
-				put(fmt.Sprintf("%c/%07d", "az"[i%2], i), "c", float64(i))
-			}
-			const tableRows, pageRows = 2048, 512
-			for i := 0; i < tableRows; i++ {
-				for _, col := range []string{"class", "first", "last", "packets"} {
-					put(fmt.Sprintf("t/%05d", i), col, float64(i))
-				}
-			}
-			if err := store.PutBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			srv, err := tripled.Serve(store, "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := tripled.Dial(srv.Addr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			runtime.GC() // collecting the load's garbage is not part of a page
-			b.ReportAllocs()
-			b.ResetTimer()
-			cursor := ""
-			for i := 0; i < b.N; i++ {
-				cells, err := c.ScanCells("t/", tripled.PrefixEnd("t/"), pageRows, cursor)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cells) != 4*pageRows {
-					b.Fatalf("page after %q holds %d cells, want %d", cursor, len(cells), 4*pageRows)
-				}
-				cursor = cells[len(cells)-1].Row
-				if cursor == fmt.Sprintf("t/%05d", tableRows-1) {
-					cursor = ""
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTripledPublishAssoc publishes one month table over loopback
