@@ -51,7 +51,7 @@ func main() {
 
 	fmt.Fprintf(tw, "\n== Source-packet degree distribution (Figure 3) ==\n")
 	fmt.Fprintf(tw, "snapshot\tZM alpha\tZM delta\tresidual\t(paper: alpha 1.76, delta 3.93)\n")
-	for _, s := range res.Fig3() {
+	for _, s := range res.Report().Fig3() {
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.4f\t\n", s.Label, s.Alpha, s.Delta, s.Residual)
 	}
 
@@ -59,7 +59,7 @@ func main() {
 	section("== Same-month correlation vs brightness (Figure 4) ==", report.Fig4)
 
 	fmt.Fprintf(tw, "\n== Temporal decay model comparison (Figure 5) ==\n")
-	series, fits, err := res.Fig5()
+	series, fits, err := res.Report().Fig5()
 	if err != nil {
 		log.Fatal(err)
 	}

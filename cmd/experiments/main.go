@@ -107,7 +107,7 @@ func main() {
 	var checks []check
 
 	// T1: dataset inventory shape.
-	t1 := res.TableI()
+	t1 := res.Report().TableI()
 	snapRows := 0
 	for _, r := range t1 {
 		if r.CAIDAStart != "" {
@@ -123,7 +123,7 @@ func main() {
 
 	// T2: NV conservation through the anonymized matrices.
 	allNV := true
-	for _, q := range res.TableII() {
+	for _, q := range res.Report().TableII() {
 		if q.ValidPackets != float64(cfg.NV) {
 			allNV = false
 		}
@@ -137,7 +137,7 @@ func main() {
 
 	// F3: ZM alpha near the paper's 1.76.
 	var alphaMin, alphaMax float64 = math.Inf(1), math.Inf(-1)
-	for _, s := range res.Fig3() {
+	for _, s := range res.Report().Fig3() {
 		alphaMin = math.Min(alphaMin, s.Alpha)
 		alphaMax = math.Max(alphaMax, s.Alpha)
 	}
@@ -149,7 +149,7 @@ func main() {
 	})
 
 	// F4: bright sources ~always visible; faint visibility log-linear.
-	fig4, err := res.Fig4()
+	fig4, err := res.Report().Fig4()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func main() {
 	})
 
 	// F5: modified Cauchy beats Gaussian and Cauchy.
-	_, fits, err := res.Fig5()
+	_, fits, err := res.Report().Fig5()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func main() {
 
 	// F7: alpha ~ 1 typical; compare against generator alpha*.
 	var alphas []float64
-	for _, sweep := range res.Fig7And8() {
+	for _, sweep := range res.Report().Fig7And8() {
 		for _, f := range sweep {
 			if f.Sources >= cfg.MinBandSources*2 {
 				alphas = append(alphas, f.Alpha)
@@ -226,7 +226,7 @@ func main() {
 	// F8: the one-month-drop dip sits at the generator's DipLog2 (the
 	// paper's d ~ 10^3).
 	bestBand, bestDrop := -1, 0.0
-	for _, sweep := range res.Fig7And8() {
+	for _, sweep := range res.Report().Fig7And8() {
 		for _, f := range sweep {
 			if f.Sources >= cfg.MinBandSources && f.Drop > bestDrop {
 				bestDrop = f.Drop

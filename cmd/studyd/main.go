@@ -55,36 +55,20 @@ func main() {
 
 func run() int {
 	var (
+		study        = core.StudyFlags(flag.CommandLine)
 		listen       = flag.String("listen", "127.0.0.1:8473", "HTTP listen address (use :0 for an ephemeral port)")
 		store        = flag.String("store", "", "tripled service address for durable backing (empty = in-memory only)")
-		scale        = flag.String("scale", "quick", "preset: quick or default")
-		nv           = flag.Int("nv", 0, "override telescope window size NV")
-		sources      = flag.Int("sources", 0, "override population size")
-		seed         = flag.Int64("seed", 0, "override random seed")
 		months       = flag.Int("months", 0, "override study length in months")
-		workers      = flag.Int("workers", 0, "fan-out of capture, freeze and fits (0 = GOMAXPROCS)")
 		preload      = flag.Bool("preload", false, "ingest the full batch study before serving")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	)
+	flag.Set("scale", "quick") // a resident study starts small unless told otherwise
 	flag.Parse()
 
-	cfg := core.QuickConfig()
-	if *scale == "default" {
-		cfg = core.DefaultConfig()
-	}
-	if *nv > 0 {
-		cfg.NV = *nv
-	}
-	if *sources > 0 {
-		cfg.Radiation.NumSources = *sources
-	}
-	if *seed != 0 {
-		cfg.Radiation.Seed = *seed
-	}
+	cfg := study()
 	if *months > 0 {
 		cfg.Radiation.Months = *months
 	}
-	cfg.Workers = *workers
 	cfg.StoreAddr = *store
 
 	// The resident daemon grows snapshots over the ingest API;

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -288,5 +289,24 @@ func TestPreloadAndHealth(t *testing.T) {
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("preloaded daemon exited uncleanly: %v", err)
+	}
+}
+
+// TestScaleTypoServesNothing: `-scale defualt` used to serve the quick
+// preset without a word. A preset that names nothing fails the parse:
+// exit 2 with the accepted values, no study built, no listener bound.
+func TestScaleTypoServesNothing(t *testing.T) {
+	// The deadline is for the parent's behaviour: a daemon that serves.
+	ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, binary(t), "-listen", "127.0.0.1:0", "-scale", "defualt")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+		t.Errorf("studyd -scale defualt: %v, want exit 2\n%s", err, &stderr)
+	}
+	if out := stderr.String(); strings.Contains(out, "listening on") || !strings.Contains(out, "accepted: quick, default") {
+		t.Errorf("refusal must list the accepted presets and never announce a listener:\n%s", out)
 	}
 }

@@ -25,13 +25,13 @@ func main() {
 
 	// Headline 1 (Figure 3): telescope sources follow a Zipf-Mandelbrot
 	// degree distribution.
-	fig3 := res.Fig3()
+	fig3 := res.Report().Fig3()
 	fmt.Printf("Zipf-Mandelbrot fit of snapshot %s: alpha=%.2f delta=%.2f (paper: 1.76, 3.93)\n",
 		fig3[0].Label, fig3[0].Alpha, fig3[0].Delta)
 
 	// Headline 2 (Figure 4): bright sources are seen by both vantage
 	// points in the same month; faint-source visibility is logarithmic.
-	fig4, err := res.Fig4()
+	fig4, err := res.Report().Fig4()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 	}
 
 	// Headline 3 (Figure 5): the temporal decay is modified-Cauchy.
-	_, fits, err := res.Fig5()
+	_, fits, err := res.Report().Fig5()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,15 +9,16 @@ package archive
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/hypersparse"
+	"repro/internal/pool"
 )
 
 const manifestName = "MANIFEST.tsv"
@@ -166,34 +167,20 @@ func (d *Dataset) LoadLeaf(i int) (*hypersparse.Matrix, error) {
 	return m, nil
 }
 
-// SumWindow loads leaves [from, to) with a worker pool and returns their
-// hierarchical sum — the archive-side reconstruction of an analysis
-// window. workers <= 0 uses a small default.
+// SumWindow loads leaves [from, to) on the shared worker pool and
+// returns their hierarchical sum — the archive-side reconstruction of an
+// analysis window. workers <= 0 uses GOMAXPROCS, as everywhere.
 func (d *Dataset) SumWindow(from, to, workers int) (*hypersparse.Matrix, error) {
 	if from < 0 || to > len(d.leaves) || from >= to {
 		return nil, fmt.Errorf("archive: window [%d, %d) out of range (0..%d)", from, to, len(d.leaves))
 	}
-	if workers <= 0 {
-		workers = 4
-	}
 	leaves := make([]*hypersparse.Matrix, to-from)
-	errs := make([]error, to-from)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := from; i < to; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			leaves[i-from], errs[i-from] = d.LoadLeaf(i)
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := pool.Each(context.Background(), workers, len(leaves), func(_ context.Context, i int) (err error) {
+		leaves[i], err = d.LoadLeaf(from + i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return hypersparse.HierSum(leaves, workers), nil
 }

@@ -2,22 +2,23 @@
 // radiation population observed simultaneously by a darkspace telescope
 // (constant-packet windows, anonymized hypersparse matrices) and a
 // honeyfarm outpost (monthly enriched D4M tables), followed by the
-// paper's correlation analysis. Each figure and table of the paper has a
-// dedicated emitter on Result — thin memoized wrappers over the
-// internal/report artifact graph.
+// paper's correlation analysis. A Result owns the study those units
+// grow; its Report is the memoized artifact graph (internal/report) over
+// it.
 package core
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/correlate"
 	"repro/internal/honeyfarm"
-	"repro/internal/netquant"
 	"repro/internal/radiation"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -105,7 +106,7 @@ func QuickConfig() Config {
 // no preset fails the parse, so a typo cannot run the wrong study.
 func StudyFlags(fs *flag.FlagSet) func() Config {
 	preset := DefaultConfig
-	fs.Func("scale", "preset: quick or default (default \"default\")", func(s string) error {
+	fs.Func("scale", "preset: quick or default (default \"default\"; studyd \"quick\")", func(s string) error {
 		switch s {
 		case "quick":
 			preset = QuickConfig
@@ -136,14 +137,19 @@ func StudyFlags(fs *flag.FlagSet) func() Config {
 	}
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error { return c.validate(false) }
+// Validate reports the configuration errors of a batch study: New's
+// rules, and at least one snapshot time to run.
+func (c Config) Validate() error {
+	if len(c.SnapshotTimes) == 0 {
+		return fmt.Errorf("core: at least one snapshot time required")
+	}
+	return c.validate()
+}
 
-// validate checks the configuration; resident mode (the study daemon)
-// relaxes exactly one rule — SnapshotTimes may be empty, because a
-// resident study starts with no snapshots and grows them over the
-// ingest API.
-func (c Config) validate(resident bool) error {
+// validate is what New requires. SnapshotTimes may be empty: a
+// pipeline's units can grow a study one ingest at a time (the daemon);
+// RunContext is what needs the times.
+func (c Config) validate() error {
 	if err := c.Radiation.Validate(); err != nil {
 		return err
 	}
@@ -154,13 +160,11 @@ func (c Config) validate(resident bool) error {
 		return fmt.Errorf("core: LeafSize must be positive, got %d", c.LeafSize)
 	case c.Sensors <= 0:
 		return fmt.Errorf("core: Sensors must be positive, got %d", c.Sensors)
-	case !resident && len(c.SnapshotTimes) == 0:
-		return fmt.Errorf("core: at least one snapshot time required")
 	case c.StudyStart.IsZero():
 		return fmt.Errorf("core: StudyStart required")
 	}
 	for _, ts := range c.SnapshotTimes {
-		m := c.monthOf(ts)
+		m := c.MonthOf(ts)
 		if m < 0 || m >= float64(c.Radiation.Months) {
 			return fmt.Errorf("core: snapshot %v falls outside the %d-month study", ts, c.Radiation.Months)
 		}
@@ -168,16 +172,17 @@ func (c Config) validate(resident bool) error {
 	return nil
 }
 
-// monthOf converts a timestamp to a fractional month index from
+// MonthOf converts a timestamp to a fractional month index from
 // StudyStart (30.44-day months, the mean Gregorian length).
-func (c Config) monthOf(ts time.Time) float64 {
+func (c Config) MonthOf(ts time.Time) float64 {
 	return ts.Sub(c.StudyStart).Hours() / 24 / 30.44
 }
 
-// MonthOf is the exported fractional-month conversion, used by the
-// resident daemon to validate ingested snapshot times against the
-// study span the way Validate does for batch configurations.
-func (c Config) MonthOf(ts time.Time) float64 { return c.monthOf(ts) }
+// snapshotLabel names a snapshot everywhere — the study, Table I, the
+// store's tel/<label>/ rows, the daemon's ledger — by its UTC second,
+// so label order is time order and an instant has one name whatever
+// zone it was written in.
+func snapshotLabel(ts time.Time) string { return ts.UTC().Format("20060102-150405") }
 
 // SqrtNVLog2 returns log2(sqrt(NV)), the paper's brightness threshold
 // exponent (15 for NV = 2^30).
@@ -215,9 +220,11 @@ type Pipeline struct {
 }
 
 // New validates the configuration and builds the population, telescope,
-// and honeyfarm.
+// and honeyfarm. The configuration may name no snapshot times when the
+// caller grows its study unit by unit (IngestMonth / IngestSnapshot into
+// a Result) instead of calling Run.
 func New(cfg Config) (*Pipeline, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	pop, err := radiation.NewPopulation(cfg.Radiation)
@@ -230,30 +237,15 @@ func New(cfg Config) (*Pipeline, error) {
 	return &Pipeline{cfg: cfg, pop: pop, tel: tel, farm: farm}, nil
 }
 
-// NewResident builds a Pipeline for a long-lived incremental owner
-// (the study daemon): identical to New except the configuration may
-// start with no snapshot times — a resident study begins empty and
-// grows months and snapshots one IngestMonth / IngestSnapshot call at
-// a time.
-func NewResident(cfg Config) (*Pipeline, error) {
-	if err := cfg.validate(true); err != nil {
-		return nil, err
-	}
-	pop, err := radiation.NewPopulation(cfg.Radiation)
-	if err != nil {
-		return nil, err
-	}
-	tel := telescope.New(cfg.Radiation.Darkspace, cfg.AnonPassphrase,
-		telescope.WithLeafSize(cfg.LeafSize))
-	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
-	return &Pipeline{cfg: cfg, pop: pop, tel: tel, farm: farm}, nil
-}
-
-// Result bundles everything a study produces.
+// Result is one study and its one owner: months and snapshots join it
+// through AddMonth and AddSnapshot — RunContext after its pool joins,
+// the daemon one ingest at a time — and Report is the artifact graph
+// derived from it. A Result whose Study and Windows were filled by hand
+// before the first Report call reports on what it was given.
 type Result struct {
 	Config  Config
-	Study   correlate.Study
-	Windows []*telescope.Window // one anonymized window per snapshot
+	Study   correlate.Study     // months by index, snapshots by label (chronological)
+	Windows []*telescope.Window // one anonymized window per snapshot, index-aligned
 	Farm    *honeyfarm.Honeyfarm
 
 	// StoreHealth records cluster degradation observed during a
@@ -263,51 +255,110 @@ type Result struct {
 	// study reports that the run leaned on it.
 	StoreHealth StoreHealth
 
-	frozenOnce sync.Once
-	frozen     *correlate.Frozen
-
-	reportOnce sync.Once
-	report     *report.Graph
+	mu     sync.Mutex    // serializes joins with each other and with the graph's creation
+	report *report.Graph // nil until the first Report call
 }
 
 // Frozen returns the sorted-key compilation of the study's correlation
-// tables (interned row IDs, per-band sorted sets), built once on first
-// use and shared by every Figure 4-8 emitter. The build fans out across
-// Config.Workers goroutines. Safe for concurrent use.
-func (r *Result) Frozen() *correlate.Frozen {
-	r.frozenOnce.Do(func() { r.frozen = correlate.Freeze(r.Study, r.Config.Workers) })
-	return r.frozen
-}
+// tables, shared with every Figure 4-8 emitter of Report.
+func (r *Result) Frozen() *correlate.Frozen { return r.Report().Frozen() }
 
 // Report returns the study's artifact graph: every Table and Figure as
 // a memoized job with declared dependencies, plus the unified TSV/JSON
-// renderer (report.WriteTSV / report.WriteJSON). Built once on first
-// use; safe for concurrent use. The Table/Fig methods below are thin
-// wrappers over it.
+// renderer (report.WriteTSV / report.WriteJSON). Built on first use;
+// safe for concurrent use. A unit that joins the study afterwards
+// invalidates exactly the artifacts that read it.
 func (r *Result) Report() *report.Graph {
-	r.reportOnce.Do(func() { r.report = r.ReportWith(r.Config.Workers) })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.report == nil {
+		r.report = report.New(report.Input{
+			Study:   r.Study,
+			Windows: r.Windows,
+			Params: report.Params{
+				StudyStart:     r.Config.StudyStart,
+				NV:             r.Config.NV,
+				Fig5Band:       r.Config.Fig5Band(),
+				Fig6Bands:      r.Config.Fig6Bands(),
+				MinBandSources: r.Config.MinBandSources,
+				Workers:        r.Config.Workers,
+			},
+		})
+	}
 	return r.report
 }
 
-// ReportWith builds a fresh, unmemoized artifact graph over this
-// result with an explicit fit fan-out. Normal callers want Report();
-// this entry point exists for measurement (the root benchmarks,
-// report's TestFitSpeedup) and worker-sweep determinism tests, where
-// every call must recompute.
-func (r *Result) ReportWith(workers int) *report.Graph {
-	return report.New(report.Input{
-		Study:   r.Study,
-		Windows: r.Windows,
-		Frozen:  r.Frozen,
-		Params: report.Params{
-			StudyStart:     r.Config.StudyStart,
-			NV:             r.Config.NV,
-			Fig5Band:       r.Config.Fig5Band(),
-			Fig6Bands:      r.Config.Fig6Bands(),
-			MinBandSources: r.Config.MinBandSources,
-			Workers:        workers,
-		},
+// monthAt and snapshotAt locate a unit in the study: where it is, or
+// where it would join.
+func (r *Result) monthAt(m int) (int, bool) {
+	return slices.BinarySearchFunc(r.Study.Months, m, func(have correlate.MonthData, m int) int {
+		return cmp.Compare(have.Month, m)
 	})
+}
+
+func (r *Result) snapshotAt(label string) (int, bool) {
+	return slices.BinarySearchFunc(r.Study.Snapshots, label, func(have correlate.Snapshot, label string) int {
+		return cmp.Compare(have.Label, label)
+	})
+}
+
+// HasMonth reports whether honeyfarm month m has joined the study.
+func (r *Result) HasMonth(m int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, have := r.monthAt(m)
+	return have
+}
+
+// HasSnapshot reports whether the snapshot taken at ts has joined the
+// study.
+func (r *Result) HasSnapshot(ts time.Time) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, have := r.snapshotAt(snapshotLabel(ts))
+	return have
+}
+
+// AddMonth is the one way a honeyfarm month joins a study: in month
+// order whatever order months arrive in, a month already present
+// refused.
+func (r *Result) AddMonth(md correlate.MonthData) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	at, have := r.monthAt(md.Month)
+	if have {
+		return fmt.Errorf("core: month %d (%s) is already in the study", md.Month, md.Label)
+	}
+	// Clip forces the insert onto a fresh array (here and in
+	// AddSnapshot): an artifact job still reading the slice the graph
+	// holds never sees it shift.
+	r.Study.Months = slices.Insert(slices.Clip(r.Study.Months), at, md)
+	r.grown(report.SrcMonths)
+	return nil
+}
+
+// AddSnapshot is the one way a telescope window and its source table
+// join a study: in label order — chronological — whatever order
+// snapshots arrive in, a label already present refused.
+func (r *Result) AddSnapshot(w *telescope.Window, snap correlate.Snapshot) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	at, have := r.snapshotAt(snap.Label)
+	if have {
+		return fmt.Errorf("core: snapshot %s is already in the study", snap.Label)
+	}
+	r.Study.Snapshots = slices.Insert(slices.Clip(r.Study.Snapshots), at, snap)
+	r.Windows = slices.Insert(slices.Clip(r.Windows), at, w)
+	r.grown(report.SrcSnapshots)
+	return nil
+}
+
+// grown hands the graph, if one has been built, the study as it now
+// stands and invalidates what reads the source that grew.
+func (r *Result) grown(src report.ArtifactID) {
+	if r.report != nil {
+		r.report.Update(func(in *report.Input) { in.Study, in.Windows = r.Study, r.Windows }, src)
+	}
 }
 
 // Run executes the full study with background context; see RunContext.
@@ -375,7 +426,7 @@ func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.
 // source table and, with a store, publish that table and read back
 // what the store holds.
 func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
-	monthFrac := p.cfg.monthOf(ts)
+	monthFrac := p.cfg.MonthOf(ts)
 	stream := p.pop.TelescopeStream(monthFrac, ts)
 	w, err := tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
 	if err != nil {
@@ -385,7 +436,7 @@ func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tr
 		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: stream exhausted at %d of %d packets (population too small for NV)",
 			ts, w.NV, p.cfg.NV)
 	}
-	label := ts.Format("20060102-150405")
+	label := snapshotLabel(ts)
 	sources := tel.SourceTable(w)
 	if db != nil {
 		if err := telescope.PublishSources(db, label, sources); err != nil {
@@ -402,48 +453,3 @@ func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tr
 		Sources: sources,
 	}, nil
 }
-
-// TableIRow is one line of the paper's Table I dataset inventory.
-type TableIRow = report.TableIRow
-
-// Fig3Series is one snapshot's degree distribution with its
-// Zipf-Mandelbrot fit.
-type Fig3Series = report.Fig3Series
-
-// Fig4Series is one snapshot's peak-correlation curve with the paper's
-// logarithmic model.
-type Fig4Series = report.Fig4Series
-
-// The artifact emitters below are thin wrappers over the report graph:
-// each computes through its memoized job on first use and returns the
-// shared value on every later call (treat the results as read-only).
-// The compute bodies — unchanged from when they lived here — are in
-// report/artifacts.go.
-
-// TableI reproduces the dataset inventory: one row per honeyfarm month,
-// with telescope columns filled on snapshot months.
-func (r *Result) TableI() []TableIRow { return r.Report().TableI() }
-
-// TableII computes the network quantities of each snapshot's anonymized
-// matrix.
-func (r *Result) TableII() []netquant.Quantities { return r.Report().TableII() }
-
-// Fig3 computes the source-packet degree distribution and ZM fit for
-// every snapshot (the paper's Figure 3).
-func (r *Result) Fig3() []Fig3Series { return r.Report().Fig3() }
-
-// Fig4 computes the same-month correlation by brightness for every
-// snapshot, on the frozen sorted-key kernel.
-func (r *Result) Fig4() ([]Fig4Series, error) { return r.Report().Fig4() }
-
-// Fig5 computes the temporal correlation of the first snapshot's
-// Fig5Band sources with all three model fits (the paper's Figure 5).
-func (r *Result) Fig5() (correlate.Series, map[string]stats.TemporalFit, error) {
-	return r.Report().Fig5()
-}
-
-// Fig7And8 computes the per-band modified-Cauchy parameter sweeps for
-// every snapshot: Alpha per band (Figure 7) and one-month drop 1/(β+1)
-// per band (Figure 8). The fits fan out per (snapshot, band) on the
-// shared worker pool.
-func (r *Result) Fig7And8() [][]correlate.BandFit { return r.Report().Fig7And8() }

@@ -65,12 +65,12 @@ func TestConfigValidate(t *testing.T) {
 func TestMonthOfPaperDates(t *testing.T) {
 	c := DefaultConfig()
 	// 2020-06-17 is ~4.5 months after 2020-02-01.
-	m := c.monthOf(time.Date(2020, 6, 17, 12, 0, 0, 0, time.UTC))
+	m := c.MonthOf(time.Date(2020, 6, 17, 12, 0, 0, 0, time.UTC))
 	if m < 4.3 || m > 4.8 {
-		t.Errorf("monthOf(2020-06-17) = %g, want ~4.5", m)
+		t.Errorf("MonthOf(2020-06-17) = %g, want ~4.5", m)
 	}
 	// Last paper snapshot within 15 months.
-	last := c.monthOf(time.Date(2020, 12, 16, 12, 0, 0, 0, time.UTC))
+	last := c.MonthOf(time.Date(2020, 12, 16, 12, 0, 0, 0, time.UTC))
 	if last >= 15 {
 		t.Errorf("last snapshot month %g outside study", last)
 	}
@@ -139,7 +139,7 @@ func TestRunProducesFullStudy(t *testing.T) {
 
 func TestTableIShape(t *testing.T) {
 	r := quickResult(t)
-	rows := r.TableI()
+	rows := r.Report().TableI()
 	if len(rows) != r.Config.Radiation.Months {
 		t.Fatalf("Table I rows = %d", len(rows))
 	}
@@ -165,7 +165,7 @@ func TestTableIShape(t *testing.T) {
 
 func TestTableIIConsistent(t *testing.T) {
 	r := quickResult(t)
-	for i, q := range r.TableII() {
+	for i, q := range r.Report().TableII() {
 		if q.ValidPackets != float64(r.Config.NV) {
 			t.Errorf("window %d valid packets = %g", i, q.ValidPackets)
 		}
@@ -182,7 +182,7 @@ func TestTableIIConsistent(t *testing.T) {
 // telescope degree distribution is ZM with alpha in the observed range.
 func TestFig3ZipfMandelbrot(t *testing.T) {
 	r := quickResult(t)
-	for _, s := range r.Fig3() {
+	for _, s := range r.Report().Fig3() {
 		if s.Alpha < 1.3 || s.Alpha > 2.3 {
 			t.Errorf("snapshot %s: fitted alpha = %g, want in [1.3, 2.3] (paper: 1.76)", s.Label, s.Alpha)
 		}
@@ -197,7 +197,7 @@ func TestFig3ZipfMandelbrot(t *testing.T) {
 // with log brightness.
 func TestFig4PeakCorrelation(t *testing.T) {
 	r := quickResult(t)
-	series, err := r.Fig4()
+	series, err := r.Report().Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFig4PeakCorrelation(t *testing.T) {
 // standard Cauchy.
 func TestFig5ModifiedCauchyWins(t *testing.T) {
 	r := quickResult(t)
-	series, fits, err := r.Fig5()
+	series, fits, err := r.Report().Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestFig6CurvesPeakNearSnapshot(t *testing.T) {
 // TestFig7AlphaNearOne checks the paper's "1 is a typical value of α".
 func TestFig7AlphaNearOne(t *testing.T) {
 	r := quickResult(t)
-	sweeps := r.Fig7And8()
+	sweeps := r.Report().Fig7And8()
 	var alphas []float64
 	for _, sweep := range sweeps {
 		for _, f := range sweep {
@@ -317,7 +317,7 @@ func TestFig7AlphaNearOne(t *testing.T) {
 func TestFig8DropRange(t *testing.T) {
 	r := quickResult(t)
 	var drops []float64
-	for _, sweep := range r.Fig7And8() {
+	for _, sweep := range r.Report().Fig7And8() {
 		for _, f := range sweep {
 			if f.Sources >= 50 {
 				drops = append(drops, f.Drop)
@@ -369,7 +369,7 @@ func TestShardedStudyMatchesSerial(t *testing.T) {
 		return r
 	}
 	serial, sharded := run(1), run(4)
-	serialQ, shardedQ := serial.TableII(), sharded.TableII()
+	serialQ, shardedQ := serial.Report().TableII(), sharded.Report().TableII()
 	for i := range serial.Windows {
 		sw, pw := serial.Windows[i], sharded.Windows[i]
 		if sw.Matrix.NNZ() != pw.Matrix.NNZ() {

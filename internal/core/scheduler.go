@@ -24,13 +24,16 @@ package core
 //     a neighbour's concurrent inserts cost a snapshot nothing); each
 //     worker with store traffic dials its own tripled client (the
 //     client is single-connection, not concurrency-safe).
-//   - Results land in index-addressed slots and are assembled in order,
-//     so the Result does not depend on the worker count — pinned by
-//     TestParallelStudyWorkerSweep against the committed goldens.
+//   - Results land in index-addressed slots and join the Result in order
+//     through AddMonth / AddSnapshot, so the Result does not depend on
+//     the worker count — pinned by TestParallelStudyWorkerSweep against
+//     the committed goldens.
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/correlate"
 	"repro/internal/honeyfarm"
@@ -52,10 +55,18 @@ import (
 // dominate the wall clock, and starting them first keeps the pool
 // saturated while the cheaper month builds fill the gaps.
 func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
+	if err := p.cfg.Validate(); err != nil {
+		return nil, err
+	}
 	res := &Result{Config: p.cfg, Farm: p.farm}
 
+	// One capture per label: a time configured twice is one snapshot.
+	times := slices.Clone(p.cfg.SnapshotTimes)
+	slices.SortFunc(times, time.Time.Compare)
+	times = slices.CompactFunc(times, func(a, b time.Time) bool { return snapshotLabel(a) == snapshotLabel(b) })
+
 	nMonths := p.cfg.Radiation.Months
-	nSnaps := len(p.cfg.SnapshotTimes)
+	nSnaps := len(times)
 	monthData := make([]correlate.MonthData, nMonths)
 	built := make([]*honeyfarm.MonthWindow, nMonths) // nil where the farm already held the month
 	windows := make([]*telescope.Window, nSnaps)
@@ -68,7 +79,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 		func(ctx context.Context, w *studyWorker, job int) error {
 			var err error
 			if job < nSnaps {
-				windows[job], snapData[job], err = w.runSnapshot(ctx, job)
+				windows[job], snapData[job], err = w.runSnapshot(ctx, times[job])
 			} else {
 				m := job - nSnaps
 				monthData[m], built[m], err = w.runMonth(m)
@@ -81,15 +92,21 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 
 	// Assemble by index: attach freshly built months in month order, so
 	// the farm's ingestion order is the calendar's whichever worker built
-	// which month, then adopt the index-addressed slots.
-	for _, mw := range built {
+	// which month, and join every unit to the study the way an ingest
+	// does.
+	for m, mw := range built {
 		if mw != nil {
 			p.farm.Attach(mw)
 		}
+		if err := res.AddMonth(monthData[m]); err != nil {
+			return nil, err
+		}
 	}
-	res.Study.Months = monthData
-	res.Windows = windows
-	res.Study.Snapshots = snapData
+	for i, w := range windows {
+		if err := res.AddSnapshot(w, snapData[i]); err != nil {
+			return nil, err
+		}
+	}
 	res.StoreHealth = health.result()
 	return res, nil
 }
@@ -142,7 +159,7 @@ func (w *studyWorker) runMonth(m int) (correlate.MonthData, *honeyfarm.MonthWind
 
 // runSnapshot runs one snapshot unit on the worker's private telescope
 // and store connection.
-func (w *studyWorker) runSnapshot(ctx context.Context, si int) (*telescope.Window, correlate.Snapshot, error) {
+func (w *studyWorker) runSnapshot(ctx context.Context, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
 	p := w.p
 	if w.tel == nil {
 		// Private telescope (captures must not run concurrently on one),
@@ -159,5 +176,5 @@ func (w *studyWorker) runSnapshot(ctx context.Context, si int) (*telescope.Windo
 	if err != nil {
 		return nil, correlate.Snapshot{}, err
 	}
-	return p.snapshot(ctx, w.tel, db, p.cfg.SnapshotTimes[si])
+	return p.snapshot(ctx, w.tel, db, ts)
 }

@@ -58,17 +58,17 @@ func checkGoldens(t *testing.T, name string, r *Result) {
 func renderAll(t *testing.T, r *Result) string {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "TableI: %+v\n", r.TableI())
-	fmt.Fprintf(&b, "TableII: %+v\n", r.TableII())
-	for _, s := range r.Fig3() {
+	fmt.Fprintf(&b, "TableI: %+v\n", r.Report().TableI())
+	fmt.Fprintf(&b, "TableII: %+v\n", r.Report().TableII())
+	for _, s := range r.Report().Fig3() {
 		fmt.Fprintf(&b, "Fig3 %s: %+v alpha=%v delta=%v res=%v\n", s.Label, s.Binned, s.Alpha, s.Delta, s.Residual)
 	}
-	fig4, err := r.Fig4()
+	fig4, err := r.Report().Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&b, "Fig4: %+v\n", fig4)
-	series, fits, err := r.Fig5()
+	series, fits, err := r.Report().Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func renderAll(t *testing.T, r *Result) string {
 	}
 	all, f6fits := r.Report().Fig6()
 	fmt.Fprintf(&b, "Fig6: %+v\nFig6 fits: %+v\n", all, f6fits)
-	fmt.Fprintf(&b, "Fig7And8: %+v\n", r.Fig7And8())
+	fmt.Fprintf(&b, "Fig7And8: %+v\n", r.Report().Fig7And8())
 	// Windows and farm state, beyond what the tables above embed.
 	for i, w := range r.Windows {
 		fmt.Fprintf(&b, "Window %d: NV=%d Dropped=%d NNZ=%d NRows=%d span=%v\n",

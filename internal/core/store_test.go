@@ -15,7 +15,7 @@ import (
 // byte for byte.
 func renderFig4(t *testing.T, r *Result) string {
 	t.Helper()
-	fig4, err := r.Fig4()
+	fig4, err := r.Report().Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func renderFig4(t *testing.T, r *Result) string {
 // renderTableII serializes the Table II artifact.
 func renderTableII(r *Result) string {
 	out := ""
-	for _, q := range r.TableII() {
+	for _, q := range r.Report().TableII() {
 		out += fmt.Sprintf("%+v\n", q)
 	}
 	return out

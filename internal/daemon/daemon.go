@@ -6,16 +6,17 @@
 // JSON or TSV through the same report.WriteJSON/WriteTSV lowering
 // every batch CLI uses.
 //
-// The design is the control-room shape: one mutator, many cheap
-// readers. All ingest is serialized on one goroutine-at-a-time mutex
-// (the same contract as the serial batch loop, whose IngestMonth /
-// IngestSnapshot units the daemon calls verbatim — parity with a
-// from-scratch batch run is by construction, and proven byte-for-byte
-// in the tests). After each ingest the daemon asks the report graph to
-// invalidate exactly the artifacts that transitively depend on the
-// touched source (report.SrcMonths or report.SrcSnapshots), re-renders
-// only those, reuses the untouched artifacts' bytes, and publishes the
-// whole set with one atomic pointer swap — so a poller costs one
+// The daemon is a ledger, a render cache and an HTTP edge around the
+// batch types: it grows the same core.Result a batch run returns, with
+// the units (Pipeline.IngestMonth / IngestSnapshot) and the joins
+// (Result.AddMonth / AddSnapshot) the batch scheduler uses — parity
+// with a from-scratch batch run is by construction, and proven
+// byte-for-byte in the tests. The shape is the control room's: one
+// mutator, many cheap readers. All ingest is serialized on one mutex;
+// a join invalidates exactly the artifacts that read what grew, the
+// daemon re-renders only those, reuses the untouched artifacts' bytes,
+// and publishes the whole set with one atomic pointer swap — so a
+// poller costs one
 // atomic load plus a map lookup, never observes a half-recomputed
 // graph, and thousands of concurrent pollers ride one immutable
 // rendered snapshot between updates.
@@ -24,10 +25,9 @@
 // publishes its table through tripled first (the paper's Accumulo
 // role) and then appends a ledger row under studyd/ingest/; ledger
 // presence therefore implies the data rows are complete. On restart
-// the daemon replays the ledger — months in month order, snapshots in
-// time order, the batch loop's order — rebuilding the exact state, and
-// re-publishing idempotently if a crash landed between data and
-// ledger.
+// the daemon replays the ledger, rebuilding the exact state (the study
+// orders its own units), and re-publishing idempotently if a crash
+// landed between data and ledger.
 package daemon
 
 import (
@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -43,9 +42,7 @@ import (
 
 	"repro/internal/assoc"
 	"repro/internal/core"
-	"repro/internal/correlate"
 	"repro/internal/report"
-	"repro/internal/telescope"
 	"repro/internal/tripled"
 	"repro/internal/tripled/cluster"
 )
@@ -86,19 +83,14 @@ type Rendered struct {
 type Daemon struct {
 	cfg core.Config
 	p   *core.Pipeline
-	g   *report.Graph
+	res *core.Result // the study; grown under mu, never replaced
 	db  tripled.Conn // nil when storeless, or while the store is unreachable
 
 	// mu serializes all mutation: ingest, recompute, re-render,
 	// publish. One mutator at a time is the pipeline's contract (one
 	// telescope runs one capture), and it makes each published
 	// Rendered a consistent cut of the study.
-	mu      sync.Mutex
-	months  []correlate.MonthData // sorted by Month index
-	windows []*telescope.Window   // index-aligned with snaps
-	snaps   []correlate.Snapshot  // sorted by Label (chronological)
-	haveM   map[int]bool
-	haveS   map[string]bool
+	mu sync.Mutex
 
 	rendered atomic.Pointer[Rendered]
 	draining atomic.Bool
@@ -157,33 +149,16 @@ func (d *Daemon) refreshStoreLocked(dialErr error) {
 	d.store.Store(info)
 }
 
-// New builds the resident daemon: a pipeline in resident mode (no
-// up-front snapshot times), an empty report graph owned by the daemon
-// (Frozen nil — the graph must own the freeze so invalidation reaches
-// it), and, when the config names a store, a dialed client plus a
-// ledger replay of any previous life's ingests.
+// New builds the resident daemon: a pipeline, an empty study (the
+// config's snapshot times only seed a preload) and, when the config
+// names a store, a dialed client plus a ledger replay of any previous
+// life's ingests.
 func New(cfg core.Config) (*Daemon, error) {
-	p, err := core.NewResident(cfg)
+	p, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	d := &Daemon{
-		cfg:   cfg,
-		p:     p,
-		haveM: make(map[int]bool),
-		haveS: make(map[string]bool),
-	}
-	d.g = report.New(report.Input{
-		Params: report.Params{
-			StudyStart:     cfg.StudyStart,
-			NV:             cfg.NV,
-			Fig5Band:       cfg.Fig5Band(),
-			Fig6Bands:      cfg.Fig6Bands(),
-			MinBandSources: cfg.MinBandSources,
-			Workers:        cfg.Workers,
-		},
-	})
-	d.stopC = make(chan struct{})
+	d := &Daemon{cfg: cfg, p: p, res: &core.Result{Config: cfg}, stopC: make(chan struct{})}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var dialErr error
@@ -215,7 +190,7 @@ func New(cfg core.Config) (*Daemon, error) {
 	d.refreshStoreLocked(dialErr)
 	// Publish the initial snapshot (recovered state, or the empty
 	// study's 503-bearing artifacts) so pollers always find one.
-	d.publishLocked(report.All())
+	d.publishLocked()
 	return d, nil
 }
 
@@ -242,7 +217,7 @@ func (d *Daemon) reconnectLoop() {
 			d.db = db
 			if err = d.recoverLocked(); err == nil {
 				d.refreshStoreLocked(nil)
-				d.publishLocked(report.All())
+				d.publishLocked()
 				d.mu.Unlock()
 				return
 			}
@@ -282,73 +257,44 @@ func (d *Daemon) Snapshot() *Rendered { return d.rendered.Load() }
 
 // IngestMonth ingests honeyfarm month m (0-based from StudyStart):
 // build, publish to the store when configured, append the ledger row,
-// splice into the study in month order, and re-render exactly the
-// dependent artifacts. Re-ingesting a present month is a no-op.
+// join the study, and re-render exactly the dependent artifacts.
+// Re-ingesting a present month is a no-op.
 func (d *Daemon) IngestMonth(m int) error {
-	if d.draining.Load() {
-		return errDraining
-	}
 	if m < 0 || m >= d.cfg.Radiation.Months {
 		return fmt.Errorf("daemon: month %d outside the %d-month study", m, d.cfg.Radiation.Months)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cfg.StoreAddr != "" && d.db == nil {
-		return errStoreDegraded
-	}
-	if d.haveM[m] {
-		return nil
-	}
-	if err := d.ingestMonthLocked(m); err != nil {
-		return err
-	}
-	d.syncLocked(report.SrcMonths)
-	return nil
+	return d.ingest(func() error { return d.ingestMonthLocked(m) })
 }
 
-// ingestMonthLocked runs the month unit and splices it in, without
-// re-rendering — recovery batches many of these under one sync.
-func (d *Daemon) ingestMonthLocked(m int) error {
-	md, err := d.p.IngestMonth(d.db, m)
-	if err != nil {
-		return err
-	}
-	if d.db != nil {
-		row := ledgerMonthPrefix + md.Label
-		if err := d.db.Put(row, "month", assoc.Num(float64(m))); err != nil {
-			return fmt.Errorf("daemon: ledger month %s: %w", md.Label, err)
-		}
-	}
-	at := sort.Search(len(d.months), func(i int) bool { return d.months[i].Month >= m })
-	d.months = append(d.months, correlate.MonthData{})
-	copy(d.months[at+1:], d.months[at:])
-	d.months[at] = md
-	d.haveM[m] = true
-	return nil
-}
-
-// IngestSnapshot captures a telescope window at ts and folds it into
-// the study in chronological order. Re-ingesting a time whose label is
-// already present is a no-op.
+// IngestSnapshot captures a telescope window at ts and joins it to the
+// study. Re-ingesting an instant whose label is already present is a
+// no-op.
 func (d *Daemon) IngestSnapshot(ts time.Time) error {
-	if d.draining.Load() {
-		return errDraining
-	}
 	if m := d.cfg.MonthOf(ts); m < 0 || m >= float64(d.cfg.Radiation.Months) {
 		return fmt.Errorf("daemon: snapshot %v falls outside the %d-month study", ts, d.cfg.Radiation.Months)
 	}
+	return d.ingest(func() error { return d.ingestSnapshotLocked(ts) })
+}
+
+// ingest is the mutator both ingest calls share: refuse while draining
+// or while a configured store is unreachable, run the unit under the
+// lock, publish what it changed.
+func (d *Daemon) ingest(unit func() error) error {
+	if d.draining.Load() {
+		return errDraining
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.cfg.StoreAddr != "" && d.db == nil {
 		return errStoreDegraded
 	}
-	if d.haveS[ts.UTC().Format("20060102-150405")] {
-		return nil
-	}
-	if err := d.ingestSnapshotLocked(ts); err != nil {
+	if err := unit(); err != nil {
 		return err
 	}
-	d.syncLocked(report.SrcSnapshots)
+	d.publishLocked()
+	// The ingest may have watched a cluster replica die; keep the
+	// published store view current.
+	d.refreshStoreLocked(nil)
 	return nil
 }
 
@@ -363,7 +309,31 @@ var errDraining = errors.New("daemon: draining, ingest rejected")
 // 503 — retry once /healthz reports the store ok again.
 var errStoreDegraded = errors.New("daemon: store degraded (unreachable), ingest deferred")
 
+// ingestMonthLocked runs the month unit, ledgers it and joins it to
+// the study unless the study already holds it, without re-rendering —
+// recovery batches many of these under one publish.
+func (d *Daemon) ingestMonthLocked(m int) error {
+	if d.res.HasMonth(m) {
+		return nil
+	}
+	md, err := d.p.IngestMonth(d.db, m)
+	if err != nil {
+		return err
+	}
+	if d.db != nil {
+		row := ledgerMonthPrefix + md.Label
+		if err := d.db.Put(row, "month", assoc.Num(float64(m))); err != nil {
+			return fmt.Errorf("daemon: ledger month %s: %w", md.Label, err)
+		}
+	}
+	return d.res.AddMonth(md)
+}
+
+// ingestSnapshotLocked is ingestMonthLocked for the snapshot unit.
 func (d *Daemon) ingestSnapshotLocked(ts time.Time) error {
+	if d.res.HasSnapshot(ts) {
+		return nil
+	}
 	w, snap, err := d.p.IngestSnapshot(context.Background(), d.db, ts)
 	if err != nil {
 		return err
@@ -374,144 +344,102 @@ func (d *Daemon) ingestSnapshotLocked(ts time.Time) error {
 			return fmt.Errorf("daemon: ledger snapshot %s: %w", snap.Label, err)
 		}
 	}
-	at := sort.Search(len(d.snaps), func(i int) bool { return d.snaps[i].Label >= snap.Label })
-	d.snaps = append(d.snaps, correlate.Snapshot{})
-	copy(d.snaps[at+1:], d.snaps[at:])
-	d.snaps[at] = snap
-	d.windows = append(d.windows, nil)
-	copy(d.windows[at+1:], d.windows[at:])
-	d.windows[at] = w
-	d.haveS[snap.Label] = true
-	return nil
+	return d.res.AddSnapshot(w, snap)
 }
 
-// syncLocked pushes the daemon's study into the report graph, dirties
-// the given sources, re-renders exactly the invalidated artifacts, and
-// publishes a fresh Rendered reusing every clean artifact's bytes.
-func (d *Daemon) syncLocked(dirty ...report.ArtifactID) {
-	invalidated := d.g.Update(func(in *report.Input) {
-		in.Study.Months = append([]correlate.MonthData(nil), d.months...)
-		in.Study.Snapshots = append([]correlate.Snapshot(nil), d.snaps...)
-		in.Windows = append([]*telescope.Window(nil), d.windows...)
-	}, dirty...)
-	d.publishLocked(invalidated)
-	// The ingest may have watched a cluster replica die; keep the
-	// published store view current.
-	d.refreshStoreLocked(nil)
-}
-
-// publishLocked renders the given artifacts and swaps in a new
-// snapshot; artifacts not listed keep their previous bytes.
-func (d *Daemon) publishLocked(ids []report.ArtifactID) {
+// publishLocked renders the artifacts the study's growth invalidated
+// (all of them, the first time) and swaps in a new snapshot in which the
+// rest keep their previous bytes. With nothing invalidated — a repeated
+// ingest, a replay of an empty ledger — the published snapshot stands.
+func (d *Daemon) publishLocked() {
+	g := d.res.Report()
 	prev := d.rendered.Load()
 	next := &Rendered{
+		Seq:       1,
 		At:        time.Now().UTC(),
-		Months:    len(d.months),
-		Snapshots: len(d.snaps),
+		Months:    len(d.res.Study.Months),
+		Snapshots: len(d.res.Study.Snapshots),
 		Artifacts: make(map[report.ArtifactID]Artifact, len(report.All())),
 	}
 	if prev != nil {
-		next.Seq = prev.Seq
-		for id, a := range prev.Artifacts {
-			next.Artifacts[id] = a
-		}
+		next.Seq = prev.Seq + 1
 	}
-	next.Seq++
-	redo := make(map[report.ArtifactID]bool, len(ids))
-	for _, id := range ids {
-		redo[id] = true
-	}
+	stale := false
 	for _, id := range report.All() {
-		if _, have := next.Artifacts[id]; have && !redo[id] {
+		if prev != nil && g.Fresh(id) {
+			next.Artifacts[id] = prev.Artifacts[id]
 			continue
 		}
 		var a Artifact
 		var tsv, js bytes.Buffer
-		if err := report.WriteTSV(&tsv, d.g, id); err != nil {
+		if err := report.WriteTSV(&tsv, g, id); err != nil {
 			a.Err = err.Error()
-		} else if err := report.WriteJSON(&js, d.g, id); err != nil {
+		} else if err := report.WriteJSON(&js, g, id); err != nil {
 			a.Err = err.Error()
 		} else {
 			a.TSV, a.JSON = tsv.Bytes(), js.Bytes()
 		}
 		next.Artifacts[id] = a
+		stale = true
 	}
-	d.rendered.Store(next)
+	if stale {
+		d.rendered.Store(next)
+	}
 }
 
 // Runs exposes the graph's per-artifact execution counters (the
 // fine-grained invalidation proof surface).
-func (d *Daemon) Runs(id report.ArtifactID) int { return d.g.Runs(id) }
+func (d *Daemon) Runs(id report.ArtifactID) int { return d.res.Report().Runs(id) }
 
 // recoverLocked replays the store ledger: every month and snapshot a
-// previous life ingested, in the batch loop's order (months by index,
-// snapshots by time). The units re-publish their data rows, which is
-// idempotent, so a crash between data and ledger row heals itself.
+// previous life ingested and this one does not hold yet. The units
+// re-publish their data rows, which is idempotent, so a crash between
+// data and ledger row heals itself; the caller publishes once for the
+// whole replay.
 func (d *Daemon) recoverLocked() error {
-	monthRows, err := d.db.ScanAllRows(ledgerMonthPrefix, tripled.PrefixEnd(ledgerMonthPrefix), 1024)
-	if err != nil {
-		return fmt.Errorf("daemon: scan month ledger: %w", err)
-	}
-	var monthIdx []int
-	for _, row := range monthRows {
-		cells, err := d.db.Row(row)
-		if err != nil {
-			return fmt.Errorf("daemon: ledger row %s: %w", row, err)
-		}
-		v, ok := cells["month"]
-		if !ok || !v.Numeric {
+	err := d.replayLocked(ledgerMonthPrefix, "month", func(row string, v assoc.Value) error {
+		if !v.Numeric {
 			return fmt.Errorf("daemon: ledger row %s has no numeric month cell", row)
 		}
-		monthIdx = append(monthIdx, int(v.Num))
-	}
-	sort.Ints(monthIdx)
-
-	snapRows, err := d.db.ScanAllRows(ledgerSnapPrefix, tripled.PrefixEnd(ledgerSnapPrefix), 1024)
+		if err := d.ingestMonthLocked(int(v.Num)); err != nil {
+			return fmt.Errorf("daemon: recover month %d: %w", int(v.Num), err)
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("daemon: scan snapshot ledger: %w", err)
+		return err
 	}
-	var snapTimes []time.Time
-	for _, row := range snapRows {
-		cells, err := d.db.Row(row)
-		if err != nil {
-			return fmt.Errorf("daemon: ledger row %s: %w", row, err)
-		}
-		v, ok := cells["time"]
-		if !ok {
-			return fmt.Errorf("daemon: ledger row %s has no time cell", row)
-		}
+	return d.replayLocked(ledgerSnapPrefix, "time", func(row string, v assoc.Value) error {
 		ts, err := time.Parse(time.RFC3339Nano, v.Str)
 		if err != nil {
 			return fmt.Errorf("daemon: ledger row %s time %q: %w", row, v.Str, err)
 		}
-		snapTimes = append(snapTimes, ts)
-	}
-	sort.Slice(snapTimes, func(i, j int) bool { return snapTimes[i].Before(snapTimes[j]) })
-
-	for _, m := range monthIdx {
-		if d.haveM[m] {
-			continue
-		}
-		if err := d.ingestMonthLocked(m); err != nil {
-			return fmt.Errorf("daemon: recover month %d: %w", m, err)
-		}
-	}
-	for _, ts := range snapTimes {
-		if d.haveS[ts.UTC().Format("20060102-150405")] {
-			continue
-		}
 		if err := d.ingestSnapshotLocked(ts); err != nil {
 			return fmt.Errorf("daemon: recover snapshot %v: %w", ts, err)
 		}
+		return nil
+	})
+}
+
+// replayLocked hands unit the named cell of every ledger row under the
+// prefix, in row order.
+func (d *Daemon) replayLocked(prefix, cell string, unit func(row string, v assoc.Value) error) error {
+	rows, err := d.db.ScanAllRows(prefix, tripled.PrefixEnd(prefix), 1024)
+	if err != nil {
+		return fmt.Errorf("daemon: scan ledger %s: %w", prefix, err)
 	}
-	if len(monthIdx) > 0 || len(snapTimes) > 0 {
-		// One graph update for the whole replay; publishLocked follows
-		// in New.
-		d.g.Update(func(in *report.Input) {
-			in.Study.Months = append([]correlate.MonthData(nil), d.months...)
-			in.Study.Snapshots = append([]correlate.Snapshot(nil), d.snaps...)
-			in.Windows = append([]*telescope.Window(nil), d.windows...)
-		}, report.SrcMonths, report.SrcSnapshots)
+	for _, row := range rows {
+		cells, err := d.db.Row(row)
+		if err != nil {
+			return fmt.Errorf("daemon: ledger row %s: %w", row, err)
+		}
+		v, ok := cells[cell]
+		if !ok {
+			return fmt.Errorf("daemon: ledger row %s has no %s cell", row, cell)
+		}
+		if err := unit(row, v); err != nil {
+			return err
+		}
 	}
 	return nil
 }

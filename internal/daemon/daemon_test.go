@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/telescope"
 	"repro/internal/tripled"
 )
 
@@ -182,6 +183,114 @@ func TestIncrementalParityWithBatch(t *testing.T) {
 	}
 	if got := d.Snapshot().Seq; got != seq {
 		t.Errorf("re-ingest bumped seq %d -> %d; duplicate ingest must be a no-op", seq, got)
+	}
+}
+
+// TestParityInAnyConfiguredSnapshotOrder: the study is time-ordered
+// whoever assembles it. SnapshotTimes reversed, with one time given
+// twice, renders the bytes of the chronological duplicate-free
+// configuration from the batch run and from the daemon alike — "the
+// first snapshot" of Figure 5 is the earliest, and the duplicate is
+// captured once.
+func TestParityInAnyConfiguredSnapshotOrder(t *testing.T) {
+	sorted := testConfig()
+	want := batchArtifacts(t, sorted)
+
+	cfg := testConfig()
+	june, july := sorted.SnapshotTimes[0], sorted.SnapshotTimes[1]
+	cfg.SnapshotTimes = []time.Time{july, june, july}
+	batch := batchArtifacts(t, cfg)
+	for _, id := range report.All() {
+		if !bytes.Equal(batch[id].TSV, want[id].TSV) || !bytes.Equal(batch[id].JSON, want[id].JSON) {
+			t.Errorf("%s: batch run of %v diverges from the chronological study:\n%s",
+				id, cfg.SnapshotTimes, firstDiffContext(batch[id].TSV, want[id].TSV))
+		}
+	}
+
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, ts := range cfg.SnapshotTimes {
+		if err := d.IngestSnapshot(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m := 0; m < cfg.Radiation.Months; m++ {
+		if err := d.IngestMonth(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := d.Snapshot()
+	if snap.Snapshots != 2 {
+		t.Errorf("daemon holds %d snapshots, want 2", snap.Snapshots)
+	}
+	diffArtifacts(t, want, snap)
+}
+
+// TestOneInstantTwoZonesIsOneSnapshot: a snapshot is named by its UTC
+// label everywhere — the study, the store's tel/<label>/ rows, the
+// ledger. The same instant written with two zone offsets, in either
+// order, is one snapshot, and a restart recovers that one.
+func TestOneInstantTwoZonesIsOneSnapshot(t *testing.T) {
+	cfg := testConfig()
+	utc := cfg.SnapshotTimes[0]
+	plus2 := utc.In(time.FixedZone("", 2*60*60))
+	label := utc.Format("20060102-150405")
+	for _, order := range [][]time.Time{{plus2, utc}, {utc, plus2}} {
+		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cfg.StoreAddr = srv.Addr()
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range order {
+			if err := d.IngestSnapshot(ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := d.Snapshot()
+		if before.Snapshots != 1 || before.Seq != 2 {
+			t.Errorf("%v: %d snapshots at seq %d, want one snapshot ingested once (seq 2)", order, before.Snapshots, before.Seq)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		db, err := tripled.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		rows, err := db.ScanAllRows("", tripled.PrefixEnd("tel/"), 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if !strings.HasPrefix(row, telescope.SnapshotRowPrefix(label)) && row != ledgerSnapPrefix+label {
+				t.Fatalf("%v: store row %q is not under the UTC label %s", order, row, label)
+			}
+		}
+
+		d2, err := New(cfg)
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		defer d2.Close()
+		after := d2.Snapshot()
+		if after.Snapshots != 1 {
+			t.Errorf("%v: recovered %d snapshots, want 1", order, after.Snapshots)
+		}
+		for _, id := range report.All() {
+			if !bytes.Equal(before.Artifacts[id].TSV, after.Artifacts[id].TSV) || before.Artifacts[id].Err != after.Artifacts[id].Err {
+				t.Errorf("%v: %s differs across the restart", order, id)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package report
 
 // artifacts.go holds the per-artifact compute jobs and their typed
-// accessors. The compute bodies are the former core.Result methods,
-// moved here verbatim (core aliases the row types, so call sites are
-// unchanged); the artifacts that walk independent windows or
+// accessors; the artifacts that walk independent windows or
 // (snapshot, band) pairs — table2, fig3, fig6, fig7_fig8 — run them
 // across the shared worker pool (Graph.each).
 
@@ -150,7 +148,7 @@ func (g *Graph) Fig4() ([]Fig4Series, error) {
 }
 
 func runFig4(g *Graph) (any, error) {
-	f := g.frozen()
+	f := g.Frozen()
 	out := make([]Fig4Series, 0, len(g.in.Study.Snapshots))
 	for si, snap := range g.in.Study.Snapshots {
 		mi, err := f.SameMonthIndex(si)
@@ -182,7 +180,7 @@ func runFig5(g *Graph) (any, error) {
 	if len(g.in.Study.Snapshots) == 0 {
 		return nil, fmt.Errorf("report: no snapshots")
 	}
-	series, err := g.frozen().Temporal(0, g.in.Params.Fig5Band)
+	series, err := g.Frozen().Temporal(0, g.in.Params.Fig5Band)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +197,7 @@ func (g *Graph) Fig6() ([]correlate.Series, []stats.TemporalFit) {
 }
 
 func runFig6(g *Graph) (any, error) {
-	f := g.frozen()
+	f := g.Frozen()
 	// One job per (snapshot, band), in (snapshot, Fig6Bands) order.
 	bands := g.in.Params.Fig6Bands
 	series := make([]correlate.Series, len(g.in.Study.Snapshots)*len(bands))
@@ -234,7 +232,7 @@ func (g *Graph) Fig7And8() [][]correlate.BandFit {
 }
 
 func runFig7And8(g *Graph) (any, error) {
-	f := g.frozen()
+	f := g.Frozen()
 	nSnaps := len(g.in.Study.Snapshots)
 	minSources := g.in.Params.MinBandSources
 	out := make([][]correlate.BandFit, nSnaps)

@@ -15,23 +15,21 @@ import (
 	"repro/internal/report"
 )
 
-// incrementalGraph builds a graph over the quick study the way the
-// daemon does: plain input, no external Frozen memo (the graph must
-// own the freeze so invalidation can reach it).
+// incrementalGraph is a graph of its own over the quick study, for a
+// test to grow.
 func incrementalGraph(t *testing.T) *report.Graph {
-	res := quickResult(t)
-	return report.New(report.Input{
-		Study:   res.Study,
-		Windows: res.Windows,
-		Params: report.Params{
-			StudyStart:     res.Config.StudyStart,
-			NV:             res.Config.NV,
-			Fig5Band:       res.Config.Fig5Band(),
-			Fig6Bands:      res.Config.Fig6Bands(),
-			MinBandSources: res.Config.MinBandSources,
-			Workers:        1,
-		},
-	})
+	return freshGraph(quickResult(t), 1)
+}
+
+// stale lists the renderable artifacts an Update left dirty.
+func stale(g *report.Graph) []report.ArtifactID {
+	var out []report.ArtifactID
+	for _, id := range report.All() {
+		if !g.Fresh(id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // renderAllIDs forces every artifact to compute.
@@ -70,11 +68,12 @@ func TestMonthUpdateSkipsSnapshotArtifacts(t *testing.T) {
 	// under a later index — enough to move Table I and the temporal
 	// figures without re-running the study.
 	last := quickResult(t).Study.Months[len(quickResult(t).Study.Months)-1]
-	dirtied := g.Update(func(in *report.Input) {
+	g.Update(func(in *report.Input) {
 		in.Study.Months = append(in.Study.Months, correlate.MonthData{
 			Label: "extra", Month: last.Month + 1, Table: last.Table,
 		})
 	}, report.SrcMonths)
+	dirtied := stale(g)
 
 	wantDirty := map[report.ArtifactID]bool{
 		report.Table1: true, report.Fig4: true, report.Fig5: true,
@@ -118,10 +117,11 @@ func TestSnapshotUpdateRecomputesEverything(t *testing.T) {
 
 	// A snapshot-source update dirties all seven: every artifact either
 	// reads the windows/snapshots directly or sits behind frozen.
-	dirtied := g.Update(func(in *report.Input) {
+	g.Update(func(in *report.Input) {
 		// No-op mutation: the dirty set depends on declared edges, not
 		// on what the closure happens to touch.
 	}, report.SrcSnapshots)
+	dirtied := stale(g)
 	if len(dirtied) != len(report.All()) {
 		t.Fatalf("snapshot update dirtied %v, want all artifacts", dirtied)
 	}

@@ -3,10 +3,9 @@
 // once each through a typed dependency graph and rendered by one
 // TSV/JSON writer shared by every CLI.
 //
-// The graph replaces the ad-hoc lazy methods that used to live on
-// core.Result (which remain as thin memoized wrappers over it, so no
-// call site changed): each artifact is a job with declared
-// dependencies, memoized on first use and safe for concurrent use.
+// Each artifact is a job with declared dependencies, memoized on first
+// use and safe for concurrent use; core.Result.Report is the graph over
+// a study.
 // Every temporal artifact depends on the study's frozen sorted-key
 // compilation; fig7_fig8 additionally fans out one Frozen.FitBand
 // (GridSearch2) job per (snapshot, band) onto the same worker pool the
@@ -15,15 +14,14 @@
 // (TestReportWorkerSweep holds each to the committed goldens, under
 // -race).
 //
-// Beyond batch memoization, the graph supports fine-grained
-// invalidation for long-lived owners (the study daemon): the input's
-// two mutable sources — the honeyfarm months and the telescope
-// snapshots — are explicit source nodes (SrcMonths, SrcSnapshots),
-// and Update applies an input mutation and dirties exactly the
-// artifacts that transitively depend on the touched sources. A
-// month-only ingest re-executes the frozen compilation and the
-// temporal figures but never Table II or Figure 3, which depend only
-// on snapshots; per-node execution counters (Runs) make that
+// The graph is a cache derived from a study that may grow: the input's
+// two growing sets — the honeyfarm months and the telescope snapshots —
+// are explicit source nodes (SrcMonths, SrcSnapshots), and Update (its
+// one caller is core.Result, when a unit joins the study) swaps the
+// input and dirties exactly the artifacts that transitively depend on
+// the touched sources. A month re-executes the frozen compilation and
+// the temporal figures but never Table II or Figure 3, which depend
+// only on snapshots; per-node execution counters (Runs) make that
 // guarantee testable. Memoized values are immutable once returned, so
 // a reader that obtained an artifact before an Update keeps a fully
 // consistent (if older) value — nothing is mutated in place.
@@ -63,8 +61,8 @@ const (
 
 	// SrcMonths and SrcSnapshots are the graph's source nodes: they
 	// compute nothing, but every artifact declares which of the two
-	// mutable input sets it reads, so Update can dirty exactly the
-	// dependent artifacts when a long-lived owner grows the study.
+	// growing input sets it reads, so Update can dirty exactly the
+	// dependent artifacts when the study grows.
 	SrcMonths    ArtifactID = "src_months"
 	SrcSnapshots ArtifactID = "src_snapshots"
 )
@@ -98,19 +96,11 @@ type Params struct {
 
 // Input is everything the artifact graph reads: the correlation
 // tables, the captured windows, and the study parameters. The graph
-// never mutates it; mutation by the owner goes through Graph.Update.
+// never mutates it; the study's owner replaces it through Graph.Update.
 type Input struct {
 	Study   correlate.Study
 	Windows []*telescope.Window // one per snapshot, index-aligned with Study.Snapshots
-
-	// Frozen optionally supplies an existing memoized sorted-key
-	// compilation (core.Result.Frozen); when nil the graph freezes the
-	// study itself on first temporal-artifact use. Owners that mutate
-	// the input through Update must leave Frozen nil — an external
-	// memo cannot see the graph's invalidations and would go stale.
-	Frozen func() *correlate.Frozen
-
-	Params Params
+	Params  Params
 }
 
 // node is one artifact job: declared dependencies, a compute function,
@@ -210,26 +200,30 @@ func (g *Graph) Runs(id ArtifactID) int {
 	return n.runs
 }
 
+// Fresh reports whether the artifact's memoized value is current: it
+// has been computed and no Update has dirtied it since. The daemon's
+// render cache re-renders exactly the artifacts that are not.
+func (g *Graph) Fresh(id ArtifactID) bool {
+	n, ok := g.nodes[id]
+	if !ok {
+		return false
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.valid
+}
+
 // Update atomically applies mut to the graph's input and invalidates
-// the given source artifacts plus everything that transitively depends
-// on them. It returns the renderable artifacts invalidated, in
-// canonical All() order — the owner's re-render worklist. Values
-// handed out before the Update stay valid for their holders (they are
-// never mutated in place); the next get recomputes.
+// the given source nodes plus everything that transitively depends on
+// them. Values handed out before the Update stay valid for their
+// holders (they are never mutated in place); the next get recomputes.
 //
 // Update is safe for concurrent use with readers, but concurrent
-// Updates must be serialized by the owner (the daemon runs one
-// mutator goroutine).
-func (g *Graph) Update(mut func(*Input), dirty ...ArtifactID) []ArtifactID {
+// Updates must be serialized by the owner (core.Result holds its lock).
+func (g *Graph) Update(mut func(*Input), dirty ...ArtifactID) {
 	g.inMu.Lock()
 	mut(&g.in)
 	g.inMu.Unlock()
-	return g.Invalidate(dirty...)
-}
-
-// Invalidate marks the given artifacts and all transitive dependents
-// dirty, returning the renderable artifacts affected in All() order.
-func (g *Graph) Invalidate(ids ...ArtifactID) []ArtifactID {
 	seen := make(map[ArtifactID]bool)
 	var walk func(ArtifactID)
 	walk = func(id ArtifactID) {
@@ -237,39 +231,27 @@ func (g *Graph) Invalidate(ids ...ArtifactID) []ArtifactID {
 			return
 		}
 		seen[id] = true
+		n := g.nodes[id]
+		n.mu.Lock()
+		n.valid = false
+		n.mu.Unlock()
 		for _, dep := range g.rdeps[id] {
 			walk(dep)
 		}
 	}
-	for _, id := range ids {
+	for _, id := range dirty {
 		walk(id)
 	}
-	for id := range seen {
-		if n, ok := g.nodes[id]; ok { // a dirty source may have no node
-			n.mu.Lock()
-			n.valid = false
-			n.mu.Unlock()
-		}
-	}
-	var out []ArtifactID
-	for _, id := range All() {
-		if seen[id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
-// frozen returns the study's sorted-key compilation through the graph,
-// so every temporal artifact shares one Freeze.
-func (g *Graph) frozen() *correlate.Frozen {
+// Frozen returns the study's sorted-key compilation (interned row IDs,
+// per-band sorted sets) through the graph, so every temporal artifact
+// and every outside caller share one Freeze per invalidation epoch.
+func (g *Graph) Frozen() *correlate.Frozen {
 	v, _ := g.get(artFrozen) // cannot fail
 	return v.(*correlate.Frozen)
 }
 
 func runFrozen(g *Graph) (any, error) {
-	if g.in.Frozen != nil {
-		return g.in.Frozen(), nil
-	}
 	return correlate.Freeze(g.in.Study, g.in.Params.Workers), nil
 }

@@ -48,6 +48,14 @@ func quickResult(t *testing.T) *core.Result {
 	return quickRes
 }
 
+// freshGraph is a new, unmemoized graph over res's study at another
+// worker count — a fresh Result, the way any caller gets one.
+func freshGraph(res *core.Result, workers int) *report.Graph {
+	cfg := res.Config
+	cfg.Workers = workers
+	return (&core.Result{Config: cfg, Study: res.Study, Windows: res.Windows}).Report()
+}
+
 func renderTSV(t *testing.T, g *report.Graph, id report.ArtifactID) string {
 	t.Helper()
 	var b strings.Builder
@@ -57,9 +65,9 @@ func renderTSV(t *testing.T, g *report.Graph, id report.ArtifactID) string {
 	return b.String()
 }
 
-// TestGraphMemoizes pins the ownership rule the Result wrappers rely
-// on: one graph computes each artifact exactly once and hands every
-// caller the same value.
+// TestGraphMemoizes pins the ownership rule Result.Report relies on:
+// one graph computes each artifact exactly once and hands every caller
+// the same value.
 func TestGraphMemoizes(t *testing.T) {
 	res := quickResult(t)
 	g := res.Report()
@@ -72,16 +80,19 @@ func TestGraphMemoizes(t *testing.T) {
 	if &t1a[0] != &t1b[0] {
 		t.Error("TableI recomputed: calls returned distinct slices")
 	}
-	// The Result wrappers go through the same memoized graph.
-	if r := res.Fig7And8(); &r[0] != &a[0] {
-		t.Error("Result.Fig7And8 bypassed the report graph")
+	// Every Report call is the same memoized graph, and the freeze is its.
+	if r := res.Report().Fig7And8(); &r[0] != &a[0] {
+		t.Error("a second Report call built a second graph")
+	}
+	if res.Frozen() != g.Frozen() {
+		t.Error("Result.Frozen is not the graph's freeze")
 	}
 }
 
 // TestGraphConcurrentAccess hammers one graph from many goroutines;
 // under -race this is the memoization's soundness proof.
 func TestGraphConcurrentAccess(t *testing.T) {
-	g := quickResult(t).ReportWith(4)
+	g := freshGraph(quickResult(t), 4)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -106,7 +117,7 @@ func TestGraphConcurrentAccess(t *testing.T) {
 func TestReportWorkerSweep(t *testing.T) {
 	res := quickResult(t)
 	for _, workers := range []int{1, 2, 3, 8} {
-		g := res.ReportWith(workers)
+		g := freshGraph(res, workers)
 		for _, id := range report.All() {
 			want, err := os.ReadFile(filepath.Join("testdata", report.Filename(id, "tsv")))
 			if err != nil {
@@ -146,10 +157,11 @@ func TestFitSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Frozen() // built outside the timed region: the phase is pure fit compute
 	timed := func(workers int) time.Duration {
+		g := freshGraph(res, workers)
+		g.Frozen() // built outside the timed region: the phase is pure fit compute
 		start := time.Now()
-		res.ReportWith(workers).Fig7And8()
+		g.Fig7And8()
 		return time.Since(start)
 	}
 	// Best of six each, interleaved, so a host that changes speed

@@ -227,7 +227,7 @@ func decodeTable2(m map[string]any) (Assertion, error) {
 	}
 	name := "table2." + quantity
 	return Assertion{Kind: name, run: func(e *runEnv) Check {
-		qs := e.res.TableII()
+		qs := e.res.Report().TableII()
 		if snapshot >= 0 {
 			if snapshot >= len(qs) {
 				return Check{Assertion: name, Detail: fmt.Sprintf("snapshot %d out of range (%d windows)", snapshot, len(qs))}
@@ -253,7 +253,7 @@ func decodeFig3Alpha(m map[string]any) (Assertion, error) {
 		return Assertion{}, err
 	}
 	return Assertion{Kind: "fig3_alpha", run: func(e *runEnv) Check {
-		for _, s := range e.res.Fig3() {
+		for _, s := range e.res.Report().Fig3() {
 			if ok, want := b.check(s.Alpha); !ok {
 				return Check{Assertion: "fig3_alpha",
 					Detail: fmt.Sprintf("snapshot %s: fitted ZM alpha = %.3f, want %s", s.Label, s.Alpha, want)}
@@ -261,7 +261,7 @@ func decodeFig3Alpha(m map[string]any) (Assertion, error) {
 		}
 		_, want := b.check(0)
 		return Check{Assertion: "fig3_alpha", Pass: true,
-			Detail: fmt.Sprintf("ZM alpha %s on all %d snapshots", want, len(e.res.Fig3()))}
+			Detail: fmt.Sprintf("ZM alpha %s on all %d snapshots", want, len(e.res.Report().Fig3()))}
 	}}, nil
 }
 
@@ -278,7 +278,7 @@ func decodeFig4Ordering(m map[string]any) (Assertion, error) {
 		}
 	}
 	return Assertion{Kind: "fig4_bright_over_faint", run: func(e *runEnv) Check {
-		series, err := e.res.Fig4()
+		series, err := e.res.Report().Fig4()
 		if err != nil {
 			return Check{Assertion: "fig4_bright_over_faint", Detail: err.Error()}
 		}
@@ -317,7 +317,7 @@ func decodeFig7Alpha(m map[string]any) (Assertion, error) {
 	}
 	return Assertion{Kind: "fig7_alpha", run: func(e *runEnv) Check {
 		sum, n := 0.0, 0
-		for _, sweep := range e.res.Fig7And8() {
+		for _, sweep := range e.res.Report().Fig7And8() {
 			for _, f := range sweep {
 				sum += f.Alpha
 				n++

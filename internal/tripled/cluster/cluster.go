@@ -272,9 +272,9 @@ func (c *Client) conn(i int) (*tripled.Client, error) {
 	return n.c, nil
 }
 
-// onNode runs op against node i under the retry policy: transport
-// failures tear the connection down and retry on a fresh dial after a
-// jittered backoff; protocol answers (including NF) return
+// onNode runs op against node i under the retry policy (Retry.Do):
+// transport failures tear the connection down and retry on a fresh dial
+// after a jittered backoff; protocol answers (including NF) return
 // immediately. When every attempt fails on transport, the node is
 // marked down and the last error returned. op must therefore be
 // idempotent — which every tripled mutation is (PUT/DEL/BATCH replays
@@ -284,30 +284,22 @@ func (c *Client) onNode(i int, op func(cl *tripled.Client) error) error {
 	if n.down {
 		return fmt.Errorf("cluster: node %s is down: %w", n.addr, n.err)
 	}
-	r := c.cfg.Retry
-	if r.Attempts < 1 {
-		r = tripled.DefaultRetry()
-	}
-	var err error
-	for attempt := 1; attempt <= r.Attempts; attempt++ {
-		if d := r.Backoff(attempt, c.rng); d > 0 {
-			time.Sleep(d)
-		}
-		var cl *tripled.Client
-		if cl, err = c.conn(i); err == nil {
+	err := c.cfg.Retry.Do(c.rng, func() error {
+		cl, err := c.conn(i)
+		if err == nil {
 			err = op(cl)
 		}
-		if err == nil || !tripled.Retryable(err) {
-			return err
-		}
-		// Transport failure: the connection state is unknowable; drop it
-		// so the next attempt replays op on a fresh dial.
-		if n.c != nil {
+		if err != nil && tripled.Retryable(err) && n.c != nil {
+			// Transport failure: the connection state is unknowable; drop it
+			// so the next attempt replays op on a fresh dial.
 			n.c.Close()
 			n.c = nil
 		}
+		return err
+	})
+	if err != nil && tripled.Retryable(err) {
+		c.markDown(i, err)
 	}
-	c.markDown(i, err)
 	return err
 }
 

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -275,5 +276,114 @@ func FuzzClientCells(f *testing.F) {
 			t.Fatalf("appendCells = %v, text parser = %v", got, want)
 		}
 		diffFetchAssoc(t, data, "")
+	})
+}
+
+// resyncFrame is a RESYNC reply as handleResync writes it: a DIGEST
+// block when rows is nil, a ROWS block otherwise.
+func resyncFrame(digs []BucketDigest, rows []RowDigestEntry) []byte {
+	var b strings.Builder
+	fmt.Fprintf(&b, "BLOCK %d\n", len(digs)+len(rows))
+	for i, d := range digs {
+		fmt.Fprintf(&b, "%d\t%d\t%d\n", i, d.Count, d.Sum)
+	}
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s\t%d\t%d\n", r.Row, r.Count, r.Sum)
+	}
+	return []byte(b.String())
+}
+
+// resyncBody returns the lines of the block data opens with, as the
+// client's scanner cuts them, and whether each is "key\tcount\tsum" with
+// both numbers numeric.
+func resyncBody(data []byte) (lines [][]string, wellFormed bool) {
+	all := strings.Split(string(data), "\n")
+	n, err := blockLen(strings.TrimSuffix(all[0], "\r"))
+	if err != nil || n > len(all)-1 {
+		return nil, false
+	}
+	wellFormed = true
+	for _, line := range all[1 : 1+n] {
+		parts := strings.Split(strings.TrimSuffix(line, "\r"), "\t")
+		lines = append(lines, parts)
+		digits := func(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
+		// The count may carry a sign (Atoi), the sum may not (ParseUint).
+		wellFormed = wellFormed && len(parts) == 3 &&
+			digits(strings.TrimPrefix(strings.TrimPrefix(parts[1], "+"), "-")) && digits(parts[2])
+	}
+	return lines, wellFormed
+}
+
+// FuzzClientResync covers the client's last un-fuzzed parser, the
+// RESYNC DIGEST / ROWS replies a repair reads: arbitrary server bytes
+// never panic; a reply is accepted only if every line is
+// "key\tcount\tsum" with numeric counts and sums and, for DIGEST, a
+// bucket inside [0, nb); and an accepted reply reads back what was
+// sent, line for line.
+func FuzzClientResync(f *testing.F) {
+	const nb = 16
+	// The frames a repair exchanges: both replies of a store holding a
+	// few rows, and of an empty one.
+	store := NewStoreStripes(4)
+	f.Add(resyncFrame(store.BucketDigests(nb), nil))
+	f.Add(resyncFrame(nil, store.RowDigests(nb, -1)))
+	for i := 0; i < 40; i++ {
+		store.Put(fmt.Sprintf("r%03d", i), fmt.Sprintf("c%d", i%3), assoc.Num(float64(i)))
+	}
+	f.Add(resyncFrame(store.BucketDigests(nb), nil))
+	f.Add(resyncFrame(nil, store.RowDigests(nb, -1)))
+	f.Add(resyncFrame(nil, store.RowDigests(nb, 3)))
+	for _, s := range []string{
+		"BLOCK 1\n16\t1\t1\n",                   // bucket == nb
+		"BLOCK 1\n-1\t1\t1\n",                   // negative bucket
+		"BLOCK 2\n3\t1\t1\n3\t2\t2\n",           // a bucket answered twice: the later line stands
+		"BLOCK 1\n3\t1\n",                       // short line
+		"BLOCK 1\n3\t1\t1\t1\n",                 // long line
+		"BLOCK 1\n3\tx\t1\n",                    // non-numeric count
+		"BLOCK 1\n3\t1\t-1\n",                   // negative sum
+		"BLOCK 1\n3\t1\t18446744073709551616\n", // sum past uint64
+		"BLOCK 1\nrow with spaces\t+2\t007\r\n", // what Atoi lets through
+		"BLOCK 2\n3\t1\t1\n",                    // truncated block
+		"BLOCK 99999999999999999999\n",          // overflow count
+		"BLOCK 4611686018427387904\n3\t1\t1\n",  // count no allocation can hold
+		"ERR bad bucket count\n", "OK\n", "", "\x00\xff\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lines, wellFormed := resyncBody(data)
+
+		digs, err := pipeClient(t, data).BucketDigests(nb)
+		if err == nil {
+			want := make([]BucketDigest, nb)
+			for _, parts := range lines {
+				b, err := strconv.Atoi(parts[0])
+				if !wellFormed || err != nil || b < 0 || b >= nb {
+					t.Fatalf("BucketDigests accepted the line %q", parts)
+				}
+				want[b].Count, _ = strconv.Atoi(parts[1])
+				want[b].Sum, _ = strconv.ParseUint(parts[2], 10, 64)
+			}
+			if !bucketsEqual(digs, want) {
+				t.Fatalf("BucketDigests = %v, the reply said %v", digs, want)
+			}
+			if again, err := pipeClient(t, resyncFrame(digs, nil)).BucketDigests(nb); err != nil || !bucketsEqual(again, digs) {
+				t.Fatalf("its own frame read back as %v, %v", again, err)
+			}
+		}
+
+		rows, err := pipeClient(t, data).RowDigests(nb, -1)
+		if err == nil {
+			if !wellFormed || len(rows) != len(lines) {
+				t.Fatalf("RowDigests accepted %q as %v", data, rows)
+			}
+			for i, parts := range lines {
+				count, _ := strconv.Atoi(parts[1])
+				sum, _ := strconv.ParseUint(parts[2], 10, 64)
+				if rows[i] != (RowDigestEntry{Row: parts[0], Count: count, Sum: sum}) {
+					t.Fatalf("row %d = %+v, the reply said %q", i, rows[i], parts)
+				}
+			}
+		}
 	})
 }
