@@ -23,6 +23,7 @@ package assoc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -66,7 +67,8 @@ type Assoc struct {
 	nnz  int
 
 	// rowKeys caches the sorted row-key slice RowKeys returns; it is
-	// invalidated (set nil) whenever a row appears or disappears. The
+	// invalidated (set nil) whenever a row appears or disappears, except
+	// that rows arriving in order past its end extend it (SetRows). The
 	// correlation and TSV paths call RowKeys per table per pass, so the
 	// sort must not be paid on every call. The pointer is atomic so the
 	// lazily built cache preserves the map's reader guarantee:
@@ -166,10 +168,32 @@ func (a *Assoc) SetRows(keys []string, ends []int, slab []Cell) error {
 		a.rows[keys[i]] = r
 	}
 	if len(keys) > 0 {
-		a.rowKeys.Store(nil)
+		a.extendRowKeys(keys)
 		a.nnz += len(slab)
 	}
 	return nil
+}
+
+// extendRowKeys accounts for the new rows keys in the sorted key list.
+// When the list is current (or the array held no row before them) and
+// the keys ascend from past its last — the pages of a fetched table, one
+// after the other — they are appended to it, so such a table never
+// sorts; anything else invalidates it. The append lands past the length
+// of every slice RowKeys has handed out and never inside one, so a
+// reader still holding an earlier list keeps exactly what it was given.
+func (a *Assoc) extendRowKeys(keys []string) {
+	var sorted []string // every row but the new ones, in order
+	if p := a.rowKeys.Load(); p != nil {
+		sorted = *p
+	} else if len(a.rows) > len(keys) {
+		return // no current list to keep
+	}
+	if (len(sorted) == 0 || keys[0] > sorted[len(sorted)-1]) && slices.IsSorted(keys) {
+		sorted = append(sorted, keys...)
+		a.rowKeys.Store(&sorted)
+	} else {
+		a.rowKeys.Store(nil)
+	}
 }
 
 // Get returns the value at (row, col) and whether it exists.
@@ -210,7 +234,8 @@ func (a *Assoc) NRows() int { return len(a.rows) }
 
 // RowKeys returns the sorted row keys. The slice is cached until a row
 // is added or removed and is shared across calls: callers must not
-// modify it. Like every read, RowKeys is safe for concurrent readers
+// modify it, and it stays what it was when a later mutation changes
+// the array. Like every read, RowKeys is safe for concurrent readers
 // (racing first calls each build the same slice; one wins the store).
 func (a *Assoc) RowKeys() []string {
 	if p := a.rowKeys.Load(); p != nil {

@@ -133,7 +133,12 @@ func diffAssoc(t *testing.T, what string, a *Assoc, m mapAssoc) {
 
 // TestAssocMatchesMapOracle is the model-based differential test of the
 // run layout: random Set/SetRow/SetRows/Delete on two arrays and their
-// map-of-maps models, every read compared after every step.
+// map-of-maps models, every read compared after every step — RowKeys
+// against the sorted map keys among them, whichever way the list was
+// kept: slabs arrive in key order, shuffled, or as a tail past every row
+// held (a fetched table's pages, which extend the list in place), with a
+// reader's RowKeys before them or not. Every list a reader was handed
+// must stay what it was through everything that follows.
 func TestAssocMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var rowSpace, colSpace []string
@@ -152,6 +157,16 @@ func TestAssocMatchesMapOracle(t *testing.T) {
 	}
 	arrays := [2]*Assoc{New(), New()}
 	models := [2]mapAssoc{{}, {}}
+	type heldKeys struct{ got, was []string }
+	var held []heldKeys // the last few RowKeys results, and what they held when returned
+	checkHeld := func(what string) {
+		t.Helper()
+		for _, h := range held {
+			if !slices.Equal(h.got, h.was) {
+				t.Fatalf("%s: a RowKeys result handed out earlier changed from %q to %q", what, h.was, h.got)
+			}
+		}
+	}
 	steps := 3000
 	if testing.Short() {
 		steps = 500
@@ -168,14 +183,24 @@ func TestAssocMatchesMapOracle(t *testing.T) {
 			var keys []string
 			var ends []int
 			var slab []Cell
-			for _, r := range rowSpace {
+			const inOrder, shuffled, tail = 0, 1, 2
+			order, cut := rng.Intn(3), rng.Intn(len(rowSpace))
+			for i, r := range rowSpace {
+				if order == tail && i < cut {
+					continue
+				}
+				if order == tail || rng.Intn(3) == 0 { // a tail leaves nothing held past its first row
+					if err := a.SetRow(r, nil); err != nil {
+						t.Fatal(err)
+					}
+					delete(m, r)
+				}
 				if rng.Intn(3) > 0 {
 					continue
 				}
-				if err := a.SetRow(r, nil); err != nil {
-					t.Fatal(err)
+				if m[r] != nil {
+					continue
 				}
-				delete(m, r)
 				n := len(slab)
 				for _, c := range colSpace {
 					if rng.Intn(2) == 0 {
@@ -187,9 +212,32 @@ func TestAssocMatchesMapOracle(t *testing.T) {
 					keys, ends = append(keys, r), append(ends, len(slab))
 				}
 			}
-			what = fmt.Sprintf("step %d: SetRows(%q, %d cells)", step, keys, len(slab))
+			if order == shuffled { // rows keep their cells, in another order
+				rows := make(map[string][]Cell, len(keys))
+				lo := 0
+				for i, r := range keys {
+					rows[r] = slab[lo:ends[i]]
+					lo = ends[i]
+				}
+				rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+				var mixed []Cell
+				for i, r := range keys {
+					mixed = append(mixed, rows[r]...)
+					ends[i] = len(mixed)
+				}
+				slab = mixed
+			}
+			read := rng.Intn(2) == 0 // a reader asks for the keys between the removals and the slab
+			if read {
+				got := a.RowKeys()
+				held = append(held, heldKeys{got, slices.Clone(got)})
+			}
+			what = fmt.Sprintf("step %d: SetRows(%q, %d cells, order %d, read %v)", step, keys, len(slab), order, read)
 			if err := a.SetRows(keys, ends, slab); err != nil {
 				t.Fatalf("%s: %v", what, err)
+			}
+			if order == tail && len(keys) > 0 && (read || len(m) == len(keys)) && a.rowKeys.Load() == nil {
+				t.Fatalf("%s: rows past every row held invalidated a current key list", what)
 			}
 		case op < 5:
 			r, c, v := pick(rowSpace), pick(colSpace), val()
@@ -220,6 +268,68 @@ func TestAssocMatchesMapOracle(t *testing.T) {
 			}
 		}
 		diffAssoc(t, what, a, m)
+		checkHeld(what)
+		held = held[max(0, len(held)-8):]
+	}
+
+	// A fetched table: page after page of rows past every row held, a
+	// reader between the pages. The list is extended, never rebuilt, and
+	// grows in place once it has room — so every list handed out on the
+	// way is checked to the end. Now and then a Set or Delete of a whole
+	// row, a slab in descending order or one that sorts before the
+	// table's last row interrupts, and the list must be right after each.
+	a, m := New(), mapAssoc{}
+	held = held[:0]
+	next := 0
+	fresh := func(format string, n int) (keys []string, ends []int, slab []Cell) {
+		for i := 0; i < n; i++ {
+			keys, ends = append(keys, fmt.Sprintf(format, next)), append(ends, i+1)
+			slab = append(slab, Cell{Key: "c", Val: Num(float64(next))})
+			m.set(keys[i], "c", slab[i].Val)
+			next++
+		}
+		return keys, ends, slab
+	}
+	for page := 0; page < 60; page++ {
+		got := a.RowKeys()
+		held = append(held, heldKeys{got, slices.Clone(got)})
+		keys, ends, slab := fresh("p%04d", 1+page%7)
+		what := fmt.Sprintf("page %d", page)
+		if err := a.SetRows(keys, ends, slab); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if a.rowKeys.Load() == nil {
+			t.Fatalf("%s: a page past every row held invalidated the key list", what)
+		}
+		diffAssoc(t, what, a, m)
+		switch page % 10 {
+		case 3:
+			what += ", then Set of a new row inside the table"
+			a.Set(keys[0]+"x", "c", Num(1))
+			m.set(keys[0]+"x", "c", Num(1))
+		case 5:
+			what += ", then Delete of a whole row"
+			a.Delete(keys[0], "c")
+			m.del(keys[0], "c")
+		case 7:
+			what += ", then a descending slab"
+			keys, ends, slab = fresh("p%04d", 3)
+			slices.Reverse(keys)
+			slices.Reverse(slab)
+			m.set(keys[0], "c", slab[0].Val)
+			m.set(keys[2], "c", slab[2].Val)
+			if err := a.SetRows(keys, ends, slab); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case 9:
+			what += ", then a slab before the last row"
+			keys, ends, slab = fresh("o%04d", 2)
+			if err := a.SetRows(keys, ends, slab); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		diffAssoc(t, what, a, m)
+		checkHeld(what)
 	}
 }
 

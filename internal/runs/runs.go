@@ -1,8 +1,9 @@
 // Package runs is the one ordered container of the table path: a run is
 // a set of string-keyed entries held in key order, no key twice. A row
 // of an associative array is a run of its cells keyed by column
-// (internal/assoc, and the tripled stripe's rows); a stripe's ordered
-// row index is a run of its row keys with nothing attached.
+// (internal/assoc, and the tripled stripe's rows); a stripe's row index
+// is a run of its row keys with the rows themselves hanging off them,
+// read in order through a Cursor.
 //
 // A run is a blocked sorted array: blocks are non-empty, sorted, at most
 // blockLen long, and every key of one block sorts before every key of
@@ -232,21 +233,33 @@ func (r *Run[V]) Delete(key string) (V, bool) {
 	return v, true
 }
 
-// AppendKeys appends to dst, in order, the keys from the first one
-// >= lo (> lo when strict) up to but excluding end (empty end =
-// unbounded), at most n of them (n < 0 = all).
-func (r Run[V]) AppendKeys(dst []string, lo string, strict bool, end string, n int) []string {
-	b, i := r.seek(lo, strict)
-	for ; b < len(r.blocks); b, i = b+1, 0 {
-		blk := r.blocks[b]
-		for j := i; j < len(blk); j++ {
-			k := blk[j].Key
-			if n == 0 || (end != "" && k >= end) {
-				return dst
-			}
-			dst = append(dst, k)
-			n--
-		}
+// Cursor is a position in a run's key order, not a snapshot: a Put or
+// Delete on the run invalidates it, so whoever walks several runs in
+// step (a store merging its stripes) keeps writers out meanwhile.
+type Cursor[V any] struct {
+	blocks [][]Entry[V]
+	b, i   int
+}
+
+// Seek returns a cursor at the first entry whose key is >= key, or > key
+// when strict; past the last key it is at the end.
+func (r Run[V]) Seek(key string, strict bool) Cursor[V] {
+	b, i := r.seek(key, strict)
+	return Cursor[V]{blocks: r.blocks, b: b, i: i}
+}
+
+// Head returns the entry under the cursor (its Val may be written in
+// place, as through All), or nil at the end.
+func (c *Cursor[V]) Head() *Entry[V] {
+	if c.b == len(c.blocks) {
+		return nil
 	}
-	return dst
+	return &c.blocks[c.b][c.i]
+}
+
+// Next moves a cursor that is not at the end to the next entry.
+func (c *Cursor[V]) Next() {
+	if c.i++; c.i == len(c.blocks[c.b]) {
+		c.b, c.i = c.b+1, 0
+	}
 }

@@ -31,9 +31,22 @@ func check[V any](t *testing.T, r Run[V]) []Entry[V] {
 	return all
 }
 
+// walk returns the keys a cursor seeked to (key, strict) meets, to the
+// end of the run.
+func walk[V any](r Run[V], key string, strict bool) []string {
+	var out []string
+	for c := r.Seek(key, strict); c.Head() != nil; c.Next() {
+		out = append(out, c.Head().Key)
+	}
+	return out
+}
+
 // TestRunMatchesMapOracle drives random Put/Delete/Get, over a key
 // space small enough to collide and large enough to split blocks many
-// times, against a map and its sorted keys.
+// times, against a map and its sorted keys. As the run grows through
+// block splits and drains through emptied blocks, cursors seeked at,
+// between, before and past its keys, strict and not, must walk exactly
+// the tail of the model's sorted keys, each entry carrying its value.
 func TestRunMatchesMapOracle(t *testing.T) {
 	for _, space := range []int{8, 300, 5000} {
 		t.Run(fmt.Sprint("keys=", space), func(t *testing.T) {
@@ -77,15 +90,39 @@ func TestRunMatchesMapOracle(t *testing.T) {
 				if r.Get("k") != nil || r.Get("zzz") != nil || r.Get("k00000x") != nil {
 					t.Fatalf("step %d: Get of an absent key found an entry", step)
 				}
+				sorted := make([]string, 0, len(model))
+				for k := range model {
+					sorted = append(sorted, k)
+				}
+				sort.Strings(sorted)
+				seeks := []string{"", "k", "zzz", fmt.Sprintf("k%05d", rng.Intn(space)), fmt.Sprintf("k%05dx", rng.Intn(space))}
+				if len(sorted) > 0 {
+					seeks = append(seeks, sorted[0], sorted[len(sorted)-1], sorted[rng.Intn(len(sorted))])
+				}
+				for _, at := range seeks {
+					for _, strict := range []bool{false, true} {
+						from := sort.SearchStrings(sorted, at)
+						if strict && from < len(sorted) && sorted[from] == at {
+							from++
+						}
+						if got := walk(r, at, strict); !slices.Equal(got, sorted[from:]) {
+							t.Fatalf("step %d: cursor from (%q, strict=%v) walked %d keys, model %d", step, at, strict, len(got), len(sorted)-from)
+						}
+						if c := r.Seek(at, strict); c.Head() != nil && c.Head().Val != model[c.Head().Key] {
+							t.Fatalf("step %d: cursor head %+v, model %d", step, *c.Head(), model[c.Head().Key])
+						}
+					}
+				}
 			}
 		})
 	}
 }
 
-// TestAppendKeys checks the range walk against a filter of the sorted
-// keys, across block boundaries and every shape of bound.
-func TestAppendKeys(t *testing.T) {
-	var r Run[struct{}]
+// TestCursorWalksFromEveryBound checks the cursor against a filter of
+// the sorted keys, across block boundaries and every shape of bound, and
+// that an entry's value can be written through it.
+func TestCursorWalksFromEveryBound(t *testing.T) {
+	var r Run[int]
 	var keys []string
 	for i := 0; i < 3*blockLen+7; i++ {
 		k := fmt.Sprintf("r%04d", 2*i)
@@ -98,21 +135,28 @@ func TestAppendKeys(t *testing.T) {
 	bounds := []string{"", "r", "r0000", "r0001", "r0254", "r0255", "r0256", "r0510", keys[len(keys)-1], "r9999", "s"}
 	for _, lo := range bounds {
 		for _, strict := range []bool{false, true} {
-			for _, end := range bounds {
-				for _, n := range []int{-1, 0, 1, blockLen, 10000} {
-					var want []string
-					for _, k := range keys {
-						if k < lo || (strict && k == lo) || (end != "" && k >= end) || len(want) == n {
-							continue
-						}
-						want = append(want, k)
-					}
-					got := r.AppendKeys(nil, lo, strict, end, n)
-					if !slices.Equal(got, want) {
-						t.Fatalf("AppendKeys(lo=%q strict=%v end=%q n=%d) = %d keys, want %d", lo, strict, end, n, len(got), len(want))
-					}
+			var want []string
+			for _, k := range keys {
+				if k > lo || (!strict && k == lo) {
+					want = append(want, k)
 				}
 			}
+			if got := walk(r, lo, strict); !slices.Equal(got, want) {
+				t.Fatalf("cursor from (lo=%q strict=%v) walked %d keys, want %d", lo, strict, len(got), len(want))
+			}
+		}
+	}
+	if c := (Run[int]{}).Seek("", false); c.Head() != nil {
+		t.Fatal("a cursor into the empty run has a head")
+	}
+	n := 0
+	for c := r.Seek("", false); c.Head() != nil; c.Next() {
+		c.Head().Val = n
+		n++
+	}
+	for i, e := range check(t, r) {
+		if e.Val != i {
+			t.Fatalf("entry %d holds %d after the writing walk", i, e.Val)
 		}
 	}
 }

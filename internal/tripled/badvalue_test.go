@@ -139,6 +139,51 @@ func TestClientRejectsLineBreakingValuesBeforeSending(t *testing.T) {
 	}
 }
 
+// TestPublishRejectsBadKeysBeforeSending: the pipeline checks a row's
+// key once for all its cells, so a bad key in any row but the first —
+// whose cells were fine and already queued — a bad key on a row whose
+// name is empty (the key is the prefix alone), a bad column and a bad
+// value in a later cell of a good row must each still fail the publish
+// with its typed error before the batch holding it is sent.
+func TestPublishRejectsBadKeysBeforeSending(t *testing.T) {
+	srv, c := serveTest(t)
+	wantBadKey := func(what, key string, err error) {
+		t.Helper()
+		var bk *BadKeyError
+		if !errors.As(err, &bk) || bk.Key != key {
+			t.Errorf("%s = %v, want BadKeyError for %q", what, err, key)
+		}
+	}
+	table := func(cells ...Cell) *assoc.Assoc {
+		a := assoc.New()
+		for _, c := range cells {
+			a.Set(c.Row, c.Col, c.Val)
+		}
+		return a
+	}
+	good := []Cell{{Row: "a", Col: "c1", Val: assoc.Num(1)}, {Row: "a", Col: "c2", Val: assoc.Str("fine")}}
+	for _, bad := range []string{"b\rad", "b\tad", "b\nad"} {
+		a := table(append(good[:2:2], Cell{Row: bad, Col: "c1", Val: assoc.Num(2)}, Cell{Row: "z", Col: "c1", Val: assoc.Num(3)})...)
+		wantBadKey(fmt.Sprintf("PublishAssoc(second row %q)", bad), "t/"+bad, c.PublishAssoc("t/", a, 1024))
+		a = table(append(good[:2:2], Cell{Row: "a", Col: bad, Val: assoc.Num(2)})...)
+		wantBadKey(fmt.Sprintf("PublishAssoc(third column %q)", bad), bad, c.PublishAssoc("t/", a, 1024))
+	}
+	wantBadKey("PublishAssoc(bad prefix, empty row name)", "p\r/", c.PublishAssoc("p\r/", table(Cell{Row: "", Col: "c", Val: assoc.Num(1)}), 1024))
+	wantBadValue(t, "PublishAssoc(bad value in a good row's second cell)",
+		c.PublishAssoc("t/", table(good[0], Cell{Row: "a", Col: "c2", Val: assoc.Str("x\ny")}), 1024))
+	p := c.StartPipeline(1024)
+	p.Put("a", "c", assoc.Num(1))
+	p.Put("b\rad", "c", assoc.Num(2))
+	wantBadKey("Pipeline.Put(bad row)", "b\rad", p.Close())
+	if n, err := c.NNZ(); err != nil || n != 0 || srv.store.NNZ() != 0 {
+		t.Fatalf("NNZ = %d, %v after client-side refusals; server holds %d", n, err, srv.store.NNZ())
+	}
+	// The server does not take the client's word: every line is checked.
+	if _, err := parseMutation([]string{"PUT", "b\rad", "c", "n", "1"}); err == nil {
+		t.Error("parseMutation accepted a carriage return in a row key")
+	}
+}
+
 // TestProtocolRejectsCarriageReturnValue talks to the server past the
 // client's own check: a PUT and a BATCH body line whose value holds a
 // carriage return are refused at parse time — before the WAL or the

@@ -173,13 +173,16 @@ func putLine(row, col string, v assoc.Value) string {
 	return string(appendCell([]byte("PUT\t"), row, col, v))
 }
 
-// validateWire refuses, before anything is sent, a cell the server
-// would refuse or — worse — misread: keys and values the line formats
-// cannot carry (BadKeyError, BadValueError), and a tab inside a string
-// value, which the store can hold but a request line cannot.
-func validateWire(row, col string, v assoc.Value) error {
-	c := Cell{Row: row, Col: col, Val: v}
-	if err := c.validate(); err != nil {
+// validateWire refuses, before anything is sent, what the server would
+// refuse or — worse — misread in a cell of a row whose key has passed
+// ValidateKey: a column key or value the line formats cannot carry
+// (BadKeyError, BadValueError), and a tab inside a string value, which
+// the store can hold but a request line cannot.
+func validateWire(col string, v assoc.Value) error {
+	if err := ValidateKey(col); err != nil {
+		return err
+	}
+	if err := ValidateValue(v); err != nil {
 		return err
 	}
 	if !v.Numeric && strings.Contains(v.Str, "\t") {
@@ -190,7 +193,10 @@ func validateWire(row, col string, v assoc.Value) error {
 
 // Put stores a value.
 func (c *Client) Put(row, col string, v assoc.Value) error {
-	if err := validateWire(row, col, v); err != nil {
+	if err := ValidateKey(row); err != nil {
+		return err
+	}
+	if err := validateWire(col, v); err != nil {
 		return err
 	}
 	resp, err := c.roundTrip(putLine(row, col, v))
@@ -382,8 +388,8 @@ func (c *Client) ScanAllRows(start, end string, pageSize int) ([]string, error) 
 // appendCells fetches one page of the bulk cell export (CELLS): every
 // cell of up to limit rows, in (row, col) order, with the cursor being
 // the last row key of the page. Unlike ScanRows, a short page does not
-// prove the scan is done (rows deleted concurrently drop out of a
-// page); loop until an empty page, as FetchAssoc does. The page is
+// prove the scan is done (the server clamps the rows of a page); loop
+// until an empty page, as FetchAssoc does. The page is
 // appended to dst, so FetchAssoc and DeletePrefix reuse one buffer
 // across the pages of a table.
 func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, error) {
@@ -525,7 +531,7 @@ func (c *Client) PublishAssoc(prefix string, a *assoc.Assoc, batchSize int) erro
 		return err
 	}
 	p := c.StartPipeline(batchSize)
-	row, key := "", prefix // the row being walked and its prefixed key, built once
+	row, key := "", prefix // the row being walked and its prefixed key, built once (and so validated once)
 	a.Iterate(func(r, col string, v assoc.Value) bool {
 		if r != row {
 			row, key = r, prefix+r
@@ -568,9 +574,8 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 // column order, each after every row before it, so a page is handed to
 // the array as one slab of rows (assoc.SetRows): one allocation for its
 // cells and one for its rows' headers. The scan ends at the first empty
-// page: a short non-empty page only advances the cursor (concurrent
-// deletes can legitimately shorten a page), so nothing is silently
-// truncated.
+// page: a short non-empty page only advances the cursor (the server
+// clamps a page's rows), so nothing is silently truncated.
 func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	if pageRows < 1 {
 		pageRows = 512

@@ -16,7 +16,6 @@ package tripled
 
 import (
 	"hash/crc32"
-	"sort"
 
 	"repro/internal/assoc"
 )
@@ -80,20 +79,13 @@ func (r *row) digest() RowDigestEntry {
 // BucketDigests returns the nb bucket digests of the whole table, as
 // one atomic snapshot (all stripes read-locked).
 func (s *Store) BucketDigests(nb int) []BucketDigest {
-	if nb < 1 {
-		nb = 1
-	}
-	out := make([]BucketDigest, nb)
-	s.rlockAll()
-	defer s.runlockAll()
-	for _, st := range s.stripes {
-		for key, r := range st.rows {
-			e := r.digest()
-			b := DigestBucket(key, nb)
-			out[b].Count += e.Count
-			out[b].Sum += e.Sum
-		}
-	}
+	out := make([]BucketDigest, max(nb, 1))
+	s.page("", "", 0, "", func(r *row) {
+		e := r.digest()
+		b := DigestBucket(r.key, len(out))
+		out[b].Count += e.Count
+		out[b].Sum += e.Sum
+	})
 	return out
 }
 
@@ -101,20 +93,12 @@ func (s *Store) BucketDigests(nb int) []BucketDigest {
 // bucket of the nb-bucket partition — or for every row when bucket is
 // negative. Like BucketDigests it is an atomic snapshot.
 func (s *Store) RowDigests(nb, bucket int) []RowDigestEntry {
-	if nb < 1 {
-		nb = 1
-	}
+	nb = max(nb, 1)
 	var out []RowDigestEntry
-	s.rlockAll()
-	defer s.runlockAll()
-	for _, st := range s.stripes {
-		for key, r := range st.rows {
-			if bucket >= 0 && DigestBucket(key, nb) != bucket {
-				continue
-			}
+	s.page("", "", 0, "", func(r *row) {
+		if bucket < 0 || DigestBucket(r.key, nb) == bucket {
 			out = append(out, r.digest())
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Row < out[j].Row })
+	})
 	return out
 }

@@ -114,6 +114,107 @@ func FuzzReplayLog(f *testing.F) {
 	})
 }
 
+// FuzzStoreScan reads its input as a script: a stripe count, then any
+// sequence of puts, deletes, put batches and delete batches over a small
+// key space — so rows collide, empty out and return — with, between
+// them, scans of any (start, end, limit, cursor): live keys, dead ones,
+// bare prefixes, empty, bounds crossed. Every ScanRows and appendCells
+// page is diffed against the map-of-maps model, which has never seen
+// the index or the merge, and the structural invariants are checked
+// after every step.
+func FuzzStoreScan(f *testing.F) {
+	f.Add([]byte{16, 0, 1, 2, 0, 3, 4, 4, 0, 0, 0, 0})
+	f.Add([]byte{1, 2, 9, 9, 5, 2, 9, 9, 6, 4, 9, 0, 2, 9, 1, 1, 9, 9})
+	f.Add([]byte("\x10\x02\x00\x00\x20\x02\x40\x00\x20\x04\x00\xff\x03\x41\x03\x40\x00\x07\x04\x42\x00\x01\x00"))
+	f.Add([]byte{3, 0, 200, 1, 0, 100, 1, 0, 50, 1, 4, 255, 255, 1, 50, 1, 200, 1, 4, 0, 0, 0, 0, 1, 100, 1, 4, 100, 0, 2, 50})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		s, m := NewStoreStripes(1+int(next())%20), newMapStore()
+		row := func(b byte) string { return fmt.Sprintf("%c/%02d", 'a'+b>>6, b&63) }
+		col := func(b byte) string { return fmt.Sprintf("c%d", b%5) }
+		bound := func(b byte) string { // a scan argument: empty, a bare prefix, or a row key live or not
+			switch {
+			case b == 0:
+				return ""
+			case b%16 == 15:
+				return string(rune('a' + b>>6))
+			default:
+				return row(b)
+			}
+		}
+		for step := 0; len(data) > 0; step++ {
+			switch op := next() % 5; op {
+			case 0:
+				r, c, v := row(next()), col(next()), assoc.Num(float64(step))
+				if err := s.Put(r, c, v); err != nil {
+					t.Fatal(err)
+				}
+				m.put(r, c, v)
+			case 1:
+				r, c := row(next()), col(next())
+				if got, want := s.Delete(r, c), m.del(r, c); got != want {
+					t.Fatalf("step %d: Delete(%q,%q) = %v, model %v", step, r, c, got, want)
+				}
+			case 2, 3: // a batch: runs of same-row cells, the row changing now and then
+				n, r := int(next()%24), row(next())
+				var cells []Cell
+				var keys []CellKey
+				for i := 0; i < n; i++ {
+					b := next()
+					if b%4 == 0 {
+						r = row(b)
+					}
+					cells = append(cells, Cell{Row: r, Col: col(b >> 2), Val: assoc.Str(fmt.Sprint(step, i))})
+					keys = append(keys, CellKey{Row: r, Col: col(b >> 2)})
+				}
+				if op == 2 {
+					if err := s.PutBatch(cells); err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range cells {
+						m.put(c.Row, c.Col, c.Val)
+					}
+					break
+				}
+				want := 0
+				for _, k := range keys {
+					if m.del(k.Row, k.Col) {
+						want++
+					}
+				}
+				if got := s.DeleteBatch(keys); got != want {
+					t.Fatalf("step %d: DeleteBatch of %d keys = %d, model %d", step, len(keys), got, want)
+				}
+			case 4:
+				start, end, cursor, limit := bound(next()), bound(next()), bound(next()), int(next()%12)-2
+				rows, more := s.ScanRows(start, end, limit, cursor)
+				wantRows, wantMore := m.scanRows(start, end, limit, cursor)
+				if !slices.Equal(rows, wantRows) || more != wantMore {
+					t.Fatalf("step %d: ScanRows(%q,%q,%d,%q) = %v more=%v, model %v more=%v",
+						step, start, end, limit, cursor, rows, more, wantRows, wantMore)
+				}
+				cells, more := s.appendCells(nil, start, end, limit, cursor)
+				wantCells, wantMore := m.scanCells(start, end, limit, cursor)
+				if !cellsEqual(cells, wantCells) || more != wantMore {
+					t.Fatalf("step %d: appendCells(%q,%q,%d,%q) = %d cells more=%v, model %d cells more=%v",
+						step, start, end, limit, cursor, len(cells), more, len(wantCells), wantMore)
+				}
+			}
+			verifyStoreInvariants(t, s)
+		}
+		if got, want := storeLog(t, s), m.writeLog(); string(got) != string(want) {
+			t.Fatalf("the store's log differs from the model's:\n%s\nmodel:\n%s", got, want)
+		}
+	})
+}
+
 // swallowWrites is a connection whose requests go nowhere, so that a
 // request sent after the canned server has hung up fails at the reply
 // it never gets and not, depending on who ran first, at the send.

@@ -2,7 +2,6 @@ package tripled
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/assoc"
@@ -19,25 +18,36 @@ func valueEqual(a, b assoc.Value) bool {
 }
 
 // verifyStoreInvariants cross-checks every stripe's redundant
-// structures: each row's run (columns strictly ascending, never
-// empty), each cell's column membership and the
-// back-position that makes leaving a column O(1), each column's member
-// list (no empty column, every member holding the column at that very
-// position, the column's one name string keying the cell), nnz vs cell
-// count (degree tables are derived from run and member-list lengths,
-// so their correctness rides on the same checks), row-to-stripe
-// placement, and the ordered row index (holding exactly the sorted
-// keys of the row map). The fuzz, soak, differential and crash tests
-// call it to prove no input sequence can corrupt the store.
+// structures: the row index (keys strictly ascending, so each row once;
+// every entry holding a row of that very key, which hashes to this
+// stripe), each row's run (columns strictly ascending, never empty),
+// each cell's column membership and the back-position that makes
+// leaving a column O(1), each column's member list (no empty column,
+// every member the row the index holds under its key, holding the
+// column at that very position, the column's one name string keying the
+// cell), and nnz vs cell count (degree tables are derived from run and
+// member-list lengths, so their correctness rides on the same checks).
+// The fuzz, soak, differential and crash tests call it to prove no
+// input sequence can corrupt the store.
 func verifyStoreInvariants(t *testing.T, s *Store) {
 	t.Helper()
 	total := 0
 	for i, st := range s.stripes {
 		st.mu.RLock()
 		nnz := 0
-		for key, r := range st.rows {
+		prevKey, firstKey := "", true
+		for entry := range st.index.All() {
+			key, r := entry.Key, entry.Val
+			if !firstKey && key <= prevKey {
+				t.Errorf("stripe %d index not strictly ascending: %q after %q", i, key, prevKey)
+			}
+			prevKey, firstKey = key, false
 			if s.stripeFor(key) != st {
 				t.Errorf("stripe %d holds row %q that hashes elsewhere", i, key)
+			}
+			if r == nil {
+				t.Errorf("stripe %d indexes %q with no row", i, key)
+				continue
 			}
 			if r.key != key {
 				t.Errorf("stripe %d files row %q under %q", i, r.key, key)
@@ -61,9 +71,6 @@ func verifyStoreInvariants(t *testing.T, s *Store) {
 				t.Errorf("row %q Len = %d, walk %d", key, got, r.digest().Count)
 			}
 		}
-		if indexed, want := st.index.AppendKeys(nil, "", false, "", -1), sortedKeys(nil, st.rows); !slices.Equal(indexed, want) {
-			t.Errorf("stripe %d row index holds %d keys out of step with the %d sorted row keys", i, len(indexed), len(want))
-		}
 		if nnz != st.nnz {
 			t.Errorf("stripe %d nnz = %d, recount %d", i, st.nnz, nnz)
 		}
@@ -79,7 +86,7 @@ func verifyStoreInvariants(t *testing.T, s *Store) {
 			members += len(c.rows)
 			for pos, r := range c.rows {
 				e := r.cells.Get(name)
-				if e == nil || e.Val.pos != pos || st.rows[r.key] != r {
+				if e == nil || e.Val.pos != pos || st.row(r.key) != r {
 					t.Errorf("column %q member %d (row %q) does not hold the column at that position", name, pos, r.key)
 				}
 			}

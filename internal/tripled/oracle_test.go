@@ -87,8 +87,9 @@ func (m *mapStore) cellsOf(rows []string) []Cell {
 	return out
 }
 
-// scanCells is the CELLS page by a full walk: filter, sort, cut.
-func (m *mapStore) scanCells(start, end string, limit int, cursor string) ([]Cell, bool) {
+// scanRows is the paged row scan by a full walk of the row map — filter,
+// sort, cut — which has never seen an ordered index.
+func (m *mapStore) scanRows(start, end string, limit int, cursor string) ([]string, bool) {
 	var rows []string
 	for r := range m.rows {
 		if r < start || (end != "" && r >= end) || (cursor != "" && r <= cursor) {
@@ -97,10 +98,15 @@ func (m *mapStore) scanCells(start, end string, limit int, cursor string) ([]Cel
 		rows = append(rows, r)
 	}
 	sort.Strings(rows)
-	more := limit > 0 && len(rows) > limit
-	if more {
-		rows = rows[:limit]
+	if limit > 0 && len(rows) > limit {
+		return rows[:limit], true
 	}
+	return rows, false
+}
+
+// scanCells is the CELLS page the same way: the cells of scanRows' page.
+func (m *mapStore) scanCells(start, end string, limit int, cursor string) ([]Cell, bool) {
+	rows, more := m.scanRows(start, end, limit, cursor)
 	return m.cellsOf(rows), more
 }
 
@@ -127,10 +133,7 @@ func (m *mapStore) topRows(k int) []RowDegree {
 		}
 		return out[i].Row < out[j].Row
 	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return out[:max(0, min(k, len(out)))]
 }
 
 func (m *mapStore) bucketDigests(nb int) []BucketDigest {
@@ -188,7 +191,7 @@ func diffStore(t *testing.T, step int, what string, s *Store, m *mapStore, rowSp
 			fail("Col(%q) = %v, model %v", c, got, want)
 		}
 	}
-	for _, k := range []int{0, 3, 1 << 20} {
+	for _, k := range []int{-1, 0, 3, 1 << 20} {
 		if got, want := s.TopRowsByDegree(k), m.topRows(k); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 			fail("TopRowsByDegree(%d) = %v, model %v", k, got, want)
 		}

@@ -27,6 +27,7 @@ const maxInflight = 32
 type Pipeline struct {
 	c         *Client
 	batchSize int
+	row       string // the last row key Put validated
 	body      []byte // assembled body lines of the batch being built
 	count     int    // ops in body
 	inflight  []int  // op counts of sent-but-unacked batches
@@ -47,7 +48,13 @@ func (p *Pipeline) Put(row, col string, v assoc.Value) {
 	if p.err != nil {
 		return
 	}
-	if p.err = validateWire(row, col, v); p.err != nil {
+	if row != p.row { // tables arrive row-major: a row's key is checked once, not once per cell
+		if p.err = ValidateKey(row); p.err != nil {
+			return
+		}
+		p.row = row
+	}
+	if p.err = validateWire(col, v); p.err != nil {
 		return
 	}
 	p.body = append(appendCell(append(p.body, "PUT\t"...), row, col, v), '\n')

@@ -1,56 +1,21 @@
 package tripled
 
-// scan_test.go polices the ordered row index behind ScanRows and
-// the CELLS pages. The oracle is the scan the index replaced — walk every row
-// of every stripe, keep the matches, sort, cut — and a model-based
-// property test drives random puts, deletes and scans through the store
-// at one stripe and at sixteen, diffing every scan against it.
+// scan_test.go polices the ordered walk behind ScanRows and the CELLS
+// pages. The oracle is the map-of-maps model (oracle_test.go) — walk
+// every row, keep the matches, sort, cut — which shares nothing with the
+// stripes' index, and a model-based property test drives random puts,
+// deletes and scans through the store at one stripe and at sixteen,
+// diffing every scan against it.
 
 import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/assoc"
 )
-
-// scanRowsOracle is the pre-index ScanRows: a full walk of the row
-// maps, never the index.
-func scanRowsOracle(s *Store, start, end string, limit int, cursor string) ([]string, bool) {
-	var out []string
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		for r := range st.rows {
-			if r < start || (end != "" && r >= end) || (cursor != "" && r <= cursor) {
-				continue
-			}
-			out = append(out, r)
-		}
-		st.mu.RUnlock()
-	}
-	sort.Strings(out)
-	if limit > 0 && len(out) > limit {
-		return out[:limit], true
-	}
-	return out, false
-}
-
-// scanCellsOracle is the pre-index CELLS page over a quiescent store:
-// the oracle's page, each row copied out through Row.
-func scanCellsOracle(s *Store, start, end string, limit int, cursor string) ([]Cell, bool) {
-	rows, more := scanRowsOracle(s, start, end, limit, cursor)
-	var out []Cell
-	for _, r := range rows {
-		cells := s.Row(r)
-		for _, c := range sortedKeys(nil, cells) {
-			out = append(out, Cell{Row: r, Col: c, Val: cells[c]})
-		}
-	}
-	return out, more
-}
 
 func cellsEqual(a, b []Cell) bool {
 	return slices.EqualFunc(a, b, func(x, y Cell) bool {
@@ -67,7 +32,7 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 	for _, stripes := range []int{1, 16} {
 		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(stripes)))
-			s := NewStoreStripes(stripes)
+			s, m := NewStoreStripes(stripes), newMapStore()
 			key := func() string { return fmt.Sprintf("%c/%03d", 'a'+rng.Intn(4), rng.Intn(700)) }
 			cols := []string{"packets", "class", "intent"}
 			var deleted []string
@@ -88,13 +53,13 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 				start, end, cursor := bound(), bound(), bound()
 				limit := limits[rng.Intn(len(limits))]
 				rows, more := s.ScanRows(start, end, limit, cursor)
-				wantRows, wantMore := scanRowsOracle(s, start, end, limit, cursor)
+				wantRows, wantMore := m.scanRows(start, end, limit, cursor)
 				if !slices.Equal(rows, wantRows) || more != wantMore {
 					t.Fatalf("ScanRows(%q, %q, %d, %q) = %d rows, more=%v; oracle %d rows, more=%v\n got %v\nwant %v",
 						start, end, limit, cursor, len(rows), more, len(wantRows), wantMore, rows, wantRows)
 				}
 				cells, more := s.appendCells(nil, start, end, limit, cursor)
-				wantCells, wantMore := scanCellsOracle(s, start, end, limit, cursor)
+				wantCells, wantMore := m.scanCells(start, end, limit, cursor)
 				if !cellsEqual(cells, wantCells) || more != wantMore {
 					t.Fatalf("appendCells(%q, %q, %d, %q) = %d cells, more=%v; oracle %d cells, more=%v",
 						start, end, limit, cursor, len(cells), more, len(wantCells), wantMore)
@@ -105,12 +70,16 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 				for i := 0; i < 4000; i++ {
 					row := key()
 					if rng.Intn(100) < putShare {
-						if err := s.Put(row, cols[rng.Intn(len(cols))], assoc.Num(float64(i))); err != nil {
+						col := cols[rng.Intn(len(cols))]
+						if err := s.Put(row, col, assoc.Num(float64(i))); err != nil {
 							t.Fatal(err)
 						}
+						m.put(row, col, assoc.Num(float64(i)))
 					} else {
 						for _, c := range cols {
-							s.Delete(row, c)
+							if s.Delete(row, c) != m.del(row, c) {
+								t.Fatalf("Delete(%q, %q) disagrees with the model", row, c)
+							}
 						}
 						deleted = append(deleted, row)
 					}
@@ -129,6 +98,7 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 				for _, r := range rows {
 					for _, c := range cols {
 						s.Delete(r, c)
+						m.del(r, c)
 					}
 				}
 				check()
@@ -154,12 +124,14 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 // scan: no row lost or repeated at a page, block or stripe boundary.
 func TestPagedScanCoversEveryRowOnce(t *testing.T) {
 	for _, stripes := range []int{1, 16} {
-		s := NewStoreStripes(stripes)
+		s, m := NewStoreStripes(stripes), newMapStore()
 		for i := 0; i < 1500; i++ {
-			s.Put(fmt.Sprintf("p/%05d", i*7919%1500), "c", assoc.Num(float64(i)))
-			s.Put(fmt.Sprintf("q/%05d", i), "c", assoc.Num(float64(i)))
+			for _, row := range []string{fmt.Sprintf("p/%05d", i*7919%1500), fmt.Sprintf("q/%05d", i)} {
+				s.Put(row, "c", assoc.Num(float64(i)))
+				m.put(row, "c", assoc.Num(float64(i)))
+			}
 		}
-		want, _ := scanRowsOracle(s, "p/", PrefixEnd("p/"), 0, "")
+		want, _ := m.scanRows("p/", PrefixEnd("p/"), 0, "")
 		for _, page := range []int{1, 255, 256, 257, 512, 1499, 1500, 1501} {
 			var got []string
 			cursor := ""
@@ -182,27 +154,29 @@ func TestPagedScanCoversEveryRowOnce(t *testing.T) {
 }
 
 // TestScanCellsUnderConcurrentRowDeletes is the -race case: churners
-// delete and re-put whole rows (one batch each, so a row is only ever
-// whole or absent) while scanners page the table a row or two at a
-// time, so pages regularly lose every selected row between selection
-// and read. Stable rows interleave with the churned ones: every full
-// scan must return each of them exactly once, whole and in order — a
-// page emptied under the scanner must advance it, never end the scan —
-// and a churned row is either whole or missing.
+// delete and re-put whole rows (one batch each, a new value every time,
+// so a row is only ever whole, of one value, or absent) while scanners
+// page the table a row or two at a time. A page is a snapshot taken
+// under every stripe's read lock, so under any churn: a row in it is
+// whole and of one value; its rows ascend from past the cursor; a page
+// that reports more holds exactly limit rows — no row selected and then
+// lost — and an empty page therefore ends the scan; and the stable rows
+// interleaved with the churned ones turn up exactly once per scan, in
+// order.
 func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 	const rows, scans = 120, 60
 	cols := []string{"a", "b", "c"}
-	rowCells := func(i int) []Cell {
+	rowCells := func(i, gen int) []Cell {
 		out := make([]Cell, len(cols))
 		for j, c := range cols {
-			out[j] = Cell{Row: fmt.Sprintf("t/%04d", i), Col: c, Val: assoc.Num(float64(i))}
+			out[j] = Cell{Row: fmt.Sprintf("t/%04d", i), Col: c, Val: assoc.Num(float64(gen))}
 		}
 		return out
 	}
 	s := NewStore()
 	var stable []string
 	for i := 0; i < rows; i++ {
-		s.PutBatch(rowCells(i))
+		s.PutBatch(rowCells(i, 0))
 		if i%4 == 3 { // three churned rows, then a stable one
 			stable = append(stable, fmt.Sprintf("t/%04d", i))
 		}
@@ -213,7 +187,7 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 		churners.Add(1)
 		go func(w int) {
 			defer churners.Done()
-			for i := w; ; i = (i + 3) % rows {
+			for i, gen := w, 1; ; i, gen = (i+3)%rows, gen+1 {
 				select {
 				case <-stop:
 					return
@@ -222,7 +196,7 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 				if i%4 == 3 {
 					continue
 				}
-				cells := rowCells(i)
+				cells := rowCells(i, gen)
 				keys := make([]CellKey, len(cells))
 				for j, c := range cells {
 					keys[j] = CellKey{Row: c.Row, Col: c.Col}
@@ -241,23 +215,32 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 				cursor := ""
 				for {
 					cells, more := s.appendCells(nil, "t/", PrefixEnd("t/"), limit, cursor)
+					if len(cells)%len(cols) != 0 {
+						t.Errorf("limit %d: page of %d cells after %q is not whole rows", limit, len(cells), cursor)
+						return
+					}
 					for i := 0; i < len(cells); i += len(cols) {
-						if i+len(cols) > len(cells) || cells[i].Row != cells[i+len(cols)-1].Row {
-							t.Errorf("limit %d: torn row in page after %q", limit, cursor)
+						row := cells[i : i+len(cols)]
+						if row[0].Row <= cursor {
+							t.Errorf("limit %d: row %q does not ascend from %q", limit, row[0].Row, cursor)
 							return
 						}
-						if slices.Contains(stable, cells[i].Row) {
-							seen = append(seen, cells[i].Row)
+						for j, c := range row {
+							if c.Row != row[0].Row || c.Col != cols[j] || c.Val != row[0].Val {
+								t.Errorf("limit %d: torn row in page after %q: %v", limit, cursor, row)
+								return
+							}
 						}
-					}
-					if len(cells) > 0 {
-						cursor = cells[len(cells)-1].Row
+						cursor = row[0].Row
+						if slices.Contains(stable, cursor) {
+							seen = append(seen, cursor)
+						}
 					}
 					if !more {
 						break
 					}
-					if len(cells) == 0 {
-						t.Errorf("limit %d: empty page with more=true after %q", limit, cursor)
+					if len(cells) != limit*len(cols) {
+						t.Errorf("limit %d: more=true on a page of %d rows ending at %q", limit, len(cells)/len(cols), cursor)
 						return
 					}
 				}
@@ -272,4 +255,33 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 	close(stop)
 	churners.Wait()
 	verifyStoreInvariants(t, s)
+}
+
+// TestPageAllocsIndependentOfStripesAndStoreSize is the exact gate on
+// the scan's overfetch: one 512-row CELLS page into a reused buffer
+// allocates the same number of times at 1, 16 and 64 stripes and with
+// ten times the rows resident — the walk keeps one head per stripe and
+// copies no keys, so nothing it allocates scales with either.
+func TestPageAllocsIndependentOfStripesAndStoreSize(t *testing.T) {
+	page := func(stripes, rows int) float64 {
+		s := NewStoreStripes(stripes)
+		for i := 0; i < rows; i++ {
+			for _, c := range []string{"a", "b", "c"} {
+				s.Put(fmt.Sprintf("t/%06d", i*7919%rows), c, assoc.Num(float64(i)))
+			}
+		}
+		buf := make([]Cell, 0, 3*512)
+		return testing.AllocsPerRun(20, func() {
+			cells, more := s.appendCells(buf[:0], "t/", PrefixEnd("t/"), 512, "t/000100")
+			if len(cells) != 3*512 || !more {
+				t.Fatalf("page holds %d cells, more=%v", len(cells), more)
+			}
+		})
+	}
+	base := page(1, 2000)
+	for _, c := range []struct{ stripes, rows int }{{16, 2000}, {64, 2000}, {16, 20000}} {
+		if got := page(c.stripes, c.rows); got != base {
+			t.Errorf("a 512-row page allocates %v times at %d stripes over %d rows, %v at 1 stripe over 2000", got, c.stripes, c.rows, base)
+		}
+	}
 }

@@ -23,7 +23,10 @@ package tripled
 //	CELLS <start> <end> <limit> <cursor>
 //	                       -> like SCAN but the block holds every cell
 //	                          of the page's rows as row/col/type/value
-//	                          lines (bulk export, one trip per page)
+//	                          lines (bulk export, one trip per page).
+//	                          A page is one atomic snapshot of at most
+//	                          4096 rows whatever <limit> says: resume
+//	                          until a page comes back empty
 //	TOPDEG <k>             -> block of row/degree pairs
 //	NNZ
 //	QUIT
@@ -56,6 +59,11 @@ const (
 	// DefaultMaxBatch caps the declared count of a BATCH request; larger
 	// counts are refused and the connection closed.
 	DefaultMaxBatch = 1 << 16
+	// maxPageRows caps the rows of one CELLS page whatever limit it asks
+	// for: a page holds every stripe's read lock while it is assembled.
+	maxPageRows = 1 << 12
+	// maxPooledPage is the largest page buffer, in cells, pagePool keeps.
+	maxPooledPage = 1 << 16
 )
 
 // Option configures a Server.
@@ -290,9 +298,9 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 		for _, r := range rows {
 			fmt.Fprintln(w, r)
 		}
-	case "SCAN":
+	case "SCAN", "CELLS":
 		if len(parts) != 5 {
-			fmt.Fprintln(w, "ERR SCAN wants 4 arguments")
+			fmt.Fprintf(w, "ERR %s wants 4 arguments\n", cmd)
 			return false
 		}
 		limit, err := strconv.Atoi(parts[3])
@@ -300,30 +308,25 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 			fmt.Fprintln(w, "ERR bad limit")
 			return false
 		}
-		rows, _ := s.store.ScanRows(parts[1], parts[2], limit, parts[4])
-		fmt.Fprintf(w, "BLOCK %d\n", len(rows))
-		for _, r := range rows {
-			fmt.Fprintln(w, r)
-		}
-	case "CELLS":
-		if len(parts) != 5 {
-			fmt.Fprintln(w, "ERR CELLS wants 4 arguments")
-			return false
-		}
-		limit, err := strconv.Atoi(parts[3])
-		if err != nil || limit < 1 {
-			fmt.Fprintln(w, "ERR bad limit")
+		if cmd == "SCAN" {
+			rows, _ := s.store.ScanRows(parts[1], parts[2], limit, parts[4])
+			fmt.Fprintf(w, "BLOCK %d\n", len(rows))
+			for _, r := range rows {
+				fmt.Fprintln(w, r)
+			}
 			return false
 		}
 		page := pagePool.Get().(*[]Cell)
-		cells, _ := s.store.appendCells((*page)[:0], parts[1], parts[2], limit, parts[4])
+		cells, _ := s.store.appendCells((*page)[:0], parts[1], parts[2], min(limit, maxPageRows), parts[4])
 		fmt.Fprintf(w, "BLOCK %d\n", len(cells))
 		for _, c := range cells {
 			w.Write(append(appendCell(w.AvailableBuffer(), c.Row, c.Col, c.Val), '\n'))
 		}
-		clear(cells) // a pooled page must not pin rows deleted since
-		*page = cells
-		pagePool.Put(page)
+		if cap(cells) <= maxPooledPage {
+			clear(cells) // a pooled page must not pin rows deleted since
+			*page = cells
+			pagePool.Put(page)
+		}
 	case "RESYNC":
 		return s.handleResync(w, parts)
 	case "TOPDEG":

@@ -7,6 +7,7 @@ package tripled
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -338,5 +339,58 @@ func TestFetchAssocTableAllocations(t *testing.T) {
 	t.Logf("%.3f table allocations per fetched row", perRow)
 	if perRow > 0.05 {
 		t.Errorf("FetchAssoc costs the table %.3f allocations per row, want <= 0.05", perRow)
+	}
+}
+
+// TestCellsPageIsClamped: a page is assembled with every stripe
+// read-locked, so the server bounds it. Through a real connection: a
+// CELLS request for a billion rows gets maxPageRows of them, the clients
+// that loop until an empty page (FetchAssoc, DeletePrefix) still see
+// every row whatever page size they ask for, SCAN keeps its contract (a
+// short page ends the scan, so it is not clamped), and a page buffer
+// wider than maxPooledPage cells does not go back to the pool.
+func TestCellsPageIsClamped(t *testing.T) {
+	srv, c := serveTest(t)
+	const rows = maxPageRows + 100
+	cells := make([]Cell, rows)
+	for i := range cells {
+		cells[i] = Cell{Row: fmt.Sprintf("t/%06d", i), Col: "c", Val: assoc.Num(float64(i))}
+	}
+	if err := srv.store.PutBatch(cells); err != nil {
+		t.Fatal(err)
+	}
+	page, err := c.appendCells(nil, "t/", PrefixEnd("t/"), 1_000_000_000, "")
+	if err != nil || len(page) != maxPageRows || page[len(page)-1].Row != cells[maxPageRows-1].Row {
+		t.Fatalf("CELLS for 1e9 rows returned %d rows, %v; want the first %d", len(page), err, maxPageRows)
+	}
+	keys, err := c.ScanRows("t/", PrefixEnd("t/"), 1_000_000_000, "")
+	if err != nil || len(keys) != rows {
+		t.Fatalf("SCAN for 1e9 rows returned %d rows, %v; want all %d", len(keys), err, rows)
+	}
+	back, err := c.FetchAssoc("t/", 1_000_000_000)
+	if err != nil || back.NRows() != rows {
+		t.Fatalf("FetchAssoc with a 1e9-row page fetched %v, %v; want %d rows", back, err, rows)
+	}
+	if err := c.DeletePrefix("t/", 1_000_000_000); err != nil || srv.store.NNZ() != 0 {
+		t.Fatalf("DeletePrefix with a 1e9-row page: %v, %d cells left", err, srv.store.NNZ())
+	}
+
+	// One row wider than the pool takes: its page must not be parked.
+	// A single P, so that what the handler pools is what Get finds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wide := make([]Cell, maxPooledPage+1)
+	for i := range wide {
+		wide[i] = Cell{Row: "wide", Col: fmt.Sprintf("c%06d", i), Val: assoc.Num(1)}
+	}
+	if err := srv.store.PutBatch(wide); err != nil {
+		t.Fatal(err)
+	}
+	if page, err = c.appendCells(page[:0], "wide", "", 1, ""); err != nil || len(page) != len(wide) {
+		t.Fatalf("CELLS of the wide row returned %d cells, %v", len(page), err)
+	}
+	for i := 0; i < 64; i++ {
+		if buf := pagePool.Get().(*[]Cell); cap(*buf) > maxPooledPage {
+			t.Fatalf("the pool holds a page buffer of %d cells, above the %d it may keep", cap(*buf), maxPooledPage)
+		}
 	}
 }

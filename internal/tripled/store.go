@@ -7,16 +7,20 @@
 // heaviest sources" queries cheap at honeyfarm scale.
 //
 // The store is sharded across stripes keyed by row hash: each stripe
-// has its own lock, rows, column membership, and ordered row-key index,
-// so writers on different rows never contend. A row is its cells as a
-// run sorted by column (internal/runs), each value stored once; bulk
+// has its own lock and is its rows in key order — one run keyed by row
+// (internal/runs), the only container that holds them — plus their
+// column membership, so writers on different rows never contend. A row
+// is its cells as a run sorted by column, each value stored once; bulk
 // mutations arrive as runs of same-row cells and cost one stripe hash
-// and one row lookup per run. Column queries and degree-table reads
-// merge the per-stripe tables on demand; range scans seek each stripe's
-// ordered index and merge the runs, so a page costs O(log rows + page),
-// not a walk of the store. The store is in-memory with an append-only
-// change log for persistence, and server.go exposes it over a
-// line-oriented TCP protocol.
+// and one index seek per run. Column queries and degree-table reads
+// merge the per-stripe tables on demand; everything ordered (SCAN and
+// CELLS pages, RANGE, the snapshot log) is one walk, Store.page, which
+// holds every stripe's read lock for one page and merges a cursor per
+// stripe lazily: a page is an atomic snapshot and costs
+// O(stripes * log rows + page), not a walk of the store. The store is
+// in-memory with an append-only change log for persistence, and
+// server.go exposes it over a line-oriented TCP protocol (and bounds
+// how many rows one page may hold the stripes locked for).
 package tripled
 
 import (
@@ -83,16 +87,15 @@ type column struct {
 	rows []*row
 }
 
-// stripe is one shard of the table: its rows, the column membership
-// restricted to them, and the ordered set of its row keys that range
-// scans seek into. Degree tables are not materialized — a row's degree
-// is the length of its run and a column's per-stripe degree is its
-// member count, merged on demand.
+// stripe is one shard of the table: its rows in key order — point
+// lookups search the index, scans seek into it — and the column
+// membership restricted to them. Degree tables are not materialized — a
+// row's degree is the length of its run and a column's per-stripe degree
+// is its member count, merged on demand.
 type stripe struct {
 	mu    sync.RWMutex
-	rows  map[string]*row
+	index runs.Run[*row] // every row of the stripe under its key
 	cols  map[string]*column
-	index runs.Run[struct{}] // the keys of rows, ordered
 	nnz   int
 }
 
@@ -116,10 +119,7 @@ func NewStoreStripes(n int) *Store {
 	}
 	s := &Store{stripes: make([]*stripe, n), seed: maphash.MakeSeed()}
 	for i := range s.stripes {
-		s.stripes[i] = &stripe{
-			rows: make(map[string]*row),
-			cols: make(map[string]*column),
-		}
+		s.stripes[i] = &stripe{cols: make(map[string]*column)}
 	}
 	return s
 }
@@ -149,16 +149,22 @@ func (s *Store) Put(row, col string, v assoc.Value) error {
 	return nil
 }
 
-// open returns the row under key, entering an empty one in the map and
-// the ordered index when the stripe has none; the caller fills it.
+// open returns the row under key, entering an empty one in the index
+// when the stripe has none; the caller fills it.
 func (st *stripe) open(key string) *row {
-	r := st.rows[key]
-	if r == nil {
-		r = &row{key: key}
-		st.rows[key] = r
-		st.index.Put(key)
+	e, added := st.index.Put(key)
+	if added {
+		e.Val = &row{key: key}
 	}
-	return r
+	return e.Val
+}
+
+// row returns the row under key, or nil.
+func (st *stripe) row(key string) *row {
+	if e := st.index.Get(key); e != nil {
+		return e.Val
+	}
+	return nil
 }
 
 // column returns the member list of the named column, starting an
@@ -285,7 +291,7 @@ func (s *Store) Get(row, col string) (assoc.Value, bool) {
 	st := s.stripeFor(row)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if r := st.rows[row]; r != nil {
+	if r := st.row(row); r != nil {
 		if e := r.cells.Get(col); e != nil {
 			return e.Val.val, true
 		}
@@ -306,7 +312,7 @@ func (s *Store) Delete(row, col string) bool {
 }
 
 func (st *stripe) del(key, col string) bool {
-	r := st.rows[key]
+	r := st.row(key)
 	if r == nil {
 		return false
 	}
@@ -316,7 +322,6 @@ func (st *stripe) del(key, col string) bool {
 	}
 	st.leave(col, c.pos)
 	if r.cells.NumBlocks() == 0 {
-		delete(st.rows, key)
 		st.index.Delete(key)
 	}
 	st.nnz--
@@ -367,7 +372,7 @@ func (s *Store) Row(row string) map[string]assoc.Value {
 	st := s.stripeFor(row)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	r := st.rows[row]
+	r := st.row(row)
 	if r == nil {
 		return nil
 	}
@@ -409,96 +414,103 @@ func (s *Store) RowRange(start, end string) []string {
 // row keys r with r >= start, r < end (empty end = unbounded), and
 // r > cursor when cursor is non-empty. A limit <= 0 means unlimited.
 // The second result reports whether more rows remain past the page —
-// pass the last returned key back as the cursor to continue. Each
-// stripe seeks its ordered index to the lower bound and yields at most
-// limit+1 keys, and the runs are merged: O(stripes * (log rows + limit))
-// per page, independent of how many rows the store holds elsewhere.
+// pass the last returned key back as the cursor to continue.
 func (s *Store) ScanRows(start, end string, limit int, cursor string) ([]string, bool) {
+	var out []string
+	more := s.page(start, end, limit, cursor, func(r *row) { out = append(out, r.key) })
+	return out, more
+}
+
+// page is the one ordered walk over all stripes: it calls visit with the
+// rows of one page of the scan ScanRows defines, in key order, and
+// reports whether rows remain past it. Every stripe is read-locked for
+// the whole page, so the page is an atomic snapshot and visit reads each
+// row in place. One cursor per stripe, seeked to the lower bound, is
+// merged lazily through a min-heap (rows live in exactly one stripe, so
+// no key is met twice): limit + stripes index entries are touched.
+func (s *Store) page(start, end string, limit int, cursor string, visit func(*row)) (more bool) {
 	lo, strict := start, false
 	if cursor != "" && cursor >= start {
 		lo, strict = cursor, true
 	}
-	take := -1
-	if limit > 0 {
-		take = limit + 1 // one past the page proves there is more
-	}
-	scratch := keyPool.Get().(*[]string)
-	keys := (*scratch)[:0]
-	bounds := make([]int, 1, len(s.stripes)+1)
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		keys = st.index.AppendKeys(keys, lo, strict, end, take)
-		st.mu.RUnlock()
-		bounds = append(bounds, len(keys))
 	}
-	more := limit > 0 && len(keys) > limit
-	if !more {
-		limit = len(keys)
+	defer func() {
+		for _, st := range s.stripes {
+			st.mu.RUnlock()
+		}
+	}()
+	heads := make(headHeap, 0, len(s.stripes))
+	for _, st := range s.stripes {
+		if c := st.index.Seek(lo, strict); c.Head() != nil {
+			heads = append(heads, head{c.Head().Key, c})
+		}
 	}
-	out := mergeRuns(keys, bounds, limit)
-	clear(keys) // a pooled buffer must not pin rows deleted since
-	*scratch = keys
-	keyPool.Put(scratch)
-	return out, more
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		heads.down(i)
+	}
+	for n := 0; len(heads) > 0; n++ {
+		h := &heads[0]
+		if end != "" && h.key >= end {
+			return false
+		}
+		if limit > 0 && n == limit {
+			return true
+		}
+		visit(h.cur.Head().Val)
+		if h.cur.Next(); h.cur.Head() != nil {
+			h.key = h.cur.Head().Key
+		} else {
+			last := len(heads) - 1
+			heads[0], heads = heads[last], heads[:last]
+		}
+		heads.down(0)
+	}
+	return false
 }
 
-// keyPool recycles ScanRows' per-stripe runs: up to limit+1 keys from
-// every stripe, of which only the merged page outlives the call.
-var keyPool = sync.Pool{New: func() any { return new([]string) }}
+// head is one stripe's cursor in page's merge, with the key under it
+// kept beside it so that comparing two heads reads no index block.
+type head struct {
+	key string
+	cur runs.Cursor[*row]
+}
 
-// mergeRuns merges the sorted runs keys[bounds[i]:bounds[i+1]] and
-// returns the n smallest keys in order, in a slice of their own. Rows
-// live in exactly one stripe, so the runs share no key.
-func mergeRuns(keys []string, bounds []int, n int) []string {
-	heads := append([]int(nil), bounds[:len(bounds)-1]...)
-	out := make([]string, 0, n)
-	for len(out) < n {
-		best := -1
-		for i, h := range heads {
-			if h < bounds[i+1] && (best < 0 || keys[h] < keys[heads[best]]) {
-				best = i
-			}
+// headHeap is page's merge state: the cursors that are not at their end,
+// as a binary min-heap on key.
+type headHeap []head
+
+// down restores the heap below position i after its cursor moved on.
+func (h headHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c+1 < len(h) && h[c+1].key < h[c].key {
+			c++
 		}
-		out = append(out, keys[heads[best]])
-		heads[best]++
+		if c >= len(h) || h[i].key <= h[c].key {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return out
 }
 
 // appendCells returns every cell of up to limit rows of the paged row
 // scan defined by ScanRows, sorted by (row, col), plus the more flag.
 // It is the bulk-export query: one round trip per page instead of one
-// ROW query per key, at O(page selection + cells returned). A row
-// deleted between the page selection and its cell read simply drops
-// from the page (each row's cells are read in place under its stripe's
-// read lock, so atomically); if every selected row vanished that way,
-// the scan advances past them rather than returning a spurious
-// end-of-scan. The page's cells are appended to dst, so a caller
-// serving page after page reuses one buffer instead of allocating a
-// page-sized one each time.
+// ROW query per key, at O(page selection + cells returned). The page is
+// one atomic snapshot (page), so a row in it is whole and a page is
+// empty only when the scan is done. The page's cells are appended to
+// dst, so a caller serving page after page reuses one buffer instead of
+// allocating a page-sized one each time.
 func (s *Store) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, bool) {
-	base := len(dst)
-	for {
-		rows, more := s.ScanRows(start, end, limit, cursor)
-		for _, key := range rows {
-			st := s.stripeFor(key)
-			st.mu.RLock()
-			if r := st.rows[key]; r != nil {
-				if cap(dst) == 0 {
-					// A table's rows are near-uniform: size the page by its first row.
-					dst = make([]Cell, 0, len(rows)*r.cells.Len())
-				}
-				for e := range r.cells.All() {
-					dst = append(dst, Cell{Row: key, Col: e.Key, Val: e.Val.val})
-				}
-			}
-			st.mu.RUnlock()
+	more := s.page(start, end, limit, cursor, func(r *row) {
+		for e := range r.cells.All() {
+			dst = append(dst, Cell{Row: r.key, Col: e.Key, Val: e.Val.val})
 		}
-		if len(dst) > base || !more {
-			return dst, more
-		}
-		cursor = rows[len(rows)-1] // whole page deleted concurrently: skip it
-	}
+	})
+	return dst, more
 }
 
 // sortedKeys returns the keys of m in order, built in buf[:0].
@@ -517,11 +529,14 @@ func sortedKeys[V any](buf []string, m map[string]V) []string {
 // Rows live wholly inside one stripe, so the per-stripe degree tables
 // are concatenated, not summed.
 func (s *Store) TopRowsByDegree(k int) []RowDegree {
+	if k <= 0 {
+		return nil
+	}
 	var out []RowDegree
 	for _, st := range s.stripes {
 		st.mu.RLock()
-		for key, r := range st.rows {
-			out = append(out, RowDegree{Row: key, Degree: r.cells.Len()})
+		for e := range st.index.All() {
+			out = append(out, RowDegree{Row: e.Key, Degree: e.Val.cells.Len()})
 		}
 		st.mu.RUnlock()
 	}
@@ -531,10 +546,7 @@ func (s *Store) TopRowsByDegree(k int) []RowDegree {
 		}
 		return strings.Compare(a.Row, b.Row)
 	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return out[:min(k, len(out))]
 }
 
 // RowDegree pairs a row key with its degree-table count.
@@ -553,36 +565,18 @@ func (s *Store) LoadAssoc(a *assoc.Assoc) error {
 	return s.PutBatch(cells)
 }
 
-// rlockAll read-locks every stripe in index order, giving callers an
-// atomic snapshot of the whole table; runlockAll releases them.
-func (s *Store) rlockAll() {
-	for _, st := range s.stripes {
-		st.mu.RLock()
-	}
-}
-
-func (s *Store) runlockAll() {
-	for _, st := range s.stripes {
-		st.mu.RUnlock()
-	}
-}
-
 // ToAssoc exports the full table as an associative array. The export
 // is an atomic snapshot: all stripes are held read-locked for its
 // duration, so no concurrent mutation can tear it.
 func (s *Store) ToAssoc() *assoc.Assoc {
-	s.rlockAll()
-	defer s.runlockAll()
 	out := assoc.New()
-	for _, st := range s.stripes {
-		for key, r := range st.rows {
-			run := make([]assoc.Cell, 0, r.cells.Len())
-			for e := range r.cells.All() {
-				run = append(run, assoc.Cell{Key: e.Key, Val: e.Val.val})
-			}
-			out.SetRow(key, run) // ascending by construction
+	s.page("", "", 0, "", func(r *row) {
+		run := make([]assoc.Cell, 0, r.cells.Len())
+		for c := range r.cells.All() {
+			run = append(run, assoc.Cell{Key: c.Key, Val: c.Val.val})
 		}
-	}
+		out.SetRow(r.key, run) // ascending by construction
+	})
 	return out
 }
 
@@ -595,23 +589,13 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // stays read-locked until the last record is buffered, so the log
 // always corresponds to a state the store actually held.
 func (s *Store) WriteLog(w io.Writer) error {
-	s.rlockAll()
-	defer s.runlockAll()
 	bw := bufio.NewWriter(w)
-	var keys []string
-	bounds := make([]int, 1, len(s.stripes)+1)
-	for _, st := range s.stripes {
-		keys = st.index.AppendKeys(keys, "", false, "", -1)
-		bounds = append(bounds, len(keys))
-	}
-	for _, row := range mergeRuns(keys, bounds, len(keys)) {
-		for e := range s.stripeFor(row).rows[row].cells.All() {
-			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), row, e.Key, e.Val.val)
-			if _, err := bw.Write(append(line, '\n')); err != nil {
-				return err
-			}
+	s.page("", "", 0, "", func(r *row) {
+		for e := range r.cells.All() {
+			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), r.key, e.Key, e.Val.val)
+			bw.Write(append(line, '\n')) // a write error is sticky: Flush returns it
 		}
-	}
+	})
 	return bw.Flush()
 }
 
