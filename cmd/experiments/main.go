@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-scale quick|default] [-nv N] [-sources N] [-seed N]
-//	            [-workers N] [-leaf-size N] [-batch N]
+//	            [-workers N] [-leaf-size N]
 //	            [-artifacts DIR] [-store ADDR|auto]
 //
 // Every measured value comes off the unified report graph (the same
@@ -41,8 +41,7 @@ type check struct {
 func main() {
 	var (
 		study    = core.StudyFlags(flag.CommandLine)
-		leafSize = flag.Int("leaf-size", 0, "override entries per hypersparse leaf matrix")
-		batch    = flag.Int("batch", 0, "packets per engine batch (0 = leaf size)")
+		leafSize = flag.Int("leaf-size", 0, "override entries per hypersparse leaf matrix (and packets per engine batch)")
 		artDir   = flag.String("artifacts", "", "also write all seven artifacts as TSV to this directory")
 		store    = flag.String("store", "", `tripled D4M server for the correlation tables ("auto" = in-process)`)
 	)
@@ -52,7 +51,6 @@ func main() {
 	if *leafSize > 0 {
 		cfg.LeafSize = *leafSize
 	}
-	cfg.Batch = *batch
 	if *store == "auto" {
 		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
 		if err != nil {

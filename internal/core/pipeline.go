@@ -31,8 +31,7 @@ type Config struct {
 	Radiation radiation.Config
 
 	NV       int // telescope window size in valid packets
-	LeafSize int // hierarchical leaf size (paper: 2^17)
-	Batch    int // packets per engine batch; 0 = LeafSize
+	LeafSize int // hierarchical leaf size (paper: 2^17); also packets per engine batch
 
 	// Workers is the one fan-out knob, handed unchanged to every layer
 	// that fans out: the engine's shard workers per window, the study
@@ -428,7 +427,7 @@ func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.
 func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
 	monthFrac := p.cfg.MonthOf(ts)
 	stream := p.pop.TelescopeStream(monthFrac, ts)
-	w, err := tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, p.cfg.Batch)
+	w, err := tel.CaptureWindowEngine(ctx, stream, p.cfg.NV, p.cfg.Workers, 0) // a batch of LeafSize packets
 	if err != nil {
 		return nil, correlate.Snapshot{}, fmt.Errorf("core: snapshot %v: %w", ts, err)
 	}

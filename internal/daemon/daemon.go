@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -260,9 +261,6 @@ func (d *Daemon) Snapshot() *Rendered { return d.rendered.Load() }
 // join the study, and re-render exactly the dependent artifacts.
 // Re-ingesting a present month is a no-op.
 func (d *Daemon) IngestMonth(m int) error {
-	if m < 0 || m >= d.cfg.Radiation.Months {
-		return fmt.Errorf("daemon: month %d outside the %d-month study", m, d.cfg.Radiation.Months)
-	}
 	return d.ingest(func() error { return d.ingestMonthLocked(m) })
 }
 
@@ -270,9 +268,6 @@ func (d *Daemon) IngestMonth(m int) error {
 // study. Re-ingesting an instant whose label is already present is a
 // no-op.
 func (d *Daemon) IngestSnapshot(ts time.Time) error {
-	if m := d.cfg.MonthOf(ts); m < 0 || m >= float64(d.cfg.Radiation.Months) {
-		return fmt.Errorf("daemon: snapshot %v falls outside the %d-month study", ts, d.cfg.Radiation.Months)
-	}
 	return d.ingest(func() error { return d.ingestSnapshotLocked(ts) })
 }
 
@@ -311,8 +306,12 @@ var errStoreDegraded = errors.New("daemon: store degraded (unreachable), ingest 
 
 // ingestMonthLocked runs the month unit, ledgers it and joins it to
 // the study unless the study already holds it, without re-rendering —
-// recovery batches many of these under one publish.
+// recovery batches many of these under one publish. It refuses a month
+// outside the study, whether the API or the ledger asked for it.
 func (d *Daemon) ingestMonthLocked(m int) error {
+	if m < 0 || m >= d.cfg.Radiation.Months {
+		return fmt.Errorf("daemon: month %d outside the %d-month study", m, d.cfg.Radiation.Months)
+	}
 	if d.res.HasMonth(m) {
 		return nil
 	}
@@ -331,6 +330,9 @@ func (d *Daemon) ingestMonthLocked(m int) error {
 
 // ingestSnapshotLocked is ingestMonthLocked for the snapshot unit.
 func (d *Daemon) ingestSnapshotLocked(ts time.Time) error {
+	if m := d.cfg.MonthOf(ts); m < 0 || m >= float64(d.cfg.Radiation.Months) {
+		return fmt.Errorf("daemon: snapshot %v falls outside the %d-month study", ts, d.cfg.Radiation.Months)
+	}
 	if d.res.HasSnapshot(ts) {
 		return nil
 	}
@@ -395,50 +397,40 @@ func (d *Daemon) Runs(id report.ArtifactID) int { return d.res.Report().Runs(id)
 // previous life ingested and this one does not hold yet. The units
 // re-publish their data rows, which is idempotent, so a crash between
 // data and ledger row heals itself; the caller publishes once for the
-// whole replay.
+// whole replay. A unit the ingest API would refuse fails the replay.
 func (d *Daemon) recoverLocked() error {
-	err := d.replayLocked(ledgerMonthPrefix, "month", func(row string, v assoc.Value) error {
-		if !v.Numeric {
-			return fmt.Errorf("daemon: ledger row %s has no numeric month cell", row)
+	err := d.replayLocked(ledgerMonthPrefix, "month", func(v assoc.Value) error {
+		if !v.Numeric || v.Num != math.Trunc(v.Num) {
+			return fmt.Errorf("month %v is not a whole number", v)
 		}
-		if err := d.ingestMonthLocked(int(v.Num)); err != nil {
-			return fmt.Errorf("daemon: recover month %d: %w", int(v.Num), err)
-		}
-		return nil
+		return d.ingestMonthLocked(int(v.Num))
 	})
 	if err != nil {
 		return err
 	}
-	return d.replayLocked(ledgerSnapPrefix, "time", func(row string, v assoc.Value) error {
+	return d.replayLocked(ledgerSnapPrefix, "time", func(v assoc.Value) error {
 		ts, err := time.Parse(time.RFC3339Nano, v.Str)
 		if err != nil {
-			return fmt.Errorf("daemon: ledger row %s time %q: %w", row, v.Str, err)
+			return err
 		}
-		if err := d.ingestSnapshotLocked(ts); err != nil {
-			return fmt.Errorf("daemon: recover snapshot %v: %w", ts, err)
-		}
-		return nil
+		return d.ingestSnapshotLocked(ts)
 	})
 }
 
-// replayLocked hands unit the named cell of every ledger row under the
-// prefix, in row order.
-func (d *Daemon) replayLocked(prefix, cell string, unit func(row string, v assoc.Value) error) error {
-	rows, err := d.db.ScanAllRows(prefix, tripled.PrefixEnd(prefix), 1024)
+// replayLocked reads the ledger under the prefix as one table and hands
+// unit the named cell of each row, in row order.
+func (d *Daemon) replayLocked(prefix, cell string, unit func(v assoc.Value) error) error {
+	ledger, err := d.db.FetchAssoc(prefix, 1024)
 	if err != nil {
-		return fmt.Errorf("daemon: scan ledger %s: %w", prefix, err)
+		return fmt.Errorf("daemon: read ledger %s: %w", prefix, err)
 	}
-	for _, row := range rows {
-		cells, err := d.db.Row(row)
-		if err != nil {
-			return fmt.Errorf("daemon: ledger row %s: %w", row, err)
-		}
-		v, ok := cells[cell]
+	for _, key := range ledger.RowKeys() {
+		v, ok := ledger.Get(key, cell)
 		if !ok {
-			return fmt.Errorf("daemon: ledger row %s has no %s cell", row, cell)
+			return fmt.Errorf("daemon: ledger row %s%s has no %s cell", prefix, key, cell)
 		}
-		if err := unit(row, v); err != nil {
-			return err
+		if err := unit(v); err != nil {
+			return fmt.Errorf("daemon: recover ledger row %s%s: %w", prefix, key, err)
 		}
 	}
 	return nil

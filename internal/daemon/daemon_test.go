@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/assoc"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/telescope"
@@ -267,11 +268,11 @@ func TestOneInstantTwoZonesIsOneSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		rows, err := db.ScanAllRows("", tripled.PrefixEnd("tel/"), 1024)
+		all, err := db.FetchAssoc("", 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rows {
+		for _, row := range all.RowKeys() {
 			if !strings.HasPrefix(row, telescope.SnapshotRowPrefix(label)) && row != ledgerSnapPrefix+label {
 				t.Fatalf("%v: store row %q is not under the UTC label %s", order, row, label)
 			}
@@ -386,6 +387,58 @@ func TestDaemonRecovery(t *testing.T) {
 		if !bytes.Equal(b.TSV, a.TSV) || !bytes.Equal(b.JSON, a.JSON) {
 			t.Errorf("%s: recovered artifact differs from pre-restart render", id)
 		}
+	}
+}
+
+// TestRecoveryRefusesLedgerUnitsOutsideTheStudy: a ledger row replays
+// through the checks the ingest API applies. A month outside the study,
+// a month that is no whole number, or a snapshot outside the study
+// fails New — not retryably, naming the row — where recovery used to
+// ingest it: month 12 of a 7-month study joined it and gave Table I a
+// 2021-02-01 row, although IngestMonth(12) refuses.
+func TestRecoveryRefusesLedgerUnitsOutsideTheStudy(t *testing.T) {
+	cfg := testConfig()
+	for _, bad := range []struct {
+		row, col string
+		v        assoc.Value
+	}{
+		{ledgerMonthPrefix + "x", "month", assoc.Num(12)},
+		{ledgerMonthPrefix + "y", "month", assoc.Num(1.5)},
+		{ledgerSnapPrefix + "z", "time", assoc.Str("2021-06-16T12:00:00Z")},
+	} {
+		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		db, err := tripled.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(bad.row, bad.col, bad.v); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+
+		cfg.StoreAddr = srv.Addr()
+		d, err := New(cfg)
+		if err == nil {
+			snap := d.Snapshot()
+			d.Close()
+			t.Errorf("ledger row %s = %v: recovered %d months / %d snapshots, want New to refuse", bad.row, bad.v, snap.Months, snap.Snapshots)
+			continue
+		}
+		if tripled.Retryable(err) || !strings.Contains(err.Error(), bad.row) {
+			t.Errorf("ledger row %s = %v: New = %v (retryable %v), want a fatal error naming the row", bad.row, bad.v, err, tripled.Retryable(err))
+		}
+	}
+	d, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.IngestMonth(12); err == nil || !strings.Contains(err.Error(), "outside the 7-month study") {
+		t.Errorf("IngestMonth(12) = %v, want the range refusal", err)
 	}
 }
 

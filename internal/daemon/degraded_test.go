@@ -119,12 +119,12 @@ func TestDaemonDegradedStoreStartup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rows, err := c.ScanAllRows(ledgerMonthPrefix, tripled.PrefixEnd(ledgerMonthPrefix), 16)
+	ledger, err := c.FetchAssoc(ledgerMonthPrefix, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("ledger rows after recovery ingest: %v", rows)
+	if ledger.NRows() != 1 {
+		t.Fatalf("ledger rows after recovery ingest: %v", ledger.RowKeys())
 	}
 }
 

@@ -68,6 +68,7 @@ func (g *Graph) TableI() []TableIRow {
 
 func runTableI(g *Graph) (any, error) {
 	rows := make([]TableIRow, len(g.in.Study.Months))
+	byMonth := make(map[int]*TableIRow, len(rows)) // a study need not hold months 0..n-1
 	for i, m := range g.in.Study.Months {
 		start := g.in.Params.StudyStart.AddDate(0, m.Month, 0)
 		end := start.AddDate(0, 1, 0)
@@ -76,17 +77,18 @@ func runTableI(g *Graph) (any, error) {
 			GNDays:    int(end.Sub(start).Hours() / 24),
 			GNSources: m.Table.NRows(),
 		}
+		byMonth[m.Month] = &rows[i]
 	}
 	for si, snap := range g.in.Study.Snapshots {
-		mi := int(math.Floor(snap.Month))
-		if mi < 0 || mi >= len(rows) {
+		row := byMonth[int(math.Floor(snap.Month))]
+		if row == nil {
 			continue
 		}
 		w := g.in.Windows[si]
-		rows[mi].CAIDAStart = snap.Label
-		rows[mi].CAIDADuration = fmt.Sprintf("%.0f sec", w.Duration().Seconds())
-		rows[mi].CAIDAPackets = w.NV
-		rows[mi].CAIDASources = w.Matrix.NRows()
+		row.CAIDAStart = snap.Label
+		row.CAIDADuration = fmt.Sprintf("%.0f sec", w.Duration().Seconds())
+		row.CAIDAPackets = w.NV
+		row.CAIDASources = w.Matrix.NRows()
 	}
 	return rows, nil
 }

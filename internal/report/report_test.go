@@ -15,12 +15,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/correlate"
 	"repro/internal/report"
 )
 
@@ -230,6 +232,49 @@ func TestJSONMatchesTSV(t *testing.T) {
 		}
 		if re.String() != tsv {
 			t.Errorf("%s: JSON values diverge from TSV:\nfrom JSON:\n%s\nTSV:\n%s", id, re.String(), tsv)
+		}
+	}
+}
+
+// TestTableIPlacesSnapshotsByMonth: a snapshot's CAIDA columns go on the
+// row of the month it falls in, whatever months the study holds. A
+// daemon holding months 3 and 4 and the 2020-06-17 snapshot (month 4.5)
+// used to render no CAIDA columns at all, and months {1, 2} with a
+// snapshot at month 1.5 put them on the 2020-04 row: the snapshot was
+// placed by its position in Study.Months, not by its month.
+func TestTableIPlacesSnapshotsByMonth(t *testing.T) {
+	res := quickResult(t)
+	june := res.Study.Snapshots[0]
+	march := june
+	march.Month = 1.5
+	for _, c := range []struct {
+		months []int
+		snap   correlate.Snapshot
+		want   string // GNStart of the one row that carries the CAIDA columns
+	}{
+		{[]int{3, 4}, june, "2020-06-01"},
+		{[]int{1, 2}, march, "2020-03-01"},
+	} {
+		var months []correlate.MonthData
+		for _, m := range res.Study.Months {
+			if slices.Contains(c.months, m.Month) {
+				months = append(months, m)
+			}
+		}
+		partial := &core.Result{
+			Config:  res.Config,
+			Study:   correlate.Study{Months: months, Snapshots: []correlate.Snapshot{c.snap}},
+			Windows: res.Windows[:1],
+		}
+		rows := partial.Report().TableI()
+		if len(rows) != len(c.months) {
+			t.Fatalf("months %v: Table I has %d rows", c.months, len(rows))
+		}
+		for _, row := range rows {
+			if carries := row.CAIDAStart != ""; carries != (row.GNStart == c.want) {
+				t.Errorf("months %v, snapshot at month %.2f: row %s carries CAIDA columns = %v, want them on %s only",
+					c.months, c.snap.Month, row.GNStart, carries, c.want)
+			}
 		}
 	}
 }

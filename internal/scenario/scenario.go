@@ -196,8 +196,6 @@ func decodeConfig(m map[string]any, path string) (core.Config, StoreMode, bool, 
 			err = setInt(&cfg.NV, v)
 		case "leaf_size":
 			err = setInt(&cfg.LeafSize, v)
-		case "batch":
-			err = setInt(&cfg.Batch, v)
 		case "sources":
 			err = setInt(&cfg.Radiation.NumSources, v)
 		case "months":

@@ -352,46 +352,13 @@ func (c *Client) RowRange(start, end string) ([]string, error) {
 	return c.readBlock(resp)
 }
 
-// ScanRows fetches one page of the paged row scan: up to limit sorted
-// row keys in [start, end) that are > cursor (cursor "" starts at
-// start). A page shorter than limit ends the scan; otherwise pass the
-// last key back as the cursor.
-func (c *Client) ScanRows(start, end string, limit int, cursor string) ([]string, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("SCAN\t%s\t%s\t%d\t%s", start, end, limit, cursor))
-	if err != nil {
-		return nil, err
-	}
-	return c.readBlock(resp)
-}
-
-// ScanAllRows pages through the whole scan with pageSize-row SCAN
-// requests and returns every row key in [start, end).
-func (c *Client) ScanAllRows(start, end string, pageSize int) ([]string, error) {
-	if pageSize < 1 {
-		pageSize = 1024
-	}
-	var out []string
-	cursor := ""
-	for {
-		page, err := c.ScanRows(start, end, pageSize, cursor)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, page...)
-		if len(page) < pageSize {
-			return out, nil
-		}
-		cursor = page[len(page)-1]
-	}
-}
-
-// appendCells fetches one page of the bulk cell export (CELLS): every
-// cell of up to limit rows, in (row, col) order, with the cursor being
-// the last row key of the page. Unlike ScanRows, a short page does not
-// prove the scan is done (the server clamps the rows of a page); loop
-// until an empty page, as FetchAssoc does. The page is
-// appended to dst, so FetchAssoc and DeletePrefix reuse one buffer
-// across the pages of a table.
+// appendCells fetches one page of the paged read (CELLS): every cell of
+// up to limit rows in [start, end) after the cursor row, in (row, col)
+// order; the page's last row key is the next cursor. A short page does
+// not prove the scan is done (the server clamps the rows of a page);
+// loop until an empty page, as FetchAssoc does. The page is appended to
+// dst, so FetchAssoc and DeletePrefix reuse one buffer across the pages
+// of a table.
 func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, error) {
 	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
 	if err != nil {

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -240,21 +240,11 @@ func (c *Client) downCount() int {
 	return d
 }
 
-// staleErr builds the quorum-lost error for an operation.
+// staleErr builds the coverage-lost error for an operation.
 func (c *Client) staleErr(op string) error {
 	h := c.Health()
 	return fmt.Errorf("cluster: %s: %d of %d nodes down (replication %d): %w",
 		op, len(h.Down), h.Nodes, h.Replicas, tripled.ErrStaleRing)
-}
-
-// guardComplete fails an operation that cannot be answered completely:
-// once Replicas or more members are down, some key may have lost every
-// copy, and pretending otherwise would silently drop data.
-func (c *Client) guardComplete(op string) error {
-	if c.downCount() >= c.cfg.Replicas {
-		return c.staleErr(op)
-	}
-	return nil
 }
 
 // conn returns node i's connection, dialing if needed.
@@ -277,7 +267,7 @@ func (c *Client) conn(i int) (*tripled.Client, error) {
 // after a jittered backoff; protocol answers (including NF) return
 // immediately. When every attempt fails on transport, the node is
 // marked down and the last error returned. op must therefore be
-// idempotent — which every tripled mutation is (PUT/DEL/BATCH replays
+// idempotent — which a replayed BATCH or prefix clear is (both
 // converge) and every read trivially is.
 func (c *Client) onNode(i int, op func(cl *tripled.Client) error) error {
 	n := c.nodes[i]
@@ -303,110 +293,37 @@ func (c *Client) onNode(i int, op func(cl *tripled.Client) error) error {
 	return err
 }
 
-// upReplicas splits a key's replica set into live members.
-func (c *Client) upReplicas(key string) (up []int, total []int) {
-	total = c.ring.replicasFor(key, c.cfg.Replicas)
-	for _, i := range total {
-		if !c.nodes[i].down {
-			up = append(up, i)
-		}
-	}
-	return up, total
-}
-
-// writeReplicated applies one idempotent mutation of row to every live
-// replica and enforces the quorum rule: the write succeeds iff it was
-// acknowledged by at least one replica AND by a majority of the
-// replicas still considered up once the attempt is over. Under the
-// fail-stop view this means a write only fails when a node refuses it
-// at the protocol level (fatal, returned directly) or when the key's
-// whole replica set is gone (ErrStaleRing).
-//
-// notFoundOK treats the server's NF answer as an acknowledgement
-// (deletes of absent cells are applied-by-definition).
-func (c *Client) writeReplicated(opName, row string, notFoundOK bool, op func(cl *tripled.Client) error) error {
-	up, _ := c.upReplicas(row)
-	if len(up) == 0 {
-		return c.staleErr(opName + " " + row)
-	}
-	acks, notFounds := 0, 0
-	var lastTransport error
-	for _, i := range up {
-		err := c.onNode(i, op)
-		switch {
-		case err == nil:
-			acks++
-		case notFoundOK && errors.Is(err, tripled.ErrNotFound):
-			notFounds++
-		case tripled.Retryable(err):
-			lastTransport = err // node is now marked down
-		default:
-			return err // protocol refusal: retrying elsewhere cannot help
-		}
-	}
-	stillUp := 0
-	for _, i := range up {
-		if !c.nodes[i].down {
-			stillUp++
-		}
-	}
-	applied := acks + notFounds
-	if stillUp == 0 || applied == 0 {
-		return fmt.Errorf("cluster: %s %s: no replica acknowledged (last: %v): %w",
-			opName, row, lastTransport, tripled.ErrStaleRing)
-	}
-	if need := stillUp/2 + 1; applied < need {
-		return fmt.Errorf("cluster: %s %s: %d of %d required acks (last: %v): %w",
-			opName, row, applied, need, lastTransport, tripled.ErrStaleRing)
-	}
-	if notFoundOK && acks == 0 && notFounds > 0 {
-		return tripled.ErrNotFound
-	}
-	return nil
-}
-
-// readFailover runs one row-addressed read against the key's replicas
-// in preference order, failing over to the next replica on any
+// readFailover runs one row-addressed read (Get's) against the key's
+// live replicas in preference order, failing over to the next replica on any
 // transport failure. Protocol answers (values, NF) are authoritative
-// from whichever replica produced them, because replicas of a row are
-// written in lockstep.
-func (c *Client) readFailover(opName, row string, op func(cl *tripled.Client) error) error {
-	up, _ := c.upReplicas(row)
+// from whichever replica produced them, because every live replica of a
+// row acked the row's writes.
+func (c *Client) readFailover(row string, op func(cl *tripled.Client) error) error {
 	var lastErr error
-	for pos, i := range up {
+	tried := 0
+	for _, i := range c.ring.replicasFor(row, c.cfg.Replicas) {
+		if c.nodes[i].down {
+			continue
+		}
 		err := c.onNode(i, op)
 		if err == nil || !tripled.Retryable(err) {
-			if pos > 0 {
+			if tried > 0 {
 				c.failovers++
 			}
 			return err
 		}
 		lastErr = err
+		tried++
 	}
-	return fmt.Errorf("cluster: %s %s: no live replica (last: %v): %w",
-		opName, row, lastErr, tripled.ErrStaleRing)
-}
-
-// Put stores a value on every live replica of row.
-func (c *Client) Put(row, col string, v assoc.Value) error {
-	return c.writeReplicated("put", row, false, func(cl *tripled.Client) error {
-		return cl.Put(row, col, v)
-	})
-}
-
-// Delete removes a cell from every live replica; ErrNotFound when no
-// replica held it.
-func (c *Client) Delete(row, col string) error {
-	return c.writeReplicated("del", row, true, func(cl *tripled.Client) error {
-		return cl.Delete(row, col)
-	})
+	return fmt.Errorf("cluster: get %s: no live replica (last: %v): %w",
+		row, lastErr, tripled.ErrStaleRing)
 }
 
 // Get fetches a value from the first live replica of row, failing over
 // on transport errors; ErrNotFound when absent.
 func (c *Client) Get(row, col string) (assoc.Value, error) {
 	var out assoc.Value
-	err := c.readFailover("get", row, func(cl *tripled.Client) error {
+	err := c.readFailover(row, func(cl *tripled.Client) error {
 		v, err := cl.Get(row, col)
 		if err == nil {
 			out = v
@@ -416,104 +333,56 @@ func (c *Client) Get(row, col string) (assoc.Value, error) {
 	return out, err
 }
 
-// Row fetches all cells of a row (rows are whole on every replica).
-func (c *Client) Row(row string) (map[string]assoc.Value, error) {
-	var out map[string]assoc.Value
-	err := c.readFailover("row", row, func(cl *tripled.Client) error {
-		m, err := cl.Row(row)
-		if err == nil {
-			out = m
-		}
-		return err
-	})
-	return out, err
+// Put stores a value on every live replica of row: a one-cell batch.
+func (c *Client) Put(row, col string, v assoc.Value) error {
+	return c.PutBatch([]tripled.Cell{{Row: row, Col: col, Val: v}})
 }
 
-// replicaCache memoizes replicasFor per row during bulk operations.
-type replicaCache struct {
-	c *Client
-	m map[string][]int
-}
-
-func (rc *replicaCache) get(row string) []int {
-	if reps, ok := rc.m[row]; ok {
-		return reps
-	}
-	reps := rc.c.ring.replicasFor(row, rc.c.cfg.Replicas)
-	rc.m[row] = reps
-	return reps
-}
-
-// PutBatch routes every cell to its replicas and writes each node's
-// share in one batched call; per-node transport failures are retried
-// by replaying the whole share on a fresh connection (batches are
-// idempotent). It then enforces the per-cell quorum rule, so a batch
-// only succeeds when every cell is durable on a majority of its
-// still-live replicas.
+// PutBatch stores every cell on every live replica of its row, each
+// node's share in one BATCH.
 func (c *Client) PutBatch(cells []tripled.Cell) error {
-	if len(cells) == 0 {
-		return nil
-	}
-	rc := &replicaCache{c: c, m: make(map[string][]int)}
+	return c.write("batch", cells, len(cells))
+}
+
+// write is the one write path. It routes every cell to its row's
+// replicas and streams each live node's share through one pipeline,
+// batchSize cells per BATCH. A transport failure replays the whole share
+// on a fresh connection (batches are idempotent) and, failing that,
+// marks the node down; a protocol refusal aborts with the server's
+// error. The write then succeeds iff every row kept a live replica: each
+// replica that was up either acked its share or is now marked down, so
+// every replica still up holds the write.
+func (c *Client) write(opName string, cells []tripled.Cell, batchSize int) error {
+	replicas := make(map[string][]int)
 	shares := make([][]tripled.Cell, len(c.nodes))
 	for _, cell := range cells {
-		for _, i := range rc.get(cell.Row) {
+		reps, ok := replicas[cell.Row]
+		if !ok {
+			reps = c.ring.replicasFor(cell.Row, c.cfg.Replicas)
+			replicas[cell.Row] = reps
+		}
+		for _, i := range reps {
 			shares[i] = append(shares[i], cell)
 		}
 	}
-	if err := c.writeShares("batch", shares, 0); err != nil {
-		return err
-	}
-	return c.checkCellQuorum("batch", cells, rc)
-}
-
-// writeShares writes each node's cell share, skipping down nodes and
-// empty shares. A fatal (protocol) refusal aborts; transport
-// exhaustion marks the node down and moves on — the quorum check
-// afterwards decides whether the operation as a whole survived.
-// batchSize > 0 streams shares through the pipelined multi-BATCH path
-// instead of one monolithic batch.
-func (c *Client) writeShares(opName string, shares [][]tripled.Cell, batchSize int) error {
 	for i, share := range shares {
 		if len(share) == 0 || c.nodes[i].down {
 			continue
 		}
-		share := share
 		err := c.onNode(i, func(cl *tripled.Client) error {
-			if batchSize > 0 {
-				p := cl.StartPipeline(batchSize)
-				for _, cell := range share {
-					p.Put(cell.Row, cell.Col, cell.Val)
-				}
-				return p.Close()
+			p := cl.StartPipeline(batchSize)
+			for _, cell := range share {
+				p.Put(cell.Row, cell.Col, cell.Val)
 			}
-			return cl.PutBatch(share)
+			return p.Close()
 		})
 		if err != nil && !tripled.Retryable(err) {
 			return fmt.Errorf("cluster: %s on %s: %w", opName, c.nodes[i].addr, err)
 		}
 	}
-	return nil
-}
-
-// checkCellQuorum verifies, after a bulk write, that every cell kept a
-// majority of its still-up replicas (and at least one). Nodes that
-// survived writeShares hold their whole share, so the check reduces to
-// health arithmetic per distinct row.
-func (c *Client) checkCellQuorum(opName string, cells []tripled.Cell, rc *replicaCache) error {
-	checked := make(map[string]bool, len(rc.m))
+	live := func(i int) bool { return !c.nodes[i].down }
 	for _, cell := range cells {
-		if checked[cell.Row] {
-			continue
-		}
-		checked[cell.Row] = true
-		up := 0
-		for _, i := range rc.get(cell.Row) {
-			if !c.nodes[i].down {
-				up++
-			}
-		}
-		if up == 0 {
+		if !slices.ContainsFunc(replicas[cell.Row], live) {
 			return fmt.Errorf("cluster: %s: row %q lost every replica: %w",
 				opName, cell.Row, tripled.ErrStaleRing)
 		}
@@ -521,64 +390,36 @@ func (c *Client) checkCellQuorum(opName string, cells []tripled.Cell, rc *replic
 	return nil
 }
 
-// eachUpNode runs op on every currently-up node, tolerating per-node
-// transport exhaustion (the node is marked down) but aborting on
-// protocol refusals.
+// eachUpNode is the one full-coverage fan-out: it runs op on every live
+// node, tolerating per-node transport exhaustion (the node is marked
+// down) but aborting on protocol refusals. Any single node holds only
+// its replicas, but with fewer than Replicas members down the union over
+// the live ones is complete. Coverage is checked before each node and
+// after the last: once Replicas members are down some key may have lost
+// every copy, and the op fails with ErrStaleRing rather than silently
+// answer — or clear — less than the whole table.
 func (c *Client) eachUpNode(opName string, op func(cl *tripled.Client) error) error {
-	for i, n := range c.nodes {
-		if n.down {
+	for i := 0; ; i++ {
+		if c.downCount() >= c.cfg.Replicas {
+			return c.staleErr(opName)
+		}
+		if i == len(c.nodes) {
+			return nil
+		}
+		if c.nodes[i].down {
 			continue
 		}
 		if err := c.onNode(i, op); err != nil && !tripled.Retryable(err) {
-			return fmt.Errorf("cluster: %s on %s: %w", opName, n.addr, err)
+			return fmt.Errorf("cluster: %s on %s: %w", opName, c.nodes[i].addr, err)
 		}
 	}
-	return nil
 }
 
-// ScanAllRows merges the row scan from every live node. Any single
-// node's copy is partial (it holds only its replicas), but with fewer
-// than Replicas nodes down the union over live nodes is complete;
-// beyond that the scan fails with ErrStaleRing rather than silently
-// dropping rows.
-func (c *Client) ScanAllRows(start, end string, pageSize int) ([]string, error) {
-	if err := c.guardComplete("scan"); err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	err := c.eachUpNode("scan", func(cl *tripled.Client) error {
-		rows, err := cl.ScanAllRows(start, end, pageSize)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			seen[r] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.guardComplete("scan"); err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// FetchAssoc merges the prefix export from every live node (replica
-// copies of a cell are identical, so the merge is idempotent), under
-// the same completeness guard as ScanAllRows.
+// FetchAssoc merges the prefix export from every live node; replica
+// copies of a cell are identical, so the merge is idempotent.
 func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
-	if err := c.guardComplete("fetch " + prefix); err != nil {
-		return nil, err
-	}
 	out := assoc.New()
-	err := c.eachUpNode("fetch", func(cl *tripled.Client) error {
+	err := c.eachUpNode("fetch "+prefix, func(cl *tripled.Client) error {
 		a, err := cl.FetchAssoc(prefix, pageRows)
 		if err != nil {
 			return err
@@ -592,9 +433,6 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.guardComplete("fetch " + prefix); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -604,9 +442,6 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 // local top-k of each node holding it — the merge is exact, not
 // approximate.
 func (c *Client) TopRowsByDegree(k int) ([]tripled.RowDegree, error) {
-	if err := c.guardComplete("topdeg"); err != nil {
-		return nil, err
-	}
 	deg := make(map[string]int)
 	err := c.eachUpNode("topdeg", func(cl *tripled.Client) error {
 		top, err := cl.TopRowsByDegree(k)
@@ -621,9 +456,6 @@ func (c *Client) TopRowsByDegree(k int) ([]tripled.RowDegree, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := c.guardComplete("topdeg"); err != nil {
 		return nil, err
 	}
 	out := make([]tripled.RowDegree, 0, len(deg))
@@ -642,50 +474,25 @@ func (c *Client) TopRowsByDegree(k int) ([]tripled.RowDegree, error) {
 	return out, nil
 }
 
-// DeletePrefix clears the prefix on every live node. Deletes are
-// writes: losing more than Replicas-1 nodes mid-delete fails the
-// operation, because rows whose replicas were all on dead nodes can no
-// longer be proven gone.
-func (c *Client) DeletePrefix(prefix string, pageRows int) error {
-	if err := c.guardComplete("delete " + prefix); err != nil {
-		return err
-	}
-	if err := c.eachUpNode("delete", func(cl *tripled.Client) error {
-		return cl.DeletePrefix(prefix, pageRows)
-	}); err != nil {
-		return err
-	}
-	return c.guardComplete("delete " + prefix)
-}
-
-// PublishAssoc replaces the table under prefix cluster-wide: clear the
-// prefix on every live node, route each cell to its replicas, and
-// stream each node's share through the pipelined batch path. A node
-// dying mid-publish has its share replayed on a fresh connection
-// (publishes are idempotent) and, failing that, is marked down — the
-// publish still succeeds as long as every cell retains a live replica
-// majority, which is exactly how the kill-a-node soak keeps its
+// PublishAssoc replaces the table under prefix cluster-wide: it clears
+// the prefix on every live node (a full-coverage op — rows whose every
+// replica is down could not be proven gone), then sends the table's
+// cells down the write path, batchSize cells per BATCH. A node dying
+// mid-publish has its share replayed on a fresh connection and, failing
+// that, is marked down; the publish still succeeds as long as every row
+// keeps a live replica, which is how the kill-a-node soak keeps its
 // byte-parity guarantee.
 func (c *Client) PublishAssoc(prefix string, a *assoc.Assoc, batchSize int) error {
-	if err := c.DeletePrefix(prefix, 512); err != nil {
+	err := c.eachUpNode("publish "+prefix, func(cl *tripled.Client) error {
+		return cl.DeletePrefix(prefix, 512)
+	})
+	if err != nil {
 		return err
 	}
-	rc := &replicaCache{c: c, m: make(map[string][]int)}
-	shares := make([][]tripled.Cell, len(c.nodes))
-	var cells []tripled.Cell
+	cells := make([]tripled.Cell, 0, a.NNZ())
 	a.Iterate(func(row, col string, v assoc.Value) bool {
-		cell := tripled.Cell{Row: prefix + row, Col: col, Val: v}
-		cells = append(cells, cell)
-		for _, i := range rc.get(cell.Row) {
-			shares[i] = append(shares[i], cell)
-		}
+		cells = append(cells, tripled.Cell{Row: prefix + row, Col: col, Val: v})
 		return true
 	})
-	if batchSize < 1 {
-		batchSize = 1024
-	}
-	if err := c.writeShares("publish "+prefix, shares, batchSize); err != nil {
-		return err
-	}
-	return c.checkCellQuorum("publish "+prefix, cells, rc)
+	return c.write("publish "+prefix, cells, batchSize)
 }

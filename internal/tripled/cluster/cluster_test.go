@@ -182,13 +182,19 @@ func diffAgainstOracle(t *testing.T, got *assoc.Assoc, gotTop []tripled.RowDegre
 // --- scripted soak (mirrors tripled soak_test.go, on the Conn surface) ---
 
 type soakOp struct {
-	kind string // "put", "del", "batch", "get", "row", "topdeg", "scan"
-	row  string
+	kind string // "put", "publish", "batch", "get", "fetch", "topdeg"
+	row  string // the row, or the prefix of a publish or fetch
 	col  string
 	val  assoc.Value
 	n    int
 }
 
+// soakScript mixes the Conn surface: point writes and reads, batches,
+// the degree table, and the study's own traffic — tables published and
+// fetched under a prefix. A client republishes under one of a few
+// prefixes of its own, so a publish deletes what the last one left: the
+// cells a returning node may still hold that no healthy replica vouches
+// for.
 func soakScript(id, ops int) []soakOp {
 	rng := rand.New(rand.NewSource(int64(2000 + id)))
 	mine := func() string { return fmt.Sprintf("c%d-r%d", id, rng.Intn(40)) }
@@ -200,20 +206,30 @@ func soakScript(id, ops int) []soakOp {
 		case r < 35:
 			out = append(out, soakOp{kind: "put", row: mine(), col: cols[rng.Intn(len(cols))], val: assoc.Num(float64(rng.Intn(1000)))})
 		case r < 45:
-			out = append(out, soakOp{kind: "del", row: mine(), col: cols[rng.Intn(len(cols))]})
+			out = append(out, soakOp{kind: "publish", row: fmt.Sprintf("c%d-t%d/", id, rng.Intn(3)), n: rng.Intn(12)})
 		case r < 55:
 			out = append(out, soakOp{kind: "batch", n: 1 + rng.Intn(20)})
 		case r < 70:
 			out = append(out, soakOp{kind: "get", row: anyRow(), col: cols[rng.Intn(len(cols))]})
-		case r < 80:
-			out = append(out, soakOp{kind: "row", row: anyRow()})
 		case r < 90:
-			out = append(out, soakOp{kind: "topdeg", n: 1 + rng.Intn(10)})
+			out = append(out, soakOp{kind: "fetch", row: fmt.Sprintf("c%d-", rng.Intn(8)) + []string{"r1", "t"}[rng.Intn(2)]})
 		default:
-			out = append(out, soakOp{kind: "scan", row: anyRow()})
+			out = append(out, soakOp{kind: "topdeg", n: 1 + rng.Intn(10)})
 		}
 	}
 	return out
+}
+
+// publishTable expands a "publish" op deterministically from its
+// position: up to n rows of a few cells each (n = 0 publishes an empty
+// table, which clears the prefix).
+func publishTable(id, opIdx, n int) *assoc.Assoc {
+	rng := rand.New(rand.NewSource(int64(id)*1e6 + int64(opIdx)))
+	a := assoc.New()
+	for i := 0; i < n; i++ {
+		a.Set(fmt.Sprintf("r%d", rng.Intn(16)), fmt.Sprintf("p%d", rng.Intn(4)), assoc.Num(float64(rng.Intn(1000))))
+	}
+	return a
 }
 
 func batchCells(id, opIdx, n int) []tripled.Cell {
@@ -234,22 +250,18 @@ func runOp(c *Client, id, i int, op soakOp) error {
 	switch op.kind {
 	case "put":
 		err = c.Put(op.row, op.col, op.val)
-	case "del":
-		if err = c.Delete(op.row, op.col); err == tripled.ErrNotFound {
-			err = nil
-		}
+	case "publish":
+		err = c.PublishAssoc(op.row, publishTable(id, i, op.n), 4)
 	case "batch":
 		err = c.PutBatch(batchCells(id, i, op.n))
 	case "get":
 		if _, err = c.Get(op.row, op.col); err == tripled.ErrNotFound {
 			err = nil
 		}
-	case "row":
-		_, err = c.Row(op.row)
+	case "fetch":
+		_, err = c.FetchAssoc(op.row, 8)
 	case "topdeg":
 		_, err = c.TopRowsByDegree(op.n)
-	case "scan":
-		_, err = c.ScanAllRows(op.row, "", 16)
 	}
 	if err != nil {
 		return fmt.Errorf("client %d op %d (%s): %w", id, i, op.kind, err)
@@ -259,7 +271,9 @@ func runOp(c *Client, id, i int, op soakOp) error {
 
 // replayOracle replays every client's mutations, in per-client order,
 // into a single-node 1-stripe store — the ground truth the cluster
-// must match because per-client mutation keyspaces are disjoint.
+// must match because per-client mutation keyspaces are disjoint. A
+// publish replays as what it means: clear the prefix, then put the
+// table under it.
 func replayOracle(clients, ops int) *tripled.Store {
 	oracle := tripled.NewStoreStripes(1)
 	for id := 0; id < clients; id++ {
@@ -267,8 +281,16 @@ func replayOracle(clients, ops int) *tripled.Store {
 			switch op.kind {
 			case "put":
 				oracle.Put(op.row, op.col, op.val)
-			case "del":
-				oracle.Delete(op.row, op.col)
+			case "publish":
+				for _, row := range oracle.RowRange(op.row, tripled.PrefixEnd(op.row)) {
+					for col := range oracle.Row(row) {
+						oracle.Delete(row, col)
+					}
+				}
+				publishTable(id, i, op.n).Iterate(func(row, col string, v assoc.Value) bool {
+					oracle.Put(op.row+row, col, v)
+					return true
+				})
 			case "batch":
 				for _, cell := range batchCells(id, i, op.n) {
 					oracle.Put(cell.Row, cell.Col, cell.Val)
@@ -402,8 +424,9 @@ func TestClusterPublishFetchSurvivesNodeLoss(t *testing.T) {
 }
 
 // TestClusterStaleRing: lose as many nodes as the replication factor
-// and the client must refuse with ErrStaleRing instead of serving (or
-// silently dropping) partial data.
+// and every full-coverage op — a fetch, the degree table, a publish's
+// prefix clear — must refuse with ErrStaleRing instead of serving (or
+// silently dropping, or half-clearing) partial data.
 func TestClusterStaleRing(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	c := tc.client(t, 2, time.Second)
@@ -421,12 +444,16 @@ func TestClusterStaleRing(t *testing.T) {
 	if c.downCount() < 2 {
 		t.Fatalf("probes discovered only %d dead nodes", c.downCount())
 	}
-	_, err := c.FetchAssoc("", 64)
-	if tripled.Classify(err) != tripled.ClassStaleRing {
-		t.Fatalf("fetch with R nodes down: err=%v class=%v, want stale-ring", err, tripled.Classify(err))
-	}
-	if _, err := c.ScanAllRows("", "", 64); tripled.Classify(err) != tripled.ClassStaleRing {
-		t.Fatalf("scan with R nodes down misclassified: %v", err)
+	table := assoc.New()
+	table.Set("r", "c", assoc.Num(2))
+	for name, op := range map[string]func() error{
+		"fetch":   func() error { _, err := c.FetchAssoc("", 64); return err },
+		"topdeg":  func() error { _, err := c.TopRowsByDegree(10); return err },
+		"publish": func() error { return c.PublishAssoc("t/", table, 64) },
+	} {
+		if err := op(); tripled.Classify(err) != tripled.ClassStaleRing {
+			t.Errorf("%s with R nodes down: err=%v class=%v, want stale-ring", name, err, tripled.Classify(err))
+		}
 	}
 	h := c.Health()
 	if !h.Degraded() || len(h.Down) != 2 {

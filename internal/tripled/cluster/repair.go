@@ -14,7 +14,7 @@ package cluster
 // node are copied whole from a healthy holder (rows are the atomic
 // repair unit — every replica holds a row completely); rows present
 // on the returning node that no healthy replica vouches for (writes it
-// acked that later failed their quorum, or deletes it missed) are
+// took that later failed, or a prefix clear it missed) are
 // removed. Healthy replicas are authoritative by construction: writes
 // only ack against the up set, so the up set's state is exactly the
 // acked history.

@@ -1,7 +1,7 @@
 // Package cluster is the fault-tolerant multi-node face of the tripled
 // service: a smart client that spreads row keys over N servers with a
-// consistent-hash ring, writes every mutation to R replicas with
-// quorum acks, and serves reads with automatic failover when a node
+// consistent-hash ring, writes every cell to the live ones of its R
+// replicas, and serves reads with automatic failover when a node
 // times out or drops — the reproduction's stand-in for the Accumulo
 // tablet-server fleet behind the paper's D4M tables.
 //

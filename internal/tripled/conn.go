@@ -3,24 +3,22 @@ package tripled
 import "repro/internal/assoc"
 
 // Conn is the store-client surface the pipeline, daemon, and load
-// tools program against: everything a study needs to publish and fetch
-// its D4M tables, satisfied both by the single-connection *Client and
-// by the replicated cluster client (internal/tripled/cluster), so one
-// Config.StoreAddr string can name either a single server or a
-// consistent-hash cluster without the callers changing shape.
+// tools program against: a study publishes and fetches its D4M tables
+// (PublishAssoc / FetchAssoc), the daemon ledgers with Put, and the load
+// tools add point reads, batches and the degree table. It is satisfied
+// both by the single-connection *Client and by the replicated cluster
+// client (internal/tripled/cluster), so one Config.StoreAddr string can
+// name either a single server or a consistent-hash cluster without the
+// callers changing shape.
 //
 // Implementations follow the *Client contract: not safe for concurrent
 // use — one Conn per goroutine.
 type Conn interface {
 	Put(row, col string, v assoc.Value) error
 	Get(row, col string) (assoc.Value, error)
-	Delete(row, col string) error
 	PutBatch(cells []Cell) error
-	Row(row string) (map[string]assoc.Value, error)
-	ScanAllRows(start, end string, pageSize int) ([]string, error)
 	TopRowsByDegree(k int) ([]RowDegree, error)
 	PublishAssoc(prefix string, a *assoc.Assoc, batchSize int) error
-	DeletePrefix(prefix string, pageRows int) error
 	FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error)
 	Close() error
 }

@@ -59,8 +59,8 @@ func FuzzServerProtocol(f *testing.F) {
 		"ROW\tr\n",
 		"COL\tc\n",
 		"RANGE\ta\tz\n",
-		"SCAN\ta\tz\t10\t\n",
 		"CELLS\ta\tz\t10\t\n",
+		"CELLS\ta\tz\t1\tb\n", // resumed at a cursor
 		"TOPDEG\t5\n",
 		"NNZ\n",
 		"QUIT\n",
@@ -74,7 +74,7 @@ func FuzzServerProtocol(f *testing.F) {
 		"PUT\ttoo\tfew\n",                      // arity
 		"GET\tr\tc\textra\ttabs\teverywhere\n", // arity
 		"TOPDEG\t\t\n",                         // empty args
-		"SCAN\t\t\tx\t\n",                      // non-numeric limit
+		"CELLS\t\t\tx\t\n",                     // non-numeric limit
 		"\t\t\t\n",                             // tabs only
 		"put\tlower\tcase\tn\t1\n",             // case folding
 		"PUT\tr\tc\tn\t1\r\nGET\tr\tc\r\n",     // CRLF

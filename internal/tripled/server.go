@@ -16,20 +16,26 @@ package tripled
 //	ROW <row>              -> block of col/value pairs
 //	COL <col>              -> block of row/value pairs
 //	RANGE <start> <end>    -> block of row keys ("" end = unbounded)
-//	SCAN <start> <end> <limit> <cursor>
-//	                       -> block of up to <limit> row keys > cursor;
-//	                          fewer than <limit> keys means the scan is
-//	                          done, else resume with the last key
 //	CELLS <start> <end> <limit> <cursor>
-//	                       -> like SCAN but the block holds every cell
-//	                          of the page's rows as row/col/type/value
-//	                          lines (bulk export, one trip per page).
-//	                          A page is one atomic snapshot of at most
-//	                          4096 rows whatever <limit> says: resume
-//	                          until a page comes back empty
+//	                       -> the one paged read: a block holding every
+//	                          cell of up to <limit> rows in [start, end)
+//	                          after the cursor row ("" = from start), as
+//	                          row/col/type/value lines. A page is one
+//	                          atomic snapshot of at most 4096 rows
+//	                          whatever <limit> says; resume with the
+//	                          page's last row until a page comes back
+//	                          empty
 //	TOPDEG <k>             -> block of row/degree pairs
+//	RESYNC DIGEST <nb> | RESYNC ROWS <nb> <bucket>
+//	                       -> anti-entropy digests (see handleResync)
 //	NNZ
 //	QUIT
+//
+// A study sends BATCH and CELLS only: a table is published as pipelined
+// BATCHes under a row-key prefix and read back by CELLS pages. PUT, GET,
+// BATCH and TOPDEG carry the load tools and the daemon's ledger, RESYNC
+// / ROW / BATCH the cluster's repair, ROW / COL / RANGE an operator's
+// queries.
 //
 // Responses: "OK", "OK <payload>", "NF" (not found), "ERR <msg>", or
 // "BLOCK <n>" followed by n data lines. Malformed requests that leave
@@ -298,22 +304,14 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 		for _, r := range rows {
 			fmt.Fprintln(w, r)
 		}
-	case "SCAN", "CELLS":
+	case "CELLS":
 		if len(parts) != 5 {
-			fmt.Fprintf(w, "ERR %s wants 4 arguments\n", cmd)
+			fmt.Fprintln(w, "ERR CELLS wants 4 arguments")
 			return false
 		}
 		limit, err := strconv.Atoi(parts[3])
 		if err != nil || limit < 1 {
 			fmt.Fprintln(w, "ERR bad limit")
-			return false
-		}
-		if cmd == "SCAN" {
-			rows, _ := s.store.ScanRows(parts[1], parts[2], limit, parts[4])
-			fmt.Fprintf(w, "BLOCK %d\n", len(rows))
-			for _, r := range rows {
-				fmt.Fprintln(w, r)
-			}
 			return false
 		}
 		page := pagePool.Get().(*[]Cell)

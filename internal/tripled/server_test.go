@@ -1,7 +1,7 @@
 package tripled
 
 // server_test.go covers the production-shaping of the service: the
-// BATCH and SCAN/CELLS verbs, batch atomicity, the idle-connection
+// BATCH and CELLS verbs, batch atomicity, the idle-connection
 // shutdown fix, and the per-connection read deadline.
 
 import (
@@ -117,43 +117,6 @@ func TestBatchOversizedCountDisconnects(t *testing.T) {
 	}
 	if _, err := c.roundTrip("NNZ"); err == nil {
 		t.Error("connection survived oversized batch count")
-	}
-}
-
-func TestScanPaging(t *testing.T) {
-	srv, c := serveTest(t)
-	for i := 0; i < 25; i++ {
-		srv.store.Put(fmt.Sprintf("r%02d", i), "c", assoc.Num(1))
-	}
-	var got []string
-	cursor := ""
-	pages := 0
-	for {
-		page, err := c.ScanRows("r00", "r20", 7, cursor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, page...)
-		pages++
-		if len(page) < 7 {
-			break
-		}
-		cursor = page[len(page)-1]
-	}
-	if len(got) != 20 || pages != 3 {
-		t.Fatalf("paged scan returned %d rows in %d pages", len(got), pages)
-	}
-	for i, r := range got {
-		if want := fmt.Sprintf("r%02d", i); r != want {
-			t.Fatalf("row %d = %q, want %q", i, r, want)
-		}
-	}
-	all, err := c.ScanAllRows("", "", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 25 {
-		t.Errorf("ScanAllRows = %d rows", len(all))
 	}
 }
 
@@ -346,9 +309,8 @@ func TestFetchAssocTableAllocations(t *testing.T) {
 // read-locked, so the server bounds it. Through a real connection: a
 // CELLS request for a billion rows gets maxPageRows of them, the clients
 // that loop until an empty page (FetchAssoc, DeletePrefix) still see
-// every row whatever page size they ask for, SCAN keeps its contract (a
-// short page ends the scan, so it is not clamped), and a page buffer
-// wider than maxPooledPage cells does not go back to the pool.
+// every row whatever page size they ask for, and a page buffer wider
+// than maxPooledPage cells does not go back to the pool.
 func TestCellsPageIsClamped(t *testing.T) {
 	srv, c := serveTest(t)
 	const rows = maxPageRows + 100
@@ -362,10 +324,6 @@ func TestCellsPageIsClamped(t *testing.T) {
 	page, err := c.appendCells(nil, "t/", PrefixEnd("t/"), 1_000_000_000, "")
 	if err != nil || len(page) != maxPageRows || page[len(page)-1].Row != cells[maxPageRows-1].Row {
 		t.Fatalf("CELLS for 1e9 rows returned %d rows, %v; want the first %d", len(page), err, maxPageRows)
-	}
-	keys, err := c.ScanRows("t/", PrefixEnd("t/"), 1_000_000_000, "")
-	if err != nil || len(keys) != rows {
-		t.Fatalf("SCAN for 1e9 rows returned %d rows, %v; want all %d", len(keys), err, rows)
 	}
 	back, err := c.FetchAssoc("t/", 1_000_000_000)
 	if err != nil || back.NRows() != rows {

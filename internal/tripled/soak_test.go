@@ -20,7 +20,7 @@ import (
 // owning client's keyspace so the interleaving cannot change the final
 // state; reads roam everywhere.
 type soakOp struct {
-	kind string // "put", "del", "batch", "get", "row", "topdeg", "scan", "nnz"
+	kind string // "put", "del", "batch", "get", "row", "topdeg", "fetch", "nnz"
 	row  string
 	col  string
 	val  assoc.Value
@@ -49,7 +49,7 @@ func soakScript(id, ops int) []soakOp {
 		case r < 90:
 			out = append(out, soakOp{kind: "topdeg", n: 1 + rng.Intn(10)})
 		case r < 95:
-			out = append(out, soakOp{kind: "scan", row: anyRow()})
+			out = append(out, soakOp{kind: "fetch", row: anyRow()})
 		default:
 			out = append(out, soakOp{kind: "nnz"})
 		}
@@ -116,8 +116,8 @@ func TestConcurrentSoakMatchesOracle(t *testing.T) {
 					_, err = c.Row(op.row)
 				case "topdeg":
 					_, err = c.TopRowsByDegree(op.n)
-				case "scan":
-					_, err = c.ScanRows(op.row, "", 16, "")
+				case "fetch":
+					_, err = c.FetchAssoc(op.row, 16)
 				case "nnz":
 					_, err = c.NNZ()
 				}

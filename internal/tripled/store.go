@@ -13,8 +13,8 @@
 // is its cells as a run sorted by column, each value stored once; bulk
 // mutations arrive as runs of same-row cells and cost one stripe hash
 // and one index seek per run. Column queries and degree-table reads
-// merge the per-stripe tables on demand; everything ordered (SCAN and
-// CELLS pages, RANGE, the snapshot log) is one walk, Store.page, which
+// merge the per-stripe tables on demand; everything ordered (CELLS
+// pages, RANGE, the snapshot log) is one walk, Store.page, which
 // holds every stripe's read lock for one page and merges a cursor per
 // stripe lazily: a page is an atomic snapshot and costs
 // O(stripes * log rows + page), not a walk of the store. The store is
