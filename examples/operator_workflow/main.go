@@ -1,8 +1,9 @@
 // Operator workflow: the storage-and-serving side of the deployment —
 // the telescope archives anonymized leaf matrices to disk, an analysis
 // job reconstructs the window from the archive, and a honeyfarm month is
-// loaded into the D4M triple store and queried over TCP, the way the
-// paper's pipeline spans the LBNL archive and an Accumulo service.
+// loaded into the D4M triple store, fetched back over TCP and queried,
+// the way the paper's pipeline spans the LBNL archive and an Accumulo
+// service.
 package main
 
 import (
@@ -10,9 +11,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/assoc"
 	"repro/internal/honeyfarm"
 	"repro/internal/netquant"
 	"repro/internal/radiation"
@@ -83,36 +86,35 @@ func main() {
 	}
 	defer client.Close()
 
-	// Analyst query 1: what classes of sources did we see?
-	col, err := client.Col(honeyfarm.ColClassification)
+	// The month comes back over the wire once, as CELLS pages; the
+	// analyst's queries run on the fetched table.
+	month, err := client.FetchAssoc("", 512)
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Analyst query 1: what classes of sources did we see?
 	counts := map[string]int{}
-	for _, v := range col {
-		counts[v.Str]++
-	}
+	month.Iterate(func(_, col string, v assoc.Value) bool {
+		if col == honeyfarm.ColClassification {
+			counts[v.Str]++
+		}
+		return true
+	})
 	fmt.Printf("classification census over the wire: %v\n", counts)
 
-	// Analyst query 2: the heaviest sources by packet count, resolved
-	// through the table itself.
-	top := mw.Table.TopKByColumn(honeyfarm.ColPackets, 3)
+	// Analyst query 2: the heaviest sources by packet count.
+	top := month.TopKByColumn(honeyfarm.ColPackets, 3)
 	fmt.Println("heaviest honeyfarm sources this month:")
 	for _, rv := range top {
-		row, err := client.Row(rv.Row)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-15s %3.0f packets, %s/%s\n",
-			rv.Row, rv.Value, row[honeyfarm.ColClassification].Str, row[honeyfarm.ColIntent].Str)
+		class, _ := month.Get(rv.Row, honeyfarm.ColClassification)
+		intent, _ := month.Get(rv.Row, honeyfarm.ColIntent)
+		fmt.Printf("  %-15s %3.0f packets, %s/%s\n", rv.Row, rv.Value, class.Str, intent.Str)
 	}
 
-	// Analyst query 3: range scan of a prefix neighborhood.
-	rows, err := client.RowRange("9.", "A")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sources in [9., A): %d\n", len(rows))
+	// Analyst query 3: the sources of a key-range neighborhood.
+	keys := month.RowKeys()
+	fmt.Printf("sources in [9., A): %d\n", sort.SearchStrings(keys, "A")-sort.SearchStrings(keys, "9."))
 
 	// And the store replays from its log identically.
 	var logBuf bytes.Buffer

@@ -223,15 +223,6 @@ func (c *Client) Get(row, col string) (assoc.Value, error) {
 	return parseValue(parts[0], parts[1])
 }
 
-// Delete removes a cell; ErrNotFound when absent.
-func (c *Client) Delete(row, col string) error {
-	resp, err := c.roundTrip(fmt.Sprintf("DEL\t%s\t%s", row, col))
-	if err != nil {
-		return err
-	}
-	return c.expectOK(resp)
-}
-
 // PutBatch stores every cell in one BATCH round trip.
 func (c *Client) PutBatch(cells []Cell) error {
 	p := c.StartPipeline(len(cells))
@@ -242,7 +233,7 @@ func (c *Client) PutBatch(cells []Cell) error {
 }
 
 // DeleteBatch removes every addressed cell in one BATCH round trip.
-// Unlike Delete, absent cells are not an error.
+// Absent cells are not an error.
 func (c *Client) DeleteBatch(keys []CellKey) error {
 	p := c.StartPipeline(len(keys))
 	for _, k := range keys {
@@ -309,49 +300,6 @@ func (c *Client) readBlock(first string) ([]string, error) {
 	return out, nil
 }
 
-func (c *Client) cellsQuery(verb, key string) (map[string]assoc.Value, error) {
-	resp, err := c.roundTrip(verb + "\t" + key)
-	if err != nil {
-		return nil, err
-	}
-	lines, err := c.readBlock(resp)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]assoc.Value, len(lines))
-	for _, line := range lines {
-		parts := strings.SplitN(line, "\t", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("tripled: malformed cell line %q", line)
-		}
-		v, err := parseValue(parts[1], parts[2])
-		if err != nil {
-			return nil, err
-		}
-		out[parts[0]] = v
-	}
-	return out, nil
-}
-
-// Row fetches all cells of a row.
-func (c *Client) Row(row string) (map[string]assoc.Value, error) {
-	return c.cellsQuery("ROW", row)
-}
-
-// Col fetches all cells of a column via the server's transpose index.
-func (c *Client) Col(col string) (map[string]assoc.Value, error) {
-	return c.cellsQuery("COL", col)
-}
-
-// RowRange lists row keys in [start, end); empty end means unbounded.
-func (c *Client) RowRange(start, end string) ([]string, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("RANGE\t%s\t%s", start, end))
-	if err != nil {
-		return nil, err
-	}
-	return c.readBlock(resp)
-}
-
 // appendCells fetches one page of the paged read (CELLS): every cell of
 // up to limit rows in [start, end) after the cursor row, in (row, col)
 // order; the page's last row key is the next cursor. A short page does
@@ -389,6 +337,13 @@ func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor st
 		return nil, lineErr
 	}
 	return out, nil
+}
+
+// RowCells reads every cell of one row, in column order, as a one-row
+// CELLS page bounded to the row itself: nil when the row is absent,
+// never a neighbouring row.
+func (c *Client) RowCells(row string) ([]Cell, error) {
+	return c.appendCells(nil, row, row+"\x00", 1, "")
 }
 
 // TopRowsByDegree queries the server's degree table.

@@ -56,9 +56,9 @@ func dialTest(t *testing.T, addr string) *Client {
 }
 
 func TestClientServerDropsMidBlock(t *testing.T) {
-	addr := fakeServer(t, "BLOCK 5\na\tn\t1\nb\tn\t2\n")
+	addr := fakeServer(t, "BLOCK 5\na\tc\tn\t1\na\td\tn\t2\n")
 	c := dialTest(t, addr)
-	_, err := c.Row("whatever")
+	_, err := c.RowCells("a")
 	if err == nil || !strings.Contains(err.Error(), "truncated block") {
 		t.Fatalf("mid-block drop error = %v", err)
 	}
@@ -81,11 +81,11 @@ func TestClientMalformedResponses(t *testing.T) {
 		{"garbage status", "WAT\n", func(c *Client) error { return c.Put("r", "c", assoc.Num(1)) }},
 		{"get payload no tab", "OK n1\n", func(c *Client) error { _, err := c.Get("r", "c"); return err }},
 		{"get payload bad marker", "OK q\tv\n", func(c *Client) error { _, err := c.Get("r", "c"); return err }},
-		{"block header not a count", "BLOCK x\n", func(c *Client) error { _, err := c.Row("r"); return err }},
-		{"block header negative", "BLOCK -2\n", func(c *Client) error { _, err := c.Row("r"); return err }},
+		{"block header not a count", "BLOCK x\n", func(c *Client) error { _, err := c.RowCells("r"); return err }},
+		{"block header negative", "BLOCK -2\n", func(c *Client) error { _, err := c.RowCells("r"); return err }},
 		{"block instead of ok", "BLOCK 0\n", func(c *Client) error { _, err := c.NNZ(); return err }},
-		{"ok instead of block", "OK\n", func(c *Client) error { _, err := c.RowRange("", ""); return err }},
-		{"cell line too few fields", "BLOCK 1\nonlyrow\n", func(c *Client) error { _, err := c.Row("r"); return err }},
+		{"ok instead of block", "OK\n", func(c *Client) error { _, err := c.TopRowsByDegree(1); return err }},
+		{"cell line too few fields", "BLOCK 1\nonlyrow\n", func(c *Client) error { _, err := c.RowCells("r"); return err }},
 		{"cells line too few fields", "BLOCK 1\nr\tc\n", func(c *Client) error { _, err := c.appendCells(nil, "", "", 5, ""); return err }},
 		{"degree not a number", "BLOCK 1\nr\tx\n", func(c *Client) error { _, err := c.TopRowsByDegree(1); return err }},
 		{"nnz not a number", "OK many\n", func(c *Client) error { _, err := c.NNZ(); return err }},

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -282,11 +283,12 @@ func replayOracle(clients, ops int) *tripled.Store {
 			case "put":
 				oracle.Put(op.row, op.col, op.val)
 			case "publish":
-				for _, row := range oracle.RowRange(op.row, tripled.PrefixEnd(op.row)) {
-					for col := range oracle.Row(row) {
+				oracle.ToAssoc().Iterate(func(row, col string, _ assoc.Value) bool {
+					if strings.HasPrefix(row, op.row) {
 						oracle.Delete(row, col)
 					}
-				}
+					return true
+				})
 				publishTable(id, i, op.n).Iterate(func(row, col string, v assoc.Value) bool {
 					oracle.Put(op.row+row, col, v)
 					return true

@@ -17,12 +17,14 @@ package cluster
 // took that later failed, or a prefix clear it missed) are
 // removed. Healthy replicas are authoritative by construction: writes
 // only ack against the up set, so the up set's state is exactly the
-// acked history.
+// acked history. A repair speaks three verbs: RESYNC for the digests,
+// one-row CELLS pages to read a row, and BATCH to rewrite it.
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
-	"repro/internal/assoc"
 	"repro/internal/tripled"
 )
 
@@ -157,7 +159,7 @@ func (c *Client) repairNode(i int) error {
 			if _, ok := expected[row]; ok {
 				continue
 			}
-			if err := deleteRow(target, row); err != nil {
+			if err := replaceRow(target, row, nil); err != nil {
 				return err
 			}
 		}
@@ -170,53 +172,36 @@ func (c *Client) repairNode(i int) error {
 	return nil
 }
 
-// copyRow makes target's copy of row identical to the healthy holder's:
-// extra columns are deleted, then every authoritative cell is written.
+// copyRow makes target's copy of row identical to the healthy holder's.
 func (c *Client) copyRow(row string, holder int, target *tripled.Client) error {
-	var want map[string]assoc.Value
-	if err := c.onNode(holder, func(cl *tripled.Client) error {
-		m, err := cl.Row(row)
-		if err == nil {
-			want = m
-		}
+	var want []tripled.Cell
+	if err := c.onNode(holder, func(cl *tripled.Client) (err error) {
+		want, err = cl.RowCells(row)
 		return err
 	}); err != nil {
 		return err
 	}
-	have, err := target.Row(row)
-	if err != nil {
-		return err
-	}
-	var extra []tripled.CellKey
-	for col := range have {
-		if _, ok := want[col]; !ok {
-			extra = append(extra, tripled.CellKey{Row: row, Col: col})
-		}
-	}
-	if len(extra) > 0 {
-		if err := target.DeleteBatch(extra); err != nil {
-			return err
-		}
-	}
-	cells := make([]tripled.Cell, 0, len(want))
-	for col, v := range want {
-		cells = append(cells, tripled.Cell{Row: row, Col: col, Val: v})
-	}
-	return target.PutBatch(cells)
+	return replaceRow(target, row, want)
 }
 
-// deleteRow removes every cell of a row no healthy replica vouches for.
-func deleteRow(target *tripled.Client, row string) error {
-	have, err := target.Row(row)
+// replaceRow makes target's row hold exactly want, cells of that row in
+// column order — none removes the row — in one BATCH: the columns
+// target holds and want lacks are deleted, then want is written.
+func replaceRow(target *tripled.Client, row string, want []tripled.Cell) error {
+	have, err := target.RowCells(row)
 	if err != nil {
 		return err
 	}
-	if len(have) == 0 {
-		return nil
+	p := target.StartPipeline(len(have) + len(want))
+	for _, h := range have {
+		if _, kept := slices.BinarySearchFunc(want, h.Col, func(w tripled.Cell, col string) int {
+			return strings.Compare(w.Col, col)
+		}); !kept {
+			p.Delete(row, h.Col)
+		}
 	}
-	keys := make([]tripled.CellKey, 0, len(have))
-	for col := range have {
-		keys = append(keys, tripled.CellKey{Row: row, Col: col})
+	for _, w := range want {
+		p.Put(row, w.Col, w.Val)
 	}
-	return target.DeleteBatch(keys)
+	return p.Close()
 }

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -245,4 +246,71 @@ func TestClusterKill9RestartWALRepairRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartitionParity(t, tc.addrs, 2, a, oracle)
+}
+
+// TestRepairLeavesTheNextRowAlone: repair reads one row at a time, and
+// the row after it in key order must never stand in for it. A member
+// that missed row r but holds r\x01 — the very next key — gets r copied
+// from its healthy replica and keeps r\x01 as it was; copying r from a
+// holder that has since lost it removes r and writes nothing of r\x01;
+// and clearing r from a member that holds only r\x01 deletes nothing.
+func TestRepairLeavesTheNextRowAlone(t *testing.T) {
+	const r, next = "r", "r\x01"
+	tc := startCluster(t, 2, false)
+	holder, target := tc.stores[0], tc.stores[1]
+	for _, s := range []*tripled.Store{holder, target} {
+		if err := s.PutBatch([]tripled.Cell{
+			{Row: next, Col: "a", Val: assoc.Num(1)},
+			{Row: next, Col: "z", Val: assoc.Num(2)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := holder.Put(r, "b", assoc.Str("x")); err != nil {
+		t.Fatal(err)
+	}
+
+	c := tc.client(t, 2, 2*time.Second)
+	c.markDown(1, errors.New("missed the write of r"))
+	if repaired, err := c.Repair(); err != nil || !reflect.DeepEqual(repaired, []string{tc.addrs[1]}) {
+		t.Fatalf("Repair = %v, %v", repaired, err)
+	}
+	var hb, tb bytes.Buffer
+	holder.WriteLog(&hb)
+	target.WriteLog(&tb)
+	if !bytes.Equal(hb.Bytes(), tb.Bytes()) {
+		t.Fatalf("repaired member holds\n%q\nits healthy replica\n%q", tb.Bytes(), hb.Bytes())
+	}
+
+	holder.Delete(r, "b")
+	tcl, err := tripled.Dial(tc.addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcl.Close()
+	if err := c.copyRow(r, 0, tcl); err != nil {
+		t.Fatal(err)
+	}
+	if got := target.ToAssoc(); got.HasRow(r) || got.NNZ() != 2 {
+		t.Fatalf("copying the vanished row %q left %v on the member", r, got.Row(r))
+	}
+
+	lone := tripled.NewStore()
+	lone.Put(next, "a", assoc.Num(1))
+	srv, err := tripled.Serve(lone, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := tripled.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := replaceRow(cl, r, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := lone.Get(next, "a"); !ok || v != assoc.Num(1) || lone.NNZ() != 1 {
+		t.Fatalf("clearing the absent row %q touched %q: %v, %v, %d cells", r, next, v, ok, lone.NNZ())
+	}
 }

@@ -1,7 +1,7 @@
 package tripled
 
 // codec.go is the one place a cell becomes bytes and back. Every line
-// format — PUT requests and BATCH bodies, GET/ROW/COL/CELLS responses,
+// format — PUT requests and BATCH bodies, GET and CELLS responses,
 // WAL records and the WriteLog snapshot — ends in the same
 // "<n|s>\t<value>" tail, so they all render through appendValue and
 // parse through parseValue, and none allocates per cell to do it.

@@ -71,7 +71,7 @@ func (r *row) digest() RowDigestEntry {
 	e := RowDigestEntry{Row: r.key}
 	for c := range r.cells.All() {
 		e.Count++
-		e.Sum += CellDigest(r.key, c.Key, c.Val.val)
+		e.Sum += CellDigest(r.key, c.Key, c.Val)
 	}
 	return e
 }

@@ -108,30 +108,30 @@ func (s *Server) openWAL() error {
 }
 
 // applyOps logs ops as one WAL record (when durable) and applies them
-// to the store run by run, returning how many DEL ops hit an existing
-// cell. Append and apply happen under the durability mutex so WAL
-// order is apply order.
-func (s *Server) applyOps(ops *mutations) (int, error) {
+// to the store run by run. Append and apply happen under the durability
+// mutex so WAL order is apply order.
+func (s *Server) applyOps(ops *mutations) error {
 	if ops.len() == 0 {
-		return 0, nil
+		return nil
 	}
 	if s.wal == nil {
-		return applyRuns(s.store, ops), nil
+		applyRuns(s.store, ops)
+		return nil
 	}
 	s.durMu.Lock()
 	defer s.durMu.Unlock()
 	payload := encodeOps(ops)
 	if err := s.wal.Append(payload); err != nil {
-		return 0, fmt.Errorf("wal append: %w", err)
+		return fmt.Errorf("wal append: %w", err)
 	}
-	deleted := applyRuns(s.store, ops)
+	applyRuns(s.store, ops)
 	s.walBytes += int64(len(payload))
 	if s.walCompactBytes > 0 && s.walBytes >= s.walCompactBytes {
 		if err := s.compactLocked(); err != nil {
-			return deleted, fmt.Errorf("wal compact: %w", err)
+			return fmt.Errorf("wal compact: %w", err)
 		}
 	}
-	return deleted, nil
+	return nil
 }
 
 // Compact forces snapshot-then-truncate compaction of a durable
@@ -159,23 +159,20 @@ func (s *Server) compactLocked() error {
 
 // applyRuns applies parsed ops run by run, each run of consecutive
 // PUTs or DELs as one store batch (so same-cell PUT/DEL sequences keep
-// their order), and returns how many DELs hit an existing cell. The
-// ops were validated when they were parsed — off the wire by
-// parseMutation, or before they were logged to the WAL being replayed
-// — so the store takes the PUTs as they stand.
-func applyRuns(store *Store, ops *mutations) int {
-	deleted := 0
+// their order). The ops were validated when they were parsed — off the
+// wire by parseMutation, or before they were logged to the WAL being
+// replayed — so the store takes the PUTs as they stand.
+func applyRuns(store *Store, ops *mutations) {
 	puts, dels := ops.puts, ops.dels
 	for _, run := range ops.runs {
 		if run.del {
-			deleted += store.DeleteBatch(dels[:run.n])
+			store.DeleteBatch(dels[:run.n])
 			dels = dels[run.n:]
 		} else {
 			store.putCells(puts[:run.n])
 			puts = puts[run.n:]
 		}
 	}
-	return deleted
 }
 
 // encodeOps frames ops as one WAL payload: the same tab-separated

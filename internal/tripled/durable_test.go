@@ -82,7 +82,7 @@ func TestDurableServerRecoversMutations(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("beta", "x"); err != nil {
+	if err := c.DeleteBatch([]CellKey{{Row: "beta", Col: "x"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put("alpha", "x", assoc.Num(9)); err != nil { // overwrite
@@ -118,7 +118,7 @@ func TestDurableCompactionSnapshotThenTail(t *testing.T) {
 	if err := c.Put("post", "c", assoc.Num(99)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("r00", "c"); err != nil {
+	if err := c.DeleteBatch([]CellKey{{Row: "r00", Col: "c"}}); err != nil {
 		t.Fatal(err)
 	}
 	want := storeLog(t, store)
@@ -189,9 +189,7 @@ func TestWALCompactionUnderConcurrentWriters(t *testing.T) {
 							{Row: row, Col: "b", Val: assoc.Str(fmt.Sprintf("v%d", i))},
 						})
 					case 3:
-						if err = c.Delete(row, "b"); err == ErrNotFound {
-							err = nil
-						}
+						err = c.DeleteBatch([]CellKey{{Row: row, Col: "b"}})
 					default:
 						err = c.Put(row, "a", assoc.Num(float64(i)))
 					}

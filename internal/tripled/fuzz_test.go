@@ -54,32 +54,32 @@ func FuzzServerProtocol(f *testing.F) {
 		"PUT\tr\tc\tn\t3\n",
 		"PUT\tr\tc\ts\thello world\n",
 		"GET\tr\tc\n",
-		"DEL\tr\tc\n",
+		"BATCH\t1\nDEL\tr\tc\n", // a delete is a BATCH body line
 		"BATCH\t2\nPUT\ta\tb\tn\t1\nDEL\ta\tb\n",
-		"ROW\tr\n",
-		"COL\tc\n",
-		"RANGE\ta\tz\n",
+		"BATCH\t2\nDEL\ta\tb\nDEL\ta\tb\textra\n", // DEL arity
+		"CELLS\tr\tr\x00\t1\t\n",                  // one row, bounded to itself
+		"CELLS\t\t\t3\t\n",                        // unbounded
 		"CELLS\ta\tz\t10\t\n",
 		"CELLS\ta\tz\t1\tb\n", // resumed at a cursor
 		"TOPDEG\t5\n",
 		"NNZ\n",
 		"QUIT\n",
-		"BATCH\t3\nPUT\ta\tb\tn\t1\n",          // truncated body
-		"BATCH\t99999999999999999999\n",        // overflow count
-		"BATCH\t1000000000\nPUT\ta\tb\tn\t1\n", // huge count
-		"BATCH\t-5\n",                          // negative count
-		"BATCH\t1\nGET\ta\tb\n",                // non-mutation in body
-		"PUT\tr\tc\tq\tbadmarker\n",            // unknown value marker
-		"PUT\tr\tc\tn\tnot-a-number\n",         // bad numeric
-		"PUT\ttoo\tfew\n",                      // arity
-		"GET\tr\tc\textra\ttabs\teverywhere\n", // arity
-		"TOPDEG\t\t\n",                         // empty args
-		"CELLS\t\t\tx\t\n",                     // non-numeric limit
-		"\t\t\t\n",                             // tabs only
-		"put\tlower\tcase\tn\t1\n",             // case folding
-		"PUT\tr\tc\tn\t1\r\nGET\tr\tc\r\n",     // CRLF
-		"BOGUS COMMAND\nNNZ\n",                 // junk then valid
-		strings.Repeat("A", 4096) + "\n",       // long junk line
+		"BATCH\t3\nPUT\ta\tb\tn\t1\n",                       // truncated body
+		"BATCH\t99999999999999999999\n",                     // overflow count
+		"BATCH\t1000000000\nPUT\ta\tb\tn\t1\n",              // huge count
+		"BATCH\t-5\n",                                       // negative count
+		"BATCH\t1\nGET\ta\tb\n",                             // non-mutation in body
+		"PUT\tr\tc\tq\tbadmarker\n",                         // unknown value marker
+		"PUT\tr\tc\tn\tnot-a-number\n",                      // bad numeric
+		"PUT\ttoo\tfew\n",                                   // arity
+		"GET\tr\tc\textra\ttabs\teverywhere\n",              // arity
+		"TOPDEG\t\t\n",                                      // empty args
+		"CELLS\t\t\tx\t\n",                                  // non-numeric limit
+		"\t\t\t\n",                                          // tabs only
+		"put\tlower\tcase\tn\t1\n",                          // case folding
+		"PUT\tr\tc\tn\t1\r\nGET\tr\tc\r\n",                  // CRLF
+		"BOGUS COMMAND\nNNZ\n",                              // junk then valid
+		strings.Repeat("A", 4096) + "\n",                    // long junk line
 		"PUT\t" + strings.Repeat("k", 2000) + "\tc\tn\t1\n", // long key
 		"\x00\x01\x02\xff\xfe\n",                            // binary noise
 	}
@@ -118,8 +118,8 @@ func FuzzReplayLog(f *testing.F) {
 // sequence of puts, deletes, put batches and delete batches over a small
 // key space — so rows collide, empty out and return — with, between
 // them, scans of any (start, end, limit, cursor): live keys, dead ones,
-// bare prefixes, empty, bounds crossed. Every ScanRows and appendCells
-// page is diffed against the map-of-maps model, which has never seen
+// bare prefixes, empty, bounds crossed. Every appendCells page is
+// diffed against the map-of-maps model, which has never seen
 // the index or the merge, and the structural invariants are checked
 // after every step.
 func FuzzStoreScan(f *testing.F) {
@@ -194,12 +194,6 @@ func FuzzStoreScan(f *testing.F) {
 				}
 			case 4:
 				start, end, cursor, limit := bound(next()), bound(next()), bound(next()), int(next()%12)-2
-				rows, more := s.ScanRows(start, end, limit, cursor)
-				wantRows, wantMore := m.scanRows(start, end, limit, cursor)
-				if !slices.Equal(rows, wantRows) || more != wantMore {
-					t.Fatalf("step %d: ScanRows(%q,%q,%d,%q) = %v more=%v, model %v more=%v",
-						step, start, end, limit, cursor, rows, more, wantRows, wantMore)
-				}
 				cells, more := s.appendCells(nil, start, end, limit, cursor)
 				wantCells, wantMore := m.scanCells(start, end, limit, cursor)
 				if !cellsEqual(cells, wantCells) || more != wantMore {

@@ -13,9 +13,9 @@ import (
 
 // TestHoneyfarmMonthServedOverTCP loads a honeyfarm month table into the
 // triple store, serves it, and answers the analyst queries of the
-// paper's workflow over the network: per-source lookups, classification
-// grouping via the transpose index, and heaviest-row selection via the
-// degree table.
+// paper's workflow over the network: the month fetched back as a table,
+// the classification census taken from it, and heaviest-row selection
+// via the degree table.
 func TestHoneyfarmMonthServedOverTCP(t *testing.T) {
 	cfg := radiation.DefaultConfig()
 	cfg.NumSources = 2000
@@ -48,29 +48,22 @@ func TestHoneyfarmMonthServedOverTCP(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Per-source lookup round trip.
-	someIP := mw.Table.RowKeys()[0]
-	row, err := c.Row(someIP)
+	// The month fetched over the wire; its classification census must
+	// agree with the local one.
+	month, err := c.FetchAssoc("", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := row[honeyfarm.ColClassification]; !ok {
-		t.Errorf("row %s missing classification over the wire", someIP)
-	}
-
-	// The classification column via the transpose index must agree with
-	// the local census total.
-	col, err := c.Col(honeyfarm.ColClassification)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col) != mw.Sources() {
-		t.Errorf("classification column has %d rows, want %d", len(col), mw.Sources())
+	if month.NRows() != mw.Sources() {
+		t.Errorf("fetched month has %d rows, want %d", month.NRows(), mw.Sources())
 	}
 	counts := make(map[string]int)
-	for _, v := range col {
-		counts[v.Str]++
-	}
+	month.Iterate(func(_, col string, v assoc.Value) bool {
+		if col == honeyfarm.ColClassification {
+			counts[v.Str]++
+		}
+		return true
+	})
 	for _, row := range mw.ClassificationCensus() {
 		if counts[row.Classification] != row.Sources {
 			t.Errorf("census mismatch for %s: %d vs %d",

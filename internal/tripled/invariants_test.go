@@ -20,13 +20,9 @@ func valueEqual(a, b assoc.Value) bool {
 // verifyStoreInvariants cross-checks every stripe's redundant
 // structures: the row index (keys strictly ascending, so each row once;
 // every entry holding a row of that very key, which hashes to this
-// stripe), each row's run (columns strictly ascending, never empty),
-// each cell's column membership and the back-position that makes
-// leaving a column O(1), each column's member list (no empty column,
-// every member the row the index holds under its key, holding the
-// column at that very position, the column's one name string keying the
-// cell), and nnz vs cell count (degree tables are derived from run and
-// member-list lengths, so their correctness rides on the same checks).
+// stripe), each row's run (columns strictly ascending, never empty), and
+// nnz vs cell count (the degree table is derived from run lengths, so
+// its correctness rides on the same checks).
 // The fuzz, soak, differential and crash tests call it to prove no
 // input sequence can corrupt the store.
 func verifyStoreInvariants(t *testing.T, s *Store) {
@@ -62,10 +58,6 @@ func verifyStoreInvariants(t *testing.T, s *Store) {
 					t.Errorf("row %q run not strictly ascending: %q after %q", key, e.Key, prev)
 				}
 				prev, first = e.Key, false
-				c := st.cols[e.Key]
-				if c == nil || e.Val.pos >= len(c.rows) || c.rows[e.Val.pos] != r {
-					t.Errorf("cell (%q,%q) not at its back-position %d in the column", key, e.Key, e.Val.pos)
-				}
 			}
 			if got := r.cells.Len(); got != r.digest().Count {
 				t.Errorf("row %q Len = %d, walk %d", key, got, r.digest().Count)
@@ -75,25 +67,6 @@ func verifyStoreInvariants(t *testing.T, s *Store) {
 			t.Errorf("stripe %d nnz = %d, recount %d", i, st.nnz, nnz)
 		}
 		total += nnz
-		members := 0
-		for name, c := range st.cols {
-			if len(c.rows) == 0 {
-				t.Errorf("stripe %d keeps empty column %q", i, name)
-			}
-			if c.name != name {
-				t.Errorf("stripe %d files column %q under %q", i, c.name, name)
-			}
-			members += len(c.rows)
-			for pos, r := range c.rows {
-				e := r.cells.Get(name)
-				if e == nil || e.Val.pos != pos || st.row(r.key) != r {
-					t.Errorf("column %q member %d (row %q) does not hold the column at that position", name, pos, r.key)
-				}
-			}
-		}
-		if members != nnz {
-			t.Errorf("stripe %d columns list %d members for %d cells", i, members, nnz)
-		}
 		st.mu.RUnlock()
 	}
 	if got := s.NNZ(); got != total {

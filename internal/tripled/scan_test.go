@@ -1,8 +1,8 @@
 package tripled
 
-// scan_test.go polices the ordered walk behind ScanRows and the CELLS
-// pages. The oracle is the map-of-maps model (oracle_test.go) — walk
-// every row, keep the matches, sort, cut — which shares nothing with the
+// scan_test.go polices the ordered walk behind the CELLS pages. The
+// oracle is the map-of-maps model (oracle_test.go) — walk every row,
+// keep the matches, sort, cut — which shares nothing with the
 // stripes' index, and a model-based property test drives random puts,
 // deletes and scans through the store at one stripe and at sixteen,
 // diffing every scan against it.
@@ -52,12 +52,6 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 			check := func() {
 				start, end, cursor := bound(), bound(), bound()
 				limit := limits[rng.Intn(len(limits))]
-				rows, more := s.ScanRows(start, end, limit, cursor)
-				wantRows, wantMore := m.scanRows(start, end, limit, cursor)
-				if !slices.Equal(rows, wantRows) || more != wantMore {
-					t.Fatalf("ScanRows(%q, %q, %d, %q) = %d rows, more=%v; oracle %d rows, more=%v\n got %v\nwant %v",
-						start, end, limit, cursor, len(rows), more, len(wantRows), wantMore, rows, wantRows)
-				}
 				cells, more := s.appendCells(nil, start, end, limit, cursor)
 				wantCells, wantMore := m.scanCells(start, end, limit, cursor)
 				if !cellsEqual(cells, wantCells) || more != wantMore {
@@ -94,12 +88,10 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 			}
 			// Drain what is left, one page at a time, through the scan itself.
 			for {
-				rows, more := s.ScanRows("", "", 100, "")
-				for _, r := range rows {
-					for _, c := range cols {
-						s.Delete(r, c)
-						m.del(r, c)
-					}
+				cells, more := s.appendCells(nil, "", "", 100, "")
+				for _, c := range cells {
+					s.Delete(c.Row, c.Col)
+					m.del(c.Row, c.Col)
 				}
 				check()
 				if !more {
@@ -136,15 +128,17 @@ func TestPagedScanCoversEveryRowOnce(t *testing.T) {
 			var got []string
 			cursor := ""
 			for {
-				rows, more := s.ScanRows("p/", PrefixEnd("p/"), page, cursor)
-				got = append(got, rows...)
+				cells, more := s.appendCells(nil, "p/", PrefixEnd("p/"), page, cursor)
+				for _, c := range cells { // one cell a row
+					got = append(got, c.Row)
+				}
 				if !more {
 					break
 				}
-				if len(rows) != page {
-					t.Fatalf("stripes=%d page=%d: more=true on a %d-row page", stripes, page, len(rows))
+				if len(cells) != page {
+					t.Fatalf("stripes=%d page=%d: more=true on a %d-row page", stripes, page, len(cells))
 				}
-				cursor = rows[len(rows)-1]
+				cursor = got[len(got)-1]
 			}
 			if !slices.Equal(got, want) {
 				t.Errorf("stripes=%d page=%d: paged scan returned %d rows, want %d", stripes, page, len(got), len(want))

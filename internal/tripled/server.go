@@ -9,13 +9,9 @@ package tripled
 //
 //	PUT <row> <col> <n|s> <value>
 //	GET <row> <col>
-//	DEL <row> <col>
 //	BATCH <n>              -> followed by n body lines, each
 //	                          "PUT <row> <col> <n|s> <value>" or
 //	                          "DEL <row> <col>"; one "OK <n>" ack
-//	ROW <row>              -> block of col/value pairs
-//	COL <col>              -> block of row/value pairs
-//	RANGE <start> <end>    -> block of row keys ("" end = unbounded)
 //	CELLS <start> <end> <limit> <cursor>
 //	                       -> the one paged read: a block holding every
 //	                          cell of up to <limit> rows in [start, end)
@@ -33,9 +29,8 @@ package tripled
 //
 // A study sends BATCH and CELLS only: a table is published as pipelined
 // BATCHes under a row-key prefix and read back by CELLS pages. PUT, GET,
-// BATCH and TOPDEG carry the load tools and the daemon's ledger, RESYNC
-// / ROW / BATCH the cluster's repair, ROW / COL / RANGE an operator's
-// queries.
+// BATCH and TOPDEG carry the load tools and the daemon's ledger; the
+// cluster's repair sends RESYNC, one-row CELLS pages and BATCH.
 //
 // Responses: "OK", "OK <payload>", "NF" (not found), "ERR <msg>", or
 // "BLOCK <n>" followed by n data lines. Malformed requests that leave
@@ -53,7 +48,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/assoc"
 	"repro/internal/tripled/wal"
 )
 
@@ -243,7 +237,7 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 		}
 		var one mutations
 		one.put(cell)
-		if _, err := s.applyOps(&one); err != nil {
+		if err := s.applyOps(&one); err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
@@ -259,51 +253,8 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 			return false
 		}
 		w.Write(append(appendValue(append(w.AvailableBuffer(), "OK "...), v), '\n'))
-	case "DEL":
-		if len(parts) != 3 {
-			fmt.Fprintln(w, "ERR DEL wants 2 arguments")
-			return false
-		}
-		var one mutations
-		one.del(CellKey{Row: parts[1], Col: parts[2]})
-		deleted, err := s.applyOps(&one)
-		switch {
-		case err != nil:
-			fmt.Fprintf(w, "ERR %v\n", err)
-		case deleted > 0:
-			fmt.Fprintln(w, "OK")
-		default:
-			fmt.Fprintln(w, "NF")
-		}
 	case "BATCH":
 		return s.handleBatch(conn, sc, w, batch, parts)
-	case "ROW", "COL":
-		if len(parts) != 2 {
-			fmt.Fprintf(w, "ERR %s wants 1 argument\n", cmd)
-			return false
-		}
-		var cells map[string]assoc.Value
-		if cmd == "ROW" {
-			cells = s.store.Row(parts[1])
-		} else {
-			cells = s.store.Col(parts[1])
-		}
-		keys := sortedKeys(nil, cells)
-		fmt.Fprintf(w, "BLOCK %d\n", len(keys))
-		for _, k := range keys {
-			line := append(append(w.AvailableBuffer(), k...), '\t')
-			w.Write(append(appendValue(line, cells[k]), '\n'))
-		}
-	case "RANGE":
-		if len(parts) != 3 {
-			fmt.Fprintln(w, "ERR RANGE wants 2 arguments")
-			return false
-		}
-		rows := s.store.RowRange(parts[1], parts[2])
-		fmt.Fprintf(w, "BLOCK %d\n", len(rows))
-		for _, r := range rows {
-			fmt.Fprintln(w, r)
-		}
 	case "CELLS":
 		if len(parts) != 5 {
 			fmt.Fprintln(w, "ERR CELLS wants 4 arguments")
@@ -455,7 +406,7 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 		fmt.Fprintf(w, "ERR %v\n", bodyErr)
 		return false
 	}
-	if _, err := s.applyOps(ops); err != nil {
+	if err := s.applyOps(ops); err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return false
 	}

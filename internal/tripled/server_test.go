@@ -352,3 +352,34 @@ func TestCellsPageIsClamped(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovedVerbsAreUnknown: ROW, COL, RANGE and a top-level DEL are
+// not part of the protocol. Each is refused as an unknown command and
+// the connection stays in sync, serving the CELLS page sent after it. A
+// delete travels as a BATCH body line.
+func TestRemovedVerbsAreUnknown(t *testing.T) {
+	srv, c := serveTest(t)
+	if err := srv.store.Put("r", "c", assoc.Num(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ verb, line string }{
+		{"ROW", "ROW\tr"},
+		{"COL", "COL\tc"},
+		{"RANGE", "RANGE\t\t"},
+		{"DEL", "DEL\tr\tc"},
+	} {
+		t.Run(tc.verb, func(t *testing.T) {
+			resp, err := c.roundTrip(tc.line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("ERR unknown command %q", tc.verb); resp != want {
+				t.Errorf("%q got %q, want %q", tc.line, resp, want)
+			}
+			cells, err := c.RowCells("r")
+			if err != nil || len(cells) != 1 || cells[0] != (Cell{Row: "r", Col: "c", Val: assoc.Num(1)}) {
+				t.Errorf("CELLS after %s = %v, %v", tc.verb, cells, err)
+			}
+		})
+	}
+}

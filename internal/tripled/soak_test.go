@@ -103,9 +103,7 @@ func TestConcurrentSoakMatchesOracle(t *testing.T) {
 				case "put":
 					err = c.Put(op.row, op.col, op.val)
 				case "del":
-					if err = c.Delete(op.row, op.col); err == ErrNotFound {
-						err = nil
-					}
+					err = c.DeleteBatch([]CellKey{{Row: op.row, Col: op.col}})
 				case "batch":
 					err = c.PutBatch(batchCells(id, i, op.n))
 				case "get":
@@ -113,7 +111,7 @@ func TestConcurrentSoakMatchesOracle(t *testing.T) {
 						err = nil
 					}
 				case "row":
-					_, err = c.Row(op.row)
+					_, err = c.RowCells(op.row)
 				case "topdeg":
 					_, err = c.TopRowsByDegree(op.n)
 				case "fetch":

@@ -1,20 +1,17 @@
 // Package tripled implements the database substrate behind D4M
-// associative arrays: a triple store with the "D4M schema" used by the
-// paper's pipeline (Accumulo at the MIT SuperCloud) — the table is kept
-// row-major with a column-major (transpose) membership index beside it,
-// so row and column lookups are both O(result), and degree tables track
-// per-row and per-column cell counts, the trick that makes "top-K
-// heaviest sources" queries cheap at honeyfarm scale.
+// associative arrays: a triple store for the tables of the paper's
+// pipeline (Accumulo at the MIT SuperCloud). A study publishes and reads
+// its tables by row-key prefix, so the table is kept row-major only, and
+// a row's degree — its cell count — is what makes "top-K heaviest
+// sources" queries cheap at honeyfarm scale.
 //
 // The store is sharded across stripes keyed by row hash: each stripe
 // has its own lock and is its rows in key order — one run keyed by row
-// (internal/runs), the only container that holds them — plus their
-// column membership, so writers on different rows never contend. A row
-// is its cells as a run sorted by column, each value stored once; bulk
-// mutations arrive as runs of same-row cells and cost one stripe hash
-// and one index seek per run. Column queries and degree-table reads
-// merge the per-stripe tables on demand; everything ordered (CELLS
-// pages, RANGE, the snapshot log) is one walk, Store.page, which
+// (internal/runs), the only container that holds them — so writers on
+// different rows never contend. A row is its cells as a run sorted by
+// column; bulk mutations arrive as runs of same-row cells and cost one
+// stripe hash and one index seek per run. Everything ordered (CELLS
+// pages, the snapshot log, the export) is one walk, Store.page, which
 // holds every stripe's read lock for one page and merges a cursor per
 // stripe lazily: a page is an atomic snapshot and costs
 // O(stripes * log rows + page), not a walk of the store. The store is
@@ -31,7 +28,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"unique"
 
 	"repro/internal/assoc"
 	"repro/internal/runs"
@@ -65,37 +62,23 @@ type CellKey struct {
 	Row, Col string
 }
 
-// row is one row of a stripe: its cells as a run sorted by column.
+// row is one row of a stripe: its values as a run sorted by column.
+// Column names are interned (colName), so a stored cell shares its
+// column's one string and does not pin the request line it arrived in.
 type row struct {
 	key   string
-	cells runs.Run[cell]
+	cells runs.Run[assoc.Value]
 }
 
-// cell is what a row's run holds under a column name: the value — the
-// store's only copy — and where the row sits in that column's member
-// list, so leaving the column is a swap with the list's last member.
-type cell struct {
-	val assoc.Value
-	pos int
-}
-
-// column is the transpose of one column: the rows of this stripe that
-// hold it, in no particular order. Its name is the one string every
-// cell of the column keys its run entry with.
-type column struct {
-	name string
-	rows []*row
-}
+// colName returns the canonical copy of a column name.
+func colName(col string) string { return unique.Make(col).Value() }
 
 // stripe is one shard of the table: its rows in key order — point
-// lookups search the index, scans seek into it — and the column
-// membership restricted to them. Degree tables are not materialized — a
-// row's degree is the length of its run and a column's per-stripe degree
-// is its member count, merged on demand.
+// lookups search the index, scans seek into it. The degree table is not
+// materialized: a row's degree is the length of its run.
 type stripe struct {
 	mu    sync.RWMutex
 	index runs.Run[*row] // every row of the stripe under its key
-	cols  map[string]*column
 	nnz   int
 }
 
@@ -104,7 +87,6 @@ type stripe struct {
 type Store struct {
 	stripes []*stripe
 	seed    maphash.Seed
-	version atomic.Uint64 // bumped on every mutation
 }
 
 // NewStore returns an empty store with DefaultStripes stripes.
@@ -119,7 +101,7 @@ func NewStoreStripes(n int) *Store {
 	}
 	s := &Store{stripes: make([]*stripe, n), seed: maphash.MakeSeed()}
 	for i := range s.stripes {
-		s.stripes[i] = &stripe{cols: make(map[string]*column)}
+		s.stripes[i] = &stripe{}
 	}
 	return s
 }
@@ -145,7 +127,6 @@ func (s *Store) Put(row, col string, v assoc.Value) error {
 	st.mu.Lock()
 	st.put(st.open(row), col, v)
 	st.mu.Unlock()
-	s.version.Add(1)
 	return nil
 }
 
@@ -167,49 +148,13 @@ func (st *stripe) row(key string) *row {
 	return nil
 }
 
-// column returns the member list of the named column, starting an
-// empty one when the stripe has none; the caller enters a row.
-func (st *stripe) column(name string) *column {
-	c := st.cols[name]
-	if c == nil {
-		c = &column{name: name}
-		st.cols[name] = c
-	}
-	return c
-}
-
-// enter appends r to the member list and returns its position.
-func (c *column) enter(r *row) int {
-	c.rows = append(c.rows, r)
-	return len(c.rows) - 1
-}
-
-// leave takes the member at pos out of col's list by moving the last
-// member into its place.
-func (st *stripe) leave(col string, pos int) {
-	c := st.cols[col]
-	last := len(c.rows) - 1
-	if pos != last {
-		moved := c.rows[last]
-		c.rows[pos] = moved
-		moved.cells.Get(col).Val.pos = pos
-	}
-	c.rows[last] = nil
-	c.rows = c.rows[:last]
-	if last == 0 {
-		delete(st.cols, col)
-	}
-}
-
 // put stores v under col in r, a row of this stripe.
 func (st *stripe) put(r *row, col string, v assoc.Value) {
-	c := st.column(col)
-	e, added := r.cells.Put(c.name)
+	e, added := r.cells.Put(colName(col))
 	if added {
-		e.Val.pos = c.enter(r)
 		st.nnz++
 	}
-	e.Val.val = v
+	e.Val = v
 }
 
 // putRun stores cells, all of row key. A run that opens the row and
@@ -225,10 +170,9 @@ func (st *stripe) putRun(key string, cells []Cell) {
 		}
 		return
 	}
-	run := make([]runs.Entry[cell], len(cells))
+	run := make([]runs.Entry[assoc.Value], len(cells))
 	for i := range cells {
-		c := st.column(cells[i].Col)
-		run[i] = runs.Entry[cell]{Key: c.name, Val: cell{val: cells[i].Val, pos: c.enter(r)}}
+		run[i] = runs.Entry[assoc.Value]{Key: colName(cells[i].Col), Val: cells[i].Val}
 	}
 	r.cells = runs.Of(run)
 	st.nnz += len(cells)
@@ -282,7 +226,6 @@ func (s *Store) putCells(cells []Cell) {
 	}
 	if cur != nil {
 		cur.mu.Unlock()
-		s.version.Add(uint64(len(cells)))
 	}
 }
 
@@ -293,7 +236,7 @@ func (s *Store) Get(row, col string) (assoc.Value, bool) {
 	defer st.mu.RUnlock()
 	if r := st.row(row); r != nil {
 		if e := r.cells.Get(col); e != nil {
-			return e.Val.val, true
+			return e.Val, true
 		}
 	}
 	return assoc.Value{}, false
@@ -305,9 +248,6 @@ func (s *Store) Delete(row, col string) bool {
 	st.mu.Lock()
 	ok := st.del(row, col)
 	st.mu.Unlock()
-	if ok {
-		s.version.Add(1)
-	}
 	return ok
 }
 
@@ -316,11 +256,9 @@ func (st *stripe) del(key, col string) bool {
 	if r == nil {
 		return false
 	}
-	c, ok := r.cells.Delete(col)
-	if !ok {
+	if _, ok := r.cells.Delete(col); !ok {
 		return false
 	}
-	st.leave(col, c.pos)
 	if r.cells.NumBlocks() == 0 {
 		st.index.Delete(key)
 	}
@@ -350,9 +288,6 @@ func (s *Store) DeleteBatch(keys []CellKey) int {
 		}
 	}
 	cur.mu.Unlock()
-	if deleted > 0 {
-		s.version.Add(uint64(deleted))
-	}
 	return deleted
 }
 
@@ -367,67 +302,16 @@ func (s *Store) NNZ() int {
 	return n
 }
 
-// Row returns a copy of one row (nil if absent).
-func (s *Store) Row(row string) map[string]assoc.Value {
-	st := s.stripeFor(row)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	r := st.row(row)
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]assoc.Value, r.cells.Len())
-	for e := range r.cells.All() {
-		out[e.Key] = e.Val.val
-	}
-	return out
-}
-
-// Col returns a copy of one column, merged across the per-stripe
-// member lists (nil if absent everywhere). Each member row yields its
-// value by a search of its own run: O(result x log row width).
-func (s *Store) Col(col string) map[string]assoc.Value {
-	var out map[string]assoc.Value
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		if c := st.cols[col]; c != nil {
-			if out == nil {
-				out = make(map[string]assoc.Value, len(c.rows))
-			}
-			for _, r := range c.rows {
-				out[r.key] = r.cells.Get(col).Val.val
-			}
-		}
-		st.mu.RUnlock()
-	}
-	return out
-}
-
-// RowRange returns the sorted row keys in [start, end). An empty end
-// means unbounded.
-func (s *Store) RowRange(start, end string) []string {
-	rows, _ := s.ScanRows(start, end, 0, "")
-	return rows
-}
-
-// ScanRows is the paged form of RowRange: it returns up to limit sorted
-// row keys r with r >= start, r < end (empty end = unbounded), and
-// r > cursor when cursor is non-empty. A limit <= 0 means unlimited.
-// The second result reports whether more rows remain past the page —
-// pass the last returned key back as the cursor to continue.
-func (s *Store) ScanRows(start, end string, limit int, cursor string) ([]string, bool) {
-	var out []string
-	more := s.page(start, end, limit, cursor, func(r *row) { out = append(out, r.key) })
-	return out, more
-}
-
-// page is the one ordered walk over all stripes: it calls visit with the
-// rows of one page of the scan ScanRows defines, in key order, and
-// reports whether rows remain past it. Every stripe is read-locked for
-// the whole page, so the page is an atomic snapshot and visit reads each
-// row in place. One cursor per stripe, seeked to the lower bound, is
-// merged lazily through a min-heap (rows live in exactly one stripe, so
-// no key is met twice): limit + stripes index entries are touched.
+// page is the one ordered walk over all stripes: it calls visit with up
+// to limit rows r with r >= start, r < end (empty end = unbounded) and
+// r > cursor when cursor is non-empty, in key order, and reports whether
+// rows remain past them. A limit <= 0 means unlimited; the last row
+// visited is the cursor that continues the walk. Every stripe is
+// read-locked for the whole page, so the page is an atomic snapshot and
+// visit reads each row in place. One cursor per stripe, seeked to the
+// lower bound, is merged lazily through a min-heap (rows live in exactly
+// one stripe, so no key is met twice): limit + stripes index entries
+// are touched.
 func (s *Store) page(start, end string, limit int, cursor string, visit func(*row)) (more bool) {
 	lo, strict := start, false
 	if cursor != "" && cursor >= start {
@@ -497,9 +381,9 @@ func (h headHeap) down(i int) {
 }
 
 // appendCells returns every cell of up to limit rows of the paged row
-// scan defined by ScanRows, sorted by (row, col), plus the more flag.
-// It is the bulk-export query: one round trip per page instead of one
-// ROW query per key, at O(page selection + cells returned). The page is
+// walk page defines, sorted by (row, col), plus the more flag. It is
+// the bulk-export query: one round trip per page instead of one query
+// per key, at O(page selection + cells returned). The page is
 // one atomic snapshot (page), so a row in it is whole and a page is
 // empty only when the scan is done. The page's cells are appended to
 // dst, so a caller serving page after page reuses one buffer instead of
@@ -507,20 +391,10 @@ func (h headHeap) down(i int) {
 func (s *Store) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, bool) {
 	more := s.page(start, end, limit, cursor, func(r *row) {
 		for e := range r.cells.All() {
-			dst = append(dst, Cell{Row: r.key, Col: e.Key, Val: e.Val.val})
+			dst = append(dst, Cell{Row: r.key, Col: e.Key, Val: e.Val})
 		}
 	})
 	return dst, more
-}
-
-// sortedKeys returns the keys of m in order, built in buf[:0].
-func sortedKeys[V any](buf []string, m map[string]V) []string {
-	buf = buf[:0]
-	for k := range m {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 // TopRowsByDegree returns up to k (row, degree) pairs with the largest
@@ -573,15 +447,12 @@ func (s *Store) ToAssoc() *assoc.Assoc {
 	s.page("", "", 0, "", func(r *row) {
 		run := make([]assoc.Cell, 0, r.cells.Len())
 		for c := range r.cells.All() {
-			run = append(run, assoc.Cell{Key: c.Key, Val: c.Val.val})
+			run = append(run, assoc.Cell{Key: c.Key, Val: c.Val})
 		}
 		out.SetRow(r.key, run) // ascending by construction
 	})
 	return out
 }
-
-// Version returns the mutation counter, for cache invalidation.
-func (s *Store) Version() uint64 { return s.version.Load() }
 
 // WriteLog appends the entire table to w as replayable PUT records (the
 // persistence format: one "P<TAB>row<TAB>col<TAB>type<TAB>value" line
@@ -592,7 +463,7 @@ func (s *Store) WriteLog(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	s.page("", "", 0, "", func(r *row) {
 		for e := range r.cells.All() {
-			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), r.key, e.Key, e.Val.val)
+			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), r.key, e.Key, e.Val)
 			bw.Write(append(line, '\n')) // a write error is sticky: Flush returns it
 		}
 	})

@@ -33,7 +33,7 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-func TestTransposeIndexConsistency(t *testing.T) {
+func TestRowIndexConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewStore()
@@ -51,35 +51,28 @@ func TestTransposeIndexConsistency(t *testing.T) {
 				ref[cell{r, c}] = v
 			}
 		}
-		// Row index, column index, and degree tables must all agree
-		// with the reference.
-		if s.NNZ() != len(ref) {
+		// Point reads, the exported table and the degree table must all
+		// agree with the reference.
+		table := s.ToAssoc()
+		if s.NNZ() != len(ref) || table.NNZ() != len(ref) {
 			return false
 		}
+		rowDeg := make(map[string]int)
 		for k, v := range ref {
 			if got, ok := s.Get(k.r, k.c); !ok || got != v {
 				return false
 			}
-			if got := s.Col(k.c)[k.r]; got != v {
+			if got, ok := table.Get(k.r, k.c); !ok || got != v {
 				return false
 			}
-			if got := s.Row(k.r)[k.c]; got != v {
-				return false
-			}
-		}
-		rowDeg := make(map[string]int)
-		colDeg := make(map[string]int)
-		for k := range ref {
 			rowDeg[k.r]++
-			colDeg[k.c]++
 		}
-		for r, d := range rowDeg {
-			if len(s.Row(r)) != d {
-				return false
-			}
+		top := s.TopRowsByDegree(len(ref))
+		if len(top) != len(rowDeg) {
+			return false
 		}
-		for c, d := range colDeg {
-			if len(s.Col(c)) != d {
+		for _, rd := range top {
+			if rowDeg[rd.Row] != rd.Degree {
 				return false
 			}
 		}
@@ -95,11 +88,11 @@ func TestRowRange(t *testing.T) {
 	for _, r := range []string{"a", "b", "c", "d"} {
 		s.Put(r, "x", assoc.Num(1))
 	}
-	got := s.RowRange("b", "d")
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Errorf("RowRange = %v", got)
+	got, more := s.appendCells(nil, "b", "d", 0, "")
+	if len(got) != 2 || got[0].Row != "b" || got[1].Row != "c" || more {
+		t.Errorf("rows in [b, d) = %v, more=%v", got, more)
 	}
-	all := s.RowRange("", "")
+	all, _ := s.appendCells(nil, "", "", 0, "")
 	if len(all) != 4 {
 		t.Errorf("unbounded range = %v", all)
 	}
@@ -176,20 +169,6 @@ func TestReplayLogErrors(t *testing.T) {
 	}
 }
 
-func TestVersionBumps(t *testing.T) {
-	s := NewStore()
-	v0 := s.Version()
-	s.Put("r", "c", assoc.Num(1))
-	if s.Version() == v0 {
-		t.Error("Put did not bump version")
-	}
-	v1 := s.Version()
-	s.Delete("r", "c")
-	if s.Version() == v1 {
-		t.Error("Delete did not bump version")
-	}
-}
-
 func TestConcurrentClientsViaServer(t *testing.T) {
 	store := NewStore()
 	srv, err := Serve(store, "127.0.0.1:0")
@@ -262,18 +241,16 @@ func TestClientServerProtocol(t *testing.T) {
 		t.Errorf("absent Get error = %v, want ErrNotFound", err)
 	}
 
-	row, err := c.Row("1.1.1.1")
-	if err != nil || len(row) != 2 || row["class"].Str != "scanner" {
-		t.Fatalf("Row = %v, %v", row, err)
+	row, err := c.RowCells("1.1.1.1")
+	if err != nil || len(row) != 2 || row[0] != (Cell{Row: "1.1.1.1", Col: "class", Val: assoc.Str("scanner")}) {
+		t.Fatalf("RowCells = %v, %v", row, err)
 	}
-	col, err := c.Col("packets")
-	if err != nil || len(col) != 2 || col["2.2.2.2"].Num != 9 {
-		t.Fatalf("Col = %v, %v", col, err)
+	if row, err := c.RowCells("1.1.1"); err != nil || row != nil {
+		t.Fatalf("RowCells of an absent row = %v, %v", row, err)
 	}
-
-	rows, err := c.RowRange("1.", "2.")
-	if err != nil || len(rows) != 1 || rows[0] != "1.1.1.1" {
-		t.Fatalf("RowRange = %v, %v", rows, err)
+	table, err := c.FetchAssoc("1.", 8) // rows come back without the prefix
+	if err != nil || table.NNZ() != 2 || !table.HasRow("1.1.1") {
+		t.Fatalf("FetchAssoc(1.) = %v, %v", table, err)
 	}
 
 	top, err := c.TopRowsByDegree(1)
@@ -286,11 +263,13 @@ func TestClientServerProtocol(t *testing.T) {
 		t.Fatalf("NNZ = %d, %v", nnz, err)
 	}
 
-	if err := c.Delete("2.2.2.2", "packets"); err != nil {
-		t.Fatal(err)
+	for range 2 { // the second delete finds nothing, which is no error
+		if err := c.DeleteBatch([]CellKey{{Row: "2.2.2.2", Col: "packets"}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.Delete("2.2.2.2", "packets"); err != ErrNotFound {
-		t.Errorf("double delete error = %v", err)
+	if nnz := store.NNZ(); nnz != 2 {
+		t.Errorf("NNZ after delete = %d", nnz)
 	}
 }
 
@@ -306,7 +285,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, bad := range []string{"BOGUS", "PUT\tonly", "GET\tr", "TOPDEG\t-1", "TOPDEG\tx", "RANGE\ta"} {
+	for _, bad := range []string{"BOGUS", "PUT\tonly", "GET\tr", "TOPDEG\t-1", "TOPDEG\tx", "CELLS\ta", "CELLS\ta\tz\t0\t"} {
 		resp, err := c.roundTrip(bad)
 		if err != nil {
 			t.Fatalf("transport error on %q: %v", bad, err)

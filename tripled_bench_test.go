@@ -127,7 +127,7 @@ func BenchmarkTripledQueries(b *testing.B) {
 	b.Run("row", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Row(rows[i%len(rows)]); err != nil {
+			if _, err := c.RowCells(rows[i%len(rows)]); err != nil {
 				b.Fatal(err)
 			}
 		}
