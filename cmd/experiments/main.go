@@ -40,17 +40,13 @@ type check struct {
 
 func main() {
 	var (
-		study    = core.StudyFlags(flag.CommandLine)
-		leafSize = flag.Int("leaf-size", 0, "override entries per hypersparse leaf matrix (and packets per engine batch)")
-		artDir   = flag.String("artifacts", "", "also write all seven artifacts as TSV to this directory")
-		store    = flag.String("store", "", `tripled D4M server for the correlation tables ("auto" = in-process)`)
+		study  = core.StudyFlags(flag.CommandLine, "leaf-size")
+		artDir = flag.String("artifacts", "", "also write all seven artifacts as TSV to this directory")
+		store  = flag.String("store", "", `tripled D4M server for the correlation tables ("auto" = in-process)`)
 	)
 	flag.Parse()
 
 	cfg := study()
-	if *leafSize > 0 {
-		cfg.LeafSize = *leafSize
-	}
 	if *store == "auto" {
 		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
 		if err != nil {

@@ -1,8 +1,8 @@
 package main
 
-// main_test.go runs the built binary: a mistyped -scale or -only must
-// be refused before any study starts, and -only must write exactly the
-// files it names.
+// main_test.go runs the built binary: a mistyped -scale or -only, or a
+// study flag the config cannot take, must be refused before any study
+// starts, and -only must write exactly the files it names.
 
 import (
 	"bytes"
@@ -59,25 +59,29 @@ func figures(t *testing.T) func(args ...string) (int, string, time.Duration) {
 }
 
 // TestTypoRunsNoStudy: `-scale qiuck` used to start the full-scale
-// study without a word, and `-only fig9` to run a whole study, write
-// nothing and exit 0.
+// study without a word, `-only fig9` to run a whole study, write
+// nothing and exit 0, and `-nv 0` or `-sources -5` to run the preset's
+// value as if the flag were not given.
 func TestTypoRunsNoStudy(t *testing.T) {
 	run := figures(t)
 	for _, tc := range []struct {
 		args   []string
-		naming string // the accepted list the refusal must carry
+		code   int    // 2 for a flag the parse refuses, 1 for a config New refuses
+		naming string // the accepted list, or the broken rule, the refusal must carry
 	}{
-		{[]string{"-scale", "qiuck"}, "quick"},
-		{[]string{"-scale", "quick", "-only", "fig9"}, "fig7"},
-		{[]string{"-scale", "quick", "-only", "table_1"}, "table1"},
+		{[]string{"-scale", "qiuck"}, 2, "quick"},
+		{[]string{"-scale", "quick", "-only", "fig9"}, 2, "fig7"},
+		{[]string{"-scale", "quick", "-only", "table_1"}, 2, "table1"},
+		{[]string{"-scale", "quick", "-nv", "0"}, 1, "NV must be positive"},
+		{[]string{"-scale", "quick", "-sources", "-5"}, 1, "NumSources must be positive"},
 	} {
 		out := filepath.Join(t.TempDir(), "out")
 		code, stderr, wall := run(append(tc.args, "-out", out)...)
-		if code != 2 {
-			t.Errorf("figures %v: exit %d, want 2\n%s", tc.args, code, stderr)
+		if code != tc.code {
+			t.Errorf("figures %v: exit %d, want %d\n%s", tc.args, code, tc.code, stderr)
 		}
 		if !strings.Contains(stderr, tc.naming) {
-			t.Errorf("figures %v: refusal does not list the accepted values:\n%s", tc.args, stderr)
+			t.Errorf("figures %v: refusal does not name %q:\n%s", tc.args, tc.naming, stderr)
 		}
 		if wall > time.Second {
 			t.Errorf("figures %v: took %v to refuse: a study ran", tc.args, wall)

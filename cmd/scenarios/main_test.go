@@ -12,11 +12,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 var (
@@ -60,6 +64,32 @@ config:
 assert:
   - windows: {max_dropped_frac: 0.9}
 `
+
+// TestTinySuiteConfig: tinySuite's config block is the scenario
+// package's tinyYAML, so it decodes to the config and store settings
+// that package's golden records for it.
+func TestTinySuiteConfig(t *testing.T) {
+	dir := writeSuite(t, map[string]string{"tiny.yaml": tinySuite})
+	sc, err := scenario.Load(filepath.Join(dir, "tiny.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile("../../internal/scenario/testdata/configs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]struct {
+		Config core.Config
+		Store  scenario.StoreSettings
+	}
+	if err := json.Unmarshal(b, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := golden["tinyYAML"]
+	if !reflect.DeepEqual(sc.Config, want.Config) || sc.Store != want.Store {
+		t.Errorf("tinySuite decodes to %+v %+v, want %+v %+v", sc.Config, sc.Store, want.Config, want.Store)
+	}
+}
 
 func writeSuite(t *testing.T, files map[string]string) string {
 	t.Helper()

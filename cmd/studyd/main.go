@@ -55,10 +55,9 @@ func main() {
 
 func run() int {
 	var (
-		study        = core.StudyFlags(flag.CommandLine)
+		study        = core.StudyFlags(flag.CommandLine, "months")
 		listen       = flag.String("listen", "127.0.0.1:8473", "HTTP listen address (use :0 for an ephemeral port)")
 		store        = flag.String("store", "", "tripled service address for durable backing (empty = in-memory only)")
-		months       = flag.Int("months", 0, "override study length in months")
 		preload      = flag.Bool("preload", false, "ingest the full batch study before serving")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	)
@@ -66,9 +65,6 @@ func run() int {
 	flag.Parse()
 
 	cfg := study()
-	if *months > 0 {
-		cfg.Radiation.Months = *months
-	}
 	cfg.StoreAddr = *store
 
 	// The resident daemon grows snapshots over the ingest API;

@@ -310,3 +310,22 @@ func TestScaleTypoServesNothing(t *testing.T) {
 		t.Errorf("refusal must list the accepted presets and never announce a listener:\n%s", out)
 	}
 }
+
+// TestZeroMonthsServesNothing: `-months 0` used to serve the preset's 15
+// months as if the flag were not given. A given flag is applied, so the
+// zero-month study is refused before anything is built or announced.
+func TestZeroMonthsServesNothing(t *testing.T) {
+	// The deadline is for the parent's behaviour: a daemon that serves.
+	ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, binary(t), "-listen", "127.0.0.1:0", "-months", "0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Errorf("studyd -months 0: %v, want exit 1\n%s", err, &stderr)
+	}
+	if out := stderr.String(); strings.Contains(out, "listening on") || !strings.Contains(out, "Months must be positive") {
+		t.Errorf("refusal must name the broken rule and never announce a listener:\n%s", out)
+	}
+}

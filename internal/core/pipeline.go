@@ -10,7 +10,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"flag"
 	"fmt"
 	"math"
 	"slices"
@@ -99,43 +98,6 @@ func QuickConfig() Config {
 	return c
 }
 
-// StudyFlags registers the flags every study command shares — -scale,
-// -nv, -sources, -seed, -workers — on fs and returns the function that
-// builds the Config they select once fs is parsed. A -scale that names
-// no preset fails the parse, so a typo cannot run the wrong study.
-func StudyFlags(fs *flag.FlagSet) func() Config {
-	preset := DefaultConfig
-	fs.Func("scale", "preset: quick or default (default \"default\"; studyd \"quick\")", func(s string) error {
-		switch s {
-		case "quick":
-			preset = QuickConfig
-		case "default":
-			preset = DefaultConfig
-		default:
-			return fmt.Errorf("no such preset (accepted: quick, default)")
-		}
-		return nil
-	})
-	nv := fs.Int("nv", 0, "override telescope window size NV")
-	sources := fs.Int("sources", 0, "override population size")
-	seed := fs.Int64("seed", 0, "override random seed")
-	workers := fs.Int("workers", 0, "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)")
-	return func() Config {
-		cfg := preset()
-		if *nv > 0 {
-			cfg.NV = *nv
-		}
-		if *sources > 0 {
-			cfg.Radiation.NumSources = *sources
-		}
-		if *seed != 0 {
-			cfg.Radiation.Seed = *seed
-		}
-		cfg.Workers = *workers
-		return cfg
-	}
-}
-
 // Validate reports the configuration errors of a batch study: New's
 // rules, and at least one snapshot time to run.
 func (c Config) Validate() error {
@@ -171,10 +133,19 @@ func (c Config) validate() error {
 	return nil
 }
 
+// monthDays is a study month in days, the mean Gregorian month.
+const monthDays = 30.44
+
 // MonthOf converts a timestamp to a fractional month index from
-// StudyStart (30.44-day months, the mean Gregorian length).
+// StudyStart.
 func (c Config) MonthOf(ts time.Time) float64 {
-	return ts.Sub(c.StudyStart).Hours() / 24 / 30.44
+	return ts.Sub(c.StudyStart).Hours() / 24 / monthDays
+}
+
+// MonthTime is MonthOf's inverse: the time a fractional month index
+// names.
+func (c Config) MonthTime(m float64) time.Time {
+	return c.StudyStart.Add(time.Duration(m * monthDays * 24 * float64(time.Hour)))
 }
 
 // snapshotLabel names a snapshot everywhere — the study, Table I, the

@@ -164,8 +164,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("radiation: V6Sources must be in [0,1], got %g", c.V6Sources)
 	}
 	if len(c.Mix) > 0 {
-		if len(c.Mix) != int(numArchetypes) {
-			return fmt.Errorf("radiation: Mix must hold %d weights, got %d", numArchetypes, len(c.Mix))
+		if len(c.Mix) != int(NumArchetypes) {
+			return fmt.Errorf("radiation: Mix must hold %d weights, got %d", NumArchetypes, len(c.Mix))
 		}
 		sum := 0.0
 		for i, w := range c.Mix {
@@ -183,11 +183,11 @@ func (c Config) Validate() error {
 
 // mixWeights returns the normalized archetype shares: Config.Mix when
 // set, the built-in census mix otherwise.
-func (c Config) mixWeights() [numArchetypes]float64 {
+func (c Config) mixWeights() [NumArchetypes]float64 {
 	if len(c.Mix) == 0 {
 		return archetypeWeights
 	}
-	var out [numArchetypes]float64
+	var out [NumArchetypes]float64
 	sum := 0.0
 	for _, w := range c.Mix {
 		sum += w

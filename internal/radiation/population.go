@@ -23,7 +23,7 @@ const (
 	Backscatter
 	BotnetKeepalive
 	Misconfiguration
-	numArchetypes
+	NumArchetypes // how many archetypes there are
 )
 
 // String returns the archetype name as the honeyfarm classifies it.
@@ -46,7 +46,7 @@ func (a Archetype) String() string {
 
 // archetypeWeights is the population mix; scanning dominates darkspace
 // traffic in recent telescope studies.
-var archetypeWeights = [numArchetypes]float64{0.55, 0.12, 0.15, 0.12, 0.06}
+var archetypeWeights = [NumArchetypes]float64{0.55, 0.12, 0.15, 0.12, 0.06}
 
 // Source is one member of the radiation population.
 type Source struct {
@@ -221,10 +221,10 @@ const (
 	chanVertical  = 0x51c64e6d3
 )
 
-func sampleArchetype(rng *rand.Rand, weights [numArchetypes]float64) Archetype {
+func sampleArchetype(rng *rand.Rand, weights [NumArchetypes]float64) Archetype {
 	u := rng.Float64()
 	acc := 0.0
-	for a := Scanner; a < numArchetypes; a++ {
+	for a := Scanner; a < NumArchetypes; a++ {
 		acc += weights[a]
 		if u < acc {
 			return a

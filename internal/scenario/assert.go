@@ -27,9 +27,11 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -209,10 +211,7 @@ func decodeTable2(m map[string]any) (Assertion, error) {
 	quantity, _ := m["quantity"].(string)
 	get, ok := table2Quantity[quantity]
 	if !ok {
-		known := make([]string, 0, len(table2Quantity))
-		for k := range table2Quantity {
-			known = append(known, k)
-		}
+		known := slices.Sorted(maps.Keys(table2Quantity))
 		return Assertion{}, fmt.Errorf("quantity must be one of %s", strings.Join(known, ", "))
 	}
 	snapshot := -1 // all

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,6 +148,43 @@ func FuzzParseYAML(f *testing.F) {
 		}
 		if !sameTree(tree, again) {
 			t.Fatalf("parseYAML(%q) = %#v, written back as %q it reads %#v", src, tree, sb.String(), again)
+		}
+	})
+}
+
+// FuzzLoad: the loader's parse → decode path never panics on arbitrary
+// bytes (one file, rewritten per input: a fuzz worker runs its inputs
+// in turn), refuses with one of its two sentinels, and a scenario it
+// accepts carries a Config that passes Validate.
+func FuzzLoad(f *testing.F) {
+	paths, err := filepath.Glob("../../scenarios/*.yaml")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no scenarios: %v", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	for _, tc := range failureModes {
+		f.Add([]byte(tc.yaml))
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.yaml")
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if err := os.WriteFile(path, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Load(path)
+		if err != nil {
+			if !errors.Is(err, ErrSchema) && !errors.Is(err, ErrParse) {
+				t.Fatalf("Load(%q): %v is neither ErrSchema nor ErrParse", src, err)
+			}
+			return
+		}
+		if err := sc.Config.Validate(); err != nil {
+			t.Fatalf("Load(%q) accepted a config Validate refuses: %v", src, err)
 		}
 	})
 }

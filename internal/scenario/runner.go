@@ -36,14 +36,6 @@ func (r *Result) FailedChecks() []Check {
 	return out
 }
 
-// storeFaults carries a scenario's store-level knobs into execute:
-// durability and the byte-counted fault schedule.
-type storeFaults struct {
-	wal            bool
-	blackholeBytes int64
-	crashBytes     int64
-}
-
 // serverSlot is a restartable in-process store node: the crash hook
 // swaps in the recovered server under the mutex, and the deferred
 // close always tears down the current occupant.
@@ -76,15 +68,16 @@ func (s *serverSlot) crashRestart(addr string, opts ...tripled.Option) {
 // execute runs one configuration through the full pipeline, optionally
 // routed through an in-process tripled store or a 3-node replicated
 // cluster (the same services the production path dials over TCP, bound
-// to loopback ports for the scenario's lifetime). With fx.wal the
+// to loopback ports for the scenario's lifetime). With st.WAL the
 // servers are durable (per-node WAL dirs under a run-scoped temp dir);
-// fx.blackholeBytes blackholes cluster node 1 after that much table
-// traffic, and fx.crashBytes crashes a durable node at that byte count
-// and restarts it from its WAL — both deterministic mid-study faults.
-func execute(ctx context.Context, cfg core.Config, store StoreMode, fx storeFaults) (*core.Result, error) {
+// st.ChaosBlackholeBytes blackholes cluster node 1 after that much table
+// traffic, and st.ChaosCrashBytes crashes a durable node at that byte
+// count and restarts it from its WAL — both deterministic mid-study
+// faults.
+func execute(ctx context.Context, cfg core.Config, st StoreSettings) (*core.Result, error) {
 	var walRoot string
 	nodeOpts := func(i int) ([]tripled.Option, error) {
-		if !fx.wal {
+		if !st.WAL {
 			return nil, nil
 		}
 		dir := filepath.Join(walRoot, fmt.Sprintf("node-%d", i))
@@ -93,7 +86,7 @@ func execute(ctx context.Context, cfg core.Config, store StoreMode, fx storeFaul
 		}
 		return []tripled.Option{tripled.WithDataDir(dir)}, nil
 	}
-	if fx.wal && store != StoreMemory {
+	if st.WAL && st.Mode != StoreMemory {
 		dir, err := os.MkdirTemp("", "scenario-wal-")
 		if err != nil {
 			return nil, fmt.Errorf("scenario: wal dir: %w", err)
@@ -101,7 +94,7 @@ func execute(ctx context.Context, cfg core.Config, store StoreMode, fx storeFaul
 		defer os.RemoveAll(dir)
 		walRoot = dir
 	}
-	switch store {
+	switch st.Mode {
 	case StoreTripled:
 		opts, err := nodeOpts(0)
 		if err != nil {
@@ -115,13 +108,13 @@ func execute(ctx context.Context, cfg core.Config, store StoreMode, fx storeFaul
 		defer slot.close()
 		raw := srv.Addr()
 		cfg.StoreAddr = raw
-		if fx.crashBytes > 0 {
+		if st.ChaosCrashBytes > 0 {
 			p, err := faultinject.New(raw)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: start chaos proxy: %w", err)
 			}
 			defer p.Close()
-			p.TriggerAfterBytes(fx.crashBytes, func() { slot.crashRestart(raw, opts...) })
+			p.TriggerAfterBytes(st.ChaosCrashBytes, func() { slot.crashRestart(raw, opts...) })
 			// A lone store has no replica to fail over to: route through a
 			// 1-node cluster spec so client retries absorb the restart
 			// window instead of failing the study.
@@ -147,25 +140,25 @@ func execute(ctx context.Context, cfg core.Config, store StoreMode, fx storeFaul
 		}
 		cfg.StoreAddr = strings.Join(addrs, ",") + ";replicas=2"
 		switch {
-		case fx.blackholeBytes > 0:
+		case st.ChaosBlackholeBytes > 0:
 			p, err := faultinject.New(addrs[1])
 			if err != nil {
 				return nil, fmt.Errorf("scenario: start chaos proxy: %w", err)
 			}
 			defer p.Close()
-			p.BlackholeAfterBytes(fx.blackholeBytes)
+			p.BlackholeAfterBytes(st.ChaosBlackholeBytes)
 			addrs[1] = p.Addr()
 			// Short detection budget: the lost replica must cost seconds,
 			// not the default five-second timeout per retry.
 			cfg.StoreAddr = strings.Join(addrs, ",") + ";replicas=2;io_timeout=300ms;retries=2"
-		case fx.crashBytes > 0:
+		case st.ChaosCrashBytes > 0:
 			raw := addrs[1]
 			p, err := faultinject.New(raw)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: start chaos proxy: %w", err)
 			}
 			defer p.Close()
-			p.TriggerAfterBytes(fx.crashBytes, func() { slots[1].crashRestart(raw, optsByNode[1]...) })
+			p.TriggerAfterBytes(st.ChaosCrashBytes, func() { slots[1].crashRestart(raw, optsByNode[1]...) })
 			addrs[1] = p.Addr()
 			cfg.StoreAddr = strings.Join(addrs, ",") + ";replicas=2;io_timeout=500ms;retries=8"
 		}
@@ -186,11 +179,7 @@ func Run(ctx context.Context, sc *Scenario) *Result {
 	out := &Result{Scenario: sc}
 	defer func() { out.Elapsed = time.Since(start) }()
 
-	res, err := execute(ctx, sc.Config, sc.Store, storeFaults{
-		wal:            sc.WAL,
-		blackholeBytes: sc.ChaosBlackholeBytes,
-		crashBytes:     sc.ChaosCrashBytes,
-	})
+	res, err := execute(ctx, sc.Config, sc.Store)
 	if err != nil {
 		out.Err = err
 		return out
@@ -208,10 +197,10 @@ func Run(ctx context.Context, sc *Scenario) *Result {
 		// scenario checks against the single-store path.
 		if !reran {
 			opposite := StoreMemory
-			if sc.Store == StoreMemory {
+			if sc.Store.Mode == StoreMemory {
 				opposite = StoreTripled
 			}
-			other, otherErr = execute(ctx, sc.Config, opposite, storeFaults{})
+			other, otherErr = execute(ctx, sc.Config, StoreSettings{Mode: opposite})
 			reran = true
 		}
 		return other, otherErr

@@ -16,11 +16,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ipaddr"
+	"repro/internal/radiation"
 )
 
 // StoreMode selects how a scenario's study reaches its D4M tables.
@@ -36,14 +36,10 @@ const (
 	StoreCluster StoreMode = "cluster"
 )
 
-// Scenario is one executable workload: a named pipeline configuration
-// and its expected-result assertions.
-type Scenario struct {
-	Name        string
-	Case        string // e2e-cases Case ID (Z000xx) this file covers
-	Description string
-	Config      core.Config
-	Store       StoreMode
+// StoreSettings are a scenario's own config keys: how its study reaches
+// the store, and the store's durability and fault schedule.
+type StoreSettings struct {
+	Mode StoreMode
 	// WAL makes the scenario's store servers durable: each gets a
 	// temporary data dir and appends mutations to a checksummed WAL
 	// before acking, so a crashed server can restart with its state.
@@ -57,7 +53,17 @@ type Scenario struct {
 	// discarded mid-ingest and it restarts on the same address from its
 	// WAL, while client retries absorb the restart window.
 	ChaosCrashBytes int64
-	Assertions      []Assertion
+}
+
+// Scenario is one executable workload: a named pipeline configuration
+// and its expected-result assertions.
+type Scenario struct {
+	Name        string
+	Case        string // e2e-cases Case ID (Z000xx) this file covers
+	Description string
+	Config      core.Config
+	Store       StoreSettings
+	Assertions  []Assertion
 
 	// Path is the source file, for error messages and for resolving
 	// golden-artifact references relative to the scenario.
@@ -102,8 +108,7 @@ func Load(path string) (*Scenario, error) {
 			if !ok {
 				return nil, schemaErrf(path, "config must be a mapping")
 			}
-			sc.Config, sc.Store, sc.WAL, sc.ChaosBlackholeBytes, sc.ChaosCrashBytes, err = decodeConfig(m, path)
-			if err != nil {
+			if err := decodeConfig(m, path, sc); err != nil {
 				return nil, err
 			}
 		case "assert":
@@ -133,7 +138,8 @@ func Load(path string) (*Scenario, error) {
 	return sc, nil
 }
 
-// LoadDir loads every *.yaml/*.yml under dir, sorted by filename.
+// LoadDir loads every *.yaml/*.yml under dir, sorted by filename (the
+// order os.ReadDir lists them in).
 func LoadDir(dir string) ([]*Scenario, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -148,7 +154,6 @@ func LoadDir(dir string) ([]*Scenario, error) {
 			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Strings(paths)
 	if len(paths) == 0 {
 		return nil, schemaErrf(dir, "no scenario files")
 	}
@@ -168,225 +173,130 @@ func LoadDir(dir string) ([]*Scenario, error) {
 	return out, nil
 }
 
-// decodeConfig maps the config block onto core.Config, starting from
-// the named scale preset. Every key is checked; unknown keys are
-// schema errors so a typo cannot silently run the wrong workload.
-func decodeConfig(m map[string]any, path string) (core.Config, StoreMode, bool, int64, int64, error) {
-	cfg := core.QuickConfig()
-	store := StoreMemory
-	var wal bool
-	var chaosBytes, crashBytes int64
+// decodeConfig decodes the config block onto sc: the scale preset, then
+// each key — a row of core's settings table, or the scenario's own. An
+// unknown key is a schema error, so a typo cannot run the wrong study.
+func decodeConfig(m map[string]any, path string, sc *Scenario) error {
+	sc.Config, sc.Store.Mode = core.QuickConfig(), StoreMemory
 	if v, ok := m["scale"]; ok {
-		switch v {
-		case "quick":
-			cfg = core.QuickConfig()
-		case "default":
-			cfg = core.DefaultConfig()
-		default:
-			return cfg, store, false, 0, 0, schemaErrf(path, "config.scale must be quick or default, got %v", v)
+		var err error
+		if sc.Config, err = core.Preset(fmt.Sprint(v)); err != nil {
+			return schemaErrf(path, "config.scale: %v", err)
 		}
 	}
+	st := &sc.Store
 	for key, v := range m {
 		var err error
 		switch key {
 		case "scale": // handled above
-		case "seed":
-			err = setInt64(&cfg.Radiation.Seed, v)
-		case "nv":
-			err = setInt(&cfg.NV, v)
-		case "leaf_size":
-			err = setInt(&cfg.LeafSize, v)
-		case "sources":
-			err = setInt(&cfg.Radiation.NumSources, v)
-		case "months":
-			err = setInt(&cfg.Radiation.Months, v)
-		case "workers":
-			err = setInt(&cfg.Workers, v)
-		case "sensors":
-			err = setInt(&cfg.Sensors, v)
-		case "min_band_sources":
-			err = setInt(&cfg.MinBandSources, v)
-		case "anon_passphrase":
-			s, ok := v.(string)
-			if !ok {
-				err = fmt.Errorf("must be a string")
-			} else {
-				cfg.AnonPassphrase = s
-			}
 		case "store":
-			switch v {
-			case "memory":
-				store = StoreMemory
-			case "tripled":
-				store = StoreTripled
-			case "cluster":
-				store = StoreCluster
+			switch mode, _ := v.(string); StoreMode(mode) {
+			case StoreMemory, StoreTripled, StoreCluster:
+				st.Mode = StoreMode(mode)
 			default:
 				err = fmt.Errorf("must be memory, tripled, or cluster, got %v", v)
 			}
 		case "wal":
-			b, ok := v.(bool)
-			if !ok {
+			var ok bool
+			if st.WAL, ok = v.(bool); !ok {
 				err = fmt.Errorf("must be a boolean, got %v", v)
-			} else {
-				wal = b
 			}
 		case "chaos_blackhole_bytes":
-			if err = setInt64(&chaosBytes, v); err == nil && chaosBytes <= 0 {
+			if err = setInt(&st.ChaosBlackholeBytes, v); err == nil && st.ChaosBlackholeBytes <= 0 {
 				err = fmt.Errorf("must be > 0, got %v", v)
 			}
 		case "chaos_crash_bytes":
-			if err = setInt64(&crashBytes, v); err == nil && crashBytes <= 0 {
+			if err = setInt(&st.ChaosCrashBytes, v); err == nil && st.ChaosCrashBytes <= 0 {
 				err = fmt.Errorf("must be > 0, got %v", v)
 			}
 		case "snapshot_months":
-			var fracs []float64
-			if fracs, err = floatList(v); err == nil {
-				if len(fracs) == 0 {
-					err = fmt.Errorf("must not be empty")
+			list, _ := v.([]any)
+			if len(list) == 0 {
+				err = fmt.Errorf("must be a non-empty list of numbers, got %v", v)
+			}
+			sc.Config.SnapshotTimes = make([]time.Time, len(list))
+			for i, it := range list {
+				f, ok := it.(float64)
+				if !ok {
+					err = fmt.Errorf("element %d must be a number, got %v", i, it)
 					break
 				}
-				times := make([]time.Time, len(fracs))
-				for i, f := range fracs {
-					times[i] = cfg.StudyStart.Add(time.Duration(f * 30.44 * 24 * float64(time.Hour)))
-				}
-				cfg.SnapshotTimes = times
+				sc.Config.SnapshotTimes[i] = sc.Config.MonthTime(f)
 			}
 		case "radiation":
 			sub, ok := v.(map[string]any)
 			if !ok {
 				err = fmt.Errorf("must be a mapping")
-			} else {
-				err = decodeRadiation(sub, &cfg)
+			}
+			for k, v := range sub {
+				known := k == "mix"
+				if known {
+					sc.Config.Radiation.Mix, err = decodeMix(v)
+				} else if known, err = sc.Config.Set("radiation."+k, v); !known {
+					return schemaErrf(path, "config.radiation: unknown key %q", k)
+				}
+				if err != nil {
+					err = fmt.Errorf("%s: %v", k, err)
+					break
+				}
 			}
 		default:
-			return cfg, store, false, 0, 0, schemaErrf(path, "unknown config key %q", key)
+			// A dotted table key lives in a sub-block, not at the top.
+			var known bool
+			if known, err = sc.Config.Set(key, v); !known || strings.Contains(key, ".") {
+				return schemaErrf(path, "unknown config key %q", key)
+			}
 		}
 		if err != nil {
-			return cfg, store, false, 0, 0, schemaErrf(path, "config.%s: %v", key, err)
+			return schemaErrf(path, "config.%s: %v", key, err)
 		}
 	}
 	switch {
-	case chaosBytes > 0 && store != StoreCluster:
-		return cfg, store, false, 0, 0, schemaErrf(path,
+	case st.ChaosBlackholeBytes > 0 && st.Mode != StoreCluster:
+		return schemaErrf(path,
 			"config.chaos_blackhole_bytes needs store: cluster (a single store has no replica to lose)")
-	case wal && store == StoreMemory:
-		return cfg, store, false, 0, 0, schemaErrf(path,
+	case st.WAL && st.Mode == StoreMemory:
+		return schemaErrf(path,
 			"config.wal needs store: tripled or cluster (memory mode has no server to make durable)")
-	case crashBytes > 0 && !wal:
-		return cfg, store, false, 0, 0, schemaErrf(path,
+	case st.ChaosCrashBytes > 0 && !st.WAL:
+		return schemaErrf(path,
 			"config.chaos_crash_bytes needs wal: true (a crashed server without a WAL loses the study)")
-	case crashBytes > 0 && chaosBytes > 0:
-		return cfg, store, false, 0, 0, schemaErrf(path,
+	case st.ChaosCrashBytes > 0 && st.ChaosBlackholeBytes > 0:
+		return schemaErrf(path,
 			"config.chaos_crash_bytes and config.chaos_blackhole_bytes cannot be combined")
-	}
-	return cfg, store, wal, chaosBytes, crashBytes, nil
-}
-
-func decodeRadiation(m map[string]any, cfg *core.Config) error {
-	r := &cfg.Radiation
-	for key, v := range m {
-		var err error
-		switch key {
-		case "persistent":
-			err = setFloat(&r.Persistent, v)
-		case "bogon_rate":
-			err = setFloat(&r.BogonRate, v)
-		case "bright_log2":
-			err = setFloat(&r.BrightLog2, v)
-		case "zm_alpha":
-			err = setFloat(&r.ZM.Alpha, v)
-		case "zm_delta":
-			err = setFloat(&r.ZM.Delta, v)
-		case "zm_dmax":
-			err = setFloat(&r.ZM.DMax, v)
-		case "alpha_star":
-			err = setFloat(&r.AlphaStar, v)
-		case "beta_base":
-			err = setFloat(&r.BetaBase, v)
-		case "beta_dip":
-			err = setFloat(&r.BetaDip, v)
-		case "dip_log2":
-			err = setFloat(&r.DipLog2, v)
-		case "dip_width":
-			err = setFloat(&r.DipWidth, v)
-		case "background":
-			err = setFloat(&r.Background, v)
-		case "telescope_alpha":
-			err = setFloat(&r.TelescopeAlpha, v)
-		case "telescope_beta":
-			err = setFloat(&r.TelescopeBeta, v)
-		case "vertical_scan":
-			err = setFloat(&r.VerticalScan, v)
-		case "v6_sources":
-			err = setFloat(&r.V6Sources, v)
-		case "darkspace":
-			s, ok := v.(string)
-			if !ok {
-				err = fmt.Errorf("must be a CIDR string")
-			} else {
-				r.Darkspace, err = ipaddr.ParsePrefix(s)
-			}
-		case "mix":
-			sub, ok := v.(map[string]any)
-			if !ok {
-				err = fmt.Errorf("must be a mapping of archetype weights")
-				break
-			}
-			r.Mix, err = decodeMix(sub)
-		default:
-			return fmt.Errorf("unknown key %q", key)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %v", key, err)
-		}
 	}
 	return nil
 }
 
-// archetypeOrder matches radiation.Archetype iota order.
-var archetypeOrder = []string{"scanner", "worm", "backscatter", "botnet", "misconfiguration"}
-
-func decodeMix(m map[string]any) ([]float64, error) {
-	out := make([]float64, len(archetypeOrder))
-	seen := 0
+// decodeMix reads weights named as radiation.Archetype spells them, in
+// Archetype order (an empty mix sums to zero, which Validate refuses).
+func decodeMix(v any) ([]float64, error) {
+	m, ok := v.(map[string]any)
+	if !ok {
+		return nil, fmt.Errorf("must be a mapping of archetype weights")
+	}
+	out := make([]float64, radiation.NumArchetypes)
 	for key, v := range m {
-		idx := -1
-		for i, name := range archetypeOrder {
-			if key == name {
-				idx = i
-				break
-			}
+		a := radiation.Archetype(0)
+		for a < radiation.NumArchetypes && a.String() != key {
+			a++
 		}
-		if idx < 0 {
+		if a == radiation.NumArchetypes {
 			return nil, fmt.Errorf("unknown archetype %q", key)
 		}
-		if err := setFloat(&out[idx], v); err != nil {
+		if err := setFloat(&out[a], v); err != nil {
 			return nil, fmt.Errorf("%s: %v", key, err)
 		}
-		seen++
-	}
-	if seen == 0 {
-		return nil, fmt.Errorf("empty mix")
 	}
 	return out, nil
 }
 
-func setInt(dst *int, v any) error {
+func setInt[T int | int64](dst *T, v any) error {
 	f, ok := v.(float64)
 	if !ok || f != math.Trunc(f) {
 		return fmt.Errorf("must be an integer, got %v", v)
 	}
-	*dst = int(f)
-	return nil
-}
-
-func setInt64(dst *int64, v any) error {
-	f, ok := v.(float64)
-	if !ok || f != math.Trunc(f) {
-		return fmt.Errorf("must be an integer, got %v", v)
-	}
-	*dst = int64(f)
+	*dst = T(f)
 	return nil
 }
 
@@ -397,20 +307,4 @@ func setFloat(dst *float64, v any) error {
 	}
 	*dst = f
 	return nil
-}
-
-func floatList(v any) ([]float64, error) {
-	list, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("must be a list of numbers, got %v", v)
-	}
-	out := make([]float64, len(list))
-	for i, it := range list {
-		f, ok := it.(float64)
-		if !ok {
-			return nil, fmt.Errorf("element %d must be a number, got %v", i, it)
-		}
-		out[i] = f
-	}
-	return out, nil
 }

@@ -32,39 +32,43 @@ func writeScenario(t *testing.T, name, content string) string {
 	return path
 }
 
-// TestLoadFailureModes sweeps the loader's negative paths: malformed
-// YAML and schema violations must surface as the right sentinel with a
-// message naming the problem, never load as a runnable scenario.
+// failureModes are the loader's negative paths: malformed YAML and
+// schema violations, each with the sentinel and a word its error must
+// carry.
+var failureModes = []struct {
+	name string
+	yaml string
+	want error
+	msg  string // substring the error must carry
+}{
+	{"malformed yaml", "name: x\n\tbad tab", ErrParse, "tab"},
+	{"unterminated quote", `name: "x`, ErrParse, "unterminated"},
+	{"non-mapping top level", "- a\n- b", ErrSchema, "mapping"},
+	{"unknown top-level key", "name: x\ncase: Z1\nbogus: 1\nassert:\n  - windows:\n", ErrSchema, "bogus"},
+	{"missing name", "case: Z1\nassert:\n  - windows:\n", ErrSchema, "name"},
+	{"missing case", "name: x\nassert:\n  - windows:\n", ErrSchema, "case"},
+	{"no assertions", "name: x\ncase: Z1\n", ErrSchema, "assertion"},
+	{"unknown config key", "name: x\ncase: Z1\nconfig:\n  frobnicate: 3\nassert:\n  - windows:\n", ErrSchema, "frobnicate"},
+	{"removed study_workers key", "name: x\ncase: Z1\nconfig:\n  study_workers: 1\nassert:\n  - windows:\n", ErrSchema, "study_workers"},
+	{"removed report_workers key", "name: x\ncase: Z1\nconfig:\n  report_workers: 1\nassert:\n  - windows:\n", ErrSchema, "report_workers"},
+	{"bad scale", "name: x\ncase: Z1\nconfig:\n  scale: enormous\nassert:\n  - windows:\n", ErrSchema, "scale"},
+	{"unknown radiation key", "name: x\ncase: Z1\nconfig:\n  radiation:\n    warp: 9\nassert:\n  - windows:\n", ErrSchema, "warp"},
+	{"unknown archetype", "name: x\ncase: Z1\nconfig:\n  radiation:\n    mix: {gremlin: 1}\nassert:\n  - windows:\n", ErrSchema, "gremlin"},
+	{"unknown assertion kind", "name: x\ncase: Z1\nassert:\n  - frob: {min: 1}\n", ErrSchema, "frob"},
+	{"unknown assertion param", "name: x\ncase: Z1\nassert:\n  - fig3_alpha: {min: 1, spin: 2}\n", ErrSchema, "spin"},
+	{"unknown table2 quantity", "name: x\ncase: Z1\nassert:\n  - table2: {quantity: hats, min: 1}\n", ErrSchema, "quantity"},
+	{"value without tolerance", "name: x\ncase: Z1\nassert:\n  - fig3_alpha: {value: 1.76}\n", ErrSchema, "tol"},
+	{"no bound at all", "name: x\ncase: Z1\nassert:\n  - fig3_alpha:\n", ErrSchema, "bound"},
+	{"unknown golden artifact", "name: x\ncase: Z1\nassert:\n  - golden: {artifact: fig9, file: f.tsv}\n", ErrSchema, "fig9"},
+	{"invalid config rejected", "name: x\ncase: Z1\nconfig:\n  sources: -5\nassert:\n  - windows:\n", ErrSchema, "NumSources"},
+	{"bad snapshot month", "name: x\ncase: Z1\nconfig:\n  snapshot_months: [99]\nassert:\n  - windows:\n", ErrSchema, "snapshot"},
+}
+
+// TestLoadFailureModes: every failure mode surfaces as the right
+// sentinel with a message naming the problem, never loads as a runnable
+// scenario.
 func TestLoadFailureModes(t *testing.T) {
-	cases := []struct {
-		name string
-		yaml string
-		want error
-		msg  string // substring the error must carry
-	}{
-		{"malformed yaml", "name: x\n\tbad tab", ErrParse, "tab"},
-		{"unterminated quote", `name: "x`, ErrParse, "unterminated"},
-		{"non-mapping top level", "- a\n- b", ErrSchema, "mapping"},
-		{"unknown top-level key", "name: x\ncase: Z1\nbogus: 1\nassert:\n  - windows:\n", ErrSchema, "bogus"},
-		{"missing name", "case: Z1\nassert:\n  - windows:\n", ErrSchema, "name"},
-		{"missing case", "name: x\nassert:\n  - windows:\n", ErrSchema, "case"},
-		{"no assertions", "name: x\ncase: Z1\n", ErrSchema, "assertion"},
-		{"unknown config key", "name: x\ncase: Z1\nconfig:\n  frobnicate: 3\nassert:\n  - windows:\n", ErrSchema, "frobnicate"},
-		{"removed study_workers key", "name: x\ncase: Z1\nconfig:\n  study_workers: 1\nassert:\n  - windows:\n", ErrSchema, "study_workers"},
-		{"removed report_workers key", "name: x\ncase: Z1\nconfig:\n  report_workers: 1\nassert:\n  - windows:\n", ErrSchema, "report_workers"},
-		{"bad scale", "name: x\ncase: Z1\nconfig:\n  scale: enormous\nassert:\n  - windows:\n", ErrSchema, "scale"},
-		{"unknown radiation key", "name: x\ncase: Z1\nconfig:\n  radiation:\n    warp: 9\nassert:\n  - windows:\n", ErrSchema, "warp"},
-		{"unknown archetype", "name: x\ncase: Z1\nconfig:\n  radiation:\n    mix: {gremlin: 1}\nassert:\n  - windows:\n", ErrSchema, "gremlin"},
-		{"unknown assertion kind", "name: x\ncase: Z1\nassert:\n  - frob: {min: 1}\n", ErrSchema, "frob"},
-		{"unknown assertion param", "name: x\ncase: Z1\nassert:\n  - fig3_alpha: {min: 1, spin: 2}\n", ErrSchema, "spin"},
-		{"unknown table2 quantity", "name: x\ncase: Z1\nassert:\n  - table2: {quantity: hats, min: 1}\n", ErrSchema, "quantity"},
-		{"value without tolerance", "name: x\ncase: Z1\nassert:\n  - fig3_alpha: {value: 1.76}\n", ErrSchema, "tol"},
-		{"no bound at all", "name: x\ncase: Z1\nassert:\n  - fig3_alpha:\n", ErrSchema, "bound"},
-		{"unknown golden artifact", "name: x\ncase: Z1\nassert:\n  - golden: {artifact: fig9, file: f.tsv}\n", ErrSchema, "fig9"},
-		{"invalid config rejected", "name: x\ncase: Z1\nconfig:\n  sources: -5\nassert:\n  - windows:\n", ErrSchema, "NumSources"},
-		{"bad snapshot month", "name: x\ncase: Z1\nconfig:\n  snapshot_months: [99]\nassert:\n  - windows:\n", ErrSchema, "snapshot"},
-	}
-	for _, tc := range cases {
+	for _, tc := range failureModes {
 		t.Run(tc.name, func(t *testing.T) {
 			path := writeScenario(t, "bad.yaml", tc.yaml)
 			_, err := Load(path)

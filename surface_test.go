@@ -5,7 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -197,4 +200,43 @@ func receiverName(expr ast.Expr) string {
 		return x.Name
 	}
 	return ""
+}
+
+// TestStudyFlagSurface locks the flag names of the commands that run a
+// study: each built binary's -h listing (flag.PrintDefaults, a
+// flag.VisitAll walk) must name exactly the flags in
+// testdata/study_flags.txt, one "command: -flag ..." line per command.
+func TestStudyFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four commands")
+	}
+	dir := t.TempDir()
+	cmds := []string{"correlate", "experiments", "figures", "studyd"}
+	args := []string{"build", "-o", dir + string(filepath.Separator)}
+	for _, c := range cmds {
+		args = append(args, "./cmd/"+c)
+	}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	flagLine := regexp.MustCompile(`(?m)^  (-\S+)`)
+	var got strings.Builder
+	for _, c := range cmds {
+		out, err := exec.Command(filepath.Join(dir, c), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", c, err, out)
+		}
+		var names []string
+		for _, m := range flagLine.FindAllStringSubmatch(string(out), -1) {
+			names = append(names, m[1])
+		}
+		got.WriteString(c + ": " + strings.Join(names, " ") + "\n")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "study_flags.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("study command flags drifted:\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
 }
