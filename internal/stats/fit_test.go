@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,6 +290,17 @@ func TestTemporalFitCurve(t *testing.T) {
 	}
 }
 
+// residualPowRef is the fitting p-norm as the fits first wrote it, one
+// math.Pow per point whatever p is: the oracle for residualPNorm and
+// for FitModifiedCauchyNorm's kernel, sharing no code with either.
+func residualPowRef(dts, values []float64, peak float64, m TemporalModel, p float64) float64 {
+	var s float64
+	for i, dt := range dts {
+		s += math.Pow(math.Abs(values[i]-peak*m.Eval(dt)), p)
+	}
+	return math.Pow(s, 1/p)
+}
+
 // fitModifiedCauchyRef is the fit as it was before the separable
 // search: every grid point recomputes |dt|^α through the model's Eval.
 func fitModifiedCauchyRef(dts, values []float64, p float64) (alpha, beta, residual float64) {
@@ -297,15 +309,37 @@ func fitModifiedCauchyRef(dts, values []float64, p float64) (alpha, beta, residu
 		Range{Lo: 0.05, Hi: 2.0},
 		Range{Lo: 0.01, Hi: 100.0, Log: true},
 		50, func(a, b float64) float64 {
-			return residualPNorm(dts, values, peak, ModifiedCauchy{Alpha: a, Beta: b}, p)
+			return residualPowRef(dts, values, peak, ModifiedCauchy{Alpha: a, Beta: b}, p)
 		})
 }
 
-// TestFitModifiedCauchyBitIdentical pins the hoisted kernel to the
-// un-hoisted one bit for bit, on the series shapes the report graph
-// feeds it (15 months, the snapshot somewhere inside) under each norm
-// the ablations use. A one-ulp drift would move golden artifacts.
-func TestFitModifiedCauchyBitIdentical(t *testing.T) {
+// fitOneRef is FitCauchy's and FitGaussian's search as it was before
+// GridSearch1 walked one axis: a 200 × 200 GridSearch2 whose second
+// axis is the one point 1, over the Pow residual.
+func fitOneRef(dts, values []float64, model func(x float64) TemporalModel) (x, residual float64) {
+	peak := peakOf(values)
+	x, _, residual = GridSearch2(Range{Lo: 0.05, Hi: 50, Log: true}, Range{Lo: 1, Hi: 1}, 200,
+		func(x, _ float64) float64 { return residualPowRef(dts, values, peak, model(x), 0.5) })
+	return x, residual
+}
+
+func cauchyOf(g float64) TemporalModel   { return Cauchy{Gamma: g} }
+func gaussianOf(s float64) TemporalModel { return Gaussian{Sigma: s} }
+
+// sameBits reports whether each got equals its want bit for bit.
+func sameBits(got, want []float64) bool {
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// eachFitSeries calls f with the series shapes the report graph feeds
+// the temporal fits (15 months, the snapshot somewhere inside), each at
+// a whole and a fractional snapshot month.
+func eachFitSeries(f func(name string, offset float64, dts, vals []float64)) {
 	truth := ModifiedCauchy{Alpha: 0.75, Beta: 2}
 	shapes := map[string]func(i int, dt float64) float64{
 		"flat":          func(int, float64) float64 { return 0.31 },
@@ -316,25 +350,177 @@ func TestFitModifiedCauchyBitIdentical(t *testing.T) {
 		"zero":          func(int, float64) float64 { return 0 },
 	}
 	for name, shape := range shapes {
-		for _, offset := range []float64{4, 4.55} { // whole and fractional snapshot months
+		for _, offset := range []float64{4, 4.55} {
 			dts, vals := make([]float64, 15), make([]float64, 15)
 			for i := range dts {
 				dts[i] = float64(i) - offset
 				vals[i] = shape(i, dts[i])
 			}
-			for _, p := range []float64{0.5, 1, 2} {
-				fit := FitModifiedCauchyNorm(dts, vals, p)
-				m := fit.Model.(ModifiedCauchy)
-				a, b, r := fitModifiedCauchyRef(dts, vals, p)
-				if math.Float64bits(m.Alpha) != math.Float64bits(a) ||
-					math.Float64bits(m.Beta) != math.Float64bits(b) ||
-					math.Float64bits(fit.Residual) != math.Float64bits(r) {
-					t.Errorf("%s offset %g p=%g: fit (%v, %v, %v), reference (%v, %v, %v)",
-						name, offset, p, m.Alpha, m.Beta, fit.Residual, a, b, r)
+			f(name, offset, dts, vals)
+		}
+	}
+}
+
+// TestFitModifiedCauchyBitIdentical pins the hoisted kernel to the
+// un-hoisted one bit for bit under each norm the ablations use. A
+// one-ulp drift would move golden artifacts.
+func TestFitModifiedCauchyBitIdentical(t *testing.T) {
+	eachFitSeries(func(name string, offset float64, dts, vals []float64) {
+		for _, p := range []float64{0.5, 1, 2} {
+			fit := FitModifiedCauchyNorm(dts, vals, p)
+			m := fit.Model.(ModifiedCauchy)
+			a, b, r := fitModifiedCauchyRef(dts, vals, p)
+			if !sameBits([]float64{m.Alpha, m.Beta, fit.Residual}, []float64{a, b, r}) {
+				t.Errorf("%s offset %g p=%g: fit (%v, %v, %v), reference (%v, %v, %v)",
+					name, offset, p, m.Alpha, m.Beta, fit.Residual, a, b, r)
+			}
+		}
+	})
+}
+
+// TestFitCauchyGaussianBitIdentical pins the one-parameter fits — a
+// 1-D search over the square-root residual — to their 2-D, Pow-residual
+// formulation bit for bit.
+func TestFitCauchyGaussianBitIdentical(t *testing.T) {
+	eachFitSeries(func(name string, offset float64, dts, vals []float64) {
+		c, g := FitCauchy(dts, vals), FitGaussian(dts, vals)
+		cx, cr := fitOneRef(dts, vals, cauchyOf)
+		gx, gr := fitOneRef(dts, vals, gaussianOf)
+		if !sameBits([]float64{c.Model.(Cauchy).Gamma, c.Residual}, []float64{cx, cr}) {
+			t.Errorf("%s offset %g: cauchy fit (%v, %v), reference (%v, %v)",
+				name, offset, c.Model.(Cauchy).Gamma, c.Residual, cx, cr)
+		}
+		if !sameBits([]float64{g.Model.(Gaussian).Sigma, g.Residual}, []float64{gx, gr}) {
+			t.Errorf("%s offset %g: gaussian fit (%v, %v), reference (%v, %v)",
+				name, offset, g.Model.(Gaussian).Sigma, g.Residual, gx, gr)
+		}
+	})
+}
+
+// pointHash scrambles x's bits with seed (a splitmix64 finaliser): a
+// loss built on it scores a point the same however often it is asked.
+func pointHash(seed uint64, x float64) uint64 {
+	h := math.Float64bits(x) ^ seed
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// TestGridSearch1MatchesDegenerate2D holds GridSearch1 to what it was
+// before it walked one axis — GridSearch2 with a second axis of the one
+// point 1 — on random scores, scores with many tied minima, scores with
+// NaNs, no score at all, and one minimum, over linear and log ranges.
+func TestGridSearch1MatchesDegenerate2D(t *testing.T) {
+	losses := map[string]func(seed uint64, x float64) float64{
+		"random": func(seed uint64, x float64) float64 { return float64(pointHash(seed, x)>>11) / (1 << 53) },
+		"tied":   func(seed uint64, x float64) float64 { return float64(pointHash(seed, x) % 3) },
+		"nan": func(seed uint64, x float64) float64 {
+			if h := pointHash(seed, x); h%4 != 0 {
+				return float64(h % 5)
+			}
+			return math.NaN()
+		},
+		"all-nan": func(uint64, float64) float64 { return math.NaN() },
+		"smooth":  func(seed uint64, x float64) float64 { return math.Abs(x - float64(seed%97)/7) },
+	}
+	rng := rand.New(rand.NewSource(29))
+	for name, loss := range losses {
+		for trial := 0; trial < 20; trial++ {
+			seed := rng.Uint64()
+			lo := rng.Float64() * 10
+			ranges := []Range{
+				{Lo: lo, Hi: lo + rng.Float64()*20},
+				{Lo: lo + 0.01, Hi: (lo + 0.01) * (1 + rng.Float64()*1e3), Log: true},
+			}
+			for _, r := range ranges {
+				steps := 1 + rng.Intn(60)
+				f := func(x float64) float64 { return loss(seed, x) }
+				x, l := GridSearch1(r, steps, f)
+				wx, _, wl := GridSearch2(r, Range{Lo: 1, Hi: 1}, steps, func(x, _ float64) float64 { return f(x) })
+				if !sameBits([]float64{x, l}, []float64{wx, wl}) {
+					t.Errorf("%s %+v steps %d: GridSearch1 (%v, %v), degenerate GridSearch2 (%v, %v)",
+						name, r, steps, x, l, wx, wl)
 				}
 			}
 		}
 	}
+}
+
+// TestGridSearchEvaluationCounts counts loss calls: a grid point is
+// evaluated once per stage, so Figure 5's one-parameter fits (200
+// steps) cost 400 calls, not the 80 000 of a 200 × 200 walk.
+func TestGridSearchEvaluationCounts(t *testing.T) {
+	for _, steps := range []int{1, 2, 7, 50, 200} {
+		n := max(steps, 2)
+		var calls1, calls2 int
+		GridSearch1(Range{Lo: 0.05, Hi: 50, Log: true}, steps, func(x float64) float64 { calls1++; return x })
+		GridSearch2(Range{Lo: 0.05, Hi: 2}, Range{Lo: 0.01, Hi: 100, Log: true}, steps,
+			func(a, b float64) float64 { calls2++; return a + b })
+		if calls1 != 2*n {
+			t.Errorf("GridSearch1 at %d steps called its loss %d times, want %d", steps, calls1, 2*n)
+		}
+		if calls2 != 2*n*n {
+			t.Errorf("GridSearch2 at %d steps called its loss %d times, want %d", steps, calls2, 2*n*n)
+		}
+	}
+}
+
+// FuzzHalfNormKernel holds the ½-norm's square root to math.Pow(·, ½)
+// on any float64 — ±0, subnormals, ±Inf, NaNs of any payload — and the
+// three temporal fits to their Pow-residual, 2-D-search references on
+// any series of 1–15 points.
+func FuzzHalfNormKernel(f *testing.F) {
+	series := func(vals ...float64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	peak := make([]float64, 15)
+	for i := range peak {
+		peak[i] = 0.65 * ModifiedCauchy{Alpha: 0.75, Beta: 2}.Eval(float64(i)-4)
+	}
+	f.Add(math.Float64bits(0.25), 4.0, series(peak...))
+	f.Add(math.Float64bits(math.Copysign(0, -1)), 4.55, series(0, 0, 0))
+	f.Add(uint64(1), 0.0, series(math.SmallestNonzeroFloat64))
+	f.Add(uint64(0xfff8000000000000), -3.0, series(math.Inf(1), 0.5, math.NaN(), -0.25))
+	f.Fuzz(func(t *testing.T, bits uint64, offset float64, raw []byte) {
+		x := math.Float64frombits(bits)
+		got, want := math.Sqrt(math.Abs(x)), math.Pow(math.Abs(x), 0.5)
+		if math.IsNaN(want) != math.IsNaN(got) || !math.IsNaN(want) && !sameBits([]float64{got}, []float64{want}) {
+			t.Fatalf("Sqrt(|%v|) = %v (%#x), Pow(|x|, 0.5) = %v (%#x)",
+				x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		got, want = pNorm([]float64{x}, 0.5), residualPowRef([]float64{0}, []float64{x}, 1, noModel{}, 0.5)
+		if !sameBits([]float64{got}, []float64{want}) {
+			t.Fatalf("½-norm of {%v} = %#x, Pow form %#x", x, math.Float64bits(got), math.Float64bits(want))
+		}
+
+		n := min(len(raw)/8, 15)
+		if n == 0 {
+			return
+		}
+		dts, vals := make([]float64, n), make([]float64, n)
+		for i := range vals {
+			dts[i] = float64(i) - offset
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		mc, c, g := FitModifiedCauchy(dts, vals), FitCauchy(dts, vals), FitGaussian(dts, vals)
+		a, b, r := fitModifiedCauchyRef(dts, vals, 0.5)
+		cx, cr := fitOneRef(dts, vals, cauchyOf)
+		gx, gr := fitOneRef(dts, vals, gaussianOf)
+		m := mc.Model.(ModifiedCauchy)
+		if !sameBits(
+			[]float64{m.Alpha, m.Beta, mc.Residual, c.Model.(Cauchy).Gamma, c.Residual, g.Model.(Gaussian).Sigma, g.Residual},
+			[]float64{a, b, r, cx, cr, gx, gr}) {
+			t.Fatalf("dts %v values %v: fits (%v, %v, %v) (%v, %v) (%v, %v), references (%v, %v, %v) (%v, %v) (%v, %v)",
+				dts, vals, m.Alpha, m.Beta, mc.Residual, c.Model.(Cauchy).Gamma, c.Residual, g.Model.(Gaussian).Sigma, g.Residual,
+				a, b, r, cx, cr, gx, gr)
+		}
+	})
 }
 
 func BenchmarkFitModifiedCauchy(b *testing.B) {
@@ -348,6 +534,22 @@ func BenchmarkFitModifiedCauchy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		FitModifiedCauchy(dts, vals)
+	}
+}
+
+// BenchmarkFitAllTemporal is Figure 5's unit of work: the three model
+// fits of one 15-month series.
+func BenchmarkFitAllTemporal(b *testing.B) {
+	truth := ModifiedCauchy{Alpha: 0.75, Beta: 2}
+	dts := make([]float64, 15)
+	vals := make([]float64, 15)
+	for i := range dts {
+		dts[i] = float64(i - 4)
+		vals[i] = 0.65 * truth.Eval(dts[i])
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FitAllTemporal(dts, vals)
 	}
 }
 

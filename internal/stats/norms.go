@@ -32,7 +32,7 @@ func (r Range) Values(n int) []float64 {
 // for the smooth single-minimum losses used here). It mirrors the paper's
 // procedure of "generating all distributions over a range of possible α
 // and β values ... and then selecting the α and β that minimize" the
-// fitting norm.
+// fitting norm. It calls loss 2·steps² times.
 func GridSearch2(ra, rb Range, steps int, loss func(a, b float64) float64) (bestA, bestB, bestLoss float64) {
 	if steps < 2 {
 		steps = 2
@@ -46,16 +46,7 @@ func GridSearch2(ra, rb Range, steps int, loss func(a, b float64) float64) (best
 			}
 		}
 	}
-	// Zoom: shrink each range around the winner by the grid pitch.
-	zoom := func(r Range, best float64) Range {
-		if r.Log {
-			f := math.Pow(r.Hi/r.Lo, 1/float64(steps-1))
-			return Range{Lo: math.Max(r.Lo, best/f), Hi: math.Min(r.Hi, best*f), Log: true}
-		}
-		h := (r.Hi - r.Lo) / float64(steps-1)
-		return Range{Lo: math.Max(r.Lo, best-h), Hi: math.Min(r.Hi, best+h)}
-	}
-	ra2, rb2 := zoom(ra, bestA), zoom(rb, bestB)
+	ra2, rb2 := ra.zoom(bestA, steps), rb.zoom(bestB, steps)
 	for _, a := range ra2.Values(steps) {
 		for _, b := range rb2.Values(steps) {
 			if l := loss(a, b); l < bestLoss {
@@ -66,8 +57,35 @@ func GridSearch2(ra, rb Range, steps int, loss func(a, b float64) float64) (best
 	return bestA, bestB, bestLoss
 }
 
-// GridSearch1 minimizes loss over a 1-D grid with one zoom stage.
+// GridSearch1 minimizes loss over a 1-D grid, then over the same zoomed
+// grid GridSearch2 refines with. It calls loss 2·steps times, visiting
+// the points GridSearch2 would over a second axis of one point, in the
+// same order, so for a loss that ignores that axis the two agree bit for
+// bit (the strict < keeps the first of tied minima either way).
 func GridSearch1(r Range, steps int, loss func(x float64) float64) (bestX, bestLoss float64) {
-	a, _, l := GridSearch2(r, Range{Lo: 1, Hi: 1}, steps, func(x, _ float64) float64 { return loss(x) })
-	return a, l
+	if steps < 2 {
+		steps = 2
+	}
+	bestLoss = math.Inf(1)
+	for _, x := range r.Values(steps) {
+		if l := loss(x); l < bestLoss {
+			bestX, bestLoss = x, l
+		}
+	}
+	for _, x := range r.zoom(bestX, steps).Values(steps) {
+		if l := loss(x); l < bestLoss {
+			bestX, bestLoss = x, l
+		}
+	}
+	return bestX, bestLoss
+}
+
+// zoom shrinks r around best by one pitch of a steps-point grid.
+func (r Range) zoom(best float64, steps int) Range {
+	if r.Log {
+		f := math.Pow(r.Hi/r.Lo, 1/float64(steps-1))
+		return Range{Lo: math.Max(r.Lo, best/f), Hi: math.Min(r.Hi, best*f), Log: true}
+	}
+	h := (r.Hi - r.Lo) / float64(steps-1)
+	return Range{Lo: math.Max(r.Lo, best-h), Hi: math.Min(r.Hi, best+h)}
 }
