@@ -23,6 +23,8 @@ package assoc
 
 import (
 	"fmt"
+	"iter"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -249,6 +251,12 @@ func (a *Assoc) RowKeys() []string {
 	a.rowKeys.Store(&keys)
 	return keys
 }
+
+// Rows visits every row once, in no set order, with its cells as a run
+// sorted by column: the walk for a caller that needs each row but not
+// the row order, which RowKeys would sort for. The runs are the array's
+// own and read-only.
+func (a *Assoc) Rows() iter.Seq2[string, runs.Run[Value]] { return maps.All(a.rows) }
 
 // ColKeys returns the sorted distinct column keys.
 func (a *Assoc) ColKeys() []string {

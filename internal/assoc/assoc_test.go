@@ -147,6 +147,38 @@ func TestStringSummary(t *testing.T) {
 // TestRowKeysCache proves RowKeys is cached between calls and
 // invalidated exactly when the row set changes: a new row, a row's last
 // cell deleted, or a row re-added after deletion.
+// TestRowsVisitsEachRowOnce: Rows yields every row once with all its
+// cells, stops when told to, and leaves the sorted-key cache unbuilt.
+func TestRowsVisitsEachRowOnce(t *testing.T) {
+	a := New()
+	a.Set("b", "x", Num(1))
+	a.Set("a", "y", Num(2))
+	a.Set("a", "x", Num(3))
+	got := make(map[string][]string)
+	for row, cells := range a.Rows() {
+		if _, twice := got[row]; twice {
+			t.Fatalf("row %q visited twice", row)
+		}
+		for e := range cells.All() {
+			got[row] = append(got[row], e.Key+"="+e.Val.String())
+		}
+	}
+	if want := map[string][]string{"a": {"x=3", "y=2"}, "b": {"x=1"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Rows = %v, want %v", got, want)
+	}
+	n := 0
+	for range a.Rows() {
+		n++
+		break
+	}
+	if n != 1 {
+		t.Errorf("early stop visited %d", n)
+	}
+	if a.rowKeys.Load() != nil {
+		t.Error("Rows built the sorted row-key cache")
+	}
+}
+
 func TestRowKeysCache(t *testing.T) {
 	a := New()
 	a.Set("b", "c1", Num(1))

@@ -6,18 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/assoc"
+	"repro/internal/ipaddr"
 	"repro/internal/stats"
 )
 
 // synthStudy builds a study where ground truth is exact: the snapshot
 // holds nPerBand sources per band, and month tables include each source
 // with a deterministic pattern realized by index arithmetic: the first
-// round(frac*n) sources of a band are present.
+// round(frac*n) sources of a band are present. Source i of band b is
+// the address (b+1).0.0.0 + i, so every row key is a dotted quad as
+// Freeze requires.
 func synthStudy(bands []int, nPerBand int, snapMonth float64, months int,
 	frac func(band int, dt float64) float64) Study {
 
 	snap := Snapshot{Label: "synth", Month: snapMonth, NV: 1 << 20, Sources: assoc.New()}
-	ip := func(band, i int) string { return fmt.Sprintf("%d.%d.0.1", band+1, i) }
+	ip := func(band, i int) string { return (ipaddr.Addr(band+1)<<24 | ipaddr.Addr(i)).String() }
 	for _, b := range bands {
 		for i := 0; i < nPerBand; i++ {
 			// brightness at the band's lower edge

@@ -1,21 +1,15 @@
 package correlate
 
 // freeze.go compiles a Study into a Frozen over the repository's worker
-// pool. Row keys are interned by rank — a key's ID is its position in
-// the sorted union of every table's keys — which, unlike interning
-// through one shared map in arrival order, decomposes:
-//
-//  1. Gather (parallel, one job per table): collect each month table's
-//     row keys and each snapshot's band-filtered row keys. Assoc.RowKeys
-//     is already sorted, so each unit's key list comes out sorted for
-//     free.
-//  2. Union (on the caller): pairwise-merge the sorted per-unit lists
-//     into one global sorted unique key list. A key's ID is its rank in
-//     this list.
-//  3. Resolve (parallel, one job per table): walk each unit's sorted
-//     keys against the global list with a linear two-pointer merge,
-//     emitting interned IDs — ascending by construction, so no per-set
-//     sort is needed.
+// pool, one job per table. A row's ID is its source address: every row
+// key of a study is a canonical dotted quad (both builders write it with
+// ipaddr.Addr.AppendTo, and both fetches refuse anything else), so
+// ipaddr.Parse maps it to its uint32 with no shared key space to build.
+// A job walks its table's rows in map order, parses each key, and sorts
+// the resulting set once; no job waits on another. The sort is an LSD
+// radix sort, a linear pass a byte: on a study_batch-shaped study
+// (BenchmarkFreeze/batch, 2 vCPU) slices.Sort's comparisons made the
+// freeze about a third slower.
 //
 // Every Frozen artifact is a set cardinality (|band ∩ month| under one
 // shared ID space), which does not care how keys were numbered or how
@@ -24,160 +18,113 @@ package correlate
 
 import (
 	"context"
-	"sort"
+	"fmt"
 
+	"repro/internal/ipaddr"
 	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
-// unitKeys is stage 1's output for one table: the unit's sorted row
-// keys, plus (for snapshots) each key's brightness band.
-type unitKeys struct {
-	keys  []string
-	bands []int // aligned with keys; nil for months
-}
-
-// Freeze interns every row key of the study into one uint32 ID space,
-// reduces each month table to a sorted ID set, and computes each
-// snapshot's brightness bands once, across up to workers goroutines
-// (pool semantics: <= 0 picks GOMAXPROCS, 1 is the caller's goroutine).
-// The input tables are read, never retained: later mutation of the
-// study does not invalidate the Frozen (it describes the study as it
-// was at freeze time).
+// Freeze reduces each month table to the sorted set of its row
+// addresses and each snapshot to one sorted address set per brightness
+// band, across up to workers goroutines (pool semantics: <= 0 picks
+// GOMAXPROCS, 1 is the caller's goroutine). The input tables are read,
+// never retained: later mutation of the study does not invalidate the
+// Frozen (it describes the study as it was at freeze time).
+//
+// Every row key must be a canonical dotted quad, as ipaddr.Parse
+// accepts; Freeze panics naming the table and the key on any other.
 func Freeze(study Study, workers int) *Frozen {
 	nm, ns := len(study.Months), len(study.Snapshots)
-	units := make([]unitKeys, nm+ns)
-
-	// Stage 1: per-table key gather. Jobs never fail and the context is
-	// never cancelled, so the pool errors are structurally nil.
-	_ = pool.Each(context.Background(), workers, nm+ns, func(_ context.Context, job int) error {
-		if job < nm {
-			units[job] = unitKeys{keys: study.Months[job].Table.RowKeys()}
-			return nil
-		}
-		snap := &study.Snapshots[job-nm]
-		rows := snap.Sources.RowKeys()
-		u := unitKeys{
-			keys:  make([]string, 0, len(rows)),
-			bands: make([]int, 0, len(rows)),
-		}
-		for _, row := range rows {
-			v, ok := snap.Sources.Get(row, "packets")
-			if !ok || !v.Numeric {
-				continue
-			}
-			b := stats.BandIndex(v.Num)
-			if b < 0 {
-				continue
-			}
-			u.keys = append(u.keys, row)
-			u.bands = append(u.bands, b)
-		}
-		units[job] = u
-		return nil
-	})
-
-	// Stage 2: union the sorted unit lists into the global ID space by
-	// binary merge reduction — O(total keys x log(tables)) comparisons,
-	// no hashing.
-	lists := make([][]string, 0, len(units))
-	for i := range units {
-		if len(units[i].keys) > 0 {
-			lists = append(lists, units[i].keys)
-		}
-	}
-	global := unionSorted(lists)
-
-	// Stage 3: per-table rank resolution.
 	f := &Frozen{
 		months: make([]frozenMonth, nm),
 		snaps:  make([]frozenSnapshot, ns),
 	}
-	_ = pool.Each(context.Background(), workers, nm+ns, func(_ context.Context, job int) error {
+	// A job fails only on a key that is not an address; the pool's
+	// first error comes back here, so the panic is the caller's.
+	err := pool.Each(context.Background(), workers, nm+ns, func(_ context.Context, job int) (err error) {
 		if job < nm {
-			m := study.Months[job]
-			f.months[job] = frozenMonth{
-				label: m.Label, month: m.Month,
-				ids: resolveRanks(units[job].keys, global),
-			}
-			return nil
+			f.months[job], err = freezeMonth(&study.Months[job])
+		} else {
+			f.snaps[job-nm], err = freezeSnapshot(&study.Snapshots[job-nm])
 		}
-		snap := &study.Snapshots[job-nm]
-		u := &units[job]
-		byBand := make(map[int][]uint32)
-		for i, id := range resolveRanks(u.keys, global) {
-			// u.keys ascends, so IDs arrive ascending: each band's set is
-			// born sorted.
-			byBand[u.bands[i]] = append(byBand[u.bands[i]], id)
-		}
-		fs := frozenSnapshot{label: snap.Label, month: snap.Month, nv: snap.NV,
-			bands: make([]frozenBand, 0, len(byBand))}
-		for b, set := range byBand {
-			fs.bands = append(fs.bands, frozenBand{band: b, ids: set})
-		}
-		sort.Slice(fs.bands, func(i, j int) bool { return fs.bands[i].band < fs.bands[j].band })
-		f.snaps[job-nm] = fs
-		return nil
+		return err
 	})
+	if err != nil {
+		panic(err)
+	}
 	return f
 }
 
-// unionSorted merges sorted string lists into one sorted unique list by
-// binary reduction (merge pairs, then pairs of pairs), so each key moves
-// O(log len(lists)) times.
-func unionSorted(lists [][]string) []string {
-	if len(lists) == 0 {
-		return nil
-	}
-	for len(lists) > 1 {
-		merged := make([][]string, 0, (len(lists)+1)/2)
-		for i := 0; i < len(lists); i += 2 {
-			if i+1 == len(lists) {
-				merged = append(merged, lists[i])
-				break
-			}
-			merged = append(merged, mergeUnique(lists[i], lists[i+1]))
+func freezeMonth(m *MonthData) (frozenMonth, error) {
+	ids := make([]uint32, 0, m.Table.NRows())
+	for key := range m.Table.Rows() {
+		a, err := ipaddr.Parse(key)
+		if err != nil {
+			return frozenMonth{}, notAddress(m.Label, key)
 		}
-		lists = merged
+		ids = append(ids, uint32(a))
 	}
-	// A single source list may carry duplicates only if the caller passed
-	// one table twice; table row keys are unique, so lists[0] is unique.
-	return lists[0]
+	return frozenMonth{label: m.Label, month: m.Month, ids: radixSort(ids, 4)}, nil
 }
 
-// mergeUnique merges two sorted unique lists into one sorted unique
-// list.
-func mergeUnique(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// freezeSnapshot keys each banded source by band above address, so one
+// sort orders the sources by band and, within a band, by address; the
+// bands are then consecutive runs of one ID slice.
+func freezeSnapshot(s *Snapshot) (frozenSnapshot, error) {
+	keyed := make([]uint64, 0, s.Sources.NRows())
+	for key, cells := range s.Sources.Rows() {
+		a, err := ipaddr.Parse(key)
+		if err != nil {
+			return frozenSnapshot{}, notAddress(s.Label, key)
 		}
+		v := cells.Get("packets")
+		if v == nil || !v.Val.Numeric {
+			continue
+		}
+		b := stats.BandIndex(v.Val.Num)
+		if b < 0 {
+			continue
+		}
+		keyed = append(keyed, uint64(b)<<32|uint64(a))
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	keyed = radixSort(keyed, 8)
+	ids := make([]uint32, len(keyed))
+	fs := frozenSnapshot{label: s.Label, month: s.Month, nv: s.NV}
+	for lo := 0; lo < len(keyed); {
+		hi := lo
+		for ; hi < len(keyed) && keyed[hi]>>32 == keyed[lo]>>32; hi++ {
+			ids[hi] = uint32(keyed[hi])
+		}
+		fs.bands = append(fs.bands, frozenBand{band: int(keyed[lo] >> 32), ids: ids[lo:hi:hi]})
+		lo = hi
+	}
+	return fs, nil
 }
 
-// resolveRanks maps a sorted key list to its ranks in the global sorted
-// list by linear merge; the output is ascending by construction.
-func resolveRanks(keys, global []string) []uint32 {
-	ids := make([]uint32, len(keys))
-	gi := 0
-	for i, key := range keys {
-		for global[gi] != key {
-			gi++
+func notAddress(table, key string) error {
+	return fmt.Errorf("correlate: table %s: row key %q is not a dotted-quad address", table, key)
+}
+
+// radixSort sorts keys ascending by their low nbytes bytes, least
+// significant first, one counting pass a byte through one scratch
+// slice. An even nbytes leaves the result in keys' own backing array.
+func radixSort[K ~uint32 | ~uint64](keys []K, nbytes int) []K {
+	buf := make([]K, len(keys))
+	for shift := 0; shift < 8*nbytes; shift += 8 {
+		var start [257]int // start[d+1] counts digit d, then start[d] is where it goes
+		for _, k := range keys {
+			start[int(uint8(k>>shift))+1]++
 		}
-		ids[i] = uint32(gi)
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, k := range keys {
+			d := uint8(k >> shift)
+			buf[start[d]] = k
+			start[d]++
+		}
+		keys, buf = buf, keys
 	}
-	return ids
+	return keys
 }

@@ -1,13 +1,13 @@
 package correlate
 
-// frozen.go is the sorted-key correlation kernel: a Study compiled once
-// into interned row-ID sets so every Figure 4-8 measurement is a linear
-// sorted-merge intersection instead of per-row map probes. The paper's
-// correlation is pure set arithmetic — |telescope band ∩ honeyfarm
-// month| — and on a frozen study that arithmetic runs allocation-free:
-// row keys are interned to dense uint32 IDs exactly once, each month
-// table and each snapshot brightness band becomes one sorted []uint32,
-// and a two-pointer merge counts the overlap.
+// frozen.go is the sorted-set correlation kernel: a Study compiled once
+// into sorted sets of source addresses so every Figure 4-8 measurement
+// is a linear sorted-merge intersection instead of per-row map probes.
+// The paper's correlation is pure set arithmetic — |telescope band ∩
+// honeyfarm month| — and on a frozen study that arithmetic runs
+// allocation-free: each month table and each snapshot brightness band
+// is one sorted []uint32 of the addresses its row keys spell (Freeze,
+// freeze.go), and a two-pointer merge counts the overlap.
 //
 // The readable map-based form of every measurement lives in
 // reference_test.go; TestFrozenMatchesReference diffs the two on every

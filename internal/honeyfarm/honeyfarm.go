@@ -180,9 +180,20 @@ func (m *MonthWindow) Publish(c tripled.Conn) error {
 
 // FetchMonthTable reads a published month table back from a tripled
 // server. The result is row/col/value identical to the table that was
-// published.
+// published. Every row of a month is a source address, so a row whose
+// key is not a dotted quad (ipaddr.Parse) is refused, naming it.
 func FetchMonthTable(c tripled.Conn, label string) (*assoc.Assoc, error) {
-	return c.FetchAssoc(MonthRowPrefix(label), 512)
+	prefix := MonthRowPrefix(label)
+	t, err := c.FetchAssoc(prefix, 512)
+	if err != nil {
+		return nil, err
+	}
+	for row := range t.Rows() {
+		if _, err := ipaddr.Parse(row); err != nil {
+			return nil, fmt.Errorf("honeyfarm: month %s: row %q is not a source address", label, prefix+row)
+		}
+	}
+	return t, nil
 }
 
 // Profile is the enrichment the conversation engine produces for one

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ipaddr"
 	"repro/internal/radiation"
 	"repro/internal/stats"
+	"repro/internal/tripled"
 )
 
 func testPopulation(t *testing.T, n int) *radiation.Population {
@@ -173,5 +174,40 @@ func TestMonthTableTSVRoundTrip(t *testing.T) {
 	}
 	if back.NNZ() != mw.Table.NNZ() {
 		t.Errorf("TSV round trip lost cells: %d vs %d", back.NNZ(), mw.Table.NNZ())
+	}
+}
+
+// TestFetchMonthTableRefusesNonAddressRow: a month table's rows are
+// source addresses, and a fetch is where a table enters a study from
+// outside. A row under the month's prefix that is no address — left by
+// another writer — is refused with the row named, instead of joining
+// the correlation as a source no telescope can ever see.
+func TestFetchMonthTableRefusesNonAddressRow(t *testing.T) {
+	srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := tripled.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	start := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
+	mw := New(20, 4).BuildMonth("2020-02", start, testPopulation(t, 300).HoneyfarmMonth(0, start))
+	if err := mw.Publish(c); err != nil {
+		t.Fatal(err)
+	}
+	back, err := FetchMonthTable(c, "2020-02")
+	if err != nil || back.NNZ() != mw.Table.NNZ() {
+		t.Fatalf("clean fetch = %v, %v; want the %d published cells", back, err, mw.Table.NNZ())
+	}
+	if err := c.Put("hf/2020-02/host-a", ColClassification, assoc.Str("scanner")); err != nil {
+		t.Fatal(err)
+	}
+	back, err = FetchMonthTable(c, "2020-02")
+	if err == nil || !strings.Contains(err.Error(), `"hf/2020-02/host-a"`) {
+		t.Fatalf("fetch with a non-address row = %v, %v; want an error naming the row", back, err)
 	}
 }

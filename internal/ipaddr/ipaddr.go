@@ -16,28 +16,37 @@ import (
 // Addr is an IPv4 address in host byte order: 1.2.3.4 == 0x01020304.
 type Addr uint32
 
-// Parse converts a dotted-quad string to an Addr.
+// Parse converts a dotted-quad string to an Addr. It accepts exactly
+// the form String writes: four decimal octets of at most 255, with no
+// sign and no leading zero. So Parse(s) succeeds only when
+// Parse(s).String() == s, and two distinct strings never parse to one
+// address. It is one pass over the bytes and allocates only an error.
 func Parse(s string) (Addr, error) {
-	var parts [4]uint32
-	rest := s
+	var a uint32
+	start := 0 // of the current octet
 	for i := 0; i < 4; i++ {
-		var tok string
-		if i < 3 {
-			dot := strings.IndexByte(rest, '.')
-			if dot < 0 {
-				return 0, fmt.Errorf("ipaddr: invalid address %q", s)
+		// v > 255 marks a token that is no octet: a non-digit, or a
+		// value past 255 (which stops accumulating there).
+		v, end := uint32(0), start
+		for ; end < len(s) && s[end] != '.'; end++ {
+			if d := uint32(s[end] - '0'); d <= 9 && v <= 255 {
+				v = v*10 + d
+			} else {
+				v = 256
 			}
-			tok, rest = rest[:dot], rest[dot+1:]
-		} else {
-			tok = rest
 		}
-		v, err := strconv.ParseUint(tok, 10, 32)
-		if err != nil || v > 255 || tok == "" || (len(tok) > 1 && tok[0] == '0') {
-			return 0, fmt.Errorf("ipaddr: invalid octet %q in %q", tok, s)
+		switch {
+		case i < 3 && end == len(s):
+			return 0, fmt.Errorf("ipaddr: invalid address %q", s)
+		case i == 3 && end < len(s): // the last octet runs to the end
+			return 0, fmt.Errorf("ipaddr: invalid octet %q in %q", s[start:], s)
+		case v > 255 || end == start || end-start > 1 && s[start] == '0':
+			return 0, fmt.Errorf("ipaddr: invalid octet %q in %q", s[start:end], s)
 		}
-		parts[i] = uint32(v)
+		a = a<<8 | v
+		start = end + 1
 	}
-	return Addr(parts[0]<<24 | parts[1]<<16 | parts[2]<<8 | parts[3]), nil
+	return Addr(a), nil
 }
 
 // MustParse is Parse that panics on error, for constants in tests and examples.

@@ -1,10 +1,109 @@
 package ipaddr
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// parseRef is the strconv parser Parse replaced, kept as its oracle:
+// split at the first three dots, then ParseUint each token and refuse
+// one past 255, empty, or with a leading zero.
+func parseRef(s string) (Addr, error) {
+	var parts [4]uint32
+	rest := s
+	for i := 0; i < 4; i++ {
+		var tok string
+		if i < 3 {
+			dot := strings.IndexByte(rest, '.')
+			if dot < 0 {
+				return 0, fmt.Errorf("ipaddr: invalid address %q", s)
+			}
+			tok, rest = rest[:dot], rest[dot+1:]
+		} else {
+			tok = rest
+		}
+		v, err := strconv.ParseUint(tok, 10, 32)
+		if err != nil || v > 255 || tok == "" || (len(tok) > 1 && tok[0] == '0') {
+			return 0, fmt.Errorf("ipaddr: invalid octet %q in %q", tok, s)
+		}
+		parts[i] = uint32(v)
+	}
+	return Addr(parts[0]<<24 | parts[1]<<16 | parts[2]<<8 | parts[3]), nil
+}
+
+// parseSeeds are strings at the edges of the grammar: every error
+// message, octets at and past 255, overflow past 32 bits, signs,
+// leading zeros, spaces, and dots in every wrong place.
+var parseSeeds = []string{
+	"", "0.0.0.0", "1.2.3.4", "255.255.255.255", "10.0.0.1", "9.0.0.1", "1.2.3.40",
+	"1.2.3", "1.2.3.4.5", "1.2.3.4.", ".1.2.3", "1..2.3", "...", "....",
+	"256.0.0.1", "1.2.3.256", "1.2.3.2550", "4294967296.0.0.0", "99999999999999999999.1.1.1",
+	"-1.0.0.0", "+1.0.0.0", "a.b.c.d", "1.2.3.x", "1.2.3.4 ", " 1.2.3.4", "1_0.0.0.0",
+	"01.2.3.4", "1.2.3.04", "00.0.0.0", "0.0.0.00", "1.2.3.0x1", "1.2.3.4\x00",
+	"hf/2020-02/host-a", "7.999.0.1", "1.2.3.\xff", "1.2.3.٣",
+}
+
+// TestParseMatchesOracle: on every seed, Parse returns what the strconv
+// parser returns, error text included.
+func TestParseMatchesOracle(t *testing.T) {
+	for _, s := range parseSeeds {
+		checkParse(t, s)
+	}
+}
+
+// FuzzParse holds Parse to its oracle on any string, and to String:
+// whatever Parse accepts, String writes back byte for byte, so two
+// distinct strings never parse to one address (which would merge two
+// sources in a correlation).
+func FuzzParse(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkParse)
+}
+
+func checkParse(t *testing.T, s string) {
+	got, gotErr := Parse(s)
+	want, wantErr := parseRef(s)
+	if (gotErr == nil) != (wantErr == nil) || got != want ||
+		gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("Parse(%q) = %v, %v; oracle %v, %v", s, got, gotErr, want, wantErr)
+	}
+	if gotErr == nil && got.String() != s {
+		t.Fatalf("Parse(%q) = %v, which writes back as %q", s, got, got.String())
+	}
+}
+
+// TestParseAllocFree: a successful Parse allocates nothing.
+func TestParseAllocFree(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Parse("192.168.100.254"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Parse allocates %.1f/op on success, want 0", n)
+	}
+}
+
+// BenchmarkParse parses a spread of addresses as a freeze meets them.
+func BenchmarkParse(b *testing.B) {
+	keys := make([]string, 1024)
+	rng := rand.New(rand.NewSource(1))
+	for i := range keys {
+		keys[i] = Addr(rng.Uint32()).String()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(keys[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func TestParseRoundTrip(t *testing.T) {
 	cases := []string{"0.0.0.0", "1.2.3.4", "255.255.255.255", "10.0.0.1", "192.168.1.254"}

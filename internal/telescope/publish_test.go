@@ -2,6 +2,7 @@ package telescope
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,4 +60,40 @@ func TestPublishFetchSourceTableRoundTrip(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestFetchSourceTableRefusesNonAddressRow: a source table's rows are
+// source addresses; a row under the snapshot's prefix that is not a
+// canonical dotted quad is refused with the row named.
+func TestFetchSourceTableRefusesNonAddressRow(t *testing.T) {
+	srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := tripled.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const label = "20200617-120000"
+	sources := assoc.New()
+	sources.Set("1.2.3.4", "packets", assoc.Num(8))
+	sources.Set("10.0.0.1", "packets", assoc.Num(2))
+	for _, bad := range []string{"host-a", "01.2.3.4", "1.2.3.4.5"} {
+		if err := PublishSources(c, label, sources); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := FetchSourceTable(c, label); err != nil || back.NRows() != 2 {
+			t.Fatalf("clean fetch = %v, %v; want the 2 published rows", back, err)
+		}
+		row := SnapshotRowPrefix(label) + bad
+		if err := c.Put(row, "packets", assoc.Num(4)); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := FetchSourceTable(c, label); err == nil || !strings.Contains(err.Error(), `"`+row+`"`) {
+			t.Errorf("fetch with row %q = %v, %v; want an error naming the row", row, back, err)
+		}
+	}
 }

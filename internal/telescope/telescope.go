@@ -12,6 +12,7 @@
 package telescope
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -239,7 +240,19 @@ func (t *Telescope) PublishSourceTable(c tripled.Conn, label string, w *Window) 
 }
 
 // FetchSourceTable reads a published snapshot source table back from a
-// tripled server.
+// tripled server. Every row of a source table is a source address, so a
+// row whose key is not a dotted quad (ipaddr.Parse) is refused, naming
+// it.
 func FetchSourceTable(c tripled.Conn, label string) (*assoc.Assoc, error) {
-	return c.FetchAssoc(SnapshotRowPrefix(label), 512)
+	prefix := SnapshotRowPrefix(label)
+	t, err := c.FetchAssoc(prefix, 512)
+	if err != nil {
+		return nil, err
+	}
+	for row := range t.Rows() {
+		if _, err := ipaddr.Parse(row); err != nil {
+			return nil, fmt.Errorf("telescope: snapshot %s: row %q is not a source address", label, prefix+row)
+		}
+	}
+	return t, nil
 }
