@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/correlate"
 	"repro/internal/honeyfarm"
+	"repro/internal/ipaddr"
 	"repro/internal/radiation"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -214,9 +215,9 @@ func New(cfg Config) (*Pipeline, error) {
 // before the first Report call reports on what it was given.
 type Result struct {
 	Config  Config
-	Study   correlate.Study     // months by index, snapshots by label (chronological)
-	Windows []*telescope.Window // one anonymized window per snapshot, index-aligned
-	Farm    *honeyfarm.Honeyfarm
+	Study   correlate.Study      // months by index, snapshots by label (chronological)
+	Windows []*telescope.Window  // one anonymized window per snapshot, index-aligned
+	Farm    *honeyfarm.Honeyfarm // read by nothing; Run leaves it nil, a hand-built Result may set it
 
 	// StoreHealth records cluster degradation observed during a
 	// store-backed study: which replicas were lost and how many reads
@@ -334,14 +335,13 @@ func (r *Result) grown(src report.ArtifactID) {
 // Run executes the full study with background context; see RunContext.
 func (p *Pipeline) Run() (*Result, error) { return p.RunContext(context.Background()) }
 
-// IngestMonth is one incremental unit of study growth: build (or
-// reuse) honeyfarm month m and attach it to the farm, optionally
-// round-tripping the table through the store — the month unit the
-// batch scheduler runs, attached at once instead of after the pool
+// IngestMonth is one incremental unit of study growth: honeyfarm
+// month m, optionally round-tripped through the store — the month unit
+// the batch scheduler runs, attached at once instead of after the pool
 // joins. db may be nil for an in-memory study. Safe to call again for
-// an already-ingested month — the farm's copy is reused and
-// re-published idempotently (the recovery path relies on this). Not
-// safe for concurrent use; the daemon serializes ingest on one
+// an already-ingested month: with a store, the farm's copy is reused
+// and re-published idempotently (the recovery path relies on this).
+// Not safe for concurrent use; the daemon serializes ingest on one
 // goroutine.
 func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, error) {
 	md, built, err := p.month(db, m)
@@ -353,32 +353,41 @@ func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, err
 	return md, err
 }
 
-// month is the one month unit of work, whoever runs it: build honeyfarm
-// month m unless the farm already holds it and, with a store, publish
-// the table and read back what the store holds. The farm is only read;
+// month is the one month unit of work, whoever runs it. In memory it is
+// the month's source-address set and renders no table. With a store it
+// builds honeyfarm month m unless the farm already holds it, publishes
+// the table and reads back what the store holds. The farm is only read;
 // a freshly built window is returned for the caller to attach (the
-// daemon at once, the scheduler in month order after its pool joins)
-// and is nil when the farm's copy was reused.
+// daemon at once, the scheduler in month order after its pool joins).
 func (p *Pipeline) month(db tripled.Conn, m int) (correlate.MonthData, *honeyfarm.MonthWindow, error) {
 	start := p.cfg.StudyStart.AddDate(0, m, 0)
 	label := start.Format("2006-01")
+	if db == nil {
+		return sourceSet(label, m, p.pop.HoneyfarmMonth(m, start)), nil, nil
+	}
 	var built *honeyfarm.MonthWindow
 	mw := p.farm.Month(label)
 	if mw == nil {
 		mw = p.farm.BuildMonth(label, start, p.pop.HoneyfarmMonth(m, start))
 		built = mw
 	}
-	table := mw.Table
-	if db != nil {
-		if err := mw.Publish(db); err != nil {
-			return correlate.MonthData{}, built, fmt.Errorf("core: publish month %s: %w", label, err)
-		}
-		var err error
-		if table, err = honeyfarm.FetchMonthTable(db, label); err != nil {
-			return correlate.MonthData{}, built, fmt.Errorf("core: fetch month %s: %w", label, err)
-		}
+	if err := mw.Publish(db); err != nil {
+		return correlate.MonthData{}, built, fmt.Errorf("core: publish month %s: %w", label, err)
+	}
+	table, err := honeyfarm.FetchMonthTable(db, label)
+	if err != nil {
+		return correlate.MonthData{}, built, fmt.Errorf("core: fetch month %s: %w", label, err)
 	}
 	return correlate.MonthData{Label: label, Month: m, Table: table}, built, nil
+}
+
+// sourceSet is an in-memory month: the set of the sources obs saw.
+func sourceSet(label string, m int, obs []radiation.Observation) correlate.MonthData {
+	addrs := make([]ipaddr.Addr, len(obs))
+	for i, o := range obs {
+		addrs[i] = o.Src.IP
+	}
+	return correlate.NewMonth(label, m, addrs)
 }
 
 // IngestSnapshot is the other incremental unit: capture one telescope

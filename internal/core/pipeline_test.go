@@ -425,7 +425,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 	for i := range a.Study.Months {
-		if a.Study.Months[i].Table.NRows() != b.Study.Months[i].Table.NRows() {
+		if a.Study.Months[i].Sources() != b.Study.Months[i].Sources() {
 			t.Errorf("month %d sources differ between runs", i)
 		}
 	}

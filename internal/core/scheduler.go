@@ -13,11 +13,12 @@ package core
 //     number of workers may synthesize months and streams from it
 //     concurrently.
 //   - Shared mutable state is either concurrency-safe or never touched
-//     from the pool. Months are built with honeyfarm.BuildMonth (reads
-//     only the sensor set) and attached to the farm in month order
-//     after the pool joins; each snapshot worker captures through its
-//     own Telescope but all of them share the pipeline's one CryptoPAN
-//     source memo (cryptopan.Cached is sharded-lock concurrency-safe,
+//     from the pool. A store-backed month is built with BuildMonth
+//     (reads only the sensor set) and attached to the farm in month
+//     order after the pool joins (an in-memory one touches no farm);
+//     each snapshot worker captures through its own Telescope but all
+//     of them share the pipeline's one CryptoPAN source memo
+//     (cryptopan.Cached is sharded-lock concurrency-safe,
 //     the mapping is a pure function of the passphrase, and sharing
 //     means one warm memo instead of N cold per-worker ones; nothing
 //     reads the memo as a whole — de-anonymization walks the key — so
@@ -46,8 +47,8 @@ import (
 // telescope window per configured snapshot time captured through the
 // sharded streaming engine, reduced to D4M source tables. Months and
 // snapshots fan out across Config.Workers goroutines, each window
-// across as many engine shards. With Config.StoreAddr set, every table
-// additionally round-trips through the tripled service before
+// across as many engine shards. With Config.StoreAddr set, every month
+// and snapshot table round-trips through the tripled service before
 // correlation. Cancelling ctx abandons the study mid-window.
 //
 // Job indices 0..nSnaps-1 are the snapshots and the rest the months, so
@@ -58,7 +59,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 	if err := p.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Config: p.cfg, Farm: p.farm}
+	res := &Result{Config: p.cfg}
 
 	// One capture per label: a time configured twice is one snapshot.
 	times := slices.Clone(p.cfg.SnapshotTimes)
@@ -68,7 +69,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 	nMonths := p.cfg.Radiation.Months
 	nSnaps := len(times)
 	monthData := make([]correlate.MonthData, nMonths)
-	built := make([]*honeyfarm.MonthWindow, nMonths) // nil where the farm already held the month
+	built := make([]*honeyfarm.MonthWindow, nMonths) // nil in memory or where the farm already held the month
 	windows := make([]*telescope.Window, nSnaps)
 	snapData := make([]correlate.Snapshot, nSnaps)
 

@@ -65,8 +65,8 @@ func checkGoldens(t *testing.T, name string, r *Result) {
 }
 
 // renderAll serializes every artifact the pipeline emits, in both
-// encodings, and the windows and farm state the artifacts do not
-// embed, so two runs can be compared byte for byte.
+// encodings, and the window state the artifacts do not embed, so two
+// runs can be compared byte for byte.
 func renderAll(t *testing.T, r *Result) string {
 	t.Helper()
 	var b strings.Builder
@@ -77,9 +77,6 @@ func renderAll(t *testing.T, r *Result) string {
 	for i, w := range r.Windows {
 		fmt.Fprintf(&b, "Window %d: NV=%d Dropped=%d NNZ=%d NRows=%d span=%v\n",
 			i, w.NV, w.Dropped, w.Matrix.NNZ(), w.Matrix.NRows(), w.Duration())
-	}
-	for _, m := range r.Farm.Months() {
-		fmt.Fprintf(&b, "Farm month %s: rows=%d nnz=%d\n", m.Label, m.Table.NRows(), m.Table.NNZ())
 	}
 	return b.String()
 }

@@ -5,8 +5,12 @@ package core
 // service must reproduce the in-memory study's artifacts byte for byte.
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/assoc"
+	"repro/internal/honeyfarm"
+	"repro/internal/testkit"
 	"repro/internal/tripled"
 )
 
@@ -58,12 +62,23 @@ func TestStoreBackedStudyMatchesInMemory(t *testing.T) {
 	// Byte-identical artifacts, every one of them.
 	sameRender(t, "store-backed vs in-memory", renderAll(t, res), renderAll(t, mem))
 
-	// And the tables themselves round-tripped losslessly.
-	for i, m := range res.Study.Months {
-		memM := mem.Study.Months[i]
-		if m.Table.NNZ() != memM.Table.NNZ() || m.Table.NRows() != memM.Table.NRows() {
-			t.Errorf("month %s: fetched table shape %dx%d cells, in-memory %dx%d",
-				m.Label, m.Table.NRows(), m.Table.NNZ(), memM.Table.NRows(), memM.Table.NNZ())
+	// And every month the store holds is, cell for cell, the table
+	// BuildMonth renders from the month's observations.
+	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
+	for _, m := range res.Study.Months {
+		start := cfg.StudyStart.AddDate(0, m.Month, 0)
+		built := farm.BuildMonth(m.Label, start, p.pop.HoneyfarmMonth(m.Month, start))
+		if got, want := tableTSV(t, m.Table), tableTSV(t, built.Table); got != want {
+			t.Errorf("month %s: fetched table differs from BuildMonth's at %s", m.Label, testkit.DiffLines(got, want))
 		}
 	}
+}
+
+func tableTSV(t *testing.T, a *assoc.Assoc) string {
+	t.Helper()
+	var b strings.Builder
+	if err := a.WriteTSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

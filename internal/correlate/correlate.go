@@ -15,8 +15,10 @@ package correlate
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/assoc"
+	"repro/internal/ipaddr"
 	"repro/internal/stats"
 )
 
@@ -29,11 +31,32 @@ type Snapshot struct {
 	Sources *assoc.Assoc
 }
 
-// MonthData is one honeyfarm month.
+// MonthData is one honeyfarm month: its D4M table or, with no Table,
+// the sorted set of its source addresses that NewMonth built.
 type MonthData struct {
 	Label string // e.g. "2020-06"
 	Month int    // month index within the study period
 	Table *assoc.Assoc
+
+	set []uint32 // ascending, unique; read when Table is nil
+}
+
+// NewMonth builds a month from its sources' addresses: addrs, which may
+// repeat a source or be empty, is copied, sorted and deduplicated.
+func NewMonth(label string, month int, addrs []ipaddr.Addr) MonthData {
+	set := make([]uint32, len(addrs))
+	for i, a := range addrs {
+		set[i] = uint32(a)
+	}
+	return MonthData{Label: label, Month: month, set: slices.Compact(radixSort(set, 4))}
+}
+
+// Sources counts the month's unique sources (Table I's GreyNoise column).
+func (m MonthData) Sources() int {
+	if m.Table == nil {
+		return len(m.set)
+	}
+	return m.Table.NRows()
 }
 
 // Study holds everything the correlation analysis needs.

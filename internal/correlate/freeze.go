@@ -28,9 +28,9 @@ import (
 // Freeze reduces each month table to the sorted set of its row
 // addresses and each snapshot to one sorted address set per brightness
 // band, across up to workers goroutines (pool semantics: <= 0 picks
-// GOMAXPROCS, 1 is the caller's goroutine). The input tables are read,
-// never retained: later mutation of the study does not invalidate the
-// Frozen (it describes the study as it was at freeze time).
+// GOMAXPROCS, 1 is the caller's goroutine). It keeps a NewMonth set,
+// which is immutable, and reads tables without retaining them: later
+// mutation of the study does not invalidate the Frozen.
 //
 // Every row key must be a canonical dotted quad, as ipaddr.Parse
 // accepts; Freeze panics naming the table and the key on any other.
@@ -56,7 +56,11 @@ func Freeze(study Study, workers int) *Frozen {
 	return f
 }
 
+// freezeMonth keeps a NewMonth set as it is and reduces a table to one.
 func freezeMonth(m *MonthData) (frozenMonth, error) {
+	if m.Table == nil {
+		return frozenMonth{label: m.Label, month: m.Month, ids: m.set}, nil
+	}
 	ids := make([]uint32, 0, m.Table.NRows())
 	for key := range m.Table.Rows() {
 		a, err := ipaddr.Parse(key)

@@ -75,7 +75,7 @@ func runTableI(g *Graph) (any, error) {
 		rows[i] = TableIRow{
 			GNStart:   start.Format("2006-01-02"),
 			GNDays:    int(end.Sub(start).Hours() / 24),
-			GNSources: m.Table.NRows(),
+			GNSources: m.Sources(),
 		}
 		byMonth[m.Month] = &rows[i]
 	}
