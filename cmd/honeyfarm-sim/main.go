@@ -30,6 +30,10 @@ func main() {
 		dump    = flag.String("dump", "", "directory to dump monthly TSV tables (optional)")
 	)
 	flag.Parse()
+	if *sensors <= 0 {
+		fmt.Fprintf(os.Stderr, "honeyfarm-sim: -sensors must be positive, got %d\n", *sensors)
+		os.Exit(2)
+	}
 
 	cfg := radiation.DefaultConfig()
 	cfg.Seed = *seed

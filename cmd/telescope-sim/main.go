@@ -42,6 +42,15 @@ func main() {
 		windows  = flag.Int("windows", 1, "total windows to capture; windows after the first run steady-state (warm caches, pooled scratch)")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"nv", *nv}, {"leaf-size", *leafSize}, {"windows", *windows}} {
+		if f.v <= 0 {
+			fmt.Fprintf(os.Stderr, "telescope-sim: -%s must be positive, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/assoc"
 	"repro/internal/cryptopan"
-	"repro/internal/hypersparse"
 	"repro/internal/ipaddr"
 	"repro/internal/netquant"
 	"repro/internal/radiation"
@@ -49,11 +48,14 @@ func main() {
 	fmt.Printf("  unique sources=%v unique links=%v max source packets=%v\n",
 		q1.UniqueSources, q1.UniqueLinks, q1.MaxSourcePackets)
 
-	// 2. D4M TSV interchange: the anonymized reduced results travel as a
-	// plain triple file.
+	// 2. D4M TSV interchange: the operator's source table (packets per
+	// source) travels as a plain triple file, its rows re-keyed under the
+	// operator's key so that only anonymized addresses leave the site.
+	sources := tel.SourceTable(win)
+	key := tel.Anonymizer().Anonymizer()
 	anonTable := assoc.New()
-	win.SourcePackets().Iterate(func(id uint32, pkts float64) bool {
-		anonTable.Set(ipaddr.Addr(id).String(), "packets", assoc.Num(pkts))
+	sources.Iterate(func(row, col string, v assoc.Value) bool {
+		anonTable.Set(key.Anonymize(ipaddr.MustParse(row)).String(), col, v)
 		return true
 	})
 	var wire bytes.Buffer
@@ -69,23 +71,26 @@ func main() {
 
 	// 3. Approach 1: the researcher finds the brightest anonymized
 	// sources and sends them back; the operator deanonymizes with the
-	// key alone, keeping no table of what was captured.
-	bright := win.SourcePackets().Filter(func(_ uint32, pkts float64) bool { return pkts >= 64 })
-	fmt.Printf("researcher flags %d bright anonymized sources; operator resolves:\n", bright.NNZ())
-	shown := 0
-	bright.Iterate(func(id uint32, pkts float64) bool {
-		fmt.Printf("  %v -> %v (%.0f packets)\n", ipaddr.Addr(id), tel.Deanonymize(ipaddr.Addr(id)), pkts)
-		shown++
-		return shown < 8
+	// key alone, keeping no table of what was captured, and the count
+	// matches its own source table.
+	var bright []string
+	received.Iterate(func(row, _ string, v assoc.Value) bool {
+		if v.Num >= 64 {
+			bright = append(bright, row)
+		}
+		return true
 	})
+	fmt.Printf("researcher flags %d bright anonymized sources; operator resolves:\n", len(bright))
+	for _, row := range bright[:min(8, len(bright))] {
+		orig := tel.Deanonymize(ipaddr.MustParse(row))
+		shipped, _ := received.Get(row, "packets")
+		own, _ := sources.Get(orig.String(), "packets")
+		fmt.Printf("  %v -> %v (%.0f packets, source table %.0f)\n", row, orig, shipped.Num, own.Num)
+	}
 
-	// 4. What anonymization protects: the anonymized matrix alone does
-	// not reveal whether any particular real address was present.
+	// 4. What anonymization protects: the shipped table alone does not
+	// reveal whether any particular real address was present.
 	probe := pop.Source(0).IP
-	fmt.Printf("raw matrix mentions %v: %v (anonymized ids only)\n",
-		probe, vectorHas(win.SourcePackets(), uint32(probe)))
-}
-
-func vectorHas(v *hypersparse.Vector, id uint32) bool {
-	return v.At(id) != 0
+	fmt.Printf("shipped table mentions %v: %v (anonymized ids only)\n",
+		probe, received.HasRow(probe.String()))
 }

@@ -30,7 +30,6 @@ func main() {
 	// an operator gets before matrix reduction.
 	start := time.Date(2020, 6, 17, 12, 0, 0, 0, time.UTC)
 	stream := pop.TelescopeStream(4.5, start)
-	filter := pcap.MustCompile("tcp and syn")
 	ports := make(map[uint16]int)
 	protos := make(map[string]int)
 	var pkt pcap.Packet
@@ -38,7 +37,7 @@ func main() {
 	for stream.Next(&pkt) && n < 1<<17 {
 		n++
 		protos[pkt.Proto.String()]++
-		if filter.Match(&pkt) {
+		if pkt.Proto == pcap.ProtoTCP && pkt.Flags&pcap.FlagSYN != 0 {
 			synCount++
 			ports[pkt.DstPort]++
 		}
@@ -94,7 +93,17 @@ func main() {
 		fmt.Printf("  d=2^%-2d %-7.4f %s\n", i, p, bar)
 	}
 
-	fanout := stats.LogBin(netquant.SourceFanoutValues(win.Matrix))
+	// Fan-out: unique destinations per source, binned the same way; the
+	// top bin is the last non-empty one.
+	var fanouts []float64
+	win.Matrix.RowScan(func(_ uint32, _ float64, nnz int) {
+		fanouts = append(fanouts, float64(nnz))
+	})
+	fanout := stats.LogBin(fanouts)
+	last := len(fanout.Counts) - 1
+	for last >= 0 && fanout.Counts[last] == 0 {
+		last--
+	}
 	fmt.Printf("source fan-out spans %d octaves (max fan-out %d)\n",
-		len(fanout.Counts), int(fanout.Centers[fanout.MaxDegreeBin()]))
+		len(fanout.Counts), int(fanout.Centers[last]))
 }

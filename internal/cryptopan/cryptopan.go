@@ -67,10 +67,10 @@ type Anonymizer struct {
 	within   map[ipaddr.Prefix]*PrefixWalker
 }
 
-// New creates an Anonymizer from a 32-byte key. The first 16 bytes key
+// newAnonymizer creates an Anonymizer from a 32-byte key. The first 16 bytes key
 // the AES cipher; the last 16 bytes are encrypted once to form the
 // canonical padding block, as in the reference implementation.
-func New(key []byte) (*Anonymizer, error) {
+func newAnonymizer(key []byte) (*Anonymizer, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("cryptopan: key must be %d bytes, got %d", KeySize, len(key))
 	}
@@ -87,7 +87,7 @@ func New(key []byte) (*Anonymizer, error) {
 // SHA-256 and constructs an Anonymizer. Convenient for tools and tests.
 func NewFromPassphrase(phrase string) *Anonymizer {
 	sum := sha256.Sum256([]byte(phrase))
-	a, err := New(sum[:])
+	a, err := newAnonymizer(sum[:])
 	if err != nil {
 		// Cannot happen: the key is exactly 32 bytes.
 		panic(err)

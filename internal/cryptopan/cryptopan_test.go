@@ -18,20 +18,20 @@ func testKey() []byte {
 }
 
 func TestNewKeyValidation(t *testing.T) {
-	if _, err := New(make([]byte, 31)); err == nil {
+	if _, err := newAnonymizer(make([]byte, 31)); err == nil {
 		t.Error("short key accepted")
 	}
-	if _, err := New(make([]byte, 33)); err == nil {
+	if _, err := newAnonymizer(make([]byte, 33)); err == nil {
 		t.Error("long key accepted")
 	}
-	if _, err := New(testKey()); err != nil {
+	if _, err := newAnonymizer(testKey()); err != nil {
 		t.Errorf("valid key rejected: %v", err)
 	}
 }
 
 func TestDeterministic(t *testing.T) {
-	a1, _ := New(testKey())
-	a2, _ := New(testKey())
+	a1, _ := newAnonymizer(testKey())
+	a2, _ := newAnonymizer(testKey())
 	for i := 0; i < 100; i++ {
 		addr := ipaddr.Addr(i * 2654435761)
 		if a1.Anonymize(addr) != a2.Anonymize(addr) {
@@ -41,10 +41,10 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestKeyDependence(t *testing.T) {
-	a1, _ := New(testKey())
+	a1, _ := newAnonymizer(testKey())
 	k2 := testKey()
 	k2[0] ^= 0xff
-	a2, _ := New(k2)
+	a2, _ := newAnonymizer(k2)
 	same := 0
 	for i := 0; i < 256; i++ {
 		addr := ipaddr.Addr(uint32(i) * 16777259)
@@ -63,7 +63,7 @@ func commonPrefixLen(a, b ipaddr.Addr) int { return bits.LeadingZeros32(uint32(a
 // TestPrefixPreservation is the defining Crypto-PAn property: anonymized
 // addresses share exactly as many leading bits as the originals.
 func TestPrefixPreservation(t *testing.T) {
-	a, _ := New(testKey())
+	a, _ := newAnonymizer(testKey())
 	f := func(x, y uint32) bool {
 		ax := a.Anonymize(ipaddr.Addr(x))
 		ay := a.Anonymize(ipaddr.Addr(y))
@@ -79,7 +79,7 @@ func TestPrefixPreservation(t *testing.T) {
 // distinct inputs may collide (prefix preservation actually implies this,
 // since distinct addresses share <32 bits).
 func TestInjective(t *testing.T) {
-	a, _ := New(testKey())
+	a, _ := newAnonymizer(testKey())
 	seen := make(map[ipaddr.Addr]ipaddr.Addr)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
@@ -93,7 +93,7 @@ func TestInjective(t *testing.T) {
 }
 
 func TestSubnetStructurePreserved(t *testing.T) {
-	a, _ := New(testKey())
+	a, _ := newAnonymizer(testKey())
 	// All addresses in 44.0.0.0/8 must map into a common anonymized /8.
 	base := a.Anonymize(ipaddr.MustParse("44.0.0.1"))
 	rng := rand.New(rand.NewSource(9))

@@ -11,7 +11,7 @@ import (
 // the bit-exact reference walk: any divergence would silently re-key the
 // whole study.
 func TestTableMatchesReferenceWalk(t *testing.T) {
-	a, _ := New(testKey())
+	a, _ := newAnonymizer(testKey())
 	rng := rand.New(rand.NewSource(11))
 	check := func(addr ipaddr.Addr) {
 		t.Helper()
@@ -32,7 +32,7 @@ func TestTableMatchesReferenceWalk(t *testing.T) {
 	// And under a second key, since the table depends on the key.
 	k2 := testKey()
 	k2[5] ^= 0xA5
-	b, _ := New(k2)
+	b, _ := newAnonymizer(k2)
 	for i := 0; i < 1000; i++ {
 		addr := ipaddr.Addr(rng.Uint32())
 		if got, want := b.Anonymize(addr), b.anonymizeRef(addr); got != want {

@@ -123,8 +123,8 @@ type StoreInfo struct {
 	Err   string   `json:"error,omitempty"` // last failure while disconnected
 }
 
-// StoreState returns the current store health view. Never nil.
-func (d *Daemon) StoreState() *StoreInfo { return d.store.Load() }
+// storeState returns the current store health view. Never nil.
+func (d *Daemon) storeState() *StoreInfo { return d.store.Load() }
 
 // refreshStoreLocked recomputes the published store view; dialErr
 // carries the most recent failure while disconnected.

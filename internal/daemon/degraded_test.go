@@ -61,7 +61,7 @@ func TestDaemonDegradedStoreStartup(t *testing.T) {
 		t.Fatalf("daemon with unreachable store refused to start: %v", err)
 	}
 	defer d.Close()
-	if st := d.StoreState(); st.State != StoreDegraded {
+	if st := d.storeState(); st.State != StoreDegraded {
 		t.Fatalf("store state at startup = %+v, want degraded", st)
 	}
 
@@ -100,9 +100,9 @@ func TestDaemonDegradedStoreStartup(t *testing.T) {
 	}
 	defer srv.Close()
 	deadline := time.Now().Add(15 * time.Second)
-	for d.StoreState().State != StoreOK {
+	for d.storeState().State != StoreOK {
 		if time.Now().After(deadline) {
-			t.Fatalf("store never recovered: %+v", d.StoreState())
+			t.Fatalf("store never recovered: %+v", d.storeState())
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -153,7 +153,7 @@ func TestDaemonClusterStoreReportsDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if st := d.StoreState(); st.State != StoreOK {
+	if st := d.storeState(); st.State != StoreOK {
 		t.Fatalf("store state = %+v, want ok", st)
 	}
 	if err := d.IngestMonth(0); err != nil {
@@ -164,7 +164,7 @@ func TestDaemonClusterStoreReportsDegraded(t *testing.T) {
 	if err := d.IngestMonth(1); err != nil {
 		t.Fatalf("ingest with one replica down: %v", err)
 	}
-	st := d.StoreState()
+	st := d.storeState()
 	if st.State != StoreDegraded {
 		t.Fatalf("store state after replica loss = %+v, want degraded", st)
 	}

@@ -30,7 +30,7 @@ func TestIngestRejectsMalformedBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	h := d.Handler()
+	h := d.handler()
 	before := d.Snapshot().Seq
 	for _, c := range []struct{ path, body string }{
 		{"/ingest/month", `{"month": null}`},
@@ -89,7 +89,7 @@ func TestIngestBodyIsCappedUnread(t *testing.T) {
 	} {
 		read := &countingReader{r: strings.NewReader(body)}
 		rec := httptest.NewRecorder()
-		d.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, read))
+		d.handler().ServeHTTP(rec, httptest.NewRequest("POST", path, read))
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with a 1 MiB body: %d %s, want 413", path, rec.Code, rec.Body)
 		}

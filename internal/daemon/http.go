@@ -65,7 +65,7 @@ func serve(d *Daemon, addr string, headerTimeout, bodyTimeout time.Duration) (*S
 	}
 	s := &Server{d: d, lis: lis, done: make(chan error, 1)}
 	s.srv = &http.Server{
-		Handler:           d.Handler(),
+		Handler:           d.handler(),
 		ReadHeaderTimeout: headerTimeout,
 		ReadTimeout:       bodyTimeout,
 	}
@@ -98,8 +98,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Handler builds the daemon's route table.
-func (d *Daemon) Handler() http.Handler {
+// handler builds the daemon's route table.
+func (d *Daemon) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /status", d.handleStatus)
@@ -126,7 +126,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := d.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
-		"store":     d.StoreState().State,
+		"store":     d.storeState().State,
 		"draining":  d.draining.Load(),
 		"seq":       snap.Seq,
 		"months":    snap.Months,
@@ -155,7 +155,7 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"draining":     d.draining.Load(),
 		"artifacts":    arts,
 		"store_backed": d.cfg.StoreAddr != "",
-		"store":        d.StoreState(),
+		"store":        d.storeState(),
 	})
 }
 

@@ -79,7 +79,7 @@ type Errorer interface {
 // Filter reports whether a packet belongs in the window (the telescope's
 // validity filter). It is compiled/constructed once per engine and
 // evaluated concurrently on the shard workers — it must be safe for
-// concurrent use (pcap.Filter's compiled closures are).
+// concurrent use.
 type Filter func(*pcap.Packet) bool
 
 // Pair is one accepted packet reduced to its matrix coordinates.

@@ -230,7 +230,7 @@ func (a *Accumulator) Finish() *Matrix {
 // full hierarchical merge just to throw the window away. The
 // accumulator's buffers are retained for reuse.
 func (a *Accumulator) Discard() {
-	a.builder.Reset()
+	a.builder.reset()
 	a.inLeaf = 0
 	for i := range a.leaves {
 		a.leaves[i] = nil

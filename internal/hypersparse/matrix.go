@@ -28,7 +28,7 @@ type Entry struct {
 //
 // # Ownership and aliasing contract
 //
-// A Matrix returned by Build, FromEntries, HierSum or ReadMatrix is
+// A Matrix returned by Build, FromEntries or HierSum is
 // "published": it is immutable from that point on and may be shared
 // freely across goroutines. Published matrices may alias each other's
 // storage — HierSum returns an operand unchanged when every other
@@ -131,7 +131,7 @@ func FromEntries(entries []Entry) *Matrix {
 // to flat slices, and Build radix-sorts by key, coalesces duplicates in
 // place, and compiles the DCSR arrays directly. Build resets the builder
 // but retains every internal buffer, so a long-lived builder (one per
-// engine shard, one per archive stream) allocates nothing per leaf at
+// engine shard) allocates nothing per leaf at
 // steady state beyond the published Matrix itself. Builders are not safe
 // for concurrent use; the hierarchical accumulator gives each goroutine
 // its own.
@@ -159,13 +159,13 @@ func (b *Builder) Add(row, col uint32, v float64) {
 }
 
 // Len reports the number of triples appended since the last Build or
-// Reset. Duplicate (row, col) pairs are coalesced only at Build time, so
+// reset. Duplicate (row, col) pairs are coalesced only at Build time, so
 // this is an upper bound on the NNZ of the matrix Build will produce.
 func (b *Builder) Len() int { return len(b.keys) }
 
-// Reset discards any accumulated triples while retaining the builder's
+// reset discards any accumulated triples while retaining the builder's
 // buffers for reuse.
-func (b *Builder) Reset() {
+func (b *Builder) reset() {
 	b.keys = b.keys[:0]
 	b.vals = b.vals[:0]
 }
@@ -217,6 +217,6 @@ func (b *Builder) Build() *Matrix {
 		m.vals[i] = vals[i]
 	}
 	m.rowPtr = append(m.rowPtr, int64(u))
-	b.Reset()
+	b.reset()
 	return m
 }

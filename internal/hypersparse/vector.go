@@ -34,17 +34,3 @@ func (v *Vector) Iterate(fn func(id uint32, val float64) bool) {
 		}
 	}
 }
-
-// Filter returns a new Vector containing the elements for which keep
-// returns true.
-func (v *Vector) Filter(keep func(id uint32, val float64) bool) *Vector {
-	var ids []uint32
-	var vals []float64
-	for i, id := range v.ids {
-		if keep(id, v.vals[i]) {
-			ids = append(ids, id)
-			vals = append(vals, v.vals[i])
-		}
-	}
-	return &Vector{ids: ids, vals: vals}
-}

@@ -26,14 +26,6 @@ func TestVectorFromMapSorted(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	v := vectorOf(map[uint32]float64{1: 5, 2: 50, 3: 500})
-	big := v.Filter(func(_ uint32, val float64) bool { return val >= 50 })
-	if big.NNZ() != 2 || big.At(1) != 0 || big.At(2) != 50 {
-		t.Errorf("Filter wrong: %v", big.IDs())
-	}
-}
-
 func TestIterateEarlyStopVector(t *testing.T) {
 	v := vectorOf(map[uint32]float64{1: 1, 2: 2, 3: 3})
 	n := 0

@@ -66,9 +66,9 @@ func (q Quantities) Rows() [][2]string {
 // Each performs exactly one allocation (the returned slice) and fills it
 // from the fused row scan — no intermediate Vector.
 
-// SourcePacketValues returns the per-source packet counts (A·1 values),
+// sourcePacketValues returns the per-source packet counts (A·1 values),
 // the degree variable of the paper's Figure 3.
-func SourcePacketValues(m *hypersparse.Matrix) []float64 {
+func sourcePacketValues(m *hypersparse.Matrix) []float64 {
 	out := make([]float64, 0, m.NRows())
 	m.RowScan(func(_ uint32, sum float64, _ int) {
 		out = append(out, sum)
@@ -76,17 +76,8 @@ func SourcePacketValues(m *hypersparse.Matrix) []float64 {
 	return out
 }
 
-// SourceFanoutValues returns per-source unique destination counts.
-func SourceFanoutValues(m *hypersparse.Matrix) []float64 {
-	out := make([]float64, 0, m.NRows())
-	m.RowScan(func(_ uint32, _ float64, nnz int) {
-		out = append(out, float64(nnz))
-	})
-	return out
-}
-
 // SourcePacketDistribution bins the Figure 3 degree variable with the
 // paper's binary logarithmic bins.
 func SourcePacketDistribution(m *hypersparse.Matrix) *stats.Binned {
-	return stats.LogBin(SourcePacketValues(m))
+	return stats.LogBin(sourcePacketValues(m))
 }

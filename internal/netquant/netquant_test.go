@@ -144,11 +144,8 @@ func TestValueExtractors(t *testing.T) {
 		}
 		return s
 	}
-	if got := SourcePacketValues(m); len(got) != 2 || sum(got) != 6 {
-		t.Errorf("SourcePacketValues = %v", got)
-	}
-	if got := SourceFanoutValues(m); len(got) != 2 || sum(got) != 3 {
-		t.Errorf("SourceFanoutValues = %v", got)
+	if got := sourcePacketValues(m); len(got) != 2 || sum(got) != 6 {
+		t.Errorf("sourcePacketValues = %v", got)
 	}
 }
 

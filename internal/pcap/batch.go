@@ -54,7 +54,7 @@ func (r *Reader) NextBatch(dst []Packet) (int, error) {
 			return n, nil
 		}
 		p := &dst[n]
-		switch uerr := p.UnmarshalFrame(frame); uerr {
+		switch uerr := p.unmarshalFrame(frame); uerr {
 		case nil:
 			p.Time = ts
 			n++

@@ -19,7 +19,7 @@ func buildCapture(t testing.TB, frames [][]byte) []byte {
 		t.Fatal(err)
 	}
 	for i, fr := range frames {
-		if err := w.WriteFrame(time.Unix(1592395200+int64(i), 0), fr); err != nil {
+		if err := w.writeFrame(time.Unix(1592395200+int64(i), 0), fr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +34,7 @@ func packetCapture(t testing.TB, n int) []byte {
 	t.Helper()
 	frames := make([][]byte, n)
 	for i := range frames {
-		fr, err := samplePacket(i).MarshalFrame()
+		fr, err := samplePacket(i).marshalFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestNextBatchMatchesReadPacket(t *testing.T) {
 	// A frame bigger than the 64 KiB bufio read-ahead buffer: forces
 	// readFrameZC onto the copying fallback path mid-stream.
 	big := make([]byte, 100_000)
-	smallFr, err := samplePacket(7).MarshalFrame()
+	smallFr, err := samplePacket(7).marshalFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestNextBatchMatchesReadPacket(t *testing.T) {
 
 	var mixed [][]byte
 	for i := 0; i < 300; i++ {
-		fr, err := samplePacket(i).MarshalFrame()
+		fr, err := samplePacket(i).marshalFrame()
 		if err != nil {
 			t.Fatal(err)
 		}

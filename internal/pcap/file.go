@@ -42,8 +42,8 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: bw, snapLen: maxSnapLen}, nil
 }
 
-// WriteFrame appends one raw frame with the given capture timestamp.
-func (w *Writer) WriteFrame(ts time.Time, frame []byte) error {
+// writeFrame appends one raw frame with the given capture timestamp.
+func (w *Writer) writeFrame(ts time.Time, frame []byte) error {
 	capLen := len(frame)
 	if capLen > w.snapLen {
 		capLen = w.snapLen
@@ -64,11 +64,11 @@ func (w *Writer) WriteFrame(ts time.Time, frame []byte) error {
 
 // WritePacket marshals and appends a decoded packet.
 func (w *Writer) WritePacket(p *Packet) error {
-	frame, err := p.MarshalFrame()
+	frame, err := p.marshalFrame()
 	if err != nil {
 		return err
 	}
-	return w.WriteFrame(p.Time, frame)
+	return w.writeFrame(p.Time, frame)
 }
 
 // Count reports the number of records written so far.

@@ -46,7 +46,7 @@ func (r *Reader) readPacket(p *Packet) error {
 		if err != nil {
 			return err
 		}
-		switch err := p.UnmarshalFrame(frame); err {
+		switch err := p.unmarshalFrame(frame); err {
 		case nil:
 			p.Time = ts
 			return nil

@@ -104,11 +104,11 @@ const (
 
 const etherTypeIPv4 = 0x0800
 
-// MarshalFrame encodes the packet as an Ethernet II frame containing an
+// marshalFrame encodes the packet as an Ethernet II frame containing an
 // IPv4 header and the transport header, padded with zero payload bytes to
 // the declared length. MAC addresses are synthetic constants: a darkspace
 // has no meaningful link layer.
-func (p *Packet) MarshalFrame() ([]byte, error) {
+func (p *Packet) marshalFrame() ([]byte, error) {
 	transport := 0
 	switch p.Proto {
 	case ProtoTCP:
@@ -162,16 +162,16 @@ func (p *Packet) MarshalFrame() ([]byte, error) {
 	return buf, nil
 }
 
-// Errors returned by UnmarshalFrame.
+// Errors returned by unmarshalFrame.
 var (
 	ErrTruncated = errors.New("pcap: truncated frame")
 	ErrNotIPv4   = errors.New("pcap: not an IPv4 frame")
 )
 
-// UnmarshalFrame decodes an Ethernet II frame into p. Non-IPv4 frames
+// unmarshalFrame decodes an Ethernet II frame into p. Non-IPv4 frames
 // return ErrNotIPv4; frames too short for their declared headers return
 // ErrTruncated.
-func (p *Packet) UnmarshalFrame(buf []byte) error {
+func (p *Packet) unmarshalFrame(buf []byte) error {
 	if len(buf) < ethHeaderLen {
 		return ErrTruncated
 	}

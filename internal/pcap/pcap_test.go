@@ -29,12 +29,12 @@ func samplePacket(i int) *Packet {
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		in := samplePacket(i)
-		frame, err := in.MarshalFrame()
+		frame, err := in.marshalFrame()
 		if err != nil {
 			t.Fatalf("marshal %d: %v", i, err)
 		}
 		var out Packet
-		if err := out.UnmarshalFrame(frame); err != nil {
+		if err := out.unmarshalFrame(frame); err != nil {
 			t.Fatalf("unmarshal %d: %v", i, err)
 		}
 		if out.Src != in.Src || out.Dst != in.Dst || out.Proto != in.Proto {
@@ -56,7 +56,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 
 func TestMarshalChecksumValid(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		frame, err := samplePacket(i).MarshalFrame()
+		frame, err := samplePacket(i).marshalFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestMarshalChecksumValid(t *testing.T) {
 func TestMarshalRejectsOversize(t *testing.T) {
 	p := samplePacket(0)
 	p.Length = 70000
-	if _, err := p.MarshalFrame(); err == nil {
+	if _, err := p.marshalFrame(); err == nil {
 		t.Error("oversize packet marshaled without error")
 	}
 }
@@ -77,23 +77,23 @@ func TestMarshalRejectsOversize(t *testing.T) {
 func TestMarshalRejectsUnknownProto(t *testing.T) {
 	p := samplePacket(0)
 	p.Proto = 200
-	if _, err := p.MarshalFrame(); err == nil {
+	if _, err := p.marshalFrame(); err == nil {
 		t.Error("unknown protocol marshaled without error")
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
 	var p Packet
-	if err := p.UnmarshalFrame(nil); err != ErrTruncated {
+	if err := p.unmarshalFrame(nil); err != ErrTruncated {
 		t.Errorf("nil frame: got %v, want ErrTruncated", err)
 	}
-	frame, _ := samplePacket(0).MarshalFrame()
-	if err := p.UnmarshalFrame(frame[:20]); err != ErrTruncated {
+	frame, _ := samplePacket(0).marshalFrame()
+	if err := p.unmarshalFrame(frame[:20]); err != ErrTruncated {
 		t.Errorf("short frame: got %v, want ErrTruncated", err)
 	}
 	arp := make([]byte, 64)
 	arp[12], arp[13] = 0x08, 0x06 // EtherType ARP
-	if err := p.UnmarshalFrame(arp); err != ErrNotIPv4 {
+	if err := p.unmarshalFrame(arp); err != ErrNotIPv4 {
 		t.Errorf("ARP frame: got %v, want ErrNotIPv4", err)
 	}
 }
@@ -104,12 +104,12 @@ func TestAddrRoundTripProperty(t *testing.T) {
 			Time: time.Unix(0, 0), Src: ipaddr.Addr(src), Dst: ipaddr.Addr(dst),
 			Proto: ProtoUDP, SrcPort: sport, DstPort: dport, TTL: 32, Length: 64,
 		}
-		frame, err := in.MarshalFrame()
+		frame, err := in.marshalFrame()
 		if err != nil {
 			return false
 		}
 		var out Packet
-		if err := out.UnmarshalFrame(frame); err != nil {
+		if err := out.unmarshalFrame(frame); err != nil {
 			return false
 		}
 		return out.Src == in.Src && out.Dst == in.Dst &&
@@ -173,7 +173,7 @@ func TestReaderSkipsNonIPv4(t *testing.T) {
 	w, _ := NewWriter(&buf)
 	arp := make([]byte, 64)
 	arp[12], arp[13] = 0x08, 0x06
-	if err := w.WriteFrame(time.Unix(0, 0), arp); err != nil {
+	if err := w.writeFrame(time.Unix(0, 0), arp); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.WritePacket(samplePacket(1)); err != nil {
@@ -202,50 +202,6 @@ func TestBswapReader(t *testing.T) {
 	}
 }
 
-func TestFilterBasics(t *testing.T) {
-	tcp := samplePacket(0) // proto cycles tcp first
-	tcp.Proto = ProtoTCP
-	udp := samplePacket(1)
-	udp.Proto = ProtoUDP
-	cases := []struct {
-		expr string
-		pkt  *Packet
-		want bool
-	}{
-		{"", tcp, true},
-		{"tcp", tcp, true},
-		{"tcp", udp, false},
-		{"udp or tcp", udp, true},
-		{"not tcp", udp, true},
-		{"tcp and syn", tcp, true},
-		{"dst net 44.0.0.0/8", tcp, true},
-		{"dst net 45.0.0.0/8", tcp, false},
-		{"src net 10.0.0.0/8 and dst net 44.0.0.0/8", tcp, true},
-		{"( udp or icmp ) and not tcp", udp, true},
-		{"dst port 0", tcp, true},
-		{"src port 1024", tcp, true},
-	}
-	for _, c := range cases {
-		f, err := Compile(c.expr)
-		if err != nil {
-			t.Fatalf("Compile(%q): %v", c.expr, err)
-		}
-		if got := f.Match(c.pkt); got != c.want {
-			t.Errorf("filter %q on %v: got %v, want %v", c.expr, c.pkt.Proto, got, c.want)
-		}
-	}
-}
-
-func TestFilterErrors(t *testing.T) {
-	bad := []string{"bogus", "src", "src net", "src net 1.2.3.4", "src port xx",
-		"( tcp", "tcp )", "tcp extra", "not"}
-	for _, expr := range bad {
-		if _, err := Compile(expr); err == nil {
-			t.Errorf("Compile(%q) succeeded, want error", expr)
-		}
-	}
-}
-
 func TestTCPFlagsString(t *testing.T) {
 	if s := (FlagSYN | FlagACK).String(); s != "SYN|ACK" {
 		t.Errorf("got %q", s)
@@ -268,7 +224,7 @@ func BenchmarkMarshalFrame(b *testing.B) {
 	p := samplePacket(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.MarshalFrame(); err != nil {
+		if _, err := p.marshalFrame(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -198,9 +198,9 @@ func (c Config) mixWeights() [NumArchetypes]float64 {
 	return out
 }
 
-// BetaStar returns the ground-truth β*(d): BetaBase with a Gaussian dip
+// betaStar returns the ground-truth β*(d): BetaBase with a Gaussian dip
 // to BetaDip centered at d = 2^DipLog2 (the paper's Figure 8 shape).
-func (c Config) BetaStar(d float64) float64 {
+func (c Config) betaStar(d float64) float64 {
 	if d < 1 {
 		d = 1
 	}
@@ -208,10 +208,10 @@ func (c Config) BetaStar(d float64) float64 {
 	return c.BetaBase - (c.BetaBase-c.BetaDip)*gauss(x)
 }
 
-// PeakVisibility returns the ground-truth honeyfarm aperture
+// peakVisibility returns the ground-truth honeyfarm aperture
 // min(1, log2(d)/BrightLog2) for a source of brightness d (the paper's
 // Figure 4 law).
-func (c Config) PeakVisibility(d float64) float64 {
+func (c Config) peakVisibility(d float64) float64 {
 	if d < 2 {
 		d = 2 // log2(1) = 0 would make unit-brightness sources invisible
 	}

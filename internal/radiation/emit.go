@@ -123,7 +123,7 @@ func (p *Population) TelescopeStream(month float64, start time.Time) *Stream {
 		bogonRng: newSM64(uint64(p.cfg.Seed) ^ monthKey(month)*0xA24BAED4963EE407),
 	}
 	for i := range p.sources {
-		if !p.TelescopeActive(i, month) {
+		if !p.telescopeActive(i, month) {
 			continue
 		}
 		s := &p.sources[i]
@@ -294,7 +294,7 @@ type Observation struct {
 func (p *Population) HoneyfarmMonth(month int, monthStart time.Time) []Observation {
 	visible := make([]int32, 0, len(p.sources))
 	for i := range p.sources {
-		if p.HoneyfarmVisible(i, month) {
+		if p.honeyfarmVisible(i, month) {
 			visible = append(visible, int32(i))
 		}
 	}

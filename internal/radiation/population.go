@@ -74,7 +74,7 @@ type Population struct {
 	beams     []beamConsts
 }
 
-// beamConsts are cfg.PeakVisibility and cfg.BetaStar of one source's
+// beamConsts are cfg.peakVisibility and cfg.betaStar of one source's
 // brightness.
 type beamConsts struct {
 	peak, beta float64
@@ -90,7 +90,7 @@ func (p *Population) fillBeams() {
 	p.beams = make([]beamConsts, len(p.sources))
 	for i := range p.sources {
 		d := p.sources[i].Brightness
-		p.beams[i] = beamConsts{peak: p.cfg.PeakVisibility(d), beta: p.cfg.BetaStar(d)}
+		p.beams[i] = beamConsts{peak: p.cfg.peakVisibility(d), beta: p.cfg.betaStar(d)}
 	}
 }
 
@@ -182,13 +182,13 @@ func (p *Population) telescopeEpisode(s *Source, month float64) float64 {
 	return p.cfg.TelescopeBeta / (p.cfg.TelescopeBeta + math.Pow(dt, p.cfg.TelescopeAlpha))
 }
 
-// TelescopeActive reports whether source s beams into the telescope's
+// telescopeActive reports whether source s beams into the telescope's
 // darkspace during the window anchored at the given (fractional) month.
 // Persistent sources are always active; others draw a Bernoulli from the
 // sharp episode kernel. The draw is deterministic per (seed, source,
 // month, channel) so telescope and honeyfarm visibility are independent
 // but reproducible.
-func (p *Population) TelescopeActive(i int, month float64) bool {
+func (p *Population) telescopeActive(i int, month float64) bool {
 	s := &p.sources[i]
 	if s.Persistent {
 		return true
@@ -197,14 +197,14 @@ func (p *Population) TelescopeActive(i int, month float64) bool {
 	return u < p.telescopeEpisode(s, month)
 }
 
-// HoneyfarmVisible reports whether source s touches the honeyfarm during
+// honeyfarmVisible reports whether source s touches the honeyfarm during
 // integer month m. The probability is the beam profile scaled by the
 // log-brightness aperture, plus the beam-independent background floor.
 // A month window collects for its whole span, so the beam is evaluated
 // at the month midpoint m + 0.5 (anchoring at the month start would put
 // every mid-month beam half a month away from its own collection
 // window and artificially depress same-month correlation peaks).
-func (p *Population) HoneyfarmVisible(i int, month int) bool {
+func (p *Population) honeyfarmVisible(i int, month int) bool {
 	peak := p.beamOf(i).peak
 	if p.sources[i].Persistent {
 		return hashUnit(p.cfg.Seed, uint64(i), uint64(month), chanHoneyfarm) < peak

@@ -23,31 +23,31 @@ func smallConfig() Config {
 
 func TestBetaStarDip(t *testing.T) {
 	c := DefaultConfig()
-	atDip := c.BetaStar(math.Pow(2, c.DipLog2))
+	atDip := c.betaStar(math.Pow(2, c.DipLog2))
 	if math.Abs(atDip-c.BetaDip) > 1e-9 {
 		t.Errorf("beta at dip = %g, want %g", atDip, c.BetaDip)
 	}
-	far := c.BetaStar(1)
+	far := c.betaStar(1)
 	if far < 0.9*c.BetaBase {
 		t.Errorf("beta far from dip = %g, want near %g", far, c.BetaBase)
 	}
-	if c.BetaStar(1<<20) < c.BetaStar(1<<10) {
+	if c.betaStar(1<<20) < c.betaStar(1<<10) {
 		t.Error("beta should recover above the dip")
 	}
 }
 
 func TestPeakVisibilityLaw(t *testing.T) {
 	c := DefaultConfig() // BrightLog2 = 10
-	if v := c.PeakVisibility(1 << 10); v != 1 {
+	if v := c.peakVisibility(1 << 10); v != 1 {
 		t.Errorf("bright source visibility = %g, want 1", v)
 	}
-	if v := c.PeakVisibility(1 << 20); v != 1 {
+	if v := c.peakVisibility(1 << 20); v != 1 {
 		t.Errorf("very bright source visibility = %g, want 1 (clamped)", v)
 	}
-	if v := c.PeakVisibility(32); math.Abs(v-0.5) > 1e-9 {
+	if v := c.peakVisibility(32); math.Abs(v-0.5) > 1e-9 {
 		t.Errorf("d=2^5 visibility = %g, want 0.5", v)
 	}
-	if v := c.PeakVisibility(1); v <= 0 {
+	if v := c.peakVisibility(1); v <= 0 {
 		t.Errorf("d=1 visibility = %g, want > 0", v)
 	}
 }
@@ -114,7 +114,7 @@ func TestBrightnessFollowsZM(t *testing.T) {
 }
 
 // groundTruthVisibility is the exact honeyfarm visibility probability
-// of source i in month m, the rate HoneyfarmVisible's draws must show.
+// of source i in month m, the rate honeyfarmVisible's draws must show.
 func (p *Population) groundTruthVisibility(i int, month int) float64 {
 	peak := p.beamOf(i).peak
 	if p.sources[i].Persistent {
@@ -134,7 +134,7 @@ func TestVisibilityDrawsMatchGroundTruth(t *testing.T) {
 	n := 0
 	for i := 0; i < p.Len(); i++ {
 		want += p.groundTruthVisibility(i, month)
-		if p.HoneyfarmVisible(i, month) {
+		if p.honeyfarmVisible(i, month) {
 			got++
 		}
 		n++
@@ -157,8 +157,8 @@ func TestTelescopeHoneyfarmDrawsIndependent(t *testing.T) {
 	month := 5
 	var tele, honey, both, n float64
 	for i := 0; i < p.Len(); i++ {
-		tv := p.TelescopeActive(i, float64(month))
-		hv := p.HoneyfarmVisible(i, month)
+		tv := p.telescopeActive(i, float64(month))
+		hv := p.honeyfarmVisible(i, month)
 		if tv {
 			tele++
 		}
@@ -344,7 +344,7 @@ func TestHoneyfarmBrightSourcesAlmostAlwaysVisible(t *testing.T) {
 			continue
 		}
 		bright++
-		if p.HoneyfarmVisible(i, m) {
+		if p.honeyfarmVisible(i, m) {
 			visible++
 		}
 	}

@@ -224,7 +224,7 @@ func runFig6(g *Graph) (any, error) {
 
 // Fig7And8 computes the per-band modified-Cauchy parameter sweeps for
 // every snapshot: Alpha per band (Figure 7) and one-month drop 1/(β+1)
-// per band (Figure 8). The (snapshot, band) GridSearch2 fits — the
+// per band (Figure 8). The (snapshot, band) grid-search fits — the
 // dominant post-capture cost — run concurrently on the shared worker
 // pool; results assemble in SweepBands order, so the output does not
 // depend on the worker count.

@@ -8,7 +8,7 @@
 // a study.
 // Every temporal artifact depends on the study's frozen sorted-key
 // compilation; fig7_fig8 additionally fans out one Frozen.FitBand
-// (GridSearch2) job per (snapshot, band) onto the same worker pool the
+// (2-D grid search) job per (snapshot, band) onto the same worker pool the
 // study scheduler rides, assembling the sweep in deterministic
 // SweepBands order, so any worker count renders byte-identically
 // (TestReportWorkerSweep holds each to the committed goldens, under

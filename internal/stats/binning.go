@@ -18,8 +18,8 @@ type Binned struct {
 	Total   float64   // sum of Counts
 }
 
-// LogBinIndex returns the bin index for degree d >= 1: ceil(log2(d)).
-func LogBinIndex(d float64) int {
+// logBinIndex returns the bin index for degree d >= 1: ceil(log2(d)).
+func logBinIndex(d float64) int {
 	if d <= 1 {
 		return 0
 	}
@@ -34,7 +34,7 @@ func LogBin(values []float64) *Binned {
 		if v < 1 {
 			continue
 		}
-		if b := LogBinIndex(v); b > maxBin {
+		if b := logBinIndex(v); b > maxBin {
 			maxBin = b
 		}
 	}
@@ -52,7 +52,7 @@ func LogBin(values []float64) *Binned {
 		if v < 1 {
 			continue
 		}
-		b.Counts[LogBinIndex(v)]++
+		b.Counts[logBinIndex(v)]++
 		b.Total++
 	}
 	return b
@@ -72,19 +72,8 @@ func (b *Binned) Prob() []float64 {
 	return out
 }
 
-// MaxDegreeBin returns the index of the last non-empty bin, or -1 when
-// empty.
-func (b *Binned) MaxDegreeBin() int {
-	for i := len(b.Counts) - 1; i >= 0; i-- {
-		if b.Counts[i] > 0 {
-			return i
-		}
-	}
-	return -1
-}
-
 // BandIndex identifies the brightness band [2^i, 2^(i+1)) that the
-// paper's Figures 5-8 slice sources into. It differs from LogBinIndex in
+// paper's Figures 5-8 slice sources into. It differs from logBinIndex in
 // using half-open lower-inclusive ranges, matching "d <= source packets
 // < 2d" in Figure 6's caption.
 func BandIndex(d float64) int {

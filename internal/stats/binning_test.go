@@ -16,8 +16,8 @@ func TestLogBinIndex(t *testing.T) {
 		{1024, 10}, {1025, 11},
 	}
 	for _, c := range cases {
-		if got := LogBinIndex(c.d); got != c.want {
-			t.Errorf("LogBinIndex(%g) = %d, want %d", c.d, got, c.want)
+		if got := logBinIndex(c.d); got != c.want {
+			t.Errorf("logBinIndex(%g) = %d, want %d", c.d, got, c.want)
 		}
 	}
 }
@@ -26,8 +26,8 @@ func TestLogBinPowersOfTwoExact(t *testing.T) {
 	// Powers of two must land in their own bin (upper-inclusive edges).
 	for i := 0; i <= 30; i++ {
 		d := math.Pow(2, float64(i))
-		if got := LogBinIndex(d); got != i {
-			t.Errorf("LogBinIndex(2^%d) = %d, want %d", i, got, i)
+		if got := logBinIndex(d); got != i {
+			t.Errorf("logBinIndex(2^%d) = %d, want %d", i, got, i)
 		}
 	}
 }
@@ -54,7 +54,7 @@ func TestLogBinCounts(t *testing.T) {
 
 func TestLogBinEmpty(t *testing.T) {
 	b := LogBin(nil)
-	if len(b.Counts) != 0 || b.Total != 0 || b.MaxDegreeBin() != -1 {
+	if len(b.Counts) != 0 || b.Total != 0 {
 		t.Error("empty input produced non-empty binning")
 	}
 	if p := b.Prob(); len(p) != 0 {

@@ -65,15 +65,15 @@ func TestHalfNormDampsOutliers(t *testing.T) {
 }
 
 func TestRangeValues(t *testing.T) {
-	lin := Range{Lo: 0, Hi: 10}.Values(11)
+	lin := Range{Lo: 0, Hi: 10}.values(11)
 	if lin[0] != 0 || lin[10] != 10 || lin[5] != 5 {
 		t.Errorf("linear grid = %v", lin)
 	}
-	logv := Range{Lo: 1, Hi: 100, Log: true}.Values(3)
+	logv := Range{Lo: 1, Hi: 100, Log: true}.values(3)
 	if math.Abs(logv[1]-10) > 1e-9 {
 		t.Errorf("log grid midpoint = %g, want 10", logv[1])
 	}
-	single := Range{Lo: 5, Hi: 9}.Values(1)
+	single := Range{Lo: 5, Hi: 9}.values(1)
 	if len(single) != 1 || single[0] != 5 {
 		t.Errorf("single-point grid = %v", single)
 	}
@@ -83,14 +83,14 @@ func TestGridSearch2Recovers(t *testing.T) {
 	target := func(a, b float64) float64 {
 		return math.Abs(a-1.3) + math.Abs(b-4.2)
 	}
-	a, b, l := GridSearch2(Range{Lo: 0, Hi: 3}, Range{Lo: 0.1, Hi: 50, Log: true}, 60, target)
+	a, b, l := gridSearch2(Range{Lo: 0, Hi: 3}, Range{Lo: 0.1, Hi: 50, Log: true}, 60, target)
 	if math.Abs(a-1.3) > 0.06 || math.Abs(b-4.2) > 0.5 {
 		t.Errorf("grid search found (%g, %g, loss %g)", a, b, l)
 	}
 }
 
 func TestGridSearch1Recovers(t *testing.T) {
-	x, _ := GridSearch1(Range{Lo: 0, Hi: 10}, 100, func(x float64) float64 {
+	x, _ := gridSearch1(Range{Lo: 0, Hi: 10}, 100, func(x float64) float64 {
 		return (x - 7.25) * (x - 7.25)
 	})
 	if math.Abs(x-7.25) > 0.06 {
@@ -102,13 +102,13 @@ func TestZipfMandelbrotQuantileMonotone(t *testing.T) {
 	z := PaperZM(1 << 20)
 	prev := 0.0
 	for u := 0.0; u < 1; u += 0.01 {
-		q := z.Quantile(u)
+		q := z.quantile(u)
 		if q < prev-1e-9 {
 			t.Fatalf("quantile not monotone at u=%g", u)
 		}
 		prev = q
 	}
-	if q := z.Quantile(0); math.Abs(q-1) > 1e-6 {
+	if q := z.quantile(0); math.Abs(q-1) > 1e-6 {
 		t.Errorf("Quantile(0) = %g, want 1", q)
 	}
 }
@@ -305,7 +305,7 @@ func residualPowRef(dts, values []float64, peak float64, m TemporalModel, p floa
 // search: every grid point recomputes |dt|^α through the model's Eval.
 func fitModifiedCauchyRef(dts, values []float64, p float64) (alpha, beta, residual float64) {
 	peak := peakOf(values)
-	return GridSearch2(
+	return gridSearch2(
 		Range{Lo: 0.05, Hi: 2.0},
 		Range{Lo: 0.01, Hi: 100.0, Log: true},
 		50, func(a, b float64) float64 {
@@ -313,12 +313,12 @@ func fitModifiedCauchyRef(dts, values []float64, p float64) (alpha, beta, residu
 		})
 }
 
-// fitOneRef is FitCauchy's and FitGaussian's search as it was before
-// GridSearch1 walked one axis: a 200 × 200 GridSearch2 whose second
+// fitOneRef is fitCauchy's and fitGaussian's search as it was before
+// gridSearch1 walked one axis: a 200 × 200 gridSearch2 whose second
 // axis is the one point 1, over the Pow residual.
 func fitOneRef(dts, values []float64, model func(x float64) TemporalModel) (x, residual float64) {
 	peak := peakOf(values)
-	x, _, residual = GridSearch2(Range{Lo: 0.05, Hi: 50, Log: true}, Range{Lo: 1, Hi: 1}, 200,
+	x, _, residual = gridSearch2(Range{Lo: 0.05, Hi: 50, Log: true}, Range{Lo: 1, Hi: 1}, 200,
 		func(x, _ float64) float64 { return residualPowRef(dts, values, peak, model(x), 0.5) })
 	return x, residual
 }
@@ -383,7 +383,7 @@ func TestFitModifiedCauchyBitIdentical(t *testing.T) {
 // formulation bit for bit.
 func TestFitCauchyGaussianBitIdentical(t *testing.T) {
 	eachFitSeries(func(name string, offset float64, dts, vals []float64) {
-		c, g := FitCauchy(dts, vals), FitGaussian(dts, vals)
+		c, g := fitCauchy(dts, vals), fitGaussian(dts, vals)
 		cx, cr := fitOneRef(dts, vals, cauchyOf)
 		gx, gr := fitOneRef(dts, vals, gaussianOf)
 		if !sameBits([]float64{c.Model.(Cauchy).Gamma, c.Residual}, []float64{cx, cr}) {
@@ -408,8 +408,8 @@ func pointHash(seed uint64, x float64) uint64 {
 	return h ^ h>>31
 }
 
-// TestGridSearch1MatchesDegenerate2D holds GridSearch1 to what it was
-// before it walked one axis — GridSearch2 with a second axis of the one
+// TestGridSearch1MatchesDegenerate2D holds gridSearch1 to what it was
+// before it walked one axis — gridSearch2 with a second axis of the one
 // point 1 — on random scores, scores with many tied minima, scores with
 // NaNs, no score at all, and one minimum, over linear and log ranges.
 func TestGridSearch1MatchesDegenerate2D(t *testing.T) {
@@ -437,10 +437,10 @@ func TestGridSearch1MatchesDegenerate2D(t *testing.T) {
 			for _, r := range ranges {
 				steps := 1 + rng.Intn(60)
 				f := func(x float64) float64 { return loss(seed, x) }
-				x, l := GridSearch1(r, steps, f)
-				wx, _, wl := GridSearch2(r, Range{Lo: 1, Hi: 1}, steps, func(x, _ float64) float64 { return f(x) })
+				x, l := gridSearch1(r, steps, f)
+				wx, _, wl := gridSearch2(r, Range{Lo: 1, Hi: 1}, steps, func(x, _ float64) float64 { return f(x) })
 				if !sameBits([]float64{x, l}, []float64{wx, wl}) {
-					t.Errorf("%s %+v steps %d: GridSearch1 (%v, %v), degenerate GridSearch2 (%v, %v)",
+					t.Errorf("%s %+v steps %d: gridSearch1 (%v, %v), degenerate gridSearch2 (%v, %v)",
 						name, r, steps, x, l, wx, wl)
 				}
 			}
@@ -455,14 +455,14 @@ func TestGridSearchEvaluationCounts(t *testing.T) {
 	for _, steps := range []int{1, 2, 7, 50, 200} {
 		n := max(steps, 2)
 		var calls1, calls2 int
-		GridSearch1(Range{Lo: 0.05, Hi: 50, Log: true}, steps, func(x float64) float64 { calls1++; return x })
-		GridSearch2(Range{Lo: 0.05, Hi: 2}, Range{Lo: 0.01, Hi: 100, Log: true}, steps,
+		gridSearch1(Range{Lo: 0.05, Hi: 50, Log: true}, steps, func(x float64) float64 { calls1++; return x })
+		gridSearch2(Range{Lo: 0.05, Hi: 2}, Range{Lo: 0.01, Hi: 100, Log: true}, steps,
 			func(a, b float64) float64 { calls2++; return a + b })
 		if calls1 != 2*n {
-			t.Errorf("GridSearch1 at %d steps called its loss %d times, want %d", steps, calls1, 2*n)
+			t.Errorf("gridSearch1 at %d steps called its loss %d times, want %d", steps, calls1, 2*n)
 		}
 		if calls2 != 2*n*n {
-			t.Errorf("GridSearch2 at %d steps called its loss %d times, want %d", steps, calls2, 2*n*n)
+			t.Errorf("gridSearch2 at %d steps called its loss %d times, want %d", steps, calls2, 2*n*n)
 		}
 	}
 }
@@ -508,7 +508,7 @@ func FuzzHalfNormKernel(f *testing.F) {
 			dts[i] = float64(i) - offset
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		mc, c, g := FitModifiedCauchy(dts, vals), FitCauchy(dts, vals), FitGaussian(dts, vals)
+		mc, c, g := FitModifiedCauchy(dts, vals), fitCauchy(dts, vals), fitGaussian(dts, vals)
 		a, b, r := fitModifiedCauchyRef(dts, vals, 0.5)
 		cx, cr := fitOneRef(dts, vals, cauchyOf)
 		gx, gr := fitOneRef(dts, vals, gaussianOf)

@@ -8,10 +8,10 @@ import "math"
 // intervals let the reproduction distinguish real shape from small-band
 // noise.
 
-// WilsonCI returns the Wilson score interval for k successes in n
+// wilsonCI returns the Wilson score interval for k successes in n
 // trials at the given z value (1.96 for 95%). It is well-behaved at
 // k = 0 and k = n, unlike the normal approximation.
-func WilsonCI(k, n int, z float64) (lo, hi float64) {
+func wilsonCI(k, n int, z float64) (lo, hi float64) {
 	if n <= 0 {
 		return 0, 1
 	}
@@ -31,5 +31,5 @@ func WilsonCI(k, n int, z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Wilson95 is WilsonCI at 95% confidence.
-func Wilson95(k, n int) (lo, hi float64) { return WilsonCI(k, n, 1.96) }
+// Wilson95 is wilsonCI at 95% confidence.
+func Wilson95(k, n int) (lo, hi float64) { return wilsonCI(k, n, 1.96) }

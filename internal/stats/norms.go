@@ -8,8 +8,8 @@ type Range struct {
 	Log    bool // geometric spacing when true
 }
 
-// Values materializes n grid points across the range.
-func (r Range) Values(n int) []float64 {
+// values materializes n grid points across the range.
+func (r Range) values(n int) []float64 {
 	if n == 1 {
 		return []float64{r.Lo}
 	}
@@ -27,18 +27,18 @@ func (r Range) Values(n int) []float64 {
 	return out
 }
 
-// GridSearch2 minimizes loss over a 2-D grid, then refines with a second,
+// gridSearch2 minimizes loss over a 2-D grid, then refines with a second,
 // narrower grid centered on the coarse optimum (one zoom stage is enough
 // for the smooth single-minimum losses used here). It mirrors the paper's
 // procedure of "generating all distributions over a range of possible α
 // and β values ... and then selecting the α and β that minimize" the
 // fitting norm. It calls loss 2·steps² times.
-func GridSearch2(ra, rb Range, steps int, loss func(a, b float64) float64) (bestA, bestB, bestLoss float64) {
+func gridSearch2(ra, rb Range, steps int, loss func(a, b float64) float64) (bestA, bestB, bestLoss float64) {
 	if steps < 2 {
 		steps = 2
 	}
 	bestLoss = math.Inf(1)
-	as, bs := ra.Values(steps), rb.Values(steps)
+	as, bs := ra.values(steps), rb.values(steps)
 	for _, a := range as {
 		for _, b := range bs {
 			if l := loss(a, b); l < bestLoss {
@@ -47,8 +47,8 @@ func GridSearch2(ra, rb Range, steps int, loss func(a, b float64) float64) (best
 		}
 	}
 	ra2, rb2 := ra.zoom(bestA, steps), rb.zoom(bestB, steps)
-	for _, a := range ra2.Values(steps) {
-		for _, b := range rb2.Values(steps) {
+	for _, a := range ra2.values(steps) {
+		for _, b := range rb2.values(steps) {
 			if l := loss(a, b); l < bestLoss {
 				bestA, bestB, bestLoss = a, b, l
 			}
@@ -57,22 +57,22 @@ func GridSearch2(ra, rb Range, steps int, loss func(a, b float64) float64) (best
 	return bestA, bestB, bestLoss
 }
 
-// GridSearch1 minimizes loss over a 1-D grid, then over the same zoomed
-// grid GridSearch2 refines with. It calls loss 2·steps times, visiting
-// the points GridSearch2 would over a second axis of one point, in the
+// gridSearch1 minimizes loss over a 1-D grid, then over the same zoomed
+// grid gridSearch2 refines with. It calls loss 2·steps times, visiting
+// the points gridSearch2 would over a second axis of one point, in the
 // same order, so for a loss that ignores that axis the two agree bit for
 // bit (the strict < keeps the first of tied minima either way).
-func GridSearch1(r Range, steps int, loss func(x float64) float64) (bestX, bestLoss float64) {
+func gridSearch1(r Range, steps int, loss func(x float64) float64) (bestX, bestLoss float64) {
 	if steps < 2 {
 		steps = 2
 	}
 	bestLoss = math.Inf(1)
-	for _, x := range r.Values(steps) {
+	for _, x := range r.values(steps) {
 		if l := loss(x); l < bestLoss {
 			bestX, bestLoss = x, l
 		}
 	}
-	for _, x := range r.zoom(bestX, steps).Values(steps) {
+	for _, x := range r.zoom(bestX, steps).values(steps) {
 		if l := loss(x); l < bestLoss {
 			bestX, bestLoss = x, l
 		}

@@ -129,7 +129,7 @@ func FitModifiedCauchy(dts, values []float64) TemporalFit {
 // p-norm; the paper uses p = 1/2, and the A2 ablation compares against
 // p = 1 and p = 2.
 //
-// The model is separable: |dt|^α does not depend on β, and GridSearch2
+// The model is separable: |dt|^α does not depend on β, and gridSearch2
 // walks β inside α, so the loss keeps the powers of the α it was last
 // called with and each β costs a divide and, at p = ½, a square root
 // per point. Every operation of residualPNorm over ModifiedCauchy.Eval
@@ -159,26 +159,26 @@ func FitModifiedCauchyNorm(dts, values []float64, p float64) TemporalFit {
 		}
 		return math.Pow(s, 1/p)
 	}
-	a, b, r := GridSearch2(
+	a, b, r := gridSearch2(
 		Range{Lo: 0.05, Hi: 2.0},
 		Range{Lo: 0.01, Hi: 100.0, Log: true},
 		50, loss)
 	return TemporalFit{Model: ModifiedCauchy{Alpha: a, Beta: b}, Peak: peak, Residual: r}
 }
 
-// FitCauchy fits the standard Cauchy scale γ.
-func FitCauchy(dts, values []float64) TemporalFit {
+// fitCauchy fits the standard Cauchy scale γ.
+func fitCauchy(dts, values []float64) TemporalFit {
 	peak := peakOf(values)
-	g, r := GridSearch1(Range{Lo: 0.05, Hi: 50, Log: true}, 200, func(g float64) float64 {
+	g, r := gridSearch1(Range{Lo: 0.05, Hi: 50, Log: true}, 200, func(g float64) float64 {
 		return residualFor(dts, values, peak, Cauchy{Gamma: g})
 	})
 	return TemporalFit{Model: Cauchy{Gamma: g}, Peak: peak, Residual: r}
 }
 
-// FitGaussian fits the normal width σ.
-func FitGaussian(dts, values []float64) TemporalFit {
+// fitGaussian fits the normal width σ.
+func fitGaussian(dts, values []float64) TemporalFit {
 	peak := peakOf(values)
-	s, r := GridSearch1(Range{Lo: 0.05, Hi: 50, Log: true}, 200, func(s float64) float64 {
+	s, r := gridSearch1(Range{Lo: 0.05, Hi: 50, Log: true}, 200, func(s float64) float64 {
 		return residualFor(dts, values, peak, Gaussian{Sigma: s})
 	})
 	return TemporalFit{Model: Gaussian{Sigma: s}, Peak: peak, Residual: r}
@@ -189,7 +189,7 @@ func FitGaussian(dts, values []float64) TemporalFit {
 func FitAllTemporal(dts, values []float64) map[string]TemporalFit {
 	return map[string]TemporalFit{
 		"modified-cauchy": FitModifiedCauchy(dts, values),
-		"cauchy":          FitCauchy(dts, values),
-		"gaussian":        FitGaussian(dts, values),
+		"cauchy":          fitCauchy(dts, values),
+		"gaussian":        fitGaussian(dts, values),
 	}
 }

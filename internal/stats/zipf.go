@@ -22,11 +22,11 @@ func PaperZM(dmax float64) ZipfMandelbrot {
 	return ZipfMandelbrot{Alpha: 1.76, Delta: 3.93, DMax: dmax}
 }
 
-// Quantile inverts the continuous-relaxation CDF — the normalized
+// quantile inverts the continuous-relaxation CDF — the normalized
 // integral of (t+δ)^(-α) over [1, DMax] — at u in [0,1). The continuous
 // form admits this closed-form inverse; discretization by rounding in
 // Sample preserves the power-law tail.
-func (z ZipfMandelbrot) Quantile(u float64) float64 {
+func (z ZipfMandelbrot) quantile(u float64) float64 {
 	a, d := z.Alpha, z.Delta
 	g1 := math.Pow(1+d, 1-a)
 	gm := math.Pow(z.DMax+d, 1-a)
@@ -36,7 +36,7 @@ func (z ZipfMandelbrot) Quantile(u float64) float64 {
 
 // Sample draws one degree value in [1, DMax].
 func (z ZipfMandelbrot) Sample(rng *rand.Rand) float64 {
-	x := z.Quantile(rng.Float64())
+	x := z.quantile(rng.Float64())
 	v := math.Round(x)
 	if v < 1 {
 		v = 1
@@ -82,7 +82,7 @@ func FitZipfMandelbrot(b *Binned, dmax float64) (alpha, delta, residual float64)
 		}
 		return math.Pow(s, 1/0.5)
 	}
-	return GridSearch2(
+	return gridSearch2(
 		Range{Lo: 1.05, Hi: 3.0},
 		Range{Lo: 0.0, Hi: 20.0},
 		40, loss)

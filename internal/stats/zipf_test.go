@@ -49,7 +49,7 @@ func fitZipfMandelbrotRef(b *Binned, dmax float64) (alpha, delta, residual float
 	loss := func(a, d float64) float64 {
 		return halfNormRef(emp, binnedProbRef(ZipfMandelbrot{Alpha: a, Delta: d, DMax: dmax}, maxBin))
 	}
-	return GridSearch2(
+	return gridSearch2(
 		Range{Lo: 1.05, Hi: 3.0},
 		Range{Lo: 0.0, Hi: 20.0},
 		40, loss)

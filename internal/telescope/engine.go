@@ -8,9 +8,7 @@ package telescope
 // lock epoch per cache shard, with prefix-shared AES walks) and their
 // destinations through the darkspace's prefix walker, in slab order,
 // which memoizes nothing — and the engine's merge tree produces the
-// window matrix. CaptureWindowEngine is the one constant-packet capture;
-// the time-window and archive captures read their own slabs but map
-// them through the same per-shard mapper.
+// window matrix. CaptureWindowEngine is the one capture path.
 
 import (
 	"context"
@@ -31,7 +29,7 @@ type shardAnon struct {
 	srcs, dsts []ipaddr.Addr
 }
 
-// Engine returns a window engine wired to this telescope's validity
+// engineFor returns a window engine wired to this telescope's validity
 // filter, slab mapper, and leaf size. workers and batch follow
 // engine.Config semantics (<= 0 picks defaults).
 //
@@ -41,7 +39,7 @@ type shardAnon struct {
 // captures, so the engine's pooled shard accumulators and slab buffers
 // — and the per-shard L1 memos — stay warm from one window to the next.
 // This is covered by the Telescope's one-capture-at-a-time contract.
-func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
+func (t *Telescope) engineFor(workers, batch int) (*engine.Engine, error) {
 	cfg := engine.Config{Workers: workers, LeafSize: t.leafSize, Batch: batch}.Normalized()
 	key := [2]int{cfg.Workers, cfg.Batch}
 	t.poolMu.Lock()
@@ -49,7 +47,7 @@ func (t *Telescope) Engine(workers, batch int) (*engine.Engine, error) {
 	if eng, ok := t.engines[key]; ok {
 		return eng, nil
 	}
-	eng, err := engine.New(cfg, t.Valid, t.slabMapper)
+	eng, err := engine.New(cfg, t.valid, t.slabMapper)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +107,7 @@ func (t *Telescope) shardAnon(shard int) *shardAnon {
 // up to Leaves: the matrix is a sum of the same anonymized triples, only
 // leaf boundaries differ.
 func (t *Telescope) CaptureWindowEngine(ctx context.Context, src PacketSource, nv, workers, batch int) (*Window, error) {
-	eng, err := t.Engine(workers, batch)
+	eng, err := t.engineFor(workers, batch)
 	if err != nil {
 		return nil, err
 	}

@@ -156,7 +156,7 @@ func TestEngineFollowsGOMAXPROCS(t *testing.T) {
 	tel := New(pop.Config().Darkspace, "procs-key", WithLeafSize(1<<8))
 	shards := func() int {
 		t.Helper()
-		eng, err := tel.Engine(0, 0)
+		eng, err := tel.engineFor(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +173,8 @@ func TestEngineFollowsGOMAXPROCS(t *testing.T) {
 	if got := shards(); got != 3 {
 		t.Fatalf("GOMAXPROCS raised to 3: window cut by %d shards, want 3", got)
 	}
-	zero, _ := tel.Engine(0, 0)
-	if resolved, _ := tel.Engine(3, 1<<8); zero != resolved {
+	zero, _ := tel.engineFor(0, 0)
+	if resolved, _ := tel.engineFor(3, 1<<8); zero != resolved {
 		t.Error("(0, 0) and its resolved form (3, leaf) built two engines")
 	}
 }
@@ -411,7 +411,7 @@ func BenchmarkReplayWindows(b *testing.B) {
 	for k := 0; k < windows; k++ {
 		st := pop.TelescopeStream(4.5, time.Unix(int64(k)*3600, 0))
 		for valid := 0; valid < nv && st.Next(&pkt); {
-			if tel.Valid(&pkt) {
+			if tel.valid(&pkt) {
 				valid++
 			}
 			if err := pw.WritePacket(&pkt); err != nil {

@@ -41,7 +41,7 @@ func sourceWindow(tb testing.TB) (*Telescope, *Window) {
 func TestSourceTableMatchesRowByRow(t *testing.T) {
 	tel, w := sourceWindow(t)
 	want := assoc.New()
-	w.SourcePackets().Iterate(func(id uint32, n float64) bool {
+	w.Matrix.RowSums().Iterate(func(id uint32, n float64) bool {
 		key := tel.Deanonymize(ipaddr.Addr(id)).String()
 		if want.HasRow(key) {
 			t.Fatalf("two sources deanonymize to %s", key)

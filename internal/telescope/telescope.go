@@ -61,10 +61,9 @@ func (rs *ReaderSource) Err() error { return rs.err }
 
 // Telescope holds the observatory configuration. Construct with New.
 //
-// A Telescope runs one capture at a time: CaptureWindowEngine and
-// CaptureToArchive must not be invoked concurrently with each other
-// (a capture internally shards across
-// goroutines just fine): the per-shard L1 anonymization memos and
+// A Telescope runs one capture at a time: CaptureWindowEngine must not
+// be invoked concurrently with itself (a capture internally shards
+// across goroutines just fine): the per-shard L1 anonymization memos and
 // cached engines reused across captures rely on it. Concurrent
 // windows belong on separate Telescopes, which may share one CryptoPAN
 // memo (WithAnonymizer) or nothing at all, as in the paper's
@@ -128,11 +127,11 @@ func New(darkspace ipaddr.Prefix, anonPassphrase string, opts ...Option) *Telesc
 // handing to further Telescopes via WithAnonymizer.
 func (t *Telescope) Anonymizer() *cryptopan.Cached { return t.anon }
 
-// Valid implements the paper's validity filter: the packet must be
+// valid implements the paper's validity filter: the packet must be
 // destined to the darkspace (external → internal quadrant) and must not
 // carry an un-routable source (bogons and darkspace-internal sources are
 // the "small amount of legitimate traffic" analog that gets discarded).
-func (t *Telescope) Valid(p *pcap.Packet) bool {
+func (t *Telescope) valid(p *pcap.Packet) bool {
 	return t.darkspace.Contains(p.Dst) &&
 		!t.darkspace.Contains(p.Src) &&
 		!ipaddr.IsPrivate(p.Src)
@@ -146,26 +145,13 @@ type Window struct {
 	Dropped    int // packets discarded by the validity filter
 	Matrix     *hypersparse.Matrix
 	Leaves     int // leaf matrices hierarchically summed
-	// Timings is the engine's account of the capture's wall time; the
-	// archive capture, which runs no engine loop, leaves it zero.
+	// Timings is the engine's account of the capture's wall time.
 	Timings engine.Timings
 }
 
 // Duration returns the wall-clock span of the window; constant-packet
 // windows have variable duration (Table I's "CAIDA Duration" column).
 func (w *Window) Duration() time.Duration { return w.End.Sub(w.Start) }
-
-// sourceErr is the read error src held back, if it can have one.
-func sourceErr(src PacketSource) error {
-	if es, ok := src.(engine.Errorer); ok {
-		return es.Err()
-	}
-	return nil
-}
-
-// SourcePackets returns the anonymized per-source packet counts A·1 of
-// the window.
-func (w *Window) SourcePackets() *hypersparse.Vector { return w.Matrix.RowSums() }
 
 // Deanonymize maps an anonymized address back to the original by
 // walking the telescope's key backwards. This is the paper's
@@ -188,7 +174,7 @@ func (t *Telescope) Deanonymize(a ipaddr.Addr) ipaddr.Addr {
 // handed over in one call (assoc.SetRows), so the table's keys pin that
 // arena while any of them is reachable.
 func (t *Telescope) SourceTable(w *Window) *assoc.Assoc {
-	packets := w.SourcePackets()
+	packets := w.Matrix.RowSums() // anonymized per-source packet counts A·1
 	n := packets.NNZ()
 	origs := make([]ipaddr.Addr, n)
 	for i, id := range packets.IDs() {

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/archive"
+	"repro/internal/hypersparse"
 	"repro/internal/ipaddr"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
@@ -40,7 +40,7 @@ func TestValidFilter(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := &pcap.Packet{Src: ipaddr.MustParse(c.src), Dst: ipaddr.MustParse(c.dst)}
-		if got := tel.Valid(p); got != c.want {
+		if got := tel.valid(p); got != c.want {
 			t.Errorf("Valid(%s->%s) = %v, want %v", c.src, c.dst, got, c.want)
 		}
 	}
@@ -236,16 +236,6 @@ func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
 			_, err := tel.CaptureWindowEngine(context.Background(), src, nv, 4, 256)
 			return err
 		},
-		"archive": func(tel *Telescope, src PacketSource) error {
-			aw, err := archive.Create(t.TempDir())
-			if err != nil {
-				return err
-			}
-			if _, _, err := tel.CaptureToArchive(src, nv, aw); err != nil {
-				return err
-			}
-			return aw.Finish()
-		},
 	}
 	for name, capture := range captures {
 		tel := New(dark, "sweep", WithLeafSize(256))
@@ -271,34 +261,29 @@ func TestDestinationSweepGrowsMemoBySourcesOnly(t *testing.T) {
 	}
 }
 
-// TestLeavesAgreeAcrossCapturePaths: the same valid packets cut the
-// same number of leaves on the archive and the one-shard engine path,
-// whether or not the last leaf is full.
+// TestLeavesAgreeAcrossCapturePaths: at one shard a window cuts
+// ceil(nv/leafSize) leaves, whether or not the last leaf is full, and
+// however the engine slices the stream into read batches — one packet,
+// a partial leaf, or the default batch.
 func TestLeavesAgreeAcrossCapturePaths(t *testing.T) {
 	dark := ipaddr.MustParsePrefix("44.0.0.0/8")
 	for _, tc := range []struct{ nv, want int }{{300, 3}, {256, 2}} {
-		src := func() PacketSource {
-			return &sweepSource{rng: rand.New(rand.NewSource(9)), dark: dark, sources: []ipaddr.Addr{0x0b000001, 0x0b000002}}
-		}
-		tel := New(dark, "leaves", WithLeafSize(128))
-		eng, err := tel.CaptureWindowEngine(context.Background(), src(), tc.nv, 1, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aw, err := archive.Create(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		archived, _, err := tel.CaptureToArchive(src(), tc.nv, aw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eng.NV != tc.nv || archived != tc.nv {
-			t.Fatalf("nv=%d: captured %d / %d packets", tc.nv, eng.NV, archived)
-		}
-		if eng.Leaves != tc.want || aw.Leaves() != tc.want {
-			t.Errorf("nv=%d: Leaves engine %d, archive %d, want %d",
-				tc.nv, eng.Leaves, aw.Leaves(), tc.want)
+		var first *Window
+		for _, batch := range []int{1, 64, 0} {
+			src := &sweepSource{rng: rand.New(rand.NewSource(9)), dark: dark, sources: []ipaddr.Addr{0x0b000001, 0x0b000002}}
+			w, err := New(dark, "leaves", WithLeafSize(128)).CaptureWindowEngine(context.Background(), src, tc.nv, 1, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.NV != tc.nv || w.Leaves != tc.want {
+				t.Errorf("nv=%d batch=%d: captured %d packets in %d leaves, want %d leaves",
+					tc.nv, batch, w.NV, w.Leaves, tc.want)
+			}
+			if first == nil {
+				first = w
+			} else if !hypersparse.Equal(w.Matrix, first.Matrix) {
+				t.Errorf("nv=%d batch=%d: matrix differs from batch 1", tc.nv, batch)
+			}
 		}
 	}
 }
@@ -326,20 +311,14 @@ func (s *failingSource) NextBatch(dst []pcap.Packet) int {
 func (s *failingSource) Err() error { return s.err }
 
 // TestEveryCaptureSurfacesSourceError: a source's held-back read error
-// must fail the capture on both entry points, whatever the
-// source's concrete type — never a short window or a short archive with
-// a nil error.
+// must fail the capture, whatever the source's concrete type — never a
+// short window with a nil error.
 func TestEveryCaptureSurfacesSourceError(t *testing.T) {
 	tel := New(ipaddr.MustParsePrefix("44.0.0.0/8"), "errorer", WithLeafSize(64))
-	if _, err := tel.CaptureWindowEngine(context.Background(), &failingSource{n: 100}, 1<<20, 1, 0); err == nil {
-		t.Error("CaptureWindowEngine returned a truncated window with a nil error")
-	}
-	aw, err := archive.Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tel.CaptureToArchive(&failingSource{n: 100}, 1<<20, aw); err == nil {
-		t.Error("CaptureToArchive returned a truncated archive with a nil error")
+	for _, workers := range []int{1, 4} {
+		if _, err := tel.CaptureWindowEngine(context.Background(), &failingSource{n: 100}, 1<<20, workers, 0); err == nil {
+			t.Errorf("workers=%d: CaptureWindowEngine returned a truncated window with a nil error", workers)
+		}
 	}
 }
 

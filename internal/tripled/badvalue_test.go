@@ -72,11 +72,11 @@ func TestStoreRejectsLineBreakingValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := NewStore()
-	if err := back.ReplayLog(bytes.NewReader(log.Bytes())); err != nil {
+	if err := back.replayLog(bytes.NewReader(log.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if !bucketsEqual(back.BucketDigests(16), s.BucketDigests(16)) || back.NNZ() != s.NNZ() {
-		t.Fatalf("WriteLog -> ReplayLog changed the table: %d cells became %d", s.NNZ(), back.NNZ())
+		t.Fatalf("WriteLog -> replayLog changed the table: %d cells became %d", s.NNZ(), back.NNZ())
 	}
 	verifyStoreInvariants(t, back)
 }
@@ -102,7 +102,7 @@ func TestWriteLogReplayRoundTripsEveryAcceptedValue(t *testing.T) {
 		t.Fatalf("log of %d cells has %d lines", n, got)
 	}
 	back := NewStore()
-	if err := back.ReplayLog(&log); err != nil {
+	if err := back.replayLog(&log); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := storeLog(t, back), storeLog(t, s); !bytes.Equal(got, want) {

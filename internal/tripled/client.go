@@ -78,13 +78,13 @@ type Client struct {
 
 // Dial connects to a tripled server with DefaultDialTimeout.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
+	return dialContext(context.Background(), addr, opts...)
 }
 
-// DialContext connects to a tripled server. The context bounds the
+// dialContext connects to a tripled server. The context bounds the
 // connect attempt together with the (always-armed) dial timeout;
 // cancel it to abandon a dial early.
-func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
+func dialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := dialConfig{dialTimeout: DefaultDialTimeout}
 	for _, o := range opts {
 		o(&cfg)
@@ -175,14 +175,14 @@ func putLine(row, col string, v assoc.Value) string {
 
 // validateWire refuses, before anything is sent, what the server would
 // refuse or — worse — misread in a cell of a row whose key has passed
-// ValidateKey: a column key or value the line formats cannot carry
+// validateKey: a column key or value the line formats cannot carry
 // (BadKeyError, BadValueError), and a tab inside a string value, which
 // the store can hold but a request line cannot.
 func validateWire(col string, v assoc.Value) error {
-	if err := ValidateKey(col); err != nil {
+	if err := validateKey(col); err != nil {
 		return err
 	}
-	if err := ValidateValue(v); err != nil {
+	if err := validateValue(v); err != nil {
 		return err
 	}
 	if !v.Numeric && strings.Contains(v.Str, "\t") {
@@ -193,7 +193,7 @@ func validateWire(col string, v assoc.Value) error {
 
 // Put stores a value.
 func (c *Client) Put(row, col string, v assoc.Value) error {
-	if err := ValidateKey(row); err != nil {
+	if err := validateKey(row); err != nil {
 		return err
 	}
 	if err := validateWire(col, v); err != nil {
@@ -232,9 +232,9 @@ func (c *Client) PutBatch(cells []Cell) error {
 	return p.Close()
 }
 
-// DeleteBatch removes every addressed cell in one BATCH round trip.
+// deleteBatch removes every addressed cell in one BATCH round trip.
 // Absent cells are not an error.
-func (c *Client) DeleteBatch(keys []CellKey) error {
+func (c *Client) deleteBatch(keys []CellKey) error {
 	p := c.StartPipeline(len(keys))
 	for _, k := range keys {
 		p.Delete(k.Row, k.Col)
@@ -426,10 +426,10 @@ func (c *Client) RowDigests(nb, bucket int) ([]RowDigestEntry, error) {
 	return out, nil
 }
 
-// PrefixEnd returns the smallest string greater than every string with
+// prefixEnd returns the smallest string greater than every string with
 // the given prefix, for use as a scan end bound. An empty prefix (or a
 // prefix of only 0xff bytes) returns "", the unbounded end.
-func PrefixEnd(prefix string) string {
+func prefixEnd(prefix string) string {
 	b := []byte(prefix)
 	for i := len(b) - 1; i >= 0; i-- {
 		if b[i] < 0xff {
@@ -473,7 +473,7 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 	var cells []Cell
 	var err error
 	for {
-		cells, err = c.appendCells(cells[:0], prefix, PrefixEnd(prefix), pageRows, "")
+		cells, err = c.appendCells(cells[:0], prefix, prefixEnd(prefix), pageRows, "")
 		if err != nil {
 			return err
 		}
@@ -484,7 +484,7 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 		for i, cell := range cells {
 			keys[i] = CellKey{Row: cell.Row, Col: cell.Col}
 		}
-		if err := c.DeleteBatch(keys); err != nil {
+		if err := c.deleteBatch(keys); err != nil {
 			return err
 		}
 	}
@@ -510,7 +510,7 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	last := "" // the greatest row key seen so far
 	var err error
 	for {
-		cells, err = c.appendCells(cells[:0], prefix, PrefixEnd(prefix), pageRows, cursor)
+		cells, err = c.appendCells(cells[:0], prefix, prefixEnd(prefix), pageRows, cursor)
 		if err != nil {
 			return nil, err
 		}

@@ -30,7 +30,7 @@ type Config struct {
 
 	DialTimeout time.Duration // per-connect bound; default tripled.DefaultDialTimeout
 	IOTimeout   time.Duration // per-read/write deadline; default DefaultIOTimeout
-	Retry       tripled.Retry // per-node retry/backoff policy; zero value = tripled.DefaultRetry
+	Retry       tripled.Retry // per-node retry/backoff policy; zero value = tripled's default
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -52,7 +52,7 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// ParseSpec parses the textual cluster spec accepted wherever a single
+// parseSpec parses the textual cluster spec accepted wherever a single
 // store address used to go:
 //
 //	"host:p1,host:p2,host:p3[;replicas=N][;vnodes=N]
@@ -62,7 +62,7 @@ func (c Config) withDefaults() (Config, error) {
 // options is ignored. The timeout options exist so one StoreAddr
 // string fully describes the transport — scenario suites and the
 // daemon tune failover latency without new plumbing.
-func ParseSpec(spec string) (Config, error) {
+func parseSpec(spec string) (Config, error) {
 	parts := strings.Split(spec, ";")
 	var cfg Config
 	for _, a := range strings.Split(parts[0], ",") {
@@ -146,10 +146,10 @@ type Client struct {
 
 var _ tripled.Conn = (*Client)(nil)
 
-// New builds a cluster client over the membership. Connections are
-// dialed lazily, so New succeeds even if members are down — they are
+// newClient builds a cluster client over the membership. Connections are
+// dialed lazily, so newClient succeeds even if members are down — they are
 // discovered down on first use.
-func New(cfg Config) (*Client, error) {
+func newClient(cfg Config) (*Client, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -168,11 +168,11 @@ func New(cfg Config) (*Client, error) {
 
 // Dial parses a cluster spec and builds a client over it.
 func Dial(spec string) (*Client, error) {
-	cfg, err := ParseSpec(spec)
+	cfg, err := parseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	return New(cfg)
+	return newClient(cfg)
 }
 
 // Close closes every live connection. The client is unusable after.

@@ -54,7 +54,7 @@ func TestRingDeterministicDistinctBalanced(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec(" a:1 , b:2 ,c:3 ; replicas=3 ; vnodes=16 ; io_timeout=250ms ; retries=2 ")
+	cfg, err := parseSpec(" a:1 , b:2 ,c:3 ; replicas=3 ; vnodes=16 ; io_timeout=250ms ; retries=2 ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("parsed %+v", cfg)
 	}
 	for _, bad := range []string{"", " ; ", "a:1;replicas=0", "a:1;what=3", "a:1;io_timeout=fast"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
+		if _, err := parseSpec(bad); err == nil {
+			t.Errorf("parseSpec(%q) accepted", bad)
 		}
 	}
 	if IsClusterSpec("a:1") || !IsClusterSpec("a:1,b:2") || !IsClusterSpec("a:1;replicas=1") {
@@ -118,7 +118,7 @@ func fastRetry() tripled.Retry {
 
 func (tc *testCluster) client(t *testing.T, replicas int, ioTimeout time.Duration) *Client {
 	t.Helper()
-	c, err := New(Config{
+	c, err := newClient(Config{
 		Addrs:     tc.addrs,
 		Replicas:  replicas,
 		IOTimeout: ioTimeout,
@@ -327,7 +327,7 @@ func runSoak(t *testing.T, tc *testCluster, clients, ops int, ioTimeout time.Dur
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := New(Config{Addrs: tc.addrs, Replicas: 2, IOTimeout: ioTimeout, Retry: fastRetry()})
+			c, err := newClient(Config{Addrs: tc.addrs, Replicas: 2, IOTimeout: ioTimeout, Retry: fastRetry()})
 			if err != nil {
 				atHalf.Done()
 				errs <- err

@@ -24,20 +24,20 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		cfg, err := ParseSpec(spec)
+		cfg, err := parseSpec(spec)
 		if err != nil {
 			return
 		}
 		if len(cfg.Addrs) == 0 {
-			t.Fatalf("ParseSpec(%q) accepted a spec with no addresses", spec)
+			t.Fatalf("parseSpec(%q) accepted a spec with no addresses", spec)
 		}
 		for _, a := range cfg.Addrs {
 			if a == "" || a != strings.TrimSpace(a) || strings.ContainsAny(a, ",;") {
-				t.Fatalf("ParseSpec(%q): address %q", spec, a)
+				t.Fatalf("parseSpec(%q): address %q", spec, a)
 			}
 		}
 		if cfg.Replicas < 0 || cfg.VNodes < 0 || cfg.Retry.Attempts < 0 || cfg.IOTimeout < 0 || cfg.DialTimeout < 0 {
-			t.Fatalf("ParseSpec(%q) set an option below one: %+v", spec, cfg)
+			t.Fatalf("parseSpec(%q) set an option below one: %+v", spec, cfg)
 		}
 		out := strings.Join(cfg.Addrs, ",")
 		for _, opt := range []struct {
@@ -55,9 +55,9 @@ func FuzzParseSpec(f *testing.F) {
 				out += fmt.Sprintf(";%s=%v", opt.key, opt.val)
 			}
 		}
-		again, err := ParseSpec(out)
+		again, err := parseSpec(out)
 		if err != nil || !reflect.DeepEqual(again, cfg) {
-			t.Fatalf("ParseSpec(%q) = %+v, written back as %q it parses to %+v, %v", spec, cfg, out, again, err)
+			t.Fatalf("parseSpec(%q) = %+v, written back as %q it parses to %+v, %v", spec, cfg, out, again, err)
 		}
 	})
 }

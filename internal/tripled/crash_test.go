@@ -1,4 +1,4 @@
-package tripled_test
+package tripled
 
 // crash_test.go is the real-crash gate: the test binary re-executes
 // itself as a durable tripled server (testkit.Reexec, the helper-process
@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/assoc"
 	"repro/internal/testkit"
-	"repro/internal/tripled"
 	"repro/internal/tripled/wal"
 )
 
@@ -27,9 +26,9 @@ func TestMain(m *testing.M) {
 // runCrashHelper is the subprocess body: a durable server on the data
 // dir args[0] that prints its readiness line and parks until killed.
 func runCrashHelper(args []string) {
-	srv, err := tripled.Serve(tripled.NewStoreStripes(4), "127.0.0.1:0",
-		tripled.WithDataDir(args[0]),
-		tripled.WithWALSyncPolicy(wal.SyncInterval))
+	srv, err := Serve(NewStoreStripes(4), "127.0.0.1:0",
+		WithDataDir(args[0]),
+		WithWALSyncPolicy(wal.SyncInterval))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash helper:", err)
 		os.Exit(1)
@@ -55,15 +54,15 @@ func TestKill9MidBatchRecoversAckedPrefix(t *testing.T) {
 	p := testkit.Reexec(t, "crash-server", "LISTEN ", dir)
 	addr := p.Ready
 
-	c, err := tripled.Dial(addr)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := tripled.NewStoreStripes(1)
+	oracle := NewStoreStripes(1)
 	for i := 0; i < 25; i++ {
-		cells := make([]tripled.Cell, 0, 8)
+		cells := make([]Cell, 0, 8)
 		for j := 0; j < 8; j++ {
-			cells = append(cells, tripled.Cell{
+			cells = append(cells, Cell{
 				Row: fmt.Sprintf("b%02d", i),
 				Col: fmt.Sprintf("c%d", j),
 				Val: assoc.Num(float64(i*100 + j)),
@@ -76,7 +75,7 @@ func TestKill9MidBatchRecoversAckedPrefix(t *testing.T) {
 			oracle.Put(cell.Row, cell.Col, cell.Val)
 		}
 		if i%5 == 0 {
-			if err := c.DeleteBatch([]tripled.CellKey{{Row: fmt.Sprintf("b%02d", i), Col: "c7"}}); err != nil {
+			if err := c.deleteBatch([]CellKey{{Row: fmt.Sprintf("b%02d", i), Col: "c7"}}); err != nil {
 				t.Fatal(err)
 			}
 			oracle.Delete(fmt.Sprintf("b%02d", i), "c7")
@@ -98,7 +97,7 @@ func TestKill9MidBatchRecoversAckedPrefix(t *testing.T) {
 	raw.Close()
 
 	p2 := testkit.Reexec(t, "crash-server", "LISTEN ", dir)
-	c2, err := tripled.Dial(p2.Ready)
+	c2, err := Dial(p2.Ready)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestKill9MidBatchRecoversAckedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	p3 := testkit.Reexec(t, "crash-server", "LISTEN ", dir)
-	c3, err := tripled.Dial(p3.Ready)
+	c3, err := Dial(p3.Ready)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestDialTimeoutIsBounded(t *testing.T) {
 func TestDialContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DialContext(ctx, "203.0.113.1:9"); err == nil {
+	if _, err := dialContext(ctx, "203.0.113.1:9"); err == nil {
 		t.Fatal("dial with cancelled context succeeded")
 	} else if !Retryable(err) {
 		t.Fatalf("cancelled dial error %v classified %v, want retryable", err, Classify(err))
@@ -152,7 +152,7 @@ func TestBackoffBounded(t *testing.T) {
 	r := Retry{Attempts: 8, Base: 10 * time.Millisecond, Max: 80 * time.Millisecond}
 	for attempt := 1; attempt <= 8; attempt++ {
 		for i := 0; i < 50; i++ {
-			d := r.Backoff(attempt, nil)
+			d := r.backoff(attempt, nil)
 			if d < 0 || d > r.Max {
 				t.Fatalf("attempt %d backoff %v outside [0, %v]", attempt, d, r.Max)
 			}

@@ -50,8 +50,8 @@ func DigestBucket(row string, nb int) int {
 	return int(h % uint64(nb))
 }
 
-// CellDigest returns the digest of one cell.
-func CellDigest(row, col string, v assoc.Value) uint64 {
+// cellDigest returns the digest of one cell.
+func cellDigest(row, col string, v assoc.Value) uint64 {
 	marker := "s"
 	if v.Numeric {
 		marker = "n"
@@ -71,7 +71,7 @@ func (r *row) digest() RowDigestEntry {
 	e := RowDigestEntry{Row: r.key}
 	for c := range r.cells.All() {
 		e.Count++
-		e.Sum += CellDigest(r.key, c.Key, c.Val)
+		e.Sum += cellDigest(r.key, c.Key, c.Val)
 	}
 	return e
 }

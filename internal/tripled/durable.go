@@ -76,7 +76,7 @@ func (s *Server) openWAL() error {
 	if snap != nil {
 		rec.HadSnapshot = true
 		before := s.store.NNZ()
-		err := s.store.ReplayLog(snap)
+		err := s.store.replayLog(snap)
 		snap.Close()
 		if err != nil {
 			lg.Close()
@@ -166,7 +166,7 @@ func applyRuns(store *Store, ops *mutations) {
 	puts, dels := ops.puts, ops.dels
 	for _, run := range ops.runs {
 		if run.del {
-			store.DeleteBatch(dels[:run.n])
+			store.deleteBatch(dels[:run.n])
 			dels = dels[run.n:]
 		} else {
 			store.putCells(puts[:run.n])

@@ -82,7 +82,7 @@ func TestDurableServerRecoversMutations(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteBatch([]CellKey{{Row: "beta", Col: "x"}}); err != nil {
+	if err := c.deleteBatch([]CellKey{{Row: "beta", Col: "x"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put("alpha", "x", assoc.Num(9)); err != nil { // overwrite
@@ -118,7 +118,7 @@ func TestDurableCompactionSnapshotThenTail(t *testing.T) {
 	if err := c.Put("post", "c", assoc.Num(99)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteBatch([]CellKey{{Row: "r00", Col: "c"}}); err != nil {
+	if err := c.deleteBatch([]CellKey{{Row: "r00", Col: "c"}}); err != nil {
 		t.Fatal(err)
 	}
 	want := storeLog(t, store)
@@ -189,7 +189,7 @@ func TestWALCompactionUnderConcurrentWriters(t *testing.T) {
 							{Row: row, Col: "b", Val: assoc.Str(fmt.Sprintf("v%d", i))},
 						})
 					case 3:
-						err = c.DeleteBatch([]CellKey{{Row: row, Col: "b"}})
+						err = c.deleteBatch([]CellKey{{Row: row, Col: "b"}})
 					default:
 						err = c.Put(row, "a", assoc.Num(float64(i)))
 					}
@@ -253,7 +253,7 @@ func TestStoreRejectsLogBreakingKeys(t *testing.T) {
 	if err := s.WriteLog(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewStore().ReplayLog(&b); err != nil {
+	if err := NewStore().replayLog(&b); err != nil {
 		t.Fatal(err)
 	}
 }

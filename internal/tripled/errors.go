@@ -62,7 +62,7 @@ var ErrStaleRing = errors.New("tripled: ring view stale (live nodes below quorum
 
 // BadKeyError reports a row or column key that would corrupt the
 // line-oriented formats the store round-trips through — the wire
-// protocol, WriteLog/ReplayLog, and the WAL all frame cells as
+// protocol, WriteLog/replayLog, and the WAL all frame cells as
 // tab-separated lines, so a key holding a tab, newline, or carriage
 // return would silently shift fields on replay. It classifies fatal:
 // the same key is refused on every retry.
@@ -72,8 +72,8 @@ func (e *BadKeyError) Error() string {
 	return fmt.Sprintf("tripled: key %q contains a tab, newline, or carriage return", e.Key)
 }
 
-// ValidateKey rejects keys that cannot survive the line formats.
-func ValidateKey(k string) error {
+// validateKey rejects keys that cannot survive the line formats.
+func validateKey(k string) error {
 	for i := 0; i < len(k); i++ {
 		switch k[i] {
 		case '\t', '\n', '\r':
@@ -95,9 +95,9 @@ func (e *BadValueError) Error() string {
 	return fmt.Sprintf("tripled: value %q contains a newline or carriage return", e.Value)
 }
 
-// ValidateValue rejects string values that cannot survive the line
+// validateValue rejects string values that cannot survive the line
 // formats; a numeric value renders as digits and always can.
-func ValidateValue(v assoc.Value) error {
+func validateValue(v assoc.Value) error {
 	if v.Numeric {
 		return nil
 	}
@@ -165,17 +165,17 @@ type Retry struct {
 	Max      time.Duration // backoff ceiling
 }
 
-// DefaultRetry is the cluster transport's policy: three tries spread
+// defaultRetry is the cluster transport's policy: three tries spread
 // over at most ~worst-case 25+50 ms of sleep — enough to ride out a
 // server restart's accept gap without turning a dead node into a
 // multi-second stall per operation.
-func DefaultRetry() Retry {
+func defaultRetry() Retry {
 	return Retry{Attempts: 3, Base: 25 * time.Millisecond, Max: 250 * time.Millisecond}
 }
 
 // norm returns the policy with zero values defaulted.
 func (r Retry) norm() Retry {
-	d := DefaultRetry()
+	d := defaultRetry()
 	if r.Attempts < 1 {
 		r.Attempts = d.Attempts
 	}
@@ -188,9 +188,9 @@ func (r Retry) norm() Retry {
 	return r
 }
 
-// Backoff returns the sleep before attempt (1-based attempt numbers;
+// backoff returns the sleep before attempt (1-based attempt numbers;
 // attempt 0 or 1 never sleeps). rng may be nil for the global source.
-func (r Retry) Backoff(attempt int, rng *rand.Rand) time.Duration {
+func (r Retry) backoff(attempt int, rng *rand.Rand) time.Duration {
 	if attempt <= 1 {
 		return 0
 	}
@@ -212,7 +212,7 @@ func (r Retry) Do(rng *rand.Rand, op func() error) error {
 	r = r.norm()
 	var err error
 	for attempt := 1; attempt <= r.Attempts; attempt++ {
-		if d := r.Backoff(attempt, rng); d > 0 {
+		if d := r.backoff(attempt, rng); d > 0 {
 			time.Sleep(d)
 		}
 		if err = op(); err == nil || !Retryable(err) {

@@ -109,7 +109,7 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte("\x00P\t\xff\t\t\t\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := NewStoreStripes(3)
-		store.ReplayLog(strings.NewReader(string(data))) // error or nil, never panic
+		store.replayLog(strings.NewReader(string(data))) // error or nil, never panic
 		verifyStoreInvariants(t, store)
 	})
 }
@@ -189,8 +189,8 @@ func FuzzStoreScan(f *testing.F) {
 						want++
 					}
 				}
-				if got := s.DeleteBatch(keys); got != want {
-					t.Fatalf("step %d: DeleteBatch of %d keys = %d, model %d", step, len(keys), got, want)
+				if got := s.deleteBatch(keys); got != want {
+					t.Fatalf("step %d: deleteBatch of %d keys = %d, model %d", step, len(keys), got, want)
 				}
 			case 4:
 				start, end, cursor, limit := bound(next()), bound(next()), bound(next()), int(next()%12)-2
@@ -264,7 +264,7 @@ func fetchAssocCellByCell(c *Client, prefix string, pageRows int) (*assoc.Assoc,
 	out := assoc.New()
 	cursor := ""
 	for {
-		cells, err := c.appendCells(nil, prefix, PrefixEnd(prefix), pageRows, cursor)
+		cells, err := c.appendCells(nil, prefix, prefixEnd(prefix), pageRows, cursor)
 		if err != nil {
 			return nil, err
 		}

@@ -138,7 +138,7 @@ func (m *mapStore) bucketDigests(nb int) []BucketDigest {
 		b := DigestBucket(row, nb)
 		for col, v := range cells {
 			out[b].Count++
-			out[b].Sum += CellDigest(row, col, v)
+			out[b].Sum += cellDigest(row, col, v)
 		}
 	}
 	return out
@@ -152,7 +152,7 @@ func (m *mapStore) rowDigests(nb, bucket int) []RowDigestEntry {
 		}
 		e := RowDigestEntry{Row: row, Count: len(cells)}
 		for col, v := range cells {
-			e.Sum += CellDigest(row, col, v)
+			e.Sum += cellDigest(row, col, v)
 		}
 		out = append(out, e)
 	}
@@ -322,14 +322,14 @@ func TestStoreMatchesMapOracle(t *testing.T) {
 							keys = append(keys, CellKey{Row: r, Col: c})
 						}
 					}
-					what = fmt.Sprintf("DeleteBatch(%d keys)", len(keys))
+					what = fmt.Sprintf("deleteBatch(%d keys)", len(keys))
 					want := 0
 					for _, k := range keys {
 						if m.del(k.Row, k.Col) {
 							want++
 						}
 					}
-					if got := s.DeleteBatch(keys); got != want {
+					if got := s.deleteBatch(keys); got != want {
 						t.Fatalf("step %d: %s = %d, model %d", step, what, got, want)
 					}
 				default:

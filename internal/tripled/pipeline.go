@@ -49,7 +49,7 @@ func (p *Pipeline) Put(row, col string, v assoc.Value) {
 		return
 	}
 	if row != p.row { // tables arrive row-major: a row's key is checked once, not once per cell
-		if p.err = ValidateKey(row); p.err != nil {
+		if p.err = validateKey(row); p.err != nil {
 			return
 		}
 		p.row = row
@@ -66,8 +66,8 @@ func (p *Pipeline) Delete(row, col string) {
 	if p.err != nil {
 		return
 	}
-	if p.err = ValidateKey(row); p.err == nil {
-		p.err = ValidateKey(col)
+	if p.err = validateKey(row); p.err == nil {
+		p.err = validateKey(col)
 	}
 	if p.err != nil {
 		return

@@ -123,12 +123,12 @@ func TestPagedScanCoversEveryRowOnce(t *testing.T) {
 				m.put(row, "c", assoc.Num(float64(i)))
 			}
 		}
-		want, _ := m.scanRows("p/", PrefixEnd("p/"), 0, "")
+		want, _ := m.scanRows("p/", prefixEnd("p/"), 0, "")
 		for _, page := range []int{1, 255, 256, 257, 512, 1499, 1500, 1501} {
 			var got []string
 			cursor := ""
 			for {
-				cells, more := s.appendCells(nil, "p/", PrefixEnd("p/"), page, cursor)
+				cells, more := s.appendCells(nil, "p/", prefixEnd("p/"), page, cursor)
 				for _, c := range cells { // one cell a row
 					got = append(got, c.Row)
 				}
@@ -195,7 +195,7 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 				for j, c := range cells {
 					keys[j] = CellKey{Row: c.Row, Col: c.Col}
 				}
-				s.DeleteBatch(keys)
+				s.deleteBatch(keys)
 				s.PutBatch(cells)
 			}
 		}(w)
@@ -208,7 +208,7 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 				var seen []string
 				cursor := ""
 				for {
-					cells, more := s.appendCells(nil, "t/", PrefixEnd("t/"), limit, cursor)
+					cells, more := s.appendCells(nil, "t/", prefixEnd("t/"), limit, cursor)
 					if len(cells)%len(cols) != 0 {
 						t.Errorf("limit %d: page of %d cells after %q is not whole rows", limit, len(cells), cursor)
 						return
@@ -266,7 +266,7 @@ func TestPageAllocsIndependentOfStripesAndStoreSize(t *testing.T) {
 		}
 		buf := make([]Cell, 0, 3*512)
 		return testing.AllocsPerRun(20, func() {
-			cells, more := s.appendCells(buf[:0], "t/", PrefixEnd("t/"), 512, "t/000100")
+			cells, more := s.appendCells(buf[:0], "t/", prefixEnd("t/"), 512, "t/000100")
 			if len(cells) != 3*512 || !more {
 				t.Fatalf("page holds %d cells, more=%v", len(cells), more)
 			}

@@ -474,17 +474,17 @@ func parseMutation(parts []string) (Cell, error) {
 	if len(parts) != 5 {
 		return Cell{}, errors.New("PUT wants 4 arguments")
 	}
-	if err := ValidateKey(parts[1]); err != nil {
+	if err := validateKey(parts[1]); err != nil {
 		return Cell{}, err
 	}
-	if err := ValidateKey(parts[2]); err != nil {
+	if err := validateKey(parts[2]); err != nil {
 		return Cell{}, err
 	}
 	v, err := parseValue(parts[3], parts[4])
 	if err != nil {
 		return Cell{}, err
 	}
-	if err := ValidateValue(v); err != nil {
+	if err := validateValue(v); err != nil {
 		return Cell{}, err
 	}
 	return Cell{Row: parts[1], Col: parts[2], Val: v}, nil

@@ -53,7 +53,7 @@ func TestBatchPutDelete(t *testing.T) {
 		keys = append(keys, CellKey{Row: "r" + strconv.Itoa(i), Col: "packets"})
 	}
 	keys = append(keys, CellKey{Row: "absent", Col: "absent"}) // not an error
-	if err := c.DeleteBatch(keys); err != nil {
+	if err := c.deleteBatch(keys); err != nil {
 		t.Fatal(err)
 	}
 	if nnz := srv.store.NNZ(); nnz != 50 {
@@ -322,7 +322,7 @@ func TestCellsPageIsClamped(t *testing.T) {
 	if err := srv.store.PutBatch(cells); err != nil {
 		t.Fatal(err)
 	}
-	page, err := c.appendCells(nil, "t/", PrefixEnd("t/"), 1_000_000_000, "")
+	page, err := c.appendCells(nil, "t/", prefixEnd("t/"), 1_000_000_000, "")
 	if err != nil || len(page) != maxPageRows || page[len(page)-1].Row != cells[maxPageRows-1].Row {
 		t.Fatalf("CELLS for 1e9 rows returned %d rows, %v; want the first %d", len(page), err, maxPageRows)
 	}

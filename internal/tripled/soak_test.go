@@ -103,7 +103,7 @@ func TestConcurrentSoakMatchesOracle(t *testing.T) {
 				case "put":
 					err = c.Put(op.row, op.col, op.val)
 				case "del":
-					err = c.DeleteBatch([]CellKey{{Row: op.row, Col: op.col}})
+					err = c.deleteBatch([]CellKey{{Row: op.row, Col: op.col}})
 				case "batch":
 					err = c.PutBatch(batchCells(id, i, op.n))
 				case "get":

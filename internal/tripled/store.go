@@ -47,13 +47,13 @@ type Cell struct {
 // validate refuses a cell whose keys or value cannot survive the line
 // formats (BadKeyError, BadValueError).
 func (c *Cell) validate() error {
-	if err := ValidateKey(c.Row); err != nil {
+	if err := validateKey(c.Row); err != nil {
 		return err
 	}
-	if err := ValidateKey(c.Col); err != nil {
+	if err := validateKey(c.Col); err != nil {
 		return err
 	}
-	return ValidateValue(c.Val)
+	return validateValue(c.Val)
 }
 
 // CellKey addresses a cell without its value, the unit of batched
@@ -266,9 +266,9 @@ func (st *stripe) del(key, col string) bool {
 	return true
 }
 
-// DeleteBatch removes every addressed cell, with the same run-wise
+// deleteBatch removes every addressed cell, with the same run-wise
 // stripe locking as PutBatch, and returns how many existed.
-func (s *Store) DeleteBatch(keys []CellKey) int {
+func (s *Store) deleteBatch(keys []CellKey) int {
 	if len(keys) == 0 {
 		return 0
 	}
@@ -470,9 +470,9 @@ func (s *Store) WriteLog(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReplayLog applies PUT records produced by WriteLog (or by a server
+// replayLog applies PUT records produced by WriteLog (or by a server
 // session log) to the store.
-func (s *Store) ReplayLog(r io.Reader) error {
+func (s *Store) replayLog(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	line := 0

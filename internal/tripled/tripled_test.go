@@ -146,7 +146,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
-	if err := s2.ReplayLog(&buf); err != nil {
+	if err := s2.replayLog(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if s2.NNZ() != 2 {
@@ -163,8 +163,8 @@ func TestLogRoundTrip(t *testing.T) {
 func TestReplayLogErrors(t *testing.T) {
 	s := NewStore()
 	for _, bad := range []string{"X\tr\tc\tn\t1\n", "P\tr\tc\n", "P\tr\tc\tq\tv\n", "P\tr\tc\tn\tnotnum\n"} {
-		if err := s.ReplayLog(bytes.NewReader([]byte(bad))); err == nil {
-			t.Errorf("ReplayLog(%q) succeeded", bad)
+		if err := s.replayLog(bytes.NewReader([]byte(bad))); err == nil {
+			t.Errorf("replayLog(%q) succeeded", bad)
 		}
 	}
 }
@@ -264,7 +264,7 @@ func TestClientServerProtocol(t *testing.T) {
 	}
 
 	for range 2 { // the second delete finds nothing, which is no error
-		if err := c.DeleteBatch([]CellKey{{Row: "2.2.2.2", Col: "packets"}}); err != nil {
+		if err := c.deleteBatch([]CellKey{{Row: "2.2.2.2", Col: "packets"}}); err != nil {
 			t.Fatal(err)
 		}
 	}

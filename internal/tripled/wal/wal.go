@@ -99,7 +99,7 @@ type RecoveryStats struct {
 }
 
 // Log is a segmented write-ahead log rooted at one directory. Append,
-// Sync, Compact and Close are safe for concurrent use; Replay and
+// Compact and Close are safe for concurrent use; Replay and
 // Snapshot are meant for the single-threaded recovery pass before
 // serving starts.
 type Log struct {
@@ -362,17 +362,6 @@ func (l *Log) rotateLocked() error {
 	l.f, l.size, l.dirty = f, 0, false
 	l.segs = append(l.segs, l.seq)
 	return l.syncDir()
-}
-
-// Sync forces an fsync of the active segment.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	l.dirty = false
-	return l.f.Sync()
 }
 
 func (l *Log) syncLoop() {

@@ -33,9 +33,12 @@ var keptWithoutCaller = map[string]string{
 
 // TestEveryExportedNameHasACaller is the lock on internal/'s surface:
 // every exported function or method declared in a non-test file under
-// internal/ must be reachable from some file other than its own
-// package's _test.go — from cmd/, examples/, benchmark/, the root
-// package, another package's tests, or a declaration those reach. It
+// internal/ must be called from outside its own package — by another
+// package's tests, or by a live declaration in cmd/, benchmark/, the
+// root package or another internal/ package, live meaning reached from
+// those roots. An examples/ program is a root too, but its call alone
+// does not keep an exported name: an example shows API that a command
+// or another package already uses. It
 // resolves names with go/parser alone: a function by its package, a
 // method by its bare name (so Add or Config pass by collision). That
 // makes it a lower bound which keeps a tail of test-only API from
@@ -130,17 +133,21 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	}
 
 	// Roots: every declaration outside internal/, every test, init and
-	// blank declarations. A test reaches other packages' names only.
+	// blank declarations, and what keptWithoutCaller keeps. A test
+	// reaches other packages' names only.
 	declaredBy := make(map[string][]*node)
 	for _, n := range nodes {
 		for _, name := range n.declares {
 			declaredBy[name] = append(declaredBy[name], n)
 		}
 	}
+	// live is what the roots reach; called is what a live node outside
+	// the declaring package, and not an example, mentions.
 	live := make(map[*node]bool)
+	called := make(map[*node]bool)
 	var work []*node
 	for _, n := range nodes {
-		root := n.test || !strings.HasPrefix(n.dir, "internal/")
+		root := n.test || !strings.HasPrefix(n.dir, "internal/") || keptWithoutCaller[n.exported] != ""
 		for _, name := range n.declares {
 			root = root || strings.HasSuffix(name, ".init") || strings.HasSuffix(name, "._")
 		}
@@ -152,9 +159,16 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
+		example := strings.HasPrefix(n.dir, "examples/")
 		for name := range n.mentions {
 			for _, m := range declaredBy[name] {
-				if !live[m] && !(n.test && n.dir == m.dir) {
+				if n.test && n.dir == m.dir {
+					continue
+				}
+				if n.dir != m.dir && !example {
+					called[m] = true
+				}
+				if !live[m] {
 					live[m] = true
 					work = append(work, m)
 				}
@@ -171,21 +185,21 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 		}
 		total++
 		known[n.exported] = true
-		if !live[n] && keptWithoutCaller[n.exported] == "" {
+		if !called[n] && keptWithoutCaller[n.exported] == "" {
 			orphans = append(orphans, n.exported)
 		}
 	}
 	sort.Strings(orphans)
 	if len(orphans) > 0 {
-		t.Errorf("%d of %d exported functions and methods under internal/ are reached by nothing but their own package's tests:\n  %s\n"+
-			"Rule: a name stays if a cmd/, an examples/ program, a scenario or benchmark/ reaches it, or if another package's tests use it as a reference or fixture. "+
+		t.Errorf("%d of %d exported functions and methods under internal/ are reached by nothing but their own package or an example:\n  %s\n"+
+			"Rule: a name stays if cmd/, benchmark/ or another internal/ package reaches it, or if another package's tests use it as a reference or fixture; an examples/ program alone is not a caller. "+
 			"Otherwise delete it with the tests that exist only for it, or move a test-only helper into the _test.go that needs it; "+
 			"safety code with no caller yet goes in keptWithoutCaller with its reason.",
 			len(orphans), total, strings.Join(orphans, "\n  "))
 	}
 	t.Logf("%d exported functions and methods under internal/, %d kept without a caller", total, len(keptWithoutCaller))
 	for _, n := range nodes {
-		if keptWithoutCaller[n.exported] != "" && live[n] {
+		if keptWithoutCaller[n.exported] != "" && called[n] {
 			t.Errorf("keptWithoutCaller names %s, which has a caller now: drop the entry", n.exported)
 		}
 	}
