@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/assoc"
 	"repro/internal/ipaddr"
+	"repro/internal/radix"
 	"repro/internal/stats"
 )
 
@@ -48,7 +49,8 @@ func NewMonth(label string, month int, addrs []ipaddr.Addr) MonthData {
 	for i, a := range addrs {
 		set[i] = uint32(a)
 	}
-	return MonthData{Label: label, Month: month, set: slices.Compact(radixSort(set, 4))}
+	set = radix.Sort(set, make([]uint32, len(set)))
+	return MonthData{Label: label, Month: month, set: slices.Compact(set)}
 }
 
 // Sources counts the month's unique sources (Table I's GreyNoise column).

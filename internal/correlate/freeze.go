@@ -6,8 +6,8 @@ package correlate
 // ipaddr.Addr.AppendTo, and both fetches refuse anything else), so
 // ipaddr.Parse maps it to its uint32 with no shared key space to build.
 // A job walks its table's rows in map order, parses each key, and sorts
-// the resulting set once; no job waits on another. The sort is an LSD
-// radix sort, a linear pass a byte: on a study_batch-shaped study
+// the resulting set once; no job waits on another. The sort is
+// radix.Sort, a linear pass a varying byte: on a study_batch-shaped study
 // (BenchmarkFreeze/batch, 2 vCPU) slices.Sort's comparisons made the
 // freeze about a third slower.
 //
@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/ipaddr"
 	"repro/internal/pool"
+	"repro/internal/radix"
 	"repro/internal/stats"
 )
 
@@ -69,7 +70,7 @@ func freezeMonth(m *MonthData) (frozenMonth, error) {
 		}
 		ids = append(ids, uint32(a))
 	}
-	return frozenMonth{label: m.Label, month: m.Month, ids: radixSort(ids, 4)}, nil
+	return frozenMonth{label: m.Label, month: m.Month, ids: radix.Sort(ids, make([]uint32, len(ids)))}, nil
 }
 
 // freezeSnapshot keys each banded source by band above address, so one
@@ -92,7 +93,7 @@ func freezeSnapshot(s *Snapshot) (frozenSnapshot, error) {
 		}
 		keyed = append(keyed, uint64(b)<<32|uint64(a))
 	}
-	keyed = radixSort(keyed, 8)
+	keyed = radix.Sort(keyed, make([]uint64, len(keyed)))
 	ids := make([]uint32, len(keyed))
 	fs := frozenSnapshot{label: s.Label, month: s.Month, nv: s.NV}
 	for lo := 0; lo < len(keyed); {
@@ -108,27 +109,4 @@ func freezeSnapshot(s *Snapshot) (frozenSnapshot, error) {
 
 func notAddress(table, key string) error {
 	return fmt.Errorf("correlate: table %s: row key %q is not a dotted-quad address", table, key)
-}
-
-// radixSort sorts keys ascending by their low nbytes bytes, least
-// significant first, one counting pass a byte through one scratch
-// slice. An even nbytes leaves the result in keys' own backing array.
-func radixSort[K ~uint32 | ~uint64](keys []K, nbytes int) []K {
-	buf := make([]K, len(keys))
-	for shift := 0; shift < 8*nbytes; shift += 8 {
-		var start [257]int // start[d+1] counts digit d, then start[d] is where it goes
-		for _, k := range keys {
-			start[int(uint8(k>>shift))+1]++
-		}
-		for d := 1; d < len(start); d++ {
-			start[d] += start[d-1]
-		}
-		for _, k := range keys {
-			d := uint8(k >> shift)
-			buf[start[d]] = k
-			start[d]++
-		}
-		keys, buf = buf, keys
-	}
-	return keys
 }

@@ -14,6 +14,8 @@ package hypersparse
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/radix"
 )
 
 // Entry is a single (row, col, value) triple: value packets from source
@@ -178,9 +180,9 @@ func (b *Builder) Build() *Matrix {
 	if n == 0 {
 		return &Matrix{}
 	}
-	b.kbuf = growKeys(b.kbuf, n)
-	b.vbuf = growVals(b.vbuf, n)
-	keys, vals := radixSortPairs(b.keys, b.vals, b.kbuf, b.vbuf)
+	b.kbuf = radix.Grow(b.kbuf, n)
+	b.vbuf = radix.Grow(b.vbuf, n)
+	keys, vals := radix.SortPairs(b.keys, b.vals, b.kbuf, b.vbuf)
 
 	// Coalesce duplicate keys in place, summing values.
 	u := 0

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/pool"
+	"repro/internal/radix"
 )
 
 // Stats bundles every aggregate of the paper's Table II computable from
@@ -148,7 +149,7 @@ func (m *Matrix) colScan(part, parts int, fn func(col uint32, sum float64, nnz i
 	} else {
 		// Store every cell at the write cursor and advance it only past
 		// this partition's: no branch to mispredict on a hashed id.
-		keys, vals := growKeys(s.keys, len(m.cols)), growVals(s.vals, len(m.cols))
+		keys, vals := radix.Grow(s.keys, len(m.cols)), radix.Grow(s.vals, len(m.cols))
 		n := 0
 		for i, c := range m.cols {
 			keys[n], vals[n] = c, m.vals[i]
@@ -159,9 +160,9 @@ func (m *Matrix) colScan(part, parts int, fn func(col uint32, sum float64, nnz i
 		s.keys, s.vals = keys[:n], vals[:n]
 	}
 	n := len(s.keys)
-	s.kbuf = growKeys(s.kbuf, n)
-	s.vbuf = growVals(s.vbuf, n)
-	keys, vals := radixSortPairs(s.keys, s.vals, s.kbuf, s.vbuf)
+	s.kbuf = radix.Grow(s.kbuf, n)
+	s.vbuf = radix.Grow(s.vbuf, n)
+	keys, vals := radix.SortPairs(s.keys, s.vals, s.kbuf, s.vbuf)
 	for i := 0; i < n; {
 		col := keys[i]
 		sum := vals[i]

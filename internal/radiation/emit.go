@@ -6,15 +6,21 @@ import (
 
 	"repro/internal/ipaddr"
 	"repro/internal/pcap"
+	"repro/internal/radix"
 )
 
 // emit.go turns the population into packet streams. A telescope window
-// is the time-ordered interleaving of per-source packet trains; the
-// stream is generated lazily through a k-way merge so a multi-million
-// packet window never materializes in memory.
+// is the time-ordered interleaving of per-source packet trains. The
+// stream is generated one time chunk at a time, so a multi-million
+// packet window never materializes in memory: every live train, in
+// train order, emits its packets due before the chunk's end, and the
+// chunk is sorted into (time, train index) order (refill). Each train
+// draws from its own rng and the one stream-wide draw runs in output
+// order, so emitting train by train instead of packet by packet changes
+// no packet.
 
 // commonScanPorts are the services Internet-wide scanners probe most,
-// with rough popularity weights.
+// with rough popularity weights summing to scanPortTotal.
 var commonScanPorts = []struct {
 	port   uint16
 	weight int
@@ -24,13 +30,7 @@ var commonScanPorts = []struct {
 	{21, 2}, {5900, 2}, {123, 1},
 }
 
-var scanPortTotal = func() int {
-	t := 0
-	for _, p := range commonScanPorts {
-		t += p.weight
-	}
-	return t
-}()
+const scanPortTotal = 100
 
 func pickScanPort(r *sm64) uint16 {
 	n := r.intn(scanPortTotal)
@@ -43,9 +43,12 @@ func pickScanPort(r *sm64) uint16 {
 	return 23
 }
 
-// sourceTrain is one active source's position in the emission merge.
+// sourceTrain is one active source's packet train: the source fields
+// its packets carry, and its position in the window.
 type sourceTrain struct {
-	srcIdx    int
+	ip        ipaddr.Addr
+	vertical  bool
+	typ       Archetype
 	remaining int
 	nextTime  float64 // seconds from window start
 	gapMean   float64
@@ -53,62 +56,57 @@ type sourceTrain struct {
 	rng       sm64
 }
 
-// trainKey is one heap entry: the train's next emission time plus the
-// index of its (fat) sourceTrain in the side array. The heap sifts
-// 16-byte keys, not 48-byte trains, and one sift runs per emitted
-// packet; the sift is hand-rolled rather than container/heap so the
-// comparisons inline instead of dispatching through an interface.
-type trainKey struct {
-	nextTime float64
-	idx      int32
-}
-
-type trainHeap []trainKey
-
-// siftDown restores the heap property from index i downward.
-func (h trainHeap) siftDown(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && h[r].nextTime < h[l].nextTime {
-			m = r
-		}
-		if h[i].nextTime <= h[m].nextTime {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// init heapifies in O(n).
-func (h trainHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
+// event is one emitted packet but its time.
+type event struct {
+	src, dst         ipaddr.Addr
+	srcPort, dstPort uint16
+	length           uint16
+	proto            pcap.IPProto
+	flags            pcap.TCPFlags
+	ttl              uint8
 }
 
 // Stream lazily produces the packets of one telescope window in time
-// order. Create with TelescopeStream; drain with Next.
+// order. Create with TelescopeStream; drain with Next or NextBatch.
 type Stream struct {
-	pop       *Population
 	start     time.Time
-	trains    []sourceTrain
-	heap      trainHeap
-	active    int
-	total     int
-	windowSec float64
-	emitted   int
-	bogonRng  sm64
+	darkBase  ipaddr.Addr // the darkspace's network address
+	darkMask  uint64      // darkspace size - 1: a prefix's size is a power of two
+	bogonRate float64
+	trains    []sourceTrain // the live trains, in train order
+	due       float64       // earliest next emission of a live train
+
+	// The current chunk: its emission times and events in emission
+	// order, the permutation that sorts them, and the cursor. pos, pbuf,
+	// idx and ibuf are the sort's keys and scratch. An event holds no
+	// pointer, so the chunk is nothing for the garbage collector to scan.
+	times     []float64
+	evs       []event
+	order     []uint32
+	at        int
+	pos, pbuf []uint32
+	idx, ibuf []uint32
+
+	active   int
+	total    int
+	emitted  int
+	bogonRng sm64
 }
 
 // aggregate packet rate of the synthetic telescope, packets/second; sets
 // window durations to Table I-like values (a 2^20-packet window lasts
 // ~1000 s, as the paper's 2^30 windows last ~1000 s at real rates).
 const packetsPerSecond = 1000.0
+
+// A chunk spans chunkSeconds of stream time: about chunkPackets
+// packets, small enough that the sort's passes stay in cache.
+const (
+	chunkPackets = 8192
+	chunkSeconds = chunkPackets / packetsPerSecond
+	// positionsPerSecond quantizes a time's offset into its chunk to
+	// 16 bits: the chunk's sort key.
+	positionsPerSecond = (1 << 16) / chunkSeconds
+)
 
 // TelescopeStream assembles the window anchored at the given fractional
 // month. Every telescope-active source contributes a Poisson-like train
@@ -117,10 +115,13 @@ const packetsPerSecond = 1000.0
 // window stop early at NV valid packets, exactly as the paper's
 // samplers do.
 func (p *Population) TelescopeStream(month float64, start time.Time) *Stream {
+	dark := p.cfg.Darkspace
 	st := &Stream{
-		pop:      p,
-		start:    start,
-		bogonRng: newSM64(uint64(p.cfg.Seed) ^ monthKey(month)*0xA24BAED4963EE407),
+		start:     start,
+		darkBase:  dark.Nth(0),
+		darkMask:  dark.Size() - 1,
+		bogonRate: p.cfg.BogonRate,
+		bogonRng:  newSM64(uint64(p.cfg.Seed) ^ monthKey(month)*0xA24BAED4963EE407),
 	}
 	for i := range p.sources {
 		if !p.telescopeActive(i, month) {
@@ -138,20 +139,27 @@ func (p *Population) TelescopeStream(month float64, start time.Time) *Stream {
 		st.active++
 		st.total += count
 		st.trains = append(st.trains, sourceTrain{
-			srcIdx:    i,
+			ip:        s.IP,
+			vertical:  s.Vertical,
+			typ:       s.Type,
 			remaining: count,
 			rng:       rng,
 		})
 	}
-	st.windowSec = float64(st.total) / packetsPerSecond
-	st.heap = make(trainHeap, len(st.trains))
+	windowSec := float64(st.total) / packetsPerSecond
+	st.due = math.Inf(1)
 	for k := range st.trains {
 		tr := &st.trains[k]
-		tr.gapMean = st.windowSec / float64(tr.remaining+1)
+		tr.gapMean = windowSec / float64(tr.remaining+1)
 		tr.nextTime = tr.rng.exp(tr.gapMean)
-		st.heap[k] = trainKey{nextTime: tr.nextTime, idx: int32(k)}
+		st.due = min(st.due, tr.nextTime)
 	}
-	st.heap.init()
+	// A chunk holds chunkPackets packets give or take a few hundred; a
+	// rare fuller one grows the buffers.
+	c := min(st.total, chunkPackets+chunkPackets/4)
+	st.times, st.evs = make([]float64, 0, c), make([]event, 0, c)
+	st.pos, st.pbuf = make([]uint32, c), make([]uint32, c)
+	st.idx, st.ibuf = make([]uint32, c), make([]uint32, c)
 	return st
 }
 
@@ -167,10 +175,13 @@ func (st *Stream) Emitted() int { return st.emitted }
 // Next fills pkt with the next packet in time order; it returns false
 // when the window is exhausted.
 func (st *Stream) Next(pkt *pcap.Packet) bool {
-	if len(st.heap) == 0 {
+	if st.at == len(st.order) && !st.refill() {
 		return false
 	}
-	st.emit(pkt)
+	o := st.order[st.at]
+	st.packet(pkt, st.times[o], &st.evs[o])
+	st.at++
+	st.emitted++
 	return true
 }
 
@@ -182,101 +193,167 @@ func (st *Stream) Next(pkt *pcap.Packet) bool {
 // Stream an engine.Source.
 func (st *Stream) NextBatch(dst []pcap.Packet) int {
 	n := 0
-	for n < len(dst) && len(st.heap) > 0 {
-		st.emit(&dst[n])
-		n++
+	for n < len(dst) {
+		if st.at == len(st.order) && !st.refill() {
+			break
+		}
+		m := min(len(dst)-n, len(st.order)-st.at)
+		order := st.order[st.at : st.at+m]
+		out := dst[n : n+m]
+		for i, o := range order {
+			st.packet(&out[i], st.times[o], &st.evs[o])
+		}
+		st.at += m
+		n += m
 	}
+	st.emitted += n
 	return n
 }
 
-// emit pops the earliest train, synthesizes its packet, and re-sifts the
-// heap. The heap must be non-empty.
-func (st *Stream) emit(pkt *pcap.Packet) {
-	k := &st.heap[0]
-	tr := &st.trains[k.idx]
-	src := &st.pop.sources[tr.srcIdx]
-	st.fill(pkt, src, tr)
-	tr.remaining--
-	tr.seq++
-	if tr.remaining <= 0 {
-		n := len(st.heap) - 1
-		st.heap[0] = st.heap[n]
-		st.heap = st.heap[:n]
-	} else {
-		tr.nextTime += tr.rng.exp(tr.gapMean)
-		k.nextTime = tr.nextTime
+// refill generates and sorts the next chunk; it returns false when every
+// train is exhausted. The chunk starts at the earliest due emission, so
+// it is never empty, and ends chunkSeconds later: every live train, in
+// train order, emits each packet due before that end. Trains that run
+// out leave the live set, which keeps the rest in train order.
+//
+// The chunk's order is (time, train index). A stable radix sort by each
+// time's 16-bit position in the chunk, a non-decreasing function of the
+// time, gets there but for the few packets that share a position; one
+// insertion pass, stable too, orders those by exact time.
+func (st *Stream) refill() bool {
+	if len(st.trains) == 0 {
+		return false
 	}
-	st.heap.siftDown(0)
-	st.emitted++
+	lo := st.due
+	end := lo + chunkSeconds
+	times, evs := st.times[:0], st.evs[:0]
+	live := st.trains[:0]
+	due := math.Inf(1)
+	for _, tr := range st.trains {
+		for tr.remaining > 0 && tr.nextTime < end {
+			times = append(times, tr.nextTime)
+			evs = append(evs, event{})
+			st.step(&tr, &evs[len(evs)-1])
+		}
+		if tr.remaining > 0 {
+			live = append(live, tr)
+			due = min(due, tr.nextTime)
+		}
+	}
+	st.trains, st.due = live, due
+	st.times, st.evs = times, evs
+
+	n := len(times)
+	st.pos, st.pbuf = radix.Grow(st.pos, n), radix.Grow(st.pbuf, n)
+	st.idx, st.ibuf = radix.Grow(st.idx, n), radix.Grow(st.ibuf, n)
+	for i, t := range times {
+		st.pos[i] = uint32((t - lo) * positionsPerSecond)
+		st.idx[i] = uint32(i)
+	}
+	_, order := radix.SortPairs(st.pos, st.idx, st.pbuf, st.ibuf)
+	for i := 1; i < n; i++ {
+		o, t := order[i], times[order[i]]
+		j := i
+		for ; j > 0 && times[order[j-1]] > t; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = o
+	}
+	st.order, st.at = order, 0
+	return true
 }
 
-// fill synthesizes the packet content for one emission of src.
-func (st *Stream) fill(pkt *pcap.Packet, src *Source, tr *sourceTrain) {
-	r := &tr.rng
-	dark := st.pop.cfg.Darkspace
-	*pkt = pcap.Packet{
-		Time: st.start.Add(time.Duration(tr.nextTime * float64(time.Second))),
-		Src:  src.IP,
-		TTL:  uint8(30 + r.intn(210)),
+// step is one emission of a live train into ev: the packet's draws,
+// then the gap to the train's next packet.
+func (st *Stream) step(tr *sourceTrain, ev *event) {
+	st.fill(tr, ev)
+	tr.remaining--
+	tr.seq++
+	if tr.remaining > 0 {
+		tr.nextTime += tr.rng.exp(tr.gapMean)
 	}
-	switch src.Type {
+}
+
+// packet writes the emission at time t as the stream's next packet.
+// The stream-wide bogon draw runs here, once a packet in stream order.
+func (st *Stream) packet(pkt *pcap.Packet, t float64, ev *event) {
+	*pkt = pcap.Packet{
+		Time:    st.start.Add(time.Duration(t * float64(time.Second))),
+		Src:     ev.src,
+		Dst:     ev.dst,
+		Proto:   ev.proto,
+		SrcPort: ev.srcPort,
+		DstPort: ev.dstPort,
+		Flags:   ev.flags,
+		TTL:     ev.ttl,
+		Length:  int(ev.length),
+	}
+	// Bogon pollution the telescope's validity filter must discard.
+	if st.bogonRng.float64() < st.bogonRate {
+		pkt.Src = ipaddr.Addr(0x0A000000 | uint32(st.bogonRng.intn(1<<24))) // 10/8
+	}
+}
+
+// dark returns darkspace address i modulo the darkspace size.
+func (st *Stream) dark(i uint64) ipaddr.Addr { return st.darkBase | ipaddr.Addr(i&st.darkMask) }
+
+// fill synthesizes the packet content of one emission of tr.
+func (st *Stream) fill(tr *sourceTrain, ev *event) {
+	r := &tr.rng
+	*ev = event{src: tr.ip, ttl: uint8(30 + r.intn(210))}
+	switch tr.typ {
 	case Scanner:
-		pkt.Proto = pcap.ProtoTCP
-		pkt.Flags = pcap.FlagSYN
-		if src.Vertical {
+		ev.proto = pcap.ProtoTCP
+		ev.flags = pcap.FlagSYN
+		if tr.vertical {
 			// Vertical campaign: one darkspace host, sequential walk of
 			// its port space from a per-source starting offset.
-			base := uint64(src.IP) * 0x9E3779B97F4A7C15
-			pkt.Dst = dark.Nth(base % dark.Size())
-			pkt.SrcPort = uint16(1024 + r.intn(64000))
-			pkt.DstPort = uint16(1 + (uint32(base>>40)+uint32(tr.seq))%65535)
+			base := uint64(tr.ip) * 0x9E3779B97F4A7C15
+			ev.dst = st.dark(base)
+			ev.srcPort = uint16(1024 + r.intn(64000))
+			ev.dstPort = uint16(1 + (uint32(base>>40)+uint32(tr.seq))%65535)
 		} else {
 			// Draw order matters: the horizontal path must consume the
 			// rng exactly as the original census generator did, so
 			// zero-knob configs emit byte-identical streams.
-			pkt.Dst = dark.Nth(uint64(r.intn(int(dark.Size()))))
-			pkt.SrcPort = uint16(1024 + r.intn(64000))
-			pkt.DstPort = pickScanPort(r)
+			ev.dst = st.dark(r.next())
+			ev.srcPort = uint16(1024 + r.intn(64000))
+			ev.dstPort = pickScanPort(r)
 		}
-		pkt.Length = 60
+		ev.length = 60
 	case Worm:
-		pkt.Proto = pcap.ProtoTCP
-		pkt.Flags = pcap.FlagSYN
+		ev.proto = pcap.ProtoTCP
+		ev.flags = pcap.FlagSYN
 		// Sequential sweep from a per-source starting offset.
-		base := uint64(src.IP) * 2654435761
-		pkt.Dst = dark.Nth((base + uint64(tr.seq)) % dark.Size())
-		pkt.SrcPort = uint16(1024 + r.intn(64000))
-		pkt.DstPort = 445
-		pkt.Length = 62
+		base := uint64(tr.ip) * 2654435761
+		ev.dst = st.dark(base + uint64(tr.seq))
+		ev.srcPort = uint16(1024 + r.intn(64000))
+		ev.dstPort = 445
+		ev.length = 62
 	case Backscatter:
-		pkt.Proto = pcap.ProtoTCP
+		ev.proto = pcap.ProtoTCP
 		if r.intn(2) == 0 {
-			pkt.Flags = pcap.FlagSYN | pcap.FlagACK
+			ev.flags = pcap.FlagSYN | pcap.FlagACK
 		} else {
-			pkt.Flags = pcap.FlagRST
+			ev.flags = pcap.FlagRST
 		}
-		pkt.Dst = dark.Nth(uint64(r.intn(int(dark.Size()))))
-		pkt.SrcPort = []uint16{80, 443, 53, 22}[r.intn(4)]
-		pkt.DstPort = uint16(1024 + r.intn(64000))
-		pkt.Length = 54
+		ev.dst = st.dark(r.next())
+		ev.srcPort = [...]uint16{80, 443, 53, 22}[r.intn(4)]
+		ev.dstPort = uint16(1024 + r.intn(64000))
+		ev.length = 54
 	case BotnetKeepalive:
-		pkt.Proto = pcap.ProtoUDP
+		ev.proto = pcap.ProtoUDP
 		// A small stable set of rendezvous destinations per source.
-		k := uint64(src.IP)*0x9E3779B97F4A7C15 + uint64(r.intn(4))
-		pkt.Dst = dark.Nth(k % dark.Size())
-		pkt.SrcPort = uint16(1024 + r.intn(64000))
-		pkt.DstPort = 53413
-		pkt.Length = 40 + r.intn(60)
+		ev.dst = st.dark(uint64(tr.ip)*0x9E3779B97F4A7C15 + uint64(r.intn(4)))
+		ev.srcPort = uint16(1024 + r.intn(64000))
+		ev.dstPort = 53413
+		ev.length = uint16(40 + r.intn(60))
 	default: // Misconfiguration: one fixed wrong destination
-		pkt.Proto = pcap.ProtoUDP
-		pkt.Dst = dark.Nth(uint64(src.IP) % dark.Size())
-		pkt.SrcPort = uint16(1024 + r.intn(64000))
-		pkt.DstPort = []uint16{53, 123, 161}[r.intn(3)]
-		pkt.Length = 76
-	}
-	// Bogon pollution the telescope's validity filter must discard.
-	if st.bogonRng.float64() < st.pop.cfg.BogonRate {
-		pkt.Src = ipaddr.Addr(0x0A000000 | uint32(st.bogonRng.intn(1<<24))) // 10/8
+		ev.proto = pcap.ProtoUDP
+		ev.dst = st.dark(uint64(tr.ip))
+		ev.srcPort = uint16(1024 + r.intn(64000))
+		ev.dstPort = [...]uint16{53, 123, 161}[r.intn(3)]
+		ev.length = 76
 	}
 }
 

@@ -485,3 +485,15 @@ func BenchmarkStreamNextBatch(b *testing.B) {
 		n += got
 	}
 }
+
+// TestScanPortWeightsSumToTotal keeps the constant pickScanPort draws
+// against equal to the table it walks.
+func TestScanPortWeightsSumToTotal(t *testing.T) {
+	sum := 0
+	for _, p := range commonScanPorts {
+		sum += p.weight
+	}
+	if sum != scanPortTotal {
+		t.Fatalf("commonScanPorts weights sum to %d, scanPortTotal is %d", sum, scanPortTotal)
+	}
+}

@@ -8,8 +8,8 @@ func log2(x float64) float64 { return math.Log2(x) }
 func gauss(x float64) float64 { return math.Exp(-x * x / 2) }
 
 // sm64 is a splitmix64 PRNG: 8 bytes of state, good enough statistical
-// quality for packet jitter, and small enough to embed one per active
-// source in the emission heap (a math/rand.Rand would cost ~5 KB each).
+// quality for packet jitter, and small enough to embed one in every
+// active source's packet train (a math/rand.Rand would cost ~5 KB each).
 type sm64 struct{ state uint64 }
 
 func newSM64(seed uint64) sm64 { return sm64{state: seed} }
