@@ -16,7 +16,7 @@
 // With -nodes > 1 the tool serves N in-process tripled servers and
 // drives them through the consistent-hash cluster client at -replicas
 // copies per row. -chaos puts every node behind a fault-injection
-// proxy and flips node 1 into MODE (blackhole, delay, slowread, reset,
+// proxy and flips node 1 into MODE (blackhole, delay, slow-read, reset,
 // drop) at the exact halfway point of every client's script, so the
 // tail of the run measures detection + failover, deterministically
 // placed. -addr accepts a cluster spec ("a,b,c;replicas=2") as well as
@@ -25,11 +25,14 @@
 // With -data-dir the in-process servers are durable: each appends its
 // mutations to a checksummed WAL under DIR/node-N before acking, and a
 // rerun with the same dir replays the log at startup. -chaos crash
-// (requires -data-dir) closes one node at the halfway barrier,
-// discards its in-memory store, restarts it on the same address from
-// its WAL, and reports the recovery wall time; a single durable node
-// is driven through a 1-node cluster spec so client retries absorb the
-// restart window.
+// (requires -data-dir) stops one node at the halfway barrier and
+// restarts it on the same address from its WAL, reporting the restart
+// wall time; a single durable node is driven through a 1-node cluster
+// spec so client retries absorb the restart window. The stop is a
+// clean close (handlers drain, the WAL is flushed), so this measures
+// restart-from-log, not a torn tail: the SIGKILL path is the cluster
+// package's TestClusterKill9RestartWALRepairRejoins. A bad size or
+// flag combination exits 2 with a usage line.
 //
 // With -batch > 1 the PUT share of the workload flows through the
 // pipelined BATCH path (B cells per request); -batch 1 is the classic
@@ -41,8 +44,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -57,7 +58,7 @@ func main() {
 		addr     = flag.String("addr", "", "tripled server address or cluster spec (default: serve in-process)")
 		nodes    = flag.Int("nodes", 1, "in-process servers to start (ignored with -addr)")
 		replicas = flag.Int("replicas", cluster.DefaultReplicas, "copies per row when -nodes > 1")
-		chaos    = flag.String("chaos", "", "fault injected at half-run: blackhole, delay, slowread, reset, drop (node 1), or crash (needs -data-dir)")
+		chaos    = flag.String("chaos", "", "fault injected at half-run: blackhole, delay, slow-read, reset, drop (node 1), or crash (needs -data-dir)")
 		clients  = flag.Int("clients", 8, "concurrent client connections")
 		ops      = flag.Int("ops", 5000, "operations per client")
 		batch    = flag.Int("batch", 256, "cells per PUT batch (1 = per-cell round trips)")
@@ -70,95 +71,58 @@ func main() {
 		walSync  = flag.String("wal-sync", "interval", "WAL sync policy with -data-dir: always or interval")
 	)
 	flag.Parse()
+	for refusal, bad := range map[string]bool{"-nodes must be >= 1": *nodes < 1, "-clients must be >= 1": *clients < 1, "-batch must be >= 0": *batch < 0} {
+		if bad {
+			usage("%s", refusal)
+		}
+	}
 	mix, err := loadgen.ParseMix(*mixFlag)
 	if err != nil {
-		log.Fatal(err)
+		usage("%v", err)
+	}
+	crash := *chaos == "crash"
+	var mode faultinject.Mode
+	switch {
+	case *chaos == "":
+	case crash && *dataDir == "":
+		usage("-chaos crash needs -data-dir (recovery replays the WAL)")
+	case *addr != "":
+		usage("-chaos needs in-process nodes (drop -addr)")
+	case crash:
+	case *nodes < 2:
+		usage("-chaos needs -nodes >= 2 (a 1-node cluster cannot fail over)")
+	default:
+		if mode, err = faultinject.ParseMode(*chaos); err != nil {
+			usage("%v", err)
+		}
 	}
 
-	crashChaos := *chaos == "crash"
-	if crashChaos && *dataDir == "" {
-		log.Fatal("tripled-load: -chaos crash needs -data-dir (recovery replays the WAL)")
-	}
 	target := *addr
-	var proxies []*faultinject.Proxy
-	var servers []*tripled.Server // in-process servers, by node index
-	var rawAddrs []string         // their concrete listen addresses
-	var nodeDirs []string         // their WAL dirs ("" without -data-dir)
-	serveNode := func(i int, nodeAddr string) (*tripled.Server, error) {
-		var opts []tripled.Option
-		if *dataDir != "" {
-			dir := filepath.Join(*dataDir, fmt.Sprintf("node-%d", i))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, err
-			}
-			for len(nodeDirs) <= i {
-				nodeDirs = append(nodeDirs, "")
-			}
-			nodeDirs[i] = dir
-			opts = append(opts, tripled.WithDataDir(dir), tripled.WithWALSyncPolicy(*walSync))
-		}
-		return tripled.Serve(tripled.NewStoreStripes(*stripes), nodeAddr, opts...)
-	}
+	var fleet *faultinject.Fleet
 	if target == "" {
-		if *nodes < 1 {
-			log.Fatal("tripled-load: -nodes must be >= 1")
+		fc := faultinject.FleetConfig{Nodes: *nodes, Stripes: *stripes, WALRoot: *dataDir, Proxied: *chaos != "" && !crash}
+		fc.Options = []tripled.Option{tripled.WithWALSyncPolicy(*walSync)}
+		if fleet, err = faultinject.NewFleet(fc); err != nil {
+			log.Fatal(err)
 		}
-		var addrs []string
-		for i := 0; i < *nodes; i++ {
-			srv, err := serveNode(i, "127.0.0.1:0")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer func(i int) { servers[i].Close() }(i)
-			if rec := srv.Recovery(); rec.Enabled && (rec.HadSnapshot || rec.TailRecords > 0) {
+		defer fleet.Close()
+		for i := range *nodes {
+			if rec := fleet.Server(i).Recovery(); rec.Enabled && (rec.HadSnapshot || rec.TailRecords > 0) {
 				fmt.Printf("node %d: recovered %d snapshot cells + %d tail records in %v\n",
 					i, rec.SnapshotCells, rec.TailRecords, rec.Wall.Round(time.Millisecond))
 			}
-			servers = append(servers, srv)
-			nodeAddr := srv.Addr()
-			rawAddrs = append(rawAddrs, nodeAddr)
-			if *chaos != "" && !crashChaos {
-				p, err := faultinject.New(nodeAddr)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer p.Close()
-				proxies = append(proxies, p)
-				nodeAddr = p.Addr()
-			}
-			addrs = append(addrs, nodeAddr)
 		}
-		if *nodes == 1 {
-			target = addrs[0]
-			fmt.Printf("in-process server on %s (%d stripes)\n", target, *stripes)
-			if crashChaos {
-				// A lone durable node restarting mid-run has no peer to fail
-				// over to; route through a 1-node cluster spec so retries
-				// absorb the restart window.
-				target = fmt.Sprintf("%s;replicas=1;io_timeout=500ms;retries=8", addrs[0])
-			}
-		} else {
-			target = fmt.Sprintf("%s;replicas=%d", strings.Join(addrs, ","), *replicas)
-			fmt.Printf("in-process %d-node cluster, %d replicas/row (%d stripes each)\n",
-				*nodes, *replicas, *stripes)
+		fmt.Printf("in-process: %d node(s) on %v, %d replicas/row, %d stripes each\n",
+			*nodes, fleet.Addrs(), min(*replicas, *nodes), *stripes)
+		target = fleet.Spec(*replicas)
+		if *nodes == 1 && !crash {
+			target = fleet.Addrs()[0]
 		}
-		if *chaos != "" && *nodes > 1 {
-			// Bound detection cost so the post-fault tail measures failover,
-			// not five-second default timeouts.
+		if *chaos != "" {
+			// Bound detection cost so the post-fault tail measures failover
+			// or rejoin, not five-second default timeouts; a lone node has
+			// no peer to fail over to, so retries absorb its restart window.
 			target += ";io_timeout=500ms;retries=8"
-		}
-	} else if *chaos != "" {
-		log.Fatal("tripled-load: -chaos needs in-process nodes (drop -addr)")
-	}
-
-	var mode faultinject.Mode
-	if *chaos != "" && !crashChaos {
-		if len(proxies) < 2 {
-			log.Fatal("tripled-load: -chaos needs -nodes >= 2 (a 1-node cluster cannot fail over)")
-		}
-		mode, err = faultinject.ParseMode(*chaos)
-		if err != nil {
-			log.Fatal(err)
 		}
 	}
 
@@ -187,32 +151,25 @@ func main() {
 		},
 	}
 	switch {
-	case crashChaos:
-		// Crash one node at the halfway barrier: close it (listener and
-		// in-memory store gone), then restart it on the same address from
-		// its WAL — the tail of the run measures recovery + rejoin.
-		crashIdx := 0
-		if *nodes > 1 {
-			crashIdx = 1
-		}
+	case crash:
+		// Restart one node from its WAL at the halfway barrier: the tail
+		// of the run measures recovery and rejoin.
+		i := min(1, *nodes-1)
 		cfg.Mid = func() {
-			fmt.Printf("half-run: crashing node %d (in-memory state discarded)\n", crashIdx)
-			servers[crashIdx].Close()
+			fmt.Printf("half-run: stopping node %d (in-memory state discarded)\n", i)
 			start := time.Now()
-			srv, err := serveNode(crashIdx, rawAddrs[crashIdx])
-			if err != nil {
-				log.Fatalf("tripled-load: crash restart: %v", err)
+			if err := fleet.Restart(i); err != nil {
+				log.Fatalf("tripled-load: restart: %v", err)
 			}
-			rec := srv.Recovery()
+			rec := fleet.Server(i).Recovery()
 			fmt.Printf("crash: node %d restarted in %v (%d snapshot cells, %d tail records, %d ops replayed, %d torn bytes)\n",
-				crashIdx, time.Since(start).Round(time.Millisecond),
+				i, time.Since(start).Round(time.Millisecond),
 				rec.SnapshotCells, rec.TailRecords, rec.TailOps, rec.TornBytes)
-			servers[crashIdx] = srv
 		}
 	case *chaos != "":
 		cfg.Mid = func() {
 			fmt.Printf("half-run: injecting %v on node 1\n", mode)
-			proxies[1].SetMode(mode)
+			fleet.Proxy(1).SetMode(mode)
 		}
 	}
 
@@ -247,4 +204,10 @@ func main() {
 		}
 		fmt.Printf("cluster: %d read failovers, %d nodes marked down\n", failovers, len(down))
 	}
+}
+
+// usage refuses a bad command line: one line on stderr, exit 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tripled-load: "+format+"\n", args...)
+	os.Exit(2)
 }

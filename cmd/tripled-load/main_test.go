@@ -11,13 +11,10 @@ import (
 
 func TestMain(m *testing.M) { testkit.Main(m, nil) }
 
-// TestClusterChaosAndRestartRuns drives the load generator four ways:
-// a clean 3-node R=2 cluster; that cluster with node 1 blackholed at
-// the halfway barrier, which must finish, serve reads from a
-// non-primary replica and report the node down; a durable node closed
-// and restarted from its WAL on the same address at the barrier, which
-// must report the restart; and a rerun on that data dir, which must
-// replay the first run's log at startup.
+// TestClusterChaosAndRestartRuns: a clean 3-node R=2 run; node 1
+// blackholed at half-run, which must finish, fail reads over and mark
+// the node down; a durable node restarted from its WAL at half-run; and
+// a rerun on that data dir, which must replay the first run's log.
 func TestClusterChaosAndRestartRuns(t *testing.T) {
 	bin := testkit.Build(t, ".")
 	dir := filepath.Join(t.TempDir(), "wal")

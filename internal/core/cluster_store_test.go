@@ -7,12 +7,11 @@ package core
 // in-memory study, while the Result records that the run was degraded.
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/tripled"
 )
 
 func TestClusterStudyBlackholedReplicaMatchesInMemory(t *testing.T) {
@@ -25,27 +24,15 @@ func TestClusterStudyBlackholedReplicaMatchesInMemory(t *testing.T) {
 	// answering once 50 KB of table traffic have flowed — early in the
 	// study, so most of it runs degraded. The cut point is byte-counted
 	// rather than timed, so where the study is interrupted is stable.
-	var addrs [3]string
-	var proxies [3]*faultinject.Proxy
-	for i := range addrs {
-		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		p, err := faultinject.New(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		proxies[i] = p
-		addrs[i] = p.Addr()
+	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: 3, Proxied: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	proxies[1].BlackholeAfterBytes(50_000)
+	defer f.Close()
+	f.Proxy(1).BlackholeAfterBytes(50_000)
 
 	cfg := QuickConfig()
-	cfg.StoreAddr = fmt.Sprintf("%s,%s,%s;replicas=2;io_timeout=300ms;retries=2",
-		addrs[0], addrs[1], addrs[2])
+	cfg.StoreAddr = f.Spec(2) + ";io_timeout=300ms;retries=2"
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,14 +48,8 @@ func TestClusterStudyBlackholedReplicaMatchesInMemory(t *testing.T) {
 	if !res.StoreHealth.Degraded {
 		t.Error("study rode out a blackholed replica but StoreHealth.Degraded is false")
 	}
-	found := false
-	for _, addr := range res.StoreHealth.DownNodes {
-		if addr == addrs[1] {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("StoreHealth.DownNodes = %v, want it to include %s", res.StoreHealth.DownNodes, addrs[1])
+	if down := f.Addrs()[1]; !slices.Contains(res.StoreHealth.DownNodes, down) {
+		t.Errorf("StoreHealth.DownNodes = %v, want it to include %s", res.StoreHealth.DownNodes, down)
 	}
 
 	// And the science must not have noticed: every artifact byte-equal.
@@ -88,17 +69,13 @@ func TestClusterStudyCleanMatchesInMemory(t *testing.T) {
 	}
 	mem := quickResult(t)
 
-	var addrs [3]string
-	for i := range addrs {
-		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
+	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
 	cfg := QuickConfig()
-	cfg.StoreAddr = fmt.Sprintf("%s,%s,%s;replicas=2", addrs[0], addrs[1], addrs[2])
+	cfg.StoreAddr = f.Spec(2)
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,29 +9,16 @@ package daemon
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/tripled"
 )
-
-// reserveAddr grabs an ephemeral port and releases it, so the test can
-// start a server there *later*.
-func reserveAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
 
 func getJSON(t *testing.T, url string) (int, map[string]any) {
 	t.Helper()
@@ -49,7 +36,15 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 }
 
 func TestDaemonDegradedStoreStartup(t *testing.T) {
-	addr := reserveAddr(t)
+	// A one-node fleet whose node is down until Restart brings it back
+	// on the same address.
+	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.Server(0).Close()
+	addr := f.Addrs()[0]
 	cfg := testConfig()
 	cfg.Radiation.Months = 3
 	cfg.SnapshotTimes = nil
@@ -94,11 +89,9 @@ func TestDaemonDegradedStoreStartup(t *testing.T) {
 
 	// The store arrives late; the reconnect loop must find it and flip
 	// to ok without a restart.
-	srv, err := tripled.Serve(tripled.NewStore(), addr)
-	if err != nil {
+	if err := f.Restart(0); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	deadline := time.Now().Add(15 * time.Second)
 	for d.storeState().State != StoreOK {
 		if time.Now().After(deadline) {
@@ -132,21 +125,15 @@ func TestDaemonDegradedStoreStartup(t *testing.T) {
 // that loses one replica keeps ingesting (quorum holds) but reports
 // store: degraded with the lost member named.
 func TestDaemonClusterStoreReportsDegraded(t *testing.T) {
-	var addrs [3]string
-	var servers [3]*tripled.Server
-	for i := range addrs {
-		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		servers[i] = srv
-		addrs[i] = srv.Addr()
+	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
 	cfg := testConfig()
 	cfg.Radiation.Months = 3
 	cfg.SnapshotTimes = nil
-	cfg.StoreAddr = fmt.Sprintf("%s,%s,%s;replicas=2;io_timeout=500ms;retries=2", addrs[0], addrs[1], addrs[2])
+	cfg.StoreAddr = f.Spec(2) + ";io_timeout=500ms;retries=2"
 
 	d, err := New(cfg)
 	if err != nil {
@@ -160,7 +147,7 @@ func TestDaemonClusterStoreReportsDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	servers[2].Close()
+	f.Server(2).Close()
 	if err := d.IngestMonth(1); err != nil {
 		t.Fatalf("ingest with one replica down: %v", err)
 	}
@@ -168,13 +155,7 @@ func TestDaemonClusterStoreReportsDegraded(t *testing.T) {
 	if st.State != StoreDegraded {
 		t.Fatalf("store state after replica loss = %+v, want degraded", st)
 	}
-	found := false
-	for _, a := range st.Down {
-		if a == addrs[2] {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("down list %v does not name the lost member %s", st.Down, addrs[2])
+	if lost := f.Addrs()[2]; !slices.Contains(st.Down, lost) {
+		t.Fatalf("down list %v does not name the lost member %s", st.Down, lost)
 	}
 }

@@ -1,25 +1,25 @@
-// Package faultinject is a TCP chaos proxy for the tripled service:
-// it sits between a client and one server and injects the failure
-// modes a real cluster must survive — refused connections, added
-// latency, silent blackholes, connections reset mid-request, and
-// reads throttled to a trickle. The cluster tests, the store-failover
-// scenario, and cmd/tripled-load's -chaos flag all drive their fault
-// schedules through it, and its own unit tests prove each mode
-// actually manifests on the wire, so the harness can be trusted
-// before any guarantee is gated on it.
+// Package faultinject is the tripled service's fault harness. A Proxy
+// sits between a client and one server and injects the failure modes a
+// real cluster must survive — refused connections, added latency,
+// silent blackholes, connections reset mid-request, and reads
+// throttled to a trickle. A Fleet serves N in-process nodes, each
+// optionally durable and behind a Proxy, and restarts one on its own
+// address: the scenario runner, cmd/tripled-load and the store tests
+// stand their stores up and place their faults through it. The proxy's
+// own unit tests prove each mode manifests on the wire.
 //
 // The proxy is mode-switchable at runtime (atomics, safe from any
-// goroutine) and deterministic where it matters: BlackholeAfterBytes
-// and ResetAfterBytes trigger on exact client→server byte counts, so
-// a deterministic workload is cut at a deterministic point — how the
-// kill-one-replica-mid-study scenario places its fault without racing
-// the pipeline.
+// goroutine) and deterministic where it matters: the *AfterBytes
+// triggers fire on exact client→server byte counts, so a deterministic
+// workload is cut at a deterministic point — how the store scenarios
+// place their faults without racing the pipeline.
 package faultinject
 
 import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,32 +52,20 @@ const (
 	Reset
 )
 
+var modeNames = [...]string{"forward", "drop", "delay", "blackhole", "slow-read", "reset"}
+
 func (m Mode) String() string {
-	switch m {
-	case Forward:
-		return "forward"
-	case Drop:
-		return "drop"
-	case Delay:
-		return "delay"
-	case Blackhole:
-		return "blackhole"
-	case SlowRead:
-		return "slow-read"
-	case Reset:
-		return "reset"
-	default:
+	if m < 0 || int(m) >= len(modeNames) {
 		return fmt.Sprintf("mode(%d)", int32(m))
 	}
+	return modeNames[m]
 }
 
 // ParseMode maps the CLI spelling of a mode ("blackhole", "slow-read",
 // ...) to its value.
 func ParseMode(s string) (Mode, error) {
-	for _, m := range []Mode{Forward, Drop, Delay, Blackhole, SlowRead, Reset} {
-		if m.String() == s {
-			return m, nil
-		}
+	if i := slices.Index(modeNames[:], s); i >= 0 {
+		return Mode(i), nil
 	}
 	return Forward, fmt.Errorf("faultinject: unknown mode %q", s)
 }
@@ -145,18 +133,17 @@ func (p *Proxy) SetSlowRead(chunk int, tick time.Duration) {
 // byte is reset (RST) — the reset-mid-BATCH fault. 0 disarms.
 func (p *Proxy) ResetAfterBytes(n int64) { p.resetAfter.Store(n) }
 
-// BlackholeAfterBytes arms a one-shot trigger: once n client→server
-// bytes have been forwarded in total, the proxy flips itself to
-// Blackhole — the deterministic kill-a-replica-mid-run fault. 0
-// disarms.
+// BlackholeAfterBytes arms a trigger: once n client→server bytes have
+// been forwarded in total, the proxy flips itself to Blackhole — the
+// deterministic lose-a-replica-mid-run fault. 0 disarms.
 func (p *Proxy) BlackholeAfterBytes(n int64) { p.bholeAfter.Store(n) }
 
 // TriggerAfterBytes arms a one-shot callback: once n client→server
 // bytes have been forwarded in total, fn runs (in its own goroutine,
 // after the crossing chunk was forwarded). It is the generic
 // deterministic fault hook — the crash-recovery scenario uses it to
-// SIGKILL-and-restart the real server mid-ingest at an exact byte
-// offset. n <= 0 disarms.
+// restart a durable node mid-ingest at an exact byte offset. n <= 0
+// disarms.
 func (p *Proxy) TriggerAfterBytes(n int64, fn func()) {
 	p.mu.Lock()
 	p.triggerFn = fn

@@ -221,14 +221,8 @@ func TestBlackholeAfterBytesIsDeterministic(t *testing.T) {
 // sees a retryable transport error, the combination the cluster's
 // replay-on-redial recovery depends on.
 func TestResetMidBatchAppliesNothing(t *testing.T) {
-	store := tripled.NewStore()
-	srv, err := tripled.Serve(store, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	p := newProxy(t, srv.Addr())
+	f := newFleet(t, FleetConfig{Nodes: 1, Proxied: true})
+	p := f.Proxy(0)
 	c, err := tripled.Dial(p.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -252,28 +246,12 @@ func TestResetMidBatchAppliesNothing(t *testing.T) {
 	}
 
 	// Atomicity: the server must have applied nothing from the cut batch.
-	direct, err := tripled.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer direct.Close()
-	// The server tears the connection down asynchronously; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n, err := direct.NNZ()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 && time.Now().After(deadline) {
-			break
-		}
-		if n != 0 {
+	// The server tears the connection down asynchronously; watch for two
+	// seconds.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if n := f.Store(0).NNZ(); n != 0 {
 			t.Fatalf("server applied %d cells from a truncated batch", n)
 		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,15 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/pool"
-	"repro/internal/tripled"
 )
 
 // Result is one scenario's execution record: every assertion's check,
@@ -36,134 +32,47 @@ func (r *Result) FailedChecks() []Check {
 	return out
 }
 
-// serverSlot is a restartable in-process store node: the crash hook
-// swaps in the recovered server under the mutex, and the deferred
-// close always tears down the current occupant.
-type serverSlot struct {
-	mu  sync.Mutex
-	srv *tripled.Server
-}
-
-func (s *serverSlot) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.srv.Close()
-}
-
-// crashRestart closes the slot's server (listener and in-memory state
-// gone) and restarts it on the same address from its WAL dir. A failed
-// restart leaves the slot dead; the pipeline then surfaces the store
-// loss as a runtime error rather than asserting against partial data.
-func (s *serverSlot) crashRestart(addr string, opts ...tripled.Option) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.srv.Close()
-	srv, err := tripled.Serve(tripled.NewStore(), addr, opts...)
-	if err != nil {
-		return
-	}
-	s.srv = srv
-}
-
 // execute runs one configuration through the full pipeline, optionally
-// routed through an in-process tripled store or a 3-node replicated
-// cluster (the same services the production path dials over TCP, bound
-// to loopback ports for the scenario's lifetime). With st.WAL the
-// servers are durable (per-node WAL dirs under a run-scoped temp dir);
-// st.ChaosBlackholeBytes blackholes cluster node 1 after that much table
-// traffic, and st.ChaosCrashBytes crashes a durable node at that byte
-// count and restarts it from its WAL — both deterministic mid-study
-// faults.
+// routed through a faultinject.Fleet of one tripled store or a 3-node
+// R=2 cluster, durable under a run-scoped temp dir with st.WAL. The
+// chaos keys place a byte-counted, so deterministic, mid-study fault.
 func execute(ctx context.Context, cfg core.Config, st StoreSettings) (*core.Result, error) {
-	var walRoot string
-	nodeOpts := func(i int) ([]tripled.Option, error) {
-		if !st.WAL {
-			return nil, nil
+	cfg.StoreAddr = ""
+	if st.Mode != StoreMemory {
+		fc := faultinject.FleetConfig{Nodes: 1, Proxied: st.ChaosBlackholeBytes > 0 || st.ChaosCrashBytes > 0}
+		replicas, faulty := 1, 0
+		if st.Mode == StoreCluster {
+			fc.Nodes, replicas, faulty = 3, 2, 1
 		}
-		dir := filepath.Join(walRoot, fmt.Sprintf("node-%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("scenario: wal dir: %w", err)
+		if st.WAL {
+			dir, err := os.MkdirTemp("", "scenario-wal-")
+			if err != nil {
+				return nil, fmt.Errorf("scenario: wal dir: %w", err)
+			}
+			defer os.RemoveAll(dir)
+			fc.WALRoot = dir
 		}
-		return []tripled.Option{tripled.WithDataDir(dir)}, nil
-	}
-	if st.WAL && st.Mode != StoreMemory {
-		dir, err := os.MkdirTemp("", "scenario-wal-")
-		if err != nil {
-			return nil, fmt.Errorf("scenario: wal dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		walRoot = dir
-	}
-	switch st.Mode {
-	case StoreTripled:
-		opts, err := nodeOpts(0)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0", opts...)
+		f, err := faultinject.NewFleet(fc)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: start store: %w", err)
 		}
-		slot := &serverSlot{srv: srv}
-		defer slot.close()
-		raw := srv.Addr()
-		cfg.StoreAddr = raw
-		if st.ChaosCrashBytes > 0 {
-			p, err := faultinject.New(raw)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: start chaos proxy: %w", err)
-			}
-			defer p.Close()
-			p.TriggerAfterBytes(st.ChaosCrashBytes, func() { slot.crashRestart(raw, opts...) })
-			// A lone store has no replica to fail over to: route through a
-			// 1-node cluster spec so client retries absorb the restart
-			// window instead of failing the study.
-			cfg.StoreAddr = p.Addr() + ";replicas=1;io_timeout=500ms;retries=8"
-		}
-	case StoreCluster:
-		addrs := make([]string, 3)
-		slots := make([]*serverSlot, 3)
-		optsByNode := make([][]tripled.Option, 3)
-		for i := range addrs {
-			opts, err := nodeOpts(i)
-			if err != nil {
-				return nil, err
-			}
-			optsByNode[i] = opts
-			srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0", opts...)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: start cluster node: %w", err)
-			}
-			slots[i] = &serverSlot{srv: srv}
-			defer slots[i].close()
-			addrs[i] = srv.Addr()
-		}
-		cfg.StoreAddr = strings.Join(addrs, ",") + ";replicas=2"
+		defer f.Close()
+		cfg.StoreAddr = f.Spec(replicas)
 		switch {
 		case st.ChaosBlackholeBytes > 0:
-			p, err := faultinject.New(addrs[1])
-			if err != nil {
-				return nil, fmt.Errorf("scenario: start chaos proxy: %w", err)
-			}
-			defer p.Close()
-			p.BlackholeAfterBytes(st.ChaosBlackholeBytes)
-			addrs[1] = p.Addr()
+			f.Proxy(faulty).BlackholeAfterBytes(st.ChaosBlackholeBytes)
 			// Short detection budget: the lost replica must cost seconds,
 			// not the default five-second timeout per retry.
-			cfg.StoreAddr = strings.Join(addrs, ",") + ";replicas=2;io_timeout=300ms;retries=2"
+			cfg.StoreAddr += ";io_timeout=300ms;retries=2"
 		case st.ChaosCrashBytes > 0:
-			raw := addrs[1]
-			p, err := faultinject.New(raw)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: start chaos proxy: %w", err)
-			}
-			defer p.Close()
-			p.TriggerAfterBytes(st.ChaosCrashBytes, func() { slots[1].crashRestart(raw, optsByNode[1]...) })
-			addrs[1] = p.Addr()
-			cfg.StoreAddr = strings.Join(addrs, ",") + ";replicas=2;io_timeout=500ms;retries=8"
+			// Client retries absorb the restart window, even where a lone
+			// store has no replica to fail over to; a failed restart leaves
+			// the node down, and the study then fails on the store loss.
+			f.Proxy(faulty).TriggerAfterBytes(st.ChaosCrashBytes, func() { f.Restart(faulty) })
+			cfg.StoreAddr += ";io_timeout=500ms;retries=8"
+		case st.Mode == StoreTripled:
+			cfg.StoreAddr = f.Addrs()[0]
 		}
-	default:
-		cfg.StoreAddr = ""
 	}
 	p, err := core.New(cfg)
 	if err != nil {

@@ -42,16 +42,16 @@ type StoreSettings struct {
 	Mode StoreMode
 	// WAL makes the scenario's store servers durable: each gets a
 	// temporary data dir and appends mutations to a checksummed WAL
-	// before acking, so a crashed server can restart with its state.
+	// before acking, so a restarted server comes back with its state.
 	WAL bool
 	// ChaosBlackholeBytes, with StoreCluster, silently blackholes one
 	// replica after this many bytes of table traffic have flowed through
 	// it — a byte-counted (so deterministic) mid-study replica loss.
 	ChaosBlackholeBytes int64
-	// ChaosCrashBytes, with WAL, crashes one store server after this
-	// many bytes of table traffic: its listener and in-memory state are
-	// discarded mid-ingest and it restarts on the same address from its
-	// WAL, while client retries absorb the restart window.
+	// ChaosCrashBytes, with WAL, closes one store server after this
+	// many bytes of table traffic — cleanly, not a SIGKILL — and restarts
+	// it on the same address from its WAL, while client retries absorb
+	// the restart window.
 	ChaosCrashBytes int64
 }
 

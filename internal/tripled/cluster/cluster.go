@@ -300,20 +300,18 @@ func (c *Client) onNode(i int, op func(cl *tripled.Client) error) error {
 // row acked the row's writes.
 func (c *Client) readFailover(row string, op func(cl *tripled.Client) error) error {
 	var lastErr error
-	tried := 0
-	for _, i := range c.ring.replicasFor(row, c.cfg.Replicas) {
+	for k, i := range c.ring.replicasFor(row, c.cfg.Replicas) {
 		if c.nodes[i].down {
 			continue
 		}
 		err := c.onNode(i, op)
 		if err == nil || !tripled.Retryable(err) {
-			if tried > 0 {
+			if k > 0 { // the primary was down already or failed just now
 				c.failovers++
 			}
 			return err
 		}
 		lastErr = err
-		tried++
 	}
 	return fmt.Errorf("cluster: get %s: no live replica (last: %v): %w",
 		row, lastErr, tripled.ErrStaleRing)

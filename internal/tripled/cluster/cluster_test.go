@@ -75,40 +75,22 @@ func TestParseSpec(t *testing.T) {
 
 // --- test cluster scaffolding ---
 
+// testCluster is a fleet and the members the clients dial: the
+// fleet's addresses (its proxies' when chaos is on), plus any outsider.
 type testCluster struct {
-	stores  []*tripled.Store
-	servers []*tripled.Server
-	proxies []*faultinject.Proxy // nil when not proxied
-	addrs   []string
+	*faultinject.Fleet
+	addrs []string
 }
 
-// startCluster brings up n single-node servers; with chaos true each
-// sits behind a fault-injection proxy and addrs point at the proxies.
+// startCluster brings up n in-process nodes of four stripes.
 func startCluster(t *testing.T, n int, chaos bool) *testCluster {
 	t.Helper()
-	tc := &testCluster{}
-	for i := 0; i < n; i++ {
-		store := tripled.NewStoreStripes(4)
-		srv, err := tripled.Serve(store, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		tc.stores = append(tc.stores, store)
-		tc.servers = append(tc.servers, srv)
-		addr := srv.Addr()
-		if chaos {
-			p, err := faultinject.New(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { p.Close() })
-			tc.proxies = append(tc.proxies, p)
-			addr = p.Addr()
-		}
-		tc.addrs = append(tc.addrs, addr)
+	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: n, Stripes: 4, Proxied: chaos})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return tc
+	t.Cleanup(f.Close)
+	return &testCluster{Fleet: f, addrs: f.Addrs()}
 }
 
 // fastRetry keeps fault-path tests quick: two tries, millisecond backoff.
@@ -131,11 +113,10 @@ func (tc *testCluster) client(t *testing.T, replicas int, ioTimeout time.Duratio
 	return c
 }
 
-// mergedAssoc reads the whole cluster back through a fresh client (its
-// own fail-stop discovery of any dead node included).
-func (tc *testCluster) mergedAssoc(t *testing.T, replicas int, ioTimeout time.Duration) (*assoc.Assoc, []tripled.RowDegree) {
+// readAll reads the whole cluster back through c; given a fresh client,
+// its own fail-stop discovery of any dead node included.
+func readAll(t *testing.T, c *Client) (*assoc.Assoc, []tripled.RowDegree) {
 	t.Helper()
-	c := tc.client(t, replicas, ioTimeout)
 	a, err := c.FetchAssoc("", 128)
 	if err != nil {
 		t.Fatalf("cluster fetch: %v", err)
@@ -367,9 +348,9 @@ func TestClusterKillNodeMidSoak(t *testing.T) {
 	}
 	tc := startCluster(t, 3, false)
 	runSoak(t, tc, clients, ops, 2*time.Second, func() {
-		tc.servers[2].Close()
+		tc.Server(2).Close()
 	})
-	got, gotTop := tc.mergedAssoc(t, 2, 2*time.Second)
+	got, gotTop := readAll(t, tc.client(t, 2, 2*time.Second))
 	diffAgainstOracle(t, got, gotTop, replayOracle(clients, ops))
 }
 
@@ -384,9 +365,9 @@ func TestClusterBlackholeMidSoak(t *testing.T) {
 	}
 	tc := startCluster(t, 3, true)
 	runSoak(t, tc, clients, ops, 300*time.Millisecond, func() {
-		tc.proxies[1].SetMode(faultinject.Blackhole)
+		tc.Proxy(1).SetMode(faultinject.Blackhole)
 	})
-	got, gotTop := tc.mergedAssoc(t, 2, 300*time.Millisecond)
+	got, gotTop := readAll(t, tc.client(t, 2, 300*time.Millisecond))
 	diffAgainstOracle(t, got, gotTop, replayOracle(clients, ops))
 }
 
@@ -421,7 +402,7 @@ func TestClusterPublishFetchSurvivesNodeLoss(t *testing.T) {
 		})
 	}
 	check(c)
-	tc.servers[0].Close()
+	tc.Server(0).Close()
 	check(tc.client(t, 2, 2*time.Second)) // fresh client discovers the dead node itself
 }
 
@@ -435,17 +416,12 @@ func TestClusterStaleRing(t *testing.T) {
 	if err := c.Put("r1", "c", assoc.Num(1)); err != nil {
 		t.Fatal(err)
 	}
-	tc.servers[0].Close()
-	tc.servers[1].Close()
+	tc.Server(0).Close()
+	tc.Server(1).Close()
 
-	// Hammer keys until both dead nodes are discovered, then every
-	// complete-coverage read must classify stale-ring.
-	for i := 0; i < 50 && c.downCount() < 2; i++ {
-		c.Get(fmt.Sprintf("probe-%d", i), "c")
-	}
-	if c.downCount() < 2 {
-		t.Fatalf("probes discovered only %d dead nodes", c.downCount())
-	}
+	// Once both dead nodes are discovered, every complete-coverage read
+	// must classify stale-ring.
+	discoverDown(t, c, 2)
 	table := assoc.New()
 	table.Set("r", "c", assoc.Num(2))
 	for name, op := range map[string]func() error{

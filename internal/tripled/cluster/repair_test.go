@@ -103,7 +103,7 @@ func TestClusterBlackholeHealRepairRejoins(t *testing.T) {
 	}
 	tc := startCluster(t, 3, true)
 	runSoak(t, tc, clients, ops, 300*time.Millisecond, func() {
-		tc.proxies[1].SetMode(faultinject.Blackhole)
+		tc.Proxy(1).SetMode(faultinject.Blackhole)
 	})
 
 	c := tc.client(t, 2, 300*time.Millisecond)
@@ -111,12 +111,22 @@ func TestClusterBlackholeHealRepairRejoins(t *testing.T) {
 	if h := c.Health(); len(h.Down) != 1 || h.Down[0] != tc.addrs[1] {
 		t.Fatalf("health = %+v, want exactly node 1 down", h)
 	}
+	// A read whose primary is marked down is served by a non-primary: a
+	// failover, though no request to the primary failed.
+	k := 0
+	for c.ring.replicasFor(fmt.Sprint(k), 2)[0] != 1 {
+		k++
+	}
+	before := c.Health().Failovers
+	if _, err := c.Get(fmt.Sprint(k), "x"); err != tripled.ErrNotFound || c.Health().Failovers != before+1 {
+		t.Fatalf("read of a down primary's key: %v, failovers %d → %d, want one more", err, before, c.Health().Failovers)
+	}
 	// While the member is still dark, Repair must fail, not hang or lie.
 	if repaired, err := c.Repair(); err == nil || len(repaired) != 0 {
 		t.Fatalf("Repair of a still-dark member: repaired=%v err=%v", repaired, err)
 	}
 
-	tc.proxies[1].SetMode(faultinject.Forward)
+	tc.Proxy(1).SetMode(faultinject.Forward)
 	repaired, err := c.Repair()
 	if err != nil {
 		t.Fatalf("Repair after heal: %v", err)
@@ -131,20 +141,13 @@ func TestClusterBlackholeHealRepairRejoins(t *testing.T) {
 
 	oracle := replayOracle(clients, ops)
 	// The healed replica holds its partition byte-identically...
-	checkPartitionParity(t, tc.addrs, 1, tc.stores[1].ToAssoc(), oracle)
+	checkPartitionParity(t, tc.addrs, 1, tc.Store(1).ToAssoc(), oracle)
 	// ...and the repaired client reads the whole ring at parity, with
 	// the healed member back in rotation.
-	a, err := c.FetchAssoc("", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, err := c.TopRowsByDegree(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, top := readAll(t, c)
 	diffAgainstOracle(t, a, top, oracle)
 	// A fresh client (no repair history) agrees.
-	got, gotTop := tc.mergedAssoc(t, 2, 300*time.Millisecond)
+	got, gotTop := readAll(t, tc.client(t, 2, 300*time.Millisecond))
 	diffAgainstOracle(t, got, gotTop, oracle)
 }
 
@@ -161,18 +164,7 @@ func TestClusterKill9RestartWALRepairRejoins(t *testing.T) {
 	ops := 120
 	dir := t.TempDir()
 
-	tc := &testCluster{}
-	for i := 0; i < 2; i++ {
-		store := tripled.NewStoreStripes(4)
-		srv, err := tripled.Serve(store, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		tc.stores = append(tc.stores, store)
-		tc.servers = append(tc.servers, srv)
-		tc.addrs = append(tc.addrs, srv.Addr())
-	}
+	tc := startCluster(t, 2, false)
 	p := testkit.Reexec(t, "node", "LISTEN ", dir, "127.0.0.1:0")
 	addr2 := p.Ready
 	tc.addrs = append(tc.addrs, addr2)
@@ -200,7 +192,7 @@ func TestClusterKill9RestartWALRepairRejoins(t *testing.T) {
 	}
 
 	oracle := replayOracle(clients, ops)
-	got, gotTop := tc.mergedAssoc(t, 2, 2*time.Second)
+	got, gotTop := readAll(t, tc.client(t, 2, 2*time.Second))
 	diffAgainstOracle(t, got, gotTop, oracle)
 
 	// The healed subprocess holds its partition byte-identically; its
@@ -226,7 +218,7 @@ func TestClusterKill9RestartWALRepairRejoins(t *testing.T) {
 func TestRepairLeavesTheNextRowAlone(t *testing.T) {
 	const r, next = "r", "r\x01"
 	tc := startCluster(t, 2, false)
-	holder, target := tc.stores[0], tc.stores[1]
+	holder, target := tc.Store(0), tc.Store(1)
 	for _, s := range []*tripled.Store{holder, target} {
 		if err := s.PutBatch([]tripled.Cell{
 			{Row: next, Col: "a", Val: assoc.Num(1)},
@@ -264,14 +256,10 @@ func TestRepairLeavesTheNextRowAlone(t *testing.T) {
 		t.Fatalf("copying the vanished row %q left %v on the member", r, got.Row(r))
 	}
 
-	lone := tripled.NewStore()
+	loneNode := startCluster(t, 1, false)
+	lone := loneNode.Store(0)
 	lone.Put(next, "a", assoc.Num(1))
-	srv, err := tripled.Serve(lone, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := tripled.Dial(srv.Addr())
+	cl, err := tripled.Dial(loneNode.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@
 // PUT/GET/TOPDEG mix through any tripled.Conn — a single server or the
 // replicated cluster client — and collect per-op-kind latency samples.
 // A Mid hook fires at the exact halfway point of every client's script
-// (barrier-synchronized), which is how the failover phase and the chaos
-// flag inject a fault at a deterministic position in the workload
-// rather than at a wall-clock time.
+// (barrier-synchronized), which is how tripled-load's -chaos flag
+// injects a fault at a deterministic position in the workload rather
+// than at a wall-clock time.
 package loadgen
 
 import (
@@ -110,8 +110,13 @@ func (s *clientStats) record(kind string, d time.Duration, n int) {
 // replicas can absorb is invisible here, so a returned error means the
 // failure exceeded the configured redundancy.
 func Run(cfg Config) (*Stats, error) {
-	if cfg.Dial == nil {
+	switch {
+	case cfg.Dial == nil:
 		return nil, fmt.Errorf("loadgen: Config.Dial is required")
+	case cfg.Clients < 1:
+		return nil, fmt.Errorf("loadgen: Config.Clients must be at least 1, got %d", cfg.Clients)
+	case cfg.Batch < 0:
+		return nil, fmt.Errorf("loadgen: Config.Batch must not be negative, got %d", cfg.Batch)
 	}
 	total := cfg.Mix[0] + cfg.Mix[1] + cfg.Mix[2]
 	if total == 0 {
