@@ -36,8 +36,7 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 }
 
 func TestDaemonDegradedStoreStartup(t *testing.T) {
-	// A one-node fleet whose node is down until Restart brings it back
-	// on the same address.
+	// A store that is down until Restart brings it up on the same address.
 	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
