@@ -87,7 +87,7 @@ func TestDaemonDegradedStoreStartup(t *testing.T) {
 	}
 
 	// The store arrives late; the reconnect loop must find it and flip
-	// to ok without a restart.
+	// to ok without a daemon restart.
 	if err := f.Restart(0); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func newFleet(t *testing.T, cfg FleetConfig) *Fleet {
 
 func TestFleetBlackholedProxyMarksItsAddressDownAndCloseFreesAll(t *testing.T) {
 	f := newFleet(t, FleetConfig{Nodes: 3, Proxied: true})
-	c, err := cluster.Dial(f.Spec(2) + ";io_timeout=200ms;retries=1")
+	c, err := cluster.Dial(f.Spec(2) + ";io_timeout=300ms;retries=2")
 	if err != nil {
 		t.Fatal(err)
 	}
