@@ -248,3 +248,37 @@ func TestJSONSummary(t *testing.T) {
 		t.Errorf("summary doc = %+v", doc)
 	}
 }
+
+// TestShippedZoo runs the built command over the repository's own
+// scenarios/ directory, the operator entry point: -list names every
+// shipped scenario, the full run passes all of them, and -audit finds
+// docs/e2e-cases.md in step with the files.
+func TestShippedZoo(t *testing.T) {
+	const dir, cases = "../../scenarios", "../../docs/e2e-cases.md"
+	scs, err := scenario.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != 9 {
+		t.Fatalf("scenarios/ holds %d scenarios, want 9", len(scs))
+	}
+	code, out, recs := runCLI(t, "-dir", dir, "-list")
+	if code != 0 || len(recs) != 0 {
+		t.Fatalf("-list: exit %d, records %v", code, recs)
+	}
+	for _, sc := range scs {
+		if !strings.Contains(out, sc.Name) {
+			t.Errorf("-list does not name %s:\n%s", sc.Name, out)
+		}
+	}
+	code, out, recs = runCLI(t, "-dir", dir)
+	if code != 0 || len(recs) != 0 {
+		t.Fatalf("zoo run: exit %d, records %v\n%s", code, recs, out)
+	}
+	if n := strings.Count(out, "\tpass\t"); n != len(scs) {
+		t.Errorf("zoo run: %d passes, want %d:\n%s", n, len(scs), out)
+	}
+	if code, out, recs := runCLI(t, "-dir", dir, "-audit", "-cases", cases); code != 0 || len(recs) != 0 {
+		t.Errorf("-audit: exit %d, records %v\n%s", code, recs, out)
+	}
+}
