@@ -22,11 +22,11 @@ import (
 )
 
 var badValues = []string{
-	"abc\r",                 // ScanLines eats the CR: read back as "abc"
-	"mid\rdle",              // refused wherever it sits
-	"x\nP\tforged\tc\tn\t1", // replays as a second, forged PUT
-	"\n",                    // an empty record and a dangling one
-	"tail\n",                // the record after it starts on a blank line
+	"abc\r",                   // ScanLines eats the CR: read back as "abc"
+	"mid\rdle",                // refused wherever it sits
+	"x\nPUT\tforged\tc\tn\t1", // replays as a second, forged PUT
+	"\n",                      // an empty record and a dangling one
+	"tail\n",                  // the record after it starts on a blank line
 }
 
 func wantBadValue(t *testing.T, what string, err error) {
@@ -72,7 +72,7 @@ func TestStoreRejectsLineBreakingValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := NewStore()
-	if err := back.replayLog(bytes.NewReader(log.Bytes())); err != nil {
+	if _, err := back.replayLog(bytes.NewReader(log.Bytes()), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bucketsEqual(back.BucketDigests(16), s.BucketDigests(16)) || back.NNZ() != s.NNZ() {
@@ -86,7 +86,7 @@ func TestStoreRejectsLineBreakingValues(t *testing.T) {
 func TestWriteLogReplayRoundTripsEveryAcceptedValue(t *testing.T) {
 	s := NewStore()
 	n := 0
-	for _, v := range append([]string{"", " ", "plain", "a\tb\tc", "\t", "trailing space ", "P\tforged\tc\tn\t1", "ünï", "\x00\x7f"}, badValues...) {
+	for _, v := range append([]string{"", " ", "plain", "a\tb\tc", "\t", "trailing space ", "PUT\tforged\tc\tn\t1", "ünï", "\x00\x7f"}, badValues...) {
 		if s.Put(fmt.Sprintf("r%02d", n), "c", assoc.Str(v)) == nil {
 			n++
 		}
@@ -102,7 +102,7 @@ func TestWriteLogReplayRoundTripsEveryAcceptedValue(t *testing.T) {
 		t.Fatalf("log of %d cells has %d lines", n, got)
 	}
 	back := NewStore()
-	if err := back.replayLog(&log); err != nil {
+	if _, err := back.replayLog(&log, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := storeLog(t, back), storeLog(t, s); !bytes.Equal(got, want) {
@@ -179,8 +179,8 @@ func TestPublishRejectsBadKeysBeforeSending(t *testing.T) {
 		t.Fatalf("NNZ = %d, %v after client-side refusals; server holds %d", n, err, srv.store.NNZ())
 	}
 	// The server does not take the client's word: every line is checked.
-	if _, err := parseMutation([]string{"PUT", "b\rad", "c", "n", "1"}); err == nil {
-		t.Error("parseMutation accepted a carriage return in a row key")
+	if err := new(mutations).parse("PUT\tb\rad\tc\tn\t1"); err == nil {
+		t.Error("parse accepted a carriage return in a row key")
 	}
 }
 

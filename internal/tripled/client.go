@@ -26,14 +26,7 @@ const (
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	dialTimeout time.Duration
-	ioTimeout   time.Duration
-}
-
-// WithDialTimeout bounds the TCP connect. Zero or negative restores
-// DefaultDialTimeout; there is deliberately no way to dial unbounded.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.dialTimeout = d }
+	ioTimeout time.Duration
 }
 
 // WithIOTimeout arms a deadline on every read and write of the
@@ -76,23 +69,20 @@ type Client struct {
 	w    *bufio.Writer
 }
 
-// Dial connects to a tripled server with DefaultDialTimeout.
+// Dial connects to a tripled server within DefaultDialTimeout.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
 	return dialContext(context.Background(), addr, opts...)
 }
 
 // dialContext connects to a tripled server. The context bounds the
-// connect attempt together with the (always-armed) dial timeout;
-// cancel it to abandon a dial early.
+// connect attempt together with the (always-armed) DefaultDialTimeout;
+// cancel it, or give it a shorter deadline, to abandon a dial early.
 func dialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{dialTimeout: DefaultDialTimeout}
+	var cfg dialConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.dialTimeout <= 0 {
-		cfg.dialTimeout = DefaultDialTimeout
-	}
-	d := net.Dialer{Timeout: cfg.dialTimeout}
+	d := net.Dialer{Timeout: DefaultDialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, &TransportError{Op: "dial", Err: err}
@@ -168,16 +158,13 @@ func (c *Client) expectOK(resp string) error {
 	}
 }
 
-// putLine renders a PUT request (or BATCH body) line.
-func putLine(row, col string, v assoc.Value) string {
-	return string(appendCell([]byte("PUT\t"), row, col, v))
-}
-
 // validateWire refuses, before anything is sent, what the server would
 // refuse or — worse — misread in a cell of a row whose key has passed
 // validateKey: a column key or value the line formats cannot carry
-// (BadKeyError, BadValueError), and a tab inside a string value, which
-// the store can hold but a request line cannot.
+// (BadKeyError, BadValueError). It also refuses a tab inside a string
+// value, which the store, the snapshot and the server's parser carry
+// whole (the value is the rest of its line) but this client does not
+// send.
 func validateWire(col string, v assoc.Value) error {
 	if err := validateKey(col); err != nil {
 		return err
@@ -199,7 +186,7 @@ func (c *Client) Put(row, col string, v assoc.Value) error {
 	if err := validateWire(col, v); err != nil {
 		return err
 	}
-	resp, err := c.roundTrip(putLine(row, col, v))
+	resp, err := c.roundTrip(string(appendPut(nil, row, col, v)))
 	if err != nil {
 		return err
 	}

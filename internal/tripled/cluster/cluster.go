@@ -26,11 +26,9 @@ const (
 type Config struct {
 	Addrs    []string // member addresses; order is part of the ring identity
 	Replicas int      // copies of every cell (clamped to len(Addrs)); default 2
-	VNodes   int      // virtual nodes per member; default DefaultVNodes
 
-	DialTimeout time.Duration // per-connect bound; default tripled.DefaultDialTimeout
-	IOTimeout   time.Duration // per-read/write deadline; default DefaultIOTimeout
-	Retry       tripled.Retry // per-node retry/backoff policy; zero value = tripled's default
+	IOTimeout time.Duration // per-read/write deadline; default DefaultIOTimeout
+	Retry     tripled.Retry // per-node retry/backoff policy; zero value = tripled's default
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -43,9 +41,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Replicas > len(c.Addrs) {
 		c.Replicas = len(c.Addrs)
 	}
-	if c.VNodes < 1 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.IOTimeout <= 0 {
 		c.IOTimeout = DefaultIOTimeout
 	}
@@ -55,13 +50,12 @@ func (c Config) withDefaults() (Config, error) {
 // parseSpec parses the textual cluster spec accepted wherever a single
 // store address used to go:
 //
-//	"host:p1,host:p2,host:p3[;replicas=N][;vnodes=N]
-//	 [;io_timeout=D][;dial_timeout=D][;retries=N]"
+//	"host:p1,host:p2,host:p3[;replicas=N][;io_timeout=D][;retries=N]"
 //
 // Durations use Go syntax ("500ms"). Whitespace around addresses and
-// options is ignored. The timeout options exist so one StoreAddr
-// string fully describes the transport — scenario suites and the
-// daemon tune failover latency without new plumbing.
+// options is ignored. The timeout and retry options exist so one
+// StoreAddr string fully describes the transport — scenario suites and
+// the daemon tune failover latency without new plumbing.
 func parseSpec(spec string) (Config, error) {
 	parts := strings.Split(spec, ";")
 	var cfg Config
@@ -84,29 +78,22 @@ func parseSpec(spec string) (Config, error) {
 		}
 		key, val := strings.TrimSpace(kv[0]), strings.TrimSpace(kv[1])
 		switch key {
-		case "replicas", "vnodes", "retries":
+		case "replicas", "retries":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 1 {
 				return cfg, fmt.Errorf("cluster: option %q needs a positive integer", opt)
 			}
-			switch key {
-			case "replicas":
+			if key == "replicas" {
 				cfg.Replicas = n
-			case "vnodes":
-				cfg.VNodes = n
-			case "retries":
+			} else {
 				cfg.Retry.Attempts = n
 			}
-		case "io_timeout", "dial_timeout":
+		case "io_timeout":
 			d, err := time.ParseDuration(val)
 			if err != nil || d <= 0 {
 				return cfg, fmt.Errorf("cluster: option %q needs a positive duration", opt)
 			}
-			if key == "io_timeout" {
-				cfg.IOTimeout = d
-			} else {
-				cfg.DialTimeout = d
-			}
+			cfg.IOTimeout = d
 		default:
 			return cfg, fmt.Errorf("cluster: unknown option %q in spec %q", kv[0], spec)
 		}
@@ -160,7 +147,7 @@ func newClient(cfg Config) (*Client, error) {
 	}
 	return &Client{
 		cfg:   cfg,
-		ring:  buildRing(cfg.Addrs, cfg.VNodes),
+		ring:  buildRing(cfg.Addrs, DefaultVNodes),
 		nodes: nodes,
 		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
 	}, nil
@@ -251,9 +238,7 @@ func (c *Client) staleErr(op string) error {
 func (c *Client) conn(i int) (*tripled.Client, error) {
 	n := c.nodes[i]
 	if n.c == nil {
-		cl, err := tripled.Dial(n.addr,
-			tripled.WithDialTimeout(c.cfg.DialTimeout),
-			tripled.WithIOTimeout(c.cfg.IOTimeout))
+		cl, err := tripled.Dial(n.addr, tripled.WithIOTimeout(c.cfg.IOTimeout))
 		if err != nil {
 			return nil, err
 		}

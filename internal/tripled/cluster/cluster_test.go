@@ -54,18 +54,23 @@ func TestRingDeterministicDistinctBalanced(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	cfg, err := parseSpec(" a:1 , b:2 ,c:3 ; replicas=3 ; vnodes=16 ; io_timeout=250ms ; retries=2 ")
+	cfg, err := parseSpec(" a:1 , b:2 ,c:3 ; replicas=3 ; io_timeout=250ms ; retries=2 ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cfg.Addrs, []string{"a:1", "b:2", "c:3"}) ||
-		cfg.Replicas != 3 || cfg.VNodes != 16 ||
+		cfg.Replicas != 3 ||
 		cfg.IOTimeout != 250*time.Millisecond || cfg.Retry.Attempts != 2 {
 		t.Fatalf("parsed %+v", cfg)
 	}
 	for _, bad := range []string{"", " ; ", "a:1;replicas=0", "a:1;what=3", "a:1;io_timeout=fast"} {
 		if _, err := parseSpec(bad); err == nil {
 			t.Errorf("parseSpec(%q) accepted", bad)
+		}
+	}
+	for _, gone := range []string{"a:1;vnodes=16", "a:1;dial_timeout=1s"} {
+		if _, err := parseSpec(gone); err == nil || !strings.Contains(err.Error(), "unknown option") {
+			t.Errorf("parseSpec(%q) = %v, want an unknown option", gone, err)
 		}
 	}
 	if IsClusterSpec("a:1") || !IsClusterSpec("a:1,b:2") || !IsClusterSpec("a:1;replicas=1") {

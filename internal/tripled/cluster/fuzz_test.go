@@ -14,9 +14,10 @@ func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
 		"a:1",
 		"a:1,b:2,c:3",
-		" a:1 , b:2 ,c:3 ; replicas=3 ; vnodes=16 ; io_timeout=250ms ; retries=2 ",
-		"a:1;dial_timeout=1s;io_timeout=1h2m3.5s",
+		" a:1 , b:2 ,c:3 ; replicas=3 ; io_timeout=250ms ; retries=2 ",
+		"a:1;io_timeout=1h2m3.5s",
 		"a:1;replicas=0", "a:1;replicas=-1", "a:1;vnodes=9223372036854775808",
+		"a:1;vnodes=16", "a:1;dial_timeout=1s;io_timeout=1h2m3.5s",
 		"a:1;io_timeout=-5ms", "a:1;io_timeout=0", "a:1;io_timeout=fast",
 		"a:1;what=3", "a:1;replicas", "a:1;=", "a:1;;;", "", " ; ", ",,,", ";replicas=2",
 		"a:1;replicas=2;replicas=3", "a=b:1;retries = 4",
@@ -36,7 +37,7 @@ func FuzzParseSpec(f *testing.F) {
 				t.Fatalf("parseSpec(%q): address %q", spec, a)
 			}
 		}
-		if cfg.Replicas < 0 || cfg.VNodes < 0 || cfg.Retry.Attempts < 0 || cfg.IOTimeout < 0 || cfg.DialTimeout < 0 {
+		if cfg.Replicas < 0 || cfg.Retry.Attempts < 0 || cfg.IOTimeout < 0 {
 			t.Fatalf("parseSpec(%q) set an option below one: %+v", spec, cfg)
 		}
 		out := strings.Join(cfg.Addrs, ",")
@@ -46,10 +47,8 @@ func FuzzParseSpec(f *testing.F) {
 			set bool
 		}{
 			{"replicas", cfg.Replicas, cfg.Replicas != 0},
-			{"vnodes", cfg.VNodes, cfg.VNodes != 0},
 			{"retries", cfg.Retry.Attempts, cfg.Retry.Attempts != 0},
 			{"io_timeout", cfg.IOTimeout, cfg.IOTimeout != 0},
-			{"dial_timeout", cfg.DialTimeout, cfg.DialTimeout != 0},
 		} {
 			if opt.set {
 				out += fmt.Sprintf(";%s=%v", opt.key, opt.val)

@@ -71,9 +71,7 @@ func (c *Client) Repair() ([]string, error) {
 // health bit.
 func (c *Client) repairNode(i int) error {
 	n := c.nodes[i]
-	target, err := tripled.Dial(n.addr,
-		tripled.WithDialTimeout(c.cfg.DialTimeout),
-		tripled.WithIOTimeout(c.cfg.IOTimeout))
+	target, err := tripled.Dial(n.addr, tripled.WithIOTimeout(c.cfg.IOTimeout))
 	if err != nil {
 		return err
 	}

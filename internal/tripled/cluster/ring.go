@@ -43,9 +43,6 @@ type token struct {
 // on (address, vnode index), so every client over the same address
 // list agrees on placement regardless of the order nodes fail.
 func buildRing(addrs []string, vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = DefaultVNodes
-	}
 	r := &ring{tokens: make([]token, 0, len(addrs)*vnodes), nodes: len(addrs)}
 	for i, addr := range addrs {
 		for v := 0; v < vnodes; v++ {

@@ -1,16 +1,19 @@
 package tripled
 
-// codec.go is the one place a cell becomes bytes and back. Every line
-// format — PUT requests and BATCH bodies, GET and CELLS responses,
-// WAL records and the WriteLog snapshot — ends in the same
-// "<n|s>\t<value>" tail, so they all render through appendValue and
-// parse through parseValue, and none allocates per cell to do it.
+// codec.go is the one place a cell becomes bytes and back. A mutation
+// is one line wherever it travels — "PUT\trow\tcol\t<n|s>\t<value>" or
+// "DEL\trow\tcol", the request a client sends, each BATCH body line,
+// each WAL record line and each line of the WriteLog snapshot — and
+// appendPut / appendDel write every such line; (*mutations).parse
+// reads them all back. Every cell line, GET and CELLS responses
+// included, ends in the same "<n|s>\t<value>" tail, so they all render
+// through appendValue and parse through parseValue, and none allocates
+// per cell to do it.
 
 import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/assoc"
 )
@@ -33,6 +36,21 @@ func appendCell(b []byte, row, col string, v assoc.Value) []byte {
 	b = append(b, col...)
 	b = append(b, '\t')
 	return appendValue(b, v)
+}
+
+// appendPut renders the mutation line "PUT\trow\tcol\t<n|s>\t<value>",
+// without its newline.
+func appendPut(b []byte, row, col string, v assoc.Value) []byte {
+	return appendCell(append(b, "PUT\t"...), row, col, v)
+}
+
+// appendDel renders the mutation line "DEL\trow\tcol", without its
+// newline.
+func appendDel(b []byte, row, col string) []byte {
+	b = append(b, "DEL\t"...)
+	b = append(b, row...)
+	b = append(b, '\t')
+	return append(b, col...)
 }
 
 func parseValue(marker, raw string) (assoc.Value, error) {
@@ -104,21 +122,4 @@ func (d *cellDecoder) decode(line []byte) (Cell, error) {
 		}
 	}
 	return Cell{Row: d.row, Col: col, Val: v}, nil
-}
-
-// splitTabs splits line at tabs into dst[:0], like strings.Split but
-// into caller storage: once dst is full the last field keeps the rest
-// of the line, tabs included, so an arity check against a dst one
-// longer than the widest legal line still sees the excess.
-func splitTabs(dst []string, line string) []string {
-	dst = dst[:0]
-	for len(dst) < cap(dst)-1 {
-		i := strings.IndexByte(line, '\t')
-		if i < 0 {
-			break
-		}
-		dst = append(dst, line[:i])
-		line = line[i+1:]
-	}
-	return append(dst, line)
 }

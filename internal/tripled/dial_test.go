@@ -74,10 +74,12 @@ func TestDialTimeoutIsBounded(t *testing.T) {
 	// goes nowhere, the historical net.Dial would sit in the OS connect
 	// timeout (minutes). The environment may instead refuse or reject
 	// instantly — any outcome is fine as long as the dial returns an
-	// error within the configured bound.
+	// error within the context's bound.
 	done := make(chan error, 1)
 	go func() {
-		c, err := Dial("203.0.113.1:9", WithDialTimeout(200*time.Millisecond))
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		c, err := dialContext(ctx, "203.0.113.1:9")
 		if err == nil {
 			c.Close()
 		}

@@ -17,9 +17,10 @@ package tripled
 // benchmark gate.
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/tripled/wal"
@@ -73,10 +74,11 @@ func (s *Server) openWAL() error {
 		lg.Close()
 		return err
 	}
+	buf := make([]byte, 1<<16) // one line buffer for the snapshot and every record
 	if snap != nil {
 		rec.HadSnapshot = true
 		before := s.store.NNZ()
-		err := s.store.replayLog(snap)
+		_, err := s.store.replayLog(snap, buf)
 		snap.Close()
 		if err != nil {
 			lg.Close()
@@ -85,15 +87,14 @@ func (s *Server) openWAL() error {
 		rec.SnapshotCells = s.store.NNZ() - before
 	}
 	if err := lg.Replay(func(payload []byte) error {
-		ops, err := decodeOps(payload)
+		// A CRC-valid record that does not parse is a logic bug, not a
+		// torn tail; refusing loudly beats replaying garbage.
+		n, err := s.store.replayLog(bytes.NewReader(payload), buf)
 		if err != nil {
-			// CRC-valid but undecodable is a logic bug, not a torn tail;
-			// refusing loudly beats replaying garbage.
 			return err
 		}
 		rec.TailRecords++
-		rec.TailOps += ops.len()
-		applyRuns(s.store, ops)
+		rec.TailOps += n
 		return nil
 	}); err != nil {
 		lg.Close()
@@ -157,11 +158,45 @@ func (s *Server) compactLocked() error {
 	return nil
 }
 
+// replayChunk is how many logged mutations recovery parses before it
+// applies them, so replaying a snapshot never holds the whole table
+// twice.
+const replayChunk = 1024
+
+// replayLog applies the mutation lines r holds — the WriteLog snapshot,
+// or one WAL record — to s: each line goes through the parser requests
+// take, and every replayChunk of them through applyRuns, in order. buf
+// is the scanner's line buffer, shared across calls (nil allocates
+// one). It returns the mutations applied, and on a line that does not
+// parse an error naming it.
+func (s *Store) replayLog(r io.Reader, buf []byte) (int, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(buf, 1<<24)
+	var ops mutations
+	applied, line := 0, 0
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		if err := ops.parse(sc.Text()); err != nil {
+			return applied, fmt.Errorf("line %d %q: %w", line, sc.Text(), err)
+		}
+		if ops.len() == replayChunk {
+			applyRuns(s, &ops)
+			applied += ops.len()
+			ops.reset()
+		}
+	}
+	applyRuns(s, &ops)
+	return applied + ops.len(), sc.Err()
+}
+
 // applyRuns applies parsed ops run by run, each run of consecutive
 // PUTs or DELs as one store batch (so same-cell PUT/DEL sequences keep
-// their order). The ops were validated when they were parsed — off the
-// wire by parseMutation, or before they were logged to the WAL being
-// replayed — so the store takes the PUTs as they stand.
+// their order). The ops were validated when (*mutations).parse read
+// them — off the wire, or off the log being replayed — so the store
+// takes the PUTs as they stand.
 func applyRuns(store *Store, ops *mutations) {
 	puts, dels := ops.puts, ops.dels
 	for _, run := range ops.runs {
@@ -175,22 +210,18 @@ func applyRuns(store *Store, ops *mutations) {
 	}
 }
 
-// encodeOps frames ops as one WAL payload: the same tab-separated
-// lines the persistence log uses ("P\trow\tcol\tmarker\tvalue" or
-// "D\trow\tcol"), newline-joined. Keys and values were validated at
-// parse time, so the line format cannot be corrupted from here.
+// encodeOps frames ops as one WAL payload: their mutation lines, as a
+// BATCH body spells them, each ended by a newline. Keys and values were
+// validated at parse time, so the lines cannot be corrupted from here.
 func encodeOps(ops *mutations) []byte {
 	var b []byte
 	puts, dels := ops.puts, ops.dels
 	for _, run := range ops.runs {
 		for i := 0; i < run.n; i++ {
 			if run.del {
-				b = append(b, 'D', '\t')
-				b = append(b, dels[i].Row...)
-				b = append(b, '\t')
-				b = append(b, dels[i].Col...)
+				b = appendDel(b, dels[i].Row, dels[i].Col)
 			} else {
-				b = appendCell(append(b, 'P', '\t'), puts[i].Row, puts[i].Col, puts[i].Val)
+				b = appendPut(b, puts[i].Row, puts[i].Col, puts[i].Val)
 			}
 			b = append(b, '\n')
 		}
@@ -201,35 +232,4 @@ func encodeOps(ops *mutations) []byte {
 		}
 	}
 	return b
-}
-
-// decodeOps parses a WAL payload back into ops.
-func decodeOps(payload []byte) (*mutations, error) {
-	lines := strings.Split(strings.TrimSuffix(string(payload), "\n"), "\n")
-	ops := &mutations{}
-	for _, line := range lines {
-		if line == "" {
-			continue
-		}
-		parts := strings.SplitN(line, "\t", 5)
-		switch parts[0] {
-		case "P":
-			if len(parts) != 5 {
-				return nil, fmt.Errorf("tripled: wal record line %q malformed", line)
-			}
-			v, err := parseValue(parts[3], parts[4])
-			if err != nil {
-				return nil, fmt.Errorf("tripled: wal record line %q: %w", line, err)
-			}
-			ops.put(Cell{Row: parts[1], Col: parts[2], Val: v})
-		case "D":
-			if len(parts) != 3 {
-				return nil, fmt.Errorf("tripled: wal record line %q malformed", line)
-			}
-			ops.del(CellKey{Row: parts[1], Col: parts[2]})
-		default:
-			return nil, fmt.Errorf("tripled: wal record op %q unknown", parts[0])
-		}
-	}
-	return ops, nil
 }

@@ -8,12 +8,15 @@ package tripled
 // frame-level truncation sweep lives in the wal package.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -253,15 +256,16 @@ func TestStoreRejectsLogBreakingKeys(t *testing.T) {
 	if err := s.WriteLog(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewStore().replayLog(&b); err != nil {
+	if _, err := NewStore().replayLog(&b, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestProtocolRejectsCarriageReturnKey(t *testing.T) {
-	// Tab-embedded keys already die on the protocol's arity check; a
-	// carriage return used to pass the wire and corrupt the persistence
-	// log. It must be refused at parse time, before WAL or store.
+	// A tab in a key shifts the fields of its line, so the client's key
+	// check keeps it off the wire; a carriage return used to pass the
+	// wire and corrupt the persistence log. It must be refused at parse
+	// time, before WAL or store.
 	srv, c := serveTest(t)
 	if err := c.Put("evil\rrow", "c", assoc.Num(1)); Classify(err) != ClassFatal {
 		t.Fatalf("PUT with \\r key: err=%v class=%v, want fatal", err, Classify(err))
@@ -285,6 +289,96 @@ func TestProtocolRejectsCarriageReturnKey(t *testing.T) {
 	}
 	if n, err := c.NNZ(); err != nil || n != 0 {
 		t.Fatalf("NNZ = %d, %v after rejected batch, want 0 (atomic)", n, err)
+	}
+}
+
+// TestTabValueSurvivesEveryLine pins what one mutation grammar means
+// for a string value holding a tab: the value is the rest of its PUT
+// line, so a raw PUT and a raw BATCH line store it whole, GET and CELLS
+// read it back whole, and so does a server restarted from the WAL, and
+// from a Compact snapshot. A data dir spelling a mutation any other way
+// — the old "P" records and snapshot lines — fails Serve, naming the
+// line.
+func TestTabValueSurvivesEveryLine(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := Serve(NewStore(), "127.0.0.1:0", WithDataDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd := bufio.NewReader(conn)
+	for req, want := range map[string]string{
+		"PUT\tr\tput\ts\ta\tb\n":                               "OK\n",
+		"BATCH\t2\nPUT\tr\tbatch\ts\t\tc\td\t\nDEL\tr\tnone\n": "OK 2\n",
+	} {
+		fmt.Fprint(conn, req)
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if resp, err := rd.ReadString('\n'); resp != want {
+			t.Fatalf("%q answered %q, %v; want %q", req, resp, err, want)
+		}
+	}
+	want := []Cell{{Row: "r", Col: "batch", Val: assoc.Str("\tc\td\t")}, {Row: "r", Col: "put", Val: assoc.Str("a\tb")}}
+	check := func(what string, srv *Server) {
+		t.Helper()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, cell := range want {
+			if v, err := c.Get(cell.Row, cell.Col); err != nil || v != cell.Val {
+				t.Errorf("%s: GET %s = %q, %v; want %q", what, cell.Col, v.Str, err, cell.Val.Str)
+			}
+		}
+		if got, err := c.RowCells("r"); err != nil || !cellsEqual(got, want) {
+			t.Errorf("%s: CELLS = %q, %v; want %q", what, got, err, want)
+		}
+	}
+	check("live", srv)
+	srv.Close()
+	for _, restart := range []string{"WAL restart", "Compact + restart"} {
+		srv, err = Serve(NewStore(), "127.0.0.1:0", WithDataDir(dir))
+		if err != nil {
+			t.Fatalf("%s: %v", restart, err)
+		}
+		if snap := srv.Recovery().HadSnapshot; snap != (restart == "Compact + restart") {
+			t.Errorf("%s: recovery had a snapshot: %v", restart, snap)
+		}
+		check(restart, srv)
+		if err := srv.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+	}
+
+	const old = "P\tr\tc\tn\t1"
+	for _, where := range []string{"record", "snapshot"} {
+		dir := t.TempDir()
+		lg, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if where == "record" {
+			err = lg.Append([]byte(old + "\n"))
+		} else {
+			err = lg.Compact(func(w io.Writer) error { _, err := io.WriteString(w, old+"\n"); return err })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg.Close()
+		srv, err := Serve(NewStore(), "127.0.0.1:0", WithDataDir(dir))
+		if err == nil {
+			srv.Close()
+			t.Fatalf("Serve over a %s line %q succeeded", where, old)
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(old)) {
+			t.Errorf("Serve over a %s line %q: error %q does not name the line", where, old, err)
+		}
 	}
 }
 

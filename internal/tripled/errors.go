@@ -60,10 +60,10 @@ func (c Class) String() string {
 // Classify needs no knowledge of the cluster package.
 var ErrStaleRing = errors.New("tripled: ring view stale (live nodes below quorum)")
 
-// BadKeyError reports a row or column key that would corrupt the
-// line-oriented formats the store round-trips through — the wire
-// protocol, WriteLog/replayLog, and the WAL all frame cells as
-// tab-separated lines, so a key holding a tab, newline, or carriage
+// BadKeyError reports a row or column key that would corrupt the one
+// mutation line the store round-trips through — the request, the WAL
+// record and the WriteLog snapshot all frame a cell as one
+// tab-separated line, so a key holding a tab, newline, or carriage
 // return would silently shift fields on replay. It classifies fatal:
 // the same key is refused on every retry.
 type BadKeyError struct{ Key string }

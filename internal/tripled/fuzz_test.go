@@ -10,6 +10,7 @@ package tripled
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -99,18 +100,65 @@ func FuzzServerProtocol(f *testing.F) {
 }
 
 func FuzzReplayLog(f *testing.F) {
-	f.Add([]byte("P\tr\tc\tn\t1.5\nP\tr\tc2\ts\thello\n"))
-	f.Add([]byte("P\tr\tc\tq\tbad\n"))
+	f.Add([]byte("PUT\tr\tc\tn\t1.5\nPUT\tr\tc2\ts\thello\n"))
+	f.Add([]byte("PUT\tr\tc\tq\tbad\n"))
 	f.Add([]byte("X\tr\tc\tn\t1\n"))
-	f.Add([]byte("P\tr\tc\n"))
+	f.Add([]byte("PUT\tr\tc\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte("P\tr\tc\tn\tNaN\n"))
-	f.Add([]byte("\x00P\t\xff\t\t\t\n"))
+	f.Add([]byte("PUT\tr\tc\tn\tNaN\n"))
+	f.Add([]byte("\x00PUT\t\xff\t\t\t\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := NewStoreStripes(3)
-		store.replayLog(strings.NewReader(string(data))) // error or nil, never panic
+		store.replayLog(strings.NewReader(string(data)), nil) // error or nil, never panic
 		verifyStoreInvariants(t, store)
+	})
+}
+
+// FuzzMutationLine: the encoders and the one parser agree. For any
+// cell, either validate refuses it or the line appendPut renders parses
+// back to exactly that one cell — a number bit for bit, NaN as NaN —
+// and the same holds for appendDel and the cell's key.
+func FuzzMutationLine(f *testing.F) {
+	f.Add("r", "c", "hello", 0.0, false)
+	f.Add("r", "c", "a\tb\t", 0.0, false)
+	f.Add("", "", "", math.Copysign(0, -1), true)
+	f.Add("r", "c", "", math.NaN(), true)
+	f.Add("r", "c", "", math.Inf(-1), true)
+	f.Add("r", "c", "", 5e-324, true)
+	f.Add("r\tx", "c", "v", 1.5, true)
+	f.Add("r", "c\r", "x\nPUT\tforged\tc\tn\t1", 0.0, false)
+	f.Fuzz(func(t *testing.T, row, col, str string, num float64, numeric bool) {
+		want := Cell{Row: row, Col: col, Val: assoc.Str(str)}
+		if numeric {
+			want.Val = assoc.Num(num)
+		}
+		if want.validate() == nil {
+			var m mutations
+			line := string(appendPut(nil, row, col, want.Val))
+			if err := m.parse(line); err != nil {
+				t.Fatalf("parse(%q): %v", line, err)
+			}
+			if len(m.puts) != 1 || len(m.dels) != 0 {
+				t.Fatalf("parse(%q) = %+v, want one PUT", line, m)
+			}
+			got := m.puts[0]
+			sameNum := math.Float64bits(got.Val.Num) == math.Float64bits(want.Val.Num) ||
+				math.IsNaN(got.Val.Num) && math.IsNaN(want.Val.Num)
+			if got.Row != row || got.Col != col || got.Val.Numeric != numeric || got.Val.Str != want.Val.Str || !sameNum {
+				t.Fatalf("parse(%q) = %+v, want %+v", line, got, want)
+			}
+		}
+		if key := (Cell{Row: row, Col: col}); key.validate() == nil {
+			var m mutations
+			line := string(appendDel(nil, row, col))
+			if err := m.parse(line); err != nil {
+				t.Fatalf("parse(%q): %v", line, err)
+			}
+			if len(m.puts) != 0 || len(m.dels) != 1 || m.dels[0] != (CellKey{Row: row, Col: col}) {
+				t.Fatalf("parse(%q) = %+v, want DEL of (%q, %q)", line, m, row, col)
+			}
+		}
 	})
 }
 

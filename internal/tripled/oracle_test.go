@@ -113,7 +113,7 @@ func (m *mapStore) writeLog() []byte {
 		if c.Val.Numeric {
 			marker = "n"
 		}
-		fmt.Fprintf(&b, "P\t%s\t%s\t%s\t%s\n", c.Row, c.Col, marker, c.Val.String())
+		fmt.Fprintf(&b, "PUT\t%s\t%s\t%s\t%s\n", c.Row, c.Col, marker, c.Val.String())
 	}
 	return b.Bytes()
 }

@@ -57,7 +57,7 @@ func (p *Pipeline) Put(row, col string, v assoc.Value) {
 	if p.err = validateWire(col, v); p.err != nil {
 		return
 	}
-	p.body = append(appendCell(append(p.body, "PUT\t"...), row, col, v), '\n')
+	p.body = append(appendPut(p.body, row, col, v), '\n')
 	p.bumped()
 }
 
@@ -72,11 +72,7 @@ func (p *Pipeline) Delete(row, col string) {
 	if p.err != nil {
 		return
 	}
-	p.body = append(p.body, "DEL\t"...)
-	p.body = append(p.body, row...)
-	p.body = append(p.body, '\t')
-	p.body = append(p.body, col...)
-	p.body = append(p.body, '\n')
+	p.body = append(appendDel(p.body, row, col), '\n')
 	p.bumped()
 }
 

@@ -7,7 +7,7 @@ package tripled
 //
 // Requests (tab-separated):
 //
-//	PUT <row> <col> <n|s> <value>
+//	PUT <row> <col> <n|s> <value>   (the value is the rest of the line)
 //	GET <row> <col>
 //	BATCH <n>              -> followed by n body lines, each
 //	                          "PUT <row> <col> <n|s> <value>" or
@@ -194,7 +194,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	w := bufio.NewWriterSize(conn, 1<<16)
 	defer w.Flush()
-	var batch mutations // BATCH bodies are parsed into one buffer, reused
+	var batch mutations // PUT requests and BATCH bodies are parsed into one buffer, reused
 	for s.scanLine(conn, sc) {
 		line := sc.Text()
 		if line == "" {
@@ -230,14 +230,12 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 	case "NNZ":
 		fmt.Fprintf(w, "OK %d\n", s.store.NNZ())
 	case "PUT":
-		cell, err := parseMutation(parts)
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return false
+		defer batch.reset()
+		err := batch.parse(line)
+		if err == nil {
+			err = s.applyOps(batch)
 		}
-		var one mutations
-		one.put(cell)
-		if err := s.applyOps(&one); err != nil {
+		if err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
@@ -337,6 +335,44 @@ func (m *mutations) extend(del bool) {
 	m.runs[len(m.runs)-1].n++
 }
 
+// parse appends the mutation line spells to m: "PUT\trow\tcol\t<n|s>\t<value>",
+// whose value is the rest of the line, tabs and all, or "DEL\trow\tcol".
+// It is the one reader of a mutation line — a PUT request, each BATCH
+// body line, and on recovery each snapshot and WAL record line — and it
+// validates what it reads, so a key or value that would corrupt the
+// line formats is refused before the WAL or the store can see it, and
+// nothing downstream validates again.
+func (m *mutations) parse(line string) error {
+	op, rest, _ := strings.Cut(line, "\t")
+	switch strings.ToUpper(op) {
+	case "PUT":
+		row, rest, ok1 := strings.Cut(rest, "\t")
+		col, rest, ok2 := strings.Cut(rest, "\t")
+		marker, raw, ok3 := strings.Cut(rest, "\t")
+		if !ok1 || !ok2 || !ok3 {
+			return errors.New("PUT wants 4 arguments")
+		}
+		v, err := parseValue(marker, raw)
+		if err != nil {
+			return err
+		}
+		c := Cell{Row: row, Col: col, Val: v}
+		if err := c.validate(); err != nil {
+			return err
+		}
+		m.put(c)
+	case "DEL":
+		row, col, ok := strings.Cut(rest, "\t")
+		if !ok || strings.Contains(col, "\t") {
+			return errors.New("DEL wants 2 arguments")
+		}
+		m.del(CellKey{Row: row, Col: col})
+	default:
+		return errors.New("op must be PUT or DEL")
+	}
+	return nil
+}
+
 func (m *mutations) len() int { return len(m.puts) + len(m.dels) }
 
 // reset empties the list for reuse, dropping its references: the store
@@ -370,7 +406,6 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 	}
 	defer ops.reset()
 	var bodyErr error
-	var fields [6]string // one more than a PUT's arity, so excess tabs still fail it
 	// One deadline covers the whole body: a stalled batch times out as a
 	// unit without paying a deadline syscall per line.
 	if s.idleTimeout > 0 {
@@ -383,23 +418,8 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 		if bodyErr != nil {
 			continue // keep consuming to stay in sync
 		}
-		body := splitTabs(fields[:], sc.Text())
-		switch strings.ToUpper(body[0]) {
-		case "PUT":
-			cell, err := parseMutation(body)
-			if err != nil {
-				bodyErr = fmt.Errorf("batch line %d: %v", i+1, err)
-				continue
-			}
-			ops.put(cell)
-		case "DEL":
-			if len(body) != 3 {
-				bodyErr = fmt.Errorf("batch line %d: DEL wants 2 arguments", i+1)
-				continue
-			}
-			ops.del(CellKey{Row: body[1], Col: body[2]})
-		default:
-			bodyErr = fmt.Errorf("batch line %d: op must be PUT or DEL", i+1)
+		if err := ops.parse(sc.Text()); err != nil {
+			bodyErr = fmt.Errorf("batch line %d: %v", i+1, err)
 		}
 	}
 	if bodyErr != nil {
@@ -463,31 +483,6 @@ func (s *Server) handleResync(w *bufio.Writer, parts []string) bool {
 		fmt.Fprintln(w, "ERR RESYNC wants DIGEST or ROWS")
 	}
 	return false
-}
-
-// parseMutation parses the argument list of a PUT request or BATCH body
-// line into a Cell. Validation happens here — before the WAL or the
-// store can see the mutation — so a key or value that would corrupt
-// the line formats is refused at the protocol boundary, and nothing
-// downstream validates again.
-func parseMutation(parts []string) (Cell, error) {
-	if len(parts) != 5 {
-		return Cell{}, errors.New("PUT wants 4 arguments")
-	}
-	if err := validateKey(parts[1]); err != nil {
-		return Cell{}, err
-	}
-	if err := validateKey(parts[2]); err != nil {
-		return Cell{}, err
-	}
-	v, err := parseValue(parts[3], parts[4])
-	if err != nil {
-		return Cell{}, err
-	}
-	if err := validateValue(v); err != nil {
-		return Cell{}, err
-	}
-	return Cell{Row: parts[1], Col: parts[2], Val: v}, nil
 }
 
 // ErrNotFound is returned by client lookups of absent cells.

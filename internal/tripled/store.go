@@ -22,7 +22,6 @@ package tripled
 
 import (
 	"bufio"
-	"fmt"
 	"hash/maphash"
 	"io"
 	"slices"
@@ -114,10 +113,9 @@ func (s *Store) stripeFor(row string) *stripe {
 }
 
 // Put stores v at (row, col), replacing any existing value. Keys that
-// would corrupt the line-oriented persistence formats (tab, newline,
-// carriage return) are refused with a BadKeyError, and string values
-// holding a newline or carriage return with a BadValueError, before
-// any mutation.
+// would corrupt the mutation line (tab, newline, carriage return) are
+// refused with a BadKeyError, and string values holding a newline or
+// carriage return with a BadValueError, before any mutation.
 func (s *Store) Put(row, col string, v assoc.Value) error {
 	c := Cell{Row: row, Col: col, Val: v}
 	if err := c.validate(); err != nil {
@@ -205,7 +203,7 @@ func (s *Store) PutBatch(cells []Cell) error {
 }
 
 // putCells is PutBatch for cells already validated (by PutBatch, or by
-// parseMutation before the WAL saw them).
+// (*mutations).parse before the WAL saw them).
 func (s *Store) putCells(cells []Cell) {
 	var cur *stripe
 	for i := 0; i < len(cells); {
@@ -454,53 +452,20 @@ func (s *Store) ToAssoc() *assoc.Assoc {
 	return out
 }
 
-// WriteLog appends the entire table to w as replayable PUT records (the
-// persistence format: one "P<TAB>row<TAB>col<TAB>type<TAB>value" line
-// per cell). Like ToAssoc, the log is an atomic snapshot: every stripe
-// stays read-locked until the last record is buffered, so the log
-// always corresponds to a state the store actually held.
+// WriteLog appends the entire table to w as mutation lines, one
+// "PUT\trow\tcol\t<n|s>\t<value>" line per cell — the line a client
+// sends and the WAL logs, so recovery replays the snapshot through the
+// same parser as the records after it. Like ToAssoc, the log is an
+// atomic snapshot: every stripe stays read-locked until the last line
+// is buffered, so the log always corresponds to a state the store
+// actually held.
 func (s *Store) WriteLog(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	s.page("", "", 0, "", func(r *row) {
 		for e := range r.cells.All() {
-			line := appendCell(append(bw.AvailableBuffer(), 'P', '\t'), r.key, e.Key, e.Val)
+			line := appendPut(bw.AvailableBuffer(), r.key, e.Key, e.Val)
 			bw.Write(append(line, '\n')) // a write error is sticky: Flush returns it
 		}
 	})
 	return bw.Flush()
-}
-
-// replayLog applies PUT records produced by WriteLog (or by a server
-// session log) to the store.
-func (s *Store) replayLog(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	line := 0
-	batch := make([]Cell, 0, 1024)
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" {
-			continue
-		}
-		parts := strings.SplitN(text, "\t", 5)
-		if len(parts) != 5 || parts[0] != "P" {
-			return fmt.Errorf("tripled: log line %d malformed", line)
-		}
-		v, err := parseValue(parts[3], parts[4])
-		if err != nil {
-			return fmt.Errorf("tripled: log line %d: %w", line, err)
-		}
-		batch = append(batch, Cell{Row: parts[1], Col: parts[2], Val: v})
-		if len(batch) == cap(batch) {
-			if err := s.PutBatch(batch); err != nil {
-				return fmt.Errorf("tripled: log line <= %d: %w", line, err)
-			}
-			batch = batch[:0]
-		}
-	}
-	if err := s.PutBatch(batch); err != nil {
-		return fmt.Errorf("tripled: log line <= %d: %w", line, err)
-	}
-	return sc.Err()
 }

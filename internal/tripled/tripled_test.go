@@ -146,7 +146,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
-	if err := s2.replayLog(&buf); err != nil {
+	if _, err := s2.replayLog(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s2.NNZ() != 2 {
@@ -162,8 +162,8 @@ func TestLogRoundTrip(t *testing.T) {
 
 func TestReplayLogErrors(t *testing.T) {
 	s := NewStore()
-	for _, bad := range []string{"X\tr\tc\tn\t1\n", "P\tr\tc\n", "P\tr\tc\tq\tv\n", "P\tr\tc\tn\tnotnum\n"} {
-		if err := s.replayLog(bytes.NewReader([]byte(bad))); err == nil {
+	for _, bad := range []string{"X\tr\tc\tn\t1\n", "PUT\tr\tc\n", "PUT\tr\tc\tq\tv\n", "PUT\tr\tc\tn\tnotnum\n"} {
+		if _, err := s.replayLog(bytes.NewReader([]byte(bad)), nil); err == nil {
 			t.Errorf("replayLog(%q) succeeded", bad)
 		}
 	}

@@ -1,9 +1,10 @@
 // Package wal is the durable write-ahead log behind a tripled server:
 // segmented append-only files of length-prefixed, CRC32C-framed
 // records, plus a snapshot file written by snapshot-then-truncate
-// compaction. The package is payload-agnostic — records are opaque
-// byte slices (the tripled server frames its mutations as protocol
-// lines) — so it carries no store dependency and fuzzes in isolation.
+// compaction. The package is payload-agnostic — records and the
+// snapshot are opaque bytes (the tripled server writes both as the
+// PUT/DEL lines its clients send) — so it carries no store dependency
+// and fuzzes in isolation.
 //
 // Frame format, little-endian:
 //
