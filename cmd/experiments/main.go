@@ -1,7 +1,7 @@
 // Command experiments runs the full study and scores every reproduced
-// artifact against the paper's claims and the generator's ground truth,
-// emitting a markdown verdict table — the automated backbone of
-// EXPERIMENTS.md.
+// artifact against the paper's claims and the generator's ground truth.
+// It prints a markdown verdict table, one row per claim, and exits 1
+// when any claim fails.
 //
 // Usage:
 //

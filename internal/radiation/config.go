@@ -22,9 +22,9 @@
 // that scans broadly); the honeyfarm sees an active source with
 // probability capped by the paper's log-brightness law min(1,
 // log2(d)/BrightLog2). The measurement pipeline is blind to all of these
-// parameters and must re-derive them from packets; EXPERIMENTS.md
-// compares recovered values against both this ground truth and the
-// paper's figures.
+// parameters and must re-derive them from packets; cmd/experiments
+// scores recovered values against both this ground truth and the
+// paper's claims.
 package radiation
 
 import (

@@ -369,3 +369,126 @@ func TestCutRunsAreIndependentNeighbours(t *testing.T) {
 	}
 	verify("at the end", rs)
 }
+
+// TestRangeBeforeRunFillsBlocks: two months published into one stripe's
+// row index, the later month first — an ascending range, then a second
+// ascending range that sorts entirely before it. Each key of the second
+// range lands between two blocks, and the blocks it fills must end up
+// as full as an ascending load leaves them, not half full.
+func TestRangeBeforeRunFillsBlocks(t *testing.T) {
+	const n = 20 * blockLen
+	var r Run[int]
+	for _, month := range []string{"m02/", "m01/"} {
+		for i := 0; i < n; i++ {
+			if _, added := r.Put(fmt.Sprintf("%s%06d", month, i)); !added {
+				t.Fatal("fresh key reported present")
+			}
+		}
+	}
+	if all := check(t, r); len(all) != 2*n {
+		t.Fatalf("run holds %d entries, want %d", len(all), 2*n)
+	}
+	if fill := float64(2*n) / float64(r.NumBlocks()*blockLen); fill < 0.75 {
+		t.Errorf("%d keys over %d blocks: mean block fill %.2f, want at least 0.75", 2*n, r.NumBlocks(), fill)
+	}
+}
+
+// FuzzRunMatchesMapOracle reads its input as a script over three runs
+// cut from one slab: the first byte sets how wide the cuts are, then
+// each op picks a run, Put or Delete, one key or an ascending range of
+// up to 256, on short keys or long ones sharing a 48-byte prefix — so
+// blocks fill, split where keys go, empty and refill in any order.
+// After every op every run must hold exactly its map's entries, in key
+// order, with check's block invariants; a run that grows, splits or
+// empties must never write into a neighbour's entries, which its map
+// would then disagree with.
+func FuzzRunMatchesMapOracle(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{7, 0, 10, 200, 1, 2, 10, 200, 4, 0, 3, 5})
+	f.Add([]byte{255, 2, 0, 0, 255, 2, 1, 128, 255, 6, 0, 0, 200, 0, 1, 128, 1})
+	f.Add([]byte{130, 8, 0, 1, 0, 10, 0, 90, 255, 14, 3, 0, 40, 9, 0, 200})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		// Cut widths 0..2*blockLen+4: empty, narrow, one full block, wider.
+		widths := []int{int(data[0]) % (2*blockLen + 5), int(data[0]) % 7, int(data[0]) * 3 % (blockLen + 3)}
+		data = data[1:]
+		key := func(long bool, k int) string {
+			if long {
+				return fmt.Sprintf("%048d/%04d", 0, k)
+			}
+			return fmt.Sprintf("%04d", k)
+		}
+		var slab []Entry[int]
+		var ends []int
+		models := make([]map[string]int, len(widths))
+		for i, w := range widths {
+			models[i] = make(map[string]int)
+			for j := 0; j < w; j++ {
+				k := key(i == 1, 4*j+i)
+				slab = append(slab, Entry[int]{Key: k, Val: -1 - j})
+				models[i][k] = -1 - j
+			}
+			ends = append(ends, len(slab))
+		}
+		var rs []Run[int]
+		for _, r := range Cut(slab, ends) {
+			rs = append(rs, r)
+		}
+		verify := func(step int) {
+			t.Helper()
+			for i, r := range rs {
+				all := check(t, r)
+				want := sortedKeys(models[i])
+				if len(all) != len(want) {
+					t.Fatalf("op %d: run %d holds %d entries, map %d", step, i, len(all), len(want))
+				}
+				for j, e := range all {
+					if e.Key != want[j] || e.Val != models[i][e.Key] {
+						t.Fatalf("op %d: run %d entry %d is %q=%d, map %q=%d", step, i, j, e.Key, e.Val, want[j], models[i][want[j]])
+					}
+				}
+			}
+		}
+		verify(-1)
+		// An op is four bytes: flags, a range length and a 10-bit key.
+		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
+			flags, n := data[0], int(data[1])+1
+			i, del, long := int(flags)%len(rs), flags&4 != 0, flags&8 != 0
+			if flags&16 == 0 {
+				n = 1
+			}
+			k := (int(data[2])<<8 | int(data[3])) % 1024
+			for j := 0; j < n; j++ {
+				kk := key(long, k+j)
+				if del {
+					got, ok := rs[i].Delete(kk)
+					want, had := models[i][kk]
+					if ok != had || got != want {
+						t.Fatalf("op %d: run %d Delete(%q) = %d,%v, map %d,%v", step, i, kk, got, ok, want, had)
+					}
+					delete(models[i], kk)
+					continue
+				}
+				e, added := rs[i].Put(kk)
+				if _, had := models[i][kk]; added == had || e.Key != kk {
+					t.Fatalf("op %d: run %d Put(%q) = %q added=%v, map had=%v", step, i, kk, e.Key, added, had)
+				}
+				e.Val = step
+				models[i][kk] = step
+			}
+			verify(step)
+		}
+	})
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -1,0 +1,56 @@
+package tripled
+
+// alloc_test.go gates the store round trip's allocation shape: a BATCH
+// body is parsed from the server's scanner bytes and a CELLS page from
+// the client's, so what a table costs in allocations grows with its
+// rows and pages, never with its cells.
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/assoc"
+	"repro/internal/testkit"
+)
+
+// TestRoundTripAllocatesPerRowNotPerCell runs one BATCH of rows and one
+// CELLS page of the same rows over loopback, month-table shaped: half
+// the values strings, half numbers. AllocsPerRun counts the whole
+// process, the server's goroutine included, so doubling the columns of
+// every row may add only a constant — a buffer growing once more — and
+// not an allocation per cell on either side.
+func TestRoundTripAllocatesPerRowNotPerCell(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const rows = 256
+	allocs := func(cols int) float64 {
+		_, c := serveTest(t)
+		cells := make([]Cell, 0, rows*cols)
+		for r := 0; r < rows; r++ {
+			row := fmt.Sprintf("m/10.0.%03d.%03d", r/16, r%16) // in key order, as a page returns them
+			for k := 0; k < cols; k++ {
+				v := assoc.Num(float64(r*cols + k))
+				if k%2 == 1 {
+					v = assoc.Str(fmt.Sprintf("2020-06-%02dT%02d:00:00Z", 1+k, r%24))
+				}
+				cells = append(cells, Cell{Row: row, Col: fmt.Sprintf("col%02d", k), Val: v})
+			}
+		}
+		var page []Cell
+		return testing.AllocsPerRun(20, func() {
+			if err := c.PutBatch(cells); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if page, err = c.appendCells(page[:0], "m/", "m0", rows, ""); err != nil || !cellsEqual(page, cells) {
+				t.Fatalf("page of %d cells, %v; published %d", len(page), err, len(cells))
+			}
+		})
+	}
+	six, twelve := allocs(6), allocs(12)
+	t.Logf("%d rows: %.0f allocations at 6 columns, %.0f at 12", rows, six, twelve)
+	if twelve-six > 32 {
+		t.Errorf("%d more cells added %.0f allocations to the round trip: the BATCH or the CELLS path allocates per cell", rows*6, twelve-six)
+	}
+}

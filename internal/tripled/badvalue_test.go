@@ -179,7 +179,7 @@ func TestPublishRejectsBadKeysBeforeSending(t *testing.T) {
 		t.Fatalf("NNZ = %d, %v after client-side refusals; server holds %d", n, err, srv.store.NNZ())
 	}
 	// The server does not take the client's word: every line is checked.
-	if err := new(mutations).parse("PUT\tb\rad\tc\tn\t1"); err == nil {
+	if err := new(mutations).parse([]byte("PUT\tb\rad\tc\tn\t1")); err == nil {
 		t.Error("parse accepted a carriage return in a row key")
 	}
 }

@@ -64,9 +64,10 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 // use; open one client per goroutine (the server handles each
 // connection independently).
 type Client struct {
-	conn net.Conn
-	r    *bufio.Scanner
-	w    *bufio.Writer
+	conn  net.Conn
+	r     *bufio.Scanner
+	w     *bufio.Writer
+	cells cellDecoder // every CELLS page is read through it
 }
 
 // Dial connects to a tripled server within DefaultDialTimeout.
@@ -293,7 +294,7 @@ func (c *Client) readBlock(first string) ([]string, error) {
 // not prove the scan is done (the server clamps the rows of a page);
 // loop until an empty page, as FetchAssoc does. The page is appended to
 // dst, so FetchAssoc and DeletePrefix reuse one buffer across the pages
-// of a table.
+// of a table, and its strings are cut from one string (cellDecoder).
 func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, error) {
 	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
 	if err != nil {
@@ -304,25 +305,21 @@ func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor st
 		return nil, err
 	}
 	out := slices.Grow(dst, min(n, maxBlockPrealloc))
-	var dec cellDecoder
+	dec := &c.cells
+	defer dec.reset()
 	var lineErr error // first malformed line; the block is still drained
 	for i := 0; i < n; i++ {
 		if err := c.scanBlockLine(i, n); err != nil {
 			return nil, err
 		}
-		if lineErr != nil {
-			continue
+		if lineErr == nil {
+			out, lineErr = dec.decode(out, c.r.Bytes())
 		}
-		cell, err := dec.decode(c.r.Bytes())
-		if err != nil {
-			lineErr = err
-			continue
-		}
-		out = append(out, cell)
 	}
 	if lineErr != nil {
 		return nil, lineErr
 	}
+	dec.cut(out, nil)
 	return out, nil
 }
 

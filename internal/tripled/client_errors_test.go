@@ -17,9 +17,21 @@ import (
 )
 
 // fakeServer accepts one connection, answers every request line with
-// the fixed script responses (one per request), then closes the
-// connection. An empty script closes immediately after the first read.
+// the fixed script responses (one per request), then reads one more
+// request line before it closes the connection — so a client that
+// sends a second line, a BATCH body, sees the script through. An empty
+// script closes immediately after the first read.
 func fakeServer(t *testing.T, script ...string) string {
+	return scriptedServer(t, true, script)
+}
+
+// hangUpServer is fakeServer closing as soon as its last response is
+// written: a client still reading one sees the connection drop there.
+func hangUpServer(t *testing.T, script ...string) string {
+	return scriptedServer(t, false, script)
+}
+
+func scriptedServer(t *testing.T, readOneMore bool, script []string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,7 +51,9 @@ func fakeServer(t *testing.T, script ...string) string {
 			}
 			conn.Write([]byte(resp))
 		}
-		sc.Scan() // wait for one more request, then hang up mid-exchange
+		if readOneMore {
+			sc.Scan() // wait for one more request, then hang up mid-exchange
+		}
 	}()
 	return ln.Addr().String()
 }
@@ -55,12 +69,19 @@ func dialTest(t *testing.T, addr string) *Client {
 	return c
 }
 
+// TestClientServerDropsMidBlock: the server writes two lines of a
+// five-line block and hangs up, so the client's read ends at EOF inside
+// the block — at once, not at dialTest's deadline.
 func TestClientServerDropsMidBlock(t *testing.T) {
-	addr := fakeServer(t, "BLOCK 5\na\tc\tn\t1\na\td\tn\t2\n")
+	addr := hangUpServer(t, "BLOCK 5\na\tc\tn\t1\na\td\tn\t2\n")
 	c := dialTest(t, addr)
+	start := time.Now()
 	_, err := c.RowCells("a")
-	if err == nil || !strings.Contains(err.Error(), "truncated block") {
+	if err == nil || !strings.Contains(err.Error(), "truncated block (2 of 5 lines)") {
 		t.Fatalf("mid-block drop error = %v", err)
+	}
+	if wait := time.Since(start); wait > 5*time.Second {
+		t.Fatalf("the drop surfaced after %v, at the hang guard's deadline", wait)
 	}
 }
 

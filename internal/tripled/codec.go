@@ -7,8 +7,17 @@ package tripled
 // appendPut / appendDel write every such line; (*mutations).parse
 // reads them all back. Every cell line, GET and CELLS responses
 // included, ends in the same "<n|s>\t<value>" tail, so they all render
-// through appendValue and parse through parseValue, and none allocates
-// per cell to do it.
+// through appendValue and parse through parseValue (parseValueBytes).
+//
+// Both readers of cell lines in bulk — (*mutations).parse on the
+// server, cellDecoder on the client — parse the scanner's bytes in
+// place and make no string per cell: a number is parsed from its
+// digits, a column name is looked up in a small intern table, and the
+// rest (row keys, string values, columns past the intern table) is
+// copied into one buffer (cellText) that becomes one string when the
+// run of lines it belongs to ends — a row on the server, so that a
+// stored value pins its own row's text and nothing more, a page on the
+// client.
 
 import (
 	"bytes"
@@ -69,57 +78,166 @@ func parseValue(marker, raw string) (assoc.Value, error) {
 }
 
 // parseValueBytes is parseValue over a scanner's line buffer: a
-// well-formed number never becomes a heap string, and everything else
-// (string values, which need one anyway, and every error) goes through
-// parseValue.
-func parseValueBytes(marker, raw []byte) (assoc.Value, error) {
-	if len(marker) == 1 && marker[0] == 'n' {
-		if f, err := strconv.ParseFloat(string(raw), 64); err == nil {
-			return assoc.Num(f), nil
+// well-formed number never becomes a heap string, and a string value
+// is left to the caller, who cuts it from its own text — str reports
+// that v is one, with raw its text. Every error goes through
+// parseValue, so it reads the same.
+func parseValueBytes(marker, raw []byte) (v assoc.Value, str bool, err error) {
+	if len(marker) == 1 {
+		switch marker[0] {
+		case 'n':
+			if f, err := strconv.ParseFloat(string(raw), 64); err == nil {
+				return assoc.Num(f), false, nil
+			}
+		case 's':
+			return assoc.Value{}, true, nil
 		}
 	}
-	return parseValue(string(marker), string(raw))
+	v, err = parseValue(string(marker), string(raw))
+	return v, false, err
 }
 
-// cellDecoder parses the "row\tcol\t<n|s>\t<value>" lines of one CELLS
-// block straight out of the scanner's buffer. A table page is row-major
-// with a handful of column names, so a row's cells share one row string
-// and column names are interned — up to maxInterned of them, so a wide
-// table does not pay a map insert per cell on top of its strings.
-type cellDecoder struct {
-	row  string // the previous line's row key
-	cols map[string]string
+// cellText is what a bulk reader of cell lines holds between lines:
+// the strings of the cells it has parsed but not yet made — row keys,
+// string values, and column names past its intern table — copied end
+// to end into one buffer, each with the cell field it fills. cut makes
+// the buffer one string and fills every field from it, so those cells
+// cost one allocation however many there are. A row key repeated on
+// consecutive lines is copied once.
+type cellText struct {
+	text   []byte
+	spans  []textSpan
+	rowLo  int // the previous line's row key is text[rowLo:rowHi]
+	rowHi  int
+	hasRow bool
+	cols   map[string]string // interned column names, up to maxInterned
 }
 
+// textSpan is one pending string: text[lo:hi], bound for field of cell
+// (or key) i.
+type textSpan struct {
+	i, lo, hi int
+	field     cellField
+}
+
+// cellField names the field a textSpan fills.
+type cellField uint8
+
+const (
+	rowField cellField = iota
+	colField
+	strField
+	keyRowField // of a CellKey
+	keyColField
+)
+
+// maxInterned caps the intern table, so a wide table does not pay a
+// map insert per cell: a column past it is pending text like a row key.
 const maxInterned = 64
 
-// decode parses one line; line is only read, never retained.
-func (d *cellDecoder) decode(line []byte) (Cell, error) {
+// maxKeptText is the most buffer a cellText keeps for the next cut.
+const maxKeptText = 1 << 20
+
+// sameRow reports whether row is the previous line's row key.
+func (t *cellText) sameRow(row []byte) bool {
+	return t.hasRow && bytes.Equal(t.text[t.rowLo:t.rowHi], row)
+}
+
+// row records row as field of cell i, copying it only when it is not
+// the previous line's row key.
+func (t *cellText) row(i int, field cellField, row []byte) {
+	if !t.sameRow(row) {
+		t.rowLo, t.text = len(t.text), append(t.text, row...)
+		t.rowHi, t.hasRow = len(t.text), true
+	}
+	t.spans = append(t.spans, textSpan{i: i, lo: t.rowLo, hi: t.rowHi, field: field})
+}
+
+// col returns the canonical copy of col, interning it while the table
+// has room; past that it records col as field of cell i and returns "".
+func (t *cellText) col(i int, field cellField, col []byte) string {
+	if name, ok := t.cols[string(col)]; ok {
+		return name
+	}
+	if len(t.cols) >= maxInterned {
+		t.add(i, field, col)
+		return ""
+	}
+	if t.cols == nil {
+		t.cols = make(map[string]string)
+	}
+	name := colName(string(col))
+	t.cols[name] = name
+	return name
+}
+
+// add records b as field of cell i.
+func (t *cellText) add(i int, field cellField, b []byte) {
+	lo := len(t.text)
+	t.text = append(t.text, b...)
+	t.spans = append(t.spans, textSpan{i: i, lo: lo, hi: len(t.text), field: field})
+}
+
+// cut makes the pending text one string and fills every pending field
+// of cells and keys from it, then forgets it.
+func (t *cellText) cut(cells []Cell, keys []CellKey) {
+	s := string(t.text)
+	for _, sp := range t.spans {
+		str := s[sp.lo:sp.hi]
+		switch sp.field {
+		case rowField:
+			cells[sp.i].Row = str
+		case colField:
+			cells[sp.i].Col = str
+		case strField:
+			cells[sp.i].Val.Str = str
+		case keyRowField:
+			keys[sp.i].Row = str
+		default:
+			keys[sp.i].Col = str
+		}
+	}
+	t.reset()
+}
+
+// reset forgets the pending text.
+func (t *cellText) reset() {
+	if cap(t.text) > maxKeptText {
+		t.text, t.spans = nil, nil
+	}
+	t.text, t.spans, t.hasRow = t.text[:0], t.spans[:0], false
+}
+
+// cellDecoder parses the "row\tcol\t<n|s>\t<value>" lines of a CELLS
+// page straight out of the scanner's buffer, with no string per cell:
+// numbers are parsed where they lie, column names interned, and the
+// page's row keys and string values become one string when the page
+// ends (cut) — so a fetched table's strings pin the pages they came
+// in. A Client keeps one, so its buffer and intern table serve page
+// after page.
+type cellDecoder struct{ cellText }
+
+// decode appends line's cell to page, its strings pending until the
+// page is cut; line is only read, never retained.
+func (d *cellDecoder) decode(page []Cell, line []byte) ([]Cell, error) {
 	var f [3][]byte // row, col, marker; the value is what remains, tabs and all
 	rest := line
 	for i := range f {
 		t := bytes.IndexByte(rest, '\t')
 		if t < 0 {
-			return Cell{}, fmt.Errorf("tripled: malformed cells line %q", line)
+			return page, fmt.Errorf("tripled: malformed cells line %q", line)
 		}
 		f[i], rest = rest[:t], rest[t+1:]
 	}
-	v, err := parseValueBytes(f[2], rest)
+	v, str, err := parseValueBytes(f[2], rest)
 	if err != nil {
-		return Cell{}, err
+		return page, err
 	}
-	if d.row != string(f[0]) {
-		d.row = string(f[0])
+	i := len(page)
+	d.row(i, rowField, f[0])
+	col := d.col(i, colField, f[1])
+	if str {
+		d.add(i, strField, rest)
 	}
-	col, ok := d.cols[string(f[1])]
-	if !ok {
-		col = string(f[1])
-		if d.cols == nil {
-			d.cols = make(map[string]string)
-		}
-		if len(d.cols) < maxInterned {
-			d.cols[col] = col
-		}
-	}
-	return Cell{Row: d.row, Col: col, Val: v}, nil
+	return append(page, Cell{Col: col, Val: v}), nil
 }

@@ -179,7 +179,7 @@ func (s *Store) replayLog(r io.Reader, buf []byte) (int, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		if err := ops.parse(sc.Text()); err != nil {
+		if err := ops.parse(sc.Bytes()); err != nil {
 			return applied, fmt.Errorf("line %d %q: %w", line, sc.Text(), err)
 		}
 		if ops.len() == replayChunk {
@@ -198,6 +198,7 @@ func (s *Store) replayLog(r io.Reader, buf []byte) (int, error) {
 // them — off the wire, or off the log being replayed — so the store
 // takes the PUTs as they stand.
 func applyRuns(store *Store, ops *mutations) {
+	ops.finish()
 	puts, dels := ops.puts, ops.dels
 	for _, run := range ops.runs {
 		if run.del {
@@ -214,6 +215,7 @@ func applyRuns(store *Store, ops *mutations) {
 // BATCH body spells them, each ended by a newline. Keys and values were
 // validated at parse time, so the lines cannot be corrupted from here.
 func encodeOps(ops *mutations) []byte {
+	ops.finish()
 	var b []byte
 	puts, dels := ops.puts, ops.dels
 	for _, run := range ops.runs {

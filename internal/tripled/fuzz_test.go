@@ -136,9 +136,10 @@ func FuzzMutationLine(f *testing.F) {
 		if want.validate() == nil {
 			var m mutations
 			line := string(appendPut(nil, row, col, want.Val))
-			if err := m.parse(line); err != nil {
+			if err := m.parse([]byte(line)); err != nil {
 				t.Fatalf("parse(%q): %v", line, err)
 			}
+			m.finish()
 			if len(m.puts) != 1 || len(m.dels) != 0 {
 				t.Fatalf("parse(%q) = %+v, want one PUT", line, m)
 			}
@@ -152,9 +153,10 @@ func FuzzMutationLine(f *testing.F) {
 		if key := (Cell{Row: row, Col: col}); key.validate() == nil {
 			var m mutations
 			line := string(appendDel(nil, row, col))
-			if err := m.parse(line); err != nil {
+			if err := m.parse([]byte(line)); err != nil {
 				t.Fatalf("parse(%q): %v", line, err)
 			}
+			m.finish()
 			if len(m.puts) != 0 || len(m.dels) != 1 || m.dels[0] != (CellKey{Row: row, Col: col}) {
 				t.Fatalf("parse(%q) = %+v, want DEL of (%q, %q)", line, m, row, col)
 			}

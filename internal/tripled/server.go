@@ -40,6 +40,7 @@ package tripled
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -231,7 +232,7 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 		fmt.Fprintf(w, "OK %d\n", s.store.NNZ())
 	case "PUT":
 		defer batch.reset()
-		err := batch.parse(line)
+		err := batch.parse(sc.Bytes())
 		if err == nil {
 			err = s.applyOps(batch)
 		}
@@ -306,26 +307,25 @@ var pagePool = sync.Pool{New: func() any { return new([]Cell) }}
 // arrival order, and the order they interleave in as runs of
 // consecutive PUTs or DELs. The store applies a run as one batch, so
 // the cells of a run are kept as the slice it takes.
+//
+// Lines are parsed from the scanner's bytes, and the strings of a row
+// run — consecutive lines of one row key, whatever their verb — are
+// made together: its row key and string values (and any column past
+// the intern table) become one string when the run ends, at the next
+// row key or at finish. A stored value therefore pins its own row's
+// text and nothing more. Until finish, the open run's cells lack those
+// strings: whatever reads puts or dels calls finish first.
 type mutations struct {
 	puts []Cell
 	dels []CellKey
 	runs []mutationRun
+	text cellText // the open row run's strings
 }
 
 // mutationRun is the next n entries of puts, or of dels.
 type mutationRun struct {
 	del bool
 	n   int
-}
-
-func (m *mutations) put(c Cell) {
-	m.puts = append(m.puts, c)
-	m.extend(false)
-}
-
-func (m *mutations) del(k CellKey) {
-	m.dels = append(m.dels, k)
-	m.extend(true)
 }
 
 func (m *mutations) extend(del bool) {
@@ -335,43 +335,81 @@ func (m *mutations) extend(del bool) {
 	m.runs[len(m.runs)-1].n++
 }
 
+// The verbs and the separator of a mutation line.
+var (
+	verbPut = []byte("PUT")
+	verbDel = []byte("DEL")
+	tab     = []byte{'\t'}
+)
+
 // parse appends the mutation line spells to m: "PUT\trow\tcol\t<n|s>\t<value>",
 // whose value is the rest of the line, tabs and all, or "DEL\trow\tcol".
 // It is the one reader of a mutation line — a PUT request, each BATCH
 // body line, and on recovery each snapshot and WAL record line — and it
 // validates what it reads, so a key or value that would corrupt the
 // line formats is refused before the WAL or the store can see it, and
-// nothing downstream validates again.
-func (m *mutations) parse(line string) error {
-	op, rest, _ := strings.Cut(line, "\t")
-	switch strings.ToUpper(op) {
-	case "PUT":
-		row, rest, ok1 := strings.Cut(rest, "\t")
-		col, rest, ok2 := strings.Cut(rest, "\t")
-		marker, raw, ok3 := strings.Cut(rest, "\t")
+// nothing downstream validates again. line is only read, never
+// retained.
+func (m *mutations) parse(line []byte) error {
+	op, rest, _ := bytes.Cut(line, tab)
+	switch {
+	case bytes.EqualFold(op, verbPut):
+		row, rest, ok1 := bytes.Cut(rest, tab)
+		col, rest, ok2 := bytes.Cut(rest, tab)
+		marker, raw, ok3 := bytes.Cut(rest, tab)
 		if !ok1 || !ok2 || !ok3 {
 			return errors.New("PUT wants 4 arguments")
 		}
-		v, err := parseValue(marker, raw)
+		v, str, err := parseValueBytes(marker, raw)
 		if err != nil {
 			return err
 		}
-		c := Cell{Row: row, Col: col, Val: v}
-		if err := c.validate(); err != nil {
-			return err
+		if bytes.IndexByte(line, '\r') >= 0 || bytes.IndexByte(line, '\n') >= 0 {
+			// What validate refuses besides a tab, which would have ended
+			// its field (a scanned line holds no newline either).
+			c := Cell{Row: string(row), Col: string(col), Val: v}
+			if str {
+				c.Val.Str = string(raw)
+			}
+			if err := c.validate(); err != nil {
+				return err
+			}
 		}
-		m.put(c)
-	case "DEL":
-		row, col, ok := strings.Cut(rest, "\t")
-		if !ok || strings.Contains(col, "\t") {
+		i := len(m.puts)
+		m.openRow(row, i, rowField)
+		c := Cell{Col: m.text.col(i, colField, col), Val: v}
+		if str {
+			m.text.add(i, strField, raw)
+		}
+		m.puts = append(m.puts, c)
+		m.extend(false)
+	case bytes.EqualFold(op, verbDel):
+		row, col, ok := bytes.Cut(rest, tab)
+		if !ok || bytes.IndexByte(col, '\t') >= 0 {
 			return errors.New("DEL wants 2 arguments")
 		}
-		m.del(CellKey{Row: row, Col: col})
+		i := len(m.dels)
+		m.openRow(row, i, keyRowField)
+		m.dels = append(m.dels, CellKey{Col: m.text.col(i, keyColField, col)})
+		m.extend(true)
 	default:
 		return errors.New("op must be PUT or DEL")
 	}
 	return nil
 }
+
+// openRow records row as field of entry i, closing the open row run
+// first when row is not its key.
+func (m *mutations) openRow(row []byte, i int, field cellField) {
+	if !m.text.sameRow(row) {
+		m.finish()
+	}
+	m.text.row(i, field, row)
+}
+
+// finish closes the open row run: its strings become one string, and
+// its cells are whole.
+func (m *mutations) finish() { m.text.cut(m.puts, m.dels) }
 
 func (m *mutations) len() int { return len(m.puts) + len(m.dels) }
 
@@ -381,6 +419,7 @@ func (m *mutations) reset() {
 	clear(m.puts)
 	clear(m.dels)
 	m.puts, m.dels, m.runs = m.puts[:0], m.dels[:0], m.runs[:0]
+	m.text.reset()
 }
 
 // handleBatch reads the n body lines of a BATCH request, parses them
@@ -418,7 +457,7 @@ func (s *Server) handleBatch(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, 
 		if bodyErr != nil {
 			continue // keep consuming to stay in sync
 		}
-		if err := ops.parse(sc.Text()); err != nil {
+		if err := ops.parse(sc.Bytes()); err != nil {
 			bodyErr = fmt.Errorf("batch line %d: %v", i+1, err)
 		}
 	}

@@ -63,7 +63,9 @@ type CellKey struct {
 
 // row is one row of a stripe: its values as a run sorted by column.
 // Column names are interned (colName), so a stored cell shares its
-// column's one string and does not pin the request line it arrived in.
+// column's one string. Off the wire, a row's key and string values are
+// cut from one string per row run ((*mutations).parse), so they pin
+// that row's text and nothing else.
 type row struct {
 	key   string
 	cells runs.Run[assoc.Value]
