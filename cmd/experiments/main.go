@@ -1,7 +1,12 @@
-// Command experiments runs the full study and scores every reproduced
-// artifact against the paper's claims and the generator's ground truth.
-// It prints a markdown verdict table, one row per claim, and exits 1
-// when any claim fails.
+// Command experiments runs the full study and judges it by the paper's
+// laws, the one table internal/report states them in (report.Laws): it
+// prints a markdown row per law — claim, measured value, rule and
+// verdict — and exits 1 when any law fails. A law reads only bands that
+// hold enough sources (the table's one sample-size rule) and says n/a
+// when none does, which is not a failure. At -scale quick some laws say
+// it (F8b always: no band near the generator's drop dip is populated);
+// at -scale default every law reads, and passes on every seed
+// core.TestPaperLawsAcrossSeeds runs.
 //
 // Usage:
 //
@@ -19,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -27,16 +31,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/tripled"
 )
-
-type check struct {
-	id       string
-	claim    string
-	measured string
-	pass     bool
-}
 
 func main() {
 	var (
@@ -77,11 +73,11 @@ func main() {
 		elapsed.Round(time.Millisecond), len(res.Windows), cfg.NV,
 		float64(len(res.Windows)*cfg.NV)/elapsed.Seconds())
 
+	g := res.Report()
 	if *artDir != "" {
 		if err := os.MkdirAll(*artDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		g := res.Report()
 		for _, id := range report.All() {
 			name := filepath.Join(*artDir, report.Filename(id, "tsv"))
 			f, err := os.Create(name)
@@ -98,159 +94,16 @@ func main() {
 		log.Printf("wrote %d artifacts to %s", len(report.All()), *artDir)
 	}
 
-	var checks []check
-
-	// T1: dataset inventory shape.
-	t1 := res.Report().TableI()
-	snapRows := 0
-	for _, r := range t1 {
-		if r.CAIDAStart != "" {
-			snapRows++
-		}
+	fmt.Println("| id | claim | measured | rule | verdict |")
+	fmt.Println("|---|---|---|---|---|")
+	count := map[report.Verdict]int{}
+	for _, l := range report.Laws() {
+		r := g.Judge(l)
+		count[r.Verdict]++
+		fmt.Printf("| %s | %s | %s | %s | %s |\n", r.ID, r.Claim, r.Measured, r.Rule, r.Verdict)
 	}
-	checks = append(checks, check{
-		id:       "T1",
-		claim:    "15 honeyfarm months + 5 telescope snapshots",
-		measured: fmt.Sprintf("%d months, %d snapshot rows", len(t1), snapRows),
-		pass:     len(t1) == cfg.Radiation.Months && snapRows == len(cfg.SnapshotTimes),
-	})
-
-	// T2: NV conservation through the anonymized matrices.
-	allNV := true
-	for _, q := range res.Report().TableII() {
-		if q.ValidPackets != float64(cfg.NV) {
-			allNV = false
-		}
-	}
-	checks = append(checks, check{
-		id:       "T2",
-		claim:    "Table II valid packets == NV on anonymized matrices",
-		measured: fmt.Sprintf("all %d windows conserve NV: %v", len(res.Windows), allNV),
-		pass:     allNV,
-	})
-
-	// F3: ZM alpha near the paper's 1.76.
-	var alphaMin, alphaMax float64 = math.Inf(1), math.Inf(-1)
-	for _, s := range res.Report().Fig3() {
-		alphaMin = math.Min(alphaMin, s.Alpha)
-		alphaMax = math.Max(alphaMax, s.Alpha)
-	}
-	checks = append(checks, check{
-		id:       "F3",
-		claim:    "Zipf-Mandelbrot alpha ~ 1.76 (paper)",
-		measured: fmt.Sprintf("alpha in [%.2f, %.2f] across snapshots", alphaMin, alphaMax),
-		pass:     alphaMin > 1.4 && alphaMax < 2.2,
-	})
-
-	// F4: bright sources ~always visible; faint visibility log-linear.
-	fig4, err := res.Report().Fig4()
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Individual bright bands hold few sources (the tail is thin), so
-	// pool matched/total across all bright bands per snapshot instead of
-	// gating on noisy per-band fractions.
-	brightOK := true
-	var pooled []float64
-	var logd, frac []float64
-	for _, s := range fig4 {
-		brightMatched, brightTotal := 0, 0
-		for _, p := range s.Points {
-			if float64(p.Band) >= cfg.SqrtNVLog2() {
-				brightMatched += p.Matched
-				brightTotal += p.Sources
-			} else if p.Sources >= 15 {
-				logd = append(logd, float64(p.Band))
-				frac = append(frac, p.Fraction)
-			}
-		}
-		if brightTotal > 0 {
-			f := float64(brightMatched) / float64(brightTotal)
-			pooled = append(pooled, f)
-			if f < 0.6 {
-				brightOK = false
-			}
-		}
-	}
-	r := stats.Pearson(logd, frac)
-	checks = append(checks, check{
-		id:       "F4a",
-		claim:    "bright sources (d > sqrt(NV)) nearly always co-observed",
-		measured: fmt.Sprintf("pooled bright fractions per snapshot: %.2f", pooled),
-		pass:     brightOK && len(pooled) > 0,
-	})
-	checks = append(checks, check{
-		id:       "F4b",
-		claim:    "faint visibility proportional to log2(d)",
-		measured: fmt.Sprintf("Pearson(log2 d, fraction) = %.3f over %d band points", r, len(logd)),
-		pass:     r > 0.85,
-	})
-
-	// F5: modified Cauchy beats Gaussian and Cauchy.
-	_, fits, err := res.Report().Fig5()
-	if err != nil {
-		log.Fatal(err)
-	}
-	mc, ca, ga := fits["modified-cauchy"].Residual, fits["cauchy"].Residual, fits["gaussian"].Residual
-	checks = append(checks, check{
-		id:       "F5",
-		claim:    "modified Cauchy best of the three families",
-		measured: fmt.Sprintf("residuals: MC %.2f, Cauchy %.2f, Gaussian %.2f", mc, ca, ga),
-		pass:     mc <= ca && mc <= ga,
-	})
-
-	// F7: alpha ~ 1 typical; compare against generator alpha*.
-	var alphas []float64
-	for _, sweep := range res.Report().Fig7And8() {
-		for _, f := range sweep {
-			if f.Sources >= cfg.MinBandSources*2 {
-				alphas = append(alphas, f.Alpha)
-			}
-		}
-	}
-	aSum := stats.Summarize(alphas)
-	checks = append(checks, check{
-		id: "F7",
-		claim: fmt.Sprintf("typical modified-Cauchy alpha ~ 1 (generator alpha* = %g)",
-			cfg.Radiation.AlphaStar),
-		measured: fmt.Sprintf("mean alpha = %.2f over %d band fits", aSum.Mean, aSum.N),
-		pass:     aSum.N > 0 && aSum.Mean > 0.6 && aSum.Mean < 1.5,
-	})
-
-	// F8: the one-month-drop dip sits at the generator's DipLog2 (the
-	// paper's d ~ 10^3).
-	bestBand, bestDrop := -1, 0.0
-	for _, sweep := range res.Report().Fig7And8() {
-		for _, f := range sweep {
-			if f.Sources >= cfg.MinBandSources && f.Drop > bestDrop {
-				bestDrop = f.Drop
-				bestBand = f.Band
-			}
-		}
-	}
-	checks = append(checks, check{
-		id: "F8",
-		claim: fmt.Sprintf("one-month drop maximal near d = 2^%g (paper: d ~ 10^3)",
-			cfg.Radiation.DipLog2),
-		measured: fmt.Sprintf("max drop %.2f at band 2^%d", bestDrop, bestBand),
-		pass:     bestBand >= int(cfg.Radiation.DipLog2)-3 && bestBand <= int(cfg.Radiation.DipLog2)+3,
-	})
-
-	// Render.
-	fmt.Println("| id | claim | measured | verdict |")
-	fmt.Println("|---|---|---|---|")
-	failures := 0
-	for _, c := range checks {
-		verdict := "PASS"
-		if !c.pass {
-			verdict = "FAIL"
-			failures++
-		}
-		fmt.Printf("| %s | %s | %s | %s |\n", c.id, c.claim, c.measured, verdict)
-	}
-	if failures > 0 {
-		fmt.Printf("\n%d of %d checks failed\n", failures, len(checks))
+	fmt.Printf("\n%d passed, %d failed, %d n/a\n", count[report.Pass], count[report.Fail], count[report.NA])
+	if count[report.Fail] > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("\nall %d checks passed\n", len(checks))
 }

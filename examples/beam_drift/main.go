@@ -1,7 +1,7 @@
 // Beam drift: measure how the overlap between telescope and honeyfarm
 // source sets decays with time, per brightness band, and compare the
 // recovered modified-Cauchy alpha against the generator's alpha* — the
-// check behind cmd/experiments' claim F7.
+// measurement behind report's law F7.
 package main
 
 import (

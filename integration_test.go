@@ -32,9 +32,9 @@ import (
 
 // TestScenarioSuite runs the complete YAML scenario zoo under
 // scenarios/ as Go subtests: the same files, runner, and assertions
-// the cmd/scenarios CLI checks, here under `go test` (and -race in
-// CI). A failing subtest names the scenario and the assertion that
-// did not hold.
+// the cmd/scenarios CLI checks, and tier-1's one run of the zoo (under
+// -race too in CI). A failing subtest names the scenario and the
+// assertion that did not hold.
 func TestScenarioSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario zoo")

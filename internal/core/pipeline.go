@@ -155,15 +155,15 @@ func (c Config) MonthTime(m float64) time.Time {
 // zone it was written in.
 func snapshotLabel(ts time.Time) string { return ts.UTC().Format("20060102-150405") }
 
-// SqrtNVLog2 returns log2(sqrt(NV)), the paper's brightness threshold
+// sqrtNVLog2 returns log2(sqrt(NV)), the paper's brightness threshold
 // exponent (15 for NV = 2^30).
-func (c Config) SqrtNVLog2() float64 { return math.Log2(float64(c.NV)) / 2 }
+func (c Config) sqrtNVLog2() float64 { return math.Log2(float64(c.NV)) / 2 }
 
 // Fig6Bands returns the brightness bands used for Figure 6, scaled to
 // this study's NV the way the paper's bands {2^0, 2^4, 2^8, 2^12, 2^16}
 // scale to sqrt(2^30) = 2^15.
 func (c Config) Fig6Bands() []int {
-	s := c.SqrtNVLog2() / 15.0
+	s := c.sqrtNVLog2() / 15.0
 	out := make([]int, 0, 5)
 	seen := make(map[int]bool)
 	for _, b := range []float64{0, 4, 8, 12, 16} {
@@ -179,7 +179,7 @@ func (c Config) Fig6Bands() []int {
 // Fig5Band returns the band used in Figure 5 (2^14 <= d < 2^15 in the
 // paper, i.e. one octave below sqrt(NV)).
 func (c Config) Fig5Band() int {
-	return int(math.Round(c.SqrtNVLog2())) - 1
+	return int(math.Round(c.sqrtNVLog2())) - 1
 }
 
 // Pipeline is a configured, reusable study runner.
@@ -243,6 +243,10 @@ func (r *Result) Report() *report.Graph {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.report == nil {
+		snapMonths := make([]float64, len(r.Config.SnapshotTimes))
+		for i, ts := range r.Config.SnapshotTimes {
+			snapMonths[i] = r.Config.MonthOf(ts)
+		}
 		r.report = report.New(report.Input{
 			Study:   r.Study,
 			Windows: r.Windows,
@@ -253,6 +257,10 @@ func (r *Result) Report() *report.Graph {
 				Fig6Bands:      r.Config.Fig6Bands(),
 				MinBandSources: r.Config.MinBandSources,
 				Workers:        r.Config.Workers,
+				Months:         r.Config.Radiation.Months,
+				SnapshotMonths: snapMonths,
+				AlphaStar:      r.Config.Radiation.AlphaStar,
+				DipLog2:        r.Config.Radiation.DipLog2,
 			},
 		})
 	}

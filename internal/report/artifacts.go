@@ -60,7 +60,8 @@ type fig6Data struct {
 }
 
 // TableI reproduces the dataset inventory: one row per honeyfarm month,
-// with telescope columns filled on snapshot months.
+// with telescope columns filled on snapshot months. A row is a month,
+// so when several snapshots fall in one, its columns show the last.
 func (g *Graph) TableI() []TableIRow {
 	v, _ := g.get(Table1) // cannot fail
 	return v.([]TableIRow)

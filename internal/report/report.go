@@ -87,6 +87,13 @@ type Params struct {
 	Fig6Bands      []int     // the bands Figure 6 sweeps
 	MinBandSources int       // bands below this population are skipped in fits
 
+	// What the study was asked for, which the laws (laws.go) hold the
+	// artifacts to.
+	Months         int       // honeyfarm months
+	SnapshotMonths []float64 // study month of each snapshot time
+	AlphaStar      float64   // the generator's temporal decay exponent α*
+	DipLog2        float64   // log2 brightness at the centre of the generator's drop dip
+
 	// Workers is the fan-out of the freeze and of every artifact that
 	// walks independent windows or (snapshot, band) pairs — table2,
 	// fig3, fig6, fig7_fig8 — with the pool's semantics (0 uses

@@ -8,10 +8,7 @@ package scenario
 //	  - table2: {quantity: valid_packets, equals: 16384}
 //	  - table2: {quantity: unique_sources, min: 800, max: 6000}
 //	  - table2: {quantity: max_source_packets, value: 120, tol_frac: 0.5}
-//	  - fig3_alpha: {value: 1.76, tol: 0.5}
-//	  - fig4_bright_over_faint: {min_sources: 20}
-//	  - fig7_alpha: {value: 1.0, tol: 1.0}
-//	  - temporal_decay: {band: 4, near: 1.5, far: 5}
+//	  - law: {id: F3, min: 1.16, max: 2.36}
 //	  - sources_prefix: {prefix: 240.0.0.0/4, min_frac: 0.2}
 //	  - windows: {max_dropped_frac: 0.01}
 //	  - golden: {artifact: table2, file: ../internal/report/testdata/table2.tsv}
@@ -20,9 +17,11 @@ package scenario
 //
 // Numeric comparisons accept equals (exact), value+tol (absolute
 // tolerance), value+tol_frac (relative tolerance), and min/max bounds;
-// at least one bound is required. Unknown kinds and unknown parameter
-// keys are schema errors at load time, so a suite cannot green-run a
-// check it never understood.
+// at least one bound is required. A law names a row of report's law
+// table by id: min and max replace the row's bound, what the law
+// measures stays the table's, and a law that reads n/a fails. Unknown
+// kinds, laws and parameter keys are schema errors at load time, so a
+// suite cannot green-run a check it never understood.
 
 import (
 	"bytes"
@@ -38,7 +37,6 @@ import (
 	"repro/internal/ipaddr"
 	"repro/internal/netquant"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 // Assertion is one loaded expected-result check.
@@ -184,14 +182,8 @@ func decodeAssertion(kind string, m map[string]any) (Assertion, error) {
 	switch kind {
 	case "table2":
 		return decodeTable2(m)
-	case "fig3_alpha":
-		return decodeFig3Alpha(m)
-	case "fig4_bright_over_faint":
-		return decodeFig4Ordering(m)
-	case "fig7_alpha":
-		return decodeFig7Alpha(m)
-	case "temporal_decay":
-		return decodeTemporalDecay(m)
+	case "law":
+		return decodeLaw(m)
 	case "sources_prefix":
 		return decodeSourcesPrefix(m)
 	case "windows":
@@ -246,104 +238,22 @@ func decodeTable2(m map[string]any) (Assertion, error) {
 	}}, nil
 }
 
-func decodeFig3Alpha(m map[string]any) (Assertion, error) {
-	var b bound
-	if err := b.decode(m, nil); err != nil {
-		return Assertion{}, err
+func decodeLaw(m map[string]any) (Assertion, error) {
+	id, _ := m["id"].(string)
+	laws := report.Laws()
+	i := slices.IndexFunc(laws, func(l report.Law) bool { return l.ID == id })
+	if i < 0 {
+		return Assertion{}, fmt.Errorf("unknown law %q", id)
 	}
-	return Assertion{Kind: "fig3_alpha", run: func(e *runEnv) Check {
-		for _, s := range e.res.Report().Fig3() {
-			if ok, want := b.check(s.Alpha); !ok {
-				return Check{Assertion: "fig3_alpha",
-					Detail: fmt.Sprintf("snapshot %s: fitted ZM alpha = %.3f, want %s", s.Label, s.Alpha, want)}
-			}
-		}
-		_, want := b.check(0)
-		return Check{Assertion: "fig3_alpha", Pass: true,
-			Detail: fmt.Sprintf("ZM alpha %s on all %d snapshots", want, len(e.res.Report().Fig3()))}
-	}}, nil
-}
-
-func decodeFig4Ordering(m map[string]any) (Assertion, error) {
-	minSources := 15.0
-	if v, ok := m["min_sources"]; ok {
-		if err := setFloat(&minSources, v); err != nil {
-			return Assertion{}, fmt.Errorf("min_sources: %v", err)
-		}
-	}
-	for k := range m {
-		if k != "min_sources" {
-			return Assertion{}, fmt.Errorf("unknown parameter %q", k)
-		}
-	}
-	return Assertion{Kind: "fig4_bright_over_faint", run: func(e *runEnv) Check {
-		series, err := e.res.Report().Fig4()
-		if err != nil {
-			return Check{Assertion: "fig4_bright_over_faint", Detail: err.Error()}
-		}
-		// Pool matched/total across snapshots on each side of the
-		// brightness split; individual bright bands are thin.
-		split := e.cfg.SqrtNVLog2() / 2
-		var fm, ft, bm, bt int
-		for _, s := range series {
-			for _, p := range s.Points {
-				if float64(p.Sources) < minSources {
-					continue
-				}
-				if float64(p.Band) < split {
-					fm += p.Matched
-					ft += p.Sources
-				} else {
-					bm += p.Matched
-					bt += p.Sources
-				}
-			}
-		}
-		if ft == 0 || bt == 0 {
-			return Check{Assertion: "fig4_bright_over_faint",
-				Detail: fmt.Sprintf("no populated bands on one side of the split (faint %d, bright %d sources)", ft, bt)}
-		}
-		faint, bright := float64(fm)/float64(ft), float64(bm)/float64(bt)
-		return Check{Assertion: "fig4_bright_over_faint", Pass: bright > faint,
-			Detail: fmt.Sprintf("bright fraction %.3f vs faint %.3f (split at band %.1f)", bright, faint, split)}
-	}}, nil
-}
-
-func decodeFig7Alpha(m map[string]any) (Assertion, error) {
-	var b bound
-	if err := b.decode(m, nil); err != nil {
-		return Assertion{}, err
-	}
-	return Assertion{Kind: "fig7_alpha", run: func(e *runEnv) Check {
-		sum, n := 0.0, 0
-		for _, sweep := range e.res.Report().Fig7And8() {
-			for _, f := range sweep {
-				sum += f.Alpha
-				n++
-			}
-		}
-		if n == 0 {
-			return Check{Assertion: "fig7_alpha", Detail: "no fitted bands"}
-		}
-		mean := sum / float64(n)
-		ok, want := b.check(mean)
-		return Check{Assertion: "fig7_alpha", Pass: ok,
-			Detail: fmt.Sprintf("mean fitted alpha = %.3f over %d (snapshot, band) fits, want %s", mean, n, want)}
-	}}, nil
-}
-
-func decodeTemporalDecay(m map[string]any) (Assertion, error) {
-	band := -1
-	near, far := 1.5, 5.0
+	l := laws[i]
 	for key, v := range m {
 		var err error
 		switch key {
-		case "band":
-			err = setInt(&band, v)
-		case "near":
-			err = setFloat(&near, v)
-		case "far":
-			err = setFloat(&far, v)
+		case "id":
+		case "min":
+			err = setFloat(&l.Rule.Min, v)
+		case "max":
+			err = setFloat(&l.Rule.Max, v)
 		default:
 			return Assertion{}, fmt.Errorf("unknown parameter %q", key)
 		}
@@ -351,30 +261,11 @@ func decodeTemporalDecay(m map[string]any) (Assertion, error) {
 			return Assertion{}, fmt.Errorf("%s: %v", key, err)
 		}
 	}
-	return Assertion{Kind: "temporal_decay", run: func(e *runEnv) Check {
-		b := band
-		if b < 0 {
-			b = e.cfg.Fig5Band()
-		}
-		series, err := e.res.Frozen().Temporal(0, b)
-		if err != nil {
-			return Check{Assertion: "temporal_decay", Detail: err.Error()}
-		}
-		var nearVals, farVals []float64
-		for i, dt := range series.Dt {
-			if math.Abs(dt) <= near {
-				nearVals = append(nearVals, series.Fraction[i])
-			} else if math.Abs(dt) >= far {
-				farVals = append(farVals, series.Fraction[i])
-			}
-		}
-		if len(nearVals) == 0 || len(farVals) == 0 {
-			return Check{Assertion: "temporal_decay",
-				Detail: fmt.Sprintf("degenerate split: %d near, %d far months", len(nearVals), len(farVals))}
-		}
-		nm, fm := stats.Summarize(nearVals).Mean, stats.Summarize(farVals).Mean
-		return Check{Assertion: "temporal_decay", Pass: nm > fm,
-			Detail: fmt.Sprintf("band 2^%d: near-peak mean %.3f vs far-tail mean %.3f", b, nm, fm)}
+	name := "law " + id
+	return Assertion{Kind: name, run: func(e *runEnv) Check {
+		r := e.res.Report().Judge(l)
+		return Check{Assertion: name, Pass: r.Verdict == report.Pass,
+			Detail: fmt.Sprintf("%s: %s, want %s", r.Verdict, r.Measured, l.Rule)}
 	}}, nil
 }
 
@@ -462,13 +353,7 @@ func decodeGolden(m map[string]any) (Assertion, error) {
 		}
 	}
 	id := report.ArtifactID(artifact)
-	known := false
-	for _, a := range report.All() {
-		if a == id {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(report.All(), id) {
 		return Assertion{}, fmt.Errorf("unknown artifact %q", artifact)
 	}
 	name := "golden " + artifact
@@ -505,13 +390,7 @@ func decodeStoreParity(m map[string]any) (Assertion, error) {
 		for _, it := range list {
 			s, _ := it.(string)
 			id := report.ArtifactID(s)
-			known := false
-			for _, a := range report.All() {
-				if a == id {
-					known = true
-				}
-			}
-			if !known {
+			if !slices.Contains(report.All(), id) {
 				return Assertion{}, fmt.Errorf("unknown artifact %q", it)
 			}
 			ids = append(ids, id)

@@ -55,10 +55,11 @@ var failureModes = []struct {
 	{"unknown radiation key", "name: x\ncase: Z1\nconfig:\n  radiation:\n    warp: 9\nassert:\n  - windows:\n", ErrSchema, "warp"},
 	{"unknown archetype", "name: x\ncase: Z1\nconfig:\n  radiation:\n    mix: {gremlin: 1}\nassert:\n  - windows:\n", ErrSchema, "gremlin"},
 	{"unknown assertion kind", "name: x\ncase: Z1\nassert:\n  - frob: {min: 1}\n", ErrSchema, "frob"},
-	{"unknown assertion param", "name: x\ncase: Z1\nassert:\n  - fig3_alpha: {min: 1, spin: 2}\n", ErrSchema, "spin"},
+	{"unknown assertion param", "name: x\ncase: Z1\nassert:\n  - law: {id: F3, min: 1, spin: 2}\n", ErrSchema, "spin"},
+	{"unknown law", "name: x\ncase: Z1\nassert:\n  - law: {id: F9}\n", ErrSchema, "F9"},
 	{"unknown table2 quantity", "name: x\ncase: Z1\nassert:\n  - table2: {quantity: hats, min: 1}\n", ErrSchema, "quantity"},
-	{"value without tolerance", "name: x\ncase: Z1\nassert:\n  - fig3_alpha: {value: 1.76}\n", ErrSchema, "tol"},
-	{"no bound at all", "name: x\ncase: Z1\nassert:\n  - fig3_alpha:\n", ErrSchema, "bound"},
+	{"value without tolerance", "name: x\ncase: Z1\nassert:\n  - table2: {quantity: valid_packets, value: 1.76}\n", ErrSchema, "tol"},
+	{"no bound at all", "name: x\ncase: Z1\nassert:\n  - table2: {quantity: valid_packets}\n", ErrSchema, "bound"},
 	{"unknown golden artifact", "name: x\ncase: Z1\nassert:\n  - golden: {artifact: fig9, file: f.tsv}\n", ErrSchema, "fig9"},
 	{"invalid config rejected", "name: x\ncase: Z1\nconfig:\n  sources: -5\nassert:\n  - windows:\n", ErrSchema, "NumSources"},
 	{"bad snapshot month", "name: x\ncase: Z1\nconfig:\n  snapshot_months: [99]\nassert:\n  - windows:\n", ErrSchema, "snapshot"},
@@ -141,6 +142,33 @@ func TestRunToleranceMiss(t *testing.T) {
 	}
 	if r.Checks[0].Assertion != "windows" || !r.Checks[0].Pass {
 		t.Errorf("honest sibling check did not pass: %+v", r.Checks[0])
+	}
+}
+
+// TestRunLaw: a law assertion holds the table's law to the scenario's
+// bound, and a law that reads n/a fails rather than passing untested.
+func TestRunLaw(t *testing.T) {
+	doc := tinyYAML + `assert:
+  - law: {id: T2}
+  - law: {id: T2, min: 1, max: 1}
+  - law: {id: F8b}
+`
+	sc, err := Load(writeScenario(t, "law.yaml", doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Run(context.Background(), sc)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	for i, want := range []struct {
+		pass   bool
+		detail string
+	}{{true, "PASS"}, {false, "want = 1"}, {false, "n/a"}} {
+		c := r.Checks[i]
+		if c.Pass != want.pass || !strings.Contains(c.Detail, want.detail) {
+			t.Errorf("check %d: %+v, want pass=%v and %q", i, c, want.pass, want.detail)
+		}
 	}
 }
 

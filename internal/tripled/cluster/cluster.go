@@ -147,7 +147,7 @@ func newClient(cfg Config) (*Client, error) {
 	}
 	return &Client{
 		cfg:   cfg,
-		ring:  buildRing(cfg.Addrs, DefaultVNodes),
+		ring:  buildRing(cfg.Addrs),
 		nodes: nodes,
 		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
 	}, nil

@@ -26,8 +26,8 @@ import (
 
 func TestRingDeterministicDistinctBalanced(t *testing.T) {
 	addrs := []string{"10.0.0.1:7000", "10.0.0.2:7000", "10.0.0.3:7000"}
-	r1 := buildRing(addrs, DefaultVNodes)
-	r2 := buildRing(addrs, DefaultVNodes)
+	r1 := buildRing(addrs)
+	r2 := buildRing(addrs)
 
 	counts := make([]int, len(addrs))
 	for i := 0; i < 10000; i++ {

@@ -55,7 +55,7 @@ func discoverDown(t *testing.T, c *Client, want int) {
 // partitionOracle restricts the replay oracle to the rows whose
 // replica set (on the ring the clients actually used) includes node i.
 func partitionOracle(addrs []string, i int, oracle *tripled.Store) *tripled.Store {
-	ring := buildRing(addrs, DefaultVNodes)
+	ring := buildRing(addrs)
 	want := tripled.NewStoreStripes(1)
 	oracle.ToAssoc().Iterate(func(r, c string, v assoc.Value) bool {
 		for _, rep := range ring.replicasFor(r, 2) {

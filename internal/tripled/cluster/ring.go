@@ -21,10 +21,10 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per server: enough tokens
-// that a 3-node ring splits key space within a few percent of evenly,
-// small enough that ring construction is microseconds.
-const DefaultVNodes = 128
+// vnodes is the virtual-node count per server: enough tokens that a
+// 3-node ring splits key space within a few percent of evenly, small
+// enough that ring construction is microseconds.
+const vnodes = 128
 
 // ring is a consistent-hash ring over node indices. Immutable after
 // build; placement never changes when nodes die — replicas simply
@@ -42,7 +42,7 @@ type token struct {
 // buildRing places vnodes tokens per node. Token positions depend only
 // on (address, vnode index), so every client over the same address
 // list agrees on placement regardless of the order nodes fail.
-func buildRing(addrs []string, vnodes int) *ring {
+func buildRing(addrs []string) *ring {
 	r := &ring{tokens: make([]token, 0, len(addrs)*vnodes), nodes: len(addrs)}
 	for i, addr := range addrs {
 		for v := 0; v < vnodes; v++ {
