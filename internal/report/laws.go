@@ -134,12 +134,18 @@ func measureT2(g *Graph, p Params) ([]float64, string, error) {
 	return excess, spread(excess, "valid packets - NV", "windows"), nil
 }
 
+// measureF3 also reports the worst fit residual, which no artifact carries.
 func measureF3(g *Graph, _ Params) ([]float64, string, error) {
 	var alphas []float64
+	worst := 0.0
 	for _, s := range g.Fig3() {
-		alphas = append(alphas, s.Alpha)
+		alphas, worst = append(alphas, s.Alpha), max(worst, s.Residual)
 	}
-	return alphas, spread(alphas, "alpha", "snapshots"), nil
+	measured := spread(alphas, "alpha", "snapshots")
+	if len(alphas) > 0 {
+		measured += fmt.Sprintf(", residual <= %.3g", worst)
+	}
+	return alphas, measured, nil
 }
 
 // bright reports whether a band lies at or above the paper's bright

@@ -1,17 +1,11 @@
 package report
 
-// render.go is the one renderer every CLI shares. Each artifact lowers
-// to a Table — a comment preamble, a column header, and rows of
-// already-formatted cells — and both encoders consume that Table, so
-// TSV and JSON can never drift apart. The cell formats are the
-// historical cmd/figures verbs, byte for byte; the golden files in
-// testdata/ pin them.
-//
-// The single deliberate change from the historical output: fig5's fit
-// comment lines used to iterate a Go map (random order run to run);
-// they now emit in the canonical modified-cauchy, cauchy, gaussian
-// order — one of the historical orders, made deterministic so goldens
-// can exist.
+// render.go is the one renderer: cmd/experiments, the daemon and the
+// benchmark all write through it. Each artifact lowers to a Table — a
+// comment preamble, a column header, and rows of already-formatted
+// cells — and both encoders consume that Table, so TSV and JSON can
+// never drift apart. The golden files in testdata/ pin the cell
+// formats byte for byte.
 
 import (
 	"encoding/json"
@@ -58,7 +52,7 @@ func (g *Graph) Table(id ArtifactID) (*Table, error) {
 }
 
 // WriteTSV renders one artifact as tab-separated values, byte-identical
-// to the historical cmd/figures output.
+// to the golden files in testdata/.
 func WriteTSV(w io.Writer, g *Graph, id ArtifactID) error {
 	t, err := g.Table(id)
 	if err != nil {

@@ -230,11 +230,11 @@ func TestMain(m *testing.M) { testkit.Main(m, nil) }
 // testdata/study_flags.txt, one "command: -flag ..." line per command.
 func TestStudyFlagSurface(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds four commands")
+		t.Skip("builds two commands")
 	}
 	flagLine := regexp.MustCompile(`(?m)^  (-\S+)`)
 	var got strings.Builder
-	for _, c := range []string{"correlate", "experiments", "figures", "studyd"} {
+	for _, c := range []string{"experiments", "studyd"} {
 		r := testkit.Run(t, exec.Command(testkit.Build(t, "./cmd/"+c), "-h"))
 		if r.Code != 0 {
 			t.Fatalf("%s -h: exit %d\n%s", c, r.Code, r.Stderr)
