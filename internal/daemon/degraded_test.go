@@ -36,13 +36,15 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 }
 
 func TestDaemonDegradedStoreStartup(t *testing.T) {
-	// A store that is down until Restart brings it up on the same address.
-	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: 1})
+	// A store behind a proxy that closes every connection on accept (Drop,
+	// the port-closed failure) until it forwards again. The proxy holds
+	// the address for the whole test, so no other listener can take it.
+	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: 1, Proxied: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	f.Server(0).Close()
+	f.Proxy(0).SetMode(faultinject.Drop)
 	addr := f.Addrs()[0]
 	cfg := testConfig()
 	cfg.Radiation.Months = 3
@@ -88,9 +90,7 @@ func TestDaemonDegradedStoreStartup(t *testing.T) {
 
 	// The store arrives late; the reconnect loop must find it and flip
 	// to ok without a daemon restart.
-	if err := f.Restart(0); err != nil {
-		t.Fatal(err)
-	}
+	f.Proxy(0).SetMode(faultinject.Forward)
 	deadline := time.Now().Add(15 * time.Second)
 	for d.storeState().State != StoreOK {
 		if time.Now().After(deadline) {

@@ -86,7 +86,8 @@ func Of[V any](sorted []Entry[V]) Run[V] {
 // is capped at its cut, and every run's header likewise: a run that
 // grows, splits or empties reallocates what it needs and never writes
 // into a neighbour's entries. The slab is garbage when the last run cut
-// from it is.
+// from it is. Its two callers are assoc.SetRows (a table built or
+// fetched by the slab) and the tripled store (the rows one batch opens).
 func Cut[V any](slab []Entry[V], ends []int) iter.Seq2[int, Run[V]] {
 	return func(yield func(int, Run[V]) bool) {
 		nb, lo := 0, 0

@@ -54,3 +54,66 @@ func TestRoundTripAllocatesPerRowNotPerCell(t *testing.T) {
 		t.Errorf("%d more cells added %.0f allocations to the round trip: the BATCH or the CELLS path allocates per cell", rows*6, twelve-six)
 	}
 }
+
+// TestPutBatchAllocatesPerBatchNotPerRow applies one PutBatch of fresh
+// month-shaped rows (six columns in order, half the values strings) to
+// an empty store: the rows it opens share their storage, so doubling
+// them may add only the index's own block growth, not an allocation per
+// row. A batch that overwrites cells of rows the store holds, or a Put
+// to one of them, allocates nothing at all.
+func TestPutBatchAllocatesPerBatchNotPerRow(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const cols = 6
+	month := func(rows int) []Cell {
+		cells := make([]Cell, 0, rows*cols)
+		for r := 0; r < rows; r++ {
+			row := fmt.Sprintf("m/10.%d.%03d.%03d", r/4096, r/16%256, r%16)
+			for k := 0; k < cols; k++ {
+				v := assoc.Num(float64(r*cols + k))
+				if k%2 == 1 {
+					v = assoc.Str(fmt.Sprintf("2020-06-%02dT%02d:00:00Z", 1+k, r%24))
+				}
+				cells = append(cells, Cell{Row: row, Col: fmt.Sprintf("col%02d", k), Val: v})
+			}
+		}
+		return cells
+	}
+	fresh := func(rows int) float64 {
+		cells := month(rows)
+		return testing.AllocsPerRun(20, func() {
+			s := NewStore()
+			if err := s.PutBatch(cells); err != nil || s.NNZ() != len(cells) {
+				t.Fatalf("PutBatch of %d cells: %v, %d stored", len(cells), err, s.NNZ())
+			}
+		})
+	}
+	small, large := fresh(256), fresh(512)
+	t.Logf("fresh rows: %.0f allocations at 256, %.0f at 512", small, large)
+	if large-small > 32 {
+		t.Errorf("256 more fresh rows added %.0f allocations to one PutBatch: the store allocates per row", large-small)
+	}
+
+	s, cells := NewStore(), month(256)
+	if err := s.PutBatch(cells); err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		cells[i].Val = assoc.Num(-1)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := s.PutBatch(cells); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a PutBatch overwriting %d cells of held rows made %.0f allocations, want 0", len(cells), n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := s.Put(cells[7].Row, cells[7].Col, assoc.Num(2)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a Put to a held cell made %.0f allocations, want 0", n)
+	}
+}

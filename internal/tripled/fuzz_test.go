@@ -168,15 +168,20 @@ func FuzzMutationLine(f *testing.F) {
 // sequence of puts, deletes, put batches and delete batches over a small
 // key space — so rows collide, empty out and return — with, between
 // them, scans of any (start, end, limit, cursor): live keys, dead ones,
-// bare prefixes, empty, bounds crossed. Every appendCells page is
-// diffed against the map-of-maps model, which has never seen
-// the index or the merge, and the structural invariants are checked
-// after every step.
+// bare prefixes, empty, bounds crossed. One put batch shape is a
+// published table's, rows whose columns ascend, so the rows it opens
+// are cut from one slab and later deleted, overwritten and scanned.
+// Every appendCells page is diffed against the map-of-maps model, which
+// has never seen the index, the merge or a slab, and the structural
+// invariants are checked after every step.
 func FuzzStoreScan(f *testing.F) {
 	f.Add([]byte{16, 0, 1, 2, 0, 3, 4, 4, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 9, 9, 5, 2, 9, 9, 6, 4, 9, 0, 2, 9, 1, 1, 9, 9})
 	f.Add([]byte("\x10\x02\x00\x00\x20\x02\x40\x00\x20\x04\x00\xff\x03\x41\x03\x40\x00\x07\x04\x42\x00\x01\x00"))
 	f.Add([]byte{3, 0, 200, 1, 0, 100, 1, 0, 50, 1, 4, 255, 255, 1, 50, 1, 200, 1, 4, 0, 0, 0, 0, 1, 100, 1, 4, 100, 0, 2, 50})
+	f.Add([]byte{4, 5, 4, 0x01, 0x1f, 0x02, 0x15, 0x40, 0x0a, 0x41, 0x1f, 4, 0, 0, 0, 0,
+		1, 0x02, 0, 1, 0x02, 2, 1, 0x02, 4, 5, 3, 0x02, 0x03, 0x01, 0x10, 0x42, 0x1f, 4, 0, 0, 0, 5,
+		0, 0x01, 7, 5, 3, 0x43, 0x05, 0x43, 0x02, 0x01, 0x1f, 4, 0x41, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -200,7 +205,7 @@ func FuzzStoreScan(f *testing.F) {
 			}
 		}
 		for step := 0; len(data) > 0; step++ {
-			switch op := next() % 5; op {
+			switch op := next() % 6; op {
 			case 0:
 				r, c, v := row(next()), col(next()), assoc.Num(float64(step))
 				if err := s.Put(r, c, v); err != nil {
@@ -211,6 +216,22 @@ func FuzzStoreScan(f *testing.F) {
 				r, c := row(next()), col(next())
 				if got, want := s.Delete(r, c), m.del(r, c); got != want {
 					t.Fatalf("step %d: Delete(%q,%q) = %v, model %v", step, r, c, got, want)
+				}
+			case 5: // a table's shape: rows of ascending columns, picked by a bit mask
+				var cells []Cell
+				for n := int(next() % 8); n > 0; n-- {
+					r, mask := row(next()), next()
+					for c := byte(0); c < 5; c++ {
+						if mask>>c&1 == 1 {
+							cells = append(cells, Cell{Row: r, Col: col(c), Val: assoc.Str(fmt.Sprint(step, n, c))})
+						}
+					}
+				}
+				if err := s.PutBatch(cells); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cells {
+					m.put(c.Row, c.Col, c.Val)
 				}
 			case 2, 3: // a batch: runs of same-row cells, the row changing now and then
 				n, r := int(next()%24), row(next())

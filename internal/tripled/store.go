@@ -10,7 +10,8 @@
 // (internal/runs), the only container that holds them — so writers on
 // different rows never contend. A row is its cells as a run sorted by
 // column; bulk mutations arrive as runs of same-row cells and cost one
-// stripe hash and one index seek per run. Everything ordered (CELLS
+// stripe hash and one index seek per run, and the rows a batch opens in
+// column order share one slab (putCells). Everything ordered (CELLS
 // pages, the snapshot log, the export) is one walk, Store.page, which
 // holds every stripe's read lock for one page and merges a cursor per
 // stripe lazily: a page is an atomic snapshot and costs
@@ -65,7 +66,11 @@ type CellKey struct {
 // Column names are interned (colName), so a stored cell shares its
 // column's one string. Off the wire, a row's key and string values are
 // cut from one string per row run ((*mutations).parse), so they pin
-// that row's text and nothing else.
+// that row's text and nothing else. A row a batch opens may be cut from
+// the batch's slabs (slabRows): it owns its capped cut, which it grows
+// out of without touching a neighbour's, while the slabs live until the
+// last row cut from them goes; a row that empties is zeroed
+// (stripe.del), so a deleted one pins neither its key text nor cells.
 type row struct {
 	key   string
 	cells runs.Run[assoc.Value]
@@ -119,25 +124,7 @@ func (s *Store) stripeFor(row string) *stripe {
 // refused with a BadKeyError, and string values holding a newline or
 // carriage return with a BadValueError, before any mutation.
 func (s *Store) Put(row, col string, v assoc.Value) error {
-	c := Cell{Row: row, Col: col, Val: v}
-	if err := c.validate(); err != nil {
-		return err
-	}
-	st := s.stripeFor(row)
-	st.mu.Lock()
-	st.put(st.open(row), col, v)
-	st.mu.Unlock()
-	return nil
-}
-
-// open returns the row under key, entering an empty one in the index
-// when the stripe has none; the caller fills it.
-func (st *stripe) open(key string) *row {
-	e, added := st.index.Put(key)
-	if added {
-		e.Val = &row{key: key}
-	}
-	return e.Val
+	return s.PutBatch([]Cell{{Row: row, Col: col, Val: v}})
 }
 
 // row returns the row under key, or nil.
@@ -157,37 +144,6 @@ func (st *stripe) put(r *row, col string, v assoc.Value) {
 	e.Val = v
 }
 
-// putRun stores cells, all of row key. A run that opens the row and
-// arrives in column order — what a published table is made of —
-// becomes the row's run as it stands, in one allocation of exactly its
-// size; anything else goes in cell by cell, the last of a repeated
-// column winning.
-func (st *stripe) putRun(key string, cells []Cell) {
-	r := st.open(key)
-	if r.cells.NumBlocks() > 0 || !ascendingCols(cells) {
-		for i := range cells {
-			st.put(r, cells[i].Col, cells[i].Val)
-		}
-		return
-	}
-	run := make([]runs.Entry[assoc.Value], len(cells))
-	for i := range cells {
-		run[i] = runs.Entry[assoc.Value]{Key: colName(cells[i].Col), Val: cells[i].Val}
-	}
-	r.cells = runs.Of(run)
-	st.nnz += len(cells)
-}
-
-// ascendingCols reports whether the cells' columns strictly ascend.
-func ascendingCols(cells []Cell) bool {
-	for i := 1; i < len(cells); i++ {
-		if cells[i-1].Col >= cells[i].Col {
-			return false
-		}
-	}
-	return true
-}
-
 // PutBatch stores every cell. Table iterations arrive row-major, so the
 // batch is applied as runs of consecutive same-row cells: one stripe
 // hash, one row lookup per run, and the stripe lock held across runs of
@@ -205,15 +161,18 @@ func (s *Store) PutBatch(cells []Cell) error {
 }
 
 // putCells is PutBatch for cells already validated (by PutBatch, or by
-// (*mutations).parse before the WAL saw them).
+// (*mutations).parse before the WAL saw them). From the first run that
+// opens a row in column order on, the batch's rows are laid out in one
+// slab (slabRows), and a run that opens its row takes its slab row as
+// it stands; a run whose row is held leaves its slab row unused. Every
+// other run goes in cell by cell, the last of a repeated column
+// winning, and a run whose row is held allocates nothing.
 func (s *Store) putCells(cells []Cell) {
 	var cur *stripe
-	for i := 0; i < len(cells); {
+	var slab []row // the rest of the batch's runs, one row each
+	for i, j := 0, 0; i < len(cells); i = j {
 		key := cells[i].Row
-		j := i + 1
-		for j < len(cells) && cells[j].Row == key {
-			j++
-		}
+		j = runEnd(cells, i)
 		if st := s.stripeFor(key); st != cur {
 			if cur != nil {
 				cur.mu.Unlock()
@@ -221,12 +180,70 @@ func (s *Store) putCells(cells []Cell) {
 			st.mu.Lock()
 			cur = st
 		}
-		cur.putRun(key, cells[i:j])
-		i = j
+		e, added := cur.index.Put(key)
+		if added && slab == nil && ascendingCols(cells[i:j]) {
+			slab = slabRows(cells[i:])
+		}
+		if added && slab != nil {
+			e.Val = &slab[0]
+			cur.nnz += e.Val.cells.Len()
+		} else if added {
+			e.Val = &row{key: key}
+		}
+		if r := e.Val; r.cells.NumBlocks() == 0 || !added {
+			for _, c := range cells[i:j] {
+				cur.put(r, c.Col, c.Val)
+			}
+		}
+		if slab != nil {
+			slab = slab[1:]
+		}
 	}
 	if cur != nil {
 		cur.mu.Unlock()
 	}
+}
+
+// runEnd returns where the run of same-row cells starting at i ends.
+func runEnd(cells []Cell, i int) int {
+	j := i + 1
+	for j < len(cells) && cells[j].Row == cells[i].Row {
+		j++
+	}
+	return j
+}
+
+// slabRows lays out cells as one row per run of same-row cells, the
+// rows sharing one allocation and their cells another, cut into runs
+// by runs.Cut. A run in ascending column order is its row's cells as
+// it stands; any other leaves its row empty, to be filled cell by cell.
+func slabRows(cells []Cell) []row {
+	var ends []int
+	entries := make([]runs.Entry[assoc.Value], 0, len(cells))
+	for i, j := 0, 0; i < len(cells); i = j {
+		j = runEnd(cells, i)
+		if ascendingCols(cells[i:j]) {
+			for _, c := range cells[i:j] {
+				entries = append(entries, runs.Entry[assoc.Value]{Key: colName(c.Col), Val: c.Val})
+			}
+		}
+		ends = append(ends, len(entries))
+	}
+	rows, i := make([]row, len(ends)), 0
+	for k, r := range runs.Cut(entries, ends) {
+		rows[k], i = row{key: cells[i].Row, cells: r}, runEnd(cells, i)
+	}
+	return rows
+}
+
+// ascendingCols reports whether the cells' columns strictly ascend.
+func ascendingCols(cells []Cell) bool {
+	for i := 1; i < len(cells); i++ {
+		if cells[i-1].Col >= cells[i].Col {
+			return false
+		}
+	}
+	return true
 }
 
 // Get returns the value at (row, col).
@@ -261,6 +278,7 @@ func (st *stripe) del(key, col string) bool {
 	}
 	if r.cells.NumBlocks() == 0 {
 		st.index.Delete(key)
+		*r = row{} // a slab row gone pins neither its key text nor its cells
 	}
 	st.nnz--
 	return true
