@@ -20,6 +20,12 @@
 // bits after the prefix leaves 7 blocks for a /8, in slab order, with
 // nothing sorted or remembered. Deanonymize[Batch] is the keyed
 // inverse, the sorted walk run backwards.
+//
+// Every walk pays its AES blocks through one kernel (kernel.go): a
+// list of level words in, their flip bits out. On amd64 with AES-NI it
+// runs eight blocks at a time, about 3 ns a block on a 2 GHz Xeon
+// against 26 ns for a crypto/aes call per block, which is what it runs
+// on elsewhere; the reference walk calls crypto/aes directly.
 package cryptopan
 
 import (
@@ -42,15 +48,16 @@ type Anonymizer struct {
 	cipher interface {
 		Encrypt(dst, src []byte)
 	}
-	pad [16]byte
+	pad    [16]byte
+	kernel flipKernel // every walk's AES blocks (flipBits)
 
 	// top16 caches the flip bits of the first 16 walk levels, which
 	// depend only on the top 16 address bits: entry t holds flip bit for
 	// level i at bit position 15-i. Building it costs 2^16 - 1 AES block
-	// encryptions (one per distinct prefix of length 0..15, a couple of
-	// milliseconds once per key) and halves the per-address AES cost
-	// forever after, which is what the telescope's per-window cold-start
-	// is bound by. Built lazily on first use.
+	// encryptions (one per distinct prefix of length 0..15, well under a
+	// millisecond once per key on the AES-NI kernel) and halves the
+	// per-address AES cost forever after, which is what the telescope's
+	// per-window cold-start is bound by. Built lazily on first use.
 	//
 	// inv16 is the same table indexed from the other side: entry u holds
 	// the flip bits of the 16-bit prefix that anonymizes to u (the top 16
@@ -80,6 +87,7 @@ func newAnonymizer(key []byte) (*Anonymizer, error) {
 	}
 	a := &Anonymizer{cipher: c, within: make(map[ipaddr.Prefix]*PrefixWalker)}
 	c.Encrypt(a.pad[:], key[16:32])
+	a.kernel = newFlipKernel(key[:16], &a.pad)
 	return a, nil
 }
 
@@ -95,13 +103,21 @@ func NewFromPassphrase(phrase string) *Anonymizer {
 	return a
 }
 
-// walkBuf holds the AES input/output blocks of one anonymization walk.
-// Encrypt is an interface call, so stack-allocated blocks would escape
-// and cost one heap allocation per cache miss; pooling them makes the
-// walk allocation-free.
+// walkBuf is the scratch of one anonymization walk: the level words
+// and flip bits of one flipBits call, and crypto/aes's input and output
+// blocks. Encrypt is an interface call, so stack-allocated blocks would
+// escape and cost one heap allocation per call, and a stack array of
+// words would be zeroed on every call; pooling them makes the walk
+// allocation-free.
 type walkBuf struct {
+	words      [walkWords]uint32
+	bits       [walkWords]uint8
 	block, out [16]byte
 }
+
+// walkWords is how many level words one flipBits call takes at most:
+// 64 addresses' 16-level walks.
+const walkWords = 1024
 
 var walkPool = sync.Pool{New: func() interface{} { return new(walkBuf) }}
 
@@ -120,7 +136,6 @@ func (a *Anonymizer) Anonymize(addr ipaddr.Addr) ipaddr.Addr {
 	a.top16Once.Do(a.buildTop16)
 	v := uint32(addr)
 	b := walkPool.Get().(*walkBuf)
-	copy(b.block[4:], a.pad[4:])
 	flips := a.walkTail(v, 16, binary.BigEndian.Uint32(a.pad[:4]), b)
 	walkPool.Put(b)
 	return ipaddr.Addr(v ^ (uint32(a.top16[v>>16])<<16 | flips))
@@ -141,17 +156,12 @@ func (a *Anonymizer) Deanonymize(addr ipaddr.Addr) ipaddr.Addr {
 
 // walkTail pays for walk levels from..31 of the original address v, one
 // AES block each, and returns their flip bits where the walk result
-// keeps them (level i at bit 31-i). b.block[4:] must hold the pad. No
-// level's AES input depends on another level's output, so the blocks
-// overlap in the pipeline.
-func (a *Anonymizer) walkTail(v uint32, from int, padTop uint32, b *walkBuf) (flips uint32) {
-	for i := from; i < 32; i++ {
-		mask := ^uint32(0) << (32 - uint(i))
-		binary.BigEndian.PutUint32(b.block[:4], v&mask|padTop&^mask)
-		a.cipher.Encrypt(b.out[:], b.block[:])
-		flips |= uint32(b.out[0]>>7) << (31 - uint(i))
-	}
-	return flips
+// keeps them (level i at bit 31-i). No level's AES input depends on
+// another level's output, so the blocks go to flipBits in one call.
+func (a *Anonymizer) walkTail(v uint32, from int, padTop uint32, b *walkBuf) uint32 {
+	n := levelWords(b.words[:], v, from, padTop)
+	a.flipBits(b, b.words[:n], b.bits[:n])
+	return levelFlips(b.bits[:n], from)
 }
 
 // buildTop16 precomputes the flip bits of walk levels 0..15 for every

@@ -129,7 +129,10 @@ func TestWithinWarmZeroAlloc(t *testing.T) {
 // BenchmarkCryptopanBatchDarkspace is a capture chunk's destination
 // walk: 16 384 addresses spread over a /8, which share almost nothing
 // below bit 22. sorted is Anonymizer.AnonymizeBatch (what the slab
-// mapper called before Within), prefix is the walker.
+// mapper called before Within), prefix is the walker; both report
+// ns/addr. table is what a fresh key pays before its first
+// destination: the top16 table and the /8 table, about 196 k AES
+// blocks, one key per op.
 func BenchmarkCryptopanBatchDarkspace(b *testing.B) {
 	a := NewFromPassphrase("bench darkspace")
 	dark := ipaddr.MustParsePrefix("44.0.0.0/8")
@@ -154,6 +157,19 @@ func BenchmarkCryptopanBatchDarkspace(b *testing.B) {
 				copy(work, addrs)
 				bc.walk(work)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(addrs)), "ns/addr")
 		})
 	}
+	b.Run("table", func(b *testing.B) {
+		key := testKey()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			key[0] = byte(i)
+			a, err := newAnonymizer(key)
+			if err != nil {
+				b.Fatal(err)
+			}
+			one(a.Within(dark).AnonymizeBatch, dark.Nth(0))
+		}
+	})
 }

@@ -63,7 +63,8 @@ func (t *Telescope) engineFor(workers, batch int) (*engine.Engine, error) {
 // lock round-trip per packet. The slab's destinations — Valid has placed
 // them all inside the darkspace, and they almost never recur — take the
 // darkspace's prefix walk (two table lookups and a 7-block AES tail
-// for a /8) and are inserted nowhere.
+// for a /8, the slab's tails run eight blocks at a time through the
+// AES-NI kernel where the CPU has one) and are inserted nowhere.
 func (t *Telescope) slabMapper(shard int) engine.SlabMapper {
 	sa := t.shardAnon(shard)
 	return func(pkts []pcap.Packet, dst []engine.Pair) {

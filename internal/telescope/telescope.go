@@ -72,8 +72,9 @@ func (rs *ReaderSource) Err() error { return rs.err }
 // Only sources go through the memo. A destination lies inside the
 // monitored prefix and is as good as new in every window, so it is
 // anonymized by the prefix walk (cryptopan.Within: two table lookups
-// and a short AES tail) and remembered nowhere; the memo's size is the
-// number of distinct sources seen, on every capture path.
+// and a short AES tail, paid a slab's worth of blocks at a time) and
+// remembered nowhere; the memo's size is the number of distinct
+// sources seen, on every capture path.
 type Telescope struct {
 	darkspace ipaddr.Prefix
 	leafSize  int

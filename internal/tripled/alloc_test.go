@@ -7,6 +7,7 @@ package tripled
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/assoc"
@@ -115,5 +116,52 @@ func TestPutBatchAllocatesPerBatchNotPerRow(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("a Put to a held cell made %.0f allocations, want 0", n)
+	}
+}
+
+// TestDeletePrefixAllocatesPerPageNotPerCell deletes a published prefix
+// over many CELLS pages and counts the whole process's allocations
+// during DeletePrefix alone. Every page's deletes go out on one
+// pipeline whose body grows once, so doubling the columns of every row
+// may add only a constant, and a page costs a constant plus the
+// server's one string per deleted row run.
+func TestDeletePrefixAllocatesPerPageNotPerCell(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const pageRows, runs = 8, 10
+	allocs := func(rows, cols int) float64 {
+		_, c := serveTest(t)
+		var cells []Cell
+		for r := 0; r < rows; r++ {
+			row := fmt.Sprintf("m/10.0.%03d.%03d", r/256, r%256)
+			for k := 0; k < cols; k++ {
+				cells = append(cells, Cell{Row: row, Col: fmt.Sprintf("col%02d", k), Val: assoc.Num(float64(k))})
+			}
+		}
+		var before, after runtime.MemStats
+		var total uint64
+		for i := 0; i < runs; i++ {
+			if err := c.PutBatch(cells); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			if err := c.DeletePrefix("m/", pageRows); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			total += after.Mallocs - before.Mallocs
+		}
+		return float64(total) / runs
+	}
+	base, wide, long := allocs(256, 6), allocs(256, 12), allocs(512, 6)
+	pages := 256 / pageRows
+	t.Logf("%d pages of %d rows: %.0f allocations at 6 columns, %.0f at 12; %d pages: %.0f",
+		pages, pageRows, base, wide, 2*pages, long)
+	if wide-base > 8 {
+		t.Errorf("%d more cells added %.0f allocations to a %d-page delete: it allocates per cell", 256*6, wide-base, pages)
+	}
+	if per := (long - base) / float64(pages); per > pageRows+16 {
+		t.Errorf("a page of %d rows costs %.1f allocations, want at most %d", pageRows, per, pageRows+16)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -216,16 +217,6 @@ func (c *Client) PutBatch(cells []Cell) error {
 	p := c.StartPipeline(len(cells))
 	for _, cell := range cells {
 		p.Put(cell.Row, cell.Col, cell.Val)
-	}
-	return p.Close()
-}
-
-// deleteBatch removes every addressed cell in one BATCH round trip.
-// Absent cells are not an error.
-func (c *Client) deleteBatch(keys []CellKey) error {
-	p := c.StartPipeline(len(keys))
-	for _, k := range keys {
-		p.Delete(k.Row, k.Col)
 	}
 	return p.Close()
 }
@@ -449,11 +440,14 @@ func (c *Client) PublishAssoc(prefix string, a *assoc.Assoc, batchSize int) erro
 }
 
 // DeletePrefix removes every cell under the row-key prefix, paging with
-// CELLS and batch-deleting until the prefix is empty.
+// CELLS and deleting each page in one BATCH until the prefix is empty.
+// The pages share one pipeline, flushed before the next page is read,
+// so its body grows to the largest page once.
 func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 	if pageRows < 1 {
 		pageRows = 512
 	}
+	p := c.StartPipeline(math.MaxInt) // a page is one BATCH: Flush sends it
 	var cells []Cell
 	var err error
 	for {
@@ -464,11 +458,10 @@ func (c *Client) DeletePrefix(prefix string, pageRows int) error {
 		if len(cells) == 0 {
 			return nil
 		}
-		keys := make([]CellKey, len(cells))
-		for i, cell := range cells {
-			keys[i] = CellKey{Row: cell.Row, Col: cell.Col}
+		for _, cell := range cells {
+			p.Delete(cell.Row, cell.Col)
 		}
-		if err := c.deleteBatch(keys); err != nil {
+		if err := p.Flush(); err != nil {
 			return err
 		}
 	}

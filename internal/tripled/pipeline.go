@@ -110,7 +110,7 @@ func (p *Pipeline) sendBatch() {
 // recvAck consumes the oldest outstanding BATCH ack.
 func (p *Pipeline) recvAck() {
 	n := p.inflight[0]
-	p.inflight = p.inflight[1:]
+	p.inflight = append(p.inflight[:0], p.inflight[1:]...) // keeps the window's array for the next batches
 	resp, err := p.c.recv()
 	if err != nil {
 		p.err = err
@@ -137,7 +137,7 @@ func (p *Pipeline) Flush() error {
 			p.recvAck()
 			continue
 		}
-		p.inflight = p.inflight[1:]
+		p.inflight = append(p.inflight[:0], p.inflight[1:]...)
 		if _, err := p.c.recv(); err != nil {
 			p.inflight = nil
 		}

@@ -33,6 +33,16 @@ func serveTest(t *testing.T, opts ...Option) (*Server, *Client) {
 	return srv, c
 }
 
+// deleteBatch removes every addressed cell in one BATCH round trip.
+// Absent cells are not an error.
+func (c *Client) deleteBatch(keys []CellKey) error {
+	p := c.StartPipeline(len(keys))
+	for _, k := range keys {
+		p.Delete(k.Row, k.Col)
+	}
+	return p.Close()
+}
+
 func TestBatchPutDelete(t *testing.T) {
 	srv, c := serveTest(t)
 	cells := make([]Cell, 0, 100)

@@ -144,32 +144,53 @@ func BenchmarkTripledQueries(b *testing.B) {
 
 // BenchmarkTripledPublishAssoc publishes one month table over loopback
 // into a long-lived server, the publish half of a store-backed study.
-// Every iteration but the first replaces the table the last one left
-// under the prefix, as a republished month does.
+// fresh publishes into an empty prefix, as a study publishes each month
+// once: PublishAssoc's DeletePrefix reads one empty page (the previous
+// op's cells are deleted with the timer stopped). republish replaces
+// the table the previous op left under the prefix, as a republished
+// month does: every op first deletes its cells, page by page.
 func BenchmarkTripledPublishAssoc(b *testing.B) {
 	table := benchMonth(b)
-	srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := tripled.Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.PublishAssoc("m/", table, honeyfarm.PublishBatch); err != nil {
-			b.Fatal(err)
+	for _, fresh := range []bool{true, false} {
+		name := "republish"
+		if fresh {
+			name = "fresh"
 		}
+		b.Run(name, func(b *testing.B) {
+			srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := tripled.Dial(srv.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.PublishAssoc("m/", table, honeyfarm.PublishBatch); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if fresh {
+					b.StopTimer()
+					if err := c.DeletePrefix("m/", 512); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := c.PublishAssoc("m/", table, honeyfarm.PublishBatch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if nnz, err := c.NNZ(); err != nil || nnz != table.NNZ() {
+				b.Fatalf("store holds %d cells (%v), want %d", nnz, err, table.NNZ())
+			}
+			b.ReportMetric(float64(table.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
+		})
 	}
-	b.StopTimer()
-	if nnz, err := c.NNZ(); err != nil || nnz != table.NNZ() {
-		b.Fatalf("store holds %d cells (%v), want %d", nnz, err, table.NNZ())
-	}
-	b.ReportMetric(float64(table.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
 }
 
 // BenchmarkTripledFetchAssoc reads the published month table back, the
