@@ -6,10 +6,12 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pcap"
@@ -18,7 +20,7 @@ import (
 	"repro/internal/stats"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/streams.sha256 from the current generator")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.sha256 from the current generator")
 
 // goldenStream is one stream the golden pins: a population and the
 // fractional month and start time of one window.
@@ -121,6 +123,13 @@ func TestStreamGolden(t *testing.T) {
 		sum, n := streamDigest(pop, g.cfg, g.ts)
 		lines = append(lines, fmt.Sprintf("%s %s %d %s", g.name, g.cfg.SnapshotTimes[g.ts].UTC().Format("20060102-150405"), n, sum))
 	}
+	checkGolden(t, path, lines)
+}
+
+// checkGolden compares lines with the golden file at path, one line
+// each, or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, lines []string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -137,13 +146,80 @@ func TestStreamGolden(t *testing.T) {
 		want = append(want, sc.Text())
 	}
 	if len(want) != len(lines) {
-		t.Fatalf("%s holds %d streams, the test drains %d", path, len(want), len(lines))
+		t.Fatalf("%s holds %d lines, the test computes %d", path, len(want), len(lines))
 	}
 	for i := range lines {
 		if lines[i] != want[i] {
-			t.Errorf("stream %d:\n got %s\nwant %s", i, lines[i], want[i])
+			t.Errorf("line %d:\n got %s\nwant %s", i, lines[i], want[i])
 		}
 	}
+}
+
+// goldenMonths lists the populations whose honeyfarm months the month
+// golden pins: the study_batch shape and each in-memory scenario's
+// radiation config, one entry a population.
+func goldenMonths(t *testing.T) []goldenStream {
+	var out []goldenStream
+	for _, g := range goldenStreams(t) {
+		if len(out) == 0 || out[len(out)-1].name != g.name {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// monthDigest hashes every field of every observation: the whole
+// source, the packet count, and both times as Unix nanoseconds plus
+// their location's name.
+func monthDigest(obs []radiation.Observation) string {
+	h := sha256.New()
+	var rec []byte
+	for i := range obs {
+		o := &obs[i]
+		s := &o.Src
+		rec = binary.LittleEndian.AppendUint64(rec[:0], uint64(s.ID))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(s.IP))
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(s.Brightness))
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(s.Anchor))
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(s.Type))
+		rec = append(rec, flag01(s.Persistent), flag01(s.Vertical), flag01(s.V6))
+		rec = append(rec, s.IP6[:]...)
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(o.Packets))
+		for _, at := range []time.Time{o.FirstSeen, o.LastSeen} {
+			rec = binary.LittleEndian.AppendUint64(rec, uint64(at.UnixNano()))
+			rec = append(rec, at.Location().String()...)
+			rec = append(rec, 0)
+		}
+		h.Write(rec)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func flag01(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestHoneyfarmMonthGolden pins every observation of every month of the
+// golden populations: any change to the honeyfarm's visibility draws,
+// the observations' order or their metadata shows as a digest mismatch.
+// Rewrite the file with -update only when such a change is intended.
+func TestHoneyfarmMonthGolden(t *testing.T) {
+	var lines []string
+	for _, g := range goldenMonths(t) {
+		pop, err := radiation.NewPopulation(g.cfg.Radiation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := range g.cfg.Radiation.Months {
+			start := g.cfg.StudyStart.AddDate(0, m, 0)
+			obs := pop.HoneyfarmMonth(m, start)
+			lines = append(lines, fmt.Sprintf("%s %s %d %s", g.name, start.Format("2006-01"), len(obs), monthDigest(obs)))
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "months.sha256"), lines)
 }
 
 // BenchmarkStudyShapeStreams opens and reads the five study_batch
