@@ -11,6 +11,7 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/correlate"
 	"repro/internal/honeyfarm"
+	"repro/internal/ipaddr"
 	"repro/internal/stats"
 )
 
@@ -81,8 +82,8 @@ func TestMonthSetMatchesTable(t *testing.T) {
 		}
 	}
 
-	// A source observed twice is one source, and a month nobody touched
-	// is an empty set.
+	// To correlate.NewMonth, an address given twice is one source, and
+	// a month nobody touched is an empty set.
 	cfg := QuickConfig()
 	p, err := New(cfg)
 	if err != nil {
@@ -91,16 +92,20 @@ func TestMonthSetMatchesTable(t *testing.T) {
 	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
 	obs := p.pop.HoneyfarmMonth(4, cfg.StudyStart.AddDate(0, 4, 0))
 	dup := append(slices.Clip(obs), obs[len(obs)/2])
-	md := sourceSet("dup", 4, dup)
+	addrs := make([]ipaddr.Addr, len(dup))
+	for i, o := range dup {
+		addrs[i] = o.Src.IP
+	}
+	md := correlate.NewMonth("dup", 4, addrs)
 	if md.Sources() != len(obs) {
-		t.Errorf("%d observations of %d sources: month set has %d", len(dup), len(obs), md.Sources())
+		t.Errorf("%d addresses of %d sources: month set has %d", len(dup), len(obs), md.Sources())
 	}
 	sameSourcesAsTable(t, "dup", md, farm.BuildMonth("dup", cfg.StudyStart, dup).Table)
-	sameSourcesAsTable(t, "empty", sourceSet("empty", 4, nil), farm.BuildMonth("empty", cfg.StudyStart, nil).Table)
+	sameSourcesAsTable(t, "empty", correlate.NewMonth("empty", 4, nil), farm.BuildMonth("empty", cfg.StudyStart, nil).Table)
 }
 
 // BenchmarkMonthUnit is one in-memory month unit at the study_batch
-// shape: the month's observations reduced to its source set.
+// shape: the month's visibility scan reduced to its source set.
 func BenchmarkMonthUnit(b *testing.B) {
 	p, err := New(studyBatchConfig())
 	if err != nil {

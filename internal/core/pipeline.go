@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/correlate"
 	"repro/internal/honeyfarm"
-	"repro/internal/ipaddr"
 	"repro/internal/radiation"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -371,7 +370,7 @@ func (p *Pipeline) month(db tripled.Conn, m int) (correlate.MonthData, *honeyfar
 	start := p.cfg.StudyStart.AddDate(0, m, 0)
 	label := start.Format("2006-01")
 	if db == nil {
-		return sourceSet(label, m, p.pop.HoneyfarmMonth(m, start)), nil, nil
+		return correlate.NewMonth(label, m, p.pop.HoneyfarmAddrs(m)), nil, nil
 	}
 	var built *honeyfarm.MonthWindow
 	mw := p.farm.Month(label)
@@ -387,15 +386,6 @@ func (p *Pipeline) month(db tripled.Conn, m int) (correlate.MonthData, *honeyfar
 		return correlate.MonthData{}, built, fmt.Errorf("core: fetch month %s: %w", label, err)
 	}
 	return correlate.MonthData{Label: label, Month: m, Table: table}, built, nil
-}
-
-// sourceSet is an in-memory month: the set of the sources obs saw.
-func sourceSet(label string, m int, obs []radiation.Observation) correlate.MonthData {
-	addrs := make([]ipaddr.Addr, len(obs))
-	for i, o := range obs {
-		addrs[i] = o.Src.IP
-	}
-	return correlate.NewMonth(label, m, addrs)
 }
 
 // IngestSnapshot is the other incremental unit: capture one telescope

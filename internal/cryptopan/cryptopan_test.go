@@ -33,7 +33,7 @@ func TestDeterministic(t *testing.T) {
 	a1, _ := newAnonymizer(testKey())
 	a2, _ := newAnonymizer(testKey())
 	for i := 0; i < 100; i++ {
-		addr := ipaddr.Addr(i * 2654435761)
+		addr := ipaddr.Addr(uint32(i) * 2654435761)
 		if a1.Anonymize(addr) != a2.Anonymize(addr) {
 			t.Fatalf("same key produced different mapping for %v", addr)
 		}

@@ -369,24 +369,27 @@ type Observation struct {
 // given integer month, with synthetic conversation metadata. monthStart
 // anchors the timestamps.
 func (p *Population) HoneyfarmMonth(month int, monthStart time.Time) []Observation {
-	visible := make([]int32, 0, len(p.sources))
-	for i := range p.sources {
-		if p.honeyfarmVisible(i, month) {
-			visible = append(visible, int32(i))
-		}
-	}
-	out := make([]Observation, 0, len(visible))
-	for _, i := range visible {
-		s := p.sources[i]
+	visible := p.visibleIn(month)
+	out := make([]Observation, len(visible))
+	for k, i := range visible {
+		o := &out[k]
+		o.Src = p.sources[i]
 		r := newSM64(uint64(p.cfg.Seed)*0xD1B54A32D192ED03 ^ uint64(i)<<16 ^ uint64(month))
-		first := monthStart.Add(time.Duration(r.float64() * 20 * 24 * float64(time.Hour)))
-		span := time.Duration(r.float64() * 9 * 24 * float64(time.Hour))
-		out = append(out, Observation{
-			Src:       s,
-			Packets:   1 + r.intn(40),
-			FirstSeen: first,
-			LastSeen:  first.Add(span),
-		})
+		o.FirstSeen = monthStart.Add(time.Duration(r.float64() * 20 * 24 * float64(time.Hour)))
+		o.LastSeen = o.FirstSeen.Add(time.Duration(r.float64() * 9 * 24 * float64(time.Hour)))
+		o.Packets = 1 + r.intn(40)
 	}
 	return out
+}
+
+// HoneyfarmAddrs returns the addresses of the sources that touch the
+// honeyfarm during the given integer month, in HoneyfarmMonth's order:
+// its observations' Src.IP, with no metadata drawn.
+func (p *Population) HoneyfarmAddrs(month int) []ipaddr.Addr {
+	visible := p.visibleIn(month)
+	addrs := make([]ipaddr.Addr, len(visible))
+	for k, i := range visible {
+		addrs[k] = p.beams[i].ip
+	}
+	return addrs
 }

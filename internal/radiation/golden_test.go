@@ -9,11 +9,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ipaddr"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
 	"repro/internal/scenario"
@@ -246,4 +248,55 @@ func BenchmarkStudyShapeStreams(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cfg.SnapshotTimes)*cfg.NV), "ns/pkt")
+}
+
+// TestHoneyfarmAddrsMatchMonth holds the addresses-only projection of
+// the visibility scan to the observations: for every month of the
+// golden populations, HoneyfarmAddrs is HoneyfarmMonth's Src.IP list,
+// in order.
+func TestHoneyfarmAddrsMatchMonth(t *testing.T) {
+	for _, g := range goldenMonths(t) {
+		pop, err := radiation.NewPopulation(g.cfg.Radiation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := range g.cfg.Radiation.Months {
+			obs := pop.HoneyfarmMonth(m, g.cfg.StudyStart.AddDate(0, m, 0))
+			want := make([]ipaddr.Addr, len(obs))
+			for i := range obs {
+				want[i] = obs[i].Src.IP
+			}
+			if got := pop.HoneyfarmAddrs(m); !slices.Equal(got, want) {
+				t.Errorf("%s month %d: HoneyfarmAddrs gives %d addresses, not HoneyfarmMonth's %d in order", g.name, m, len(got), len(want))
+			}
+		}
+	}
+}
+
+// BenchmarkHoneyfarmMonth is one honeyfarm month at the study_batch
+// shape, as the store-backed month reads it (observations) and as the
+// in-memory month does (addrs).
+func BenchmarkHoneyfarmMonth(b *testing.B) {
+	cfg := studyBatchConfig()
+	pop, err := radiation.NewPopulation(cfg.Radiation)
+	if err != nil {
+		b.Fatal(err)
+	}
+	months := cfg.Radiation.Months
+	pop.HoneyfarmMonth(0, cfg.StudyStart) // the visibility records are built once, untimed
+	for _, bc := range []struct {
+		name string
+		run  func(m int)
+	}{
+		{"observations", func(m int) { pop.HoneyfarmMonth(m, cfg.StudyStart.AddDate(0, m, 0)) }},
+		{"addrs", func(m int) { pop.HoneyfarmAddrs(m) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				bc.run(i % months)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pop.Len()), "ns/source")
+		})
+	}
 }

@@ -66,31 +66,60 @@ type Source struct {
 type Population struct {
 	cfg     Config
 	sources []Source
-	// beams holds what the honeyfarm beam model derives from a source's
-	// brightness alone, computed once per source instead of per (source,
-	// month) — on the first honeyfarm query, not in NewPopulation, so a
-	// population that only feeds a telescope never pays for it.
+	// beams holds what the honeyfarm's visibility scan reads of each
+	// source, one compact record per source, so the scan touches no
+	// Source. It is built on the first honeyfarm query, not in
+	// NewPopulation, so a population that only feeds a telescope never
+	// pays for it.
 	beamsOnce sync.Once
-	beams     []beamConsts
+	beams     []beamRecord
 }
 
-// beamConsts are cfg.peakVisibility and cfg.betaStar of one source's
-// brightness.
-type beamConsts struct {
-	peak, beta float64
+// beamRecord is one source's visibility record: cfg.peakVisibility and
+// cfg.betaStar of its brightness, computed once per source instead of
+// per (source, month), and the source's anchor, persistence and
+// address. It is 32 bytes.
+type beamRecord struct {
+	peak, beta, anchor float64
+	ip                 ipaddr.Addr
+	persistent         bool
 }
 
-// beamOf returns source i's beam constants.
-func (p *Population) beamOf(i int) beamConsts {
+// records returns the visibility records, built on first use.
+func (p *Population) records() []beamRecord {
 	p.beamsOnce.Do(p.fillBeams)
-	return p.beams[i]
+	return p.beams
 }
 
+// fillBeams builds the visibility records. A brightness is a whole
+// number (ZipfMandelbrot.Sample rounds it) and most sources are faint,
+// so the constants of each brightness below 1024 are computed once.
 func (p *Population) fillBeams() {
-	p.beams = make([]beamConsts, len(p.sources))
+	p.beams = make([]beamRecord, len(p.sources))
+	var memo [1024]struct {
+		peak, beta float64
+		ok         bool
+	}
 	for i := range p.sources {
-		d := p.sources[i].Brightness
-		p.beams[i] = beamConsts{peak: p.cfg.peakVisibility(d), beta: p.cfg.betaStar(d)}
+		s := &p.sources[i]
+		d := s.Brightness
+		var peak, beta float64
+		if k := int(d); float64(k) == d && k >= 0 && k < len(memo) {
+			m := &memo[k]
+			if !m.ok {
+				m.peak, m.beta, m.ok = p.cfg.peakVisibility(d), p.cfg.betaStar(d), true
+			}
+			peak, beta = m.peak, m.beta
+		} else {
+			peak, beta = p.cfg.peakVisibility(d), p.cfg.betaStar(d)
+		}
+		p.beams[i] = beamRecord{
+			peak:       peak,
+			beta:       beta,
+			anchor:     s.Anchor,
+			ip:         s.IP,
+			persistent: s.Persistent,
+		}
 	}
 }
 
@@ -166,20 +195,37 @@ func (p *Population) Source(i int) Source { return p.sources[i] }
 // validation).
 func (p *Population) Config() Config { return p.cfg }
 
-// beam returns the ground-truth activity probability of source i in
-// month m: a modified Cauchy around the source's anchor.
-func (p *Population) beam(i int, month float64) float64 {
-	beta := p.beamOf(i).beta
-	dt := math.Abs(month - p.sources[i].Anchor)
-	return beta / (beta + math.Pow(dt, p.cfg.AlphaStar))
+// beam returns the ground-truth activity probability of the source
+// with record b in month m: a modified Cauchy around the source's
+// anchor.
+func (p *Population) beam(b *beamRecord, month float64) float64 {
+	dt := math.Abs(month - b.anchor)
+	return b.beta / (b.beta + math.Pow(dt, p.cfg.AlphaStar))
 }
 
 // telescopeEpisode is the sharp kernel governing when a source's scan
 // episode sweeps the darkspace: much narrower than the honeyfarm beam so
 // a telescope snapshot localizes the beam anchor in time.
+//
+// At the default exponent 2 it squares instead of calling math.Pow;
+// the two agree bit for bit. Go's pow with y = 2 squares dt's Frexp
+// mantissa and scales by Ldexp, and rounding commutes with a
+// power-of-two scale, so Pow(dt, 2) == dt*dt at 0 and wherever the
+// square is normal, 2^-511 <= dt < 2^512. dt stays there: an anchor,
+// -6 + u*(Months+12), is a multiple of 2^-51, so |month - anchor| is 0,
+// at least 2^-104, or (anchor 0) the month itself, which a window time
+// makes 0 or at least 2^-52. TestEpisodeSquareIsPow checks it. The
+// float64 conversion keeps the square from being fused into the add,
+// as the Pow result never was.
 func (p *Population) telescopeEpisode(s *Source, month float64) float64 {
 	dt := math.Abs(month - s.Anchor)
-	return p.cfg.TelescopeBeta / (p.cfg.TelescopeBeta + math.Pow(dt, p.cfg.TelescopeAlpha))
+	var x float64
+	if p.cfg.TelescopeAlpha == 2 {
+		x = float64(dt * dt)
+	} else {
+		x = math.Pow(dt, p.cfg.TelescopeAlpha)
+	}
+	return p.cfg.TelescopeBeta / (p.cfg.TelescopeBeta + x)
 }
 
 // telescopeActive reports whether source s beams into the telescope's
@@ -197,20 +243,43 @@ func (p *Population) telescopeActive(i int, month float64) bool {
 	return u < p.telescopeEpisode(s, month)
 }
 
-// honeyfarmVisible reports whether source s touches the honeyfarm during
-// integer month m. The probability is the beam profile scaled by the
+// visibleIn is the honeyfarm's one visibility scan: the indices, in
+// order, of the sources that touch the honeyfarm during integer month
+// m. A source's probability is the beam profile scaled by the
 // log-brightness aperture, plus the beam-independent background floor.
 // A month window collects for its whole span, so the beam is evaluated
 // at the month midpoint m + 0.5 (anchoring at the month start would put
 // every mid-month beam half a month away from its own collection
 // window and artificially depress same-month correlation peaks).
-func (p *Population) honeyfarmVisible(i int, month int) bool {
-	peak := p.beamOf(i).peak
-	if p.sources[i].Persistent {
-		return hashUnit(p.cfg.Seed, uint64(i), uint64(month), chanHoneyfarm) < peak
+//
+// The draw u comes first. A beam is at most 1 (beta over at least
+// beta), peak and 1-bg are non-negative, and rounding is monotone, so
+// prob is at most peak*(bg+(1-bg)); a u at or above that bound fails
+// whatever the beam, and the scan skips the beam's Pow.
+// TestBeamBoundCoversProb checks the bound.
+func (p *Population) visibleIn(month int) []int32 {
+	beams := p.records()
+	seed, bg := p.cfg.Seed, p.cfg.Background
+	top := bg + (1 - bg)
+	mid := float64(month) + 0.5
+	visible := make([]int32, 0, len(beams))
+	for i := range beams {
+		b := &beams[i]
+		u := hashUnit(seed, uint64(i), uint64(month), chanHoneyfarm)
+		var prob float64
+		switch {
+		case b.persistent:
+			prob = b.peak
+		case u >= b.peak*top:
+			continue
+		default:
+			prob = b.peak * (bg + (1-bg)*p.beam(b, mid))
+		}
+		if u < prob {
+			visible = append(visible, int32(i))
+		}
 	}
-	prob := peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(i, float64(month)+0.5))
-	return hashUnit(p.cfg.Seed, uint64(i), uint64(month), chanHoneyfarm) < prob
+	return visible
 }
 
 // channel salts separating the independent per-source Bernoulli draws

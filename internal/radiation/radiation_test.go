@@ -2,6 +2,8 @@ package radiation
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,13 +116,22 @@ func TestBrightnessFollowsZM(t *testing.T) {
 }
 
 // groundTruthVisibility is the exact honeyfarm visibility probability
-// of source i in month m, the rate honeyfarmVisible's draws must show.
+// of source i in month m, the rate visibleIn's draws must show.
 func (p *Population) groundTruthVisibility(i int, month int) float64 {
-	peak := p.beamOf(i).peak
-	if p.sources[i].Persistent {
-		return peak
+	b := &p.records()[i]
+	if b.persistent {
+		return b.peak
 	}
-	return peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(i, float64(month)+0.5))
+	return b.peak * (p.cfg.Background + (1-p.cfg.Background)*p.beam(b, float64(month)+0.5))
+}
+
+// visibleMask is visibleIn(month) as one flag per source.
+func (p *Population) visibleMask(month int) []bool {
+	mask := make([]bool, p.Len())
+	for _, i := range p.visibleIn(month) {
+		mask[i] = true
+	}
+	return mask
 }
 
 func TestVisibilityDrawsMatchGroundTruth(t *testing.T) {
@@ -130,19 +141,108 @@ func TestVisibilityDrawsMatchGroundTruth(t *testing.T) {
 	c.NumSources = 20000
 	p, _ := NewPopulation(c)
 	month := 7
-	var want, got float64
+	var want float64
 	n := 0
 	for i := 0; i < p.Len(); i++ {
 		want += p.groundTruthVisibility(i, month)
-		if p.honeyfarmVisible(i, month) {
-			got++
-		}
 		n++
 	}
+	got := float64(len(p.visibleIn(month)))
 	want /= float64(n)
 	got /= float64(n)
 	if math.Abs(want-got) > 0.02 {
 		t.Errorf("empirical visibility %g vs expected %g", got, want)
+	}
+}
+
+// TestBeamBoundCoversProb checks the bound visibleIn's skip rests on:
+// at any peak and background in [0, 1], any beam scale, exponent and
+// dt, a source's probability is at most peak*(bg+(1-bg)). Then it
+// checks the scan itself: at α* = 1, Z00005's 1.4 and 0.7, and
+// backgrounds 0, 0.03 and 1, visibleIn picks exactly the sources whose
+// draw falls under the unbounded probability.
+func TestBeamBoundCoversProb(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := &Population{cfg: DefaultConfig()}
+	pick := func(edges ...float64) float64 {
+		if k := rng.Intn(2 * len(edges)); k < len(edges) {
+			return edges[k]
+		}
+		return rng.Float64()
+	}
+	for range 1000000 {
+		peak, bg := pick(0, 1), pick(0, 0.03, 1)
+		p.cfg.AlphaStar = 0.5 + 2.5*rng.Float64()
+		b := &beamRecord{peak: peak, beta: math.Exp2(20*rng.Float64() - 10)}
+		dt := math.Exp2(68*rng.Float64() - 60)
+		prob := peak * (bg + (1-bg)*p.beam(b, dt))
+		if bound := peak * (bg + (1 - bg)); prob > bound {
+			t.Fatalf("peak %g bg %g beta %g α* %g dt %g: prob %g above bound %g", peak, bg, b.beta, p.cfg.AlphaStar, dt, prob, bound)
+		}
+	}
+
+	for _, alpha := range []float64{1, 1.4, 0.7} {
+		for _, bg := range []float64{0, 0.03, 1} {
+			c := smallConfig()
+			c.AlphaStar, c.Background = alpha, bg
+			pop, err := NewPopulation(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := range c.Months {
+				var want []int32
+				for i := range pop.Len() {
+					if hashUnit(c.Seed, uint64(i), uint64(m), chanHoneyfarm) < pop.groundTruthVisibility(i, m) {
+						want = append(want, int32(i))
+					}
+				}
+				if got := pop.visibleIn(m); !slices.Equal(got, want) {
+					t.Fatalf("α* %g bg %g month %d: visibleIn picks %d sources, the unbounded scan %d", alpha, bg, m, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestEpisodeSquareIsPow checks telescopeEpisode's square against
+// math.Pow(dt, 2) bit for bit over the range its comment derives for
+// dt: 0, both ends of the normal-square range 2^-511 <= dt < 2^512, the
+// smallest nonzero dt an anchor and a window month give (2^-104 and
+// 2^-52), and 10^6 random dt, half |month - anchor| with the anchor
+// drawn as NewPopulation draws it and the month inside the study, half
+// log-uniform over [2^-104, 2^12). Each random dt also goes through the
+// kernel, which must equal the Pow formula.
+func TestEpisodeSquareIsPow(t *testing.T) {
+	same := func(dt float64) {
+		t.Helper()
+		if sq, pw := dt*dt, math.Pow(dt, 2); math.Float64bits(sq) != math.Float64bits(pw) {
+			t.Fatalf("dt %g (%#x): dt*dt %#x, Pow %#x", dt, math.Float64bits(dt), math.Float64bits(sq), math.Float64bits(pw))
+		}
+	}
+	for _, dt := range []float64{0, 0x1p-511, math.Nextafter(0x1p-511, 1), 0x1p-104, 0x1p-52, 1, math.Nextafter(0x1p512, 0)} {
+		same(dt)
+	}
+	p, err := NewPopulation(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := p.cfg.TelescopeBeta
+	rng := rand.New(rand.NewSource(11))
+	for k := range 1000000 {
+		var s Source
+		var month float64
+		if k%2 == 0 {
+			months := float64(1 + rng.Intn(120))
+			s.Anchor = -6 + rng.Float64()*(months+12)
+			month = rng.Float64() * months
+		} else {
+			month = math.Exp2(116*rng.Float64() - 104)
+		}
+		dt := math.Abs(month - s.Anchor)
+		same(dt)
+		if got, want := p.telescopeEpisode(&s, month), tb/(tb+math.Pow(dt, 2)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("dt %g: kernel %g, Pow formula %g", dt, got, want)
+		}
 	}
 }
 
@@ -156,9 +256,10 @@ func TestTelescopeHoneyfarmDrawsIndependent(t *testing.T) {
 	p, _ := NewPopulation(c)
 	month := 5
 	var tele, honey, both, n float64
+	visible := p.visibleMask(month)
 	for i := 0; i < p.Len(); i++ {
 		tv := p.telescopeActive(i, float64(month))
-		hv := p.honeyfarmVisible(i, month)
+		hv := visible[i]
 		if tv {
 			tele++
 		}
@@ -334,6 +435,7 @@ func TestHoneyfarmBrightSourcesAlmostAlwaysVisible(t *testing.T) {
 	c.ZM = stats.PaperZM(1 << 14)
 	p, _ := NewPopulation(c)
 	var bright, visible int
+	masks := make([][]bool, c.Months)
 	for i := 0; i < p.Len(); i++ {
 		s := p.Source(i)
 		if s.Brightness < math.Pow(2, c.BrightLog2) {
@@ -344,7 +446,10 @@ func TestHoneyfarmBrightSourcesAlmostAlwaysVisible(t *testing.T) {
 			continue
 		}
 		bright++
-		if p.honeyfarmVisible(i, m) {
+		if masks[m] == nil {
+			masks[m] = p.visibleMask(m)
+		}
+		if masks[m][i] {
 			visible++
 		}
 	}
