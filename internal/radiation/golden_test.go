@@ -208,6 +208,9 @@ func flag01(b bool) byte {
 // golden populations: any change to the honeyfarm's visibility draws,
 // the observations' order or their metadata shows as a digest mismatch.
 // Rewrite the file with -update only when such a change is intended.
+// It also holds the addresses-only projection of the visibility scan
+// to the observations: HoneyfarmAddrs is HoneyfarmMonth's Src.IP list,
+// in order.
 func TestHoneyfarmMonthGolden(t *testing.T) {
 	var lines []string
 	for _, g := range goldenMonths(t) {
@@ -219,6 +222,13 @@ func TestHoneyfarmMonthGolden(t *testing.T) {
 			start := g.cfg.StudyStart.AddDate(0, m, 0)
 			obs := pop.HoneyfarmMonth(m, start)
 			lines = append(lines, fmt.Sprintf("%s %s %d %s", g.name, start.Format("2006-01"), len(obs), monthDigest(obs)))
+			want := make([]ipaddr.Addr, len(obs))
+			for i := range obs {
+				want[i] = obs[i].Src.IP
+			}
+			if got := pop.HoneyfarmAddrs(m); !slices.Equal(got, want) {
+				t.Errorf("%s month %d: HoneyfarmAddrs gives %d addresses, not HoneyfarmMonth's %d in order", g.name, m, len(got), len(want))
+			}
 		}
 	}
 	checkGolden(t, filepath.Join("testdata", "months.sha256"), lines)
@@ -248,29 +258,6 @@ func BenchmarkStudyShapeStreams(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cfg.SnapshotTimes)*cfg.NV), "ns/pkt")
-}
-
-// TestHoneyfarmAddrsMatchMonth holds the addresses-only projection of
-// the visibility scan to the observations: for every month of the
-// golden populations, HoneyfarmAddrs is HoneyfarmMonth's Src.IP list,
-// in order.
-func TestHoneyfarmAddrsMatchMonth(t *testing.T) {
-	for _, g := range goldenMonths(t) {
-		pop, err := radiation.NewPopulation(g.cfg.Radiation)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for m := range g.cfg.Radiation.Months {
-			obs := pop.HoneyfarmMonth(m, g.cfg.StudyStart.AddDate(0, m, 0))
-			want := make([]ipaddr.Addr, len(obs))
-			for i := range obs {
-				want[i] = obs[i].Src.IP
-			}
-			if got := pop.HoneyfarmAddrs(m); !slices.Equal(got, want) {
-				t.Errorf("%s month %d: HoneyfarmAddrs gives %d addresses, not HoneyfarmMonth's %d in order", g.name, m, len(got), len(want))
-			}
-		}
-	}
 }
 
 // BenchmarkHoneyfarmMonth is one honeyfarm month at the study_batch

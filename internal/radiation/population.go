@@ -91,31 +91,14 @@ func (p *Population) records() []beamRecord {
 	return p.beams
 }
 
-// fillBeams builds the visibility records. A brightness is a whole
-// number (ZipfMandelbrot.Sample rounds it) and most sources are faint,
-// so the constants of each brightness below 1024 are computed once.
+// fillBeams builds the visibility records.
 func (p *Population) fillBeams() {
 	p.beams = make([]beamRecord, len(p.sources))
-	var memo [1024]struct {
-		peak, beta float64
-		ok         bool
-	}
 	for i := range p.sources {
 		s := &p.sources[i]
-		d := s.Brightness
-		var peak, beta float64
-		if k := int(d); float64(k) == d && k >= 0 && k < len(memo) {
-			m := &memo[k]
-			if !m.ok {
-				m.peak, m.beta, m.ok = p.cfg.peakVisibility(d), p.cfg.betaStar(d), true
-			}
-			peak, beta = m.peak, m.beta
-		} else {
-			peak, beta = p.cfg.peakVisibility(d), p.cfg.betaStar(d)
-		}
 		p.beams[i] = beamRecord{
-			peak:       peak,
-			beta:       beta,
+			peak:       p.cfg.peakVisibility(s.Brightness),
+			beta:       p.cfg.betaStar(s.Brightness),
 			anchor:     s.Anchor,
 			ip:         s.IP,
 			persistent: s.Persistent,
@@ -251,31 +234,18 @@ func (p *Population) telescopeActive(i int, month float64) bool {
 // at the month midpoint m + 0.5 (anchoring at the month start would put
 // every mid-month beam half a month away from its own collection
 // window and artificially depress same-month correlation peaks).
-//
-// The draw u comes first. A beam is at most 1 (beta over at least
-// beta), peak and 1-bg are non-negative, and rounding is monotone, so
-// prob is at most peak*(bg+(1-bg)); a u at or above that bound fails
-// whatever the beam, and the scan skips the beam's Pow.
-// TestBeamBoundCoversProb checks the bound.
 func (p *Population) visibleIn(month int) []int32 {
 	beams := p.records()
 	seed, bg := p.cfg.Seed, p.cfg.Background
-	top := bg + (1 - bg)
 	mid := float64(month) + 0.5
 	visible := make([]int32, 0, len(beams))
 	for i := range beams {
 		b := &beams[i]
-		u := hashUnit(seed, uint64(i), uint64(month), chanHoneyfarm)
-		var prob float64
-		switch {
-		case b.persistent:
-			prob = b.peak
-		case u >= b.peak*top:
-			continue
-		default:
+		prob := b.peak
+		if !b.persistent {
 			prob = b.peak * (bg + (1-bg)*p.beam(b, mid))
 		}
-		if u < prob {
+		if hashUnit(seed, uint64(i), uint64(month), chanHoneyfarm) < prob {
 			visible = append(visible, int32(i))
 		}
 	}
