@@ -1,12 +1,12 @@
 // Command honeyfarm-sim runs the outpost side of the study standalone:
-// it ingests the configured number of months of synthetic radiation into
-// a honeyfarm, prints the monthly source counts and classification
-// census (the operator's view of "analyze and label" enrichment), and
-// optionally dumps each month's D4M table as TSV.
+// it builds the configured number of months of synthetic radiation into
+// honeyfarm month tables, prints the monthly source counts and
+// classification census (the operator's view of "analyze and label"
+// enrichment), and optionally dumps each month's D4M table as TSV.
 //
 // Usage:
 //
-//	honeyfarm-sim [-sources N] [-seed N] [-months N] [-sensors N] [-dump DIR]
+//	honeyfarm-sim [-sources N] [-seed N] [-months N] [-dump DIR]
 package main
 
 import (
@@ -25,15 +25,10 @@ func main() {
 	var (
 		sources = flag.Int("sources", 100000, "population size")
 		seed    = flag.Int64("seed", 1, "random seed")
-		months  = flag.Int("months", 15, "months to ingest")
-		sensors = flag.Int("sensors", 300, "honeyfarm sensor count")
+		months  = flag.Int("months", 15, "months to build")
 		dump    = flag.String("dump", "", "directory to dump monthly TSV tables (optional)")
 	)
 	flag.Parse()
-	if *sensors <= 0 {
-		fmt.Fprintf(os.Stderr, "honeyfarm-sim: -sensors must be positive, got %d\n", *sensors)
-		os.Exit(2)
-	}
 
 	cfg := radiation.DefaultConfig()
 	cfg.Seed = *seed
@@ -43,14 +38,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	farm := honeyfarm.New(*sensors, *seed+1)
 	start := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 
 	fmt.Printf("%-9s %9s   census\n", "month", "sources")
 	for m := 0; m < *months; m++ {
 		ms := start.AddDate(0, m, 0)
 		label := ms.Format("2006-01")
-		mw := farm.IngestMonth(label, ms, pop.HoneyfarmMonth(m, ms))
+		mw := honeyfarm.BuildMonth(label, pop.HoneyfarmMonth(m, ms))
 		fmt.Printf("%-9s %9d   ", label, mw.Sources())
 		for i, row := range mw.ClassificationCensus() {
 			if i > 0 {

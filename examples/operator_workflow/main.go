@@ -25,9 +25,8 @@ func main() {
 	}
 
 	// --- Honeyfarm month served from the triple store over TCP ---
-	farm := honeyfarm.New(200, cfg.Seed+1)
 	monthStart := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	mw := farm.IngestMonth("2020-06", monthStart, pop.HoneyfarmMonth(4, monthStart))
+	mw := honeyfarm.BuildMonth("2020-06", pop.HoneyfarmMonth(4, monthStart))
 
 	store := tripled.NewStore()
 	store.LoadAssoc(mw.Table)

@@ -175,13 +175,12 @@ func TestEndToEndWireLevel(t *testing.T) {
 	}
 
 	// --- Honeyfarm side: 15 months of enriched tables ---
-	farm := honeyfarm.New(120, 99)
 	study := correlate.Study{}
 	base := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 	for m := 0; m < cfg.Months; m++ {
 		ms := base.AddDate(0, m, 0)
 		label := ms.Format("2006-01")
-		mw := farm.IngestMonth(label, ms, pop.HoneyfarmMonth(m, ms))
+		mw := honeyfarm.BuildMonth(label, pop.HoneyfarmMonth(m, ms))
 		study.Months = append(study.Months, correlate.MonthData{Label: label, Month: m, Table: mw.Table})
 	}
 

@@ -64,7 +64,6 @@ func TestMonthSetMatchesTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		farm := honeyfarm.New(sh.cfg.Sensors, sh.cfg.Radiation.Seed+1)
 		months := sh.months
 		if months == nil {
 			for m := range sh.cfg.Radiation.Months {
@@ -72,12 +71,11 @@ func TestMonthSetMatchesTable(t *testing.T) {
 			}
 		}
 		for _, m := range months {
-			md, built, err := p.month(nil, m)
-			if err != nil || built != nil {
-				t.Fatalf("%s month %d: in-memory unit returned window %v, error %v", sh.name, m, built, err)
+			md, err := p.IngestMonth(nil, m)
+			if err != nil {
+				t.Fatalf("%s month %d: %v", sh.name, m, err)
 			}
-			start := sh.cfg.StudyStart.AddDate(0, m, 0)
-			table := farm.BuildMonth(md.Label, start, p.pop.HoneyfarmMonth(m, start)).Table
+			table := honeyfarm.BuildMonth(md.Label, p.pop.HoneyfarmMonth(m, sh.cfg.StudyStart.AddDate(0, m, 0))).Table
 			sameSourcesAsTable(t, sh.name+" "+md.Label, md, table)
 		}
 	}
@@ -89,7 +87,6 @@ func TestMonthSetMatchesTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
 	obs := p.pop.HoneyfarmMonth(4, cfg.StudyStart.AddDate(0, 4, 0))
 	dup := append(slices.Clip(obs), obs[len(obs)/2])
 	addrs := make([]ipaddr.Addr, len(dup))
@@ -100,8 +97,8 @@ func TestMonthSetMatchesTable(t *testing.T) {
 	if md.Sources() != len(obs) {
 		t.Errorf("%d addresses of %d sources: month set has %d", len(dup), len(obs), md.Sources())
 	}
-	sameSourcesAsTable(t, "dup", md, farm.BuildMonth("dup", cfg.StudyStart, dup).Table)
-	sameSourcesAsTable(t, "empty", correlate.NewMonth("empty", 4, nil), farm.BuildMonth("empty", cfg.StudyStart, nil).Table)
+	sameSourcesAsTable(t, "dup", md, honeyfarm.BuildMonth("dup", dup).Table)
+	sameSourcesAsTable(t, "empty", correlate.NewMonth("empty", 4, nil), honeyfarm.BuildMonth("empty", nil).Table)
 }
 
 // BenchmarkMonthUnit is one in-memory month unit at the study_batch
@@ -113,7 +110,7 @@ func BenchmarkMonthUnit(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		if _, _, err := p.month(nil, i%p.cfg.Radiation.Months); err != nil {
+		if _, err := p.IngestMonth(nil, i%p.cfg.Radiation.Months); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,7 +41,7 @@ type Config struct {
 	// not care who computed them, and results are assembled by index.
 	Workers int
 
-	Sensors        int    // honeyfarm sensor count
+	Sensors        int    // read by no study; kept for the benchmark's honeyfarm.New
 	AnonPassphrase string // CryptoPAN key derivation
 
 	// StoreAddr, when non-empty, routes the correlation tables through a
@@ -119,8 +119,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: NV must be positive, got %d", c.NV)
 	case c.LeafSize <= 0:
 		return fmt.Errorf("core: LeafSize must be positive, got %d", c.LeafSize)
-	case c.Sensors <= 0:
-		return fmt.Errorf("core: Sensors must be positive, got %d", c.Sensors)
 	case c.StudyStart.IsZero():
 		return fmt.Errorf("core: StudyStart required")
 	}
@@ -183,14 +181,13 @@ func (c Config) Fig5Band() int {
 
 // Pipeline is a configured, reusable study runner.
 type Pipeline struct {
-	cfg  Config
-	pop  *radiation.Population
-	tel  *telescope.Telescope
-	farm *honeyfarm.Honeyfarm
+	cfg Config
+	pop *radiation.Population
+	tel *telescope.Telescope
 }
 
-// New validates the configuration and builds the population, telescope,
-// and honeyfarm. The configuration may name no snapshot times when the
+// New validates the configuration and builds the population and the
+// telescope. The configuration may name no snapshot times when the
 // caller grows its study unit by unit (IngestMonth / IngestSnapshot into
 // a Result) instead of calling Run.
 func New(cfg Config) (*Pipeline, error) {
@@ -203,8 +200,7 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	tel := telescope.New(cfg.Radiation.Darkspace, cfg.AnonPassphrase,
 		telescope.WithLeafSize(cfg.LeafSize))
-	farm := honeyfarm.New(cfg.Sensors, cfg.Radiation.Seed+1)
-	return &Pipeline{cfg: cfg, pop: pop, tel: tel, farm: farm}, nil
+	return &Pipeline{cfg: cfg, pop: pop, tel: tel}, nil
 }
 
 // Result is one study and its one owner: months and snapshots join it
@@ -342,50 +338,30 @@ func (r *Result) grown(src report.ArtifactID) {
 // Run executes the full study with background context; see RunContext.
 func (p *Pipeline) Run() (*Result, error) { return p.RunContext(context.Background()) }
 
-// IngestMonth is one incremental unit of study growth: honeyfarm
-// month m, optionally round-tripped through the store — the month unit
-// the batch scheduler runs, attached at once instead of after the pool
-// joins. db may be nil for an in-memory study. Safe to call again for
-// an already-ingested month: with a store, the farm's copy is reused
-// and re-published idempotently (the recovery path relies on this).
-// Not safe for concurrent use; the daemon serializes ingest on one
-// goroutine.
+// IngestMonth is one incremental unit of study growth and the one
+// month unit of work, whoever runs it: honeyfarm month m — the daemon
+// joins it at once, the batch scheduler after its pool joins. db may be
+// nil for an in-memory study, where the month is its source-address set
+// and renders no table. With a store it builds the month's table,
+// publishes it and reads back what the store holds; the built table is
+// garbage once the fetch returns. It keeps nothing, so months may run
+// concurrently, and a month whose store round trip failed is simply
+// built again, the same table, and re-published idempotently (the
+// recovery path relies on this).
 func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, error) {
-	md, built, err := p.month(db, m)
-	if built != nil {
-		// Attached even when the store round trip failed: a retry reuses
-		// the farm's copy instead of building the month again.
-		p.farm.Attach(built)
-	}
-	return md, err
-}
-
-// month is the one month unit of work, whoever runs it. In memory it is
-// the month's source-address set and renders no table. With a store it
-// builds honeyfarm month m unless the farm already holds it, publishes
-// the table and reads back what the store holds. The farm is only read;
-// a freshly built window is returned for the caller to attach (the
-// daemon at once, the scheduler in month order after its pool joins).
-func (p *Pipeline) month(db tripled.Conn, m int) (correlate.MonthData, *honeyfarm.MonthWindow, error) {
 	start := p.cfg.StudyStart.AddDate(0, m, 0)
 	label := start.Format("2006-01")
 	if db == nil {
-		return correlate.NewMonth(label, m, p.pop.HoneyfarmAddrs(m)), nil, nil
+		return correlate.NewMonth(label, m, p.pop.HoneyfarmAddrs(m)), nil
 	}
-	var built *honeyfarm.MonthWindow
-	mw := p.farm.Month(label)
-	if mw == nil {
-		mw = p.farm.BuildMonth(label, start, p.pop.HoneyfarmMonth(m, start))
-		built = mw
-	}
-	if err := mw.Publish(db); err != nil {
-		return correlate.MonthData{}, built, fmt.Errorf("core: publish month %s: %w", label, err)
+	if err := honeyfarm.BuildMonth(label, p.pop.HoneyfarmMonth(m, start)).Publish(db); err != nil {
+		return correlate.MonthData{}, fmt.Errorf("core: publish month %s: %w", label, err)
 	}
 	table, err := honeyfarm.FetchMonthTable(db, label)
 	if err != nil {
-		return correlate.MonthData{}, built, fmt.Errorf("core: fetch month %s: %w", label, err)
+		return correlate.MonthData{}, fmt.Errorf("core: fetch month %s: %w", label, err)
 	}
-	return correlate.MonthData{Label: label, Month: m, Table: table}, built, nil
+	return correlate.MonthData{Label: label, Month: m, Table: table}, nil
 }
 
 // IngestSnapshot is the other incremental unit: capture one telescope

@@ -13,12 +13,9 @@ package core
 //     number of workers may synthesize months and streams from it
 //     concurrently.
 //   - Shared mutable state is either concurrency-safe or never touched
-//     from the pool. A store-backed month is built with BuildMonth
-//     (reads only the sensor set) and attached to the farm in month
-//     order after the pool joins (an in-memory one touches no farm);
-//     each snapshot worker captures through its own Telescope but all
-//     of them share the pipeline's one CryptoPAN source memo
-//     (cryptopan.Cached is sharded-lock concurrency-safe,
+//     from the pool. Each snapshot worker captures through its own
+//     Telescope but all of them share the pipeline's one CryptoPAN
+//     source memo (cryptopan.Cached is sharded-lock concurrency-safe,
 //     the mapping is a pure function of the passphrase, and sharing
 //     means one warm memo instead of N cold per-worker ones; nothing
 //     reads the memo as a whole — de-anonymization walks the key — so
@@ -37,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/correlate"
-	"repro/internal/honeyfarm"
 	"repro/internal/pool"
 	"repro/internal/telescope"
 	"repro/internal/tripled"
@@ -69,7 +65,6 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 	nMonths := p.cfg.Radiation.Months
 	nSnaps := len(times)
 	monthData := make([]correlate.MonthData, nMonths)
-	built := make([]*honeyfarm.MonthWindow, nMonths) // nil in memory or where the farm already held the month
 	windows := make([]*telescope.Window, nSnaps)
 	snapData := make([]correlate.Snapshot, nSnaps)
 
@@ -83,7 +78,7 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 				windows[job], snapData[job], err = w.runSnapshot(ctx, times[job])
 			} else {
 				m := job - nSnaps
-				monthData[m], built[m], err = w.runMonth(m)
+				monthData[m], err = w.runMonth(m)
 			}
 			return err
 		})
@@ -91,15 +86,10 @@ func (p *Pipeline) RunContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	// Assemble by index: attach freshly built months in month order, so
-	// the farm's ingestion order is the calendar's whichever worker built
-	// which month, and join every unit to the study the way an ingest
+	// Assemble by index: join every unit to the study the way an ingest
 	// does.
-	for m, mw := range built {
-		if mw != nil {
-			p.farm.Attach(mw)
-		}
-		if err := res.AddMonth(monthData[m]); err != nil {
+	for _, md := range monthData {
+		if err := res.AddMonth(md); err != nil {
 			return nil, err
 		}
 	}
@@ -150,12 +140,12 @@ func (w *studyWorker) client() (tripled.Conn, error) {
 }
 
 // runMonth runs one month unit over the worker's store connection.
-func (w *studyWorker) runMonth(m int) (correlate.MonthData, *honeyfarm.MonthWindow, error) {
+func (w *studyWorker) runMonth(m int) (correlate.MonthData, error) {
 	db, err := w.client()
 	if err != nil {
-		return correlate.MonthData{}, nil, err
+		return correlate.MonthData{}, err
 	}
-	return w.p.month(db, m)
+	return w.p.IngestMonth(db, m)
 }
 
 // runSnapshot runs one snapshot unit on the worker's private telescope

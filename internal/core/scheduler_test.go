@@ -104,8 +104,8 @@ func runStudy(t *testing.T, cfg Config) *Result {
 
 // TestParallelStudyMatchesSerialOracle: one worker and four workers of
 // the same code reproduce each other exactly across every Table and
-// Figure emitter, windows and farm state included, at a scale small
-// enough to run under -race on every push.
+// Figure emitter, windows included, at a scale small enough to run
+// under -race on every push.
 func TestParallelStudyMatchesSerialOracle(t *testing.T) {
 	cfg := schedulerConfig()
 	cfg.Workers = 1
@@ -120,7 +120,7 @@ func TestParallelStudyMatchesSerialOracle(t *testing.T) {
 // workers than snapshot jobs and engine shards than cores), in memory
 // or with every table round-tripping through a fresh tripled store, and
 // holds each run to the committed goldens and, beyond what the goldens
-// hold, to the first run's windows and farm state.
+// hold, to the first run's windows.
 func sweepGoldenStudy(t *testing.T, storeBacked bool) {
 	t.Helper()
 	var first string

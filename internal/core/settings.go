@@ -27,7 +27,6 @@ var settings = []setting{
 	{key: "sources", flag: "sources", usage: "override population size", set: intField(func(c *Config) *int { return &c.Radiation.NumSources })},
 	{key: "months", flag: "months", optIn: true, usage: "override study length in months", set: intField(func(c *Config) *int { return &c.Radiation.Months })},
 	{key: "workers", flag: "workers", usage: "fan-out of every layer: engine shards, months/snapshots in flight, freeze, fits (0 = GOMAXPROCS)", set: intField(func(c *Config) *int { return &c.Workers })},
-	{key: "sensors", usage: "honeyfarm sensor count", set: intField(func(c *Config) *int { return &c.Sensors })},
 	{key: "min_band_sources", usage: "bands below this population are skipped in fits", set: intField(func(c *Config) *int { return &c.MinBandSources })},
 	{key: "anon_passphrase", usage: "CryptoPAN key derivation", set: textField(func(c *Config, s string) error { c.AnonPassphrase = s; return nil })},
 	{key: "radiation.persistent", usage: "fraction of always-on background sources", set: floatField(func(c *Config) *float64 { return &c.Radiation.Persistent })},

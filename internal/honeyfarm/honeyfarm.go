@@ -34,16 +34,14 @@ const (
 	ColTags           = "tags"
 )
 
-// Honeyfarm is the outpost: sensors plus accumulated monthly windows.
+// Honeyfarm is the outpost's sensor set.
 type Honeyfarm struct {
 	sensors []ipaddr.Addr
-	months  []*MonthWindow
 }
 
 // MonthWindow is one month of enriched observations.
 type MonthWindow struct {
-	Label string    // e.g. "2020-02"
-	Start time.Time // first day of the month
+	Label string // e.g. "2020-02"
 	Table *assoc.Assoc
 }
 
@@ -69,35 +67,21 @@ func New(n int, seed int64) *Honeyfarm {
 	return h
 }
 
-// Months returns the ingested monthly windows in ingestion order.
-func (h *Honeyfarm) Months() []*MonthWindow { return h.months }
-
-// Month returns the window with the given label, or nil.
-func (h *Honeyfarm) Month(label string) *MonthWindow {
-	for _, m := range h.months {
-		if m.Label == label {
-			return m
-		}
-	}
-	return nil
-}
-
-// IngestMonth converts one month of radiation observations into an
-// enriched D4M table and appends it. The classification is derived by
-// the conversation engine from each source's behavior, not copied from
-// generator internals.
+// IngestMonth is BuildMonth(label, obs); the farm keeps nothing and
+// start is not read.
 func (h *Honeyfarm) IngestMonth(label string, start time.Time, obs []radiation.Observation) *MonthWindow {
-	return h.Attach(h.BuildMonth(label, start, obs))
+	return BuildMonth(label, obs)
 }
 
 // monthColumns is the width of a month table's row: the six Col*
 // columns, which sort in the order BuildMonth fills them.
 const monthColumns = 6
 
-// BuildMonth builds one month window without attaching it to the farm.
-// It only reads the (immutable) sensor set, so any number of months may
-// build concurrently; the study scheduler fans months out across
-// workers this way and attaches them in month order afterwards.
+// BuildMonth converts one month of radiation observations into an
+// enriched D4M table. The classification is derived by the conversation
+// engine from each source's behavior, not copied from generator
+// internals. It reads no shared state, so any number of months may
+// build concurrently.
 //
 // The table is built by the slab, not by the row: the row keys of the
 // month are rendered into one text arena and its timestamps into
@@ -107,7 +91,7 @@ const monthColumns = 6
 // — a month costs a dozen allocations however many sources it saw. The
 // table's strings therefore pin the month's arenas, and its rows their
 // one cell slab, for as long as any of them is reachable.
-func (h *Honeyfarm) BuildMonth(label string, start time.Time, obs []radiation.Observation) *MonthWindow {
+func BuildMonth(label string, obs []radiation.Observation) *MonthWindow {
 	// Two arenas, so that the row keys — what a freeze sorts and a
 	// correlation probes — lie side by side and not 40 bytes of
 	// timestamps apart. A dotted quad is 15 bytes at most, an RFC 3339
@@ -154,14 +138,7 @@ func (h *Honeyfarm) BuildMonth(label string, start time.Time, obs []radiation.Ob
 			lo = hi
 		}
 	}
-	return &MonthWindow{Label: label, Start: start, Table: table}
-}
-
-// Attach appends a built month window to the farm's ingestion order.
-// Not safe for concurrent use; the scheduler serializes attaches.
-func (h *Honeyfarm) Attach(mw *MonthWindow) *MonthWindow {
-	h.months = append(h.months, mw)
-	return mw
+	return &MonthWindow{Label: label, Table: table}
 }
 
 // PublishBatch is the batch size month tables are published with.

@@ -75,12 +75,6 @@ func TestIngestMonthSchema(t *testing.T) {
 			}
 		}
 	}
-	if h.Month("2020-02") != mw {
-		t.Error("Month lookup failed")
-	}
-	if h.Month("1999-01") != nil {
-		t.Error("Month invented a window")
-	}
 }
 
 func TestConverseClassifications(t *testing.T) {
@@ -113,9 +107,8 @@ func TestConverseClassifications(t *testing.T) {
 
 func TestClassificationCensus(t *testing.T) {
 	pop := testPopulation(t, 5000)
-	h := New(50, 2)
 	start := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
-	mw := h.IngestMonth("2020-03", start, pop.HoneyfarmMonth(1, start))
+	mw := BuildMonth("2020-03", pop.HoneyfarmMonth(1, start))
 	census := mw.ClassificationCensus()
 	if len(census) == 0 {
 		t.Fatal("empty census")
@@ -143,16 +136,10 @@ func TestMonthlySourceCountsGrowWithVisibility(t *testing.T) {
 	// Sources visible in their beam month should make tables non-trivial
 	// across the whole study period.
 	pop := testPopulation(t, 3000)
-	h := New(100, 3)
 	start := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 	for m := 0; m < pop.Config().Months; m++ {
 		ms := start.AddDate(0, m, 0)
-		h.IngestMonth(ms.Format("2006-01"), ms, pop.HoneyfarmMonth(m, ms))
-	}
-	if len(h.Months()) != pop.Config().Months {
-		t.Fatalf("months = %d", len(h.Months()))
-	}
-	for _, mw := range h.Months() {
+		mw := BuildMonth(ms.Format("2006-01"), pop.HoneyfarmMonth(m, ms))
 		if mw.Sources() < 10 {
 			t.Errorf("month %s has only %d sources", mw.Label, mw.Sources())
 		}
@@ -161,9 +148,8 @@ func TestMonthlySourceCountsGrowWithVisibility(t *testing.T) {
 
 func TestMonthTableTSVRoundTrip(t *testing.T) {
 	pop := testPopulation(t, 500)
-	h := New(20, 4)
 	start := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-	mw := h.IngestMonth("2020-05", start, pop.HoneyfarmMonth(3, start))
+	mw := BuildMonth("2020-05", pop.HoneyfarmMonth(3, start))
 	var sb strings.Builder
 	if err := mw.Table.WriteTSV(&sb); err != nil {
 		t.Fatal(err)
@@ -195,7 +181,7 @@ func TestFetchMonthTableRefusesNonAddressRow(t *testing.T) {
 	defer c.Close()
 
 	start := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
-	mw := New(20, 4).BuildMonth("2020-02", start, testPopulation(t, 300).HoneyfarmMonth(0, start))
+	mw := BuildMonth("2020-02", testPopulation(t, 300).HoneyfarmMonth(0, start))
 	if err := mw.Publish(c); err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,9 @@ func TestPublishFetchMonthRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	farm := New(30, 7)
 	start := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
-	mw := farm.IngestMonth("2020-03", start, pop.HoneyfarmMonth(1, start))
-	mw2 := farm.IngestMonth("2020-04", start.AddDate(0, 1, 0), pop.HoneyfarmMonth(2, start.AddDate(0, 1, 0)))
+	mw := BuildMonth("2020-03", pop.HoneyfarmMonth(1, start))
+	mw2 := BuildMonth("2020-04", pop.HoneyfarmMonth(2, start.AddDate(0, 1, 0)))
 
 	srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
 	if err != nil {

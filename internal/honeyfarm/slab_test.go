@@ -19,7 +19,7 @@ import (
 // buildMonthRowByRow is BuildMonth as it was: each observation rendered
 // into strings of its own and handed to SetRow, later rows replacing
 // earlier ones of the same source.
-func buildMonthRowByRow(t *testing.T, h *Honeyfarm, obs []radiation.Observation) *assoc.Assoc {
+func buildMonthRowByRow(t *testing.T, obs []radiation.Observation) *assoc.Assoc {
 	t.Helper()
 	table := assoc.New()
 	for _, o := range obs {
@@ -68,20 +68,19 @@ func sameTable(t *testing.T, what string, got, want *assoc.Assoc) {
 // cut beside it alone.
 func TestBuildMonthMatchesRowByRow(t *testing.T) {
 	pop := testPopulation(t, 3000)
-	h := New(40, 5)
 	start := time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC)
 	obs := pop.HoneyfarmMonth(2, start)
 	if len(obs) < 100 {
 		t.Fatalf("only %d observations", len(obs))
 	}
-	sameTable(t, "distinct sources", h.BuildMonth("2020-04", start, obs).Table, buildMonthRowByRow(t, h, obs))
+	sameTable(t, "distinct sources", BuildMonth("2020-04", obs).Table, buildMonthRowByRow(t, obs))
 
 	// A source seen twice, the second time differently.
 	again := obs[7]
 	again.Packets += 1000
 	again.LastSeen = again.LastSeen.Add(time.Hour)
 	dup := append(slices.Clone(obs), again)
-	got, want := h.BuildMonth("2020-04", start, dup).Table, buildMonthRowByRow(t, h, dup)
+	got, want := BuildMonth("2020-04", dup).Table, buildMonthRowByRow(t, dup)
 	sameTable(t, "a source observed twice", got, want)
 	if got.NRows() != len(obs) || got.NNZ() != monthColumns*len(obs) {
 		t.Errorf("a source observed twice: %d cells in %d rows, want %d in %d",
@@ -93,7 +92,7 @@ func TestBuildMonthMatchesRowByRow(t *testing.T) {
 
 	// Rows cut from one slab are neighbours in memory; whatever happens
 	// to one must not show in the others.
-	got, want = h.BuildMonth("2020-04", start, obs).Table, buildMonthRowByRow(t, h, obs)
+	got, want = BuildMonth("2020-04", obs).Table, buildMonthRowByRow(t, obs)
 	grown, wide, gone := obs[10].Src.IP.String(), obs[11].Src.IP.String(), obs[12].Src.IP.String()
 	for _, table := range []*assoc.Assoc{got, want} {
 		table.Set(grown, "zz_seventh", assoc.Num(7))
@@ -131,7 +130,7 @@ func TestConverseAllocatesNothing(t *testing.T) {
 	}
 }
 
-func monthObservations(tb testing.TB) (*Honeyfarm, time.Time, []radiation.Observation) {
+func monthObservations(tb testing.TB) []radiation.Observation {
 	tb.Helper()
 	cfg := radiation.DefaultConfig()
 	cfg.NumSources = 20000
@@ -144,7 +143,7 @@ func monthObservations(tb testing.TB) (*Honeyfarm, time.Time, []radiation.Observ
 	if len(obs) < 1000 {
 		tb.Fatalf("only %d observations", len(obs))
 	}
-	return New(30, 7), start, obs
+	return obs
 }
 
 // TestBuildMonthTableAllocations is the alloc gate on the slab build: a
@@ -155,10 +154,10 @@ func TestBuildMonthTableAllocations(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	farm, start, obs := monthObservations(t)
+	obs := monthObservations(t)
 	var sink int
 	build := testing.AllocsPerRun(3, func() {
-		sink += farm.BuildMonth("2020-03", start, obs).Table.NRows()
+		sink += BuildMonth("2020-03", obs).Table.NRows()
 	})
 	perRow := build / float64(len(obs))
 	t.Logf("%d rows: %.0f allocations, %.4f per row", len(obs), build, perRow)
@@ -168,15 +167,15 @@ func TestBuildMonthTableAllocations(t *testing.T) {
 }
 
 func BenchmarkBuildMonth(b *testing.B) {
-	farm, start, obs := monthObservations(b)
+	obs := monthObservations(b)
 	b.ReportAllocs()
 	var allocs float64
 	if !testkit.RaceEnabled {
-		allocs = testing.AllocsPerRun(1, func() { farm.BuildMonth("2020-03", start, obs) })
+		allocs = testing.AllocsPerRun(1, func() { BuildMonth("2020-03", obs) })
 	}
 	b.ResetTimer()
 	for b.Loop() {
-		farm.BuildMonth("2020-03", start, obs)
+		BuildMonth("2020-03", obs)
 	}
 	b.ReportMetric(float64(len(obs))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	b.ReportMetric(allocs/float64(len(obs)), "allocs/row")

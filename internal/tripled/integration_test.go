@@ -24,9 +24,8 @@ func TestHoneyfarmMonthServedOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	farm := honeyfarm.New(50, 5)
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	mw := farm.IngestMonth("2020-06", start, pop.HoneyfarmMonth(4, start))
+	mw := honeyfarm.BuildMonth("2020-06", pop.HoneyfarmMonth(4, start))
 	if mw.Sources() == 0 {
 		t.Fatal("empty month")
 	}

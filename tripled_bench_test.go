@@ -38,9 +38,8 @@ func benchMonth(tb testing.TB) *assoc.Assoc {
 			benchMonthErr = err
 			return
 		}
-		farm := honeyfarm.New(100, 3)
 		start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-		benchMonthTable = farm.IngestMonth("2020-06", start, pop.HoneyfarmMonth(4, start)).Table
+		benchMonthTable = honeyfarm.BuildMonth("2020-06", pop.HoneyfarmMonth(4, start)).Table
 	})
 	if benchMonthErr != nil {
 		tb.Fatal(benchMonthErr)
