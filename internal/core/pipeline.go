@@ -343,11 +343,13 @@ func (p *Pipeline) Run() (*Result, error) { return p.RunContext(context.Backgrou
 // joins it at once, the batch scheduler after its pool joins. db may be
 // nil for an in-memory study, where the month is its source-address set
 // and renders no table. With a store it builds the month's table,
-// publishes it and reads back what the store holds; the built table is
-// garbage once the fetch returns. It keeps nothing, so months may run
-// concurrently, and a month whose store round trip failed is simply
-// built again, the same table, and re-published idempotently (the
-// recovery path relies on this).
+// publishes it whole and reads back the rows the store holds — the
+// month's source addresses, the same set an in-memory month is — and
+// none of their cells; the built table is garbage once the publish
+// returns. It keeps nothing, so months may run concurrently, and a
+// month whose store round trip failed is simply built again, the same
+// table, and re-published idempotently (the recovery path relies on
+// this).
 func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, error) {
 	start := p.cfg.StudyStart.AddDate(0, m, 0)
 	label := start.Format("2006-01")
@@ -357,11 +359,11 @@ func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, err
 	if err := honeyfarm.BuildMonth(label, p.pop.HoneyfarmMonth(m, start)).Publish(db); err != nil {
 		return correlate.MonthData{}, fmt.Errorf("core: publish month %s: %w", label, err)
 	}
-	table, err := honeyfarm.FetchMonthTable(db, label)
+	addrs, err := honeyfarm.FetchMonthSources(db, label)
 	if err != nil {
 		return correlate.MonthData{}, fmt.Errorf("core: fetch month %s: %w", label, err)
 	}
-	return correlate.MonthData{Label: label, Month: m, Table: table}, nil
+	return correlate.NewMonth(label, m, addrs), nil
 }
 
 // IngestSnapshot is the other incremental unit: capture one telescope

@@ -6,12 +6,14 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/assoc"
 	"repro/internal/correlate"
 	"repro/internal/honeyfarm"
+	"repro/internal/ipaddr"
 	"repro/internal/report"
 	"repro/internal/testkit"
 	"repro/internal/tripled"
@@ -41,7 +43,9 @@ func TestStoreBackedStudyMatchesInMemory(t *testing.T) {
 	}
 
 	// The service really carried the tables: every month and snapshot is
-	// still in the store under its prefix.
+	// still in the store under its prefix, every month whole — cell for
+	// cell the table BuildMonth renders from the month's observations —
+	// though the study read back its rows alone.
 	c, err := tripled.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +56,33 @@ func TestStoreBackedStudyMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
-	for _, m := range res.Study.Months {
-		want += m.Table.NNZ()
+	for i, m := range res.Study.Months {
+		if m.Table != nil {
+			t.Errorf("month %s: a store-backed month carries a table; it is its address set", m.Label)
+		}
+		if !reflect.DeepEqual(m, mem.Study.Months[i]) {
+			t.Errorf("month %s: store-backed month differs from the in-memory one", m.Label)
+		}
+		held, err := honeyfarm.FetchMonthTable(c, m.Label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += held.NNZ()
+		built := honeyfarm.BuildMonth(m.Label, p.pop.HoneyfarmMonth(m.Month, cfg.StudyStart.AddDate(0, m.Month, 0)))
+		if got, want := tableTSV(t, held), tableTSV(t, built.Table); got != want {
+			t.Errorf("month %s: the store's table differs from BuildMonth's at %s", m.Label, testkit.DiffLines(got, want))
+		}
+		var rows []ipaddr.Addr
+		for row := range held.Rows() {
+			a, err := ipaddr.Parse(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, a)
+		}
+		if !reflect.DeepEqual(correlate.NewMonth(m.Label, m.Month, rows), m) {
+			t.Errorf("month %s: the store's rows are not the month's address set", m.Label)
+		}
 	}
 	for _, s := range res.Study.Snapshots {
 		want += s.Sources.NNZ()
@@ -64,15 +93,6 @@ func TestStoreBackedStudyMatchesInMemory(t *testing.T) {
 
 	// Byte-identical artifacts, every one of them.
 	sameRender(t, "store-backed vs in-memory", renderAll(t, res), renderAll(t, mem))
-
-	// And every month the store holds is, cell for cell, the table
-	// BuildMonth renders from the month's observations.
-	for _, m := range res.Study.Months {
-		built := honeyfarm.BuildMonth(m.Label, p.pop.HoneyfarmMonth(m.Month, cfg.StudyStart.AddDate(0, m.Month, 0)))
-		if got, want := tableTSV(t, m.Table), tableTSV(t, built.Table); got != want {
-			t.Errorf("month %s: fetched table differs from BuildMonth's at %s", m.Label, testkit.DiffLines(got, want))
-		}
-	}
 }
 
 func tableTSV(t *testing.T, a *assoc.Assoc) string {
@@ -103,13 +123,14 @@ func (c *failFirstPublish) PublishAssoc(prefix string, a *assoc.Assoc, batchSize
 
 // TestStoreMonthRetryAfterFailedPublish: a month unit whose publish
 // failed keeps nothing it built, so its retry builds the month again.
-// The retry returns the table a fresh pipeline fetches for that month,
-// and a study grown through the failure renders the same Table I as
-// one that never saw it.
+// The retry leaves the store the month table a fresh pipeline publishes
+// and returns the month a fresh pipeline fetches, and a study grown
+// through the failure renders the same Table I as one that never saw
+// it.
 func TestStoreMonthRetryAfterFailedPublish(t *testing.T) {
 	cfg := schedulerConfig()
 	const failed = 3
-	study := func(flaky bool) (*Result, correlate.MonthData) {
+	study := func(flaky bool) (*Result, correlate.MonthData, *assoc.Assoc) {
 		t.Helper()
 		srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
 		if err != nil {
@@ -143,12 +164,20 @@ func TestStoreMonthRetryAfterFailedPublish(t *testing.T) {
 			}
 		}
 		at, _ := res.monthAt(failed)
-		return res, res.Study.Months[at]
+		md := res.Study.Months[at]
+		held, err := honeyfarm.FetchMonthTable(c, md.Label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, md, held
 	}
-	retried, retriedMonth := study(true)
-	fresh, freshMonth := study(false)
-	if got, want := tableTSV(t, retriedMonth.Table), tableTSV(t, freshMonth.Table); got != want {
-		t.Errorf("month %d retried after a failed publish differs from a fresh fetch at %s", failed, testkit.DiffLines(got, want))
+	retried, retriedMonth, retriedTable := study(true)
+	fresh, freshMonth, freshTable := study(false)
+	if got, want := tableTSV(t, retriedTable), tableTSV(t, freshTable); got != want {
+		t.Errorf("month %d's table in the store after a retried publish differs from a fresh publish at %s", failed, testkit.DiffLines(got, want))
+	}
+	if !reflect.DeepEqual(retriedMonth, freshMonth) {
+		t.Errorf("month %d retried after a failed publish differs from a fresh fetch", failed)
 	}
 	got, _ := renderArtifact(t, retried, report.Table1)
 	want, _ := renderArtifact(t, fresh, report.Table1)

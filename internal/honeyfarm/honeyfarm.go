@@ -167,10 +167,39 @@ func FetchMonthTable(c tripled.Conn, label string) (*assoc.Assoc, error) {
 	}
 	for row := range t.Rows() {
 		if _, err := ipaddr.Parse(row); err != nil {
-			return nil, fmt.Errorf("honeyfarm: month %s: row %q is not a source address", label, prefix+row)
+			return nil, notSource(label, row)
 		}
 	}
 	return t, nil
+}
+
+// FetchMonthSources reads a published month back as what a study reads
+// of it: its source addresses, the table's row keys, and none of its
+// cells. It reads the rows FetchMonthTable would, in ascending key
+// order, and refuses a row that is not a source address the same way.
+func FetchMonthSources(c tripled.Conn, label string) ([]ipaddr.Addr, error) {
+	keys, err := c.FetchKeys(MonthRowPrefix(label), monthKeyPage)
+	if err != nil {
+		return nil, err
+	}
+	addrs := make([]ipaddr.Addr, len(keys))
+	for i, key := range keys {
+		if addrs[i], err = ipaddr.Parse(key); err != nil {
+			return nil, notSource(label, key)
+		}
+	}
+	return addrs, nil
+}
+
+// monthKeyPage is the rows of one KEYS page of FetchMonthSources: a
+// key costs a line of 16 bytes or less, so a page asks for the most
+// rows the server sends in one.
+const monthKeyPage = 4096
+
+// notSource is the refusal of a month row, named by its full key, that
+// is not a source address.
+func notSource(label, row string) error {
+	return fmt.Errorf("honeyfarm: month %s: row %q is not a source address", label, MonthRowPrefix(label)+row)
 }
 
 // Profile is the enrichment the conversation engine produces for one

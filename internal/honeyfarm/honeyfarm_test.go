@@ -1,6 +1,7 @@
 package honeyfarm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -167,7 +168,9 @@ func TestMonthTableTSVRoundTrip(t *testing.T) {
 // source addresses, and a fetch is where a table enters a study from
 // outside. A row under the month's prefix that is no address — left by
 // another writer — is refused with the row named, instead of joining
-// the correlation as a source no telescope can ever see.
+// the correlation as a source no telescope can ever see; by
+// FetchMonthTable and by FetchMonthSources, which reads the same rows
+// without their cells.
 func TestFetchMonthTableRefusesNonAddressRow(t *testing.T) {
 	srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
 	if err != nil {
@@ -189,11 +192,26 @@ func TestFetchMonthTableRefusesNonAddressRow(t *testing.T) {
 	if err != nil || back.NNZ() != mw.Table.NNZ() {
 		t.Fatalf("clean fetch = %v, %v; want the %d published cells", back, err, mw.Table.NNZ())
 	}
+	var want []ipaddr.Addr
+	for _, row := range mw.Table.RowKeys() {
+		a, err := ipaddr.Parse(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, a)
+	}
+	if got, err := FetchMonthSources(c, "2020-02"); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("clean sources fetch = %d addresses, %v; want the %d published rows in key order", len(got), err, len(want))
+	}
 	if err := c.Put("hf/2020-02/host-a", ColClassification, assoc.Str("scanner")); err != nil {
 		t.Fatal(err)
 	}
 	back, err = FetchMonthTable(c, "2020-02")
 	if err == nil || !strings.Contains(err.Error(), `"hf/2020-02/host-a"`) {
 		t.Fatalf("fetch with a non-address row = %v, %v; want an error naming the row", back, err)
+	}
+	addrs, keysErr := FetchMonthSources(c, "2020-02")
+	if keysErr == nil || keysErr.Error() != err.Error() {
+		t.Fatalf("sources fetch with a non-address row = %d addresses, %v; want FetchMonthTable's %v", len(addrs), keysErr, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestEachRunsEveryJobOnce covers the index contract at worker counts
@@ -46,24 +47,35 @@ func TestEachZeroJobs(t *testing.T) {
 }
 
 // TestEachFirstErrorWins returns the first failure and stops handing
-// out the remaining queue.
+// out the remaining queue. Jobs are handed out in index order, so job 3
+// always runs, and every job after it waits for the cancellation its
+// failure brings: no timing decides the outcome. A worker can have
+// taken at most one later job before it sees the cancellation, so at
+// most 3 + workers jobs run.
 func TestEachFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var ran int32
-			err := Each(context.Background(), workers, 1000, func(_ context.Context, job int) error {
+			err := Each(context.Background(), workers, 1000, func(ctx context.Context, job int) error {
 				atomic.AddInt32(&ran, 1)
-				if job == 3 {
+				switch {
+				case job == 3:
 					return boom
+				case job > 3:
+					select {
+					case <-ctx.Done():
+					case <-time.After(10 * time.Second):
+						t.Errorf("job %d: the pool's context was never cancelled", job)
+					}
 				}
 				return nil
 			})
 			if !errors.Is(err, boom) {
 				t.Fatalf("err = %v, want %v", err, boom)
 			}
-			if n := atomic.LoadInt32(&ran); n == 1000 {
-				t.Errorf("all %d jobs ran despite early failure", n)
+			if n := atomic.LoadInt32(&ran); n > int32(3+workers) {
+				t.Errorf("%d jobs ran; after job 3 failed at most %d may", n, 3+workers)
 			}
 		})
 	}

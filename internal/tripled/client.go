@@ -529,3 +529,57 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 		cursor = cells[len(cells)-1].Row
 	}
 }
+
+// FetchKeys reads the row keys under the row-key prefix — a table's
+// rows without their cells — paging with KEYS (pageRows rows per round
+// trip) and stripping the prefix, and returns them ascending and
+// distinct. It pages as FetchAssoc does: the page's last row key is the
+// next cursor, and the scan ends at the first empty page, so a short
+// non-empty page only advances the cursor. A page's keys are cut from
+// one string, and nothing is sized by the count a block header claims.
+func (c *Client) FetchKeys(prefix string, pageRows int) ([]string, error) {
+	if pageRows < 1 {
+		pageRows = 512
+	}
+	var out []string
+	var text []byte // the page's lines, end to end
+	var ends []int  // where each line ends in text
+	cursor, end := "", prefixEnd(prefix)
+	ascending := true // what a server sends; anything else is sorted at the end
+	for {
+		resp, err := c.roundTrip(fmt.Sprintf("KEYS\t%s\t%s\t%d\t%s", prefix, end, pageRows, cursor))
+		if err != nil {
+			return nil, err
+		}
+		n, err := blockLen(resp)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			break
+		}
+		text, ends = text[:0], ends[:0]
+		for i := 0; i < n; i++ {
+			if err := c.scanBlockLine(i, n); err != nil {
+				return nil, err
+			}
+			text = append(text, c.r.Bytes()...)
+			ends = append(ends, len(text))
+		}
+		page, lo := string(text), 0
+		for _, hi := range ends {
+			cursor = page[lo:hi]
+			key := strings.TrimPrefix(cursor, prefix)
+			if len(out) > 0 && key <= out[len(out)-1] {
+				ascending = false
+			}
+			out = append(out, key)
+			lo = hi
+		}
+	}
+	if !ascending {
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	return out, nil
+}

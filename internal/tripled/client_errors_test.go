@@ -71,7 +71,8 @@ func dialTest(t *testing.T, addr string) *Client {
 
 // TestClientServerDropsMidBlock: the server writes two lines of a
 // five-line block and hangs up, so the client's read ends at EOF inside
-// the block — at once, not at dialTest's deadline.
+// the block — at once, not at dialTest's deadline — whether the block is
+// a CELLS or a KEYS page.
 func TestClientServerDropsMidBlock(t *testing.T) {
 	addr := hangUpServer(t, "BLOCK 5\na\tc\tn\t1\na\td\tn\t2\n")
 	c := dialTest(t, addr)
@@ -82,6 +83,14 @@ func TestClientServerDropsMidBlock(t *testing.T) {
 	}
 	if wait := time.Since(start); wait > 5*time.Second {
 		t.Fatalf("the drop surfaced after %v, at the hang guard's deadline", wait)
+	}
+
+	// A KEYS page cut short is the same transport event: retryable, since
+	// a read is pure.
+	c = dialTest(t, hangUpServer(t, "BLOCK 5\na\nb\n"))
+	keys, err := c.FetchKeys("", 8)
+	if err == nil || !Retryable(err) || !strings.Contains(err.Error(), "truncated block (2 of 5 lines)") {
+		t.Fatalf("mid-block drop of a KEYS page = %q, %v; want a retryable truncated block", keys, err)
 	}
 }
 

@@ -419,6 +419,26 @@ func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
 	return out, nil
 }
 
+// FetchKeys is the sorted, distinct union of every live node's row keys
+// under prefix, with FetchAssoc's coverage: a row lost to no more than
+// Replicas-1 down members is still held by a live one.
+func (c *Client) FetchKeys(prefix string, pageRows int) ([]string, error) {
+	var out []string
+	err := c.eachUpNode("fetch keys "+prefix, func(cl *tripled.Client) error {
+		keys, err := cl.FetchKeys(prefix, pageRows)
+		if err != nil {
+			return err
+		}
+		out = append(out, keys...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	slices.Sort(out)
+	return slices.Compact(out), nil
+}
+
 // TopRowsByDegree merges each live node's local top-k. Rows are whole
 // on every replica, so a row's local degree equals its global degree
 // wherever it appears, and any global top-k row is necessarily in the

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -377,8 +378,8 @@ func TestClusterBlackholeMidSoak(t *testing.T) {
 }
 
 // TestClusterPublishFetchSurvivesNodeLoss: the pipeline's actual table
-// path — PublishAssoc then FetchAssoc — stays byte-identical across a
-// node killed between publish and fetch.
+// path — PublishAssoc then FetchAssoc, or FetchKeys for the rows alone —
+// stays byte-identical across a node killed between publish and fetch.
 func TestClusterPublishFetchSurvivesNodeLoss(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	c := tc.client(t, 2, 2*time.Second)
@@ -405,6 +406,13 @@ func TestClusterPublishFetchSurvivesNodeLoss(t *testing.T) {
 			}
 			return true
 		})
+		keys, err := cl.FetchKeys("hf/2020-05/", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(keys, table.RowKeys()) {
+			t.Fatalf("fetched %d row keys, published %d rows", len(keys), table.NRows())
+		}
 	}
 	check(c)
 	tc.Server(0).Close()
@@ -412,9 +420,10 @@ func TestClusterPublishFetchSurvivesNodeLoss(t *testing.T) {
 }
 
 // TestClusterStaleRing: lose as many nodes as the replication factor
-// and every full-coverage op — a fetch, the degree table, a publish's
-// prefix clear — must refuse with ErrStaleRing instead of serving (or
-// silently dropping, or half-clearing) partial data.
+// and every full-coverage op — a fetch of cells or of keys, the degree
+// table, a publish's prefix clear — must refuse with ErrStaleRing
+// instead of serving (or silently dropping, or half-clearing) partial
+// data.
 func TestClusterStaleRing(t *testing.T) {
 	tc := startCluster(t, 3, false)
 	c := tc.client(t, 2, time.Second)
@@ -431,6 +440,7 @@ func TestClusterStaleRing(t *testing.T) {
 	table.Set("r", "c", assoc.Num(2))
 	for name, op := range map[string]func() error{
 		"fetch":   func() error { _, err := c.FetchAssoc("", 64); return err },
+		"keys":    func() error { _, err := c.FetchKeys("", 64); return err },
 		"topdeg":  func() error { _, err := c.TopRowsByDegree(10); return err },
 		"publish": func() error { return c.PublishAssoc("t/", table, 64) },
 	} {

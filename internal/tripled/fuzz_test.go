@@ -61,7 +61,12 @@ func FuzzServerProtocol(f *testing.F) {
 		"CELLS\tr\tr\x00\t1\t\n",                  // one row, bounded to itself
 		"CELLS\t\t\t3\t\n",                        // unbounded
 		"CELLS\ta\tz\t10\t\n",
-		"CELLS\ta\tz\t1\tb\n", // resumed at a cursor
+		"CELLS\ta\tz\t1\tb\n",                                  // resumed at a cursor
+		"PUT\ta\tc\tn\t1\nPUT\tb\tc\tn\t2\nKEYS\ta\tz\t1\ta\n", // a KEYS page at a cursor
+		"KEYS\t\t\t3\t\n",                                      // unbounded
+		"KEYS\ta\tz\n",                                         // argument count
+		"KEYS\ta\tz\t0\t\n",                                    // a limit below one
+		"KEYS\ta\tz\tmany\t\n",                                 // a limit that is no number
 		"TOPDEG\t5\n",
 		"NNZ\n",
 		"QUIT\n",
@@ -171,9 +176,10 @@ func FuzzMutationLine(f *testing.F) {
 // bare prefixes, empty, bounds crossed. One put batch shape is a
 // published table's, rows whose columns ascend, so the rows it opens
 // are cut from one slab and later deleted, overwritten and scanned.
-// Every appendCells page is diffed against the map-of-maps model, which
-// has never seen the index, the merge or a slab, and the structural
-// invariants are checked after every step.
+// Every appendCells page, and the appendKeys page of the same
+// arguments, is diffed against the map-of-maps model — its cells, its
+// distinct rows — which has never seen the index, the merge or a slab,
+// and the structural invariants are checked after every step.
 func FuzzStoreScan(f *testing.F) {
 	f.Add([]byte{16, 0, 1, 2, 0, 3, 4, 4, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 9, 9, 5, 2, 9, 9, 6, 4, 9, 0, 2, 9, 1, 1, 9, 9})
@@ -270,6 +276,12 @@ func FuzzStoreScan(f *testing.F) {
 				if !cellsEqual(cells, wantCells) || more != wantMore {
 					t.Fatalf("step %d: appendCells(%q,%q,%d,%q) = %d cells more=%v, model %d cells more=%v",
 						step, start, end, limit, cursor, len(cells), more, len(wantCells), wantMore)
+				}
+				keys, more := s.appendKeys(nil, start, end, limit, cursor)
+				wantKeys, wantMore := m.scanRows(start, end, limit, cursor)
+				if !slices.Equal(keys, wantKeys) || more != wantMore {
+					t.Fatalf("step %d: appendKeys(%q,%q,%d,%q) = %q more=%v, model %q more=%v",
+						step, start, end, limit, cursor, keys, more, wantKeys, wantMore)
 				}
 			}
 			verifyStoreInvariants(t, s)
@@ -396,12 +408,42 @@ func TestFetchAssocMalformedPages(t *testing.T) {
 	}
 }
 
+// fetchKeysTextOracle is what FetchKeys promises, spelled out with the
+// block reader the other replies use: the same KEYS pages, each line
+// one key with the prefix trimmed, the page's last line the next
+// cursor, and the keys of every page sorted and compacted.
+func fetchKeysTextOracle(c *Client, prefix string, pageRows int) ([]string, error) {
+	var out []string
+	cursor := ""
+	for {
+		resp, err := c.roundTrip(fmt.Sprintf("KEYS\t%s\t%s\t%d\t%s", prefix, prefixEnd(prefix), pageRows, cursor))
+		if err != nil {
+			return nil, err
+		}
+		lines, err := c.readBlock(resp)
+		if err != nil {
+			return nil, err
+		}
+		if len(lines) == 0 {
+			slices.Sort(out)
+			return slices.Compact(out), nil
+		}
+		for _, line := range lines {
+			out = append(out, strings.TrimPrefix(line, prefix))
+		}
+		cursor = lines[len(lines)-1]
+	}
+}
+
 // FuzzClientCells is the client-side twin of FuzzServerProtocol: any
 // bytes a server (or whatever answers on its port) sends in reply to
 // CELLS yield cells or an error from appendCells and FetchAssoc — never a
 // panic, a hang, or an allocation sized by the peer — appendCells agrees
 // cell for cell and error for error with the parser it replaced, and
 // FetchAssoc builds the table the pages' cells make in arrival order.
+// The same bytes read as KEYS replies hold FetchKeys, the key reader, to
+// the same bar: keys or an error, key for key and error for error what
+// fetchKeysTextOracle reads, with a prefix to strip and without.
 func FuzzClientCells(f *testing.F) {
 	seeds := append([]string{
 		"BLOCK 2\nr\tc\tn\t1.5\nr\td\ts\thello world\n",
@@ -442,6 +484,18 @@ func FuzzClientCells(f *testing.F) {
 			t.Fatalf("appendCells = %v, text parser = %v", got, want)
 		}
 		diffFetchAssoc(t, data, "")
+		for _, prefix := range []string{"", "r"} {
+			keys, keysErr := pipeClient(t, data).FetchKeys(prefix, 512)
+			wantKeys, wantKeysErr := fetchKeysTextOracle(pipeClient(t, data), prefix, 512)
+			switch {
+			case (keysErr == nil) != (wantKeysErr == nil):
+				t.Fatalf("FetchKeys(%q) error = %v, text reader error = %v", prefix, keysErr, wantKeysErr)
+			case keysErr != nil && keysErr.Error() != wantKeysErr.Error():
+				t.Fatalf("FetchKeys(%q) error = %q, text reader error = %q", prefix, keysErr, wantKeysErr)
+			case !slices.Equal(keys, wantKeys):
+				t.Fatalf("FetchKeys(%q) = %q, text reader = %q", prefix, keys, wantKeys)
+			}
+		}
 	})
 }
 

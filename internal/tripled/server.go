@@ -21,16 +21,21 @@ package tripled
 //	                          whatever <limit> says; resume with the
 //	                          page's last row until a page comes back
 //	                          empty
+//	KEYS <start> <end> <limit> <cursor>
+//	                       -> the same page as CELLS, one row key per
+//	                          line and no cells
 //	TOPDEG <k>             -> block of row/degree pairs
 //	RESYNC DIGEST <nb> | RESYNC ROWS <nb> <bucket>
 //	                       -> anti-entropy digests (see handleResync)
 //	NNZ
 //	QUIT
 //
-// A study sends BATCH and CELLS only: a table is published as pipelined
-// BATCHes under a row-key prefix and read back by CELLS pages. PUT, GET,
-// BATCH and TOPDEG carry the load tools and the daemon's ledger; the
-// cluster's repair sends RESYNC, one-row CELLS pages and BATCH.
+// A study sends BATCH, CELLS and KEYS only: a table is published as
+// pipelined BATCHes under a row-key prefix; a snapshot's source table is
+// read back by CELLS pages and a honeyfarm month, whose row keys are all
+// the study reads of it, by KEYS pages. PUT, GET, BATCH and TOPDEG carry
+// the load tools and the daemon's ledger; the cluster's repair sends
+// RESYNC, one-row CELLS pages and BATCH.
 //
 // Responses: "OK", "OK <payload>", "NF" (not found), "ERR <msg>", or
 // "BLOCK <n>" followed by n data lines. Malformed requests that leave
@@ -60,8 +65,9 @@ const (
 	// DefaultMaxBatch caps the declared count of a BATCH request; larger
 	// counts are refused and the connection closed.
 	DefaultMaxBatch = 1 << 16
-	// maxPageRows caps the rows of one CELLS page whatever limit it asks
-	// for: a page holds every stripe's read lock while it is assembled.
+	// maxPageRows caps the rows of one CELLS or KEYS page whatever limit
+	// it asks for: a page holds every stripe's read lock while it is
+	// assembled.
 	maxPageRows = 1 << 12
 	// maxPooledPage is the largest page buffer, in cells, pagePool keeps.
 	maxPooledPage = 1 << 16
@@ -254,27 +260,8 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 		w.Write(append(appendValue(append(w.AvailableBuffer(), "OK "...), v), '\n'))
 	case "BATCH":
 		return s.handleBatch(conn, sc, w, batch, parts)
-	case "CELLS":
-		if len(parts) != 5 {
-			fmt.Fprintln(w, "ERR CELLS wants 4 arguments")
-			return false
-		}
-		limit, err := strconv.Atoi(parts[3])
-		if err != nil || limit < 1 {
-			fmt.Fprintln(w, "ERR bad limit")
-			return false
-		}
-		page := pagePool.Get().(*[]Cell)
-		cells, _ := s.store.appendCells((*page)[:0], parts[1], parts[2], min(limit, maxPageRows), parts[4])
-		fmt.Fprintf(w, "BLOCK %d\n", len(cells))
-		for _, c := range cells {
-			w.Write(append(appendCell(w.AvailableBuffer(), c.Row, c.Col, c.Val), '\n'))
-		}
-		if cap(cells) <= maxPooledPage {
-			clear(cells) // a pooled page must not pin rows deleted since
-			*page = cells
-			pagePool.Put(page)
-		}
+	case "CELLS", "KEYS":
+		s.handlePage(w, cmd, parts)
 	case "RESYNC":
 		return s.handleResync(w, parts)
 	case "TOPDEG":
@@ -298,10 +285,58 @@ func (s *Server) handle(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, batch
 	return false
 }
 
-// pagePool recycles the cell buffers CELLS pages are assembled in, across
-// requests and connections: a page is tens of kilobytes, and a fresh
-// buffer per page is most of what a scan would otherwise allocate.
-var pagePool = sync.Pool{New: func() any { return new([]Cell) }}
+// handlePage serves the one paged read in its two replies. CELLS and
+// KEYS take the same arguments — bounds, limit, cursor — and walk the
+// same page (Store.page); they differ only in what a visited row
+// writes: every cell as a row/col/type/value line, or the row key
+// alone.
+func (s *Server) handlePage(w *bufio.Writer, cmd string, parts []string) {
+	if len(parts) != 5 {
+		fmt.Fprintf(w, "ERR %s wants 4 arguments\n", cmd)
+		return
+	}
+	limit, err := strconv.Atoi(parts[3])
+	if err != nil || limit < 1 {
+		fmt.Fprintln(w, "ERR bad limit")
+		return
+	}
+	start, end, cursor := parts[1], parts[2], parts[4]
+	limit = min(limit, maxPageRows)
+	if cmd == "KEYS" {
+		page := keyPool.Get().(*[]string)
+		keys, _ := s.store.appendKeys((*page)[:0], start, end, limit, cursor)
+		fmt.Fprintf(w, "BLOCK %d\n", len(keys))
+		for _, k := range keys {
+			w.Write(append(append(w.AvailableBuffer(), k...), '\n'))
+		}
+		// A pooled page must not pin rows deleted since; one of at most
+		// maxPageRows keys is always small enough to pool.
+		clear(keys)
+		*page = keys
+		keyPool.Put(page)
+		return
+	}
+	page := pagePool.Get().(*[]Cell)
+	cells, _ := s.store.appendCells((*page)[:0], start, end, limit, cursor)
+	fmt.Fprintf(w, "BLOCK %d\n", len(cells))
+	for _, c := range cells {
+		w.Write(append(appendCell(w.AvailableBuffer(), c.Row, c.Col, c.Val), '\n'))
+	}
+	if cap(cells) <= maxPooledPage {
+		clear(cells) // a pooled page must not pin rows deleted since
+		*page = cells
+		pagePool.Put(page)
+	}
+}
+
+// pagePool and keyPool recycle the buffers CELLS and KEYS pages are
+// assembled in, across requests and connections: a page is tens of
+// kilobytes, and a fresh buffer per page is most of what a scan would
+// otherwise allocate.
+var (
+	pagePool = sync.Pool{New: func() any { return new([]Cell) }}
+	keyPool  = sync.Pool{New: func() any { return new([]string) }}
+)
 
 // mutations is a parsed mutation list: the PUTs and the DELs each in
 // arrival order, and the order they interleave in as runs of

@@ -1,7 +1,7 @@
 package tripled
 
 // server_test.go covers the production-shaping of the service: the
-// BATCH and CELLS verbs, batch atomicity, the idle-connection
+// BATCH, CELLS and KEYS verbs, batch atomicity, the idle-connection
 // shutdown fix, and the per-connection read deadline.
 
 import (
@@ -158,6 +158,70 @@ func TestCellsExportRoundTrip(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestKeysPageIsCellsPageRows: KEYS is CELLS' page without its cells.
+// Over a real connection, on rows of one to three cells under two
+// prefixes, every (start, end, limit, cursor) — bounds empty, bare
+// prefixes or row keys, cursors live, dead, below start or past end —
+// answers the row keys of the CELLS page with the same arguments, and
+// FetchKeys at any page size reads back a published table's row keys
+// with its prefix stripped.
+func TestKeysPageIsCellsPageRows(t *testing.T) {
+	srv, c := serveTest(t)
+	a := assoc.New()
+	for i := 0; i < 40; i++ {
+		row := fmt.Sprintf("ip%02d", i)
+		for j := 0; j <= i%3; j++ {
+			a.Set(row, fmt.Sprintf("c%d", j), assoc.Num(float64(i)))
+		}
+	}
+	if err := c.PublishAssoc("t1/", a, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PublishAssoc("t2/", a, 16); err != nil {
+		t.Fatal(err)
+	}
+	bounds := []string{"", "t1/", "t2/", "t1/ip00", "t1/ip17", "t1/ip17x", "t2/ip39", "u"}
+	for _, start := range bounds {
+		for _, end := range bounds {
+			for _, cursor := range bounds {
+				for _, limit := range []int{1, 3, 7, 100} {
+					cells, err := c.appendCells(nil, start, end, limit, cursor)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []string
+					for i, cell := range cells {
+						if i == 0 || cell.Row != cells[i-1].Row {
+							want = append(want, cell.Row)
+						}
+					}
+					got, _ := srv.store.appendKeys(nil, start, end, limit, cursor)
+					resp, err := c.roundTrip(fmt.Sprintf("KEYS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
+					if err != nil {
+						t.Fatal(err)
+					}
+					wire, err := c.readBlock(resp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) || !slices.Equal(wire, want) {
+						t.Fatalf("KEYS(%q,%q,%d,%q): store %q, wire %q; CELLS' rows %q", start, end, limit, cursor, got, wire, want)
+					}
+				}
+			}
+		}
+	}
+	for _, page := range []int{0, 1, 7, 1000} {
+		keys, err := c.FetchKeys("t1/", page)
+		if err != nil || !slices.Equal(keys, a.RowKeys()) {
+			t.Fatalf("FetchKeys(t1/, %d) = %q, %v; want %q", page, keys, err, a.RowKeys())
+		}
+	}
+	if keys, err := c.FetchKeys("none/", 8); err != nil || len(keys) != 0 {
+		t.Fatalf("FetchKeys of an empty prefix = %q, %v", keys, err)
+	}
 }
 
 // TestCloseWithIdleClient is the regression test for the shutdown hang:
@@ -318,9 +382,9 @@ func TestFetchAssocTableAllocations(t *testing.T) {
 
 // TestCellsPageIsClamped: a page is assembled with every stripe
 // read-locked, so the server bounds it. Through a real connection: a
-// CELLS request for a billion rows gets maxPageRows of them, the clients
-// that loop until an empty page (FetchAssoc, DeletePrefix) still see
-// every row whatever page size they ask for, and a page buffer wider
+// CELLS or KEYS request for a billion rows gets maxPageRows of them, the
+// clients that loop until an empty page (FetchAssoc, FetchKeys,
+// DeletePrefix) still see every row whatever page size they ask for, and a page buffer wider
 // than maxPooledPage cells does not go back to the pool.
 func TestCellsPageIsClamped(t *testing.T) {
 	srv, c := serveTest(t)
@@ -339,6 +403,16 @@ func TestCellsPageIsClamped(t *testing.T) {
 	back, err := c.FetchAssoc("t/", 1_000_000_000)
 	if err != nil || back.NRows() != rows {
 		t.Fatalf("FetchAssoc with a 1e9-row page fetched %v, %v; want %d rows", back, err, rows)
+	}
+	resp, err := c.roundTrip(fmt.Sprintf("KEYS\tt/\t%s\t1000000000\t", prefixEnd("t/")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := c.readBlock(resp); err != nil || len(keys) != maxPageRows || keys[len(keys)-1] != cells[maxPageRows-1].Row {
+		t.Fatalf("KEYS for 1e9 rows returned %d keys, %v; want the first %d", len(keys), err, maxPageRows)
+	}
+	if keys, err := c.FetchKeys("t/", 1_000_000_000); err != nil || len(keys) != rows {
+		t.Fatalf("FetchKeys with a 1e9-row page fetched %d keys, %v; want %d", len(keys), err, rows)
 	}
 	if err := c.DeletePrefix("t/", 1_000_000_000); err != nil || srv.store.NNZ() != 0 {
 		t.Fatalf("DeletePrefix with a 1e9-row page: %v, %d cells left", err, srv.store.NNZ())

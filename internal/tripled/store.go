@@ -12,9 +12,9 @@
 // column; bulk mutations arrive as runs of same-row cells and cost one
 // stripe hash and one index seek per run, and the rows a batch opens in
 // column order share one slab (putCells). Everything ordered (CELLS
-// pages, the snapshot log, the export) is one walk, Store.page, which
-// holds every stripe's read lock for one page and merges a cursor per
-// stripe lazily: a page is an atomic snapshot and costs
+// and KEYS pages, the snapshot log, the export) is one walk,
+// Store.page, which holds every stripe's read lock for one page and
+// merges a cursor per stripe lazily: a page is an atomic snapshot and costs
 // O(stripes * log rows + page), not a walk of the store. The store is
 // in-memory with an append-only change log for persistence, and
 // server.go exposes it over a line-oriented TCP protocol (and bounds
@@ -412,6 +412,13 @@ func (s *Store) appendCells(dst []Cell, start, end string, limit int, cursor str
 			dst = append(dst, Cell{Row: r.key, Col: e.Key, Val: e.Val})
 		}
 	})
+	return dst, more
+}
+
+// appendKeys is appendCells' page as its row keys alone, in order: what
+// KEYS serves, at O(page selection + rows returned).
+func (s *Store) appendKeys(dst []string, start, end string, limit int, cursor string) ([]string, bool) {
+	more := s.page(start, end, limit, cursor, func(r *row) { dst = append(dst, r.key) })
 	return dst, more
 }
 

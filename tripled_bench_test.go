@@ -193,7 +193,9 @@ func BenchmarkTripledPublishAssoc(b *testing.B) {
 }
 
 // BenchmarkTripledFetchAssoc reads the published month table back, the
-// fetch half of a store-backed study.
+// fetch half of a store-backed study: cells, the whole table over CELLS
+// pages as a snapshot's source table is read, and keys, its rows alone
+// over KEYS pages as a month is.
 func BenchmarkTripledFetchAssoc(b *testing.B) {
 	table := benchMonth(b)
 	srv, err := tripled.Serve(tripled.NewStore(), "127.0.0.1:0")
@@ -209,18 +211,32 @@ func BenchmarkTripledFetchAssoc(b *testing.B) {
 	if err := c.PublishAssoc("m/", table, honeyfarm.PublishBatch); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		back, err := c.FetchAssoc("m/", 512)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("cells", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			back, err := c.FetchAssoc("m/", 512)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if back.NNZ() != table.NNZ() {
+				b.Fatalf("fetched %d cells, want %d", back.NNZ(), table.NNZ())
+			}
 		}
-		if back.NNZ() != table.NNZ() {
-			b.Fatalf("fetched %d cells, want %d", back.NNZ(), table.NNZ())
+		b.ReportMetric(float64(table.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
+	})
+	b.Run("keys", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keys, err := c.FetchKeys("m/", 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(keys) != table.NRows() {
+				b.Fatalf("fetched %d keys, want %d", len(keys), table.NRows())
+			}
 		}
-	}
-	b.ReportMetric(float64(table.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
+		b.ReportMetric(float64(table.NRows())*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+	})
 }
 
 // TestTripledIngestSpeedup is the checked form of the acceptance bar:
