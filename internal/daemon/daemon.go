@@ -162,37 +162,43 @@ func New(cfg core.Config) (*Daemon, error) {
 	d := &Daemon{cfg: cfg, p: p, res: &core.Result{Config: cfg}, stopC: make(chan struct{})}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var dialErr error
-	if cfg.StoreAddr != "" {
-		if db, derr := core.DialStore(cfg.StoreAddr); derr != nil {
-			dialErr = derr
-		} else {
-			d.db = db
-			if rerr := d.recoverLocked(); rerr != nil {
-				db.Close()
-				d.db = nil
-				if !tripled.Retryable(rerr) {
-					// The store answered and refused (corrupt ledger, protocol
-					// mismatch): redialing cannot fix it, fail construction.
-					return nil, rerr
-				}
-				// Dialed but died mid-recovery: same as unreachable; the
-				// reconnect loop replays the ledger once it answers.
-				dialErr = rerr
-			}
-		}
-		if d.db == nil {
-			// Degraded start: serve the (empty) study, report degraded,
-			// keep redialing with backoff instead of dying.
-			d.connWG.Add(1)
-			go d.reconnectLoop()
-		}
+	if cfg.StoreAddr == "" {
+		d.refreshStoreLocked(nil)
+	} else if err := d.attachLocked(core.DialStore(cfg.StoreAddr)); err != nil {
+		return nil, err
+	} else if d.db == nil {
+		// Degraded start: serve the (empty) study, report degraded,
+		// keep redialing with backoff instead of dying.
+		d.connWG.Add(1)
+		go d.reconnectLoop()
 	}
-	d.refreshStoreLocked(dialErr)
 	// Publish the initial snapshot (recovered state, or the empty
 	// study's 503-bearing artifacts) so pollers always find one.
 	d.publishLocked()
 	return d, nil
+}
+
+// attachLocked is the one connect step of New and reconnectLoop: it
+// takes a dial's outcome and, when the dial succeeded, replays the
+// ledger (recoverLocked), keeping the connection only if the replay
+// succeeds. It refreshes the store view with whatever failed, and
+// returns that failure only when redialing cannot fix it: the store
+// answered and refused the replay (corrupt ledger, protocol mismatch).
+// A failed dial, or a store that died mid-replay, is left to the
+// reconnect loop.
+func (d *Daemon) attachLocked(db tripled.Conn, err error) (final error) {
+	if err == nil {
+		d.db = db
+		if err = d.recoverLocked(); err != nil {
+			d.db = nil
+			db.Close()
+			if !tripled.Retryable(err) {
+				final = err
+			}
+		}
+	}
+	d.refreshStoreLocked(err)
+	return final
 }
 
 // reconnectLoop keeps redialing a store that was unreachable at
@@ -213,28 +219,16 @@ func (d *Daemon) reconnectLoop() {
 			backoff = maxBackoff
 		}
 		db, err := core.DialStore(d.cfg.StoreAddr)
-		if err == nil {
-			d.mu.Lock()
-			d.db = db
-			if err = d.recoverLocked(); err == nil {
-				d.refreshStoreLocked(nil)
-				d.publishLocked()
-				d.mu.Unlock()
-				return
-			}
-			d.db = nil
-			d.mu.Unlock()
-			db.Close()
-			if !tripled.Retryable(err) {
-				d.mu.Lock()
-				d.refreshStoreLocked(err)
-				d.mu.Unlock()
-				return
-			}
-		}
 		d.mu.Lock()
-		d.refreshStoreLocked(err)
+		final := d.attachLocked(db, err)
+		attached := d.db != nil
+		if attached {
+			d.publishLocked()
+		}
 		d.mu.Unlock()
+		if attached || final != nil {
+			return
+		}
 	}
 }
 

@@ -170,7 +170,7 @@ func New(cfg Config, filter Filter, factory SlabMapperFactory) (*Engine, error) 
 		return &s
 	}
 	e.accPool.New = func() interface{} {
-		return hypersparse.NewAccumulator(cfg.LeafSize, 1)
+		return hypersparse.NewAccumulator(cfg.LeafSize)
 	}
 	return e, nil
 }

@@ -165,12 +165,11 @@ func sumByRows(mats []*Matrix, workers int) *Matrix {
 
 // Accumulator ingests a stream of (row, col, value) triples, compiles a
 // leaf Matrix every leafSize triples, and hierarchically sums leaves into
-// the final window matrix on Finish. This mirrors the telescope's
-// streaming build: packets arrive one at a time, leaves are cut at fixed
-// valid-packet counts.
+// the final window matrix on Finish, on one worker. This mirrors the
+// telescope's streaming build: packets arrive one at a time, leaves are
+// cut at fixed valid-packet counts.
 type Accumulator struct {
 	leafSize int
-	workers  int
 	builder  *Builder
 	inLeaf   int
 	leaves   []*Matrix
@@ -178,13 +177,12 @@ type Accumulator struct {
 
 // NewAccumulator returns an Accumulator cutting leaves every leafSize
 // triples (the paper's leaf NV is 2^17). leafSize must be positive.
-func NewAccumulator(leafSize, workers int) *Accumulator {
+func NewAccumulator(leafSize int) *Accumulator {
 	if leafSize <= 0 {
 		panic("hypersparse: leafSize must be positive")
 	}
 	return &Accumulator{
 		leafSize: leafSize,
-		workers:  workers,
 		builder:  NewBuilder(leafSize),
 	}
 }
@@ -216,7 +214,7 @@ func (a *Accumulator) Leaves() int { return len(a.leaves) }
 // steady state.
 func (a *Accumulator) Finish() *Matrix {
 	a.cut()
-	m := HierSum(a.leaves, a.workers)
+	m := HierSum(a.leaves, 1)
 	for i := range a.leaves {
 		a.leaves[i] = nil // release the merged leaves for collection
 	}

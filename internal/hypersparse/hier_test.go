@@ -101,7 +101,7 @@ func TestSumByRowsWorkerSweep(t *testing.T) {
 
 func TestAccumulatorPreservesTotal(t *testing.T) {
 	// NV conservation: sum of the window matrix equals triples ingested.
-	acc := NewAccumulator(64, 2)
+	acc := NewAccumulator(64)
 	rng := rand.New(rand.NewSource(23))
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -119,7 +119,7 @@ func TestAccumulatorPreservesTotal(t *testing.T) {
 func TestAccumulatorMatchesDirectBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	es := randomEntries(rng, 2000, 80, 80)
-	acc := NewAccumulator(97, 4) // deliberately non-divisor leaf size
+	acc := NewAccumulator(97) // deliberately non-divisor leaf size
 	b := NewBuilder(0)
 	for _, e := range es {
 		acc.Add(e.Row, e.Col, e.Val)
@@ -131,7 +131,7 @@ func TestAccumulatorMatchesDirectBuild(t *testing.T) {
 }
 
 func TestAccumulatorReusableAfterFinish(t *testing.T) {
-	acc := NewAccumulator(10, 1)
+	acc := NewAccumulator(10)
 	acc.Add(1, 1, 1)
 	first := acc.Finish()
 	acc.Add(2, 2, 2)
@@ -150,7 +150,7 @@ func TestAccumulatorPanicsOnBadLeafSize(t *testing.T) {
 			t.Error("NewAccumulator(0) did not panic")
 		}
 	}()
-	NewAccumulator(0, 1)
+	NewAccumulator(0)
 }
 
 func BenchmarkHierSum16Leaves(b *testing.B) {

@@ -44,7 +44,7 @@ func TestRoundTripAllocatesPerRowNotPerCell(t *testing.T) {
 				t.Fatal(err)
 			}
 			var err error
-			if page, err = c.appendCells(page[:0], "m/", "m0", rows, ""); err != nil || !cellsEqual(page, cells) {
+			if page, err = c.appendPage(page[:0], cellsRequest, "m/", "m0", rows, ""); err != nil || !cellsEqual(page, cells) {
 				t.Fatalf("page of %d cells, %v; published %d", len(page), err, len(cells))
 			}
 		})

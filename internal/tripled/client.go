@@ -68,7 +68,7 @@ type Client struct {
 	conn  net.Conn
 	r     *bufio.Scanner
 	w     *bufio.Writer
-	cells cellDecoder // every CELLS page is read through it
+	cells cellDecoder // every CELLS and KEYS page is read through it
 }
 
 // Dial connects to a tripled server within DefaultDialTimeout.
@@ -279,15 +279,21 @@ func (c *Client) readBlock(first string) ([]string, error) {
 	return out, nil
 }
 
-// appendCells fetches one page of the paged read (CELLS): every cell of
-// up to limit rows in [start, end) after the cursor row, in (row, col)
-// order; the page's last row key is the next cursor. A short page does
-// not prove the scan is done (the server clamps the rows of a page);
-// loop until an empty page, as FetchAssoc does. The page is appended to
-// dst, so FetchAssoc and DeletePrefix reuse one buffer across the pages
-// of a table, and its strings are cut from one string (cellDecoder).
-func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor string) ([]Cell, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
+// The paged read's two requests (start, end, limit, cursor): every cell
+// of the page's rows, or their row keys alone.
+const (
+	cellsRequest = "CELLS\t%s\t%s\t%d\t%s"
+	keysRequest  = "KEYS\t%s\t%s\t%d\t%s"
+)
+
+// appendPage fetches one page of the paged read, appended to dst: for
+// cellsRequest every cell of up to limit rows in [start, end) after the
+// cursor row, in (row, col) order; for keysRequest each of those rows as
+// a cell with its row key alone. Its strings are cut from one string
+// (cellDecoder), and a block header sizes nothing past maxBlockPrealloc
+// cells.
+func (c *Client) appendPage(dst []Cell, request, start, end string, limit int, cursor string) ([]Cell, error) {
+	resp, err := c.roundTrip(fmt.Sprintf(request, start, end, limit, cursor))
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +309,12 @@ func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor st
 		if err := c.scanBlockLine(i, n); err != nil {
 			return nil, err
 		}
-		if lineErr == nil {
+		switch {
+		case lineErr != nil:
+		case request == keysRequest:
+			dec.add(len(out), rowField, c.r.Bytes())
+			out = append(out, Cell{})
+		default:
 			out, lineErr = dec.decode(out, c.r.Bytes())
 		}
 	}
@@ -318,7 +329,7 @@ func (c *Client) appendCells(dst []Cell, start, end string, limit int, cursor st
 // CELLS page bounded to the row itself: nil when the row is absent,
 // never a neighbouring row.
 func (c *Client) RowCells(row string) ([]Cell, error) {
-	return c.appendCells(nil, row, row+"\x00", 1, "")
+	return c.appendPage(nil, cellsRequest, row, row+"\x00", 1, "")
 }
 
 // TopRowsByDegree queries the server's degree table.
@@ -439,147 +450,104 @@ func (c *Client) PublishAssoc(prefix string, a *assoc.Assoc, batchSize int) erro
 	return p.Close()
 }
 
-// DeletePrefix removes every cell under the row-key prefix, paging with
-// CELLS and deleting each page in one BATCH until the prefix is empty.
-// The pages share one pipeline, flushed before the next page is read,
-// so its body grows to the largest page once.
-func (c *Client) DeletePrefix(prefix string, pageRows int) error {
+// pages is the one loop of the paged read (cellsRequest or keysRequest)
+// under prefix. It asks for up to pageRows rows (512 when pageRows < 1)
+// after the cursor, hands the page to visit — its cells (a KEYS row is
+// a cell with no column), its row keys without the prefix, and where
+// each row ends among the cells — and resumes after the page's last
+// row. It ends at the first empty page: a short page only advances the
+// cursor (the server clamps a page's rows), so nothing is silently
+// truncated.
+//
+// A page is what a server sends (Store.page) or it is refused: whole
+// rows in ascending key order, each under the prefix and after the
+// cursor and the row before it, and each row's columns strictly
+// ascending. A refusal names the cursor and the row and classifies
+// ClassFatal, since the same request reads the same page again: a peer
+// that serves one page over and over is refused at its second answer.
+func (c *Client) pages(request, prefix string, pageRows int, visit func(cells []Cell, keys []string, ends []int) error) error {
 	if pageRows < 1 {
 		pageRows = 512
 	}
-	p := c.StartPipeline(math.MaxInt) // a page is one BATCH: Flush sends it
+	end := prefixEnd(prefix)
 	var cells []Cell
-	var err error
-	for {
-		cells, err = c.appendCells(cells[:0], prefix, prefixEnd(prefix), pageRows, "")
-		if err != nil {
+	var keys []string
+	var ends []int
+	cursor := ""
+	for first := true; ; first = false {
+		var err error
+		if cells, err = c.appendPage(cells[:0], request, prefix, end, pageRows, cursor); err != nil || len(cells) == 0 {
 			return err
 		}
-		if len(cells) == 0 {
-			return nil
+		keys, ends = keys[:0], ends[:0]
+		prev := cursor // the row before this cell's
+		for i, cell := range cells {
+			if i > 0 && cell.Row == prev && cell.Col > cells[i-1].Col {
+				ends[len(ends)-1] = i + 1 // the row's next column
+				continue
+			}
+			if !strings.HasPrefix(cell.Row, prefix) || cell.Row <= prev && !(first && i == 0) {
+				return fmt.Errorf("tripled: page after cursor %q: row %q at column %q does not follow %q under the prefix %q",
+					cursor, cell.Row, cell.Col, prev, prefix)
+			}
+			keys, ends, prev = append(keys, cell.Row[len(prefix):]), append(ends, i+1), cell.Row
 		}
+		if err := visit(cells, keys, ends); err != nil {
+			return err
+		}
+		cursor = prev
+	}
+}
+
+// DeletePrefix removes every cell under the row-key prefix, reading it
+// page by page (pages) and deleting each page in one BATCH. The pages
+// share one pipeline, flushed before the next page is read, so its body
+// grows to the largest page once.
+func (c *Client) DeletePrefix(prefix string, pageRows int) error {
+	p := c.StartPipeline(math.MaxInt) // a page is one BATCH: Flush sends it
+	return c.pages(cellsRequest, prefix, pageRows, func(cells []Cell, _ []string, _ []int) error {
 		for _, cell := range cells {
 			p.Delete(cell.Row, cell.Col)
 		}
-		if err := p.Flush(); err != nil {
-			return err
-		}
-	}
+		return p.Flush()
+	})
 }
 
 // FetchAssoc reads every cell under the row-key prefix back into an
-// associative array, paging with CELLS (pageRows rows per round trip)
-// and stripping the prefix from the row keys. A page is whole rows in
-// column order, each after every row before it, so a page is handed to
-// the array as one slab of rows (assoc.SetRows): one allocation for its
-// cells and one for its rows' headers. The scan ends at the first empty
-// page: a short non-empty page only advances the cursor (the server
-// clamps a page's rows), so nothing is silently truncated.
+// associative array, CELLS page by CELLS page (pages, pageRows rows per
+// round trip), with the prefix stripped from the row keys. A page a
+// server sends is whole rows in column order, each after every row
+// before it, so it goes to the array as one slab of rows (assoc.SetRows):
+// one allocation for its cells and one for its rows' headers. Any other
+// page is refused.
 func (c *Client) FetchAssoc(prefix string, pageRows int) (*assoc.Assoc, error) {
-	if pageRows < 1 {
-		pageRows = 512
-	}
 	out := assoc.New()
-	cursor := ""
-	var cells []Cell
-	var keys []string // the page's row keys, and where each row ends in its slab
-	var ends []int
-	last := "" // the greatest row key seen so far
-	var err error
-	for {
-		cells, err = c.appendCells(cells[:0], prefix, prefixEnd(prefix), pageRows, cursor)
-		if err != nil {
-			return nil, err
-		}
-		if len(cells) == 0 {
-			return out, nil
-		}
+	err := c.pages(cellsRequest, prefix, pageRows, func(cells []Cell, keys []string, ends []int) error {
 		slab := make([]assoc.Cell, len(cells))
-		keys, ends = keys[:0], ends[:0]
-		ascending := true
 		for i, cell := range cells {
 			slab[i] = assoc.Cell{Key: cell.Col, Val: cell.Val}
-			if i > 0 && cell.Row == cells[i-1].Row {
-				ends[len(ends)-1] = i + 1
-				continue
-			}
-			row := strings.TrimPrefix(cell.Row, prefix)
-			if row > last {
-				last = row
-			} else {
-				ascending = false
-			}
-			keys, ends = append(keys, row), append(ends, i+1)
 		}
-		if !ascending || out.SetRows(keys, ends, slab) != nil {
-			// Not what a server sends — a row split across pages, not
-			// after every row before it, or out of column order: the page
-			// goes in row by row, and such a row cell by cell.
-			lo := 0
-			for k, hi := range ends {
-				row, run := keys[k], slab[lo:hi:hi]
-				if out.HasRow(row) || out.SetRow(row, run) != nil {
-					for _, cell := range run {
-						out.Set(row, cell.Key, cell.Val)
-					}
-				}
-				lo = hi
-			}
-		}
-		cursor = cells[len(cells)-1].Row
+		return out.SetRows(keys, ends, slab)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 // FetchKeys reads the row keys under the row-key prefix — a table's
-// rows without their cells — paging with KEYS (pageRows rows per round
-// trip) and stripping the prefix, and returns them ascending and
-// distinct. It pages as FetchAssoc does: the page's last row key is the
-// next cursor, and the scan ends at the first empty page, so a short
-// non-empty page only advances the cursor. A page's keys are cut from
-// one string, and nothing is sized by the count a block header claims.
+// rows without their cells — KEYS page by KEYS page (pages, pageRows
+// rows per round trip), with the prefix stripped, and returns them
+// ascending and distinct, as a server sends them; any other page is
+// refused. A page's keys are cut from one string.
 func (c *Client) FetchKeys(prefix string, pageRows int) ([]string, error) {
-	if pageRows < 1 {
-		pageRows = 512
-	}
 	var out []string
-	var text []byte // the page's lines, end to end
-	var ends []int  // where each line ends in text
-	cursor, end := "", prefixEnd(prefix)
-	ascending := true // what a server sends; anything else is sorted at the end
-	for {
-		resp, err := c.roundTrip(fmt.Sprintf("KEYS\t%s\t%s\t%d\t%s", prefix, end, pageRows, cursor))
-		if err != nil {
-			return nil, err
-		}
-		n, err := blockLen(resp)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
-		text, ends = text[:0], ends[:0]
-		for i := 0; i < n; i++ {
-			if err := c.scanBlockLine(i, n); err != nil {
-				return nil, err
-			}
-			text = append(text, c.r.Bytes()...)
-			ends = append(ends, len(text))
-		}
-		page, lo := string(text), 0
-		for _, hi := range ends {
-			cursor = page[lo:hi]
-			key := strings.TrimPrefix(cursor, prefix)
-			if len(out) > 0 && key <= out[len(out)-1] {
-				ascending = false
-			}
-			out = append(out, key)
-			lo = hi
-		}
-	}
-	if !ascending {
-		slices.Sort(out)
-		out = slices.Compact(out)
+	err := c.pages(keysRequest, prefix, pageRows, func(_ []Cell, keys []string, _ []int) error {
+		out = append(out, keys...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

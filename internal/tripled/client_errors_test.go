@@ -116,7 +116,7 @@ func TestClientMalformedResponses(t *testing.T) {
 		{"block instead of ok", "BLOCK 0\n", func(c *Client) error { _, err := c.NNZ(); return err }},
 		{"ok instead of block", "OK\n", func(c *Client) error { _, err := c.TopRowsByDegree(1); return err }},
 		{"cell line too few fields", "BLOCK 1\nonlyrow\n", func(c *Client) error { _, err := c.RowCells("r"); return err }},
-		{"cells line too few fields", "BLOCK 1\nr\tc\n", func(c *Client) error { _, err := c.appendCells(nil, "", "", 5, ""); return err }},
+		{"cells line too few fields", "BLOCK 1\nr\tc\n", func(c *Client) error { _, err := c.appendPage(nil, cellsRequest, "", "", 5, ""); return err }},
 		{"degree not a number", "BLOCK 1\nr\tx\n", func(c *Client) error { _, err := c.TopRowsByDegree(1); return err }},
 		{"nnz not a number", "OK many\n", func(c *Client) error { _, err := c.NNZ(); return err }},
 		{"batch ack wrong count", "OK 7\n", func(c *Client) error { return c.PutBatch([]Cell{{Row: "r", Col: "c", Val: assoc.Num(1)}}) }},

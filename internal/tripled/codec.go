@@ -213,8 +213,8 @@ func (t *cellText) reset() {
 // numbers are parsed where they lie, column names interned, and the
 // page's row keys and string values become one string when the page
 // ends (cut) — so a fetched table's strings pin the pages they came
-// in. A Client keeps one, so its buffer and intern table serve page
-// after page.
+// in. A KEYS page's row keys are cut the same way. A Client keeps one,
+// so its buffer and intern table serve page after page.
 type cellDecoder struct{ cellText }
 
 // decode appends line's cell to page, its strings pending until the

@@ -8,6 +8,7 @@ package tripled
 // store.
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,7 +315,7 @@ func pipeClient(t *testing.T, data []byte) *Client {
 	return newClient(swallowWrites{clientEnd}, 0)
 }
 
-// scanCellsTextOracle is the CELLS response parser Client.appendCells
+// scanCellsTextOracle is the CELLS response parser Client.appendPage
 // replaced: collect the block's lines as strings, SplitN each.
 func scanCellsTextOracle(c *Client, start, end string, limit int, cursor string) ([]Cell, error) {
 	resp, err := c.roundTrip(fmt.Sprintf("CELLS\t%s\t%s\t%d\t%s", start, end, limit, cursor))
@@ -339,20 +341,63 @@ func scanCellsTextOracle(c *Client, start, end string, limit int, cursor string)
 	return out, nil
 }
 
-// fetchAssocCellByCell is what FetchAssoc promises, spelled out: the
-// same pages, every cell Set in the order it arrived — the table that
-// results whether a page went in as one slab of rows or, being
-// something no server sends, row by row and cell by cell.
-func fetchAssocCellByCell(c *Client, prefix string, pageRows int) (*assoc.Assoc, error) {
+// outOfPlace returns the index of the first cell of page — one paged
+// reply in arrival order, a KEYS row being a cell with no column — that
+// no server (Store.page) sends after cursor under prefix, or -1 when
+// there is none. A server's page is whole rows under the prefix, each
+// cell after the one before it in (row, col) order, and its first row
+// after the cursor unless it is the walk's first page.
+func outOfPlace(page []Cell, prefix, cursor string, first bool) int {
+	for i, cell := range page {
+		var inPlace bool
+		switch {
+		case !strings.HasPrefix(cell.Row, prefix):
+		case i == 0:
+			inPlace = first || cell.Row > cursor
+		case cell.Row == page[i-1].Row:
+			inPlace = cell.Col > page[i-1].Col
+		default:
+			inPlace = cell.Row > page[i-1].Row
+		}
+		if !inPlace {
+			return i
+		}
+	}
+	return -1
+}
+
+// pageRefused is the oracles' refusal of a page no server sends: the
+// client's error must classify fatal and name the page's cursor and its
+// first row out of place.
+type pageRefused struct{ cursor, row string }
+
+func (r *pageRefused) Error() string { return fmt.Sprintf("after cursor %q: row %q", r.cursor, r.row) }
+
+// sameError reports whether got is the error an oracle wants: a refusal
+// as pageRefused says, anything else word for word.
+func sameError(got, want error) bool {
+	if r, ok := want.(*pageRefused); ok {
+		return got != nil && Classify(got) == ClassFatal && strings.Contains(got.Error(), r.Error())
+	}
+	return (got == nil) == (want == nil) && (got == nil || got.Error() == want.Error())
+}
+
+// fetchAssocTextOracle is what FetchAssoc promises, spelled out with the
+// text parser: the same CELLS pages, each a page a server could send —
+// its cells Set one by one, the prefix stripped — or refused.
+func fetchAssocTextOracle(c *Client, prefix string, pageRows int) (*assoc.Assoc, error) {
 	out := assoc.New()
 	cursor := ""
-	for {
-		cells, err := c.appendCells(nil, prefix, prefixEnd(prefix), pageRows, cursor)
+	for first := true; ; first = false {
+		cells, err := scanCellsTextOracle(c, prefix, prefixEnd(prefix), pageRows, cursor)
 		if err != nil {
 			return nil, err
 		}
 		if len(cells) == 0 {
 			return out, nil
+		}
+		if bad := outOfPlace(cells, prefix, cursor, first); bad >= 0 {
+			return nil, &pageRefused{cursor, cells[bad].Row}
 		}
 		for _, cell := range cells {
 			out.Set(strings.TrimPrefix(cell.Row, prefix), cell.Col, cell.Val)
@@ -362,60 +407,39 @@ func fetchAssocCellByCell(c *Client, prefix string, pageRows int) (*assoc.Assoc,
 }
 
 // diffFetchAssoc holds FetchAssoc of a canned response stream to
-// fetchAssocCellByCell of the same stream.
+// fetchAssocTextOracle of the same stream.
 func diffFetchAssoc(t *testing.T, data []byte, prefix string) {
 	t.Helper()
 	got, gotErr := pipeClient(t, data).FetchAssoc(prefix, 512)
-	want, wantErr := fetchAssocCellByCell(pipeClient(t, data), prefix, 512)
+	want, wantErr := fetchAssocTextOracle(pipeClient(t, data), prefix, 512)
 	if (got == nil) == (gotErr == nil) {
 		t.Fatalf("FetchAssoc = %v, %v: want a table or an error", got, gotErr)
 	}
-	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-		t.Fatalf("FetchAssoc error = %v, cell by cell = %v", gotErr, wantErr)
+	if !sameError(gotErr, wantErr) {
+		t.Fatalf("FetchAssoc(%q) error = %v, text oracle = %v", prefix, gotErr, wantErr)
 	}
 	if gotErr != nil {
 		return
 	}
 	if got.NNZ() != want.NNZ() || !slices.Equal(got.RowKeys(), want.RowKeys()) {
-		t.Fatalf("FetchAssoc = %v rows %q, cell by cell = %v rows %q", got, got.RowKeys(), want, want.RowKeys())
+		t.Fatalf("FetchAssoc(%q) = %v rows %q, text oracle = %v rows %q", prefix, got, got.RowKeys(), want, want.RowKeys())
 	}
 	want.Iterate(func(row, col string, v assoc.Value) bool {
 		if g, ok := got.Get(row, col); !ok || !valueEqual(g, v) {
-			t.Fatalf("FetchAssoc (%q, %q) = %v, %v; cell by cell = %v", row, col, g, ok, v)
+			t.Fatalf("FetchAssoc (%q, %q) = %v, %v; text oracle = %v", row, col, g, ok, v)
 		}
 		return true
 	})
 }
 
-// malformedPages are CELLS replies no server sends, each of which must
-// still fetch as the table its cells make in arrival order.
-var malformedPages = []string{
-	"BLOCK 2\nr1\ta\tn\t1\nr2\ta\tn\t2\nBLOCK 2\nr2\tb\tn\t3\nr3\ta\tn\t4\nBLOCK 0\n",                       // a row split across pages
-	"BLOCK 3\nr1\tb\tn\t1\nr1\ta\tn\t2\nr2\ta\tn\t3\nBLOCK 0\n",                                             // out of column order
-	"BLOCK 3\nr1\ta\tn\t1\nr1\ta\ts\tagain\nr2\ta\tn\t3\nBLOCK 0\n",                                         // a column twice
-	"BLOCK 4\nr2\ta\tn\t1\nr1\ta\tn\t2\nr2\ta\tn\t3\nr2\tb\tn\t4\nBLOCK 0\n",                                // rows descending, one of them back again
-	"BLOCK 2\nr5\ta\tn\t1\nr6\ta\tn\t2\nBLOCK 2\nr1\ta\tn\t3\nr5\tb\tn\t4\nBLOCK 1\nr7\ta\tn\t5\nBLOCK 0\n", // a page behind the one before it, then a good one
-	"BLOCK 3\np/r1\ta\tn\t1\nr1\ta\tn\t2\np/r2\ta\tn\t3\nBLOCK 0\n",                                         // two wire rows that are one row without the prefix
-	"BLOCK 2\np/\ta\tn\t1\np/r1\ta\tn\t2\nBLOCK 0\n",                                                        // the prefix itself as a row: an empty key
-}
-
-// TestFetchAssocMalformedPages: the pages above fetch as their cells in
-// arrival order, with and without a prefix to strip.
-func TestFetchAssocMalformedPages(t *testing.T) {
-	for _, page := range malformedPages {
-		diffFetchAssoc(t, []byte(page), "")
-		diffFetchAssoc(t, []byte(page), "p/")
-	}
-}
-
 // fetchKeysTextOracle is what FetchKeys promises, spelled out with the
-// block reader the other replies use: the same KEYS pages, each line
-// one key with the prefix trimmed, the page's last line the next
-// cursor, and the keys of every page sorted and compacted.
+// block reader the other replies use: the same KEYS pages, each a page
+// a server could send — one key a line, the prefix trimmed, the page's
+// last line the next cursor — or refused.
 func fetchKeysTextOracle(c *Client, prefix string, pageRows int) ([]string, error) {
 	var out []string
 	cursor := ""
-	for {
+	for first := true; ; first = false {
 		resp, err := c.roundTrip(fmt.Sprintf("KEYS\t%s\t%s\t%d\t%s", prefix, prefixEnd(prefix), pageRows, cursor))
 		if err != nil {
 			return nil, err
@@ -425,8 +449,14 @@ func fetchKeysTextOracle(c *Client, prefix string, pageRows int) ([]string, erro
 			return nil, err
 		}
 		if len(lines) == 0 {
-			slices.Sort(out)
-			return slices.Compact(out), nil
+			return out, nil
+		}
+		page := make([]Cell, len(lines))
+		for i, line := range lines {
+			page[i].Row = line
+		}
+		if bad := outOfPlace(page, prefix, cursor, first); bad >= 0 {
+			return nil, &pageRefused{cursor, lines[bad]}
 		}
 		for _, line := range lines {
 			out = append(out, strings.TrimPrefix(line, prefix))
@@ -435,17 +465,154 @@ func fetchKeysTextOracle(c *Client, prefix string, pageRows int) ([]string, erro
 	}
 }
 
+// keysReply is a stream of CELLS replies read as KEYS replies: each
+// cell line becomes its row key alone.
+func keysReply(cells string) string {
+	lines := strings.SplitAfter(cells, "\n")
+	for i, line := range lines {
+		if row, _, ok := strings.Cut(line, "\t"); ok {
+			lines[i] = row + "\n"
+		}
+	}
+	return strings.Join(lines, "")
+}
+
+// pagePeer returns a client whose server answers each CELLS or KEYS
+// request with the next of the BLOCK replies in reply, acks each BATCH
+// whole, and hangs up when the replies run out; requests counts the
+// page requests it answered.
+func pagePeer(t *testing.T, reply string) (c *Client, requests *atomic.Int32) {
+	t.Helper()
+	var replies []string
+	for lines := strings.SplitAfter(reply, "\n"); len(lines) > 1; {
+		n, err := blockLen(strings.TrimSuffix(lines[0], "\n"))
+		if err != nil || 1+n > len(lines) {
+			t.Fatalf("not a run of BLOCK replies: %q", reply)
+		}
+		replies, lines = append(replies, strings.Join(lines[:1+n], "")), lines[1+n:]
+	}
+	clientEnd, serverEnd := net.Pipe()
+	requests = new(atomic.Int32)
+	go func() {
+		defer serverEnd.Close()
+		sc := bufio.NewScanner(serverEnd)
+		for sc.Scan() {
+			switch verb, arg, _ := strings.Cut(sc.Text(), "\t"); verb {
+			case "CELLS", "KEYS":
+				if len(replies) == 0 {
+					return
+				}
+				requests.Add(1)
+				io.WriteString(serverEnd, replies[0])
+				replies = replies[1:]
+			case "BATCH":
+				n, _ := strconv.Atoi(arg)
+				for i := 0; i < n && sc.Scan(); i++ {
+				}
+				fmt.Fprintf(serverEnd, "OK %d\n", n)
+			default:
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { clientEnd.Close() })
+	clientEnd.SetDeadline(time.Now().Add(30 * time.Second)) // hang guard
+	return newClient(clientEnd, 0), requests
+}
+
+// pageReaders are the three readers of the paged walk, each reading a
+// stream of CELLS replies: FetchKeys reads it as KEYS replies.
+var pageReaders = map[string]func(t *testing.T, prefix, reply string) (*atomic.Int32, error){
+	"FetchAssoc": func(t *testing.T, prefix, reply string) (*atomic.Int32, error) {
+		c, requests := pagePeer(t, reply)
+		_, err := c.FetchAssoc(prefix, 512)
+		return requests, err
+	},
+	"FetchKeys": func(t *testing.T, prefix, reply string) (*atomic.Int32, error) {
+		c, requests := pagePeer(t, keysReply(reply))
+		_, err := c.FetchKeys(prefix, 512)
+		return requests, err
+	},
+	"DeletePrefix": func(t *testing.T, prefix, reply string) (*atomic.Int32, error) {
+		c, requests := pagePeer(t, reply)
+		return requests, c.DeletePrefix(prefix, 512)
+	},
+}
+
+// malformedPages are CELLS replies no server sends, each with the
+// prefix it is read under, the cursor and row its refusal names and the
+// page it is refused at. Read as KEYS replies, each line its row alone,
+// they break the same contract.
+var malformedPages = []struct {
+	prefix, reply, cursor, row string
+	page                       int32
+}{
+	{"", "BLOCK 2\nr1\ta\tn\t1\nr2\ta\tn\t2\nBLOCK 2\nr2\tb\tn\t3\nr3\ta\tn\t4\nBLOCK 0\n", "r2", "r2", 2},                       // a row split across pages
+	{"", "BLOCK 3\nr1\tb\tn\t1\nr1\ta\tn\t2\nr2\ta\tn\t3\nBLOCK 0\n", "", "r1", 1},                                               // out of column order
+	{"", "BLOCK 3\nr1\ta\tn\t1\nr1\ta\ts\tagain\nr2\ta\tn\t3\nBLOCK 0\n", "", "r1", 1},                                           // a column twice
+	{"", "BLOCK 4\nr2\ta\tn\t1\nr1\ta\tn\t2\nr2\ta\tn\t3\nr2\tb\tn\t4\nBLOCK 0\n", "", "r1", 1},                                  // rows descending, one of them back again
+	{"", "BLOCK 2\nr5\ta\tn\t1\nr6\ta\tn\t2\nBLOCK 2\nr1\ta\tn\t3\nr5\tb\tn\t4\nBLOCK 1\nr7\ta\tn\t5\nBLOCK 0\n", "r6", "r1", 2}, // a page behind the one before it, then a good one
+	{"p/", "BLOCK 3\np/r1\ta\tn\t1\nr1\ta\tn\t2\np/r2\ta\tn\t3\nBLOCK 0\n", "", "r1", 1},                                         // a row outside the prefix that is a row inside it without the prefix
+	{"", "BLOCK 2\nr1\ta\tn\t1\nr2\ta\tn\t2\nBLOCK 2\nr1\ta\tn\t1\nr2\ta\tn\t2\nBLOCK 0\n", "r2", "r1", 2},                       // the same page again
+}
+
+// TestFetchAssocMalformedPages: each reader of the paged walk refuses
+// every page above, with a fatal error naming its cursor and row, and
+// asks for no page past it. The prefix itself as a row is no such page:
+// a server's bounds start there, and a row fetched as a prefix of its own
+// reads itself back as the empty key.
+func TestFetchAssocMalformedPages(t *testing.T) {
+	for _, tc := range malformedPages {
+		for name, read := range pageReaders {
+			requests, err := read(t, tc.prefix, tc.reply)
+			want := &pageRefused{tc.cursor, tc.row}
+			if !sameError(err, want) {
+				t.Errorf("%s(%q) of %q = %v, want a fatal refusal %s", name, tc.prefix, tc.reply, err, want)
+			}
+			if n := requests.Load(); n != tc.page {
+				t.Errorf("%s(%q) of %q asked for %d pages, want %d: up to the one refused", name, tc.prefix, tc.reply, n, tc.page)
+			}
+		}
+	}
+	const emptyKey = "BLOCK 2\np/\ta\tn\t1\np/r1\ta\tn\t2\nBLOCK 0\n"
+	if back, err := pipeClient(t, []byte(emptyKey)).FetchAssoc("p/", 512); err != nil || !slices.Equal(back.RowKeys(), []string{"", "r1"}) {
+		t.Errorf("FetchAssoc of the prefix as a row = %v, %v", back, err)
+	}
+	if keys, err := pipeClient(t, []byte(keysReply(emptyKey))).FetchKeys("p/", 512); err != nil || !slices.Equal(keys, []string{"", "r1"}) {
+		t.Errorf("FetchKeys of the prefix as a row = %q, %v", keys, err)
+	}
+}
+
+// TestRepeatedPageIsRefused: a peer that answers every page request
+// with the same non-empty page, five times before an empty one, is
+// refused at its second answer by each reader of the paged walk, which
+// neither reads the page once as if the walk had ended there nor keeps
+// asking for as long as the peer answers.
+func TestRepeatedPageIsRefused(t *testing.T) {
+	reply := strings.Repeat("BLOCK 2\nr1\ta\tn\t1\nr2\ta\tn\t2\n", 5) + "BLOCK 0\n"
+	for name, read := range pageReaders {
+		requests, err := read(t, "", reply)
+		if want := (&pageRefused{"r2", "r1"}); !sameError(err, want) {
+			t.Errorf("%s of a repeated page = %v, want a fatal refusal %s", name, err, want)
+		}
+		if n := requests.Load(); n > 2 {
+			t.Errorf("%s asked for %d pages of a peer repeating one, want at most 2", name, n)
+		}
+	}
+}
+
 // FuzzClientCells is the client-side twin of FuzzServerProtocol: any
 // bytes a server (or whatever answers on its port) sends in reply to
-// CELLS yield cells or an error from appendCells and FetchAssoc — never a
-// panic, a hang, or an allocation sized by the peer — appendCells agrees
-// cell for cell and error for error with the parser it replaced, and
-// FetchAssoc builds the table the pages' cells make in arrival order.
-// The same bytes read as KEYS replies hold FetchKeys, the key reader, to
-// the same bar: keys or an error, key for key and error for error what
-// fetchKeysTextOracle reads, with a prefix to strip and without.
+// CELLS yield cells or an error from appendPage and FetchAssoc — never a
+// panic, a hang, or an allocation sized by the peer. appendPage agrees
+// cell for cell and error for error with the parser it replaced; a
+// reply a server could send fetches as the table its cells make, and
+// FetchAssoc refuses every other (fetchAssocTextOracle). The same bytes
+// read as KEYS replies hold FetchKeys, the key reader, to the same bar
+// against fetchKeysTextOracle; both readers run with a prefix to strip
+// and without.
 func FuzzClientCells(f *testing.F) {
-	seeds := append([]string{
+	seeds := []string{
 		"BLOCK 2\nr\tc\tn\t1.5\nr\td\ts\thello world\n",
 		"BLOCK 3\nr1\tc\tn\t1\nr1\td\tn\t2\nr2\tc\ts\t\nBLOCK 0\n", // two pages
 		"BLOCK 0\n",
@@ -468,32 +635,31 @@ func FuzzClientCells(f *testing.F) {
 		"BLOCK 1\nr\tc\tn\t1\r\n",           // CRLF
 		"\x00\x01\x02\xff\xfe\n",            // binary noise
 		"BLOCK 1\n" + strings.Repeat("k", 70000) + "\tc\tn\t1\n", // line past the scanner's first buffer
-	}, malformedPages...)
+		"BLOCK 2\np/\ta\tn\t1\np/r1\ta\tn\t2\nBLOCK 0\n",         // the prefix itself as a row: an empty key
+	}
+	for _, tc := range malformedPages {
+		seeds = append(seeds, tc.reply)
+	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, gotErr := pipeClient(t, data).appendCells(nil, "", "", 512, "")
+		got, gotErr := pipeClient(t, data).appendPage(nil, cellsRequest, "", "", 512, "")
 		want, wantErr := scanCellsTextOracle(pipeClient(t, data), "", "", 512, "")
 		switch {
 		case (gotErr == nil) != (wantErr == nil):
-			t.Fatalf("appendCells error = %v, text parser error = %v", gotErr, wantErr)
+			t.Fatalf("appendPage error = %v, text parser error = %v", gotErr, wantErr)
 		case gotErr != nil && gotErr.Error() != wantErr.Error():
-			t.Fatalf("appendCells error = %q, text parser error = %q", gotErr, wantErr)
+			t.Fatalf("appendPage error = %q, text parser error = %q", gotErr, wantErr)
 		case !cellsEqual(got, want):
-			t.Fatalf("appendCells = %v, text parser = %v", got, want)
+			t.Fatalf("appendPage = %v, text parser = %v", got, want)
 		}
-		diffFetchAssoc(t, data, "")
 		for _, prefix := range []string{"", "r"} {
+			diffFetchAssoc(t, data, prefix)
 			keys, keysErr := pipeClient(t, data).FetchKeys(prefix, 512)
 			wantKeys, wantKeysErr := fetchKeysTextOracle(pipeClient(t, data), prefix, 512)
-			switch {
-			case (keysErr == nil) != (wantKeysErr == nil):
-				t.Fatalf("FetchKeys(%q) error = %v, text reader error = %v", prefix, keysErr, wantKeysErr)
-			case keysErr != nil && keysErr.Error() != wantKeysErr.Error():
-				t.Fatalf("FetchKeys(%q) error = %q, text reader error = %q", prefix, keysErr, wantKeysErr)
-			case !slices.Equal(keys, wantKeys):
-				t.Fatalf("FetchKeys(%q) = %q, text reader = %q", prefix, keys, wantKeys)
+			if !sameError(keysErr, wantKeysErr) || !slices.Equal(keys, wantKeys) {
+				t.Fatalf("FetchKeys(%q) = %q, %v; text oracle %q, %v", prefix, keys, keysErr, wantKeys, wantKeysErr)
 			}
 		}
 	})

@@ -18,9 +18,12 @@ package tripled
 //	                          after the cursor row ("" = from start), as
 //	                          row/col/type/value lines. A page is one
 //	                          atomic snapshot of at most 4096 rows
-//	                          whatever <limit> says; resume with the
-//	                          page's last row until a page comes back
-//	                          empty
+//	                          whatever <limit> says, its rows whole and
+//	                          ascending, each row's columns ascending;
+//	                          resume with the page's last row until a
+//	                          page comes back empty. A client refuses a
+//	                          page that breaks this or does not advance
+//	                          past the cursor
 //	KEYS <start> <end> <limit> <cursor>
 //	                       -> the same page as CELLS, one row key per
 //	                          line and no cells

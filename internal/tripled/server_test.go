@@ -187,7 +187,7 @@ func TestKeysPageIsCellsPageRows(t *testing.T) {
 		for _, end := range bounds {
 			for _, cursor := range bounds {
 				for _, limit := range []int{1, 3, 7, 100} {
-					cells, err := c.appendCells(nil, start, end, limit, cursor)
+					cells, err := c.appendPage(nil, cellsRequest, start, end, limit, cursor)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -396,7 +396,7 @@ func TestCellsPageIsClamped(t *testing.T) {
 	if err := srv.store.PutBatch(cells); err != nil {
 		t.Fatal(err)
 	}
-	page, err := c.appendCells(nil, "t/", prefixEnd("t/"), 1_000_000_000, "")
+	page, err := c.appendPage(nil, cellsRequest, "t/", prefixEnd("t/"), 1_000_000_000, "")
 	if err != nil || len(page) != maxPageRows || page[len(page)-1].Row != cells[maxPageRows-1].Row {
 		t.Fatalf("CELLS for 1e9 rows returned %d rows, %v; want the first %d", len(page), err, maxPageRows)
 	}
@@ -428,7 +428,7 @@ func TestCellsPageIsClamped(t *testing.T) {
 	if err := srv.store.PutBatch(wide); err != nil {
 		t.Fatal(err)
 	}
-	if page, err = c.appendCells(page[:0], "wide", "", 1, ""); err != nil || len(page) != len(wide) {
+	if page, err = c.appendPage(page[:0], cellsRequest, "wide", "", 1, ""); err != nil || len(page) != len(wide) {
 		t.Fatalf("CELLS of the wide row returned %d cells, %v", len(page), err)
 	}
 	for i := 0; i < 64; i++ {
