@@ -19,7 +19,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/correlate"
+	"repro/internal/cryptopan"
 	"repro/internal/hypersparse"
+	"repro/internal/ipaddr"
 	"repro/internal/netquant"
 	"repro/internal/pcap"
 	"repro/internal/radiation"
@@ -309,8 +311,8 @@ func BenchmarkEngineWindowSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafBuild measures the steady-state radix leaf build: one
-// retained triple-buffer builder compiling 2^12-entry leaves.
+// BenchmarkLeafBuild measures the steady-state leaf build the engine
+// runs: one retained Accumulator counting 2^12-packet leaves.
 func BenchmarkLeafBuild(b *testing.B) {
 	cfg := radiation.DefaultConfig()
 	cfg.NumSources = 40000
@@ -329,16 +331,92 @@ func BenchmarkLeafBuild(b *testing.B) {
 		}
 		pairs[i] = [2]uint32{uint32(pkt.Src), uint32(pkt.Dst)}
 	}
-	builder := hypersparse.NewBuilder(leafSize)
+	acc := hypersparse.NewAccumulator(leafSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pairs {
-			builder.Add(p[0], p[1], 1)
+			acc.Add(p[0], p[1]) // the last add cuts the leaf
 		}
-		builder.Build()
+		acc.Discard()
 	}
 	b.ReportMetric(float64(leafSize)*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
+}
+
+// BenchmarkShardMerge times one engine shard's window sum, the
+// HierSum(leaves, 1) its Accumulator.Finish runs, over anonymized leaves
+// of the benchmark's study_batch traffic (100k sources per 2^18 packets,
+// ZM 2^16, bright 2^9): 8 and 32 leaves per shard, at leaf 2^14 and at
+// the paper's 2^17. ns/entry is per input leaf entry; a merge linear in
+// leaves reads the same at 8 leaves and at 32.
+func BenchmarkShardMerge(b *testing.B) {
+	for _, leafLog2 := range []int{14, 17} {
+		b.Run(fmt.Sprintf("leaf=2^%d", leafLog2), func(b *testing.B) {
+			leaves := anonymizedLeaves(b, 1<<leafLog2, 32)
+			for _, k := range []int{8, 32} {
+				entries := 0
+				for _, l := range leaves[:k] {
+					entries += l.NNZ()
+				}
+				b.Run(fmt.Sprintf("leaves=%d", k), func(b *testing.B) {
+					hypersparse.HierSum(leaves[:k], 1) // warm the merge pool
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						hypersparse.HierSum(leaves[:k], 1)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
+				})
+			}
+		})
+	}
+}
+
+// anonymizedLeaves cuts n leaves of leafSize valid packets from one
+// snapshot stream, anonymized as the telescope does: the validity
+// filter, CryptoPAN on sources, the darkspace walk on destinations.
+func anonymizedLeaves(b *testing.B, leafSize, n int) []*hypersparse.Matrix {
+	b.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Radiation.NumSources = 100000 * (leafSize * n >> 18)
+	cfg.Radiation.ZM = stats.PaperZM(1 << 16)
+	cfg.Radiation.BrightLog2 = 9
+	pop, err := radiation.NewPopulation(cfg.Radiation)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := cfg.SnapshotTimes[0]
+	st := pop.TelescopeStream(cfg.MonthOf(ts), ts)
+	anon := cryptopan.NewFromPassphrase(cfg.AnonPassphrase)
+	dark := cfg.Radiation.Darkspace
+	walk := anon.Within(dark)
+	builder := hypersparse.NewBuilder(leafSize)
+	slab := make([]pcap.Packet, leafSize)
+	srcs := make([]ipaddr.Addr, 0, leafSize)
+	dsts := make([]ipaddr.Addr, 0, leafSize)
+	var leaves []*hypersparse.Matrix
+	for len(leaves) < n {
+		srcs, dsts = srcs[:0], dsts[:0]
+		for len(srcs) < leafSize {
+			got := st.NextBatch(slab[:leafSize-len(srcs)])
+			if got == 0 {
+				b.Fatalf("stream ran dry after %d leaves", len(leaves))
+			}
+			for _, p := range slab[:got] {
+				if dark.Contains(p.Dst) && !dark.Contains(p.Src) && !ipaddr.IsPrivate(p.Src) {
+					srcs = append(srcs, p.Src)
+					dsts = append(dsts, p.Dst)
+				}
+			}
+		}
+		anon.AnonymizeBatch(srcs)
+		walk.AnonymizeBatch(dsts)
+		for i := range srcs {
+			builder.Add(uint32(srcs[i]), uint32(dsts[i]), 1)
+		}
+		leaves = append(leaves, builder.Build())
+	}
+	return leaves
 }
 
 // BenchmarkNetquantFused measures the fused Table II reduction against a

@@ -448,7 +448,7 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, began time.Time, ta
 		if kept > 0 {
 			mapper(pkts[:kept], pairs[:kept])
 			for _, p := range pairs[:kept] {
-				acc.Add(p.Row, p.Col, 1)
+				acc.Add(p.Row, p.Col)
 			}
 			ingested += kept
 		}

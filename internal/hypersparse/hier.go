@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/pool"
+	"repro/internal/radix"
 )
 
 // hier.go implements the hierarchical summation of leaf matrices into a
@@ -163,52 +164,69 @@ func sumByRows(mats []*Matrix, workers int) *Matrix {
 	return out
 }
 
-// Accumulator ingests a stream of (row, col, value) triples, compiles a
-// leaf Matrix every leafSize triples, and hierarchically sums leaves into
-// the final window matrix on Finish, on one worker. This mirrors the
-// telescope's streaming build: packets arrive one at a time, leaves are
-// cut at fixed valid-packet counts.
+// Accumulator counts a stream of packets into (row, col) cells,
+// compiles a leaf Matrix every leafSize packets, and hierarchically sums
+// the leaves into the window matrix on Finish, on one worker. This
+// mirrors the telescope's streaming build: packets arrive one at a time,
+// leaves are cut at fixed valid-packet counts.
+//
+// A leaf is built from its packed (row, col) keys alone: they are
+// radix-sorted, each run of equal keys becomes one cell holding the
+// run's length, and the cells compile to DCSR as Builder.Build's do.
 type Accumulator struct {
 	leafSize int
-	builder  *Builder
-	inLeaf   int
+	keys     []uint64  // packed (row, col) of the open leaf, in arrival order
+	kbuf     []uint64  // radix scratch, retained across leaves
+	counts   []float64 // the sorted leaf's cell counts, retained across leaves
 	leaves   []*Matrix
 }
 
 // NewAccumulator returns an Accumulator cutting leaves every leafSize
-// triples (the paper's leaf NV is 2^17). leafSize must be positive.
+// packets (the paper's leaf NV is 2^17). leafSize must be positive.
 func NewAccumulator(leafSize int) *Accumulator {
 	if leafSize <= 0 {
 		panic("hypersparse: leafSize must be positive")
 	}
 	return &Accumulator{
 		leafSize: leafSize,
-		builder:  NewBuilder(leafSize),
+		keys:     make([]uint64, 0, leafSize),
 	}
 }
 
-// Add ingests one triple.
-func (a *Accumulator) Add(row, col uint32, v float64) {
-	a.builder.Add(row, col, v)
-	a.inLeaf++
-	if a.inLeaf >= a.leafSize {
+// Add counts one packet from row to col.
+func (a *Accumulator) Add(row, col uint32) {
+	a.keys = append(a.keys, key(row, col))
+	if len(a.keys) >= a.leafSize {
 		a.cut()
 	}
 }
 
 func (a *Accumulator) cut() {
-	if a.inLeaf == 0 {
+	n := len(a.keys)
+	if n == 0 {
 		return
 	}
-	a.leaves = append(a.leaves, a.builder.Build())
-	a.inLeaf = 0
+	a.kbuf = radix.Grow(a.kbuf, n)
+	a.counts = radix.Grow(a.counts, n)
+	keys := radix.Sort(a.keys, a.kbuf)
+	u := 0
+	for i := 0; i < n; u++ {
+		k, j := keys[i], i+1
+		for j < n && keys[j] == k {
+			j++
+		}
+		keys[u], a.counts[u] = k, float64(j-i)
+		i = j
+	}
+	a.leaves = append(a.leaves, compile(keys[:u], a.counts[:u]))
+	a.keys = a.keys[:0]
 }
 
 // Leaves reports how many leaf matrices have been cut so far.
 func (a *Accumulator) Leaves() int { return len(a.leaves) }
 
 // Finish cuts any partial leaf and returns the hierarchical sum. The
-// accumulator is reset and reusable afterwards; it retains its builder
+// accumulator is reset and reusable afterwards; it retains its key
 // buffers and leaf-list capacity, so a reused accumulator (the engine
 // pools one per shard worker) allocates only the published leaves at
 // steady state.
@@ -222,14 +240,13 @@ func (a *Accumulator) Finish() *Matrix {
 	return m
 }
 
-// Discard drops all accumulated state — pending triples and cut
+// Discard drops all accumulated state — pending packets and cut
 // leaves — without the merge Finish performs. It is the O(1) reset for
 // abandoned captures (context cancellation), where Finish would burn a
 // full hierarchical merge just to throw the window away. The
 // accumulator's buffers are retained for reuse.
 func (a *Accumulator) Discard() {
-	a.builder.reset()
-	a.inLeaf = 0
+	a.keys = a.keys[:0]
 	for i := range a.leaves {
 		a.leaves[i] = nil
 	}

@@ -105,7 +105,7 @@ func TestAccumulatorPreservesTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 1000
 	for i := 0; i < n; i++ {
-		acc.Add(rng.Uint32()%100, rng.Uint32()%100, 1)
+		acc.Add(rng.Uint32()%100, rng.Uint32()%100)
 	}
 	if acc.Leaves() != n/64 {
 		t.Errorf("Leaves() = %d, want %d full leaves", acc.Leaves(), n/64)
@@ -122,7 +122,9 @@ func TestAccumulatorMatchesDirectBuild(t *testing.T) {
 	acc := NewAccumulator(97) // deliberately non-divisor leaf size
 	b := NewBuilder(0)
 	for _, e := range es {
-		acc.Add(e.Row, e.Col, e.Val)
+		for range int(e.Val) { // e.Val packets
+			acc.Add(e.Row, e.Col)
+		}
 		b.Add(e.Row, e.Col, e.Val)
 	}
 	if !Equal(acc.Finish(), b.Build()) {
@@ -132,9 +134,10 @@ func TestAccumulatorMatchesDirectBuild(t *testing.T) {
 
 func TestAccumulatorReusableAfterFinish(t *testing.T) {
 	acc := NewAccumulator(10)
-	acc.Add(1, 1, 1)
+	acc.Add(1, 1)
 	first := acc.Finish()
-	acc.Add(2, 2, 2)
+	acc.Add(2, 2)
+	acc.Add(2, 2)
 	second := acc.Finish()
 	if first.Sum() != 1 || second.Sum() != 2 {
 		t.Error("accumulator state leaked across Finish")

@@ -419,8 +419,9 @@ func TestColScanMatchesOracle(t *testing.T) {
 }
 
 // allocGates are the steady-state allocation budgets of the hot path.
-// Leaf build allocates exactly the published matrix (5 objects); the
-// warm merge and reduction paths allocate nothing.
+// Leaf build allocates exactly the published matrix (5 objects), on the
+// general Builder and on the Accumulator's packet count alike; the warm
+// merge and reduction paths allocate nothing.
 func TestSteadyStateAllocGates(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -437,14 +438,38 @@ func TestSteadyStateAllocGates(t *testing.T) {
 	if got := testing.AllocsPerRun(20, leafBuild); got > 8 {
 		t.Errorf("steady-state leaf build: %.1f allocs/op, gate is 8", got)
 	}
+	acc := NewAccumulator(len(es[0]))
+	leafCount := func() {
+		for _, e := range es[0] {
+			acc.Add(e.Row, e.Col) // the last add cuts the leaf
+		}
+		acc.Discard()
+	}
+	leafCount() // warm the accumulator's buffers
+	if got := testing.AllocsPerRun(20, leafCount); got > 8 {
+		t.Errorf("steady-state counted leaf: %.1f allocs/op, gate is 8", got)
+	}
 
+	// Two rows dealt over all four leaves, holding wideRow-1 and wideRow
+	// distinct columns, so the warm merge runs both the segment heap and
+	// the wide-row sort.
+	for i := range 2*wideRow - 1 {
+		row := uint32(1)
+		if i >= wideRow-1 {
+			row = 2
+		}
+		es[i%len(es)] = append(es[i%len(es)], Entry{Row: row, Col: uint32(i), Val: 1})
+	}
 	leaves := make([]*Matrix, len(es))
 	for i, e := range es {
 		leaves[i] = FromEntries(e)
 	}
 	var dst Matrix
 	scratch := new(mergeScratch)
-	sumInto(scratch, &dst, leaves) // warm dst and the heaps
+	sumInto(scratch, &dst, leaves) // warm dst, the heaps and the sort buffers
+	if p := dst.rowPtr; dst.rows[0] != 1 || dst.rows[1] != 2 || p[1]-p[0] != wideRow-1 || p[2]-p[1] != wideRow {
+		t.Fatal("the merge input lacks a row on each side of wideRow")
+	}
 	if got := testing.AllocsPerRun(20, func() {
 		sumInto(scratch, &dst, leaves)
 	}); got > 0 {
@@ -482,13 +507,13 @@ func TestSteadyStateAllocGates(t *testing.T) {
 	}
 }
 
-// TestWindowBuildSpeedup is the checked performance gate: the radix
-// builder + pooled k-way merge window build must be at least 2x the
-// retained reference path (map builder + allocate-per-level Add tree) on
-// identical window-shaped input. This is the in-process, same-machine
-// form of the "BenchmarkEngineWindow >= 2x seed" acceptance bar: it
-// isolates exactly the code this PR rewrote, with anonymization and
-// stream synthesis (unchanged algorithms) factored out.
+// TestWindowBuildSpeedup is the checked performance gate: the engine's
+// window build (the Accumulator's counted leaves and the pooled k-way
+// merge) must be at least 2x the retained reference path (map builder +
+// allocate-per-level Add tree) on identical window-shaped input. This is
+// the in-process, same-machine form of the "BenchmarkEngineWindow >= 2x
+// seed" acceptance bar: it isolates the leaf build and the merge, with
+// anonymization and stream synthesis factored out.
 func TestWindowBuildSpeedup(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("relative timings are not meaningful under the race detector")
@@ -509,16 +534,14 @@ func TestWindowBuildSpeedup(t *testing.T) {
 		}
 		return refAddTree(leaves)
 	}
-	b := NewBuilder(len(es[0]))
-	leaves := make([]*Matrix, len(es))
+	acc := NewAccumulator(len(es[0]))
 	hot := func() *Matrix {
-		for i, entries := range es {
+		for _, entries := range es {
 			for _, e := range entries {
-				b.Add(e.Row, e.Col, e.Val)
+				acc.Add(e.Row, e.Col) // every entry is one packet
 			}
-			leaves[i] = b.Build()
 		}
-		return HierSum(leaves, 1)
+		return acc.Finish()
 	}
 
 	if !Equal(reference(), hot()) {

@@ -125,18 +125,17 @@ func FromEntries(entries []Entry) *Matrix {
 }
 
 // Builder accumulates (row, col, value) triples with duplicate summing,
-// then compiles them into an immutable Matrix. It corresponds to the
-// GraphBLAS build-from-tuples step the paper's pipeline uses for each
-// 2^17-packet leaf window.
+// then compiles them into an immutable Matrix: the general
+// build-from-tuples step behind FromEntries, PermuteFunc and FlatSum.
+// The engine's leaves hold unit packet counts and take the keys-only
+// path of Accumulator instead.
 //
 // The builder is a triple buffer: Add appends packed (key, value) pairs
 // to flat slices, and Build radix-sorts by key, coalesces duplicates in
 // place, and compiles the DCSR arrays directly. Build resets the builder
-// but retains every internal buffer, so a long-lived builder (one per
-// engine shard) allocates nothing per leaf at
-// steady state beyond the published Matrix itself. Builders are not safe
-// for concurrent use; the hierarchical accumulator gives each goroutine
-// its own.
+// but retains every internal buffer, so a long-lived builder allocates
+// nothing per build at steady state beyond the published Matrix itself.
+// Builders are not safe for concurrent use.
 type Builder struct {
 	keys []uint64  // packed (row, col), in arrival order until Build
 	vals []float64 // parallel to keys
@@ -160,17 +159,10 @@ func (b *Builder) Add(row, col uint32, v float64) {
 	b.vals = append(b.vals, v)
 }
 
-// Len reports the number of triples appended since the last Build or
-// reset. Duplicate (row, col) pairs are coalesced only at Build time, so
-// this is an upper bound on the NNZ of the matrix Build will produce.
+// Len reports the number of triples appended since the last Build.
+// Duplicate (row, col) pairs are coalesced only at Build time, so this
+// is an upper bound on the NNZ of the matrix Build will produce.
 func (b *Builder) Len() int { return len(b.keys) }
-
-// reset discards any accumulated triples while retaining the builder's
-// buffers for reuse.
-func (b *Builder) reset() {
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
-}
 
 // Build compiles the accumulated triples into a published Matrix and
 // resets the builder, retaining its buffers. The only allocations are
@@ -194,9 +186,19 @@ func (b *Builder) Build() *Matrix {
 		keys[u], vals[u] = k, v
 		u++
 	}
-	// Count distinct rows so every output array is exact-size.
+	b.keys = b.keys[:0]
+	b.vals = b.vals[:0]
+	return compile(keys[:u], vals[:u])
+}
+
+// compile publishes sorted distinct packed keys and their values as a
+// DCSR matrix of exact-size arrays.
+func compile(keys []uint64, vals []float64) *Matrix {
+	if len(keys) == 0 {
+		return &Matrix{}
+	}
 	r := 1
-	for i := 1; i < u; i++ {
+	for i := 1; i < len(keys); i++ {
 		if keys[i]>>32 != keys[i-1]>>32 {
 			r++
 		}
@@ -204,21 +206,17 @@ func (b *Builder) Build() *Matrix {
 	m := &Matrix{
 		rows:   make([]uint32, 0, r),
 		rowPtr: make([]int64, 0, r+1),
-		cols:   make([]uint32, u),
-		vals:   make([]float64, u),
+		cols:   make([]uint32, len(keys)),
+		vals:   append([]float64(nil), vals...),
 	}
-	var lastRow uint32
-	for i := 0; i < u; i++ {
-		row := uint32(keys[i] >> 32)
-		if i == 0 || row != lastRow {
+	for i, k := range keys {
+		row := uint32(k >> 32)
+		if i == 0 || row != uint32(keys[i-1]>>32) {
 			m.rows = append(m.rows, row)
 			m.rowPtr = append(m.rowPtr, int64(i))
-			lastRow = row
 		}
-		m.cols[i] = uint32(keys[i])
-		m.vals[i] = vals[i]
+		m.cols[i] = uint32(k)
 	}
-	m.rowPtr = append(m.rowPtr, int64(u))
-	b.reset()
+	m.rowPtr = append(m.rowPtr, int64(len(keys)))
 	return m
 }

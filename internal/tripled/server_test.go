@@ -344,10 +344,10 @@ func TestPipelineRejectsTabs(t *testing.T) {
 }
 
 // TestFetchAssocTableAllocations is the alloc gate on the slab-wise
-// fetch: FetchAssoc of a numeric table allocates, per row, the row's
-// key string off the wire and nothing for the table — a page's cells
-// are one slab and its rows' headers another, and the row map grows a
-// few dozen times in all. The pages are a canned reply, so that the
+// fetch: FetchAssoc of a numeric table allocates nothing per row — a
+// page's row keys are cut from one string, its cells are one slab and
+// its rows' headers another, and the row map grows a few dozen times in
+// all. The pages are a canned reply, so that the
 // count is the client's and not also an in-process server's.
 func TestFetchAssocTableAllocations(t *testing.T) {
 	if testkit.RaceEnabled {
@@ -373,7 +373,7 @@ func TestFetchAssocTableAllocations(t *testing.T) {
 		if err != nil || back.NNZ() != rows || !back.HasRow("10.0.7.7") {
 			t.Fatalf("fetched %v, %v", back, err)
 		}
-	})/rows - 1 // less the key string
+	}) / rows
 	t.Logf("%.3f table allocations per fetched row", perRow)
 	if perRow > 0.05 {
 		t.Errorf("FetchAssoc costs the table %.3f allocations per row, want <= 0.05", perRow)
