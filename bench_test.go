@@ -390,7 +390,7 @@ func anonymizedLeaves(b *testing.B, leafSize, n int) []*hypersparse.Matrix {
 	anon := cryptopan.NewFromPassphrase(cfg.AnonPassphrase)
 	dark := cfg.Radiation.Darkspace
 	walk := anon.Within(dark)
-	builder := hypersparse.NewBuilder(leafSize)
+	acc := hypersparse.NewAccumulator(leafSize)
 	slab := make([]pcap.Packet, leafSize)
 	srcs := make([]ipaddr.Addr, 0, leafSize)
 	dsts := make([]ipaddr.Addr, 0, leafSize)
@@ -412,9 +412,9 @@ func anonymizedLeaves(b *testing.B, leafSize, n int) []*hypersparse.Matrix {
 		anon.AnonymizeBatch(srcs)
 		walk.AnonymizeBatch(dsts)
 		for i := range srcs {
-			builder.Add(uint32(srcs[i]), uint32(dsts[i]), 1)
+			acc.Add(uint32(srcs[i]), uint32(dsts[i])) // the last add cuts the leaf
 		}
-		leaves = append(leaves, builder.Build())
+		leaves = append(leaves, acc.Finish())
 	}
 	return leaves
 }
@@ -440,8 +440,9 @@ func BenchmarkNetquantFused(b *testing.B) {
 	b.ReportMetric(q.ValidPackets, "NV")
 }
 
-// BenchmarkHierarchicalSum (ablation A1) compares the log-depth parallel
-// merge against the flat single-builder baseline across leaf sizes.
+// BenchmarkHierarchicalSum (ablation A1) compares HierSum's k-way merge
+// against the flat baseline: one FromEntries over every leaf's entries,
+// gathered into a slice allocated once.
 func BenchmarkHierarchicalSum(b *testing.B) {
 	cfg := radiation.DefaultConfig()
 	cfg.NumSources = 40000
@@ -458,9 +459,22 @@ func BenchmarkHierarchicalSum(b *testing.B) {
 		}
 	})
 	b.Run("flat", func(b *testing.B) {
+		n := 0
+		for _, l := range leaves {
+			n += l.NNZ()
+		}
+		es := make([]hypersparse.Entry, 0, n)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			hypersparse.FlatSum(leaves)
+			es = es[:0]
+			for _, l := range leaves {
+				l.Iterate(func(e hypersparse.Entry) bool {
+					es = append(es, e)
+					return true
+				})
+			}
+			hypersparse.FromEntries(es)
 		}
 	})
 }
@@ -469,14 +483,14 @@ func buildLeaves(b *testing.B, pop *radiation.Population, leafSize int) []*hyper
 	b.Helper()
 	st := pop.TelescopeStream(4.5, time.Unix(0, 0))
 	var leaves []*hypersparse.Matrix
-	builder := hypersparse.NewBuilder(leafSize)
+	acc := hypersparse.NewAccumulator(leafSize)
 	n := 0
 	pkt := new(pcap.Packet)
 	for st.Next(pkt) && len(leaves) < 16 {
-		builder.Add(uint32(pkt.Src), uint32(pkt.Dst), 1)
+		acc.Add(uint32(pkt.Src), uint32(pkt.Dst))
 		n++
 		if n == leafSize {
-			leaves = append(leaves, builder.Build())
+			leaves = append(leaves, acc.Finish()) // the one cut leaf itself
 			n = 0
 		}
 	}

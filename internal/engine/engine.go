@@ -417,7 +417,6 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, began time.Time, ta
 	pairsBuf := e.getPairs()
 	pairs := *pairsBuf
 	drops := 0
-	ingested := 0
 	var busy, wait time.Duration
 	idle := began // when this shard last ran out of work
 	for t := range tasks {
@@ -450,7 +449,6 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, began time.Time, ta
 			for _, p := range pairs[:kept] {
 				acc.Add(p.Row, p.Col)
 			}
-			ingested += kept
 		}
 		idle = time.Now()
 		busy += idle.Sub(start)
@@ -467,9 +465,6 @@ func (e *Engine) shardWorker(ctx context.Context, shard int, began time.Time, ta
 	}
 	wait += time.Since(idle)
 	leaves := acc.Leaves()
-	if ingested%e.cfg.LeafSize != 0 {
-		leaves++ // partial tail leaf
-	}
 	results <- shardResult{shard: shard, matrix: acc.Finish(), leaves: leaves, drops: drops, busy: busy, wait: wait}
 }
 

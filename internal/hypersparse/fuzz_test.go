@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzBuilderDifferential feeds arbitrary triple streams through the
-// radix builder, the packet-counting Accumulator and the pooled k-way
+// FuzzBuilderDifferential feeds arbitrary triple streams through
+// FromEntries, the packet-counting Accumulator and the pooled k-way
 // merge and diffs them against the retained map-builder oracle,
 // including the split-into-leaves path the engine exercises (summing the
 // per-leaf matrices must equal building the whole stream at once) and

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/pool"
 	"repro/internal/radix"
@@ -13,18 +12,16 @@ import (
 // hier.go implements the hierarchical summation of leaf matrices into a
 // window matrix. The paper's pipeline aggregates NV = 2^17 valid packets
 // into each leaf GraphBLAS matrix and hierarchically sums 2^13 of them to
-// form an NV = 2^30 window; the same structure here yields log-depth
-// merges and near-linear parallel speedup.
+// form an NV = 2^30 window. Here each engine shard's Accumulator sums
+// its own leaves and HierSum sums the shards, each level one k-way merge.
 
 // HierSum sums the given matrices and returns the total. nil entries
 // are treated as empty. workers <= 0 uses GOMAXPROCS.
 //
-// The reduction is a two-level pooled k-way merge: the leaves are split
-// into up to `workers` contiguous groups, each group is heap-merged into
-// a pooled scratch matrix concurrently, and the group results are merged
-// into the final matrix by sumByRows — in up to `workers` row ranges at
-// once. All intermediate storage comes from a sync.Pool and is retained
-// across windows, so a warm window sum performs O(1) allocations (the
+// Every input is merged once, by sumByRows: one pooled k-way merge, or
+// up to `workers` of them over row ranges when the inputs are large.
+// The merge scratch comes from a sync.Pool and is retained across
+// windows, so a warm window sum performs O(1) allocations (the
 // published result and the goroutine bookkeeping) instead of the
 // O(levels·nnz) of an allocate-per-merge binary tree.
 //
@@ -48,42 +45,14 @@ func HierSum(leaves []*Matrix, workers int) *Matrix {
 	case 1:
 		return cur[0]
 	}
-
-	groups := min(workers, (len(cur)+1)/2)
-	if groups <= 1 {
-		return sumByRows(cur, workers)
-	}
-
-	// Level 1: each group k-way-merges its contiguous slice of leaves
-	// into its own pooled scratch. Bounds follow the balanced split
-	// lo(g) = g*len/groups, so every group is non-empty.
-	parts := make([]*mergeScratch, groups)
-	partMats := make([]*Matrix, groups)
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		lo := g * len(cur) / groups
-		hi := (g + 1) * len(cur) / groups
-		parts[g] = scratchPool.Get().(*mergeScratch)
-		partMats[g] = &parts[g].m
-		wg.Add(1)
-		go func(s *mergeScratch, chunk []*Matrix) {
-			defer wg.Done()
-			sumInto(s, &s.m, chunk)
-		}(parts[g], cur[lo:hi])
-	}
-	wg.Wait()
-
-	// Level 2: merge the group results and publish.
-	out := sumByRows(partMats, workers)
-	for _, p := range parts {
-		scratchPool.Put(p)
-	}
-	return out
+	return sumByRows(cur, workers)
 }
 
 // rowPartMin is the fewest stored entries worth a row range of their
-// own in sumByRows.
-const rowPartMin = 1 << 15
+// own in sumByRows. At 2^14, sixteen 2^12-packet leaves (about 60 k
+// entries) merge in two ranges on two workers in a quarter less time
+// than in one.
+const rowPartMin = 1 << 14
 
 // sumByRows k-way-merges the (non-empty) matrices and publishes the sum
 // into fresh exact-size arrays. Large inputs are cut into up to workers
@@ -91,9 +60,8 @@ const rowPartMin = 1 << 15
 // ranges are merged concurrently, each into its own pooled scratch, and
 // copied side by side into the result. A row lies in exactly one range
 // and is merged there from the same cells a single merge would add, so
-// the sum of counts (values that add exactly in any order, as HierSum's
-// grouping already assumes) is identical for every worker count; one
-// range is that single merge.
+// the sum of counts (values that add exactly in any order) is identical
+// for every worker count; one range is that single merge.
 func sumByRows(mats []*Matrix, workers int) *Matrix {
 	nnz := 0
 	big := mats[0]
@@ -123,6 +91,7 @@ func sumByRows(mats []*Matrix, workers int) *Matrix {
 	_ = pool.Each(context.Background(), ranges, ranges, func(_ context.Context, r int) error {
 		// A view shares its matrix's cols and vals: rowPtr offsets are
 		// absolute, so slicing rows and rowPtr is all a row range takes.
+		views := make([]Matrix, len(mats))
 		in := make([]*Matrix, len(mats))
 		for i, m := range mats {
 			lo := sort.Search(len(m.rows), func(j int) bool { return m.rows[j] >= cuts[r] })
@@ -130,7 +99,8 @@ func sumByRows(mats []*Matrix, workers int) *Matrix {
 			if r+1 < ranges {
 				hi = sort.Search(len(m.rows), func(j int) bool { return m.rows[j] >= cuts[r+1] })
 			}
-			in[i] = &Matrix{rows: m.rows[lo:hi], rowPtr: m.rowPtr[lo : hi+1], cols: m.cols, vals: m.vals}
+			views[i] = Matrix{rows: m.rows[lo:hi], rowPtr: m.rowPtr[lo : hi+1], cols: m.cols, vals: m.vals}
+			in[i] = &views[i]
 		}
 		parts[r] = scratchPool.Get().(*mergeScratch)
 		sumInto(parts[r], &parts[r].m, in)
@@ -172,7 +142,7 @@ func sumByRows(mats []*Matrix, workers int) *Matrix {
 //
 // A leaf is built from its packed (row, col) keys alone: they are
 // radix-sorted, each run of equal keys becomes one cell holding the
-// run's length, and the cells compile to DCSR as Builder.Build's do.
+// run's length, and the cells compile to DCSR as FromEntries' do.
 type Accumulator struct {
 	leafSize int
 	keys     []uint64  // packed (row, col) of the open leaf, in arrival order
@@ -222,8 +192,14 @@ func (a *Accumulator) cut() {
 	a.keys = a.keys[:0]
 }
 
-// Leaves reports how many leaf matrices have been cut so far.
-func (a *Accumulator) Leaves() int { return len(a.leaves) }
+// Leaves reports how many leaves Finish will sum: those cut so far,
+// plus the open one when it holds packets.
+func (a *Accumulator) Leaves() int {
+	if len(a.keys) > 0 {
+		return len(a.leaves) + 1
+	}
+	return len(a.leaves)
+}
 
 // Finish cuts any partial leaf and returns the hierarchical sum. The
 // accumulator is reset and reusable afterwards; it retains its key
@@ -251,27 +227,4 @@ func (a *Accumulator) Discard() {
 		a.leaves[i] = nil
 	}
 	a.leaves = a.leaves[:0]
-}
-
-// FlatSum is the non-hierarchical baseline: it accumulates every entry of
-// every leaf into a single builder. Used by the A1 ablation bench to
-// quantify what the merge tree buys.
-func FlatSum(leaves []*Matrix) *Matrix {
-	n := 0
-	for _, l := range leaves {
-		if l != nil {
-			n += l.NNZ()
-		}
-	}
-	b := NewBuilder(n)
-	for _, l := range leaves {
-		if l == nil {
-			continue
-		}
-		l.Iterate(func(e Entry) bool {
-			b.Add(e.Row, e.Col, e.Val)
-			return true
-		})
-	}
-	return b.Build()
 }

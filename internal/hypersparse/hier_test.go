@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// flatSum is HierSum's flat oracle: one FromEntries over every leaf's
+// entries.
+func flatSum(leaves []*Matrix) *Matrix {
+	var es []Entry
+	for _, l := range leaves {
+		if l != nil {
+			es = append(es, l.Entries()...)
+		}
+	}
+	return FromEntries(es)
+}
+
 func TestHierSumMatchesFlat(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -14,7 +26,7 @@ func TestHierSumMatchesFlat(t *testing.T) {
 		for i := range leaves {
 			leaves[i] = FromEntries(randomEntries(rng, 200, 50, 50))
 		}
-		return Equal(HierSum(leaves, 4), FlatSum(leaves))
+		return Equal(HierSum(leaves, 4), flatSum(leaves))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -40,18 +52,20 @@ func TestHierSumOddLeafCount(t *testing.T) {
 	for i := range leaves {
 		leaves[i] = FromEntries(randomEntries(rng, 100, 30, 30))
 	}
-	if !Equal(HierSum(leaves, 3), FlatSum(leaves)) {
+	if !Equal(HierSum(leaves, 3), flatSum(leaves)) {
 		t.Error("odd leaf count mis-merged")
 	}
 }
 
+// TestHierSumWorkerCounts: sixteen leaves of rowPartMin/2 entries, so
+// every worker count above one, GOMAXPROCS's included, cuts row ranges.
 func TestHierSumWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	leaves := make([]*Matrix, 16)
 	for i := range leaves {
-		leaves[i] = FromEntries(randomEntries(rng, 300, 64, 64))
+		leaves[i] = FromEntries(randomEntries(rng, rowPartMin/2, 1<<16, 1<<12))
 	}
-	want := FlatSum(leaves)
+	want := flatSum(leaves)
 	for _, w := range []int{-1, 0, 1, 2, 8, 64} {
 		if !Equal(HierSum(leaves, w), want) {
 			t.Errorf("workers=%d produced a different sum", w)
@@ -59,41 +73,44 @@ func TestHierSumWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSumByRowsWorkerSweep: the last merge cut into row ranges equals
-// the single merge — shard-sized inputs with a few very heavy rows (a
-// cut may not split a row), every worker count. Three inputs of counts,
-// which add exactly in any order, and two of fractions, which two-way
-// row merges add in one order only; HierSum over the counts agrees too.
+// TestSumByRowsWorkerSweep: the merge cut into row ranges equals the
+// single merge — shard-sized inputs with a few very heavy rows (a cut
+// may not split a row), every worker count. Two inputs of fractions,
+// which two-way row merges add in one order only, against the single
+// merge; two to eight inputs of counts, which add exactly in any order,
+// against the flat sum.
 func TestSumByRowsWorkerSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	for _, fractional := range []bool{false, true} {
-		mats := make([]*Matrix, 3)
-		if fractional {
-			mats = mats[:2]
-		}
-		for i := range mats {
-			es := randomEntries(rng, 3*rowPartMin, 1<<16, 1<<12)
-			for j := range es {
-				if j%3 == 0 {
-					es[j].Row = uint32(j % 5) // five rows hold a third of the entries
-				}
-				if fractional {
-					es[j].Val = rng.Float64()
-				}
+	shard := func(fractional bool) *Matrix {
+		es := randomEntries(rng, 3*rowPartMin, 1<<16, 1<<12)
+		for j := range es {
+			if j%3 == 0 {
+				es[j].Row = uint32(j % 5) // five rows hold a third of the entries
 			}
-			mats[i] = FromEntries(es)
+			if fractional {
+				es[j].Val = rng.Float64()
+			}
 		}
-		want := sumByRows(mats, 1)
-		if !fractional && !Equal(want, FlatSum(mats)) {
-			t.Fatal("single merge differs from the flat sum")
+		return FromEntries(es)
+	}
+	fracs := []*Matrix{shard(true), shard(true)}
+	want := sumByRows(fracs, 1)
+	for _, workers := range []int{2, 3, 5, 8, 64} {
+		got := sumByRows(fracs, workers)
+		if !Equal(got, want) || got.rowPtr[len(got.rows)] != int64(len(got.cols)) {
+			t.Errorf("fractions: %d row ranges differ from the single merge", workers)
 		}
-		for _, workers := range []int{2, 3, 5, 8, 64} {
-			got := sumByRows(mats, workers)
+	}
+	counts := make([]*Matrix, 8)
+	for i := range counts {
+		counts[i] = shard(false)
+	}
+	for k := 2; k <= len(counts); k++ {
+		want := flatSum(counts[:k])
+		for _, workers := range []int{1, 2, 3, 5, 8} {
+			got := HierSum(counts[:k], workers)
 			if !Equal(got, want) || got.rowPtr[len(got.rows)] != int64(len(got.cols)) {
-				t.Errorf("fractional=%v: %d row ranges differ from the single merge", fractional, workers)
-			}
-			if !fractional && !Equal(HierSum(mats, workers), want) {
-				t.Errorf("HierSum on %d workers differs from the single merge", workers)
+				t.Errorf("%d shards of counts: HierSum on %d workers differs from the flat sum", k, workers)
 			}
 		}
 	}
@@ -107,8 +124,8 @@ func TestAccumulatorPreservesTotal(t *testing.T) {
 	for i := 0; i < n; i++ {
 		acc.Add(rng.Uint32()%100, rng.Uint32()%100)
 	}
-	if acc.Leaves() != n/64 {
-		t.Errorf("Leaves() = %d, want %d full leaves", acc.Leaves(), n/64)
+	if acc.Leaves() != n/64+1 {
+		t.Errorf("Leaves() = %d, want %d full leaves and the open tail", acc.Leaves(), n/64+1)
 	}
 	m := acc.Finish()
 	if m.Sum() != n {
@@ -120,14 +137,12 @@ func TestAccumulatorMatchesDirectBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	es := randomEntries(rng, 2000, 80, 80)
 	acc := NewAccumulator(97) // deliberately non-divisor leaf size
-	b := NewBuilder(0)
 	for _, e := range es {
 		for range int(e.Val) { // e.Val packets
 			acc.Add(e.Row, e.Col)
 		}
-		b.Add(e.Row, e.Col, e.Val)
 	}
-	if !Equal(acc.Finish(), b.Build()) {
+	if !Equal(acc.Finish(), FromEntries(es)) {
 		t.Error("accumulator result differs from direct build")
 	}
 }
@@ -166,28 +181,5 @@ func BenchmarkHierSum16Leaves(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		HierSum(leaves, 0)
-	}
-}
-
-func BenchmarkFlatSum16Leaves(b *testing.B) {
-	rng := rand.New(rand.NewSource(30))
-	leaves := make([]*Matrix, 16)
-	for i := range leaves {
-		leaves[i] = FromEntries(randomEntries(rng, 1<<14, 1<<16, 1<<16))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FlatSum(leaves)
-	}
-}
-
-func BenchmarkBuilderAdd(b *testing.B) {
-	bld := NewBuilder(b.N)
-	rng := rand.New(rand.NewSource(31))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bld.Add(rng.Uint32()%(1<<20), rng.Uint32()%(1<<20), 1)
 	}
 }

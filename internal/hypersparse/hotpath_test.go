@@ -11,13 +11,13 @@ import (
 )
 
 // hotpath_test.go pins the zero-allocation hot path: differential
-// property tests of the radix builder and pooled k-way merges against
+// property tests of FromEntries and the pooled k-way merges against
 // the map-builder oracle, AllocsPerRun regression gates, the
 // pooled-buffer escape test, and the >= 2x window-build speedup gate the
 // PR's performance claim rests on.
 
-// mapBuilder is the map-based assembler the radix Builder replaced: the
-// oracle the radix path is verified and timed against.
+// mapBuilder is the map-based assembler the radix build replaced: the
+// oracle FromEntries and the Accumulator are verified and timed against.
 type mapBuilder struct {
 	m map[uint64]float64
 }
@@ -196,22 +196,6 @@ func TestRadixBuilderMatchesMapOracle(t *testing.T) {
 		if !Equal(got, want) {
 			t.Fatalf("trial %d (n=%d rows<%d cols<%d): radix build diverges from oracle",
 				trial, n, rowSpace, colSpace)
-		}
-	}
-}
-
-func TestBuilderReuseProducesIdenticalMatrices(t *testing.T) {
-	// One retained builder vs a fresh builder per leaf: identical output.
-	b := NewBuilder(0)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		es := randomEntries(rng, 500, 1000, 1000)
-		for _, e := range es {
-			b.Add(e.Row, e.Col, e.Val)
-		}
-		got := b.Build()
-		if !Equal(got, FromEntries(es)) {
-			t.Fatalf("trial %d: reused builder diverges from fresh builder", trial)
 		}
 	}
 }
@@ -419,25 +403,13 @@ func TestColScanMatchesOracle(t *testing.T) {
 }
 
 // allocGates are the steady-state allocation budgets of the hot path.
-// Leaf build allocates exactly the published matrix (5 objects), on the
-// general Builder and on the Accumulator's packet count alike; the warm
-// merge and reduction paths allocate nothing.
+// The Accumulator's counted leaf allocates exactly the published matrix
+// (5 objects); the warm merge and reduction paths allocate nothing.
 func TestSteadyStateAllocGates(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
 	}
 	es := windowEntries(5, 4, 4096)
-	b := NewBuilder(len(es[0]))
-	leafBuild := func() {
-		for _, e := range es[0] {
-			b.Add(e.Row, e.Col, e.Val)
-		}
-		b.Build()
-	}
-	leafBuild() // warm the builder's buffers
-	if got := testing.AllocsPerRun(20, leafBuild); got > 8 {
-		t.Errorf("steady-state leaf build: %.1f allocs/op, gate is 8", got)
-	}
 	acc := NewAccumulator(len(es[0]))
 	leafCount := func() {
 		for _, e := range es[0] {
@@ -558,7 +530,7 @@ func TestWindowBuildSpeedup(t *testing.T) {
 	// `go test ./...`) then lands on both sides of the ratio, not one.
 	// The reference's garbage triggers collections that empty the hot
 	// path's pools, so each hot sample is preceded by an untimed run that
-	// warms pools and builder again: the gate is on the steady state.
+	// warms pools and accumulator again: the gate is on the steady state.
 	refTime, hotTime := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	for i := 0; i < 6; i++ {
 		refTime = min(refTime, timed(reference))

@@ -30,7 +30,7 @@ type Entry struct {
 //
 // # Ownership and aliasing contract
 //
-// A Matrix returned by Build, FromEntries or HierSum is
+// A Matrix returned by FromEntries, an Accumulator or HierSum is
 // "published": it is immutable from that point on and may be shared
 // freely across goroutines. Published matrices may alias each other's
 // storage — HierSum returns an operand unchanged when every other
@@ -40,9 +40,10 @@ type Entry struct {
 // The one exception is the scratch destination of the k-way merge
 // (sumInto): its storage is owned by the merge, is rewritten on every
 // call, and must not be published (retained, shared, or returned) while
-// it can still be reused. HierSum always copies pooled scratch into a
-// fresh published Matrix before handing it out, so no pooled buffer
-// ever escapes through the aliasing shortcut above.
+// it can still be reused. HierSum merges each row range into pooled
+// scratch and copies the ranges side by side into a fresh published
+// Matrix, so no pooled buffer ever escapes through the aliasing
+// shortcut above.
 type Matrix struct {
 	rows   []uint32  // sorted distinct non-empty row ids
 	rowPtr []int64   // len(rows)+1 offsets into cols/vals
@@ -114,82 +115,32 @@ func (m *Matrix) String() string {
 		m.NRows(), m.NNZ(), m.Sum())
 }
 
-// FromEntries builds a matrix from triples, summing duplicates. The input
-// slice is not retained.
+// FromEntries builds a matrix from triples, summing duplicates: the
+// packed keys are radix-sorted with their values, each run of equal keys
+// becomes one cell holding the run's sum in input order, and the cells
+// compile to DCSR. The input slice is not retained. The engine's leaves
+// hold unit packet counts and take the keys-only path of Accumulator
+// instead.
 func FromEntries(entries []Entry) *Matrix {
-	b := NewBuilder(len(entries))
-	for _, e := range entries {
-		b.Add(e.Row, e.Col, e.Val)
+	n := len(entries)
+	keys := make([]uint64, n)
+	vals := make([]float64, n)
+	for i, e := range entries {
+		keys[i], vals[i] = key(e.Row, e.Col), e.Val
 	}
-	return b.Build()
-}
-
-// Builder accumulates (row, col, value) triples with duplicate summing,
-// then compiles them into an immutable Matrix: the general
-// build-from-tuples step behind FromEntries, PermuteFunc and FlatSum.
-// The engine's leaves hold unit packet counts and take the keys-only
-// path of Accumulator instead.
-//
-// The builder is a triple buffer: Add appends packed (key, value) pairs
-// to flat slices, and Build radix-sorts by key, coalesces duplicates in
-// place, and compiles the DCSR arrays directly. Build resets the builder
-// but retains every internal buffer, so a long-lived builder allocates
-// nothing per build at steady state beyond the published Matrix itself.
-// Builders are not safe for concurrent use.
-type Builder struct {
-	keys []uint64  // packed (row, col), in arrival order until Build
-	vals []float64 // parallel to keys
-	kbuf []uint64  // radix scratch, retained across Build calls
-	vbuf []float64 // radix scratch, retained across Build calls
-}
-
-// NewBuilder returns a Builder with capacity hint n.
-func NewBuilder(n int) *Builder {
-	return &Builder{
-		keys: make([]uint64, 0, n),
-		vals: make([]float64, 0, n),
-	}
-}
-
-func key(row, col uint32) uint64 { return uint64(row)<<32 | uint64(col) }
-
-// Add accumulates v at (row, col).
-func (b *Builder) Add(row, col uint32, v float64) {
-	b.keys = append(b.keys, key(row, col))
-	b.vals = append(b.vals, v)
-}
-
-// Len reports the number of triples appended since the last Build.
-// Duplicate (row, col) pairs are coalesced only at Build time, so this
-// is an upper bound on the NNZ of the matrix Build will produce.
-func (b *Builder) Len() int { return len(b.keys) }
-
-// Build compiles the accumulated triples into a published Matrix and
-// resets the builder, retaining its buffers. The only allocations are
-// the exact-size arrays of the returned matrix.
-func (b *Builder) Build() *Matrix {
-	n := len(b.keys)
-	if n == 0 {
-		return &Matrix{}
-	}
-	b.kbuf = radix.Grow(b.kbuf, n)
-	b.vbuf = radix.Grow(b.vbuf, n)
-	keys, vals := radix.SortPairs(b.keys, b.vals, b.kbuf, b.vbuf)
-
-	// Coalesce duplicate keys in place, summing values.
+	keys, vals = radix.SortPairs(keys, vals, make([]uint64, n), make([]float64, n))
 	u := 0
-	for i := 0; i < n; {
+	for i := 0; i < n; u++ {
 		k, v := keys[i], vals[i]
 		for i++; i < n && keys[i] == k; i++ {
 			v += vals[i]
 		}
 		keys[u], vals[u] = k, v
-		u++
 	}
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
 	return compile(keys[:u], vals[:u])
 }
+
+func key(row, col uint32) uint64 { return uint64(row)<<32 | uint64(col) }
 
 // compile publishes sorted distinct packed keys and their values as a
 // DCSR matrix of exact-size arrays.

@@ -42,14 +42,7 @@ func TestEmptyMatrix(t *testing.T) {
 }
 
 func TestBuilderSumsDuplicates(t *testing.T) {
-	b := NewBuilder(0)
-	b.Add(7, 9, 1)
-	b.Add(7, 9, 2)
-	b.Add(7, 10, 5)
-	if b.Len() != 3 { // appended triples; duplicates coalesce at Build
-		t.Fatalf("Len() = %d, want 3", b.Len())
-	}
-	m := b.Build()
+	m := FromEntries([]Entry{{7, 9, 1}, {7, 9, 2}, {7, 10, 5}})
 	if got := m.At(7, 9); got != 3 {
 		t.Errorf("At(7,9) = %g, want 3", got)
 	}
@@ -61,28 +54,11 @@ func TestBuilderSumsDuplicates(t *testing.T) {
 	}
 }
 
-func TestBuilderResetAfterBuild(t *testing.T) {
-	b := NewBuilder(0)
-	b.Add(1, 1, 1)
-	first := b.Build()
-	b.Add(2, 2, 2)
-	second := b.Build()
-	if first.NNZ() != 1 || second.NNZ() != 1 {
-		t.Fatal("builder state leaked across Build calls")
-	}
-	if second.At(1, 1) != 0 {
-		t.Error("second build contains first build's entry")
-	}
-}
-
 func TestPaperExampleEntry(t *testing.T) {
 	// "3 packets from IPv4 source 1.1.1.1 to IPv4 destination 2.2.2.2
 	//  would be represented as At(16843009, 33686018) = 3.0"
-	b := NewBuilder(1)
-	for i := 0; i < 3; i++ {
-		b.Add(16843009, 33686018, 1)
-	}
-	m := b.Build()
+	one := Entry{Row: 16843009, Col: 33686018, Val: 1}
+	m := FromEntries([]Entry{one, one, one})
 	if got := m.At(16843009, 33686018); got != 3.0 {
 		t.Errorf("At(16843009, 33686018) = %g, want 3.0", got)
 	}
@@ -161,13 +137,13 @@ func TestSumInvariantUnderDuplication(t *testing.T) {
 		es := randomEntries(rng, 500, 64, 64)
 		whole := FromEntries(es)
 		// split each entry into unit triples
-		b := NewBuilder(0)
+		var units []Entry
 		for _, e := range es {
 			for k := 0; k < int(e.Val); k++ {
-				b.Add(e.Row, e.Col, 1)
+				units = append(units, Entry{Row: e.Row, Col: e.Col, Val: 1})
 			}
 		}
-		split := b.Build()
+		split := FromEntries(units)
 		return whole.Sum() == split.Sum() && Equal(whole, split)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

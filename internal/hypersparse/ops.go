@@ -53,12 +53,11 @@ func (m *Matrix) RowSums() *Vector {
 // anonymizer). Row and column spaces are mapped with the same function,
 // matching anonymization of IP addresses.
 func (m *Matrix) PermuteFunc(fn func(uint32) uint32) *Matrix {
-	b := NewBuilder(m.NNZ())
-	m.Iterate(func(e Entry) bool {
-		b.Add(fn(e.Row), fn(e.Col), e.Val)
-		return true
-	})
-	return b.Build()
+	es := m.Entries()
+	for i := range es {
+		es[i].Row, es[i].Col = fn(es[i].Row), fn(es[i].Col)
+	}
+	return FromEntries(es)
 }
 
 // Equal reports whether two matrices hold exactly the same entries.

@@ -8,11 +8,11 @@ import (
 // vectorOf returns the row sums of a one-column matrix holding m: the
 // only way a Vector is made.
 func vectorOf(m map[uint32]float64) *Vector {
-	b := NewBuilder(len(m))
+	es := make([]Entry, 0, len(m))
 	for id, v := range m {
-		b.Add(id, 0, v)
+		es = append(es, Entry{Row: id, Val: v})
 	}
-	return b.Build().RowSums()
+	return FromEntries(es).RowSums()
 }
 
 func TestVectorFromMapSorted(t *testing.T) {
