@@ -82,7 +82,7 @@ func main() {
 	})
 	fmt.Printf("researcher flags %d bright anonymized sources; operator resolves:\n", len(bright))
 	for _, row := range bright[:min(8, len(bright))] {
-		orig := tel.Deanonymize(ipaddr.MustParse(row))
+		orig := key.Deanonymize(ipaddr.MustParse(row))
 		shipped, _ := received.Get(row, "packets")
 		own, _ := sources.Get(orig.String(), "packets")
 		fmt.Printf("  %v -> %v (%.0f packets, source table %.0f)\n", row, orig, shipped.Num, own.Num)

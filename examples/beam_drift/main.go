@@ -28,7 +28,7 @@ func main() {
 	}
 
 	snap := res.Study.Snapshots[0]
-	fmt.Printf("snapshot %s (month %.1f), %d sources\n\n", snap.Label, snap.Month, snap.Sources.NRows())
+	fmt.Printf("snapshot %s (month %.1f), %d sources\n\n", snap.Label, snap.Month, len(snap.Addrs()))
 
 	for _, band := range []int{2, 5, 8} {
 		series, err := res.Frozen().Temporal(0, band)

@@ -367,8 +367,8 @@ func (p *Pipeline) IngestMonth(db tripled.Conn, m int) (correlate.MonthData, err
 }
 
 // IngestSnapshot is the other incremental unit: capture one telescope
-// window at ts on the pipeline's telescope and reduce it to the D4M
-// source table — the snapshot unit the batch scheduler runs. db may be
+// window at ts on the pipeline's telescope and reduce it to its banded
+// source set — the snapshot unit the batch scheduler runs. db may be
 // nil for an in-memory study. Not safe for concurrent use (one
 // telescope runs one capture at a time).
 func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
@@ -377,9 +377,9 @@ func (p *Pipeline) IngestSnapshot(ctx context.Context, db tripled.Conn, ts time.
 
 // snapshot is the one snapshot unit of work, whoever runs it — the
 // daemon on the pipeline's telescope, a scheduler worker on its own:
-// capture the window at ts on tel, reduce it to the
-// source table and, with a store, publish that table and read back
-// what the store holds.
+// capture the window at ts on tel and band its sources' addresses and
+// packet counts (correlate.NewSnapshot). With a store the unit publishes
+// the window's source table and bands the pairs it reads back.
 func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tripled.Conn, ts time.Time) (*telescope.Window, correlate.Snapshot, error) {
 	monthFrac := p.cfg.MonthOf(ts)
 	stream := p.pop.TelescopeStream(monthFrac, ts)
@@ -392,19 +392,16 @@ func (p *Pipeline) snapshot(ctx context.Context, tel *telescope.Telescope, db tr
 			ts, w.NV, p.cfg.NV)
 	}
 	label := snapshotLabel(ts)
-	sources := tel.SourceTable(w)
-	if db != nil {
-		if err := telescope.PublishSources(db, label, sources); err != nil {
-			return nil, correlate.Snapshot{}, fmt.Errorf("core: publish snapshot %s: %w", label, err)
-		}
-		if sources, err = telescope.FetchSourceTable(db, label); err != nil {
-			return nil, correlate.Snapshot{}, fmt.Errorf("core: fetch snapshot %s: %w", label, err)
-		}
+	if db == nil {
+		addrs, packets := tel.SourcePackets(w)
+		return w, correlate.NewSnapshot(label, monthFrac, p.cfg.NV, addrs, packets), nil
 	}
-	return w, correlate.Snapshot{
-		Label:   label,
-		Month:   monthFrac,
-		NV:      p.cfg.NV,
-		Sources: sources,
-	}, nil
+	if err := tel.PublishSourceTable(db, label, w); err != nil {
+		return nil, correlate.Snapshot{}, fmt.Errorf("core: publish snapshot %s: %w", label, err)
+	}
+	addrs, packets, err := telescope.FetchSourcePackets(db, label)
+	if err != nil {
+		return nil, correlate.Snapshot{}, fmt.Errorf("core: fetch snapshot %s: %w", label, err)
+	}
+	return w, correlate.NewSnapshot(label, monthFrac, p.cfg.NV, addrs, packets), nil
 }

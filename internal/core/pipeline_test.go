@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -131,9 +132,9 @@ func TestRunProducesFullStudy(t *testing.T) {
 			t.Errorf("window %d matrix sum = %g", i, w.Matrix.Sum())
 		}
 		snap := r.Study.Snapshots[i]
-		if snap.Sources.NRows() != w.Matrix.NRows() {
-			t.Errorf("window %d: table rows %d != matrix rows %d",
-				i, snap.Sources.NRows(), w.Matrix.NRows())
+		if n := len(snap.Addrs()); n != w.Matrix.NRows() {
+			t.Errorf("window %d: snapshot sources %d != matrix rows %d",
+				i, n, w.Matrix.NRows())
 		}
 	}
 }
@@ -276,9 +277,9 @@ func TestShardedStudyMatchesSerial(t *testing.T) {
 		if serialQ[i] != shardedQ[i] {
 			t.Errorf("window %d: Table II quantities differ:\nserial  %+v\nsharded %+v", i, serialQ[i], shardedQ[i])
 		}
-		ss, ps := serial.Study.Snapshots[i].Sources, sharded.Study.Snapshots[i].Sources
-		if ss.NRows() != ps.NRows() {
-			t.Errorf("window %d: source tables differ: %d vs %d rows", i, ss.NRows(), ps.NRows())
+		ss, ps := serial.Study.Snapshots[i].Addrs(), sharded.Study.Snapshots[i].Addrs()
+		if !slices.Equal(ss, ps) {
+			t.Errorf("window %d: source sets differ: %d vs %d sources", i, len(ss), len(ps))
 		}
 	}
 }

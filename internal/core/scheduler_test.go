@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ipaddr"
 	"repro/internal/report"
 	"repro/internal/testkit"
 	"repro/internal/tripled"
@@ -190,10 +191,10 @@ func TestParallelStudySharesAnonCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sources := make(map[string]bool)
+		sources := make(map[ipaddr.Addr]bool)
 		for _, snap := range res.Study.Snapshots {
-			for _, row := range snap.Sources.RowKeys() {
-				sources[row] = true
+			for _, a := range snap.Addrs() {
+				sources[a] = true
 			}
 		}
 		if len(sources) == 0 {

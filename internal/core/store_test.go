@@ -85,7 +85,7 @@ func TestStoreBackedStudyMatchesInMemory(t *testing.T) {
 		}
 	}
 	for _, s := range res.Study.Snapshots {
-		want += s.Sources.NNZ()
+		want += len(s.Addrs()) // one packets cell per source
 	}
 	if nnz != want {
 		t.Errorf("store holds %d cells, published tables total %d", nnz, want)

@@ -2,11 +2,13 @@
 // spatial and temporal correlation of sources seen by an Internet
 // observatory (darkspace telescope) and an outpost (honeyfarm).
 //
-// Inputs are D4M associative arrays: a telescope snapshot's source table
-// (rows: source IP, column "packets") and the honeyfarm's monthly tables
-// (rows: source IP). All measurements are fractions of telescope sources
-// found in honeyfarm tables, sliced by source brightness band
-// [2^i, 2^(i+1)) and by month offset.
+// Inputs are source-address sets: a telescope snapshot's sources banded
+// by brightness [2^i, 2^(i+1)) of their packet counts (NewSnapshot) and
+// each honeyfarm month's sources (NewMonth). A snapshot or month may
+// instead be its D4M associative array (rows: source IP; a snapshot's
+// column "packets"), which Freeze reduces to the same set. All
+// measurements are fractions of telescope sources found in honeyfarm
+// months, sliced by brightness band and by month offset.
 //
 // Every measurement runs on the frozen sorted-key kernel: Freeze a Study
 // once (freeze.go), then each figure is an allocation-free sorted-merge
@@ -23,13 +25,65 @@ import (
 	"repro/internal/stats"
 )
 
-// Snapshot is one telescope constant-packet sample reduced to a source
-// table.
+// Snapshot is one telescope constant-packet sample: its sources banded
+// by brightness that NewSnapshot built or, with Sources, its D4M source
+// table (column "packets"), which Freeze bands through NewSnapshot.
 type Snapshot struct {
 	Label   string  // e.g. "20200617-120000"
 	Month   float64 // fractional month index within the study period
 	NV      int     // window size in valid packets
 	Sources *assoc.Assoc
+
+	keys []uint64 // band<<32 | address, ascending; read when Sources is nil
+}
+
+// NewSnapshot builds a snapshot from its sources' addresses and packet
+// counts, parallel slices that name each address once. A source goes in
+// band stats.BandIndex(count) — one sort orders the sources by band
+// and, within a band, by address — and a count below 1 puts it in none.
+func NewSnapshot(label string, month float64, nv int, addrs []ipaddr.Addr, packets []float64) Snapshot {
+	keys := make([]uint64, 0, len(addrs))
+	for i, a := range addrs {
+		if b := stats.BandIndex(packets[i]); b >= 0 {
+			keys = append(keys, uint64(b)<<32|uint64(a))
+		}
+	}
+	return Snapshot{Label: label, Month: month, NV: nv, keys: radix.Sort(keys, make([]uint64, len(keys)))}
+}
+
+// Addrs returns the addresses of the snapshot's banded sources, by band
+// and then by address, in a fresh slice. Like Freeze, it panics on a
+// source table row whose key is not a dotted quad.
+func (s Snapshot) Addrs() []ipaddr.Addr {
+	keys, err := s.bandKeys()
+	if err != nil {
+		panic(err)
+	}
+	out := make([]ipaddr.Addr, len(keys))
+	for i, k := range keys {
+		out[i] = ipaddr.Addr(uint32(k))
+	}
+	return out
+}
+
+// bandKeys returns NewSnapshot's set of s, building it from a source
+// table's rows that hold a numeric packet count.
+func (s *Snapshot) bandKeys() ([]uint64, error) {
+	if s.Sources == nil {
+		return s.keys, nil
+	}
+	n := s.Sources.NRows()
+	addrs, packets := make([]ipaddr.Addr, 0, n), make([]float64, 0, n)
+	for key, cells := range s.Sources.Rows() {
+		a, err := ipaddr.Parse(key)
+		if err != nil {
+			return nil, notAddress(s.Label, key)
+		}
+		if v := cells.Get("packets"); v != nil && v.Val.Numeric {
+			addrs, packets = append(addrs, a), append(packets, v.Val.Num)
+		}
+	}
+	return NewSnapshot(s.Label, s.Month, s.NV, addrs, packets).keys, nil
 }
 
 // MonthData is one honeyfarm month: its D4M table or, with no Table,

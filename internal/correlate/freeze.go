@@ -1,15 +1,13 @@
 package correlate
 
 // freeze.go compiles a Study into a Frozen over the repository's worker
-// pool, one job per table. A row's ID is its source address: every row
-// key of a study is a canonical dotted quad (both builders write it with
-// ipaddr.Addr.AppendTo, and both fetches refuse anything else), so
-// ipaddr.Parse maps it to its uint32 with no shared key space to build.
-// A job walks its table's rows in map order, parses each key, and sorts
-// the resulting set once; no job waits on another. The sort is
-// radix.Sort, a linear pass a varying byte: on a study_batch-shaped study
-// (BenchmarkFreeze/batch, 2 vCPU) slices.Sort's comparisons made the
-// freeze about a third slower.
+// pool, one job per month or snapshot; no job waits on another. A
+// source's ID is its address. Months and snapshots arrive as the sorted
+// sets NewMonth and NewSnapshot build, which a job keeps or cuts into
+// bands; a D4M table given instead is parsed into the same set first.
+// The sets are sorted by radix.Sort: on a study_batch-shaped study
+// (BenchmarkFreeze/batch, 2 vCPU) slices.Sort made the freeze a third
+// slower.
 //
 // Every Frozen artifact is a set cardinality (|band ∩ month| under one
 // shared ID space), which does not care how keys were numbered or how
@@ -23,17 +21,17 @@ import (
 	"repro/internal/ipaddr"
 	"repro/internal/pool"
 	"repro/internal/radix"
-	"repro/internal/stats"
 )
 
-// Freeze reduces each month table to the sorted set of its row
-// addresses and each snapshot to one sorted address set per brightness
-// band, across up to workers goroutines (pool semantics: <= 0 picks
+// Freeze reduces each month to the sorted set of its source addresses
+// and each snapshot to one sorted address set per brightness band,
+// across up to workers goroutines (pool semantics: <= 0 picks
 // GOMAXPROCS, 1 is the caller's goroutine). It keeps a NewMonth set,
-// which is immutable, and reads tables without retaining them: later
-// mutation of the study does not invalidate the Frozen.
+// which is immutable, copies a NewSnapshot set's IDs and reads tables
+// without retaining them: later mutation of the study does not
+// invalidate the Frozen.
 //
-// Every row key must be a canonical dotted quad, as ipaddr.Parse
+// Every table row key must be a canonical dotted quad, as ipaddr.Parse
 // accepts; Freeze panics naming the table and the key on any other.
 func Freeze(study Study, workers int) *Frozen {
 	nm, ns := len(study.Months), len(study.Snapshots)
@@ -73,35 +71,21 @@ func freezeMonth(m *MonthData) (frozenMonth, error) {
 	return frozenMonth{label: m.Label, month: m.Month, ids: radix.Sort(ids, make([]uint32, len(ids)))}, nil
 }
 
-// freezeSnapshot keys each banded source by band above address, so one
-// sort orders the sources by band and, within a band, by address; the
-// bands are then consecutive runs of one ID slice.
+// freezeSnapshot splits the snapshot's set into its bands: the set is
+// ordered by band above address, so each band is one run of it.
 func freezeSnapshot(s *Snapshot) (frozenSnapshot, error) {
-	keyed := make([]uint64, 0, s.Sources.NRows())
-	for key, cells := range s.Sources.Rows() {
-		a, err := ipaddr.Parse(key)
-		if err != nil {
-			return frozenSnapshot{}, notAddress(s.Label, key)
-		}
-		v := cells.Get("packets")
-		if v == nil || !v.Val.Numeric {
-			continue
-		}
-		b := stats.BandIndex(v.Val.Num)
-		if b < 0 {
-			continue
-		}
-		keyed = append(keyed, uint64(b)<<32|uint64(a))
+	keys, err := s.bandKeys()
+	if err != nil {
+		return frozenSnapshot{}, err
 	}
-	keyed = radix.Sort(keyed, make([]uint64, len(keyed)))
-	ids := make([]uint32, len(keyed))
+	ids := make([]uint32, len(keys))
 	fs := frozenSnapshot{label: s.Label, month: s.Month, nv: s.NV}
-	for lo := 0; lo < len(keyed); {
+	for lo := 0; lo < len(keys); {
 		hi := lo
-		for ; hi < len(keyed) && keyed[hi]>>32 == keyed[lo]>>32; hi++ {
-			ids[hi] = uint32(keyed[hi])
+		for ; hi < len(keys) && keys[hi]>>32 == keys[lo]>>32; hi++ {
+			ids[hi] = uint32(keys[hi])
 		}
-		fs.bands = append(fs.bands, frozenBand{band: int(keyed[lo] >> 32), ids: ids[lo:hi:hi]})
+		fs.bands = append(fs.bands, frozenBand{band: int(keys[lo] >> 32), ids: ids[lo:hi:hi]})
 		lo = hi
 	}
 	return fs, nil

@@ -57,7 +57,7 @@ func edgeAddrs() []ipaddr.Addr {
 
 // inverseShapes are the slabs the round trip is checked on, each in the
 // three orders a caller can present: as generated (unsorted), ascending
-// (what RowSums yields), and duplicate-heavy.
+// (what a window's row scan yields), and duplicate-heavy.
 func inverseShapes(rng *rand.Rand) map[string][]ipaddr.Addr {
 	random := make([]ipaddr.Addr, 700)
 	for i := range random {

@@ -1,7 +1,7 @@
 package hypersparse
 
-// ops.go holds the row appenders the k-way merge writes through, the
-// per-source row sums, index permutation and exact comparison.
+// ops.go holds the row appenders the k-way merge writes through, index
+// permutation and exact comparison.
 
 func (m *Matrix) appendRow(row uint32, cols []uint32, vals []float64) {
 	m.rows = append(m.rows, row)
@@ -31,21 +31,6 @@ func (m *Matrix) appendMergedRow(row uint32, ac []uint32, av []float64, bc []uin
 			j++
 		}
 	}
-}
-
-// RowSums returns A·1: per-source packet counts ("source packets from i").
-func (m *Matrix) RowSums() *Vector {
-	ids := make([]uint32, len(m.rows))
-	vals := make([]float64, len(m.rows))
-	copy(ids, m.rows)
-	for ri := range m.rows {
-		var s float64
-		for k := m.rowPtr[ri]; k < m.rowPtr[ri+1]; k++ {
-			s += m.vals[k]
-		}
-		vals[ri] = s
-	}
-	return &Vector{ids: ids, vals: vals}
 }
 
 // PermuteFunc relabels every index through fn, which must be injective on

@@ -90,12 +90,6 @@ func TestReductionsAgainstReference(t *testing.T) {
 			}
 		}
 	}
-	gotRowSum := make(map[uint32]float64)
-	m.RowSums().Iterate(func(id uint32, v float64) bool {
-		gotRowSum[id] = v
-		return true
-	})
-	check("RowSums", gotRowSum, rowSum)
 	scanSum, scanDeg := make(map[uint32]float64), make(map[uint32]float64)
 	m.RowScan(func(row uint32, sum float64, nnz int) {
 		scanSum[row], scanDeg[row] = sum, float64(nnz)

@@ -4,7 +4,7 @@ package hypersparse
 // row-major DCSR pass yields every row-axis and whole-matrix aggregate,
 // and a pooled radix scan over the column ids — partitioned by column
 // across workers when the matrix is large — yields the column-axis
-// aggregates; no intermediate Vector, map, or (on one worker) per-call
+// aggregates; no intermediate vector, map, or (on one worker) per-call
 // allocation.
 
 import (

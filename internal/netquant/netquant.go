@@ -29,7 +29,7 @@ type Quantities struct {
 // Compute evaluates all Table II aggregates through the fused
 // hypersparse.Stats reduction: one row-major DCSR pass for the row-axis
 // and whole-matrix quantities plus one pooled column scan, with no
-// intermediate Vector (previously this cost four independent reduction
+// intermediate vector (previously this cost four independent reduction
 // passes, two of them map-backed, each with copy-out allocations).
 func Compute(m *hypersparse.Matrix) Quantities {
 	s := m.Stats(0)
@@ -64,7 +64,7 @@ func (q Quantities) Rows() [][2]string {
 
 // The degree-vector extractors below feed the Figure 3 distributions.
 // Each performs exactly one allocation (the returned slice) and fills it
-// from the fused row scan — no intermediate Vector.
+// from the fused row scan — no intermediate vector.
 
 // sourcePacketValues returns the per-source packet counts (A·1 values),
 // the degree variable of the paper's Figure 3.

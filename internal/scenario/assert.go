@@ -282,18 +282,17 @@ func decodeSourcesPrefix(m map[string]any) (Assertion, error) {
 	name := "sources_prefix " + prefixStr
 	return Assertion{Kind: name, run: func(e *runEnv) Check {
 		for _, snap := range e.res.Study.Snapshots {
-			rows := snap.Sources.RowKeys()
+			addrs := snap.Addrs()
 			in := 0
-			for _, row := range rows {
-				a, err := ipaddr.Parse(row)
-				if err == nil && prefix.Contains(a) {
+			for _, a := range addrs {
+				if prefix.Contains(a) {
 					in++
 				}
 			}
-			frac := float64(in) / float64(len(rows))
+			frac := float64(in) / float64(len(addrs))
 			if ok, want := b.check(frac); !ok {
 				return Check{Assertion: name,
-					Detail: fmt.Sprintf("snapshot %s: %.3f of %d sources in %v, want %s", snap.Label, frac, len(rows), prefix, want)}
+					Detail: fmt.Sprintf("snapshot %s: %.3f of %d sources in %v, want %s", snap.Label, frac, len(addrs), prefix, want)}
 			}
 		}
 		_, want := b.check(0)

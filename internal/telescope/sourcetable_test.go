@@ -41,15 +41,14 @@ func sourceWindow(tb testing.TB) (*Telescope, *Window) {
 func TestSourceTableMatchesRowByRow(t *testing.T) {
 	tel, w := sourceWindow(t)
 	want := assoc.New()
-	w.Matrix.RowSums().Iterate(func(id uint32, n float64) bool {
-		key := tel.Deanonymize(ipaddr.Addr(id)).String()
+	w.Matrix.RowScan(func(id uint32, n float64, _ int) {
+		key := tel.anon.Anonymizer().Deanonymize(ipaddr.Addr(id)).String()
 		if want.HasRow(key) {
 			t.Fatalf("two sources deanonymize to %s", key)
 		}
 		if err := want.SetRow(key, []assoc.Cell{{Key: "packets", Val: assoc.Num(n)}}); err != nil {
 			t.Fatal(err)
 		}
-		return true
 	})
 	got := tel.SourceTable(w)
 	if got.NNZ() != want.NNZ() || got.NRows() != want.NRows() || !slices.Equal(got.RowKeys(), want.RowKeys()) {
@@ -68,8 +67,8 @@ func TestSourceTableMatchesRowByRow(t *testing.T) {
 }
 
 // TestSourceTableAllocations is the alloc gate on the slab build: the
-// row sums, the inverse walk, one text arena, one cell slab, one header
-// slab and the row map at its final size — nothing per row.
+// source pairs, the inverse walk, one text arena, one cell slab, one
+// header slab and the row map at its final size — nothing per row.
 func TestSourceTableAllocations(t *testing.T) {
 	tel, w := sourceWindow(t)
 	rows := w.Matrix.NRows()

@@ -154,50 +154,42 @@ type Window struct {
 // windows have variable duration (Table I's "CAIDA Duration" column).
 func (w *Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
-// Deanonymize maps an anonymized address back to the original by
-// walking the telescope's key backwards. This is the paper's
-// correlation approach 1: "anonymized data can be sent back to the
-// sources for deanonymization" — the telescope operator holds the key.
-// It is total: an address this telescope never produced maps to
-// whatever original would have produced it.
-func (t *Telescope) Deanonymize(a ipaddr.Addr) ipaddr.Addr {
-	return t.anon.Anonymizer().Deanonymize(a)
+// SourcePackets reduces a window to its sources' original addresses and
+// packet counts (A·1), in anonymized-address order, rendering no address.
+// It walks the telescope's key backwards once over the window's rows —
+// the paper's correlation approach 1, "anonymized data can be sent back
+// to the sources for deanonymization" — whatever else it has captured.
+func (t *Telescope) SourcePackets(w *Window) ([]ipaddr.Addr, []float64) {
+	n := w.Matrix.NRows()
+	addrs, packets := make([]ipaddr.Addr, 0, n), make([]float64, 0, n)
+	w.Matrix.RowScan(func(row uint32, sum float64, _ int) {
+		addrs, packets = append(addrs, ipaddr.Addr(row)), append(packets, sum)
+	})
+	t.anon.Anonymizer().DeanonymizeBatch(addrs)
+	return addrs, packets
 }
 
-// SourceTable converts a window's reduced source-packet vector into a
-// D4M associative array keyed by the original dotted-quad source
-// address, with the packet count under column "packets". This is the
-// boundary where, as in the paper, "the reduced results are converted to
-// D4M associative arrays" for correlation against the honeyfarm. The
-// cost is one keyed inverse walk over the window's rows, whatever else
-// the telescope has captured, and a handful of allocations: the row
-// keys are rendered into one text arena and the cells are one slab,
-// handed over in one call (assoc.SetRows), so the table's keys pin that
-// arena while any of them is reachable.
+// SourceTable renders SourcePackets as the D4M associative array a
+// store holds: a row per original dotted-quad source address, its count
+// under column "packets". The row keys are cut from one text arena and
+// the cells are one slab, handed over in one call (assoc.SetRows), so a
+// key pins the arena while it is reachable.
 func (t *Telescope) SourceTable(w *Window) *assoc.Assoc {
-	packets := w.Matrix.RowSums() // anonymized per-source packet counts A·1
-	n := packets.NNZ()
-	origs := make([]ipaddr.Addr, n)
-	for i, id := range packets.IDs() {
-		origs[i] = ipaddr.Addr(id)
-	}
-	t.anon.Anonymizer().DeanonymizeBatch(origs)
+	addrs, packets := t.SourcePackets(w)
+	n := len(addrs)
 	var text strings.Builder
 	text.Grow(15 * n) // a dotted quad is 15 bytes at most
 	keys := make([]string, n)
 	ends := make([]int, n)
 	cells := make([]assoc.Cell, n)
 	var scratch [15]byte
-	i := 0
-	packets.Iterate(func(_ uint32, count float64) bool {
+	for i, a := range addrs {
 		at := text.Len()
-		text.Write(origs[i].AppendTo(scratch[:0]))
+		text.Write(a.AppendTo(scratch[:0]))
 		keys[i] = text.String()[at:] // good for ever: the builder never rewrites what it has handed out
-		cells[i] = assoc.Cell{Key: "packets", Val: assoc.Num(count)}
+		cells[i] = assoc.Cell{Key: "packets", Val: assoc.Num(packets[i])}
 		ends[i] = i + 1
-		i++
-		return true
-	})
+	}
 	out := assoc.NewSized(n)
 	if err := out.SetRows(keys, ends, cells); err != nil {
 		panic(err) // the inverse walk is a bijection: no original address comes up twice
@@ -209,37 +201,49 @@ func (t *Telescope) SourceTable(w *Window) *assoc.Assoc {
 // table is published under.
 func SnapshotRowPrefix(label string) string { return "tel/" + label + "/" }
 
-// PublishBatch is the batch size source tables are published with.
-const PublishBatch = 1024
-
-// PublishSources writes a snapshot's source table (SourceTable's
-// result) to a tripled server under SnapshotRowPrefix — the paper's
-// "reduced results are converted to D4M associative arrays" boundary,
-// with the database substrate standing in for Accumulo.
-func PublishSources(c tripled.Conn, label string, sources *assoc.Assoc) error {
-	return c.PublishAssoc(SnapshotRowPrefix(label), sources, PublishBatch)
-}
-
-// PublishSourceTable is SourceTable followed by PublishSources, for a
-// caller that has no other use for the table.
+// PublishSourceTable writes window w's SourceTable to a tripled server
+// under SnapshotRowPrefix(label): the paper's "reduced results are
+// converted to D4M associative arrays", tripled standing in for Accumulo.
 func (t *Telescope) PublishSourceTable(c tripled.Conn, label string, w *Window) error {
-	return PublishSources(c, label, t.SourceTable(w))
+	return c.PublishAssoc(SnapshotRowPrefix(label), t.SourceTable(w), 1024)
 }
 
 // FetchSourceTable reads a published snapshot source table back from a
-// tripled server. Every row of a source table is a source address, so a
-// row whose key is not a dotted quad (ipaddr.Parse) is refused, naming
-// it.
+// tripled server. Every row of a source table is a source address with
+// a numeric packet count, so any other row is refused, naming it.
 func FetchSourceTable(c tripled.Conn, label string) (*assoc.Assoc, error) {
+	table, _, _, err := fetchSources(c, label)
+	return table, err
+}
+
+// FetchSourcePackets reads a published snapshot back as what a study
+// reads of it, SourcePackets' pairs in no particular order, refusing
+// what FetchSourceTable refuses.
+func FetchSourcePackets(c tripled.Conn, label string) ([]ipaddr.Addr, []float64, error) {
+	_, addrs, packets, err := fetchSources(c, label)
+	return addrs, packets, err
+}
+
+// fetchSources fetches snapshot label's source table and parses each
+// row once into its address and packet count.
+func fetchSources(c tripled.Conn, label string) (*assoc.Assoc, []ipaddr.Addr, []float64, error) {
 	prefix := SnapshotRowPrefix(label)
-	t, err := c.FetchAssoc(prefix, 512)
+	table, err := c.FetchAssoc(prefix, 512)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	for row := range t.Rows() {
-		if _, err := ipaddr.Parse(row); err != nil {
-			return nil, fmt.Errorf("telescope: snapshot %s: row %q is not a source address", label, prefix+row)
+	n := table.NRows()
+	addrs, packets := make([]ipaddr.Addr, 0, n), make([]float64, 0, n)
+	for row, cells := range table.Rows() {
+		a, err := ipaddr.Parse(row)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("telescope: snapshot %s: row %q is not a source address", label, prefix+row)
 		}
+		v := cells.Get("packets")
+		if v == nil || !v.Val.Numeric {
+			return nil, nil, nil, fmt.Errorf("telescope: snapshot %s: row %q holds no packet count", label, prefix+row)
+		}
+		addrs, packets = append(addrs, a), append(packets, v.Val.Num)
 	}
-	return t, nil
+	return table, addrs, packets, nil
 }

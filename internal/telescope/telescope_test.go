@@ -181,7 +181,7 @@ func TestDeanonymizeRoundTrip(t *testing.T) {
 		known[pop.Source(i).IP] = true
 	}
 	for _, anonRow := range w.Matrix.Rows() {
-		orig := tel.Deanonymize(ipaddr.Addr(anonRow))
+		orig := tel.anon.Anonymizer().Deanonymize(ipaddr.Addr(anonRow))
 		if !known[orig] {
 			t.Fatalf("row %v de-anonymizes to %v, not a population source", ipaddr.Addr(anonRow), orig)
 		}
@@ -191,7 +191,7 @@ func TestDeanonymizeRoundTrip(t *testing.T) {
 	}
 	for _, unseen := range []string{"0.0.0.1", "0.0.0.0", "255.255.255.255", "44.0.0.0", "44.255.255.255"} {
 		a := ipaddr.MustParse(unseen)
-		if back := tel.Anonymizer().Anonymizer().Anonymize(tel.Deanonymize(a)); back != a {
+		if back := tel.Anonymizer().Anonymizer().Anonymize(tel.anon.Anonymizer().Deanonymize(a)); back != a {
 			t.Errorf("unseen %v round-trips to %v", a, back)
 		}
 	}

@@ -60,6 +60,9 @@ func Main(m *testing.M, helpers map[string]func(args []string)) {
 // Build compiles the command in the package directory pkg (relative to
 // the test's package, as `go build` takes it) once per test process and
 // returns the binary's path. The binary lives until Main removes it.
+// Go's test cache keys a run on the files the test opens, not on what
+// `go build` reads, so Build opens the command's in-module sources: an
+// edit to any of them reruns the test instead of replaying a pass.
 func Build(t testing.TB, pkg string) string {
 	t.Helper()
 	abs, err := filepath.Abs(pkg)
@@ -76,6 +79,16 @@ func Build(t testing.TB, pkg string) string {
 			t.Fatal(err)
 		}
 		builds.bins = make(map[string]string)
+	}
+	const sources = `{{if and .Module .Module.Main}}{{range .GoFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}{{range .SFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}`
+	list, err := exec.Command("go", "list", "-deps", "-f", sources, abs).Output()
+	if err != nil {
+		t.Fatalf("testkit: listing %s's sources: %v", pkg, err)
+	}
+	for _, file := range strings.Split(strings.TrimSpace(string(list)), "\n") {
+		if f, err := os.Open(file); err == nil { // one that is gone fails the build below
+			f.Close()
+		}
 	}
 	bin := filepath.Join(builds.dir, filepath.Base(abs))
 	if out, err := exec.Command("go", "build", "-o", bin, abs).CombinedOutput(); err != nil {
