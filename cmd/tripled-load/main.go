@@ -2,15 +2,15 @@
 // service: M concurrent clients drive a mixed PUT/GET/TOPDEG workload
 // against one server, an N-node replicated cluster, or a remote target,
 // and report per-op-kind throughput and latency percentiles — the
-// harness for sizing the store's stripe count, the client's
-// batch/pipelining parameters, and the cluster's failover behavior
-// against the ROADMAP's heavy-traffic goal.
+// harness for sizing the client's batch/pipelining parameters and
+// the cluster's failover behavior against the ROADMAP's heavy-traffic
+// goal.
 //
 // Usage:
 //
 //	tripled-load [-addr HOST:PORT|CLUSTER-SPEC] [-nodes N] [-replicas R]
 //	             [-chaos MODE] [-clients M] [-ops N] [-batch B]
-//	             [-rows N] [-mix PUT,GET,TOPDEG] [-stripes N] [-seed N]
+//	             [-rows N] [-mix PUT,GET,TOPDEG] [-seed N]
 //	             [-data-dir DIR] [-wal-sync always|interval]
 //
 // With -nodes > 1 the tool serves N in-process tripled servers and
@@ -64,7 +64,6 @@ func main() {
 		batch    = flag.Int("batch", 256, "cells per PUT batch (1 = per-cell round trips)")
 		rows     = flag.Int("rows", 100000, "row keyspace size")
 		mixFlag  = flag.String("mix", "70,25,5", "PUT,GET,TOPDEG weights")
-		stripes  = flag.Int("stripes", tripled.DefaultStripes, "store stripes for in-process servers")
 		topk     = flag.Int("topk", 10, "k of each TOPDEG query")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		dataDir  = flag.String("data-dir", "", "make in-process servers durable: per-node WAL dirs under this path")
@@ -100,7 +99,7 @@ func main() {
 	target := *addr
 	var fleet *faultinject.Fleet
 	if target == "" {
-		fc := faultinject.FleetConfig{Nodes: *nodes, Stripes: *stripes, WALRoot: *dataDir, Proxied: *chaos != "" && !crash}
+		fc := faultinject.FleetConfig{Nodes: *nodes, WALRoot: *dataDir, Proxied: *chaos != "" && !crash}
 		fc.Options = []tripled.Option{tripled.WithWALSyncPolicy(*walSync)}
 		if fleet, err = faultinject.NewFleet(fc); err != nil {
 			log.Fatal(err)
@@ -112,8 +111,8 @@ func main() {
 					i, rec.SnapshotCells, rec.TailRecords, rec.Wall.Round(time.Millisecond))
 			}
 		}
-		fmt.Printf("in-process: %d node(s) on %v, %d replicas/row, %d stripes each\n",
-			*nodes, fleet.Addrs(), min(*replicas, *nodes), *stripes)
+		fmt.Printf("in-process: %d node(s) on %v, %d replicas/row\n",
+			*nodes, fleet.Addrs(), min(*replicas, *nodes))
 		target = fleet.Spec(*replicas)
 		if *nodes == 1 && !crash {
 			target = fleet.Addrs()[0]

@@ -40,7 +40,8 @@ type Snapshot struct {
 // NewSnapshot builds a snapshot from its sources' addresses and packet
 // counts, parallel slices that name each address once. A source goes in
 // band stats.BandIndex(count) — one sort orders the sources by band
-// and, within a band, by address — and a count below 1 puts it in none.
+// and, within a band, by address — and a count that is not a finite
+// number >= 1 puts it in none.
 func NewSnapshot(label string, month float64, nv int, addrs []ipaddr.Addr, packets []float64) Snapshot {
 	keys := make([]uint64, 0, len(addrs))
 	for i, a := range addrs {

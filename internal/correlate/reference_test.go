@@ -19,13 +19,10 @@ func bandOf(snap Snapshot) map[int][]string {
 	bands := make(map[int][]string)
 	for _, row := range snap.Sources.RowKeys() {
 		v, ok := snap.Sources.Get(row, "packets")
-		if !ok || !v.Numeric {
-			continue
+		if !ok || !v.Numeric || !(v.Num >= 1) || math.IsInf(v.Num, 1) {
+			continue // a count that is not a finite number >= 1 is in no band
 		}
 		b := stats.BandIndex(v.Num)
-		if b < 0 {
-			continue
-		}
 		bands[b] = append(bands[b], row)
 	}
 	return bands

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"cmp"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -15,7 +14,6 @@ import (
 // FleetConfig shapes a Fleet.
 type FleetConfig struct {
 	Nodes   int              // servers, each on its own loopback port
-	Stripes int              // store stripes per node; 0 is tripled.DefaultStripes
 	WALRoot string           // when set, node i logs to and recovers from WALRoot/node-i
 	Proxied bool             // put every node behind its own Proxy
 	Options []tripled.Option // passed to every node's Serve
@@ -65,7 +63,7 @@ func (f *Fleet) serve(i int, addr string) error {
 		dir := filepath.Join(f.cfg.WALRoot, fmt.Sprintf("node-%d", i))
 		opts = append([]tripled.Option{tripled.WithDataDir(dir)}, opts...)
 	}
-	store := tripled.NewStoreStripes(cmp.Or(f.cfg.Stripes, tripled.DefaultStripes))
+	store := tripled.NewStore()
 	srv, err := tripled.Serve(store, addr, opts...)
 	if err != nil {
 		return fmt.Errorf("faultinject: node %d: %w", i, err)

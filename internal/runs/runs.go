@@ -1,7 +1,7 @@
 // Package runs is the one ordered container of the table path: a run is
 // a set of string-keyed entries held in key order, no key twice. A row
 // of an associative array is a run of its cells keyed by column
-// (internal/assoc, and the tripled stripe's rows); a stripe's row index
+// (internal/assoc, and the tripled store's rows); the store's row index
 // is a run of its row keys with the rows themselves hanging off them,
 // read in order through a Cursor.
 //
@@ -257,8 +257,8 @@ func (r *Run[V]) Delete(key string) (V, bool) {
 }
 
 // Cursor is a position in a run's key order, not a snapshot: a Put or
-// Delete on the run invalidates it, so whoever walks several runs in
-// step (a store merging its stripes) keeps writers out meanwhile.
+// Delete on the run invalidates it, so whoever walks one (a store
+// reading a page) keeps writers out meanwhile.
 type Cursor[V any] struct {
 	blocks [][]Entry[V]
 	b, i   int

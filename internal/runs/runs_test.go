@@ -370,7 +370,7 @@ func TestCutRunsAreIndependentNeighbours(t *testing.T) {
 	verify("at the end", rs)
 }
 
-// TestRangeBeforeRunFillsBlocks: two months published into one stripe's
+// TestRangeBeforeRunFillsBlocks: two months published into one store's
 // row index, the later month first — an ascending range, then a second
 // ascending range that sorts entirely before it. Each key of the second
 // range lands between two blocks, and the blocks it fills must end up

@@ -75,12 +75,14 @@ func (b *Binned) Prob() []float64 {
 // BandIndex identifies the brightness band [2^i, 2^(i+1)) that the
 // paper's Figures 5-8 slice sources into. It differs from logBinIndex in
 // using half-open lower-inclusive ranges, matching "d <= source packets
-// < 2d" in Figure 6's caption.
+// < 2d" in Figure 6's caption. A count that is not a finite number >= 1
+// (below 1, NaN, or infinite) is in no band: -1.
 func BandIndex(d float64) int {
-	if d < 1 {
+	if !(d >= 1) || math.IsInf(d, 1) {
 		return -1
 	}
-	return int(math.Floor(math.Log2(d) + 1e-12))
+	_, exp := math.Frexp(d) // d = frac * 2^exp, frac in [1/2, 1)
+	return exp - 1
 }
 
 // BandLow returns the lower edge 2^i of band i.

@@ -88,6 +88,7 @@ func TestBandIndex(t *testing.T) {
 	}{
 		{0.5, -1}, {1, 0}, {1.9, 0}, {2, 1}, {3.9, 1}, {4, 2},
 		{16384, 14}, {32767, 14}, {32768, 15},
+		{math.NaN(), -1}, {math.Inf(1), -1}, {math.Inf(-1), -1}, {math.MaxFloat64, 1023},
 	}
 	for _, c := range cases {
 		if got := BandIndex(c.d); got != c.want {

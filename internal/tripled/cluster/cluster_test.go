@@ -5,8 +5,8 @@ package cluster
 // hammer a 3-node R=2 cluster with scripted, per-client-disjoint
 // mutations while one node is killed (or blackholed) mid-run, and the
 // surviving cluster state must diff byte-identical against a
-// single-threaded replay of every mutation into a 1-stripe single-node
-// store. Run under -race in CI.
+// single-threaded replay of every mutation into a single-node store.
+// Run under -race in CI.
 
 import (
 	"fmt"
@@ -88,10 +88,10 @@ type testCluster struct {
 	addrs []string
 }
 
-// startCluster brings up n in-process nodes of four stripes.
+// startCluster brings up n in-process nodes.
 func startCluster(t *testing.T, n int, chaos bool) *testCluster {
 	t.Helper()
-	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: n, Stripes: 4, Proxied: chaos})
+	f, err := faultinject.NewFleet(faultinject.FleetConfig{Nodes: n, Proxied: chaos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,12 @@ func runOp(c *Client, id, i int, op soakOp) error {
 }
 
 // replayOracle replays every client's mutations, in per-client order,
-// into a single-node 1-stripe store — the ground truth the cluster
+// into a single-node store — the ground truth the cluster
 // must match because per-client mutation keyspaces are disjoint. A
 // publish replays as what it means: clear the prefix, then put the
 // table under it.
 func replayOracle(clients, ops int) *tripled.Store {
-	oracle := tripled.NewStoreStripes(1)
+	oracle := tripled.NewStore()
 	for id := 0; id < clients; id++ {
 		for i, op := range soakScript(id, ops) {
 			switch op.kind {

@@ -30,7 +30,7 @@ func TestMain(m *testing.M) {
 // runNodeHelper is the subprocess body: one durable cluster member on
 // the data dir args[0], listening on args[1].
 func runNodeHelper(args []string) {
-	srv, err := tripled.Serve(tripled.NewStoreStripes(4), args[1],
+	srv, err := tripled.Serve(tripled.NewStore(), args[1],
 		tripled.WithDataDir(args[0]))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "node helper:", err)
@@ -56,7 +56,7 @@ func discoverDown(t *testing.T, c *Client, want int) {
 // replica set (on the ring the clients actually used) includes node i.
 func partitionOracle(addrs []string, i int, oracle *tripled.Store) *tripled.Store {
 	ring := buildRing(addrs)
-	want := tripled.NewStoreStripes(1)
+	want := tripled.NewStore()
 	oracle.ToAssoc().Iterate(func(r, c string, v assoc.Value) bool {
 		for _, rep := range ring.replicasFor(r, 2) {
 			if rep == i {
@@ -74,7 +74,7 @@ func partitionOracle(addrs []string, i int, oracle *tripled.Store) *tripled.Stor
 // view of its partition.
 func checkPartitionParity(t *testing.T, addrs []string, i int, got *assoc.Assoc, oracle *tripled.Store) {
 	t.Helper()
-	gotStore := tripled.NewStoreStripes(1)
+	gotStore := tripled.NewStore()
 	if err := gotStore.LoadAssoc(got); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestMain(m *testing.M) {
 // runCrashHelper is the subprocess body: a durable server on the data
 // dir args[0] that prints its readiness line and parks until killed.
 func runCrashHelper(args []string) {
-	srv, err := Serve(NewStoreStripes(4), "127.0.0.1:0",
+	srv, err := Serve(NewStore(), "127.0.0.1:0",
 		WithDataDir(args[0]),
 		WithWALSyncPolicy(wal.SyncInterval))
 	if err != nil {
@@ -58,7 +58,7 @@ func TestKill9MidBatchRecoversAckedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewStoreStripes(1)
+	oracle := NewStore()
 	for i := 0; i < 25; i++ {
 		cells := make([]Cell, 0, 8)
 		for j := 0; j < 8; j++ {

@@ -9,10 +9,8 @@ package tripled
 // the sum of its rows' digests, where a row's bucket is FNV-1a(row)
 // mod the caller-chosen bucket count. Sums compose associatively and
 // commutatively, so two replicas holding the same cells report the
-// same digests regardless of stripe layout or insertion order — the
-// store's own maphash stripe seed is per-process random and therefore
-// useless here, which is why bucketing hashes the row key with FNV-1a
-// instead.
+// same digests regardless of insertion order, and FNV-1a buckets a row
+// key the same way in every process.
 
 import (
 	"hash/crc32"
@@ -77,7 +75,7 @@ func (r *row) digest() RowDigestEntry {
 }
 
 // BucketDigests returns the nb bucket digests of the whole table, as
-// one atomic snapshot (all stripes read-locked).
+// one atomic snapshot (the store read-locked).
 func (s *Store) BucketDigests(nb int) []BucketDigest {
 	out := make([]BucketDigest, max(nb, 1))
 	s.page("", "", 0, "", func(r *row) {

@@ -27,8 +27,7 @@ import (
 )
 
 // DefaultWALCompactBytes is the appended-bytes threshold past which a
-// mutation triggers snapshot-then-truncate compaction (Compact works
-// at any size).
+// mutation triggers snapshot-then-truncate compaction.
 const DefaultWALCompactBytes = 8 << 20
 
 // WithDataDir makes the server durable: mutations append to a WAL in
@@ -109,14 +108,14 @@ func (s *Server) openWAL() error {
 }
 
 // applyOps logs ops as one WAL record (when durable) and applies them
-// to the store run by run. Append and apply happen under the durability
-// mutex so WAL order is apply order.
+// to the store as one write. Append and apply happen under the
+// durability mutex so WAL order is apply order.
 func (s *Server) applyOps(ops *mutations) error {
 	if ops.len() == 0 {
 		return nil
 	}
 	if s.wal == nil {
-		applyRuns(s.store, ops)
+		s.store.applyRuns(ops)
 		return nil
 	}
 	s.durMu.Lock()
@@ -125,7 +124,7 @@ func (s *Server) applyOps(ops *mutations) error {
 	if err := s.wal.Append(payload); err != nil {
 		return fmt.Errorf("wal append: %w", err)
 	}
-	applyRuns(s.store, ops)
+	s.store.applyRuns(ops)
 	s.walBytes += int64(len(payload))
 	if s.walCompactBytes > 0 && s.walBytes >= s.walCompactBytes {
 		if err := s.compactLocked(); err != nil {
@@ -133,17 +132,6 @@ func (s *Server) applyOps(ops *mutations) error {
 		}
 	}
 	return nil
-}
-
-// Compact forces snapshot-then-truncate compaction of a durable
-// server's WAL; a no-op without a data dir.
-func (s *Server) Compact() error {
-	if s.wal == nil {
-		return nil
-	}
-	s.durMu.Lock()
-	defer s.durMu.Unlock()
-	return s.compactLocked()
 }
 
 // compactLocked renders the store into the snapshot and truncates the
@@ -183,29 +171,32 @@ func (s *Store) replayLog(r io.Reader, buf []byte) (int, error) {
 			return applied, fmt.Errorf("line %d %q: %w", line, sc.Text(), err)
 		}
 		if ops.len() == replayChunk {
-			applyRuns(s, &ops)
+			s.applyRuns(&ops)
 			applied += ops.len()
 			ops.reset()
 		}
 	}
-	applyRuns(s, &ops)
+	s.applyRuns(&ops)
 	return applied + ops.len(), sc.Err()
 }
 
-// applyRuns applies parsed ops run by run, each run of consecutive
-// PUTs or DELs as one store batch (so same-cell PUT/DEL sequences keep
-// their order). The ops were validated when (*mutations).parse read
-// them — off the wire, or off the log being replayed — so the store
-// takes the PUTs as they stand.
-func applyRuns(store *Store, ops *mutations) {
+// applyRuns applies parsed ops under one write lock, so a reader sees
+// all of them or none, run by run: each run of consecutive PUTs or DELs
+// as one store batch (so same-cell PUT/DEL sequences keep their order).
+// The ops were validated when (*mutations).parse read them — off the
+// wire, or off the log being replayed — so the store takes the PUTs as
+// they stand.
+func (s *Store) applyRuns(ops *mutations) {
 	ops.finish()
 	puts, dels := ops.puts, ops.dels
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, run := range ops.runs {
 		if run.del {
-			store.deleteBatch(dels[:run.n])
+			s.deleteBatch(dels[:run.n])
 			dels = dels[run.n:]
 		} else {
-			store.putCells(puts[:run.n])
+			s.putCells(puts[:run.n])
 			puts = puts[run.n:]
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -30,7 +31,7 @@ import (
 // returns server, client, and the live store for direct inspection.
 func durableServe(t *testing.T, dir string, opts ...Option) (*Server, *Client, *Store) {
 	t.Helper()
-	store := NewStoreStripes(4)
+	store := NewStore()
 	srv, err := Serve(store, "127.0.0.1:0", append([]Option{WithDataDir(dir)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +43,15 @@ func durableServe(t *testing.T, dir string, opts ...Option) (*Server, *Client, *
 	}
 	t.Cleanup(func() { c.Close() })
 	return srv, c, store
+}
+
+// compact forces snapshot-then-truncate compaction of a durable
+// server's WAL, holding the durability mutex as a mutation's threshold
+// compaction does.
+func compact(s *Server) error {
+	s.durMu.Lock()
+	defer s.durMu.Unlock()
+	return s.compactLocked()
 }
 
 // storeLog renders a store's canonical sorted persistence log — the
@@ -60,7 +70,7 @@ func storeLog(t *testing.T, s *Store) []byte {
 // its invariants checked.
 func recoverStore(t *testing.T, dir string) (*Store, Recovery) {
 	t.Helper()
-	store := NewStoreStripes(4)
+	store := NewStore()
 	srv, err := Serve(store, "127.0.0.1:0", WithDataDir(dir))
 	if err != nil {
 		t.Fatalf("recovery serve: %v", err)
@@ -111,7 +121,7 @@ func TestDurableCompactionSnapshotThenTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Compact(); err != nil {
+	if err := compact(srv); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, wal.SnapshotName)); err != nil {
@@ -162,7 +172,7 @@ func TestWALCompactionUnderConcurrentWriters(t *testing.T) {
 				compactDone <- nil
 				return
 			default:
-				if err := srv.Compact(); err != nil {
+				if err := compact(srv); err != nil {
 					compactDone <- fmt.Errorf("compact: %w", err)
 					return
 				}
@@ -349,7 +359,7 @@ func TestTabValueSurvivesEveryLine(t *testing.T) {
 			t.Errorf("%s: recovery had a snapshot: %v", restart, snap)
 		}
 		check(restart, srv)
-		if err := srv.Compact(); err != nil {
+		if err := compact(srv); err != nil {
 			t.Fatal(err)
 		}
 		srv.Close()
@@ -384,37 +394,39 @@ func TestTabValueSurvivesEveryLine(t *testing.T) {
 
 // --- anti-entropy digests ---
 
-func TestDigestsStripeLayoutIndependent(t *testing.T) {
-	fill := func(s *Store) {
-		for i := 0; i < 200; i++ {
+func TestDigestsInsertionOrderIndependent(t *testing.T) {
+	// Cell i is (row-(i%40), c(i%7)): 200 distinct cells, so any order
+	// of the puts stores the same table.
+	fill := func(s *Store, order []int) {
+		for _, i := range order {
 			s.Put(fmt.Sprintf("row-%03d", i%40), fmt.Sprintf("c%d", i%7), assoc.Num(float64(i)))
 		}
 		s.Put("strv", "c", assoc.Str("text value"))
 	}
-	s1, s16 := NewStoreStripes(1), NewStoreStripes(16)
-	fill(s1)
-	fill(s16)
+	sa, sb := NewStore(), NewStore()
+	fill(sa, rand.New(rand.NewSource(1)).Perm(200))
+	fill(sb, rand.New(rand.NewSource(2)).Perm(200))
 	const nb = 32
-	if got, want := s16.BucketDigests(nb), s1.BucketDigests(nb); !bucketsEqual(got, want) {
-		t.Fatal("bucket digests depend on stripe layout")
+	if got, want := sb.BucketDigests(nb), sa.BucketDigests(nb); !bucketsEqual(got, want) {
+		t.Fatal("bucket digests depend on insertion order")
 	}
-	r1, r16 := s1.RowDigests(nb, -1), s16.RowDigests(nb, -1)
-	if len(r1) != len(r16) {
-		t.Fatalf("row digest counts differ: %d vs %d", len(r1), len(r16))
+	ra, rb := sa.RowDigests(nb, -1), sb.RowDigests(nb, -1)
+	if len(ra) != len(rb) {
+		t.Fatalf("row digest counts differ: %d vs %d", len(ra), len(rb))
 	}
-	for i := range r1 {
-		if r1[i] != r16[i] {
-			t.Fatalf("row digest %d differs: %+v vs %+v", i, r1[i], r16[i])
+	for i := range ra {
+		if ra[i] != rb[i] {
+			t.Fatalf("row digest %d differs: %+v vs %+v", i, ra[i], rb[i])
 		}
 	}
 	// Any single-cell difference must surface in the digests.
-	s16.Put("row-007", "c0", assoc.Num(-1))
-	if bucketsEqual(s16.BucketDigests(nb), s1.BucketDigests(nb)) {
+	sb.Put("row-007", "c0", assoc.Num(-1))
+	if bucketsEqual(sb.BucketDigests(nb), sa.BucketDigests(nb)) {
 		t.Fatal("digests blind to a changed cell value")
 	}
-	s1.Put("row-007", "c0", assoc.Num(-1)) // re-sync
-	s16.Delete("strv", "c")
-	if bucketsEqual(s16.BucketDigests(nb), s1.BucketDigests(nb)) {
+	sa.Put("row-007", "c0", assoc.Num(-1)) // re-sync
+	sb.Delete("strv", "c")
+	if bucketsEqual(sb.BucketDigests(nb), sa.BucketDigests(nb)) {
 		t.Fatal("digests blind to a deleted cell")
 	}
 }

@@ -95,7 +95,7 @@ func FuzzServerProtocol(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		store := NewStoreStripes(4)
+		store := NewStore()
 		fuzzSession(t, store, data)
 		verifyStoreInvariants(t, store)
 		// The store must stay fully usable after any session.
@@ -116,7 +116,7 @@ func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte("PUT\tr\tc\tn\tNaN\n"))
 	f.Add([]byte("\x00PUT\t\xff\t\t\t\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		store := NewStoreStripes(3)
+		store := NewStore()
 		store.replayLog(strings.NewReader(string(data)), nil) // error or nil, never panic
 		verifyStoreInvariants(t, store)
 	})
@@ -171,23 +171,23 @@ func FuzzMutationLine(f *testing.F) {
 	})
 }
 
-// FuzzStoreScan reads its input as a script: a stripe count, then any
-// sequence of puts, deletes, put batches and delete batches over a small
-// key space — so rows collide, empty out and return — with, between
-// them, scans of any (start, end, limit, cursor): live keys, dead ones,
-// bare prefixes, empty, bounds crossed. One put batch shape is a
-// published table's, rows whose columns ascend, so the rows it opens
-// are cut from one slab and later deleted, overwritten and scanned.
-// Every appendCells page, and the appendKeys page of the same
-// arguments, is diffed against the map-of-maps model — its cells, its
-// distinct rows — which has never seen the index, the merge or a slab,
-// and the structural invariants are checked after every step.
+// FuzzStoreScan reads its input as a script: any sequence of puts,
+// deletes, put batches and delete batches over a small key space — so
+// rows collide, empty out and return — with, between them, scans of
+// any (start, end, limit, cursor): live keys, dead ones, bare prefixes,
+// empty, bounds crossed. One put batch shape is a published table's,
+// rows whose columns ascend, so the rows it opens are cut from one slab
+// and later deleted, overwritten and scanned. Every appendCells page,
+// and the appendKeys page of the same arguments, is diffed against the
+// map-of-maps model — its cells, its distinct rows — which has never
+// seen the index or a slab, and the structural invariants are checked
+// after every step.
 func FuzzStoreScan(f *testing.F) {
-	f.Add([]byte{16, 0, 1, 2, 0, 3, 4, 4, 0, 0, 0, 0})
-	f.Add([]byte{1, 2, 9, 9, 5, 2, 9, 9, 6, 4, 9, 0, 2, 9, 1, 1, 9, 9})
-	f.Add([]byte("\x10\x02\x00\x00\x20\x02\x40\x00\x20\x04\x00\xff\x03\x41\x03\x40\x00\x07\x04\x42\x00\x01\x00"))
-	f.Add([]byte{3, 0, 200, 1, 0, 100, 1, 0, 50, 1, 4, 255, 255, 1, 50, 1, 200, 1, 4, 0, 0, 0, 0, 1, 100, 1, 4, 100, 0, 2, 50})
-	f.Add([]byte{4, 5, 4, 0x01, 0x1f, 0x02, 0x15, 0x40, 0x0a, 0x41, 0x1f, 4, 0, 0, 0, 0,
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 4, 0, 0, 0, 0})
+	f.Add([]byte{2, 9, 9, 5, 2, 9, 9, 6, 4, 9, 0, 2, 9, 1, 1, 9, 9})
+	f.Add([]byte("\x02\x00\x00\x20\x02\x40\x00\x20\x04\x00\xff\x03\x41\x03\x40\x00\x07\x04\x42\x00\x01\x00"))
+	f.Add([]byte{0, 200, 1, 0, 100, 1, 0, 50, 1, 4, 255, 255, 1, 50, 1, 200, 1, 4, 0, 0, 0, 0, 1, 100, 1, 4, 100, 0, 2, 50})
+	f.Add([]byte{5, 4, 0x01, 0x1f, 0x02, 0x15, 0x40, 0x0a, 0x41, 0x1f, 4, 0, 0, 0, 0,
 		1, 0x02, 0, 1, 0x02, 2, 1, 0x02, 4, 5, 3, 0x02, 0x03, 0x01, 0x10, 0x42, 0x1f, 4, 0, 0, 0, 5,
 		0, 0x01, 7, 5, 3, 0x43, 0x05, 0x43, 0x02, 0x01, 0x1f, 4, 0x41, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -199,7 +199,7 @@ func FuzzStoreScan(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		s, m := NewStoreStripes(1+int(next())%20), newMapStore()
+		s, m := NewStore(), newMapStore()
 		row := func(b byte) string { return fmt.Sprintf("%c/%02d", 'a'+b>>6, b&63) }
 		col := func(b byte) string { return fmt.Sprintf("c%d", b%5) }
 		bound := func(b byte) string { // a scan argument: empty, a bare prefix, or a row key live or not
@@ -710,7 +710,7 @@ func FuzzClientResync(f *testing.F) {
 	const nb = 16
 	// The frames a repair exchanges: both replies of a store holding a
 	// few rows, and of an empty one.
-	store := NewStoreStripes(4)
+	store := NewStore()
 	f.Add(resyncFrame(store.BucketDigests(nb), nil))
 	f.Add(resyncFrame(nil, store.RowDigests(nb, -1)))
 	for i := 0; i < 40; i++ {

@@ -17,59 +17,49 @@ func valueEqual(a, b assoc.Value) bool {
 	return a.Num == b.Num || (math.IsNaN(a.Num) && math.IsNaN(b.Num))
 }
 
-// verifyStoreInvariants cross-checks every stripe's redundant
-// structures: the row index (keys strictly ascending, so each row once;
-// every entry holding a row of that very key, which hashes to this
-// stripe), each row's run (columns strictly ascending, never empty), and
-// nnz vs cell count (the degree table is derived from run lengths, so
-// its correctness rides on the same checks).
+// verifyStoreInvariants cross-checks the store's redundant structures:
+// the row index (keys strictly ascending, so each row once; every entry
+// holding a row of that very key), each row's run (columns strictly
+// ascending, never empty), and nnz vs cell count (the degree table is
+// derived from run lengths, so its correctness rides on the same
+// checks).
 // The fuzz, soak, differential and crash tests call it to prove no
 // input sequence can corrupt the store.
 func verifyStoreInvariants(t *testing.T, s *Store) {
 	t.Helper()
-	total := 0
-	for i, st := range s.stripes {
-		st.mu.RLock()
-		nnz := 0
-		prevKey, firstKey := "", true
-		for entry := range st.index.All() {
-			key, r := entry.Key, entry.Val
-			if !firstKey && key <= prevKey {
-				t.Errorf("stripe %d index not strictly ascending: %q after %q", i, key, prevKey)
-			}
-			prevKey, firstKey = key, false
-			if s.stripeFor(key) != st {
-				t.Errorf("stripe %d holds row %q that hashes elsewhere", i, key)
-			}
-			if r == nil {
-				t.Errorf("stripe %d indexes %q with no row", i, key)
-				continue
-			}
-			if r.key != key {
-				t.Errorf("stripe %d files row %q under %q", i, r.key, key)
-			}
-			if r.cells.NumBlocks() == 0 {
-				t.Errorf("stripe %d keeps empty row %q", i, key)
-			}
-			prev, first := "", true
-			for e := range r.cells.All() {
-				nnz++
-				if !first && e.Key <= prev {
-					t.Errorf("row %q run not strictly ascending: %q after %q", key, e.Key, prev)
-				}
-				prev, first = e.Key, false
-			}
-			if got := r.cells.Len(); got != r.digest().Count {
-				t.Errorf("row %q Len = %d, walk %d", key, got, r.digest().Count)
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	nnz := 0
+	prevKey, firstKey := "", true
+	for entry := range s.index.All() {
+		key, r := entry.Key, entry.Val
+		if !firstKey && key <= prevKey {
+			t.Errorf("index not strictly ascending: %q after %q", key, prevKey)
 		}
-		if nnz != st.nnz {
-			t.Errorf("stripe %d nnz = %d, recount %d", i, st.nnz, nnz)
+		prevKey, firstKey = key, false
+		if r == nil {
+			t.Errorf("index holds %q with no row", key)
+			continue
 		}
-		total += nnz
-		st.mu.RUnlock()
+		if r.key != key {
+			t.Errorf("index files row %q under %q", r.key, key)
+		}
+		if r.cells.NumBlocks() == 0 {
+			t.Errorf("store keeps empty row %q", key)
+		}
+		prev, first := "", true
+		for e := range r.cells.All() {
+			nnz++
+			if !first && e.Key <= prev {
+				t.Errorf("row %q run not strictly ascending: %q after %q", key, e.Key, prev)
+			}
+			prev, first = e.Key, false
+		}
+		if got := r.cells.Len(); got != r.digest().Count {
+			t.Errorf("row %q Len = %d, walk %d", key, got, r.digest().Count)
+		}
 	}
-	if got := s.NNZ(); got != total {
-		t.Errorf("NNZ = %d, recount %d", got, total)
+	if nnz != s.nnz {
+		t.Errorf("nnz = %d, recount %d", s.nnz, nnz)
 	}
 }

@@ -1,10 +1,10 @@
 package tripled
 
-// oracle_test.go keeps the map-of-maps stripe the store was built on
+// oracle_test.go keeps the map-of-maps table the store was built on
 // before a row became a sorted run — row -> col -> value — as the model
-// the run layout is diffed against. It is one stripe with no lock: every
-// query below is defined on the table's contents alone, so the model
-// answers for any stripe count.
+// the run layout is diffed against. It has no lock: every query below
+// is defined on the table's contents alone, so the model answers for
+// any layout of them.
 
 import (
 	"bytes"
@@ -247,10 +247,10 @@ func TestStoreMatchesMapOracle(t *testing.T) {
 	if testing.Short() {
 		steps = 300
 	}
-	for _, stripes := range []int{1, 16} {
-		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(stripes)))
-			s, m := NewStoreStripes(stripes), newMapStore()
+	for _, seed := range []int64{1, 16} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			s, m := NewStore(), newMapStore()
 			pick := func(space []string) string { return space[rng.Intn(len(space))] }
 			val := func() assoc.Value {
 				if rng.Intn(2) == 0 {
@@ -357,7 +357,7 @@ func TestStoreMatchesMapOracle(t *testing.T) {
 // splits, cell by cell in random column order, and back to nothing —
 // the shape the narrow-row differential test never reaches.
 func TestStoreWideRowMatchesOracle(t *testing.T) {
-	s, m := NewStoreStripes(4), newMapStore()
+	s, m := NewStore(), newMapStore()
 	rng := rand.New(rand.NewSource(3))
 	const width = 1000
 	var colSpace []string
@@ -392,7 +392,7 @@ func TestStoreWideRowMatchesOracle(t *testing.T) {
 
 // TestWideRowPutWithinTwiceTheMapOfMaps is the store's wide-row guard:
 // 200k cells put into one row in random column order, cell by cell,
-// must not take more than twice what the map-of-maps stripe the store
+// must not take more than twice what the map-of-maps table the store
 // was built on took — row -> col -> value with its transpose beside it,
 // a fixed yardstick — since a row's run splits into blocks as the
 // ordered row index always did, so an insert stays O(log c) however

@@ -2,15 +2,15 @@ package tripled
 
 // scan_test.go polices the ordered walk behind the CELLS pages. The
 // oracle is the map-of-maps model (oracle_test.go) — walk every row,
-// keep the matches, sort, cut — which shares nothing with the
-// stripes' index, and a model-based property test drives random puts,
-// deletes and scans through the store at one stripe and at sixteen,
-// diffing every scan against it.
+// keep the matches, sort, cut — which shares nothing with the store's
+// index, and a model-based property test drives random puts, deletes
+// and scans through the store, diffing every scan against it.
 
 import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -29,10 +29,10 @@ func cellsEqual(a, b []Cell) bool {
 // absent, below start, naming a live row, naming a deleted row, at or
 // past end; end empty, above and below start.
 func TestScanMatchesFullScanOracle(t *testing.T) {
-	for _, stripes := range []int{1, 16} {
-		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(stripes)))
-			s, m := NewStoreStripes(stripes), newMapStore()
+	for _, seed := range []int64{1, 16} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			s, m := NewStore(), newMapStore()
 			key := func() string { return fmt.Sprintf("%c/%03d", 'a'+rng.Intn(4), rng.Intn(700)) }
 			cols := []string{"packets", "class", "intent"}
 			var deleted []string
@@ -102,10 +102,8 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 			if n := s.NNZ(); n != 0 {
 				t.Fatalf("drained store holds %d cells", n)
 			}
-			for i, st := range s.stripes {
-				if n := st.index.NumBlocks(); n != 0 {
-					t.Errorf("stripe %d keeps %d index blocks after the drain", i, n)
-				}
+			if n := s.index.NumBlocks(); n != 0 {
+				t.Errorf("the index keeps %d blocks after the drain", n)
 			}
 		})
 	}
@@ -113,36 +111,34 @@ func TestScanMatchesFullScanOracle(t *testing.T) {
 
 // TestPagedScanCoversEveryRowOnce pages a prefix with every page size
 // around the block size and checks the concatenation is the unlimited
-// scan: no row lost or repeated at a page, block or stripe boundary.
+// scan: no row lost or repeated at a page or block boundary.
 func TestPagedScanCoversEveryRowOnce(t *testing.T) {
-	for _, stripes := range []int{1, 16} {
-		s, m := NewStoreStripes(stripes), newMapStore()
-		for i := 0; i < 1500; i++ {
-			for _, row := range []string{fmt.Sprintf("p/%05d", i*7919%1500), fmt.Sprintf("q/%05d", i)} {
-				s.Put(row, "c", assoc.Num(float64(i)))
-				m.put(row, "c", assoc.Num(float64(i)))
-			}
+	s, m := NewStore(), newMapStore()
+	for i := 0; i < 1500; i++ {
+		for _, row := range []string{fmt.Sprintf("p/%05d", i*7919%1500), fmt.Sprintf("q/%05d", i)} {
+			s.Put(row, "c", assoc.Num(float64(i)))
+			m.put(row, "c", assoc.Num(float64(i)))
 		}
-		want, _ := m.scanRows("p/", prefixEnd("p/"), 0, "")
-		for _, page := range []int{1, 255, 256, 257, 512, 1499, 1500, 1501} {
-			var got []string
-			cursor := ""
-			for {
-				cells, more := s.appendCells(nil, "p/", prefixEnd("p/"), page, cursor)
-				for _, c := range cells { // one cell a row
-					got = append(got, c.Row)
-				}
-				if !more {
-					break
-				}
-				if len(cells) != page {
-					t.Fatalf("stripes=%d page=%d: more=true on a %d-row page", stripes, page, len(cells))
-				}
-				cursor = got[len(got)-1]
+	}
+	want, _ := m.scanRows("p/", prefixEnd("p/"), 0, "")
+	for _, page := range []int{1, 255, 256, 257, 512, 1499, 1500, 1501} {
+		var got []string
+		cursor := ""
+		for {
+			cells, more := s.appendCells(nil, "p/", prefixEnd("p/"), page, cursor)
+			for _, c := range cells { // one cell a row
+				got = append(got, c.Row)
 			}
-			if !slices.Equal(got, want) {
-				t.Errorf("stripes=%d page=%d: paged scan returned %d rows, want %d", stripes, page, len(got), len(want))
+			if !more {
+				break
 			}
+			if len(cells) != page {
+				t.Fatalf("page=%d: more=true on a %d-row page", page, len(cells))
+			}
+			cursor = got[len(got)-1]
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("page=%d: paged scan returned %d rows, want %d", page, len(got), len(want))
 		}
 	}
 }
@@ -151,7 +147,7 @@ func TestPagedScanCoversEveryRowOnce(t *testing.T) {
 // delete and re-put whole rows (one batch each, a new value every time,
 // so a row is only ever whole, of one value, or absent) while scanners
 // page the table a row or two at a time. A page is a snapshot taken
-// under every stripe's read lock, so under any churn: a row in it is
+// under the store's read lock, so under any churn: a row in it is
 // whole and of one value; its rows ascend from past the cursor; a page
 // that reports more holds exactly limit rows — no row selected and then
 // lost — and an empty page therefore ends the scan; and the stable rows
@@ -195,7 +191,9 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 				for j, c := range cells {
 					keys[j] = CellKey{Row: c.Row, Col: c.Col}
 				}
+				s.mu.Lock()
 				s.deleteBatch(keys)
+				s.mu.Unlock()
 				s.PutBatch(cells)
 			}
 		}(w)
@@ -251,14 +249,14 @@ func TestScanCellsUnderConcurrentRowDeletes(t *testing.T) {
 	verifyStoreInvariants(t, s)
 }
 
-// TestPageAllocsIndependentOfStripesAndStoreSize is the exact gate on
-// the scan's overfetch: one 512-row CELLS page into a reused buffer
-// allocates the same number of times at 1, 16 and 64 stripes and with
-// ten times the rows resident — the walk keeps one head per stripe and
-// copies no keys, so nothing it allocates scales with either.
-func TestPageAllocsIndependentOfStripesAndStoreSize(t *testing.T) {
-	page := func(stripes, rows int) float64 {
-		s := NewStoreStripes(stripes)
+// TestPageAllocsIndependentOfStoreSize is the exact gate on the scan's
+// overfetch: one 512-row CELLS page into a reused buffer allocates the
+// same number of times with ten times the rows resident — the walk
+// keeps one cursor and copies no keys, so nothing it allocates scales
+// with the store.
+func TestPageAllocsIndependentOfStoreSize(t *testing.T) {
+	page := func(rows int) float64 {
+		s := NewStore()
 		for i := 0; i < rows; i++ {
 			for _, c := range []string{"a", "b", "c"} {
 				s.Put(fmt.Sprintf("t/%06d", i*7919%rows), c, assoc.Num(float64(i)))
@@ -272,21 +270,18 @@ func TestPageAllocsIndependentOfStripesAndStoreSize(t *testing.T) {
 			}
 		})
 	}
-	base := page(1, 2000)
-	for _, c := range []struct{ stripes, rows int }{{16, 2000}, {64, 2000}, {16, 20000}} {
-		if got := page(c.stripes, c.rows); got != base {
-			t.Errorf("a 512-row page allocates %v times at %d stripes over %d rows, %v at 1 stripe over 2000", got, c.stripes, c.rows, base)
-		}
+	if small, big := page(2000), page(20000); big != small {
+		t.Errorf("a 512-row page allocates %v times over 20000 rows, %v over 2000", big, small)
 	}
 }
 
 // TestSlabRowsWrittenUnderTheirOwnLocks loads one batch of fresh rows in
-// column order, so the rows share one slab across every stripe, then
-// has a writer per row class overwrite, grow, empty and refill its own
-// rows while a reader pages through the store. Neighbouring slab rows
-// sit in different stripes and are written under different locks: the
-// race detector sees no conflict, and the store ends as the serial
-// model of the same writes.
+// column order, so the rows share one slab, then has a writer per row
+// class overwrite, grow, empty and refill its own rows while a reader
+// pages through the store. Neighbouring slab rows belong to different
+// writers, each write under the store's lock: the race detector sees
+// no conflict, and the store ends as the serial model of the same
+// writes.
 func TestSlabRowsWrittenUnderTheirOwnLocks(t *testing.T) {
 	const rows, writers = 256, 8
 	s, m := NewStore(), newMapStore()
@@ -321,7 +316,7 @@ func TestSlabRowsWrittenUnderTheirOwnLocks(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	done := make(chan struct{})
-	go func() { // a reader holding every stripe's lock, page after page
+	go func() { // a reader holding the store's read lock, page after page
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			var page []Cell
@@ -352,4 +347,126 @@ func TestSlabRowsWrittenUnderTheirOwnLocks(t *testing.T) {
 	if got, want := storeLog(t, s), m.writeLog(); string(got) != string(want) {
 		t.Fatalf("the store's log differs from the model's:\n%s\nmodel:\n%s", got, want)
 	}
+}
+
+// TestPageSeesWholeBatch: a BATCH of mixed PUT and DEL runs is one
+// mutation to a reader. Rows m/0001..m/0200 are loaded first; then batch
+// v puts version v into a new row a/v and a new row z/v and deletes the
+// one cell of row m/v, its body a PUT, a DEL and a PUT run. A reader
+// pages the whole table by CELLS and by KEYS meanwhile, and every page
+// must show one version v: as many a/ rows as z/ rows, each holding its
+// own version, and the m/ rows past m/v and no others. Run on the store
+// (the parsed list the wire, the WAL and replay apply) and over the
+// wire.
+func TestPageSeesWholeBatch(t *testing.T) {
+	const n = 200
+	key := func(p byte, v int) string { return fmt.Sprintf("%c/%04d", p, v) }
+	batch := func(v int) []string {
+		return []string{
+			string(appendPut(nil, key('a', v), "ver", assoc.Num(float64(v)))),
+			string(appendDel(nil, key('m', v), "ver")),
+			string(appendPut(nil, key('z', v), "ver", assoc.Num(float64(v)))),
+		}
+	}
+	// check reports how a page — cells, or row keys alone — falls short
+	// of one whole version.
+	check := func(page []Cell, keysOnly bool) error {
+		count := map[byte]int{}
+		firstM := ""
+		for _, c := range page {
+			p := c.Row[0]
+			if count[p]++; p == 'm' && firstM == "" {
+				firstM = c.Row
+			}
+			if v, _ := strconv.Atoi(c.Row[2:]); p != 'm' && !keysOnly && c.Val != assoc.Num(float64(v)) {
+				return fmt.Errorf("row %s holds %v", c.Row, c.Val)
+			}
+		}
+		v := count['a']
+		if count['z'] != v || count['m'] != n-v || (v < n && firstM != key('m', v+1)) {
+			return fmt.Errorf("%d a/ rows, %d z/ rows, %d m/ rows from %q", v, count['z'], count['m'], firstM)
+		}
+		return nil
+	}
+	run := func(t *testing.T, s *Store, write func(lines []string) error, cells, keys func() ([]Cell, error)) {
+		for v := 1; v <= n; v++ {
+			if err := s.Put(key('m', v), "ver", assoc.Num(0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan error, 1)
+		go func() {
+			for v := 1; v <= n; v++ {
+				if err := write(batch(v)); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		for reading := true; reading; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				reading = false
+			default:
+			}
+			for i, page := range []func() ([]Cell, error){cells, keys} {
+				got, err := page()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := check(got, i == 1); err != nil {
+					t.Fatalf("%s page: %v", []string{"CELLS", "KEYS"}[i], err)
+				}
+			}
+		}
+	}
+	t.Run("store", func(t *testing.T) {
+		s := NewStore()
+		var ops mutations
+		write := func(lines []string) error {
+			defer ops.reset()
+			for _, l := range lines {
+				if err := ops.parse([]byte(l)); err != nil {
+					return err
+				}
+			}
+			s.applyRuns(&ops)
+			return nil
+		}
+		cells := func() ([]Cell, error) {
+			page, _ := s.appendCells(nil, "", "", 0, "")
+			return page, nil
+		}
+		keys := func() ([]Cell, error) {
+			rows, _ := s.appendKeys(nil, "", "", 0, "")
+			page := make([]Cell, len(rows))
+			for i, r := range rows {
+				page[i].Row = r
+			}
+			return page, nil
+		}
+		run(t, s, write, cells, keys)
+	})
+	t.Run("wire", func(t *testing.T) {
+		srv, r := serveTest(t)
+		w := dialTest(t, srv.Addr())
+		write := func(lines []string) error {
+			w.send(fmt.Sprintf("BATCH\t%d", len(lines)))
+			for _, l := range lines {
+				w.send(l)
+			}
+			resp, err := w.recv()
+			if err != nil {
+				return err
+			}
+			return w.expectOK(resp)
+		}
+		cells := func() ([]Cell, error) { return r.appendPage(nil, cellsRequest, "", "", maxPageRows, "") }
+		keys := func() ([]Cell, error) { return r.appendPage(nil, keysRequest, "", "", maxPageRows, "") }
+		run(t, srv.store, write, cells, keys)
+	})
 }

@@ -69,7 +69,7 @@ const (
 	// counts are refused and the connection closed.
 	DefaultMaxBatch = 1 << 16
 	// maxPageRows caps the rows of one CELLS or KEYS page whatever limit
-	// it asks for: a page holds every stripe's read lock while it is
+	// it asks for: a page holds the store's read lock while it is
 	// assembled.
 	maxPageRows = 1 << 12
 	// maxPooledPage is the largest page buffer, in cells, pagePool keeps.
@@ -461,7 +461,7 @@ func (m *mutations) reset() {
 }
 
 // handleBatch reads the n body lines of a BATCH request, parses them
-// all, and only then applies them as stripe-grouped runs (each run of
+// all, and only then applies them as one store write (each run of
 // consecutive PUTs or DELs is one store batch, so same-cell PUT/DEL
 // sequences keep their order). Nothing is applied if any body line is
 // malformed or the body is truncated. A count that cannot be trusted

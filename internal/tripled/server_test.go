@@ -380,7 +380,7 @@ func TestFetchAssocTableAllocations(t *testing.T) {
 	}
 }
 
-// TestCellsPageIsClamped: a page is assembled with every stripe
+// TestCellsPageIsClamped: a page is assembled with the store
 // read-locked, so the server bounds it. Through a real connection: a
 // CELLS or KEYS request for a billion rows gets maxPageRows of them, the
 // clients that loop until an empty page (FetchAssoc, FetchKeys,

@@ -2,7 +2,7 @@ package tripled
 
 // soak_test.go is the concurrency gate: N clients hammer one server
 // with mixed traffic, then the final store state is diffed against a
-// single-threaded replay of every client's mutations into a 1-stripe
+// single-threaded replay of every client's mutations into a fresh
 // oracle store — the same Workers=1 oracle pattern the window engine
 // uses. Run under -race (CI does) this doubles as the data-race sweep.
 
@@ -78,7 +78,7 @@ func TestConcurrentSoakMatchesOracle(t *testing.T) {
 		ops = 120
 	}
 
-	store := NewStoreStripes(8)
+	store := NewStore()
 	srv, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestConcurrentSoakMatchesOracle(t *testing.T) {
 
 	// Single-threaded replay oracle: per-client mutation order is all
 	// that matters, because mutation keyspaces are disjoint per client.
-	oracle := NewStoreStripes(1)
+	oracle := NewStore()
 	for id := 0; id < clients; id++ {
 		for i, op := range soakScript(id, ops) {
 			switch op.kind {

@@ -5,25 +5,24 @@
 // a row's degree — its cell count — is what makes "top-K heaviest
 // sources" queries cheap at honeyfarm scale.
 //
-// The store is sharded across stripes keyed by row hash: each stripe
-// has its own lock and is its rows in key order — one run keyed by row
-// (internal/runs), the only container that holds them — so writers on
-// different rows never contend. A row is its cells as a run sorted by
-// column; bulk mutations arrive as runs of same-row cells and cost one
-// stripe hash and one index seek per run, and the rows a batch opens in
-// column order share one slab (putCells). Everything ordered (CELLS
-// and KEYS pages, the snapshot log, the export) is one walk,
-// Store.page, which holds every stripe's read lock for one page and
-// merges a cursor per stripe lazily: a page is an atomic snapshot and costs
-// O(stripes * log rows + page), not a walk of the store. The store is
-// in-memory with an append-only change log for persistence, and
-// server.go exposes it over a line-oriented TCP protocol (and bounds
-// how many rows one page may hold the stripes locked for).
+// The store is its rows in key order — one run keyed by row
+// (internal/runs), the only container that holds them — under one
+// read-write lock. A row is its cells as a run sorted by column; bulk
+// mutations arrive as runs of same-row cells and cost one index seek
+// per run, and the rows a batch opens in column order share one slab
+// (putCells). A parsed mutation list is applied under one write lock
+// (applyRuns), so a reader sees a BATCH whole or not at all.
+// Everything ordered (CELLS and KEYS pages, the snapshot log, the
+// export) is one walk, Store.page, which holds the read lock for one
+// page and walks one cursor: a page is an atomic snapshot and costs
+// O(log rows + page), not a walk of the store. The store is in-memory
+// with an append-only change log for persistence, and server.go
+// exposes it over a line-oriented TCP protocol (and bounds how many
+// rows one page may hold the lock for).
 package tripled
 
 import (
 	"bufio"
-	"hash/maphash"
 	"io"
 	"slices"
 	"strings"
@@ -33,10 +32,6 @@ import (
 	"repro/internal/assoc"
 	"repro/internal/runs"
 )
-
-// DefaultStripes is the stripe count of NewStore, enough that a
-// handful of ingest connections rarely collide on a lock.
-const DefaultStripes = 16
 
 // Cell is one (row, col, value) triple, the unit of batched mutation.
 type Cell struct {
@@ -62,7 +57,7 @@ type CellKey struct {
 	Row, Col string
 }
 
-// row is one row of a stripe: its values as a run sorted by column.
+// row is one row of the store: its values as a run sorted by column.
 // Column names are interned (colName), so a stored cell shares its
 // column's one string. Off the wire, a row's key and string values are
 // cut from one string per row run ((*mutations).parse), so they pin
@@ -70,7 +65,7 @@ type CellKey struct {
 // the batch's slabs (slabRows): it owns its capped cut, which it grows
 // out of without touching a neighbour's, while the slabs live until the
 // last row cut from them goes; a row that empties is zeroed
-// (stripe.del), so a deleted one pins neither its key text nor cells.
+// (Store.del), so a deleted one pins neither its key text nor cells.
 type row struct {
 	key   string
 	cells runs.Run[assoc.Value]
@@ -79,45 +74,19 @@ type row struct {
 // colName returns the canonical copy of a column name.
 func colName(col string) string { return unique.Make(col).Value() }
 
-// stripe is one shard of the table: its rows in key order — point
-// lookups search the index, scans seek into it. The degree table is not
-// materialized: a row's degree is the length of its run.
-type stripe struct {
+// Store is a concurrency-safe triple store: its rows in key order —
+// point lookups search the index, scans seek into it — under one lock.
+// The degree table is not materialized: a row's degree is the length of
+// its run. The helpers that take no lock (row, put, putCells, del,
+// deleteBatch) run under mu, held by their caller.
+type Store struct {
 	mu    sync.RWMutex
-	index runs.Run[*row] // every row of the stripe under its key
+	index runs.Run[*row] // every row under its key
 	nnz   int
 }
 
-// Store is a concurrency-safe triple store sharded over row-hash
-// stripes. The zero value is not usable; call NewStore.
-type Store struct {
-	stripes []*stripe
-	seed    maphash.Seed
-}
-
-// NewStore returns an empty store with DefaultStripes stripes.
-func NewStore() *Store { return NewStoreStripes(DefaultStripes) }
-
-// NewStoreStripes returns an empty store sharded over n stripes.
-// n = 1 degenerates to a single-lock store, the serial oracle the
-// concurrency tests diff against.
-func NewStoreStripes(n int) *Store {
-	if n < 1 {
-		n = 1
-	}
-	s := &Store{stripes: make([]*stripe, n), seed: maphash.MakeSeed()}
-	for i := range s.stripes {
-		s.stripes[i] = &stripe{}
-	}
-	return s
-}
-
-func (s *Store) stripeFor(row string) *stripe {
-	if len(s.stripes) == 1 {
-		return s.stripes[0]
-	}
-	return s.stripes[maphash.String(s.seed, row)%uint64(len(s.stripes))]
-}
+// NewStore returns an empty store.
+func NewStore() *Store { return &Store{} }
 
 // Put stores v at (row, col), replacing any existing value. Keys that
 // would corrupt the mutation line (tab, newline, carriage return) are
@@ -128,35 +97,36 @@ func (s *Store) Put(row, col string, v assoc.Value) error {
 }
 
 // row returns the row under key, or nil.
-func (st *stripe) row(key string) *row {
-	if e := st.index.Get(key); e != nil {
+func (s *Store) row(key string) *row {
+	if e := s.index.Get(key); e != nil {
 		return e.Val
 	}
 	return nil
 }
 
-// put stores v under col in r, a row of this stripe.
-func (st *stripe) put(r *row, col string, v assoc.Value) {
+// put stores v under col in r, a row of the store.
+func (s *Store) put(r *row, col string, v assoc.Value) {
 	e, added := r.cells.Put(colName(col))
 	if added {
-		st.nnz++
+		s.nnz++
 	}
 	e.Val = v
 }
 
-// PutBatch stores every cell. Table iterations arrive row-major, so the
-// batch is applied as runs of consecutive same-row cells: one stripe
-// hash, one row lookup per run, and the stripe lock held across runs of
-// one stripe. Validation is all-or-nothing: a single bad key or value
-// rejects the whole batch with a BadKeyError or BadValueError before
-// anything is applied.
+// PutBatch stores every cell under one write lock. Table iterations
+// arrive row-major, so the batch is applied as runs of consecutive
+// same-row cells, one row lookup per run. Validation is all-or-nothing:
+// a single bad key or value rejects the whole batch with a BadKeyError
+// or BadValueError before anything is applied.
 func (s *Store) PutBatch(cells []Cell) error {
 	for i := range cells {
 		if err := cells[i].validate(); err != nil {
 			return err
 		}
 	}
+	s.mu.Lock()
 	s.putCells(cells)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -168,39 +138,28 @@ func (s *Store) PutBatch(cells []Cell) error {
 // other run goes in cell by cell, the last of a repeated column
 // winning, and a run whose row is held allocates nothing.
 func (s *Store) putCells(cells []Cell) {
-	var cur *stripe
 	var slab []row // the rest of the batch's runs, one row each
 	for i, j := 0, 0; i < len(cells); i = j {
 		key := cells[i].Row
 		j = runEnd(cells, i)
-		if st := s.stripeFor(key); st != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			st.mu.Lock()
-			cur = st
-		}
-		e, added := cur.index.Put(key)
+		e, added := s.index.Put(key)
 		if added && slab == nil && ascendingCols(cells[i:j]) {
 			slab = slabRows(cells[i:])
 		}
 		if added && slab != nil {
 			e.Val = &slab[0]
-			cur.nnz += e.Val.cells.Len()
+			s.nnz += e.Val.cells.Len()
 		} else if added {
 			e.Val = &row{key: key}
 		}
 		if r := e.Val; r.cells.NumBlocks() == 0 || !added {
 			for _, c := range cells[i:j] {
-				cur.put(r, c.Col, c.Val)
+				s.put(r, c.Col, c.Val)
 			}
 		}
 		if slab != nil {
 			slab = slab[1:]
 		}
-	}
-	if cur != nil {
-		cur.mu.Unlock()
 	}
 }
 
@@ -248,10 +207,9 @@ func ascendingCols(cells []Cell) bool {
 
 // Get returns the value at (row, col).
 func (s *Store) Get(row, col string) (assoc.Value, bool) {
-	st := s.stripeFor(row)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if r := st.row(row); r != nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if r := s.row(row); r != nil {
 		if e := r.cells.Get(col); e != nil {
 			return e.Val, true
 		}
@@ -261,15 +219,14 @@ func (s *Store) Get(row, col string) (assoc.Value, bool) {
 
 // Delete removes the cell if present and reports whether it existed.
 func (s *Store) Delete(row, col string) bool {
-	st := s.stripeFor(row)
-	st.mu.Lock()
-	ok := st.del(row, col)
-	st.mu.Unlock()
+	s.mu.Lock()
+	ok := s.del(row, col)
+	s.mu.Unlock()
 	return ok
 }
 
-func (st *stripe) del(key, col string) bool {
-	r := st.row(key)
+func (s *Store) del(key, col string) bool {
+	r := s.row(key)
 	if r == nil {
 		return false
 	}
@@ -277,125 +234,59 @@ func (st *stripe) del(key, col string) bool {
 		return false
 	}
 	if r.cells.NumBlocks() == 0 {
-		st.index.Delete(key)
+		s.index.Delete(key)
 		*r = row{} // a slab row gone pins neither its key text nor its cells
 	}
-	st.nnz--
+	s.nnz--
 	return true
 }
 
-// deleteBatch removes every addressed cell, with the same run-wise
-// stripe locking as PutBatch, and returns how many existed.
+// deleteBatch removes every addressed cell and returns how many
+// existed.
 func (s *Store) deleteBatch(keys []CellKey) int {
-	if len(keys) == 0 {
-		return 0
-	}
 	deleted := 0
-	var cur *stripe
 	for _, k := range keys {
-		st := s.stripeFor(k.Row)
-		if st != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			st.mu.Lock()
-			cur = st
-		}
-		if cur.del(k.Row, k.Col) {
+		if s.del(k.Row, k.Col) {
 			deleted++
 		}
 	}
-	cur.mu.Unlock()
 	return deleted
 }
 
 // NNZ returns the number of stored cells.
 func (s *Store) NNZ() int {
-	n := 0
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		n += st.nnz
-		st.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.nnz
 }
 
-// page is the one ordered walk over all stripes: it calls visit with up
-// to limit rows r with r >= start, r < end (empty end = unbounded) and
-// r > cursor when cursor is non-empty, in key order, and reports whether
-// rows remain past them. A limit <= 0 means unlimited; the last row
-// visited is the cursor that continues the walk. Every stripe is
-// read-locked for the whole page, so the page is an atomic snapshot and
-// visit reads each row in place. One cursor per stripe, seeked to the
-// lower bound, is merged lazily through a min-heap (rows live in exactly
-// one stripe, so no key is met twice): limit + stripes index entries
-// are touched.
+// page is the one ordered walk: it calls visit with up to limit rows r
+// with r >= start, r < end (empty end = unbounded) and r > cursor when
+// cursor is non-empty, in key order, and reports whether rows remain
+// past them. A limit <= 0 means unlimited; the last row visited is the
+// cursor that continues the walk. The store is read-locked for the
+// whole page, so the page is an atomic snapshot and visit reads each
+// row in place. One cursor, seeked to the lower bound, touches limit + 1
+// index entries.
 func (s *Store) page(start, end string, limit int, cursor string, visit func(*row)) (more bool) {
 	lo, strict := start, false
 	if cursor != "" && cursor >= start {
 		lo, strict = cursor, true
 	}
-	for _, st := range s.stripes {
-		st.mu.RLock()
-	}
-	defer func() {
-		for _, st := range s.stripes {
-			st.mu.RUnlock()
-		}
-	}()
-	heads := make(headHeap, 0, len(s.stripes))
-	for _, st := range s.stripes {
-		if c := st.index.Seek(lo, strict); c.Head() != nil {
-			heads = append(heads, head{c.Head().Key, c})
-		}
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		heads.down(i)
-	}
-	for n := 0; len(heads) > 0; n++ {
-		h := &heads[0]
-		if end != "" && h.key >= end {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for c, n := s.index.Seek(lo, strict), 0; c.Head() != nil; c.Next() {
+		e := c.Head()
+		if end != "" && e.Key >= end {
 			return false
 		}
 		if limit > 0 && n == limit {
 			return true
 		}
-		visit(h.cur.Head().Val)
-		if h.cur.Next(); h.cur.Head() != nil {
-			h.key = h.cur.Head().Key
-		} else {
-			last := len(heads) - 1
-			heads[0], heads = heads[last], heads[:last]
-		}
-		heads.down(0)
+		visit(e.Val)
+		n++
 	}
 	return false
-}
-
-// head is one stripe's cursor in page's merge, with the key under it
-// kept beside it so that comparing two heads reads no index block.
-type head struct {
-	key string
-	cur runs.Cursor[*row]
-}
-
-// headHeap is page's merge state: the cursors that are not at their end,
-// as a binary min-heap on key.
-type headHeap []head
-
-// down restores the heap below position i after its cursor moved on.
-func (h headHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c+1 < len(h) && h[c+1].key < h[c].key {
-			c++
-		}
-		if c >= len(h) || h[i].key <= h[c].key {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
 }
 
 // appendCells returns every cell of up to limit rows of the paged row
@@ -425,20 +316,16 @@ func (s *Store) appendKeys(dst []string, start, end string, limit int, cursor st
 // TopRowsByDegree returns up to k (row, degree) pairs with the largest
 // degrees, ties broken lexicographically — the degree-table query D4M
 // deployments use to find the heaviest sources without scanning values.
-// Rows live wholly inside one stripe, so the per-stripe degree tables
-// are concatenated, not summed.
 func (s *Store) TopRowsByDegree(k int) []RowDegree {
 	if k <= 0 {
 		return nil
 	}
 	var out []RowDegree
-	for _, st := range s.stripes {
-		st.mu.RLock()
-		for e := range st.index.All() {
-			out = append(out, RowDegree{Row: e.Key, Degree: e.Val.cells.Len()})
-		}
-		st.mu.RUnlock()
+	s.mu.RLock()
+	for e := range s.index.All() {
+		out = append(out, RowDegree{Row: e.Key, Degree: e.Val.cells.Len()})
 	}
+	s.mu.RUnlock()
 	slices.SortFunc(out, func(a, b RowDegree) int {
 		if a.Degree != b.Degree {
 			return b.Degree - a.Degree
@@ -465,7 +352,7 @@ func (s *Store) LoadAssoc(a *assoc.Assoc) error {
 }
 
 // ToAssoc exports the full table as an associative array. The export
-// is an atomic snapshot: all stripes are held read-locked for its
+// is an atomic snapshot: the store is held read-locked for its
 // duration, so no concurrent mutation can tear it.
 func (s *Store) ToAssoc() *assoc.Assoc {
 	out := assoc.New()
@@ -483,7 +370,7 @@ func (s *Store) ToAssoc() *assoc.Assoc {
 // "PUT\trow\tcol\t<n|s>\t<value>" line per cell — the line a client
 // sends and the WAL logs, so recovery replays the snapshot through the
 // same parser as the records after it. Like ToAssoc, the log is an
-// atomic snapshot: every stripe stays read-locked until the last line
+// atomic snapshot: the store stays read-locked until the last line
 // is buffered, so the log always corresponds to a state the store
 // actually held.
 func (s *Store) WriteLog(w io.Writer) error {
